@@ -695,7 +695,10 @@ func (e *Engine) Submit(p *packet.Packet) error {
 			return ErrClosed
 		}
 		rts := e.rdvS.Start(p)
-		e.rdvStart[rts.Ctrl.Token] = p.Enqueued
+		// Once queued and the shard lock dropped, a concurrent pump may post
+		// the RTS and the rail owner recycle it: take the token now.
+		token := rts.Ctrl.Token
+		e.rdvStart[token] = p.Enqueued
 		s := e.shardOf(p.Dst)
 		s.mu.Lock()
 		s.ctrlQ = append(s.ctrlQ, rts)
@@ -707,7 +710,7 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		}
 		s.ctr.rdvBytes += uint64(p.Size())
 		s.mu.Unlock()
-		e.armRdvRetryLocked(rts.Ctrl.Token, 0)
+		e.armRdvRetryLocked(token, 0)
 		e.pmu.Unlock()
 		e.set.Counter("core.rdv_started").Inc()
 		e.pumpAll()
@@ -809,6 +812,7 @@ func (e *Engine) onRdvRetry(token uint64, attempt int, gen uint64) {
 		e.pmu.Unlock()
 		return
 	}
+	ctrl := rts.Ctrl // the frame is a pump's to post and recycle once queued
 	s := e.shardOf(rts.Dst)
 	s.mu.Lock()
 	s.ctrlQ = append(s.ctrlQ, rts)
@@ -818,7 +822,7 @@ func (e *Engine) onRdvRetry(token uint64, attempt int, gen uint64) {
 	e.set.Counter("core.rdv_retries").Inc()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
-		Flow: rts.Ctrl.Flow, Seq: rts.Ctrl.Seq, A: attempt + 1,
+		Flow: ctrl.Flow, Seq: ctrl.Seq, A: attempt + 1,
 		Note: "rdv-retry",
 	})
 	e.armRdvRetryLocked(token, attempt+1)

@@ -185,6 +185,7 @@ func (e *Engine) onRdvGrant(token uint64, p *packet.Packet) {
 		e.spans.Observe(int(SpanRdvGrant), int(packet.ClassBulk), e.arrivalRail, float64(e.rt.Now().Sub(t0)))
 	}
 	rdata := e.rdvS.BuildRData(token)
+	ctrl := rdata.Ctrl // the frame is a pump's to post and recycle once queued
 	s := e.shardOf(rdata.Dst)
 	s.mu.Lock()
 	s.bulkQ = append(s.bulkQ, rdata)
@@ -193,7 +194,7 @@ func (e *Engine) onRdvGrant(token uint64, p *packet.Packet) {
 	e.set.Counter("core.rdv_granted").Inc()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindRdv, Node: e.node,
-		Flow: rdata.Ctrl.Flow, Seq: rdata.Ctrl.Seq, A: rdata.Ctrl.Size, Note: "granted",
+		Flow: ctrl.Flow, Seq: ctrl.Seq, A: ctrl.Size, Note: "granted",
 	})
 }
 
@@ -458,8 +459,10 @@ func (s *shard) pumpBulkLocked(b *strategy.Bundle, ri, ch int) bool {
 }
 
 // pumpBacklogLocked runs the plan builder over the shard's eligible backlog
-// view. The view, the strategy context and the plan live only for this
-// pump; builders must not retain any of them past Build. Caller holds s.mu.
+// view. The view and the plan live only for this pump — the plan may sit in
+// the context's scratch, which the shard's next Build overwrites — and
+// builders must not retain the view or the context past Build. Caller
+// holds s.mu.
 func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 	e := s.eng
 	r := e.rails[ri]
@@ -471,14 +474,15 @@ func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 	if len(view) == 0 {
 		return false
 	}
-	s.planCtx = strategy.Context{
-		Now:     e.rt.Now(),
-		Caps:    r.Caps(),
-		Mem:     r.Mem(),
-		Backlog: view,
-		Budget:  tun.searchBudget,
-	}
-	plan := b.Builder.Build(&s.planCtx)
+	// Field by field: the context outlives the pump because it carries the
+	// builders' plan scratch from one Build to the next.
+	ctx := &s.planCtx
+	ctx.Now = e.rt.Now()
+	ctx.Caps = r.Caps()
+	ctx.Mem = r.Mem()
+	ctx.Backlog = view
+	ctx.Budget = tun.searchBudget
+	plan := b.Builder.Build(ctx)
 	if plan == nil || len(plan.Packets) == 0 {
 		return false
 	}
@@ -527,7 +531,7 @@ func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 		// before a plan pulled it, keyed by its class and the rail the
 		// plan was built for.
 		if p.Enqueued > 0 {
-			e.spans.Observe(int(SpanQueueWait), int(p.Class), ri, float64(s.planCtx.Now.Sub(p.Enqueued)))
+			e.spans.Observe(int(SpanQueueWait), int(p.Class), ri, float64(ctx.Now.Sub(p.Enqueued)))
 		}
 	}
 	s.postLocked(ri, ch, f, plan.Packets, plan.HostExtra)
@@ -667,6 +671,10 @@ func (s *shard) popFrameLocked(q *[]*packet.Frame, hint *atomic.Int64) *packet.F
 // The frame joins the shard's failover queue — to re-travel on a rail that
 // still reaches the peer, or to wait out a partition until a heal — instead
 // of being dropped: the shard owns the frame until some rail accepts it.
+//
+// ErrClosed is the other one: teardown (a test's or a cluster's cleanup)
+// closes rails while pumps are mid-post. The rail is gone for good, so the
+// frame is released and the post counts for nothing.
 // Caller holds s.mu.
 func (s *shard) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, hostExtra simnet.Duration) {
 	e := s.eng
@@ -689,6 +697,10 @@ func (s *shard) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, h
 				At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 				A: ri, B: wire, Note: "requeue:peer-down",
 			})
+			return
+		}
+		if errors.Is(err, drivers.ErrClosed) {
+			packet.ReleaseFrame(f)
 			return
 		}
 		panic(fmt.Sprintf("core: post on %s ch%d failed: %v", e.rails[ri].Name(), ch, err))

@@ -33,6 +33,12 @@ import (
 // a retry condition.
 var ErrChannelBusy = errors.New("drivers: channel busy")
 
+// ErrClosed is returned by Post, Requeue and Dial on a driver that has been
+// closed. Teardown races traffic on real transports — a pump can be mid-post
+// when cleanup closes the rail — so the layer above drops the frame quietly
+// instead of treating it as a bug.
+var ErrClosed = errors.New("drivers: closed")
+
 // IdleFunc is invoked when a send channel becomes free. Sim drivers call it
 // on the simulation goroutine; Loopback calls it from a sender goroutine.
 type IdleFunc func(ch int)

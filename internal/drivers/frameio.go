@@ -1,0 +1,71 @@
+package drivers
+
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+
+	"newmad/internal/packet"
+)
+
+// maxMeshFrame bounds one encoded frame on the wire. Readers treat a larger
+// length prefix as a corrupt stream, so Post enforces the same limit and
+// fails at the call site instead of poisoning the link.
+const maxMeshFrame = 64 << 20
+
+// errEmptyFrame is readFrame's answer to a zero length prefix: no frame was
+// read and the stream is still in sync. Mesh uses it as its in-band retire
+// marker; to a reader without one it is a corrupt stream like any other.
+var errEmptyFrame = errors.New("drivers: zero-length frame")
+
+// readFrame reads one frame off a socket stream: a 4-byte big-endian length
+// prefix, then that many bytes of packet wire encoding. It is the one place
+// the socket drivers turn bytes into frames, and any error other than
+// errEmptyFrame means the stream is lost (EOF, a prefix beyond maxMeshFrame
+// or below a frame header, bytes DecodeInto rejects).
+//
+// The frame struct and its wire buffer come from the packet pools and are
+// attached to each other (SetBacking). Ownership travels with the frame: the
+// receive handler chain (injectors, the engine's dispatcher) borrows it, and
+// whoever consumes it terminally calls packet.ReleaseFrame. Which buffer the
+// bytes land in depends on the frame kind, peeked before the body is read —
+// see packet.LandingBuf.
+func readFrame(br *bufio.Reader) (*packet.Frame, error) {
+	// Peek+Discard instead of ReadFull into a local: a local array passed
+	// through io.Reader escapes, one allocation per frame.
+	prefix, err := br.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(prefix))
+	br.Discard(4) // cannot fail: Peek buffered these bytes
+	switch {
+	case n == 0:
+		return nil, errEmptyFrame
+	case n > maxMeshFrame:
+		return nil, fmt.Errorf("drivers: %d-byte frame exceeds the %d-byte limit", n, maxMeshFrame)
+	case n < packet.HeaderSize:
+		// DecodeInto would reject it after the read; rejecting first keeps
+		// the kind peek below inside this frame's own bytes.
+		return nil, packet.ErrTruncated
+	}
+	head, err := br.Peek(packet.HeaderSize)
+	if err != nil {
+		return nil, err
+	}
+	buf := packet.LandingBuf(n, head)
+	if _, err := io.ReadFull(br, buf.B); err != nil {
+		packet.PutBuf(buf)
+		return nil, err
+	}
+	f := packet.AcquireFrame()
+	if _, err := packet.DecodeInto(f, buf.B); err != nil {
+		packet.ReleaseFrame(f)
+		packet.PutBuf(buf)
+		return nil, err
+	}
+	f.SetBacking(buf)
+	return f, nil
+}

@@ -3,7 +3,6 @@ package drivers
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -110,7 +109,7 @@ func (l *Loopback) Dial(peer packet.NodeID, addr string) error {
 	defer l.mu.Unlock()
 	if l.closed {
 		c.Close()
-		return errors.New("drivers: loopback closed")
+		return fmt.Errorf("drivers: loopback node %d: %w", l.node, ErrClosed)
 	}
 	if old, dup := l.conns[peer]; dup {
 		old.c.Close()
@@ -148,29 +147,13 @@ func (l *Loopback) reader(c net.Conn) {
 		return
 	}
 	src := packet.NodeID(binary.BigEndian.Uint32(hello[:]))
-	var lenbuf [4]byte
 	for {
-		if _, err := io.ReadFull(br, lenbuf[:]); err != nil {
+		// No retire marker on this driver: errEmptyFrame is one more way
+		// for the stream to be corrupt.
+		f, err := readFrame(br)
+		if err != nil {
 			return
 		}
-		n := binary.BigEndian.Uint32(lenbuf[:])
-		if n > 64<<20 {
-			return // corrupt stream
-		}
-		// Pooled receive lifecycle, as in Mesh.reader: the handler chain
-		// borrows the frame, the terminal consumer releases it.
-		buf := packet.GetBuf(int(n))
-		if _, err := io.ReadFull(br, buf.B); err != nil {
-			packet.PutBuf(buf)
-			return
-		}
-		f := packet.AcquireFrame()
-		if _, err := packet.DecodeInto(f, buf.B); err != nil {
-			packet.ReleaseFrame(f)
-			packet.PutBuf(buf)
-			return
-		}
-		f.SetBacking(buf)
 		l.mu.Lock()
 		h := l.onRecv
 		l.mu.Unlock()
@@ -185,8 +168,9 @@ func (l *Loopback) reader(c net.Conn) {
 func (l *Loopback) sender(idx int, ch *lchan) {
 	defer l.wg.Done()
 	var (
-		vecScratch [][]byte // reused gather-list backing
-		meta       []byte   // reused header scratch; gather segments alias it
+		vecScratch [][]byte    // reused gather-list backing
+		meta       []byte      // reused header scratch; gather segments alias it
+		bufs       net.Buffers // WriteTo's receiver escapes: one per sender, not per frame
 	)
 	for tx := range ch.work {
 		l.mu.Lock()
@@ -199,7 +183,7 @@ func (l *Loopback) sender(idx int, ch *lchan) {
 			binary.BigEndian.PutUint32(meta[0:4], uint32(tx.f.WireSize()))
 			vecScratch, meta = tx.f.EncodeVec(vecScratch[:0], meta)
 			conn.mu.Lock()
-			bufs := net.Buffers(vecScratch)
+			bufs = vecScratch // WriteTo consumes bufs, vecScratch keeps the backing
 			_, err := bufs.WriteTo(conn.c)
 			conn.mu.Unlock()
 			for i := range vecScratch {
@@ -276,7 +260,7 @@ func (l *Loopback) Post(ch int, f *packet.Frame, _ simnet.Duration) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return errors.New("drivers: loopback closed")
+		return fmt.Errorf("drivers: loopback node %d: %w", l.node, ErrClosed)
 	}
 	c := l.chans[ch]
 	if c.busy {
@@ -288,8 +272,10 @@ func (l *Loopback) Post(ch int, f *packet.Frame, _ simnet.Duration) error {
 		return fmt.Errorf("drivers: node %d not connected to %d", l.node, f.Dst)
 	}
 	c.busy = true
-	l.mu.Unlock()
+	// Under the lock so the send cannot race Close closing the channel; the
+	// busy flag guarantees the one-slot buffer is free, so it never blocks.
 	c.work <- loopTx{dst: f.Dst, f: f}
+	l.mu.Unlock()
 	return nil
 }
 

@@ -22,11 +22,6 @@ import (
 // whether to reroute, buffer, or give up.
 var ErrPeerDown = errors.New("drivers: peer down")
 
-// maxMeshFrame bounds one encoded frame on the wire. Readers treat a larger
-// length prefix as a corrupt stream, so Post enforces the same limit and
-// fails at the call site instead of poisoning the link.
-const maxMeshFrame = 64 << 20
-
 // Mesh is a real multi-node TCP transport: each node listens on one port,
 // dials every peer, and exchanges length-prefixed frames (the same wire
 // encoding as the simulated drivers and the Loopback driver). It generalizes
@@ -160,14 +155,9 @@ func (m *Mesh) reader(c net.Conn) {
 	m.mu.Lock()
 	m.inbound[src] = c
 	m.mu.Unlock()
-	var lenbuf [4]byte
 	for {
-		if _, err := io.ReadFull(br, lenbuf[:]); err != nil {
-			m.inboundFailed(src, c)
-			return
-		}
-		n := binary.BigEndian.Uint32(lenbuf[:])
-		if n == 0 {
+		f, err := readFrame(br)
+		if err == errEmptyFrame {
 			// Graceful retire marker: the peer replaced this connection (a
 			// re-dial) and has drained it. Unregister so the EOF that
 			// follows reads as clean retirement, not as a peer failure —
@@ -179,29 +169,10 @@ func (m *Mesh) reader(c net.Conn) {
 			m.mu.Unlock()
 			return
 		}
-		if n > maxMeshFrame {
-			m.inboundFailed(src, c)
-			return // corrupt stream
-		}
-		// The frame struct and its wire buffer come from the packet pools.
-		// Ownership travels with the frame: the receive handler chain
-		// (injectors, the engine's dispatcher) borrows it, and whoever
-		// consumes it terminally calls packet.ReleaseFrame, which recycles
-		// the buffer unless a protocol engine pinned it (escaping bulk).
-		buf := packet.GetBuf(int(n))
-		if _, err := io.ReadFull(br, buf.B); err != nil {
-			packet.PutBuf(buf)
+		if err != nil {
 			m.inboundFailed(src, c)
 			return
 		}
-		f := packet.AcquireFrame()
-		if _, err := packet.DecodeInto(f, buf.B); err != nil {
-			packet.ReleaseFrame(f)
-			packet.PutBuf(buf)
-			m.inboundFailed(src, c)
-			return
-		}
-		f.SetBacking(buf)
 		m.mu.Lock()
 		h := m.onRecv
 		m.mu.Unlock()
@@ -273,7 +244,7 @@ func (m *Mesh) Post(ch int, f *packet.Frame, _ simnet.Duration) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return errors.New("drivers: mesh closed")
+		return fmt.Errorf("drivers: mesh node %d: %w", m.node, ErrClosed)
 	}
 	if m.chans[ch] {
 		return ErrChannelBusy
@@ -362,7 +333,7 @@ func (m *Mesh) Requeue(f *packet.Frame) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return errors.New("drivers: mesh closed")
+		return fmt.Errorf("drivers: mesh node %d: %w", m.node, ErrClosed)
 	}
 	p, ok := m.peers[f.Dst]
 	if !ok {

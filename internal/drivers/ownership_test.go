@@ -20,59 +20,93 @@ import (
 // corruption shows up as data races or as the payload fingerprints below
 // going wrong.
 
+// fingerprint returns size bytes that spell seq in every one of them.
+func fingerprint(seq, size int) []byte {
+	payload := make([]byte, size)
+	binary.BigEndian.PutUint32(payload, uint32(seq))
+	for i := 4; i < len(payload); i++ {
+		payload[i] = byte(seq)
+	}
+	return payload
+}
+
+// fingerprinted reports whether p still spells seq.
+func fingerprinted(p []byte, seq int) bool {
+	if len(p) < 4 || int(binary.BigEndian.Uint32(p)) != seq {
+		return false
+	}
+	for _, b := range p[4:] {
+		if b != byte(seq) {
+			return false
+		}
+	}
+	return true
+}
+
 // pooledFrame builds a pool-acquired single-entry data frame whose payload
 // fingerprints its sequence number in every byte.
 func pooledFrame(src, dst packet.NodeID, seq, size int) *packet.Frame {
 	f := packet.AcquireFrame()
 	f.Kind = packet.FrameData
 	f.Src, f.Dst = src, dst
-	payload := make([]byte, size)
-	binary.BigEndian.PutUint32(payload, uint32(seq))
-	for i := 4; i < len(payload); i++ {
-		payload[i] = byte(seq)
-	}
 	f.Entries = append(f.Entries, packet.Entry{
-		Flow: 1, Msg: 1, Seq: seq, Last: true, Payload: payload,
+		Flow: 1, Msg: 1, Seq: seq, Last: true, Payload: fingerprint(seq, size),
 	})
 	return f
 }
 
-// fingerprintSink collects received frames the way the engine does:
-// payloads are copied out while the frame is borrowed, then the frame is
-// terminally released (recycling its backing buffer). Corrupted or
-// duplicated fingerprints convict a buffer recycled while still aliased.
+// pooledBulk is pooledFrame for the kind whose payload escapes to the
+// application: a rendezvous RData frame, which the socket reader lands in an
+// exact-size unpooled buffer instead of a pooled size class.
+func pooledBulk(src, dst packet.NodeID, seq, size int) *packet.Frame {
+	f := packet.AcquireFrame()
+	f.Kind = packet.FrameRData
+	f.Src, f.Dst = src, dst
+	f.Ctrl = packet.Ctrl{Token: uint64(seq), Flow: 1, Msg: 1, Seq: seq, Size: size, Last: true}
+	f.Bulk = fingerprint(seq, size)
+	return f
+}
+
+// carried returns a fingerprinted frame's payload and the sequence number
+// its headers claim, whichever of the two kinds it is.
+func carried(f *packet.Frame) (payload []byte, seq int) {
+	if f.Kind == packet.FrameRData {
+		return f.Bulk, f.Ctrl.Seq
+	}
+	if len(f.Entries) != 1 {
+		return nil, -1
+	}
+	return f.Entries[0].Payload, f.Entries[0].Seq
+}
+
+// fingerprintSink collects received frames the way the engine does: eager
+// payloads are checked while the frame is borrowed, bulk payloads are pinned
+// and kept (the dispatcher hands them to the application), then the frame is
+// terminally released (recycling its backing buffer unless pinned).
+// Corrupted or duplicated fingerprints convict a buffer recycled while still
+// aliased; so does a kept bulk payload that no longer reads true at the end.
 type fingerprintSink struct {
 	t  *testing.T
 	mu sync.Mutex
 	// got maps seq -> copies seen; bad counts corrupt payloads.
-	got map[int]int
-	bad int
+	got  map[int]int
+	bad  int
+	kept map[int][]byte // pinned bulk payloads by seq, re-checked in check
 }
 
 func newFingerprintSink(t *testing.T) *fingerprintSink {
-	return &fingerprintSink{t: t, got: map[int]int{}}
+	return &fingerprintSink{t: t, got: map[int]int{}, kept: map[int][]byte{}}
 }
 
 func (s *fingerprintSink) recv(_ packet.NodeID, f *packet.Frame) {
 	s.mu.Lock()
-	for i := range f.Entries {
-		p := f.Entries[i].Payload
-		if len(p) < 4 {
-			s.bad++
-			continue
-		}
-		seq := int(binary.BigEndian.Uint32(p))
-		ok := seq == f.Entries[i].Seq
-		for j := 4; j < len(p); j++ {
-			if p[j] != byte(seq) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			s.bad++
-		} else {
-			s.got[seq]++
+	if p, seq := carried(f); !fingerprinted(p, seq) {
+		s.bad++
+	} else {
+		s.got[seq]++
+		if f.Kind == packet.FrameRData {
+			f.PinBacking()
+			s.kept[seq] = p
 		}
 	}
 	s.mu.Unlock()
@@ -95,6 +129,11 @@ func (s *fingerprintSink) check(n int, dupsAllowed bool) {
 	if len(s.got) != n {
 		s.t.Fatalf("received %d distinct seqs, want %d", len(s.got), n)
 	}
+	for seq, p := range s.kept {
+		if !fingerprinted(p, seq) {
+			s.t.Fatalf("pinned bulk payload %d was overwritten after its frame was released", seq)
+		}
+	}
 	if !dupsAllowed {
 		for seq, c := range s.got {
 			if c != 1 {
@@ -107,8 +146,9 @@ func (s *fingerprintSink) check(n int, dupsAllowed bool) {
 // TestPooledFramesSurviveRedialDrain drains pooled frames through retiring
 // connections: every few posts the sender re-dials, so queued frames are
 // written by the retired rail's owner (which releases each after the
-// write) while new posts ride the replacement. All frames must arrive
-// exactly once, bit-intact.
+// write) while new posts ride the replacement. Every fourth frame is bulk
+// (exact-size landing buffer, pinned by the sink) at a power-of-two payload.
+// All frames must arrive exactly once, bit-intact.
 func TestPooledFramesSurviveRedialDrain(t *testing.T) {
 	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
 	if err != nil {
@@ -135,7 +175,11 @@ func TestPooledFramesSurviveRedialDrain(t *testing.T) {
 				time.Sleep(100 * time.Microsecond)
 				continue
 			}
-			err := nodes[0].Post(ch, pooledFrame(0, 1, seq, 512), 0)
+			mk, size := pooledFrame, 512
+			if seq%4 == 3 {
+				mk, size = pooledBulk, 8<<10
+			}
+			err := nodes[0].Post(ch, mk(0, 1, seq, size), 0)
 			if err == ErrChannelBusy {
 				continue
 			}
@@ -197,7 +241,7 @@ func TestPooledFramesSurviveFailoverReclaim(t *testing.T) {
 	if err := nodes[0].Post(0, pooledFrame(0, 1, 1, 8<<20), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes[0].Post(1, pooledFrame(0, 1, 2, 64<<10), 0); err != nil {
+	if err := nodes[0].Post(1, pooledBulk(0, 1, 2, 64<<10), 0); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the big write wedge
@@ -216,12 +260,8 @@ func TestPooledFramesSurviveFailoverReclaim(t *testing.T) {
 	// (or reused) structs.
 	mu.Lock()
 	for _, f := range reclaimed {
-		if len(f.Entries) != 1 || len(f.Entries[0].Payload) < 4 {
-			t.Fatalf("reclaimed frame lost its entries: %v", f)
-		}
-		seq := int(binary.BigEndian.Uint32(f.Entries[0].Payload))
-		if seq != f.Entries[0].Seq {
-			t.Fatalf("reclaimed frame payload fingerprint broken: seq %d vs entry %d", seq, f.Entries[0].Seq)
+		if p, seq := carried(f); !fingerprinted(p, seq) {
+			t.Fatalf("reclaimed frame lost its payload or its fingerprint: %v", f)
 		}
 	}
 	mu.Unlock()

@@ -108,8 +108,9 @@ func (m *Mesh) sender(peer packet.NodeID, r *rail) {
 	defer m.wg.Done()
 	broken := false
 	var (
-		vecScratch [][]byte // reused gather-list backing
-		meta       []byte   // reused header scratch; gather segments alias it
+		vecScratch [][]byte    // reused gather-list backing
+		meta       []byte      // reused header scratch; gather segments alias it
+		bufs       net.Buffers // WriteTo's receiver escapes: one per owner, not per frame
 	)
 	for tx := range r.q {
 		if !broken {
@@ -117,7 +118,7 @@ func (m *Mesh) sender(peer packet.NodeID, r *rail) {
 			meta = append(meta[:0], 0, 0, 0, 0)
 			binary.BigEndian.PutUint32(meta[0:4], uint32(wire))
 			vecScratch, meta = tx.f.EncodeVec(vecScratch[:0], meta)
-			bufs := net.Buffers(vecScratch)
+			bufs = vecScratch // WriteTo consumes bufs, vecScratch keeps the backing
 			_, err := bufs.WriteTo(r.c)
 			for i := range vecScratch {
 				vecScratch[i] = nil // drop payload refs; the gather backing is reused

@@ -2,7 +2,7 @@ package drivers
 
 import (
 	"encoding/binary"
-	"errors"
+	"fmt"
 	"net"
 
 	"newmad/internal/packet"
@@ -40,7 +40,7 @@ func (m *Mesh) Dial(peer packet.NodeID, addr string) error {
 	if m.closed {
 		m.mu.Unlock()
 		c.Close()
-		return errors.New("drivers: mesh closed")
+		return fmt.Errorf("drivers: mesh node %d: %w", m.node, ErrClosed)
 	}
 	if old, dup := m.peers[peer]; dup {
 		m.retireLocked(old, true)

@@ -82,20 +82,22 @@ func (f *Frame) Reset() {
 	f.StripeGen = 0
 }
 
-// SetBacking records the pooled wire buffer this frame was decoded from.
+// SetBacking records the wire buffer this frame was decoded from.
 // ReleaseFrame recycles it unless PinBacking was called — the receive
 // path's contract: a dispatcher that lets decoded payload bytes escape the
 // upcall (rendezvous bulk, RMA get replies) pins the buffer, everything
-// else is copied out so the buffer can be recycled.
+// else is copied out so the buffer can be recycled. An unpooled buffer
+// (LandingBuf's exact-size kind) backs a frame the same way; recycling it
+// just means dropping it for the GC.
 func (f *Frame) SetBacking(b *Buf) {
 	f.backing = b
 	f.pinned = false
 }
 
-// Backed reports whether the frame's payload bytes alias a pooled wire
-// buffer that will be recycled at ReleaseFrame. Receive-side consumers that
-// retain payload bytes past the upcall must either copy them (the
-// dispatcher's eager path does) or pin the buffer.
+// Backed reports whether the frame's payload bytes alias a wire buffer that
+// ReleaseFrame will dispose of (recycled if pooled, dropped otherwise).
+// Receive-side consumers that retain payload bytes past the upcall must
+// either copy them (the dispatcher's eager path does) or pin the buffer.
 func (f *Frame) Backed() bool { return f.backing != nil }
 
 // PinBacking marks the backing buffer as escaped: ReleaseFrame will leave
@@ -103,9 +105,10 @@ func (f *Frame) Backed() bool { return f.backing != nil }
 // that outlive the frame stay intact.
 func (f *Frame) PinBacking() { f.pinned = true }
 
-// Buf is a pooled wire buffer: B holds the bytes, the rest is pool
-// bookkeeping. Receivers read a frame into a Buf, decode, and attach it to
-// the frame with SetBacking; ReleaseFrame routes it back to GetBuf's pool.
+// Buf is a wire buffer: B holds the bytes, the rest is pool bookkeeping.
+// Receivers read a frame into a Buf (LandingBuf picks which sort), decode,
+// and attach it to the frame with SetBacking; ReleaseFrame routes a pooled
+// one back to GetBuf's pool.
 type Buf struct {
 	B []byte
 
@@ -115,6 +118,14 @@ type Buf struct {
 // Wire buffers are pooled in power-of-two size classes. Frames larger than
 // the biggest class (one-off giant rendezvous payloads) fall back to plain
 // allocations that the GC reclaims.
+//
+// The classes pay off only for buffers that come back. A frame whose payload
+// escapes to the application is pinned by the dispatcher and never returns,
+// so rounding it up buys nothing — and it costs the most exactly where bulk
+// traffic lives: a 2^k-byte payload plus its 46 header bytes lands one
+// class up, 2× the memory allocated, zeroed and page-faulted per message.
+// LandingBuf therefore gives those frames an exact-size unpooled buffer and
+// keeps the classes for everything that recycles.
 const (
 	minBufShift = 9  // 512 B — smaller frames still get a 512 B buffer
 	maxBufShift = 20 // 1 MiB — beyond this, don't hoard memory in pools
@@ -125,7 +136,7 @@ var bufPools [maxBufShift - minBufShift + 1]sync.Pool
 // GetBuf returns a buffer with len(B) == n from the size-class pools.
 func GetBuf(n int) *Buf {
 	if n > 1<<maxBufShift {
-		return &Buf{B: make([]byte, n), class: -1}
+		return newExactBuf(n)
 	}
 	shift := minBufShift
 	if n > 1<<minBufShift {
@@ -140,8 +151,27 @@ func GetBuf(n int) *Buf {
 	return &Buf{B: make([]byte, n, 1<<shift), class: int8(cls)}
 }
 
-// PutBuf returns a buffer to its size-class pool. Unpooled (oversize)
-// buffers are dropped for the GC. The caller must not touch b afterwards.
+// newExactBuf returns an unpooled buffer of exactly n bytes; PutBuf drops it.
+func newExactBuf(n int) *Buf { return &Buf{B: make([]byte, n), class: -1} }
+
+// LandingBuf returns the buffer a socket reader should land an n-byte
+// encoded frame in, given the frame's leading bytes (at least 3, not yet
+// validated): kinds whose payload the dispatcher pins and hands to the
+// application — FrameRData, FrameGetReply — get an exact-size unpooled
+// buffer, every other kind (and anything undecodable) a pooled size class.
+// Either way len(B) == n and the result backs the decoded frame through
+// SetBacking, so release sites need not tell the two apart.
+func LandingBuf(n int, head []byte) *Buf {
+	switch FrameKind(head[kindOffset]) {
+	case FrameRData, FrameGetReply:
+		return newExactBuf(n)
+	}
+	return GetBuf(n)
+}
+
+// PutBuf returns a buffer to its size-class pool. Unpooled (oversize or
+// exact-size) buffers are dropped for the GC. The caller must not touch b
+// afterwards.
 func PutBuf(b *Buf) {
 	if b == nil || b.class < 0 {
 		return

@@ -63,6 +63,35 @@ func TestBufPoolSizesAndReuse(t *testing.T) {
 	PutBuf(nil)
 }
 
+// TestLandingBufByKind pins the landing rule: the two kinds whose payload
+// the dispatcher pins get exactly the frame's length — the case that matters
+// is a power-of-two payload, which its headers push one size class up —
+// and every other kind, valid or not, keeps the pooled classes.
+func TestLandingBufByKind(t *testing.T) {
+	const n = 256<<10 + HeaderSize + CtrlSize + 4 // a 256 KiB bulk frame
+	for kind := 0; kind < 256; kind++ {
+		head := []byte{0x4D, 0x61, byte(kind)}
+		b := LandingBuf(n, head)
+		if len(b.B) != n {
+			t.Fatalf("kind %d: len %d, want %d", kind, len(b.B), n)
+		}
+		exact := FrameKind(kind) == FrameRData || FrameKind(kind) == FrameGetReply
+		if exact && (cap(b.B) != n || b.class != -1) {
+			t.Fatalf("%v: cap %d class %d, want an exact unpooled buffer", FrameKind(kind), cap(b.B), b.class)
+		}
+		if !exact && (cap(b.B) != 512<<10 || b.class < 0) {
+			t.Fatalf("%v: cap %d class %d, want the pooled 512 KiB class", FrameKind(kind), cap(b.B), b.class)
+		}
+		// Either sort backs a frame and survives release.
+		f := AcquireFrame()
+		f.SetBacking(b)
+		if !f.Backed() {
+			t.Fatalf("%v: landing buffer does not back its frame", FrameKind(kind))
+		}
+		ReleaseFrame(f)
+	}
+}
+
 func TestReleaseFrameRecyclesUnpinnedBacking(t *testing.T) {
 	buf := GetBuf(600)
 	f := AcquireFrame()

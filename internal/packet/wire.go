@@ -137,6 +137,7 @@ type Ctrl struct {
 // keeps infinite aggregation from being free.
 const (
 	frameMagic = 0x4D61 // "Ma"
+	kindOffset = 2      // the kind byte follows the 2-byte magic
 
 	// HeaderSize is the encoded frame header length.
 	HeaderSize = 2 + 1 + 2 + 4 + 4 // magic, kind, count, src, dst
@@ -360,7 +361,7 @@ func DecodeInto(f *Frame, data []byte) (int, error) {
 	if binary.BigEndian.Uint16(data[0:]) != frameMagic {
 		return 0, ErrBadMagic
 	}
-	kind := FrameKind(data[2])
+	kind := FrameKind(data[kindOffset])
 	if kind >= frameKindMax {
 		return 0, ErrBadKind
 	}

@@ -9,13 +9,16 @@
 // The benchmarks measure host-side cost of the three hot paths — the eager
 // send pump (submit → plan → frame → post), the receive path (decode →
 // dispatch → reassemble → deliver), and the wire codec — plus a real TCP
-// mesh round-trip for end-to-end context. The TestAllocs* tests pin the
-// steady-state allocation budgets; CI fails on regression.
+// mesh round-trip and a rendezvous bulk transfer for end-to-end context.
+// The TestAllocs* tests pin the steady-state allocation budgets and
+// TestBytes* the bytes a received bulk frame may cost; CI fails on
+// regression.
 package perf
 
 import (
 	"encoding/binary"
-	"sync"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"newmad/internal/caps"
@@ -101,9 +104,9 @@ func BenchmarkEagerSend(b *testing.B) {
 	}
 }
 
-// TestAllocsEagerSend pins the steady-state eager pump budget: at most 2
-// allocations per submit+pump (the plan struct and its packet slice; the
-// frame, its entries, the view and the strategy context are all reused).
+// TestAllocsEagerSend pins the steady-state eager pump budget: no
+// allocation per submit+pump (the frame, its entries, the view, and the
+// strategy context with its plan scratch are all reused).
 func TestAllocsEagerSend(t *testing.T) {
 	e, _ := newEngine(t, nil)
 	defer e.Close()
@@ -120,12 +123,12 @@ func TestAllocsEagerSend(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		submit() // warm the pools and scratch buffers
 	}
-	if allocs := testing.AllocsPerRun(500, submit); allocs > 2 {
-		t.Fatalf("eager send pump costs %.2f allocs/op, budget is 2", allocs)
+	if allocs := testing.AllocsPerRun(500, submit); allocs > 0 {
+		t.Fatalf("eager send pump costs %.2f allocs/op, budget is 0", allocs)
 	}
 }
 
-// TestAllocsEagerSendWithQuotas pins the same ≤2 budget with admission
+// TestAllocsEagerSendWithQuotas pins the same zero budget with admission
 // control enabled: the admit path (GCRA rate CAS plus backlog-quota
 // charge) is atomics only, so quotas must not cost the steady-state
 // Submit an allocation. Only a refusal allocates (its error).
@@ -163,8 +166,8 @@ func TestAllocsEagerSendWithQuotas(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		submit() // warm the pools and scratch buffers
 	}
-	if allocs := testing.AllocsPerRun(500, submit); allocs > 2 {
-		t.Fatalf("eager send pump with quotas costs %.2f allocs/op, budget is 2", allocs)
+	if allocs := testing.AllocsPerRun(500, submit); allocs > 0 {
+		t.Fatalf("eager send pump with quotas costs %.2f allocs/op, budget is 0", allocs)
 	}
 }
 
@@ -379,67 +382,181 @@ func benchFrame(entries, payloadLen int) *packet.Frame {
 	return f
 }
 
-// BenchmarkMeshRoundTrip measures one request-response over a real 2-node
-// TCP mesh: the full engine + socket datapath in both directions, vectored
-// writes and pooled receive lifecycle included.
-func BenchmarkMeshRoundTrip(b *testing.B) {
+// newMeshPair builds a 2-node real TCP mesh with an engine on each node;
+// deliver is both engines' upcall, told which node it runs on. Everything is
+// torn down with the test, engines before rails.
+func newMeshPair(tb testing.TB, deliver func(node int, d proto.Deliverable)) [2]*core.Engine {
+	tb.Helper()
 	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer cleanup()
+	tb.Cleanup(cleanup)
 	bundle, err := strategy.New("aggregate")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	done := make(chan struct{}, 1)
-	engines := make([]*core.Engine, 2)
-	var mu sync.Mutex
-	echoSeq := 0
-	for i := 0; i < 2; i++ {
+	var engines [2]*core.Engine
+	for i := range engines {
 		i := i
 		e, err := core.New(packet.NodeID(i), core.Options{
 			Bundle:  bundle,
 			Runtime: simnet.NewRealRuntime(),
 			Rails:   []drivers.Driver{nodes[i]},
-			Deliver: func(d proto.Deliverable) {
-				if i == 1 {
-					// Echo node: bounce a reply per received packet.
-					mu.Lock()
-					seq := echoSeq
-					echoSeq++
-					mu.Unlock()
-					reply := &packet.Packet{
-						Flow: 2, Msg: 1, Seq: seq, Src: 1, Dst: 0,
-						Class: packet.ClassSmall, Payload: d.Pkt.Payload,
-					}
-					if err := engines[1].Submit(reply); err != nil {
-						panic(err)
-					}
-				} else {
-					done <- struct{}{}
-				}
-			},
+			Deliver: func(d proto.Deliverable) { deliver(i, d) },
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		engines[i] = e
-		defer e.Close()
+		tb.Cleanup(e.Close) // cleanups run last-in first-out
 	}
+	return engines
+}
+
+// newRoundTrip returns a function that plays one request-response over a
+// mesh pair: node 0 submits a 64 B packet, node 1 echoes it from its deliver
+// callback, and the call returns when the echo is delivered — the full
+// engine + socket datapath in both directions, vectored writes and pooled
+// receive lifecycle included.
+func newRoundTrip(tb testing.TB) (roundTrip func()) {
+	tb.Helper()
+	done := make(chan struct{}, 1)
+	var echo atomic.Pointer[core.Engine] // read from node 1's reader goroutine
+	echoSeq := 0                         // node 1's deliveries are serialized by the one request in flight
+	engines := newMeshPair(tb, func(node int, d proto.Deliverable) {
+		if node == 0 {
+			done <- struct{}{}
+			return
+		}
+		reply := &packet.Packet{
+			Flow: 2, Msg: 1, Seq: echoSeq, Src: 1, Dst: 0,
+			Class: packet.ClassSmall, Payload: d.Pkt.Payload,
+		}
+		echoSeq++
+		if err := echo.Load().Submit(reply); err != nil {
+			panic(err)
+		}
+	})
+	echo.Store(engines[1])
 	payload := make([]byte, 64)
-	b.SetBytes(int64(len(payload)))
+	seq := 0
+	return func() {
+		p := &packet.Packet{
+			Flow: 1, Msg: 1, Seq: seq, Src: 0, Dst: 1,
+			Class: packet.ClassSmall, Payload: payload,
+		}
+		seq++
+		if err := engines[0].Submit(p); err != nil {
+			tb.Fatal(err)
+		}
+		<-done
+	}
+}
+
+// BenchmarkMeshRoundTrip measures one request-response over a real 2-node
+// TCP mesh. Expect 4 allocs/op (10 before the socket senders and the plan
+// builder stopped allocating per frame): the two packets the benchmark
+// itself builds and one delivered-payload block per direction.
+func BenchmarkMeshRoundTrip(b *testing.B) {
+	roundTrip := newRoundTrip(b)
+	b.SetBytes(64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := &packet.Packet{
-			Flow: 1, Msg: 1, Seq: i, Src: 0, Dst: 1,
-			Class: packet.ClassSmall, Payload: payload,
+		roundTrip()
+	}
+}
+
+// TestAllocsMeshRoundTrip gates the round trip's allocations: 4 is the
+// steady state, and the budget of 5 leaves one of slack for a pool a
+// concurrent GC emptied (the count is process-wide: both engines, four
+// socket goroutines). A per-frame allocation coming back on a sender or a
+// reader costs two per round trip and trips it.
+func TestAllocsMeshRoundTrip(t *testing.T) {
+	if raceDetector {
+		// sync.Pool drops a quarter of its Puts under -race; across the eight
+		// pooled objects a round trip cycles that is two to three allocations
+		// of noise, as much as the regression this gate is for.
+		t.Skip("pool-dependent count is not the steady state under -race")
+	}
+	roundTrip := newRoundTrip(t)
+	for i := 0; i < 64; i++ {
+		roundTrip() // warm the pools and scratch buffers
+	}
+	if allocs := testing.AllocsPerRun(500, roundTrip); allocs > 5 {
+		t.Fatalf("mesh round trip costs %.2f allocs/op, budget is 5", allocs)
+	}
+}
+
+// newBulkTransfer returns a function that moves one size-byte message from
+// node 0 to node 1 of a mesh pair by rendezvous (RTS, CTS, RData) and returns
+// when it is delivered. The sender reuses one payload, so what a transfer
+// allocates is the receive side's: the buffer the socket reader lands the
+// RData frame in, which the dispatcher pins and hands to the application.
+func newBulkTransfer(tb testing.TB, size int) (transfer func()) {
+	tb.Helper()
+	done := make(chan struct{}, 1)
+	engines := newMeshPair(tb, func(node int, d proto.Deliverable) {
+		if d.Pkt.Size() != size {
+			panic("bulk transfer delivered the wrong size")
 		}
+		done <- struct{}{}
+	})
+	payload := make([]byte, size)
+	seq := 0
+	return func() {
+		p := &packet.Packet{
+			Flow: 1, Msg: 1, Seq: seq, Src: 0, Dst: 1,
+			Class: packet.ClassBulk, Payload: payload,
+		}
+		seq++
 		if err := engines[0].Submit(p); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		<-done
+	}
+}
+
+// BenchmarkMeshReceiveBulk measures a 256 KiB rendezvous transfer over the
+// real mesh; B/op is what the receive side allocates per RData frame.
+func BenchmarkMeshReceiveBulk(b *testing.B) {
+	const size = 256 << 10
+	transfer := newBulkTransfer(b, size)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		transfer()
+	}
+}
+
+// TestBytesMeshReceiveBulk gates the landing-buffer rule (DESIGN.md §5): an
+// RData frame's payload escapes to the application, so the reader lands it
+// in an exact-size buffer and a transfer allocates about its payload — not
+// the next power of two up, which for a 2^k payload plus 46 header bytes
+// was 2× (the sizes here are the two the repository's benchmark moves).
+// The budget is 1.05× the payload plus one 8 KiB page: the Go allocator
+// hands out large objects in whole pages and counts them that way.
+func TestBytesMeshReceiveBulk(t *testing.T) {
+	for _, size := range []int{128 << 10, 256 << 10} {
+		transfer := newBulkTransfer(t, size)
+		for i := 0; i < 8; i++ {
+			transfer() // warm the pools and scratch buffers
+		}
+		const runs = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			transfer()
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		budget := 1.05*float64(size) + 8<<10
+		t.Logf("%d KiB RData: %.0f B allocated per transfer (%.3f× payload)", size>>10, per, per/float64(size))
+		if per > budget {
+			t.Errorf("%d KiB RData: %.0f B allocated per transfer, budget is %.0f", size>>10, per, budget)
+		}
 	}
 }
 

@@ -103,7 +103,9 @@ func (FIFO) Build(ctx *Context) *Plan {
 	if len(ctx.Backlog) == 0 {
 		return nil
 	}
-	plan := &Plan{Packets: ctx.Backlog[:1:1], Evaluated: 1}
+	plan := ctx.scratchPlan()
+	plan.Packets = append(plan.Packets, ctx.Backlog[0])
+	plan.Evaluated = 1
 	ScorePlan(ctx.Caps, ctx.Mem, plan)
 	return plan
 }
@@ -146,9 +148,9 @@ func (a *Aggregate) Build(ctx *Context) *Plan {
 	}
 	head := ctx.Backlog[0]
 	lim := packet.AggregateLimits{MaxIOV: ctx.Caps.MaxIOV, MaxAggregate: ctx.Caps.MaxAggregate}
-	pkts := make([]*packet.Packet, 1, planCapHint(len(ctx.Backlog)))
-	pkts[0] = head
-	plan := &Plan{Packets: pkts, Evaluated: 1}
+	plan := ctx.scratchPlan()
+	plan.Packets = append(plan.Packets, head)
+	plan.Evaluated = 1
 	size := head.Size()
 	// blockedFlows records connections where we had to skip a same-
 	// destination packet: taking a later packet of such a connection would

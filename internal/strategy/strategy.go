@@ -44,6 +44,23 @@ type Context struct {
 	// evaluate (the paper's future-work question, reproduced by E6).
 	// Zero means "builder's default".
 	Budget int
+
+	// plan is builder scratch, see scratchPlan. A Context that is reused
+	// across Builds (the engine keeps one per pump shard) carries it along;
+	// the exported fields are set per Build.
+	plan Plan
+}
+
+// scratchPlan returns the context's reusable plan, emptied. A builder may
+// return it from Build instead of allocating a plan and a packet slice per
+// call; the plan is then valid only until the next Build with the same
+// Context. That is all the engine needs: a pump consumes its plan under the
+// shard lock before that shard builds again, and nothing keeps plan.Packets
+// past the post. Never alias the backlog through it (append copies) — the
+// next builder to run on this Context writes into the same backing array.
+func (c *Context) scratchPlan() *Plan {
+	c.plan = Plan{Packets: c.plan.Packets[:0]}
+	return &c.plan
 }
 
 // Plan is a builder's answer: the sub-packets of the next frame, in order,
@@ -77,7 +94,9 @@ type PlanBuilder interface {
 	// Name identifies the builder in the registry and in experiment rows.
 	Name() string
 	// Build returns the next plan, or nil when the backlog is empty or the
-	// builder prefers to wait. Build must not mutate the backlog.
+	// builder prefers to wait. Build must not mutate the backlog. The plan
+	// may live in ctx's scratch: it is valid until the next Build with the
+	// same Context, and a caller that keeps plans longer copies them.
 	Build(ctx *Context) *Plan
 }
 
