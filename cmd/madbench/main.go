@@ -15,9 +15,8 @@
 //	madbench -manifest testnet.json -trace out.trace  # ... dumping the chaos trace
 //
 // The -json file records every table of every selected experiment plus the
-// wall-clock cost of producing it; committed snapshots (BENCH_mesh.json)
-// seed the repo's performance trajectory so future changes can be compared
-// against past runs.
+// wall-clock cost of producing it. The repository's performance record is
+// the benchmark in bench/ (BENCHMARK.json), not these tables.
 package main
 
 import (

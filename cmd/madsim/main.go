@@ -121,7 +121,7 @@ func main() {
 	fmt.Printf("frames   : %d  (%.2f packets/frame)\n",
 		cl.Stats.CounterValue("nic.tx.frames"),
 		float64(total)/float64(cl.Stats.CounterValue("nic.tx.frames")))
-	lat := cl.Stats.Histogram("core.delivery_latency_ns")
+	lat := engines[1].Spans().Total(int(core.SpanE2E)) // every flow runs 0 -> 1
 	fmt.Printf("latency  : mean %.1fµs  p50 %.1fµs  p99 %.1fµs\n",
 		lat.Mean()/1000, lat.Quantile(0.5)/1000, lat.Quantile(0.99)/1000)
 	if end > 0 {

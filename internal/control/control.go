@@ -150,6 +150,10 @@ type Controller struct {
 	o   Options
 	set *stats.Set
 
+	// Counter handles into set, resolved once.
+	cSamples, cHolds, cCooldownBlocks          *stats.Counter
+	cRetunes, cRailHealthEvents, cQuotaRetunes *stats.Counter
+
 	// tickMu is held for the whole of each tick; Stop acquires it after
 	// setting closed, so Stop returning guarantees no in-flight tick will
 	// touch the engine afterwards (wall-clock timer cancellation is a
@@ -260,10 +264,18 @@ func New(o Options) (*Controller, error) {
 		set = &stats.Set{}
 	}
 	return &Controller{
-		eng:     o.Engine,
-		rt:      o.Runtime,
-		o:       o,
-		set:     set,
+		eng: o.Engine,
+		rt:  o.Runtime,
+		o:   o,
+		set: set,
+
+		cSamples:          set.Counter("control.samples"),
+		cHolds:            set.Counter("control.holds"),
+		cCooldownBlocks:   set.Counter("control.cooldown_blocks"),
+		cRetunes:          set.Counter("control.retunes"),
+		cRailHealthEvents: set.Counter("control.rail_health_events"),
+		cQuotaRetunes:     set.Counter("control.quota_retunes"),
+
 		samp:    newSampler(int64(o.HalfLife), int64(o.Window)),
 		mode:    o.Initial,
 		tunings: tunings,
@@ -379,7 +391,7 @@ func (c *Controller) tick() {
 		return
 	}
 	sig := c.samp.observe(m)
-	c.set.Counter("control.samples").Inc()
+	c.cSamples.Inc()
 
 	want := c.classify(sig)
 	var applied *Decision
@@ -395,10 +407,10 @@ func (c *Controller) tick() {
 		switch {
 		case c.streak < c.o.Confirm:
 			// Hysteresis: not yet confirmed.
-			c.set.Counter("control.holds").Inc()
+			c.cHolds.Inc()
 		case c.retuned && m.Now.Sub(c.last) < c.o.Cooldown:
 			// Cooldown: confirmed but too soon after the last retune.
-			c.set.Counter("control.cooldown_blocks").Inc()
+			c.cCooldownBlocks.Inc()
 		default:
 			d := Decision{
 				At:       m.Now,
@@ -410,7 +422,7 @@ func (c *Controller) tick() {
 			c.mode = want
 			c.pending, c.streak = "", 0
 			c.last, c.retuned = m.Now, true
-			c.set.Counter("control.retunes").Inc()
+			c.cRetunes.Inc()
 			tune = c.tunings[want]
 			applied = &d
 		}
@@ -499,7 +511,7 @@ func (c *Controller) railHealth(m core.Metrics) {
 		return
 	}
 	if len(events) > 0 {
-		c.set.Counter("control.rail_health_events").Add(uint64(len(events)))
+		c.cRailHealthEvents.Add(uint64(len(events)))
 	}
 	// Compose: start from the weights in effect (the tuning's operating
 	// point), zero the demoted rails, and hand just-restored rails back

@@ -133,7 +133,7 @@ func (c *Controller) quotaTick(m core.Metrics) {
 		if err := c.eng.SetTenantQuota(w.tenant, w.quota); err != nil {
 			panic(fmt.Sprintf("control: quota retune for tenant %d: %v", w.tenant, err))
 		}
-		c.set.Counter("control.quota_retunes").Inc()
+		c.cQuotaRetunes.Inc()
 		c.o.Trace.Record(trace.Event{
 			At: m.Now, Kind: trace.KindPolicy, Node: c.eng.Node(),
 			Note: fmt.Sprintf("ctl tenant %d rate=%.0f μ=%.2f", w.tenant, w.quota.Rate, w.mu),

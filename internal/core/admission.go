@@ -153,12 +153,10 @@ func (e *Engine) admit(p *packet.Packet, now simnet.Time, eager bool) error {
 	}
 	if retry, ok := ts.admitRate(int64(now)); !ok {
 		ts.throttled.Add(1)
-		e.cThrottled.Inc()
 		return &ThrottleError{Tenant: p.Tenant, RetryAfter: simnet.Duration(retry), kind: ErrThrottled}
 	}
 	if eager && !ts.admitBacklog() {
 		ts.overQuota.Add(1)
-		e.cOverQuota.Inc()
 		return &ThrottleError{Tenant: p.Tenant, kind: ErrQuotaExceeded}
 	}
 	ts.submitted.Add(1)
@@ -214,7 +212,7 @@ func (e *Engine) SetTenantQuota(tenant packet.TenantID, q TenantQuota) error {
 			break
 		}
 	}
-	e.set.Counter("core.tenant_retunes").Inc()
+	e.tenantRetunes.Add(1)
 	e.notifyRetune(RetuneEvent{
 		At: e.rt.Now(), Knob: "tenant-quota",
 		Note: fmt.Sprintf("tenant=%d rate=%g burst=%d backlog=%d", tenant, q.Rate, q.Burst, q.Backlog),

@@ -119,7 +119,8 @@ type Options struct {
 	// suites pin down, and refusing is only right for callers that would
 	// rather re-route at the application layer.
 	RefuseUnreachable bool
-	// Stats receives counters and histograms; nil allocates a private set.
+	// Stats stores the plan histograms and serves the engine's counters by
+	// name (metrics.go); nil allocates a private set.
 	Stats *stats.Set
 	// Trace, when non-nil, records the engine's decision timeline.
 	Trace *trace.Recorder
@@ -167,11 +168,16 @@ type Engine struct {
 	// submitSeq totally orders submissions across shards (the eligible
 	// view's merge key). backlogSz/backlogPeak track the global waiting-
 	// packet count — the Nagle flush decision and BacklogLen read it
-	// without touching any shard. idleUps counts scheduler activations.
-	submitSeq   atomic.Uint64
-	backlogSz   atomic.Int64
-	backlogPeak atomic.Int64
-	idleUps     atomic.Uint64
+	// without touching any shard. idleUps counts scheduler activations,
+	// the four below it retune activity (knob changes hold no engine lock).
+	submitSeq      atomic.Uint64
+	backlogSz      atomic.Int64
+	backlogPeak    atomic.Int64
+	idleUps        atomic.Uint64
+	policySwitches atomic.Uint64
+	railRetunes    atomic.Uint64
+	tenantRetunes  atomic.Uint64
+	repumpedShards atomic.Uint64
 
 	// repumpEpoch numbers SetRailWeights' targeted re-pump sweeps: each
 	// sweep stamps the shards it claims (shard.repumpEpoch) and the epoch
@@ -184,27 +190,10 @@ type Engine struct {
 	shards []*shard
 	pumps  [][]chanPump
 
-	// Hot-path metric handles, resolved once at construction: the per-
-	// frame path must not pay a map lookup (or a fmt.Sprintf for the
-	// per-rail counter name) per event.
-	cSubmitted      *stats.Counter
-	cSubmittedBytes *stats.Counter
-	cFramesPosted   *stats.Counter
-	cPacketsSent    *stats.Counter
-	cDelivered      *stats.Counter
-	cDeliveredBytes *stats.Counter
-	cIdleUpcalls    *stats.Counter
-	cAggregates     *stats.Counter
-	cAggregatedPkts *stats.Counter
-	cReactive       *stats.Counter
-	cThrottled      *stats.Counter
-	cOverQuota      *stats.Counter
-	railCtr         []*stats.Counter
-	hPlanPackets    *stats.Histogram
-	hPlanEvaluated  *stats.Histogram
-	hPlanScore      *stats.Histogram
-	hDeliveryLat    *stats.Histogram
-	hControlLat     *stats.Histogram
+	// The only engine quantities stored in the Set, resolved once.
+	hPlanPackets   *stats.Histogram
+	hPlanEvaluated *stats.Histogram
+	hPlanScore     *stats.Histogram
 
 	// spans is the latency-span family (spans.go); its cells carry their
 	// own locks, so shards and the receive path observe into one shared
@@ -225,10 +214,8 @@ type Engine struct {
 	rdvTimers map[uint64]rdvTimer
 	rdvGen    uint64
 
-	// Engine-private counters that belong to no shard: deliveries and
-	// rendezvous retries happen on the protocol side.
-	ctrDelivered  uint64
-	ctrRdvRetries uint64
+	// pctr tallies deliveries and rendezvous retries, which no shard owns.
+	pctr Counters
 
 	// Latency spans (see spans.go). rdvStart stamps when each outgoing
 	// rendezvous queued its first RTS (sender side, SpanRdvGrant);
@@ -314,23 +301,9 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 		rdvStart:     make(map[uint64]simnet.Time),
 		rdvRecvStart: make(map[uint64]simnet.Time),
 
-		cSubmitted:      set.Counter("core.submitted"),
-		cSubmittedBytes: set.Counter("core.submitted_bytes"),
-		cFramesPosted:   set.Counter("core.frames_posted"),
-		cPacketsSent:    set.Counter("core.packets_sent"),
-		cDelivered:      set.Counter("core.delivered"),
-		cDeliveredBytes: set.Counter("core.delivered_bytes"),
-		cIdleUpcalls:    set.Counter("core.idle_upcalls"),
-		cAggregates:     set.Counter("core.aggregates"),
-		cAggregatedPkts: set.Counter("core.aggregated_packets"),
-		cReactive:       set.Counter("core.reactive_frames"),
-		cThrottled:      set.Counter("core.tenant_throttled"),
-		cOverQuota:      set.Counter("core.tenant_over_quota"),
-		hPlanPackets:    set.Histogram("core.plan_packets"),
-		hPlanEvaluated:  set.Histogram("core.plan_evaluated"),
-		hPlanScore:      set.Histogram("core.plan_score_ns"),
-		hDeliveryLat:    set.Histogram("core.delivery_latency_ns"),
-		hControlLat:     set.Histogram("core.control_latency_ns"),
+		hPlanPackets:   set.Histogram("core.plan_packets"),
+		hPlanEvaluated: set.Histogram("core.plan_evaluated"),
+		hPlanScore:     set.Histogram("core.plan_score_ns"),
 	}
 	if len(opt.Quotas) > 0 {
 		max := packet.TenantID(0)
@@ -358,9 +331,6 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 		searchBudget: opt.SearchBudget,
 		rdvThreshold: opt.RdvThreshold,
 	})
-	for _, r := range rails {
-		e.railCtr = append(e.railCtr, set.Counter(fmt.Sprintf("core.rail.%s.frames", r.Caps().Name)))
-	}
 	e.shards = make([]*shard, nshards)
 	for i := range e.shards {
 		e.shards[i] = newShard(e, i)
@@ -393,6 +363,7 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 			dn.SetPeerDownHandler(func(peer packet.NodeID) { e.onPeerDown(i, peer) })
 		}
 	}
+	set.Serve(e.serve)
 	return e, nil
 }
 
@@ -414,9 +385,8 @@ func (e *Engine) onFrameLoss(ri int, peer packet.NodeID, frames []*packet.Frame)
 	s.mu.Lock()
 	s.failQ = append(s.failQ, frames...)
 	s.nFail.Add(int64(len(frames)))
-	s.ctr.framesReclaimed += uint64(len(frames))
+	s.ctr.FramesReclaimed += uint64(len(frames))
 	s.mu.Unlock()
-	e.set.Counter("core.frames_reclaimed").Add(uint64(len(frames)))
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 		A: ri, B: len(frames), Note: "reclaim:rail-down",
@@ -433,7 +403,6 @@ func (e *Engine) onPeerDown(ri int, peer packet.NodeID) {
 	e.pmu.Lock()
 	e.railDowns[ri]++
 	e.pmu.Unlock()
-	e.set.Counter("core.rail_peer_downs").Inc()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 		A: ri, B: int(peer), Note: "peer-down",
@@ -459,7 +428,7 @@ func (e *Engine) SetBundle(b strategy.Bundle) error {
 		return fmt.Errorf("core: incomplete strategy bundle %q", b.Name)
 	}
 	old := e.bundle.Swap(&b)
-	e.set.Counter("core.policy_switches").Inc()
+	e.policySwitches.Add(1)
 	e.rec.Record(trace.Event{At: e.rt.Now(), Kind: trace.KindPolicy, Node: e.node, Note: b.Name})
 	e.pumpAll()
 	if old.Name != b.Name {
@@ -489,23 +458,30 @@ func (e *Engine) updateTuning(mut func(*tuning) bool) bool {
 	}
 }
 
-// SetLookahead adjusts the lookahead window at runtime (E2 sweeps this; the
-// adaptive controller drives it from observed backlog depth). Negative
-// values clamp to 0 (unbounded).
-func (e *Engine) SetLookahead(n int) {
+// setKnob clamps n to zero or above, swaps it into the tuning field sel
+// picks and, when the value moved, announces the retune as "knob=n".
+func (e *Engine) setKnob(knob string, n int, sel func(*tuning) *int) {
 	if n < 0 {
 		n = 0
 	}
 	changed := e.updateTuning(func(t *tuning) bool {
-		if t.lookahead == n {
+		p := sel(t)
+		if *p == n {
 			return false
 		}
-		t.lookahead = n
+		*p = n
 		return true
 	})
 	if changed {
-		e.notifyRetune(RetuneEvent{At: e.rt.Now(), Knob: "lookahead", Note: fmt.Sprintf("lookahead=%d", n)})
+		e.notifyRetune(RetuneEvent{At: e.rt.Now(), Knob: knob, Note: fmt.Sprintf("%s=%d", knob, n)})
 	}
+}
+
+// SetLookahead adjusts the lookahead window at runtime (E2 sweeps this; the
+// adaptive controller drives it from observed backlog depth). Negative
+// values clamp to 0 (unbounded).
+func (e *Engine) SetLookahead(n int) {
+	e.setKnob("lookahead", n, func(t *tuning) *int { return &t.lookahead })
 }
 
 // DefaultNagleFlushCount is the flush count in effect when none is
@@ -535,20 +511,8 @@ func (e *Engine) SetNagle(d simnet.Duration, flushCount int) {
 		t.nagleFlush = flushCount
 		return true
 	})
-	if d == 0 {
-		released := false
-		for _, s := range e.shards {
-			s.mu.Lock()
-			if s.nagleArmed {
-				s.ctr.nagleEarly++
-				s.disarmNagleLocked()
-				released = true
-			}
-			s.mu.Unlock()
-		}
-		if released {
-			e.pumpAll()
-		}
+	if d == 0 && e.releaseNagle() {
+		e.pumpAll()
 	}
 	if changed {
 		e.notifyRetune(RetuneEvent{
@@ -563,38 +527,14 @@ func (e *Engine) SetNagle(d simnet.Duration, flushCount int) {
 // backlogs make search worthwhile). Negative values clamp to 0 (builder
 // default).
 func (e *Engine) SetSearchBudget(n int) {
-	if n < 0 {
-		n = 0
-	}
-	changed := e.updateTuning(func(t *tuning) bool {
-		if t.searchBudget == n {
-			return false
-		}
-		t.searchBudget = n
-		return true
-	})
-	if changed {
-		e.notifyRetune(RetuneEvent{At: e.rt.Now(), Knob: "budget", Note: fmt.Sprintf("budget=%d", n)})
-	}
+	e.setKnob("budget", n, func(t *tuning) *int { return &t.searchBudget })
 }
 
 // SetRdvThreshold adjusts the eager/rendezvous switchover at runtime: a
 // positive value overrides the bundle's protocol policy with a plain size
 // threshold, 0 restores the bundle policy. Negative values clamp to 0.
 func (e *Engine) SetRdvThreshold(n int) {
-	if n < 0 {
-		n = 0
-	}
-	changed := e.updateTuning(func(t *tuning) bool {
-		if t.rdvThreshold == n {
-			return false
-		}
-		t.rdvThreshold = n
-		return true
-	})
-	if changed {
-		e.notifyRetune(RetuneEvent{At: e.rt.Now(), Knob: "rdv-threshold", Note: fmt.Sprintf("rdv-threshold=%d", n)})
-	}
+	e.setKnob("rdv-threshold", n, func(t *tuning) *int { return &t.rdvThreshold })
 }
 
 // SetRailWeights adjusts the per-rail scheduling weights at runtime, when
@@ -609,7 +549,7 @@ func (e *Engine) SetRailWeights(w []float64) bool {
 		return false
 	}
 	rs.SetWeights(w)
-	e.set.Counter("core.rail_retunes").Inc()
+	e.railRetunes.Add(1)
 	e.notifyRetune(RetuneEvent{At: e.rt.Now(), Knob: "rail-weights", Note: fmt.Sprintf("rail-weights=%v", w)})
 	// Incremental re-pump: only the shards whose scans recorded weight-bound
 	// refusals are revisited — a weight delta costs O(affected queues), not
@@ -681,8 +621,6 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		p.Enqueued = 1
 	}
 	b.Classes.Observe(p)
-	e.cSubmitted.Inc()
-	e.cSubmittedBytes.Add(uint64(p.Size()))
 	e.rec.Record(trace.Event{
 		At: p.Enqueued, Kind: trace.KindSubmit, Node: e.node,
 		Flow: p.Flow, Seq: p.Seq, A: p.Size(), B: int(p.Class),
@@ -703,16 +641,16 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		s.mu.Lock()
 		s.ctrlQ = append(s.ctrlQ, rts)
 		s.nCtrl.Add(1)
-		s.ctr.submitted++
-		s.ctr.submittedBytes += uint64(p.Size())
+		s.ctr.Submitted++
+		s.ctr.SubmittedBytes += uint64(p.Size())
 		if p.Class == packet.ClassControl {
-			s.ctr.submittedCtrl++
+			s.ctr.SubmittedCtrl++
 		}
-		s.ctr.rdvBytes += uint64(p.Size())
+		s.ctr.RdvBytes += uint64(p.Size())
+		s.ctr.RdvStarted++
 		s.mu.Unlock()
 		e.armRdvRetryLocked(token, 0)
 		e.pmu.Unlock()
-		e.set.Counter("core.rdv_started").Inc()
 		e.pumpAll()
 		return nil
 	}
@@ -753,15 +691,23 @@ func (e *Engine) Flush() {
 	if e.closed.Load() {
 		return
 	}
+	e.releaseNagle()
+	e.pumpAll()
+}
+
+// releaseNagle cuts every armed artificial delay short, reporting whether
+// any was armed.
+func (e *Engine) releaseNagle() (released bool) {
 	for _, s := range e.shards {
 		s.mu.Lock()
 		if s.nagleArmed {
-			s.ctr.nagleEarly++
+			s.ctr.NagleEarly++
 			s.disarmNagleLocked()
+			released = true
 		}
 		s.mu.Unlock()
 	}
-	e.pumpAll()
+	return released
 }
 
 // armRdvRetryLocked schedules the attempt-th RTS retry for token, with
@@ -818,8 +764,7 @@ func (e *Engine) onRdvRetry(token uint64, attempt int, gen uint64) {
 	s.ctrlQ = append(s.ctrlQ, rts)
 	s.nCtrl.Add(1)
 	s.mu.Unlock()
-	e.ctrRdvRetries++
-	e.set.Counter("core.rdv_retries").Inc()
+	e.pctr.RdvRetries++
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 		Flow: ctrl.Flow, Seq: ctrl.Seq, A: attempt + 1,

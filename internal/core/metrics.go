@@ -1,38 +1,77 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
 	"newmad/internal/trace"
 )
 
-// The engine's observation surface for closed-loop control
-// (internal/control): a point-in-time snapshot of per-engine activity
-// counters plus the tuning currently in effect. Counters here are engine-
-// private — unlike the stats.Set, which experiments routinely share across
-// the engines of one rig — so a controller watching one node never sees a
-// neighbour's traffic folded into its evidence.
+// The engine's one metrics path. Every event is counted once, in engine-
+// private storage: a Counters per shard (under the shard.mu the caller
+// already holds), one for the protocol side under pmu, and a few engine
+// atomics. MetricsInto merges that storage into a Metrics snapshot — what
+// controllers and telemetry read, so a controller watching one node never
+// sees a neighbour's traffic in its evidence. The `set` struct tags are the
+// one name table: the engine's stats.Set serves a snapshot under those
+// names at read time (serve), summed over the engines sharing the Set.
 
-// counters is one shard's slice of the engine-private activity tally,
-// guarded by that shard's mu. MetricsInto sums the slices; delivery and
-// rendezvous-retry tallies live on the engine under pmu (they belong to
-// the protocol side, not to any shard), and idle upcalls are a plain
-// engine atomic.
-type counters struct {
-	submitted      uint64
-	submittedBytes uint64
-	submittedCtrl  uint64
-	eagerBytes     uint64
-	rdvBytes       uint64
-	framesPosted   uint64
-	packetsSent    uint64
-	aggregates     uint64
-	nagleFires     uint64 // delay timer expired and triggered a pump
-	nagleEarly     uint64 // delay cut short by backlog pressure or Flush
+// Counters is the event tally since construction; Metrics embeds the sum
+// of the per-shard and protocol-side copies.
+type Counters struct {
+	Submitted      uint64 `set:"core.submitted"`
+	SubmittedBytes uint64 `set:"core.submitted_bytes"`
+	SubmittedCtrl  uint64 // control-class submissions (class mix evidence)
+	EagerBytes     uint64 // bytes routed eager at submission
+	RdvBytes       uint64 // bytes routed rendezvous at submission
+	FramesPosted   uint64 `set:"core.frames_posted"`
+	PacketsSent    uint64 `set:"core.packets_sent"`
+	Delivered      uint64 `set:"core.delivered"`
+	DeliveredBytes uint64 `set:"core.delivered_bytes"`
+	Aggregates     uint64 `set:"core.aggregates"` // frames carrying more than one packet
+	// AggregatedPackets counts the packets those frames carried;
+	// ReactiveFrames the frames the protocol engines queued (CTS, bulk, ...).
+	AggregatedPackets uint64 `set:"core.aggregated_packets"`
+	ReactiveFrames    uint64 `set:"core.reactive_frames"`
+	RdvStarted        uint64 `set:"core.rdv_started"`
+	RdvGranted        uint64 `set:"core.rdv_granted"`
+	RdvRetries        uint64 `set:"core.rdv_retries"` // RTS retries fired
+	RMAPuts           uint64 `set:"core.rma_puts"`
+	RMAGets           uint64 `set:"core.rma_gets"`
+	NagleFires        uint64 `set:"core.nagle_flushes"` // artificial delays that ran to their timer
+	NagleEarly        uint64 // artificial delays cut short by backlog pressure or Flush
 
-	// Resilience counters (the chaos observation surface).
-	framesReclaimed uint64 // frames handed back by failing rails
-	failovers       uint64 // failover-queue frames re-posted on a live rail
+	// Resilience surface: what the failure machinery has been doing.
+	FramesReclaimed uint64 `set:"core.frames_reclaimed"` // frames handed back by failing rails
+	Failovers       uint64 `set:"core.failovers"`        // reclaimed/refused frames re-posted on a live rail
+	PeerDownPosts   uint64 `set:"core.peer_down_posts"`  // posts a rail refused with ErrPeerDown
+}
+
+func (c *Counters) add(o *Counters) {
+	c.Submitted += o.Submitted
+	c.SubmittedBytes += o.SubmittedBytes
+	c.SubmittedCtrl += o.SubmittedCtrl
+	c.EagerBytes += o.EagerBytes
+	c.RdvBytes += o.RdvBytes
+	c.FramesPosted += o.FramesPosted
+	c.PacketsSent += o.PacketsSent
+	c.Delivered += o.Delivered
+	c.DeliveredBytes += o.DeliveredBytes
+	c.Aggregates += o.Aggregates
+	c.AggregatedPackets += o.AggregatedPackets
+	c.ReactiveFrames += o.ReactiveFrames
+	c.RdvStarted += o.RdvStarted
+	c.RdvGranted += o.RdvGranted
+	c.RdvRetries += o.RdvRetries
+	c.RMAPuts += o.RMAPuts
+	c.RMAGets += o.RMAGets
+	c.NagleFires += o.NagleFires
+	c.NagleEarly += o.NagleEarly
+	c.FramesReclaimed += o.FramesReclaimed
+	c.Failovers += o.Failovers
+	c.PeerDownPosts += o.PeerDownPosts
 }
 
 // Metrics is a point-in-time snapshot of one engine: queue depths, activity
@@ -43,41 +82,37 @@ type Metrics struct {
 	// Now is the engine clock at snapshot time.
 	Now simnet.Time
 
-	// Queue depths at snapshot time.
-	Backlog    int
-	CtrlQueued int
-	BulkQueued int
+	// Queue depths at snapshot time; BacklogPeak is Backlog's high-water
+	// mark (the core.backlog_peak gauge).
+	Backlog        int
+	CtrlQueued     int
+	BulkQueued     int
+	FailoverQueued int // frames still waiting for any rail to their peer
+	BacklogPeak    uint64
 
-	// Activity totals since the engine was created.
-	Submitted      uint64
-	SubmittedBytes uint64
-	SubmittedCtrl  uint64 // control-class submissions (class mix evidence)
-	EagerBytes     uint64 // bytes routed eager at submission
-	RdvBytes       uint64 // bytes routed rendezvous at submission
-	FramesPosted   uint64
-	PacketsSent    uint64
-	Aggregates     uint64 // frames carrying more than one packet
-	IdleUpcalls    uint64 // scheduler activations
-	NagleFires     uint64 // artificial delays that ran to their timer
-	NagleEarly     uint64 // artificial delays cut short by backlog pressure
-	Delivered      uint64
+	Counters
+	IdleUpcalls uint64 `set:"core.idle_upcalls"` // scheduler activations
 
-	// RailFrames is the per-rail frame count, indexed like Rails().
+	// Retune activity: knob changes applied, and the shards SetRailWeights
+	// sweeps re-pumped.
+	PolicySwitches uint64 `set:"core.policy_switches"`
+	RailRetunes    uint64 `set:"core.rail_retunes"`
+	TenantRetunes  uint64 `set:"core.tenant_retunes"`
+	RepumpedShards uint64 `set:"core.retune_repumped_shards"`
+
+	// RailFrames is the per-rail frame count and RailDowns the per-rail
+	// peer-down events, indexed like Rails().
 	RailFrames []uint64
-
-	// Resilience surface: what the failure machinery has been doing.
-	FramesReclaimed uint64   // frames handed back by failing rails
-	Failovers       uint64   // reclaimed/refused frames re-posted on a live rail
-	FailoverQueued  int      // frames still waiting for any rail to their peer
-	RdvRetries      uint64   // rendezvous RTS retries fired
-	RailDowns       []uint64 // per-rail peer-down events, indexed like Rails()
+	RailDowns  []uint64
 
 	// Tenants is the per-tenant admission surface, one entry per tenant
 	// with admission state, ordered by tenant id. Empty when the engine
 	// has no quota table. The controller's quota multiplier loop reads
 	// backlog pressure from here; telemetry exports it per node and rolls
-	// it up per fleet.
-	Tenants []TenantMetrics
+	// it up per fleet. The two totals sum its refusals.
+	Tenants         []TenantMetrics
+	TenantThrottled uint64 `set:"core.tenant_throttled"`
+	TenantOverQuota uint64 `set:"core.tenant_over_quota"`
 
 	// The tuning in effect.
 	Lookahead       int
@@ -135,6 +170,11 @@ func (e *Engine) MetricsInto(m *Metrics) {
 	*m = Metrics{
 		Now:             e.rt.Now(),
 		IdleUpcalls:     e.idleUps.Load(),
+		BacklogPeak:     uint64(e.backlogPeak.Load()),
+		PolicySwitches:  e.policySwitches.Load(),
+		RailRetunes:     e.railRetunes.Load(),
+		TenantRetunes:   e.tenantRetunes.Load(),
+		RepumpedShards:  e.repumpedShards.Load(),
 		RailFrames:      m.RailFrames[:0],
 		RailDowns:       m.RailDowns[:0],
 		Tenants:         m.Tenants[:0],
@@ -158,7 +198,7 @@ func (e *Engine) MetricsInto(m *Metrics) {
 				continue
 			}
 			q := ts.quota.Load()
-			m.Tenants = append(m.Tenants, TenantMetrics{
+			tm := TenantMetrics{
 				Tenant:       ts.id,
 				Submitted:    ts.submitted.Load(),
 				Throttled:    ts.throttled.Load(),
@@ -167,14 +207,52 @@ func (e *Engine) MetricsInto(m *Metrics) {
 				RatePPS:      q.Rate,
 				Burst:        q.Burst,
 				BacklogQuota: q.Backlog,
-			})
+			}
+			m.Tenants = append(m.Tenants, tm)
+			m.TenantThrottled += tm.Throttled
+			m.TenantOverQuota += tm.OverQuota
 		}
 	}
 	e.pmu.Lock()
-	m.Delivered = e.ctrDelivered
-	m.RdvRetries = e.ctrRdvRetries
+	m.Counters.add(&e.pctr)
 	m.RailDowns = append(m.RailDowns, e.railDowns...)
 	e.pmu.Unlock()
+}
+
+// Each reports every named quantity in m, in stats.Reader form. Telemetry
+// renders Prometheus families from it, so a scrape and a Set read agree.
+func (m *Metrics) Each(counter func(name string, v uint64), gauge func(name string, v float64)) {
+	eachTagged(reflect.ValueOf(m).Elem(), counter)
+	var downs uint64
+	for _, d := range m.RailDowns {
+		downs += d
+	}
+	counter("core.rail_peer_downs", downs)
+	gauge("core.backlog_peak", float64(m.BacklogPeak))
+}
+
+// eachTagged walks v's `set`-tagged uint64 fields, embedded structs included.
+func eachTagged(v reflect.Value, counter func(name string, v uint64)) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if f.Anonymous {
+			eachTagged(v.Field(i), counter)
+		} else if name := f.Tag.Get("set"); name != "" {
+			counter(name, v.Field(i).Uint())
+		}
+	}
+}
+
+// serve is the engine's stats.Reader: a fresh snapshot by name, plus the
+// per-rail frame counters. The Set calls it outside its own mutex
+// (MetricsInto takes shard locks and pmu).
+func (e *Engine) serve(counter func(name string, v uint64), gauge func(name string, v float64)) {
+	var m Metrics
+	e.MetricsInto(&m)
+	m.Each(counter, gauge)
+	for i, v := range m.RailFrames {
+		counter(fmt.Sprintf("core.rail.%s.frames", e.rails[i].Caps().Name), v)
+	}
 }
 
 // RetuneEvent describes one runtime tuning change, delivered to the

@@ -22,7 +22,6 @@ func (e *Engine) onIdle(ri, ch int) {
 	if e.closed.Load() {
 		return
 	}
-	e.cIdleUpcalls.Inc()
 	e.idleUps.Add(1)
 	e.rec.Record(trace.Event{At: e.rt.Now(), Kind: trace.KindIdle, Node: e.node, A: ri, B: ch})
 	e.kickChannel(ri, ch, true)
@@ -111,7 +110,10 @@ func (e *Engine) takeDeliveriesLocked() ([]proto.Deliverable, []func()) {
 	}
 	fns := e.pendingFns
 	e.pendingFns = nil
-	e.ctrDelivered += uint64(len(d))
+	e.pctr.Delivered += uint64(len(d))
+	for i := range d {
+		e.pctr.DeliveredBytes += uint64(d[i].Pkt.Size())
+	}
 	return d, fns
 }
 
@@ -123,15 +125,8 @@ func (e *Engine) dispatchDeliveries(ds []proto.Deliverable, fns []func(), rail i
 		fn()
 	}
 	for _, d := range ds {
-		e.cDelivered.Inc()
-		e.cDeliveredBytes.Add(uint64(d.Pkt.Size()))
 		if d.Pkt.Enqueued > 0 {
-			lat := e.rt.Now().Sub(d.Pkt.Enqueued)
-			e.hDeliveryLat.Add(float64(lat))
-			e.spans.Observe(int(SpanE2E), int(d.Pkt.Class), rail, float64(lat))
-			if d.Pkt.Class == packet.ClassControl {
-				e.hControlLat.Add(float64(lat))
-			}
+			e.spans.Observe(int(SpanE2E), int(d.Pkt.Class), rail, float64(e.rt.Now().Sub(d.Pkt.Enqueued)))
 		}
 		e.rec.Record(trace.Event{
 			At: e.rt.Now(), Kind: trace.KindDeliver, Node: e.node,
@@ -169,8 +164,8 @@ func (e *Engine) enqueueReactive(f *packet.Frame) {
 		s.bulkQ = append(s.bulkQ, f)
 		s.nBulk.Add(1)
 	}
+	s.ctr.ReactiveFrames++
 	s.mu.Unlock()
-	e.cReactive.Inc()
 }
 
 // onRdvGrant fires when a CTS arrives for a rendezvous this node started:
@@ -190,8 +185,8 @@ func (e *Engine) onRdvGrant(token uint64, p *packet.Packet) {
 	s.mu.Lock()
 	s.bulkQ = append(s.bulkQ, rdata)
 	s.nBulk.Add(1)
+	s.ctr.RdvGranted++
 	s.mu.Unlock()
-	e.set.Counter("core.rdv_granted").Inc()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindRdv, Node: e.node,
 		Flow: ctrl.Flow, Seq: ctrl.Seq, A: ctrl.Size, Note: "granted",
@@ -236,7 +231,7 @@ func (e *Engine) pumpRefused() {
 	if epoch == 0 {
 		return
 	}
-	e.set.Counter("core.retune_repumped_shards").Add(uint64(affected))
+	e.repumpedShards.Add(uint64(affected))
 	for ri, r := range e.rails {
 		for ch := 0; ch < r.NumChannels(); ch++ {
 			if r.ChannelIdle(ch) {
@@ -291,10 +286,7 @@ func (s *shard) pumpReactiveLocked(b *strategy.Bundle, ri, ch int) bool {
 	// reclaimed frames ahead of same-flow frames still in the backlog:
 	// the reassembler tolerates reordering, but the failover queue
 	// clearing first keeps recovery from queueing behind new plans.
-	if s.pumpFailoverLocked(b, ri, ch) {
-		return true
-	}
-	return false
+	return s.pumpFailoverLocked(b, ri, ch)
 }
 
 // pumpWorkLocked tries to occupy (rail ri, channel ch) with this shard's
@@ -384,8 +376,7 @@ func (s *shard) pumpFailoverLocked(b *strategy.Bundle, ri, ch int) bool {
 		}
 		s.failQ = append(s.failQ[:i], s.failQ[i+1:]...)
 		s.nFail.Add(-1)
-		s.ctr.failovers++
-		e.set.Counter("core.failovers").Inc()
+		s.ctr.Failovers++
 		e.rec.Record(trace.Event{
 			At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 			A: ri, B: f.WireSize(), Note: "failover:" + f.Kind.String(),
@@ -548,9 +539,8 @@ func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 		e.hPlanScore.Add(float64(plan.Score))
 	}
 	if len(plan.Packets) > 1 {
-		e.cAggregates.Inc()
-		e.cAggregatedPkts.Add(uint64(len(plan.Packets)))
-		s.ctr.aggregates++
+		s.ctr.Aggregates++
+		s.ctr.AggregatedPackets += uint64(len(plan.Packets))
 	}
 	return true
 }
@@ -692,7 +682,7 @@ func (s *shard) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, h
 		if errors.Is(err, drivers.ErrPeerDown) {
 			s.failQ = append(s.failQ, f)
 			s.nFail.Add(1)
-			e.set.Counter("core.peer_down_posts").Inc()
+			s.ctr.PeerDownPosts++
 			e.rec.Record(trace.Event{
 				At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 				A: ri, B: wire, Note: "requeue:peer-down",
@@ -705,16 +695,11 @@ func (s *shard) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, h
 		}
 		panic(fmt.Sprintf("core: post on %s ch%d failed: %v", e.rails[ri].Name(), ch, err))
 	}
-	e.cFramesPosted.Inc()
-	e.railCtr[ri].Inc()
-	s.ctr.framesPosted++
+	s.ctr.FramesPosted++
 	s.railFrames[ri]++
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindPost, Node: e.node,
 		A: ri, B: wire, Note: kind.String(),
 	})
-	if len(pkts) > 0 {
-		e.cPacketsSent.Add(uint64(len(pkts)))
-		s.ctr.packetsSent += uint64(len(pkts))
-	}
+	s.ctr.PacketsSent += uint64(len(pkts))
 }

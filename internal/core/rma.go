@@ -50,8 +50,8 @@ func (e *Engine) Put(dst packet.NodeID, window int32, off int64, data []byte, do
 	s.mu.Lock()
 	s.bulkQ = append(s.bulkQ, f)
 	s.nBulk.Add(1)
+	s.ctr.RMAPuts++
 	s.mu.Unlock()
-	e.set.Counter("core.rma_puts").Inc()
 	e.pmu.Unlock()
 	e.pumpAll()
 	return nil
@@ -78,8 +78,8 @@ func (e *Engine) Get(dst packet.NodeID, window int32, off int64, n int, done fun
 	s.mu.Lock()
 	s.bulkQ = append(s.bulkQ, f)
 	s.nBulk.Add(1)
+	s.ctr.RMAGets++
 	s.mu.Unlock()
-	e.set.Counter("core.rma_gets").Inc()
 	e.pmu.Unlock()
 	e.pumpAll()
 	return nil

@@ -27,6 +27,8 @@ import (
 //	Engine.pmu  > shard.mu  > stats/trace leaf locks
 //	chanPump.mu > shard.mu  > stats/trace leaf locks
 //
+// The stats.Set mutex is a leaf: the Set runs the engine's by-name reader
+// (metrics.go, which takes shard locks and pmu) only after releasing it.
 // pmu serializes the receive/protocol side (reassembly, rendezvous state,
 // RMA windows, delivery batching, retry timers); it may take shard locks
 // to queue reactive frames, never the reverse. chanPump serializes one NIC
@@ -103,7 +105,7 @@ type shard struct {
 
 	// ctr/railFrames are this shard's slice of the engine-private
 	// observation counters; MetricsInto sums them across shards.
-	ctr        counters
+	ctr        Counters
 	railFrames []uint64
 
 	// Per-tenant service accounting (admission.go): how many of this
@@ -182,12 +184,12 @@ func (s *shard) drainInboxLocked() (drained int, pump bool) {
 			continue
 		}
 		tun := e.tun.Load()
-		s.ctr.submitted++
-		s.ctr.submittedBytes += uint64(p.Size())
+		s.ctr.Submitted++
+		s.ctr.SubmittedBytes += uint64(p.Size())
 		if p.Class == packet.ClassControl {
-			s.ctr.submittedCtrl++
+			s.ctr.SubmittedCtrl++
 		}
-		s.ctr.eagerBytes += uint64(p.Size())
+		s.ctr.EagerBytes += uint64(p.Size())
 		s.backlog.push(p)
 		s.tenantCount[p.Tenant]++
 		if s.tenantCount[p.Tenant] == 1 {
@@ -215,7 +217,7 @@ func (s *shard) drainInboxLocked() (drained int, pump bool) {
 			continue
 		}
 		if s.nagleArmed {
-			s.ctr.nagleEarly++
+			s.ctr.NagleEarly++
 			s.disarmNagleLocked()
 		}
 		pump = true
@@ -246,23 +248,17 @@ func (e *Engine) onNagle(s *shard, gen uint64) {
 	}
 	s.nagleArmed = false
 	s.nagleCancel = nil
-	s.ctr.nagleFires++
+	s.ctr.NagleFires++
 	s.mu.Unlock()
-	e.set.Counter("core.nagle_flushes").Inc()
 	e.rec.Record(trace.Event{At: e.rt.Now(), Kind: trace.KindNagleFire, Node: e.node, A: int(e.backlogSz.Load())})
 	e.pumpAll()
 }
 
-// notePeak maintains the backlog high-water mark and mirrors new maxima
-// into the core.backlog_peak gauge.
+// notePeak maintains the backlog high-water mark.
 func (e *Engine) notePeak(depth int64) {
 	for {
 		pk := e.backlogPeak.Load()
-		if depth <= pk {
-			return
-		}
-		if e.backlogPeak.CompareAndSwap(pk, depth) {
-			e.set.SetGauge("core.backlog_peak", float64(depth))
+		if depth <= pk || e.backlogPeak.CompareAndSwap(pk, depth) {
 			return
 		}
 	}
@@ -526,18 +522,7 @@ func (s *shard) mergeInto(m *Metrics) {
 	m.CtrlQueued += len(s.ctrlQ)
 	m.BulkQueued += len(s.bulkQ)
 	m.FailoverQueued += len(s.failQ)
-	m.Submitted += s.ctr.submitted
-	m.SubmittedBytes += s.ctr.submittedBytes
-	m.SubmittedCtrl += s.ctr.submittedCtrl
-	m.EagerBytes += s.ctr.eagerBytes
-	m.RdvBytes += s.ctr.rdvBytes
-	m.FramesPosted += s.ctr.framesPosted
-	m.PacketsSent += s.ctr.packetsSent
-	m.Aggregates += s.ctr.aggregates
-	m.NagleFires += s.ctr.nagleFires
-	m.NagleEarly += s.ctr.nagleEarly
-	m.FramesReclaimed += s.ctr.framesReclaimed
-	m.Failovers += s.ctr.failovers
+	m.Counters.add(&s.ctr)
 	for i, v := range s.railFrames {
 		m.RailFrames[i] += v
 	}

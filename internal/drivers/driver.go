@@ -33,7 +33,7 @@ import (
 // a retry condition.
 var ErrChannelBusy = errors.New("drivers: channel busy")
 
-// ErrClosed is returned by Post, Requeue and Dial on a driver that has been
+// ErrClosed is returned by Post and Dial on a driver that has been
 // closed. Teardown races traffic on real transports — a pump can be mid-post
 // when cleanup closes the rail — so the layer above drops the frame quietly
 // instead of treating it as a bug.
@@ -58,7 +58,7 @@ type FrameLossHandler func(peer packet.NodeID, frames []*packet.Frame)
 
 // FrameLossNotifier is implemented by drivers that can hand undeliverable
 // frames back instead of dropping them — the hook engine-level failover
-// (internal/core) and the multi-rail bundle build on.
+// (internal/core) builds on.
 type FrameLossNotifier interface {
 	SetFrameLossHandler(fn FrameLossHandler)
 }

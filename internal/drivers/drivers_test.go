@@ -8,6 +8,7 @@ import (
 
 	"newmad/internal/caps"
 	"newmad/internal/packet"
+	"newmad/internal/simnet"
 )
 
 func simpleFrame(src, dst packet.NodeID, size int) *packet.Frame {
@@ -120,32 +121,113 @@ func oneRail(Driver, int) int { return 0 }
 // under a write lock, so only frames of the same channel are ordered.
 func perChannel(_ Driver, ch int) int { return ch }
 
-// multiRailTransport builds the conformance adapter for an R-rail mesh:
-// each node is one MultiRail bundling R mesh endpoints derived from the
-// base profile.
+// railBundle is the conformance adapter for a multi-rail node as it ships:
+// the R mesh endpoints NewMeshRails returns, with their send channels laid
+// end to end so the suite can post to any of them by one index. It has no
+// logic of its own — no queue, no failover (the engine owns that) — so what
+// the mesh-Nrail rows pin is that R endpoints of one node coexist and each
+// keeps its own FIFO.
+type railBundle struct {
+	*Mesh   // rail 0 supplies the identity accessors
+	rails   []*Mesh
+	perRail int
+}
+
+func (b *railBundle) NumChannels() int { return len(b.rails) * b.perRail }
+
+func (b *railBundle) rail(ch int) (*Mesh, int) {
+	if ch < 0 || ch >= b.NumChannels() {
+		return b.rails[0], -1 // the rail refuses the channel
+	}
+	return b.rails[ch/b.perRail], ch % b.perRail
+}
+
+func (b *railBundle) ChannelIdle(ch int) bool {
+	r, local := b.rail(ch)
+	return r.ChannelIdle(local)
+}
+
+func (b *railBundle) FirstIdle() (int, bool) {
+	for i, r := range b.rails {
+		if ch, ok := r.FirstIdle(); ok {
+			return i*b.perRail + ch, true
+		}
+	}
+	return 0, false
+}
+
+func (b *railBundle) Post(ch int, f *packet.Frame, extra simnet.Duration) error {
+	r, local := b.rail(ch)
+	return r.Post(local, f, extra)
+}
+
+func (b *railBundle) SetIdleHandler(fn IdleFunc) {
+	for i, r := range b.rails {
+		base := i * b.perRail
+		if fn == nil {
+			r.SetIdleHandler(nil)
+			continue
+		}
+		r.SetIdleHandler(func(ch int) { fn(base + ch) })
+	}
+}
+
+func (b *railBundle) SetRecvHandler(fn RecvFunc) {
+	for _, r := range b.rails {
+		r.SetRecvHandler(fn)
+	}
+}
+
+func (b *railBundle) Close() error {
+	var first error
+	for _, r := range b.rails {
+		if err := r.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// multiRailTransport builds n nodes of R rails each and dials every rail to
+// its namesake on every peer.
 func multiRailTransport(rails int) wallTransport {
 	return wallTransport{
 		name:     fmt.Sprintf("mesh-%drail", rails),
 		capsName: "tcp.r0",
 		channels: rails * caps.TCP.Channels,
 		make: func(n int, c caps.Caps) ([]Driver, func(), error) {
-			nodes, cleanup, err := NewMultiRailMeshCluster(n, caps.RailProfiles(c, rails))
-			if err != nil {
-				return nil, nil, err
+			ds := make([]Driver, n)
+			cleanup := func() {
+				for _, d := range ds {
+					if d != nil {
+						d.Close()
+					}
+				}
 			}
-			ds := make([]Driver, len(nodes))
-			for i, m := range nodes {
-				ds[i] = m
+			for i := range ds {
+				rs, err := NewMeshRails(packet.NodeID(i), caps.RailProfiles(c, rails), nil)
+				if err != nil {
+					cleanup()
+					return nil, nil, err
+				}
+				ds[i] = &railBundle{Mesh: rs[0], rails: rs, perRail: c.Channels}
+			}
+			for i, a := range ds {
+				for j, b := range ds {
+					if i == j {
+						continue
+					}
+					for k, r := range a.(*railBundle).rails {
+						if err := r.Dial(packet.NodeID(j), b.(*railBundle).rails[k].Addr()); err != nil {
+							cleanup()
+							return nil, nil, err
+						}
+					}
+				}
 			}
 			return ds, cleanup, nil
 		},
-		railOf: func(d Driver, ch int) int {
-			ri, _, err := d.(*MultiRail).RailOf(ch)
-			if err != nil {
-				panic(err)
-			}
-			return ri
-		},
+		railOf: func(d Driver, ch int) int { return ch / d.(*railBundle).perRail },
 	}
 }
 
@@ -286,6 +368,9 @@ func TestWallDriverBidirectional(t *testing.T) {
 }
 
 func TestWallDriverErrors(t *testing.T) {
+	// One frame past the limit the readers enforce; Post must refuse it on
+	// every socket driver rather than let the peer's reader kill the stream.
+	oversized := &packet.Frame{Kind: packet.FramePut, Src: 0, Dst: 1, Bulk: make([]byte, maxMeshFrame)}
 	forEachWallTransport(t, func(t *testing.T, tr wallTransport) {
 		nodes, cleanup, err := tr.make(2, caps.TCP)
 		if err != nil {
@@ -301,6 +386,9 @@ func TestWallDriverErrors(t *testing.T) {
 		}
 		if err := n0.Post(0, simpleFrame(0, 7, 8), 0); err == nil {
 			t.Fatal("unconnected destination accepted")
+		}
+		if err := n0.Post(0, oversized, 0); err == nil {
+			t.Fatal("oversized frame accepted; it would poison the peer link")
 		}
 		if n0.NumChannels() != tr.channels {
 			t.Fatalf("channels = %d, want %d", n0.NumChannels(), tr.channels)

@@ -11,8 +11,8 @@ import (
 )
 
 // Tests for the chaos-facing failure machinery: frame reclaim on connection
-// failure, deliberate rail breaking (the flap fault), and the multi-rail
-// bundle's automatic failover of reclaimed frames onto surviving rails.
+// failure and deliberate rail breaking (the flap fault). Failing reclaimed
+// frames over onto a surviving rail is the engine's job (internal/core).
 
 // TestMeshFrameLossReclaim pins the frame-ownership contract the failover
 // layer builds on: when a connection dies with frames aboard — one wedged
@@ -149,105 +149,5 @@ func TestMeshBreakPeerAndHeal(t *testing.T) {
 	case <-recv:
 	case <-time.After(5 * time.Second):
 		t.Fatal("frame lost after heal")
-	}
-}
-
-// TestMultiRailFailover breaks one of two rails with frames aboard and
-// verifies the bundle re-routes the reclaimed frames onto the surviving
-// rail: everything arrives (the mid-write ambiguous frame possibly twice —
-// deduplication lives above the driver), the bundle does not report the
-// peer down, and the failover counter shows the re-route happened.
-func TestMultiRailFailover(t *testing.T) {
-	nodes, cleanup, err := NewMultiRailMeshCluster(2, caps.RailProfiles(caps.TCP, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-
-	var mu sync.Mutex
-	gotPayload := map[byte]int{}
-	unblock := make(chan struct{})
-	first := true
-	nodes[1].SetRecvHandler(func(_ packet.NodeID, f *packet.Frame) {
-		stall := false
-		mu.Lock()
-		if first {
-			first = false
-			stall = true
-		}
-		for _, e := range f.Entries {
-			if len(e.Payload) > 0 {
-				gotPayload[e.Payload[0]]++
-			}
-		}
-		mu.Unlock()
-		if stall {
-			<-unblock
-		}
-	})
-	downFired := make(chan packet.NodeID, 4)
-	nodes[1].SetIdleHandler(nil) // not used; exercise nil-handler path
-	nodes[0].SetPeerDownHandler(func(p packet.NodeID) { downFired <- p })
-
-	mark := func(size int, tag byte) *packet.Frame {
-		f := simpleFrame(0, 1, size)
-		f.Entries[0].Payload[0] = tag
-		return f
-	}
-
-	// Rail 0 owns global channels [0, chansPerRail); wedge it mid-write.
-	rail0chans := nodes[0].Rails()[0].NumChannels()
-	if err := nodes[0].Post(0, mark(64, 1), 0); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "first frame written", func() bool { return nodes[0].ChannelIdle(0) })
-	if err := nodes[0].Post(0, mark(8<<20, 2), 0); err != nil {
-		t.Fatal(err)
-	}
-	if rail0chans < 2 {
-		t.Fatalf("rail 0 has %d channels; test needs 2", rail0chans)
-	}
-	if err := nodes[0].Post(1, mark(64<<10, 3), 0); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-
-	// Break rail 0 only; rail 1 survives.
-	if !nodes[0].Rails()[0].BreakPeer(1) {
-		t.Fatal("rail 0 break failed")
-	}
-	close(unblock)
-
-	waitFor(t, 10*time.Second, "failover delivery", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return gotPayload[2] >= 1 && gotPayload[3] >= 1
-	})
-	if nodes[0].PeerDown(1) {
-		t.Fatal("bundle reports peer down with a surviving rail")
-	}
-	select {
-	case p := <-downFired:
-		t.Fatalf("bundle down handler fired for peer %d with a rail surviving", p)
-	default:
-	}
-	if nodes[0].Failovers() == 0 {
-		t.Fatal("failover counter untouched — frames travelled some other way?")
-	}
-
-	// Break the last rail too: now the bundle peer-down fires.
-	if !nodes[0].Rails()[1].BreakPeer(1) {
-		t.Fatal("rail 1 break failed")
-	}
-	select {
-	case p := <-downFired:
-		if p != 1 {
-			t.Fatalf("down fired for peer %d", p)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("bundle down never fired after losing the last rail")
-	}
-	if !nodes[0].PeerDown(1) {
-		t.Fatal("bundle peer not down with every rail broken")
 	}
 }

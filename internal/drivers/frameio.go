@@ -15,6 +15,15 @@ import (
 // fails at the call site instead of poisoning the link.
 const maxMeshFrame = 64 << 20
 
+// checkFrameSize is Post's half of that contract, shared by both socket
+// drivers.
+func checkFrameSize(f *packet.Frame) error {
+	if n := f.WireSize(); n > maxMeshFrame {
+		return fmt.Errorf("drivers: frame of %d bytes exceeds the %d-byte wire limit", n, maxMeshFrame)
+	}
+	return nil
+}
+
 // errEmptyFrame is readFrame's answer to a zero length prefix: no frame was
 // read and the stream is still in sync. Mesh uses it as its in-band retire
 // marker; to a reader without one it is a corrupt stream like any other.

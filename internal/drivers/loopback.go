@@ -257,6 +257,9 @@ func (l *Loopback) Post(ch int, f *packet.Frame, _ simnet.Duration) error {
 	if f.Src != l.node {
 		return fmt.Errorf("drivers: frame src %d posted on node %d", f.Src, l.node)
 	}
+	if err := checkFrameSize(f); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()

@@ -48,8 +48,8 @@ var ErrPeerDown = errors.New("drivers: peer down")
 // One Mesh is one *rail* of a node: it advertises exactly one capability
 // record. Multi-rail nodes — several NICs, possibly of different
 // technologies, emulated here as several TCP connections per peer — run one
-// Mesh per rail and hand all of them to the engine (see MultiRail and
-// NewMeshRails in multirail.go).
+// Mesh per rail and hand all of them to the engine (see NewMeshRails), which
+// fails frames over between them.
 //
 // Addresses are ordinary TCP addresses; nothing restricts the mesh to
 // localhost. Tests and examples use 127.0.0.1 ephemeral ports, but the same
@@ -109,6 +109,42 @@ func NewMesh(node packet.NodeID, c caps.Caps, listen string) (*Mesh, error) {
 	m.wg.Add(1)
 	go m.acceptLoop()
 	return m, nil
+}
+
+// NewMeshRails creates one Mesh endpoint per capability profile for a node.
+// Profile names must be distinct (use caps.RailProfiles to derive uniquely
+// named variants of one base profile); listen optionally pins one TCP
+// listen address per rail, defaulting to ephemeral localhost ports.
+func NewMeshRails(node packet.NodeID, profiles []caps.Caps, listen []string) ([]*Mesh, error) {
+	if len(profiles) == 0 {
+		return nil, fmt.Errorf("drivers: multi-rail node %d needs at least one rail profile", node)
+	}
+	if listen != nil && len(listen) != len(profiles) {
+		return nil, fmt.Errorf("drivers: %d listen addresses for %d rails", len(listen), len(profiles))
+	}
+	seen := make(map[string]bool, len(profiles))
+	for _, p := range profiles {
+		if seen[p.Name] {
+			return nil, fmt.Errorf("drivers: duplicate rail profile %q on node %d (rail names must be distinct)", p.Name, node)
+		}
+		seen[p.Name] = true
+	}
+	rails := make([]*Mesh, len(profiles))
+	for i, p := range profiles {
+		addr := "127.0.0.1:0"
+		if listen != nil {
+			addr = listen[i]
+		}
+		m, err := NewMesh(node, p, addr)
+		if err != nil {
+			for _, prev := range rails[:i] {
+				prev.Close()
+			}
+			return nil, err
+		}
+		rails[i] = m
+	}
+	return rails, nil
 }
 
 // Addr returns the listener address other nodes dial.
@@ -238,8 +274,8 @@ func (m *Mesh) Post(ch int, f *packet.Frame, _ simnet.Duration) error {
 	if f.Src != m.node {
 		return fmt.Errorf("drivers: frame src %d posted on node %d", f.Src, m.node)
 	}
-	if n := f.WireSize(); n > maxMeshFrame {
-		return fmt.Errorf("drivers: frame of %d bytes exceeds the %d-byte mesh limit", n, maxMeshFrame)
+	if err := checkFrameSize(f); err != nil {
+		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -318,36 +354,6 @@ func (m *Mesh) LostFrames() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.lost
-}
-
-// Requeue enqueues a frame on the destination peer's rail without
-// occupying a send channel — the failover path the multi-rail bundle uses
-// to re-route frames reclaimed from a dead sibling rail. The slack beyond
-// the per-channel slots is bounded (requeueSlack); a full queue returns
-// ErrChannelBusy and the caller retries on a later idle. Ordering relative
-// to channel traffic follows queue order, like any post.
-func (m *Mesh) Requeue(f *packet.Frame) error {
-	if f.Src != m.node {
-		return fmt.Errorf("drivers: frame src %d requeued on node %d", f.Src, m.node)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return fmt.Errorf("drivers: mesh node %d: %w", m.node, ErrClosed)
-	}
-	p, ok := m.peers[f.Dst]
-	if !ok {
-		return fmt.Errorf("drivers: node %d not connected to %d", m.node, f.Dst)
-	}
-	if p.down {
-		return fmt.Errorf("drivers: node %d -> %d: %w", m.node, f.Dst, ErrPeerDown)
-	}
-	select {
-	case p.q <- railTx{ch: -1, f: f}:
-		return nil
-	default:
-		return fmt.Errorf("drivers: node %d -> %d requeue slack full: %w", m.node, f.Dst, ErrChannelBusy)
-	}
 }
 
 // BreakPeer forces the connection toward peer down, exactly as if the

@@ -270,7 +270,8 @@ func TestPooledFramesSurviveFailoverReclaim(t *testing.T) {
 	// receiver's reader error takes down its own outbound connection,
 	// whose EOF the sender attributes to the peer — so a first heal can be
 	// torn down again, reclaiming the frames a second time. Keep healing
-	// and requeuing whatever comes back: the ownership contract is that an
+	// and re-posting whatever comes back (what the engine's failover queue
+	// does): the ownership contract is that an
 	// undelivered frame is always either in our hands (reclaimed, intact)
 	// or aboard exactly one live rail — never dropped, never released
 	// early. The mid-write ambiguous frame may arrive twice, so duplicates
@@ -286,7 +287,12 @@ func TestPooledFramesSurviveFailoverReclaim(t *testing.T) {
 		mu.Unlock()
 		for _, f := range pend {
 			for {
-				err := nodes[0].Requeue(f)
+				ch, ok := nodes[0].FirstIdle()
+				if !ok {
+					time.Sleep(time.Millisecond)
+					continue
+				}
+				err := nodes[0].Post(ch, f, 0)
 				if err == nil {
 					break
 				}
@@ -294,10 +300,6 @@ func TestPooledFramesSurviveFailoverReclaim(t *testing.T) {
 					if derr := nodes[0].Dial(1, nodes[1].Addr()); derr != nil {
 						t.Fatal(derr)
 					}
-					continue
-				}
-				if errors.Is(err, ErrChannelBusy) {
-					time.Sleep(time.Millisecond)
 					continue
 				}
 				t.Fatal(err)

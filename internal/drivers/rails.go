@@ -59,10 +59,7 @@ const (
 
 // railTx is one queued frame: the channel it occupies and the frame itself.
 // Encoding is deferred to the rail's owner (see Mesh.Post), so the payload
-// copy runs on the rail's goroutine instead of under the engine lock. A
-// requeued frame (failover traffic re-routed from a dead sibling rail, see
-// Mesh.Requeue) carries ch == -1: it occupies no send channel and releases
-// none.
+// copy runs on the rail's goroutine instead of under the engine lock.
 type railTx struct {
 	ch int
 	f  *packet.Frame
@@ -75,17 +72,11 @@ type railTx struct {
 // pathologically wide aggregate.
 const maxScratch = 1 << 16
 
-// requeueSlack is the extra queue capacity reserved for failover requeues
-// beyond the one-slot-per-channel guarantee Post relies on. A full slack
-// makes Requeue fail (the caller holds the frame and retries on the next
-// idle), never blocks.
-const requeueSlack = 64
-
 // newRail builds the rail for a freshly dialed connection. The queue holds
-// at most one frame per send channel plus the failover slack, so
-// enqueueing under the driver lock never blocks.
+// at most one frame per send channel, so enqueueing under the driver lock
+// never blocks.
 func newRail(c net.Conn, slots int) *rail {
-	return &rail{c: c, q: make(chan railTx, slots+requeueSlack)}
+	return &rail{c: c, q: make(chan railTx, slots)}
 }
 
 // sender is the rail's owner goroutine: it writes each queued frame
@@ -131,10 +122,7 @@ func (m *Mesh) sender(peer packet.NodeID, r *rail) {
 				// waiting for retirement — failover wants the frames back
 				// while the traffic they belong to is still in flight.
 				lost := []*packet.Frame{tx.f}
-				var chans []int
-				if tx.ch >= 0 {
-					chans = append(chans, tx.ch)
-				}
+				chans := []int{tx.ch}
 			reclaim:
 				for {
 					select {
@@ -143,9 +131,7 @@ func (m *Mesh) sender(peer packet.NodeID, r *rail) {
 							break reclaim
 						}
 						lost = append(lost, tx2.f)
-						if tx2.ch >= 0 {
-							chans = append(chans, tx2.ch)
-						}
+						chans = append(chans, tx2.ch)
 					default:
 						break reclaim
 					}
@@ -170,9 +156,7 @@ func (m *Mesh) sender(peer packet.NodeID, r *rail) {
 			// A straggler that raced the reclaim above: same treatment.
 			m.framesLost(peer, []*packet.Frame{tx.f})
 		}
-		if tx.ch >= 0 {
-			m.releaseChannel(tx.ch)
-		}
+		m.releaseChannel(tx.ch)
 	}
 	// Queue closed and drained. Announce the graceful retirement in-band (a
 	// zero length prefix) so the peer's reader unregisters this connection

@@ -358,8 +358,15 @@ func (r *Rig) Run(expected int) (Metrics, error) {
 	if expected > 0 && total != expected {
 		return Metrics{}, fmt.Errorf("exp: delivered %d of %d", total, expected)
 	}
-	lat := r.Cl.Stats.Histogram("core.delivery_latency_ns")
-	ctrl := r.Cl.Stats.Histogram("core.control_latency_ns")
+	lat := r.SpanTotal(core.SpanE2E)
+	ctrl := &stats.Histogram{}
+	for _, eng := range r.Engines {
+		for _, c := range eng.Spans().Snapshot() {
+			if c.Kind == int(core.SpanE2E) && c.Class == int(packet.ClassControl) {
+				ctrl.Merge(c.Hist)
+			}
+		}
+	}
 	m := Metrics{
 		End:        end,
 		Wall:       wall,
@@ -377,8 +384,7 @@ func (r *Rig) Run(expected int) (Metrics, error) {
 		m.MsgPerSec = float64(total) / (float64(end) / float64(simnet.Second))
 	}
 	if r.id != "" {
-		reportLatency(r.id, summarizeLatency(
-			r.SpanTotal(core.SpanE2E), r.SpanTotal(core.SpanQueueWait)))
+		reportLatency(r.id, summarizeLatency(lat, r.SpanTotal(core.SpanQueueWait)))
 	}
 	return m, nil
 }

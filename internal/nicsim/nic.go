@@ -34,7 +34,11 @@ type NIC struct {
 	mem    memsim.Model
 	eng    *simnet.Engine
 	fabric *Fabric
-	set    *stats.Set
+
+	// Counter handles, resolved once: a simulated frame must not pay six
+	// map lookups under the Set mutex.
+	txFrames, txWireBytes, txPayloadBytes *stats.Counter
+	txAggFrames, txAggPackets, rxFrames   *stats.Counter
 
 	channels []chanState
 	onIdle   IdleFunc
@@ -69,8 +73,14 @@ func New(eng *simnet.Engine, fabric *Fabric, node packet.NodeID, c caps.Caps, me
 		mem:      mem,
 		eng:      eng,
 		fabric:   fabric,
-		set:      set,
 		channels: make([]chanState, c.Channels),
+
+		txFrames:       set.Counter("nic.tx.frames"),
+		txWireBytes:    set.Counter("nic.tx.wire_bytes"),
+		txPayloadBytes: set.Counter("nic.tx.payload_bytes"),
+		txAggFrames:    set.Counter("nic.tx.aggregated_frames"),
+		txAggPackets:   set.Counter("nic.tx.aggregated_packets"),
+		rxFrames:       set.Counter("nic.rx.frames"),
 	}
 	if err := fabric.attach(n); err != nil {
 		return nil, err
@@ -168,12 +178,12 @@ func (n *NIC) Post(ch int, f *packet.Frame, hostExtra simnet.Duration) error {
 	st.lastPost = n.eng.Now()
 	st.busySum += busyDur
 
-	n.set.Counter("nic.tx.frames").Inc()
-	n.set.Counter("nic.tx.wire_bytes").Add(uint64(wireBytes))
-	n.set.Counter("nic.tx.payload_bytes").Add(uint64(payload))
+	n.txFrames.Inc()
+	n.txWireBytes.Add(uint64(wireBytes))
+	n.txPayloadBytes.Add(uint64(payload))
 	if f.Kind == packet.FrameData && len(f.Entries) > 1 {
-		n.set.Counter("nic.tx.aggregated_frames").Inc()
-		n.set.Counter("nic.tx.aggregated_packets").Add(uint64(len(f.Entries)))
+		n.txAggFrames.Inc()
+		n.txAggPackets.Add(uint64(len(f.Entries)))
 	}
 
 	n.eng.After(busyDur, "nic.txdone", func() {
@@ -208,7 +218,7 @@ func (n *NIC) receive(src packet.NodeID, f *packet.Frame) {
 	}
 	done := start.Add(occupancy)
 	n.rxBusyUntil = done
-	n.set.Counter("nic.rx.frames").Inc()
+	n.rxFrames.Inc()
 	n.eng.At(done, "nic.rxdone", func() {
 		if n.onRecv != nil {
 			n.onRecv(src, f)

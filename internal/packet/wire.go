@@ -187,57 +187,14 @@ func (f *Frame) PayloadSize() int {
 	}
 }
 
-// Encode appends the frame's wire form to dst and returns the result.
+// Encode appends the frame's wire form to dst and returns the result: the
+// concatenation of EncodeVec's segments, which is where the layout lives.
+// The copying form is for tests and fault injection; transports write the
+// gather list.
 func (f *Frame) Encode(dst []byte) []byte {
-	var tmp [12]byte
-	binary.BigEndian.PutUint16(tmp[0:], frameMagic)
-	tmp[2] = byte(f.Kind)
-	binary.BigEndian.PutUint16(tmp[3:], uint16(len(f.Entries)))
-	dst = append(dst, tmp[:5]...)
-	binary.BigEndian.PutUint32(tmp[0:], uint32(f.Src))
-	binary.BigEndian.PutUint32(tmp[4:], uint32(f.Dst))
-	dst = append(dst, tmp[:8]...)
-
-	switch f.Kind {
-	case FrameData:
-		for i := range f.Entries {
-			e := &f.Entries[i]
-			binary.BigEndian.PutUint32(tmp[0:], uint32(e.Flow))
-			binary.BigEndian.PutUint64(tmp[4:], uint64(e.Msg))
-			dst = append(dst, tmp[:12]...)
-			binary.BigEndian.PutUint32(tmp[0:], uint32(e.Seq))
-			flags := byte(e.Class) << classShift
-			if e.Last {
-				flags |= flagLast
-			}
-			if e.Recv == RecvExpress {
-				flags |= flagExpress
-			}
-			tmp[4] = flags
-			binary.BigEndian.PutUint32(tmp[5:], uint32(len(e.Payload)))
-			dst = append(dst, tmp[:9]...)
-			dst = append(dst, e.Payload...)
-		}
-	default:
-		c := &f.Ctrl
-		binary.BigEndian.PutUint64(tmp[0:], c.Token)
-		binary.BigEndian.PutUint32(tmp[8:], uint32(c.Flow))
-		dst = append(dst, tmp[:12]...)
-		binary.BigEndian.PutUint64(tmp[0:], uint64(c.Msg))
-		binary.BigEndian.PutUint32(tmp[8:], uint32(c.Seq))
-		dst = append(dst, tmp[:12]...)
-		binary.BigEndian.PutUint32(tmp[0:], uint32(c.Size))
-		if c.Last {
-			tmp[4] = 1
-		} else {
-			tmp[4] = 0
-		}
-		dst = append(dst, tmp[:5]...)
-		if f.Kind == FrameRData || f.Kind == FramePut || f.Kind == FrameGetReply {
-			binary.BigEndian.PutUint32(tmp[0:], uint32(len(f.Bulk)))
-			dst = append(dst, tmp[:4]...)
-			dst = append(dst, f.Bulk...)
-		}
+	vec, _ := f.EncodeVec(nil, nil)
+	for _, seg := range vec {
+		dst = append(dst, seg...)
 	}
 	return dst
 }
@@ -247,7 +204,8 @@ func (f *Frame) Encode(dst []byte) []byte {
 // up front, so earlier segments never dangle) and payload/bulk slices are
 // referenced directly — no payload memcpy. Any bytes already in meta (a
 // transport's length prefix, say) become the head of the first segment.
-// The concatenation of the appended segments equals Encode's output.
+// This is the one encoder: the wire layout is whatever its segments
+// concatenate to (pinned by the golden vectors in wire_test.go).
 //
 // The caller owns meta and every payload until the write completes; reuse
 // meta across frames (it holds only headers, ~HeaderSize +

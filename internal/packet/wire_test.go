@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -295,36 +296,66 @@ func TestDecodeClampsEntryPrealloc(t *testing.T) {
 	}
 }
 
-func TestEncodeVecMatchesEncode(t *testing.T) {
-	frames := []*Frame{
-		{Kind: FrameData, Src: 1, Dst: 2, Entries: []Entry{
+// TestWireGolden pins the wire format by bytes: one committed vector per
+// frame kind (plus the empty-entry, no-entry and empty-bulk shapes), taken
+// from the encoder as it stood when Encode and EncodeVec were still two
+// independent copies of the layout. A format change must change these on
+// purpose.
+func TestWireGolden(t *testing.T) {
+	golden := []struct {
+		f   *Frame
+		hex string
+	}{
+		{&Frame{Kind: FrameData, Src: 1, Dst: 2, Entries: []Entry{
 			{Flow: 1, Msg: 2, Seq: 0, Payload: []byte("head")},
-			{Flow: 1, Msg: 2, Seq: 1, Payload: nil}, // empty payload entry
-			{Flow: 2, Msg: 1, Seq: 0, Last: true, Class: ClassBulk, Recv: RecvExpress, Payload: bytes.Repeat([]byte{0xAB}, 300)},
-		}},
-		{Kind: FrameData, Src: 3, Dst: 4}, // no entries
-		{Kind: FrameRTS, Src: 0, Dst: 3, Ctrl: Ctrl{Token: 7, Flow: 4, Msg: 5, Seq: 6, Size: 1 << 20, Last: true}},
-		{Kind: FrameRData, Src: 0, Dst: 3, Ctrl: Ctrl{Token: 7, Flow: 4, Seq: 6, Size: 64}, Bulk: bytes.Repeat([]byte{0xCD}, 64)},
-		{Kind: FramePut, Src: 2, Dst: 1, Ctrl: Ctrl{Token: 9}, Bulk: nil}, // empty bulk
-		{Kind: FrameAck, Src: 5, Dst: 6, Ctrl: Ctrl{Token: 11}},
+			{Flow: 1, Msg: 2, Seq: 1}, // empty payload entry
+			{Flow: 2, Msg: 1, Seq: 3, Last: true, Class: ClassBulk, Recv: RecvExpress, Payload: []byte("tail!")},
+		}}, "4d61000003000000010000000200000001000000000000000200000000000000000468656164000000010000000000000002000000010000000000000000020000000000000001000000030b000000057461696c21"},
+		{&Frame{Kind: FrameData, Src: 3, Dst: 4}, // no entries
+			"4d610000000000000300000004"},
+		{&Frame{Kind: FrameRTS, Src: 0, Dst: 3, Ctrl: Ctrl{Token: 7, Flow: 4, Msg: 5, Seq: 6, Size: 1 << 20, Last: true}},
+			"4d6101000000000000000000030000000000000007000000040000000000000005000000060010000001"},
+		{&Frame{Kind: FrameCTS, Src: 3, Dst: 0, Ctrl: Ctrl{Token: 7, Flow: 4, Msg: 5, Seq: 6, Size: 1 << 20}},
+			"4d6102000000000003000000000000000000000007000000040000000000000005000000060010000000"},
+		{&Frame{Kind: FrameRData, Src: 0, Dst: 3, Ctrl: Ctrl{Token: 7, Flow: 4, Seq: 6, Size: 4}, Bulk: []byte{0xCD, 0xCD, 0xCD, 0xCD}},
+			"4d610300000000000000000003000000000000000700000004000000000000000000000006000000040000000004cdcdcdcd"},
+		{&Frame{Kind: FramePut, Src: 2, Dst: 1, Ctrl: Ctrl{Token: 9}}, // empty bulk
+			"4d610400000000000200000001000000000000000900000000000000000000000000000000000000000000000000"},
+		{&Frame{Kind: FrameGet, Src: 1, Dst: 2, Ctrl: Ctrl{Token: 10, Size: 48}},
+			"4d610500000000000100000002000000000000000a000000000000000000000000000000000000003000"},
+		{&Frame{Kind: FrameGetReply, Src: 2, Dst: 1, Ctrl: Ctrl{Token: 10, Size: 3}, Bulk: []byte{0x22, 0x22, 0x22}},
+			"4d610600000000000200000001000000000000000a00000000000000000000000000000000000000030000000003222222"},
+		{&Frame{Kind: FrameAck, Src: 5, Dst: 6, Ctrl: Ctrl{Token: 11, Flow: 1, Last: true}},
+			"4d610700000000000500000006000000000000000b000000010000000000000000000000000000000001"},
 	}
+	kinds := map[FrameKind]bool{}
 	var vec [][]byte
 	var meta []byte
-	for _, f := range frames {
-		want := f.Encode(nil)
+	for _, g := range golden {
+		kinds[g.f.Kind] = true
+		want, err := hex.DecodeString(g.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.f.Encode(nil); !bytes.Equal(got, want) {
+			t.Fatalf("%v: wire bytes changed\n got %x\nwant %x", g.f.Kind, got, want)
+		}
+		if g.f.WireSize() != len(want) {
+			t.Fatalf("%v: WireSize %d, golden is %d bytes", g.f.Kind, g.f.WireSize(), len(want))
+		}
 		// Pre-existing meta bytes (a transport length prefix) must become
-		// the head of the first segment.
+		// the head of the first gather segment, ahead of the same bytes.
 		meta = append(meta[:0], 0xDE, 0xAD)
-		vec, meta = f.EncodeVec(vec[:0], meta)
+		vec, meta = g.f.EncodeVec(vec[:0], meta)
 		var got []byte
 		for _, seg := range vec {
 			got = append(got, seg...)
 		}
-		if !bytes.Equal(got[:2], []byte{0xDE, 0xAD}) {
-			t.Fatalf("%v: prefix bytes lost", f.Kind)
+		if !bytes.Equal(got, append([]byte{0xDE, 0xAD}, want...)) {
+			t.Fatalf("%v: gather list with prefix\n got %x\nwant dead%x", g.f.Kind, got, want)
 		}
-		if !bytes.Equal(got[2:], want) {
-			t.Fatalf("%v: EncodeVec mismatch\n got %x\nwant %x", f.Kind, got[2:], want)
-		}
+	}
+	if len(kinds) != int(frameKindMax) {
+		t.Fatalf("golden vectors cover %d of %d frame kinds", len(kinds), frameKindMax)
 	}
 }

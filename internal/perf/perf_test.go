@@ -171,33 +171,6 @@ func TestAllocsEagerSendWithQuotas(t *testing.T) {
 	}
 }
 
-// BenchmarkEagerPumpBacklog measures the pump over a deep multi-flow
-// backlog: 64 packets across 8 flows and 4 destinations — the aggregation
-// planner's real operating point.
-func BenchmarkEagerPumpBacklog(b *testing.B) {
-	e, _ := newEngine(b, nil)
-	defer e.Close()
-	const depth = 64
-	payload := make([]byte, 64)
-	pkts := make([]*packet.Packet, depth)
-	for i := range pkts {
-		pkts[i] = &packet.Packet{
-			Flow: packet.FlowID(i%8 + 1), Msg: 1, Seq: i / 8,
-			Src: 0, Dst: packet.NodeID(i%4 + 1),
-			Class: packet.ClassSmall, Payload: payload,
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range pkts {
-			if err := e.Submit(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // receiveHarness drives the receive path exactly as the mesh reader does:
 // a pooled buffer is filled with pre-encoded wire bytes, decoded into a
 // pooled frame, backed, and handed to the engine's recv handler (which
@@ -277,19 +250,6 @@ func TestAllocsMeshReceive(t *testing.T) {
 	if allocs := testing.AllocsPerRun(500, func() { h.deliver(t) }); allocs > 2 {
 		t.Fatalf("mesh receive path costs %.2f allocs/op for an 8-entry frame, budget is 2", allocs)
 	}
-}
-
-// BenchmarkEncode measures the flat wire encoder on an 8-entry frame.
-func BenchmarkEncode(b *testing.B) {
-	f := benchFrame(8, 64)
-	buf := make([]byte, 0, f.WireSize())
-	b.SetBytes(int64(f.WireSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = f.Encode(buf[:0])
-	}
-	_ = buf
 }
 
 // BenchmarkEncodeVec measures the vectored encoder (headers into scratch,

@@ -160,7 +160,7 @@ func TestRetuneRepumpTargeting(t *testing.T) {
 	h := newRetuneHarness(t)
 	defer h.eng.Close()
 	repumped := func() uint64 {
-		return h.eng.Stats().Counter("core.retune_repumped_shards").Value()
+		return h.eng.Stats().CounterValue("core.retune_repumped_shards")
 	}
 
 	// Drain the fat rail before anything is queued, then fill with pinned

@@ -8,10 +8,9 @@ import (
 )
 
 // Counter is a monotonically increasing tally. The zero value is zero.
-// Counters are lock-free: the sharded engine core increments the hot-path
-// counters (frames posted, packets sent, per-rail tallies) from several
-// pump goroutines at once, so an increment must cost one atomic add — not
-// a mutex handoff ping-ponging a lock line between shards.
+// Counters are lock-free: wire-driver owners, the chaos injector and the
+// controller increment shared counters from several goroutines at once, so
+// an increment costs one atomic add, not a mutex handoff.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -27,11 +26,52 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Set is a named registry of counters and histograms, one per engine or
 // experiment. The zero value is ready to use.
+//
+// A name is either stored — written through Counter, Histogram or SetGauge —
+// or served: computed at read time by a Reader registered with Serve, whose
+// owner keeps the storage (the engine's core.* counters live in its own
+// per-shard tallies and are only named here). CounterValue, Gauge and Dump
+// resolve both; Names lists what the Set itself stores.
 type Set struct {
-	mu     sync.Mutex
-	ctrs   map[string]*Counter
-	hists  map[string]*Histogram
-	gauges map[string]float64
+	mu      sync.Mutex
+	ctrs    map[string]*Counter
+	hists   map[string]*Histogram
+	gauges  map[string]float64
+	readers []Reader
+}
+
+// Reader reports the values its owner serves by name: it calls counter or
+// gauge once per name, with the value at the time of the call.
+type Reader func(counter func(name string, v uint64), gauge func(name string, v float64))
+
+// Serve registers r as a read-time source of named values. Several readers
+// may serve the same name (the engines of one rig sharing a Set): counters
+// sum, gauges report the largest.
+func (s *Set) Serve(r Reader) {
+	s.mu.Lock()
+	s.readers = append(s.readers, r)
+	s.mu.Unlock()
+}
+
+// served runs every reader and merges what they report. Readers run outside
+// s.mu: a reader takes its owner's locks (an engine's shard.mu, pmu), and
+// those rank above this leaf mutex — code holding them writes stored
+// counters and histograms.
+func (s *Set) served() (ctrs map[string]uint64, gauges map[string]float64) {
+	s.mu.Lock()
+	rs := s.readers // append-only: the prefix captured here never changes
+	s.mu.Unlock()
+	ctrs = make(map[string]uint64)
+	gauges = make(map[string]float64)
+	for _, r := range rs {
+		r(func(name string, v uint64) { ctrs[name] += v },
+			func(name string, v float64) {
+				if old, ok := gauges[name]; !ok || v > old {
+					gauges[name] = v
+				}
+			})
+	}
+	return ctrs, gauges
 }
 
 // Counter returns (creating on first use) the named counter.
@@ -75,57 +115,69 @@ func (s *Set) SetGauge(name string, v float64) {
 	s.gauges[name] = v
 }
 
-// Gauge returns the named gauge value and whether it was ever set.
+// Gauge returns the named gauge value and whether it was ever set or is
+// served.
 func (s *Set) Gauge(name string) (float64, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	v, ok := s.gauges[name]
+	s.mu.Unlock()
+	if !ok {
+		_, g := s.served()
+		v, ok = g[name]
+	}
 	return v, ok
 }
 
-// CounterValue returns the value of the named counter, zero if absent.
+// CounterValue returns the value of the named counter, stored or served,
+// zero if absent.
 func (s *Set) CounterValue(name string) uint64 {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.ctrs[name]; ok {
+	c, ok := s.ctrs[name]
+	s.mu.Unlock()
+	if ok {
 		return c.Value()
 	}
-	return 0
+	ctrs, _ := s.served()
+	return ctrs[name]
 }
 
-// Names returns the sorted names of all counters, then histograms, then
-// gauges — useful for stable debug dumps.
+// Names returns the sorted names of all stored counters, then histograms,
+// then gauges — useful for stable debug dumps.
 func (s *Set) Names() (counters, hists, gauges []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for n := range s.ctrs {
-		counters = append(counters, n)
-	}
-	for n := range s.hists {
-		hists = append(hists, n)
-	}
-	for n := range s.gauges {
-		gauges = append(gauges, n)
-	}
-	sort.Strings(counters)
-	sort.Strings(hists)
-	sort.Strings(gauges)
-	return
+	return sortedNames(s.ctrs), sortedNames(s.hists), sortedNames(s.gauges)
 }
 
-// Dump renders every metric on its own line, sorted, for debugging.
+func sortedNames[V any](m map[string]V) []string {
+	var out []string
+	for n := range m {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Dump renders every metric, stored and served, on its own line, sorted,
+// for debugging.
 func (s *Set) Dump() string {
 	cn, hn, gn := s.Names()
-	out := ""
+	ctrs, gauges := s.served()
 	for _, n := range cn {
-		out += fmt.Sprintf("counter %-40s %d\n", n, s.CounterValue(n))
+		ctrs[n] = s.CounterValue(n)
+	}
+	for _, n := range gn {
+		gauges[n], _ = s.Gauge(n)
+	}
+	out := ""
+	for _, n := range sortedNames(ctrs) {
+		out += fmt.Sprintf("counter %-40s %d\n", n, ctrs[n])
 	}
 	for _, n := range hn {
 		out += fmt.Sprintf("hist    %-40s %s\n", n, s.Histogram(n).String())
 	}
-	for _, n := range gn {
-		v, _ := s.Gauge(n)
-		out += fmt.Sprintf("gauge   %-40s %g\n", n, v)
+	for _, n := range sortedNames(gauges) {
+		out += fmt.Sprintf("gauge   %-40s %g\n", n, gauges[n])
 	}
 	return out
 }

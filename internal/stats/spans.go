@@ -1,16 +1,15 @@
 package stats
 
-import "sync"
-
 // Spans is a fixed-shape family of histograms indexed by three small
-// dimensions — span kind, traffic class, rail — backed by one shard per
+// dimensions — span kind, traffic class, rail — backed by one Histogram per
 // (kind, class, rail) cell. It is the telemetry substrate for the engine's
 // latency spans: the datapath calls Observe with pre-resolved integer
-// indices (no map lookups, no name formatting), each cell has its own
-// mutex so observation never contends with a concurrent snapshot of a
-// different cell, and Histogram.Add allocates only when its reservoir
-// grows (amortized O(log n) appends over the run) — which is what keeps
-// the AllocsPerRun gates of internal/perf intact with telemetry on.
+// indices (no map lookups, no name formatting), each cell is guarded only
+// by its histogram's own mutex so observation never contends with a
+// concurrent snapshot of a different cell, and Histogram.Add allocates only
+// when its reservoir grows (amortized O(log n) appends over the run) —
+// which is what keeps the AllocsPerRun gates of internal/perf intact with
+// telemetry on.
 //
 // A nil *Spans ignores Observe and reports empty snapshots, so callers
 // can thread an optional family without nil checks.
@@ -18,12 +17,7 @@ type Spans struct {
 	kinds   int
 	classes int
 	rails   int
-	shards  []spanShard
-}
-
-type spanShard struct {
-	mu sync.Mutex
-	h  Histogram
+	cells   []Histogram
 }
 
 // NewSpans returns a family with kinds × classes × rails cells. Each
@@ -42,7 +36,7 @@ func NewSpans(kinds, classes, rails int) *Spans {
 		kinds:   kinds,
 		classes: classes,
 		rails:   rails,
-		shards:  make([]spanShard, kinds*classes*rails),
+		cells:   make([]Histogram, kinds*classes*rails),
 	}
 }
 
@@ -68,10 +62,7 @@ func (s *Spans) Observe(kind, class, rail int, v float64) {
 	if kind < 0 || kind >= s.kinds || class < 0 || class >= s.classes || rail >= s.rails {
 		return
 	}
-	sh := &s.shards[(kind*s.classes+class)*s.rails+rail]
-	sh.mu.Lock()
-	sh.h.Add(v)
-	sh.mu.Unlock()
+	s.cells[(kind*s.classes+class)*s.rails+rail].Add(v)
 }
 
 // SpanCell is one populated cell of a snapshot: the indices plus a deep
@@ -93,15 +84,8 @@ func (s *Spans) Snapshot() []SpanCell {
 	for k := 0; k < s.kinds; k++ {
 		for c := 0; c < s.classes; c++ {
 			for r := 0; r < s.rails; r++ {
-				sh := &s.shards[(k*s.classes+c)*s.rails+r]
-				sh.mu.Lock()
-				var h *Histogram
-				if sh.h.Count() > 0 {
-					h = sh.h.Clone()
-				}
-				sh.mu.Unlock()
-				if h != nil {
-					out = append(out, SpanCell{Kind: k, Class: c, Rail: r, Hist: h})
+				if h := &s.cells[(k*s.classes+c)*s.rails+r]; h.Count() > 0 {
+					out = append(out, SpanCell{Kind: k, Class: c, Rail: r, Hist: h.Clone()})
 				}
 			}
 		}
@@ -118,12 +102,9 @@ func (s *Spans) Total(kind int) *Histogram {
 	}
 	for c := 0; c < s.classes; c++ {
 		for r := 0; r < s.rails; r++ {
-			sh := &s.shards[(kind*s.classes+c)*s.rails+r]
-			sh.mu.Lock()
-			if sh.h.Count() > 0 {
-				out.Merge(&sh.h)
+			if h := &s.cells[(kind*s.classes+c)*s.rails+r]; h.Count() > 0 {
+				out.Merge(h)
 			}
-			sh.mu.Unlock()
 		}
 	}
 	return out

@@ -192,6 +192,41 @@ func TestSet(t *testing.T) {
 	}
 }
 
+// TestServeReadersRunUnlocked pins the Serve contract: served names resolve
+// through CounterValue, Gauge and Dump (counters summed, gauges the largest)
+// without being listed by Names, and readers run outside the Set's own
+// mutex — this one calls back into the Set, which would self-deadlock
+// otherwise (an engine's reader takes locks that rank above it).
+func TestServeReadersRunUnlocked(t *testing.T) {
+	var s Set
+	s.Counter("stored").Add(2)
+	for i := 1; i <= 3; i++ {
+		v := uint64(i)
+		s.Serve(func(counter func(string, uint64), gauge func(string, float64)) {
+			counter("served", v*s.Counter("stored").Value())
+			gauge("peak", float64(v))
+		})
+	}
+	if got := s.CounterValue("served"); got != 12 {
+		t.Fatalf("served counter = %d, want 2*(1+2+3)", got)
+	}
+	if v, ok := s.Gauge("peak"); !ok || v != 3 {
+		t.Fatalf("served gauge = %v, %v; want the largest, 3", v, ok)
+	}
+	if s.CounterValue("stored") != 2 || s.CounterValue("missing") != 0 {
+		t.Fatal("stored or missing name disturbed by readers")
+	}
+	if cn, _, gn := s.Names(); len(cn) != 1 || len(gn) != 0 {
+		t.Fatalf("Names lists served values: %v %v", cn, gn)
+	}
+	dump := s.Dump()
+	for _, want := range []string{"served", "stored", "peak"} {
+		if !strings.Contains(dump, want) {
+			t.Fatalf("dump missing %q:\n%s", want, dump)
+		}
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("alpha", "1")

@@ -63,7 +63,7 @@ func promHist(w io.Writer, name, labels string, hs HistStat) {
 	}
 }
 
-// engineCounter rows shared by node and fleet rendering.
+// promRow is one engine counter family of the fleet roll-up.
 type promRow struct {
 	name, help string
 	v          uint64
@@ -81,19 +81,26 @@ func engineRows(t FleetTotals) []promRow {
 		{"newmad_frames_reclaimed_total", "Frames handed back by failing rails.", t.FramesReclaimed},
 		{"newmad_failovers_total", "Frames re-posted on a live rail after reclaim.", t.Failovers},
 		{"newmad_rdv_retries_total", "Rendezvous RTS retries fired.", t.RdvRetries},
-		{"newmad_rail_downs_total", "Rail peer-down events.", t.RailDowns},
+		{"newmad_rail_peer_downs_total", "Rail peer-down events.", t.RailDowns},
 	}
 }
 
-// WriteProm renders one node's snapshot in Prometheus text format.
+// WriteProm renders one node's snapshot in Prometheus text format. The
+// engine's counters come from its Metrics through core's one name table
+// ("core.submitted" renders as newmad_submitted_total); the snapshot's
+// Counters/Gauges maps hold only what the node's Set stores itself, so no
+// engine quantity appears under two families.
 func WriteProm(w io.Writer, ns NodeSnapshot) {
 	m := &ns.Metrics
-	var t FleetTotals
-	t.add(m)
-	for _, r := range engineRows(t) {
-		promHead(w, r.name, "counter", r.help)
-		fmt.Fprintf(w, "%s %d\n", r.name, r.v)
-	}
+	m.Each(func(name string, v uint64) {
+		pn := "newmad_" + promName(strings.TrimPrefix(name, "core.")) + "_total"
+		promHead(w, pn, "counter", "Engine counter "+name+".")
+		fmt.Fprintf(w, "%s %d\n", pn, v)
+	}, func(name string, v float64) {
+		pn := "newmad_" + promName(strings.TrimPrefix(name, "core."))
+		promHead(w, pn, "gauge", "Engine gauge "+name+".")
+		fmt.Fprintf(w, "%s %g\n", pn, v)
+	})
 
 	promHead(w, "newmad_backlog", "gauge", "Packets waiting in the send backlog.")
 	fmt.Fprintf(w, "newmad_backlog %d\n", m.Backlog)

@@ -32,8 +32,10 @@ type Source struct {
 	Role string
 	// Engine supplies Metrics and latency spans (required).
 	Engine *core.Engine
-	// Stats, when non-nil, contributes the node's counter/histogram/gauge
-	// set to its snapshot. Leave nil when the set is shared across nodes
+	// Stats, when non-nil, contributes what the node's set stores itself
+	// (driver, controller and chaos counters, the plan histograms) to its
+	// snapshot; the engine quantities the set merely serves by name are
+	// already in Metrics. Leave nil when the set is shared across nodes
 	// (the testnet's fleet-wide set) — register it once with
 	// SetFleetStats instead, or every node would re-report it.
 	Stats *stats.Set
@@ -205,7 +207,9 @@ func spanStats(e *core.Engine) []SpanStat {
 	return out
 }
 
-// setStats renders a stats.Set into snapshot maps.
+// setStats renders what a stats.Set stores into snapshot maps. Names the
+// Set serves on an engine's behalf are not listed by Names and so are not
+// repeated here: Metrics carries them.
 func setStats(s *stats.Set) (ctrs map[string]uint64, gauges map[string]float64, hists map[string]HistStat) {
 	cn, hn, gn := s.Names()
 	if len(cn) > 0 {
