@@ -233,10 +233,9 @@ func main() {
 		gcPause := m1.PauseTotalNs - m0.PauseTotalNs
 		fmt.Printf("    (%s in %v; %d allocs, %s allocated, %v GC pause)\n\n",
 			e.ID, wall.Round(time.Millisecond), allocs, fmtBytes(bytes), time.Duration(gcPause).Round(time.Microsecond))
-		decisions := exp.DecisionCount(e.ID)
-		injected, recovered := exp.FaultCounts(e.ID)
+		rec := exp.ReportOf(e.ID)
 		var latency *jsonLatency
-		if lat, ok := exp.Latency(e.ID); ok {
+		if lat := rec.Latency; lat != nil {
 			latency = &jsonLatency{
 				E2E:   jsonQuantiles{Count: lat.E2ECount, P50Us: lat.E2EP50Us, P95Us: lat.E2EP95Us, P99Us: lat.E2EP99Us},
 				Qwait: jsonQuantiles{Count: lat.QwaitCount, P50Us: lat.QwaitP50Us, P95Us: lat.QwaitP95Us, P99Us: lat.QwaitP99Us},
@@ -244,16 +243,16 @@ func main() {
 			report.LatencySamples += lat.E2ECount + lat.QwaitCount
 		}
 		var tenants []jsonTenant
-		for _, ts := range exp.Tenants(e.ID) {
+		for _, ts := range rec.Tenants {
 			tenants = append(tenants, jsonTenant{
 				Tenant: ts.Tenant, Offered: ts.Offered, Admitted: ts.Admitted,
 				Refused: ts.Refused, P99E2EUs: ts.P99E2EUs,
 			})
 			report.TenantRefusals += ts.Refused
 		}
-		report.ControllerDecisions += decisions
-		report.FaultsInjected += injected
-		report.Recoveries += recovered
+		report.ControllerDecisions += rec.Decisions
+		report.FaultsInjected += rec.FaultsInjected
+		report.Recoveries += rec.Recoveries
 		report.TotalAllocs += allocs
 		report.TotalAllocBytes += bytes
 		report.GCPauseTotalNs += gcPause
@@ -261,9 +260,9 @@ func main() {
 			ID: e.ID, Title: e.Title, Claim: e.Claim,
 			WallMs:              float64(wall.Microseconds()) / 1e3,
 			Tables:              tables,
-			ControllerDecisions: decisions,
-			FaultsInjected:      injected,
-			Recoveries:          recovered,
+			ControllerDecisions: rec.Decisions,
+			FaultsInjected:      rec.FaultsInjected,
+			Recoveries:          rec.Recoveries,
 			AllocsPerOp:         allocs,
 			BytesPerOp:          bytes,
 			GCPauseNs:           gcPause,

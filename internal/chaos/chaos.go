@@ -7,21 +7,27 @@
 //
 // Two mechanisms, two fault granularities:
 //
-//   - An Injector wraps one drivers.Driver (one rail) and applies
-//     probabilistic per-frame Rules on the receive path: drop, corrupt,
-//     delay, reorder. Receive-side injection never disturbs the send-unit
-//     accounting the optimizer depends on, and the decision stream is
-//     drawn from an explicitly seeded simnet.RNG — deterministic per
-//     *frame arrival sequence*. Over a wall-clock transport with several
-//     concurrent sources, arrival interleaving (and so the per-frame fault
-//     pattern) varies run to run; only the scripted schedule below is
-//     replayable bit-for-bit.
+//   - An Injector wraps one drivers.Driver (one rail) on either clock. On
+//     the receive path it applies probabilistic per-frame Rules: drop,
+//     corrupt, delay, reorder; on the send path its link gate refuses posts
+//     toward a peer a script has cut off. Receive-side injection never
+//     disturbs the send-unit accounting the optimizer depends on; holds
+//     are scheduled on the rail's simnet.Runtime, and the decision stream
+//     is drawn from an explicitly seeded simnet.RNG — deterministic per
+//     *frame arrival sequence*. Under the discrete-event engine that
+//     sequence is itself a function of the seed, so every fault kind
+//     replays event-for-event (the emulated testnets run this injector).
+//     Over a wall-clock transport with several concurrent sources, arrival
+//     interleaving (and so the per-frame fault pattern) varies run to run;
+//     there only the scripted schedule below is replayable bit-for-bit.
 //   - A Script is a timed list of connection-level events — rail flaps,
 //     node-pair partitions, node crashes, heals — generated
-//     deterministically from a seed (e.g. RollingFlaps) and executed by the
-//     cluster runner (internal/cluster), which records each executed event
-//     into a Trace. Two runs from the same seed produce identical traces;
-//     experiment X5 asserts exactly that.
+//     deterministically from a seed (e.g. RollingFlaps). Apply is the one
+//     place an event turns into actions, over the small Fabric each tier
+//     implements; the runners (cluster.RunScript on the wall clock,
+//     testnet on the virtual one) only pace the events and record each
+//     executed one into a Trace. Two runs from the same seed produce
+//     identical traces; experiment X5 asserts exactly that.
 //
 // The fault taxonomy is honest about recoverability (DESIGN.md §3.3):
 // delays, reorders, flaps, partitions and control-frame drops are fully
@@ -35,6 +41,7 @@ package chaos
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -115,30 +122,52 @@ func (r Rule) matches(k packet.FrameKind) bool {
 	return false
 }
 
-// Injector wraps one rail in the frame-level fault rules. It implements
-// drivers.Driver (and forwards the optional failure interfaces), so an
-// engine runs over injected rails unchanged.
+// Injector wraps one rail in the fault layer: the frame-level rules on the
+// receive path and the link gate (SetPeerDown) on the send path. It
+// implements drivers.Driver (and forwards the optional failure interfaces),
+// so an engine runs over injected rails unchanged — on either clock: every
+// hold is scheduled through the simnet.Runtime the rail runs on, so under
+// the discrete-event engine Delay and Reorder replay event-for-event like
+// everything else, and over sockets they ride wall timers.
 type Injector struct {
 	inner drivers.Driver
+	rt    simnet.Runtime
 	rules []Rule
 
-	mu       sync.Mutex
-	rng      *simnet.RNG
-	onRecv   drivers.RecvFunc
-	held     map[packet.NodeID]*heldFrame // one reorder slot per source
+	mu     sync.Mutex
+	rng    *simnet.RNG
+	onRecv drivers.RecvFunc
+	onDown func(peer packet.NodeID)
+	down   map[packet.NodeID]bool // peers the link gate holds down
+	// holds is every frame the injector is sitting on (delayed or in a
+	// reorder slot). Whoever removes an entry, under mu, owns delivering
+	// that frame — so a release timer that fires after its frame was
+	// displaced, overtaken or flushed finds nothing and does nothing,
+	// whatever its cancel reported.
+	holds    map[*heldFrame]struct{}
+	slot     map[packet.NodeID]*heldFrame // the reorder slot, one per source
+	nextHold uint64
 	injected [numFaultKinds]uint64
 	closed   bool
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // release callbacks mid-delivery
 }
 
 type heldFrame struct {
-	f     *packet.Frame
-	timer *time.Timer // fallback release if no frame follows
+	src    packet.NodeID
+	f      *packet.Frame
+	seq    uint64 // hold order, so Close flushes deterministically
+	cancel simnet.CancelFunc
 }
 
-// NewInjector wraps d with the given rules, drawing fault decisions from
-// rng (which the injector owns from here on).
-func NewInjector(d drivers.Driver, rng *simnet.RNG, rules ...Rule) (*Injector, error) {
+// reorderFallback releases a reorder-slot frame no successor overtook.
+const reorderFallback = 5 * simnet.Millisecond
+
+// NewInjector wraps d — a rail running on rt — with the given rules,
+// drawing fault decisions from rng (which the injector owns from here on).
+func NewInjector(d drivers.Driver, rt simnet.Runtime, rng *simnet.RNG, rules ...Rule) (*Injector, error) {
+	if rt == nil {
+		return nil, fmt.Errorf("chaos: injector for %s needs the runtime its rail runs on", d.Name())
+	}
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {
 			return nil, err
@@ -149,11 +178,23 @@ func NewInjector(d drivers.Driver, rng *simnet.RNG, rules ...Rule) (*Injector, e
 	}
 	inj := &Injector{
 		inner: d,
+		rt:    rt,
 		rules: append([]Rule(nil), rules...),
 		rng:   rng,
-		held:  make(map[packet.NodeID]*heldFrame),
+		down:  make(map[packet.NodeID]bool),
+		holds: make(map[*heldFrame]struct{}),
+		slot:  make(map[packet.NodeID]*heldFrame),
 	}
 	return inj, nil
+}
+
+// RailInjector wraps rail number rail of d's node, forking its decision
+// stream off base by the rail's identity. The key — not the order rails
+// were built in — names the stream, and it is the same key in the emulated
+// and the socket tier: one manifest seed means the same per-rail stream in
+// both.
+func RailInjector(d drivers.Driver, rt simnet.Runtime, base *simnet.RNG, rail int, rules ...Rule) (*Injector, error) {
+	return NewInjector(d, rt, base.ForkString(fmt.Sprintf("drop/%d/%d", d.Node(), rail)), rules...)
 }
 
 // Inner returns the wrapped driver.
@@ -192,6 +233,24 @@ func (in *Injector) SetRecvHandler(fn drivers.RecvFunc) {
 	in.inner.SetRecvHandler(in.recv)
 }
 
+// consume ends f's life at the injector: a wire frame swallowed here would
+// leak its pooled backing buffer (DESIGN.md §5). Unbacked frames —
+// simulated fabrics, hand-built tests — are left alone.
+func consume(f *packet.Frame) {
+	if f.Backed() {
+		packet.ReleaseFrame(f)
+	}
+}
+
+// deliver hands f to h, or consumes it when nobody is downstream.
+func deliver(h drivers.RecvFunc, src packet.NodeID, f *packet.Frame) {
+	if h != nil {
+		h(src, f)
+	} else {
+		consume(f)
+	}
+}
+
 // recv applies the first matching rule drawn for this frame. At most one
 // fault applies per frame: compound faults obscure which mechanism
 // recovered what.
@@ -199,12 +258,7 @@ func (in *Injector) recv(src packet.NodeID, f *packet.Frame) {
 	in.mu.Lock()
 	if in.closed {
 		in.mu.Unlock()
-		// Terminal consumption: a wire frame swallowed here would leak
-		// its pooled backing buffer (DESIGN.md §5). Unbacked frames —
-		// simulated fabrics, hand-built tests — are left alone.
-		if f.Backed() {
-			packet.ReleaseFrame(f)
-		}
+		consume(f)
 		return
 	}
 	var verdict *Rule
@@ -220,15 +274,13 @@ func (in *Injector) recv(src packet.NodeID, f *packet.Frame) {
 			verdict = r
 		}
 	}
+	h := in.onRecv
 	if verdict == nil {
-		deliver := in.takeHeldLocked(src)
-		h := in.onRecv
+		overtaken := in.takeSlotLocked(src)
 		in.mu.Unlock()
-		if deliver != nil && h != nil {
-			h(src, deliver)
-		}
-		if h != nil {
-			h(src, f)
+		deliver(h, src, f)
+		if overtaken != nil {
+			deliver(h, src, overtaken)
 		}
 		return
 	}
@@ -236,46 +288,29 @@ func (in *Injector) recv(src packet.NodeID, f *packet.Frame) {
 	switch verdict.Kind {
 	case Drop:
 		in.mu.Unlock()
-		// The dropped frame dies here — the injector is its terminal
-		// consumer, so a pooled wire frame recycles instead of leaking.
-		if f.Backed() {
-			packet.ReleaseFrame(f)
-		}
+		consume(f)
 	case Corrupt:
-		h := in.onRecv
 		in.mu.Unlock()
 		cf := in.corrupt(f)
 		// The corrupted copy (which aliases its own encoding) travels on;
-		// the original is terminally consumed here.
-		if f.Backed() {
-			packet.ReleaseFrame(f)
-		}
-		if cf != nil && h != nil {
-			h(src, cf)
+		// the original dies here.
+		consume(f)
+		if cf != nil {
+			deliver(h, src, cf)
 		}
 	case Delay:
-		d := verdict.Delay
-		h := in.onRecv
-		in.wg.Add(1)
+		in.holdLocked(src, f, simnet.FromWall(verdict.Delay))
 		in.mu.Unlock()
-		time.AfterFunc(d, func() {
-			defer in.wg.Done()
-			in.mu.Lock()
-			closed := in.closed
-			in.mu.Unlock()
-			if !closed && h != nil {
-				h(src, f)
-			} else if f.Backed() {
-				// Nobody downstream will consume the held frame.
-				packet.ReleaseFrame(f)
-			}
-		})
 	case Reorder:
-		displaced := in.holdLocked(src, f)
-		h := in.onRecv
+		// A previous occupant is displaced and delivered now (two swaps
+		// degenerate to a shuffle, which is fine — the reassembler
+		// reorders by sequence number); the fallback release makes sure a
+		// frame with no successor still arrives.
+		displaced := in.takeSlotLocked(src)
+		in.slot[src] = in.holdLocked(src, f, reorderFallback)
 		in.mu.Unlock()
-		if displaced != nil && h != nil {
-			h(src, displaced)
+		if displaced != nil {
+			deliver(h, src, displaced)
 		}
 	}
 }
@@ -298,94 +333,102 @@ func (in *Injector) corrupt(f *packet.Frame) *packet.Frame {
 	return cf
 }
 
-// holdLocked stashes f in the source's reorder slot and arms a fallback
-// release so a frame with no successor still arrives. A previous occupant
-// is displaced and returned for immediate delivery (two swaps degenerate
-// to a shuffle, which is fine — the reassembler reorders by sequence
-// number); nil when the slot was empty or its timer already owns delivery.
-func (in *Injector) holdLocked(src packet.NodeID, f *packet.Frame) *packet.Frame {
-	var displaced *packet.Frame
-	if prev := in.held[src]; prev != nil {
-		if prev.timer.Stop() {
-			in.wg.Done()
-			displaced = prev.f
-			delete(in.held, src)
-		}
-	}
-	hf := &heldFrame{f: f}
-	in.held[src] = hf
-	in.wg.Add(1)
-	hf.timer = time.AfterFunc(5*time.Millisecond, func() {
-		defer in.wg.Done()
-		in.mu.Lock()
-		if in.held[src] != hf || in.closed {
-			in.mu.Unlock()
-			// A successful Stop elsewhere means this callback never runs,
-			// so reaching here makes this timer the frame's last owner:
-			// displaced-while-mid-flight or closed, nobody else will
-			// deliver or recycle it.
-			if hf.f.Backed() {
-				packet.ReleaseFrame(hf.f)
-			}
-			return
-		}
-		delete(in.held, src)
-		h := in.onRecv
-		in.mu.Unlock()
-		if h != nil {
-			h(src, f)
-		}
-	})
-	return displaced
+// holdLocked parks f and schedules its release after d. The callback
+// cannot observe a half-built hold: it takes in.mu, which the caller
+// holds.
+func (in *Injector) holdLocked(src packet.NodeID, f *packet.Frame, d simnet.Duration) *heldFrame {
+	hf := &heldFrame{src: src, f: f, seq: in.nextHold}
+	in.nextHold++
+	in.holds[hf] = struct{}{}
+	hf.cancel = in.rt.Schedule(d, "chaos.hold", func() { in.release(hf) })
+	return hf
 }
 
-// takeHeldLocked removes and returns the source's reorder slot occupant,
-// if any — the frame the current arrival is overtaking.
-func (in *Injector) takeHeldLocked(src packet.NodeID) *packet.Frame {
-	hf := in.held[src]
-	if hf == nil {
+// takeLocked claims hf for delivery, reporting false when someone else
+// already did.
+func (in *Injector) takeLocked(hf *heldFrame) bool {
+	if _, held := in.holds[hf]; !held {
+		return false
+	}
+	delete(in.holds, hf)
+	if in.slot[hf.src] == hf {
+		delete(in.slot, hf.src)
+	}
+	return true
+}
+
+// takeSlotLocked claims the source's reorder-slot occupant, if any — the
+// frame the current arrival is overtaking or displacing.
+func (in *Injector) takeSlotLocked(src packet.NodeID) *packet.Frame {
+	hf := in.slot[src]
+	if hf == nil || !in.takeLocked(hf) {
 		return nil
 	}
-	if !hf.timer.Stop() {
-		// The fallback timer already fired (or is mid-flight); it owns
-		// delivery.
-		return nil
-	}
-	in.wg.Done() // the stopped timer will never run
-	delete(in.held, src)
+	hf.cancel() // best effort: a release already on its way finds nothing
 	return hf.f
 }
 
-// Close releases held frames (delivering them — close is not a fault) and
-// closes the wrapped driver.
+// release is the timer side of a hold: deliver the frame unless an
+// overtaking arrival, a displacement or Close claimed it first.
+func (in *Injector) release(hf *heldFrame) {
+	in.mu.Lock()
+	if !in.takeLocked(hf) {
+		in.mu.Unlock()
+		return
+	}
+	h := in.onRecv
+	in.wg.Add(1) // under mu and before closed is set, so Close's Wait sees it
+	in.mu.Unlock()
+	defer in.wg.Done()
+	deliver(h, hf.src, hf.f)
+}
+
+// Close delivers every held frame, in hold order (close is not a fault),
+// waits out releases already mid-delivery, and closes the wrapped driver.
 func (in *Injector) Close() error {
 	in.mu.Lock()
 	if in.closed {
 		in.mu.Unlock()
 		return nil
 	}
-	var flush []*heldFrame
-	var srcs []packet.NodeID
-	for src, hf := range in.held {
-		if hf.timer.Stop() {
-			in.wg.Done()
-			flush = append(flush, hf)
-			srcs = append(srcs, src)
-		}
+	in.closed = true
+	flush := make([]*heldFrame, 0, len(in.holds))
+	for hf := range in.holds {
+		hf.cancel()
+		flush = append(flush, hf)
 	}
-	in.held = make(map[packet.NodeID]*heldFrame)
+	in.holds = make(map[*heldFrame]struct{})
+	in.slot = make(map[packet.NodeID]*heldFrame)
 	h := in.onRecv
 	in.mu.Unlock()
-	for i, hf := range flush {
-		if h != nil {
-			h(srcs[i], hf.f)
-		}
+	sort.Slice(flush, func(i, j int) bool { return flush[i].seq < flush[j].seq })
+	for _, hf := range flush {
+		deliver(h, hf.src, hf.f)
 	}
-	in.mu.Lock()
-	in.closed = true
-	in.mu.Unlock()
 	in.wg.Wait()
 	return in.inner.Close()
+}
+
+// SetPeerDown is the link gate: while peer is held down, Post toward it
+// answers drivers.ErrPeerDown — exactly the error the engine's failover
+// path treats as "try another rail or hold" — and PeerDown reports it; the
+// peer-down handler fires once per up→down transition. Gating sends,
+// rather than cutting the fabric, is what keeps a scripted link cut inside
+// the recoverable taxonomy: frames in flight when the link goes still
+// arrive, only new posts are refused.
+func (in *Injector) SetPeerDown(peer packet.NodeID, down bool) {
+	in.mu.Lock()
+	was := in.down[peer]
+	if down {
+		in.down[peer] = true
+	} else {
+		delete(in.down, peer)
+	}
+	h := in.onDown
+	in.mu.Unlock()
+	if down && !was && h != nil {
+		h(peer)
+	}
 }
 
 // --- pass-through Driver surface -----------------------------------------
@@ -411,8 +454,15 @@ func (in *Injector) ChannelIdle(ch int) bool { return in.inner.ChannelIdle(ch) }
 // FirstIdle delegates to the wrapped driver.
 func (in *Injector) FirstIdle() (int, bool) { return in.inner.FirstIdle() }
 
-// Post delegates to the wrapped driver (faults apply on the receive side).
+// Post delegates to the wrapped driver unless the link gate holds the
+// destination down (frame faults apply on the receive side).
 func (in *Injector) Post(ch int, f *packet.Frame, hostExtra simnet.Duration) error {
+	in.mu.Lock()
+	gated := in.down[f.Dst]
+	in.mu.Unlock()
+	if gated {
+		return drivers.ErrPeerDown
+	}
 	return in.inner.Post(ch, f, hostExtra)
 }
 
@@ -427,21 +477,30 @@ func (in *Injector) SetFrameLossHandler(fn drivers.FrameLossHandler) {
 	}
 }
 
-// SetPeerDownHandler forwards to the wrapped driver when it reports peer
-// failures (drivers.PeerDownNotifier); no-op otherwise.
+// SetPeerDownHandler installs fn for the link gate's transitions and
+// forwards it to the wrapped driver when that reports peer failures too
+// (drivers.PeerDownNotifier).
 func (in *Injector) SetPeerDownHandler(fn func(peer packet.NodeID)) {
+	in.mu.Lock()
+	in.onDown = fn
+	in.mu.Unlock()
 	if dn, ok := in.inner.(drivers.PeerDownNotifier); ok {
 		dn.SetPeerDownHandler(fn)
 	}
 }
 
-// PeerDown reports the wrapped driver's peer liveness (drivers.PeerChecker);
-// drivers without liveness tracking read as always up.
+// PeerDown reports a peer the link gate holds down, or that the wrapped
+// driver has lost (drivers.PeerChecker; drivers without liveness tracking
+// read as always up).
 func (in *Injector) PeerDown(peer packet.NodeID) bool {
-	if pc, ok := in.inner.(drivers.PeerChecker); ok {
-		return pc.PeerDown(peer)
+	in.mu.Lock()
+	gated := in.down[peer]
+	in.mu.Unlock()
+	if gated {
+		return true
 	}
-	return false
+	pc, ok := in.inner.(drivers.PeerChecker)
+	return ok && pc.PeerDown(peer)
 }
 
 var _ drivers.Driver = (*Injector)(nil)

@@ -82,13 +82,8 @@ func (g GroupScript) Resolve(groups map[string][]int, rails int, rng *simnet.RNG
 			continue
 		}
 
-		var heal Op
-		switch e.Op {
-		case OpRailDown:
-			heal = OpRailHeal
-		case OpPartition:
-			heal = OpHeal
-		default:
+		heal, ok := e.Op.heal()
+		if !ok {
 			return Script{}, fmt.Errorf("chaos: group event %d has op %v; only rail-down, partition and crash may be authored (heals are implied by For)", i, e.Op)
 		}
 

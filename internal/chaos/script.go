@@ -9,8 +9,9 @@ import (
 )
 
 // The scenario DSL: a Script is a timed list of connection-level fault
-// events against named nodes and rails, executed by the cluster runner
-// (internal/cluster.RunScript). Scripts are data — generated from a seed,
+// events against named nodes and rails, applied (Apply) to a Fabric by a
+// runner that owns the clock — cluster.RunScript over sockets, the testnet
+// on the discrete-event engine. Scripts are data — generated from a seed,
 // validated, rendered, compared — so a scenario is reproducible
 // event-for-event and diffable when it is not.
 
@@ -33,6 +34,17 @@ const (
 	OpCrash
 	numOps
 )
+
+// heal returns the op that undoes o, for the ops that can be undone.
+func (o Op) heal() (Op, bool) {
+	switch o {
+	case OpRailDown:
+		return OpRailHeal, true
+	case OpPartition:
+		return OpHeal, true
+	}
+	return 0, false
+}
 
 // String returns the op mnemonic.
 func (o Op) String() string {
@@ -68,6 +80,53 @@ func (e Event) String() string {
 	default:
 		return fmt.Sprintf("%8v %s n%d~n%d", e.At, e.Op, e.Node, e.Peer)
 	}
+}
+
+// Fabric is what a scripted event acts on: the handful of connection-level
+// actions a tier knows how to perform on its own transport. The emulated
+// testnet severs a rail by closing the injectors' link gates; the socket
+// cluster breaks and re-dials real connections.
+type Fabric interface {
+	// Rails returns the number of rails between every node pair.
+	Rails() int
+	// Sever cuts one rail between a and b, both directions. Severing an
+	// already-cut or crashed side is a no-op, so scripts stay valid after
+	// a crash.
+	Sever(a, b, rail int)
+	// Mend restores one rail between a and b, both directions.
+	Mend(a, b, rail int) error
+	// Flush re-pumps node's engine, so frames retained in failover queues
+	// travel as soon as a path is back. No-op on a crashed node.
+	Flush(node int)
+	// Crash kills node outright: engine and rails. There is no heal.
+	Crash(node int)
+}
+
+// Apply executes one event against fab. It is the only place the op
+// semantics live: a partition is every rail of the pair, a heal mends and
+// then flushes both engines, a crash has no heal.
+func Apply(fab Fabric, e Event) error {
+	first, last := e.Rail, e.Rail
+	if e.Op == OpPartition || e.Op == OpHeal {
+		first, last = 0, fab.Rails()-1
+	}
+	switch e.Op {
+	case OpRailDown, OpPartition:
+		for r := first; r <= last; r++ {
+			fab.Sever(e.Node, e.Peer, r)
+		}
+	case OpRailHeal, OpHeal:
+		for r := first; r <= last; r++ {
+			if err := fab.Mend(e.Node, e.Peer, r); err != nil {
+				return err
+			}
+		}
+		fab.Flush(e.Node)
+		fab.Flush(e.Peer)
+	case OpCrash:
+		fab.Crash(e.Node)
+	}
+	return nil
 }
 
 // Script is a complete scenario.

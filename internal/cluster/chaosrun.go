@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"newmad/internal/chaos"
-	"newmad/internal/drivers"
 	"newmad/internal/packet"
-	"newmad/internal/simnet"
 )
 
 // Chaos integration: frame-fault injectors on every rail (ChaosPlan) and
@@ -18,9 +16,11 @@ import (
 
 // ChaosPlan configures frame-level fault injection for a cluster.
 type ChaosPlan struct {
-	// Seed feeds the per-rail RNGs: rail (node, rail) derives its stream
-	// deterministically from it, so each rail's fault decisions are a pure
-	// function of the frames it sees, in the order it sees them. Note the
+	// Seed feeds the per-rail RNGs: rail (node, rail) forks its stream from
+	// it by identity (chaos.RailInjector — the same key the emulated
+	// testnet uses, so one manifest seed names the same stream in both
+	// tiers), and each rail's fault decisions are a pure function of the
+	// frames it sees, in the order it sees them. Note the
 	// scope of that determinism: over real sockets, frames from different
 	// sources interleave in wall-clock arrival order, so per-frame fault
 	// *counts* vary between runs of the same seed — the event-for-event
@@ -29,14 +29,6 @@ type ChaosPlan struct {
 	Seed uint64
 	// Rules apply to every rail of every node.
 	Rules []chaos.Rule
-}
-
-// wrap builds the injector for one rail, with a per-rail decorrelated RNG.
-func (p *ChaosPlan) wrap(node packet.NodeID, rail int, d drivers.Driver) (*chaos.Injector, error) {
-	// One fork per (node, rail), derived purely from the plan seed: the
-	// decision streams are decorrelated but reproducible.
-	rng := simnet.NewRNG(p.Seed ^ (uint64(node)+1)<<32 ^ uint64(rail+1))
-	return chaos.NewInjector(d, rng, p.Rules...)
 }
 
 // FaultsInjected totals the frame-level faults applied across the cluster.
@@ -59,20 +51,11 @@ func (c *Cluster) FaultsInjected() uint64 {
 // ran, and two complete traces from the same script are identical
 // event-for-event (the replay guarantee X5 asserts).
 //
-// Event semantics:
-//
-//   - OpRailDown severs rail R between the two nodes in both directions
-//     (BreakPeer on each side; the TCP reset also propagates, but breaking
-//     both ends makes the cut symmetric regardless of traffic direction).
-//   - OpRailHeal re-dials rail R in both directions and flushes both
-//     engines so frames retained in failover queues travel immediately.
-//   - OpPartition / OpHeal do the same for every rail between the pair.
-//   - OpCrash closes the node's engine and every rail; there is no heal.
-//
-// The script must validate against the cluster's shape.
+// What each op does is chaos.Apply's business; the cluster only supplies
+// the socket actions (the chaos.Fabric methods below). The script must
+// validate against the cluster's shape.
 func (c *Cluster) RunScript(s chaos.Script, tr *chaos.Trace) error {
-	rails := len(c.Nodes[0].Rails)
-	if err := s.Validate(len(c.Nodes), rails); err != nil {
+	if err := s.Validate(len(c.Nodes), c.Rails()); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -80,7 +63,7 @@ func (c *Cluster) RunScript(s chaos.Script, tr *chaos.Trace) error {
 		if wait := e.At - time.Since(start); wait > 0 {
 			time.Sleep(wait)
 		}
-		if err := c.execute(e); err != nil {
+		if err := chaos.Apply(c, e); err != nil {
 			return fmt.Errorf("cluster: executing %v: %w", e, err)
 		}
 		tr.Record(e)
@@ -88,53 +71,37 @@ func (c *Cluster) RunScript(s chaos.Script, tr *chaos.Trace) error {
 	return nil
 }
 
-func (c *Cluster) execute(e chaos.Event) error {
-	switch e.Op {
-	case chaos.OpRailDown:
-		c.breakRail(e.Node, e.Peer, e.Rail)
-	case chaos.OpRailHeal:
-		return c.healRail(e.Node, e.Peer, e.Rail)
-	case chaos.OpPartition:
-		for r := range c.Nodes[e.Node].Rails {
-			c.breakRail(e.Node, e.Peer, r)
-		}
-	case chaos.OpHeal:
-		for r := range c.Nodes[e.Node].Rails {
-			if err := c.healRail(e.Node, e.Peer, r); err != nil {
-				return err
-			}
-		}
-	case chaos.OpCrash:
-		n := c.Nodes[e.Node]
-		n.Engine.Close()
-		for _, r := range n.Rails {
-			r.Close()
-		}
-	}
-	return nil
-}
+// Rails implements chaos.Fabric.
+func (c *Cluster) Rails() int { return len(c.Nodes[0].Rails) }
 
-// breakRail severs one rail between a and b in both directions. Breaking
-// an already-dead (or crashed) side is a no-op, so scripts stay valid
-// after a crash.
-func (c *Cluster) breakRail(a, b, rail int) {
+// Sever implements chaos.Fabric: BreakPeer on each side (the TCP reset also
+// propagates, but breaking both ends makes the cut symmetric regardless of
+// traffic direction). Breaking an already-dead (or crashed) side is a
+// no-op.
+func (c *Cluster) Sever(a, b, rail int) {
 	c.Nodes[a].Rails[rail].BreakPeer(packet.NodeID(b))
 	c.Nodes[b].Rails[rail].BreakPeer(packet.NodeID(a))
 }
 
-// healRail re-dials one rail in both directions and flushes both engines.
-// Healing toward a crashed node fails its dial; the error is surfaced
-// (scripts should not heal crashed nodes).
-func (c *Cluster) healRail(a, b, rail int) error {
-	na, nb := c.Nodes[a], c.Nodes[b]
-	if err := na.Rails[rail].Dial(packet.NodeID(b), nb.Rails[rail].Addr()); err != nil {
+// Mend implements chaos.Fabric: re-dial in both directions. Healing toward
+// a crashed node fails its dial; the error is surfaced (scripts should not
+// heal crashed nodes).
+func (c *Cluster) Mend(a, b, rail int) error {
+	ra, rb := c.Nodes[a].Rails[rail], c.Nodes[b].Rails[rail]
+	if err := ra.Dial(packet.NodeID(b), rb.Addr()); err != nil {
 		return err
 	}
-	if err := nb.Rails[rail].Dial(packet.NodeID(a), na.Rails[rail].Addr()); err != nil {
-		return err
+	return rb.Dial(packet.NodeID(a), ra.Addr())
+}
+
+// Flush implements chaos.Fabric.
+func (c *Cluster) Flush(node int) { c.Nodes[node].Engine.Flush() }
+
+// Crash implements chaos.Fabric: the node's engine and every rail close.
+func (c *Cluster) Crash(node int) {
+	n := c.Nodes[node]
+	n.Engine.Close()
+	for _, r := range n.Rails {
+		r.Close()
 	}
-	// Retained frames (failover queues) travel as soon as the path is back.
-	na.Engine.Flush()
-	nb.Engine.Flush()
-	return nil
 }

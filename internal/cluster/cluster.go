@@ -89,8 +89,8 @@ type Options struct {
 	Quotas map[packet.TenantID]core.TenantQuota
 
 	// Chaos, when non-nil, wraps every rail of every node in a chaos
-	// frame-fault injector (internal/chaos): per-rail RNGs forked
-	// deterministically from Seed apply Rules on the receive path. The
+	// frame-fault injector (internal/chaos): per-rail RNGs forked from
+	// Seed by rail identity apply Rules on the receive path. The
 	// injectors are exposed as Node.Injectors for fault accounting.
 	Chaos *ChaosPlan
 
@@ -255,7 +255,7 @@ func New(o Options) (*Cluster, error) {
 			if o.Chaos != nil {
 				n.Injectors = make([]*chaos.Injector, len(n.Rails))
 				for k, m := range n.Rails {
-					inj, err := o.Chaos.wrap(node, k, m)
+					inj, err := chaos.RailInjector(m, c.Runtime, simnet.NewRNG(o.Chaos.Seed), k, o.Chaos.Rules...)
 					if err != nil {
 						return nil, err
 					}

@@ -5,7 +5,6 @@ import (
 
 	"newmad/internal/caps"
 	"newmad/internal/chaos"
-	"newmad/internal/packet"
 	"newmad/internal/simnet"
 	"newmad/internal/strategy"
 	"newmad/internal/testnet"
@@ -55,18 +54,8 @@ func OptionsFromManifest(m *testnet.Manifest) (Options, error) {
 	} else {
 		o.Caps = base
 	}
-	if m.DropPct > 0 {
-		o.Chaos = &ChaosPlan{
-			Seed: m.Seed,
-			Rules: []chaos.Rule{{
-				Kind: chaos.Drop,
-				Prob: m.DropPct / 100,
-				// Control frames only — the recoverable fault class (the
-				// rendezvous retry re-sends them); nothing re-sends a
-				// dropped data frame over these reliable transports.
-				Frames: []packet.FrameKind{packet.FrameRTS, packet.FrameCTS},
-			}},
-		}
+	if rules := m.FaultRules(); len(rules) > 0 {
+		o.Chaos = &ChaosPlan{Seed: m.Seed, Rules: rules}
 	}
 	return o, nil
 }

@@ -193,7 +193,7 @@ func TestSubmitPeerUnreachableTyped(t *testing.T) {
 // -race this also pins the closed.Load ordering against the teardown
 // writes.
 func TestFlushCloseRace(t *testing.T) {
-	nodes, cleanup, err := drivers.NewLoopbackCluster(2, caps.TCP)
+	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@
 // lock-free submit inboxes (shard.go), each NIC channel's pump is
 // serialized by its own chanPump, and the receive/protocol side runs under
 // one protocol mutex (pmu). Under the discrete-event runtime all upcalls
-// arrive on one goroutine and every lock is uncontended; the loopback
+// arrive on one goroutine and every lock is uncontended; the socket
 // driver delivers idle and receive upcalls from its own goroutines and
 // exercises the full lock hierarchy (see shard.go for the ordering rules).
 package core

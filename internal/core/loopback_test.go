@@ -19,7 +19,7 @@ import (
 // validates the engine's concurrency contract, which the single-threaded
 // simulator can never exercise.
 func TestLoopbackIntegration(t *testing.T) {
-	nodes, cleanup, err := drivers.NewLoopbackCluster(2, caps.TCP)
+	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestLoopbackIntegration(t *testing.T) {
 // TestLoopbackRendezvous exercises the RTS/CTS/RData exchange over real
 // sockets.
 func TestLoopbackRendezvous(t *testing.T) {
-	nodes, cleanup, err := drivers.NewLoopbackCluster(2, caps.TCP)
+	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,7 +265,7 @@ func TestSubmitLosingToCloseCountsNothing(t *testing.T) {
 // engine's shard locks and pmu from a foreign goroutine — outside the Set's
 // own mutex, which stats.TestServeReadersRunUnlocked pins directly.
 func TestSharedSetReadersRaceEngines(t *testing.T) {
-	nodes, cleanup, err := drivers.NewLoopbackCluster(2, caps.TCP)
+	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func (e *Engine) onFrame(ri int, src packet.NodeID, f *packet.Frame) {
 	// pmu and read the arrival rail from here.
 	e.arrivalRail = ri
 	// SpanXmit: the sender stamped the frame at post time when the frame
-	// object itself crossed the fabric (simulated rails, loopback); frames
+	// object itself crossed the fabric (simulated rails only); frames
 	// decoded from a real wire read zero and are skipped.
 	if f.Posted > 0 {
 		e.spans.Observe(int(SpanXmit), int(frameClass(f)), ri, float64(now.Sub(f.Posted)))

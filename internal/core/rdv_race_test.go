@@ -33,7 +33,7 @@ func (r lingeringRuntime) Schedule(d simnet.Duration, label string, fn func()) s
 // interleaving; -race reports the stale read. Exactly-once in-order
 // delivery is checked on the way.
 func TestRdvSubmitRace(t *testing.T) {
-	nodes, cleanup, err := drivers.NewLoopbackCluster(2, caps.TCP)
+	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 // path. The test asserts no packet is lost or reordered regardless of how
 // the tuning churns mid-flight.
 func TestRetuneUnderLiveTraffic(t *testing.T) {
-	nodes, cleanup, err := drivers.NewLoopbackCluster(2, caps.TCP)
+	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}

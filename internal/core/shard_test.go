@@ -116,7 +116,7 @@ func TestShardedDeterminism(t *testing.T) {
 // lock tier at once: submit inboxes, shard locks, channel pumps, the
 // protocol mutex, and the atomic tuning/bundle swaps.
 func TestShardedLoopbackRace(t *testing.T) {
-	nodes, cleanup, err := drivers.NewLoopbackCluster(3, caps.TCP)
+	nodes, cleanup, err := drivers.NewMeshCluster(3, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,10 @@ const (
 	// SpanE2E: submit → in-order delivery at the receiver, the
 	// application-visible latency. Rail = the arrival rail of the frame
 	// that completed the packet (0 when delivery had no rail context).
-	// Measurable only where submit and deliver share a clock: the
-	// simulated fabrics and loopback. Entries decoded from a real wire
-	// carry no submit stamp and are skipped.
+	// Measurable only where the stamp travels in memory with the entry:
+	// the simulated fabrics. Entries decoded from a real wire — every
+	// socket rail, localhost included — carry no submit stamp and are
+	// skipped.
 	SpanE2E
 	// SpanXmit: post → receive, the fabric's serialization + transit leg
 	// for one frame. Stamped in-memory on the frame at post time; frames

@@ -18,44 +18,23 @@ import (
 // a few hundred times, the way a test's deferred cleanup or a cluster's
 // shutdown does: submitters and idle upcalls are mid-pump when Post starts
 // answering drivers.ErrClosed. The engine must drop those frames quietly —
-// it used to panic ("post on loopback… failed: drivers: loopback closed"),
-// about one `go test ./internal/core` run in four. Both socket drivers, eager
-// and rendezvous traffic in the mix.
+// it used to panic ("post on … failed: drivers: … closed"), about one
+// `go test ./internal/core` run in four. Eager and rendezvous traffic in
+// the mix.
 func TestDriversClosedUnderTraffic(t *testing.T) {
 	rounds := 150
 	if testing.Short() {
 		rounds = 30
 	}
-	clusters := map[string]func() ([]drivers.Driver, func(), error){
-		"loopback": func() ([]drivers.Driver, func(), error) {
-			ns, cleanup, err := drivers.NewLoopbackCluster(2, caps.TCP)
-			return asDrivers(ns), cleanup, err
-		},
-		"mesh": func() ([]drivers.Driver, func(), error) {
-			ns, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
-			return asDrivers(ns), cleanup, err
-		},
-	}
-	for name, mkCluster := range clusters {
-		mkCluster := mkCluster
-		t.Run(name, func(t *testing.T) {
-			for round := 0; round < rounds; round++ {
-				closeUnderTraffic(t, mkCluster)
-			}
-		})
-	}
+	t.Run("mesh", func(t *testing.T) {
+		for round := 0; round < rounds; round++ {
+			closeUnderTraffic(t)
+		}
+	})
 }
 
-func asDrivers[T drivers.Driver](ns []T) []drivers.Driver {
-	out := make([]drivers.Driver, len(ns))
-	for i, n := range ns {
-		out[i] = n
-	}
-	return out
-}
-
-func closeUnderTraffic(t *testing.T, mkCluster func() ([]drivers.Driver, func(), error)) {
-	nodes, cleanup, err := mkCluster()
+func closeUnderTraffic(t *testing.T) {
+	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,16 @@
 // paper's Figure 1: a uniform Driver interface that the optimizing layer
 // posts frames to, with one implementation per network technology.
 //
-// Two families of drivers exist:
+// Two drivers exist, one per clock:
 //
 //   - Sim drivers wrap internal/nicsim NIC models (Myrinet/MX,
 //     Quadrics/Elan, InfiniBand, TCP, WAN — built from the capability
 //     database in internal/caps); and
-//   - real TCP drivers, which run the very same engine in wall-clock time
-//     and validate the asynchronous upcall contract against a genuine
-//     transport: Loopback (pairwise localhost sockets) and Mesh (an
-//     N-node topology — every node listens, dials its peers, and handles
-//     peer failure as a first-class event).
+//   - Mesh, the real TCP driver, which runs the very same engine in
+//     wall-clock time and validates the asynchronous upcall contract
+//     against a genuine transport: an N-node topology where every node
+//     listens, dials its peers, and handles peer failure as a first-class
+//     event.
 //
 // The Driver interface is intentionally narrow: the optimizer only ever
 // needs to know what a driver can do (Caps), whether a send unit is free,
@@ -40,7 +40,8 @@ var ErrChannelBusy = errors.New("drivers: channel busy")
 var ErrClosed = errors.New("drivers: closed")
 
 // IdleFunc is invoked when a send channel becomes free. Sim drivers call it
-// on the simulation goroutine; Loopback calls it from a sender goroutine.
+// on the simulation goroutine; Mesh calls it from the destination peer's
+// sender goroutine.
 type IdleFunc func(ch int)
 
 // RecvFunc delivers a fully received frame.
@@ -101,7 +102,7 @@ type Driver interface {
 	SetIdleHandler(fn IdleFunc)
 	// SetRecvHandler installs the delivery upcall (single handler).
 	SetRecvHandler(fn RecvFunc)
-	// Close releases resources. Sim drivers are trivial; Loopback closes
-	// its sockets and stops its goroutines.
+	// Close releases resources. Sim drivers are trivial; Mesh closes its
+	// listener and sockets and waits for its goroutines.
 	Close() error
 }

@@ -93,15 +93,16 @@ func TestSimDriverRoundTrip(t *testing.T) {
 	}
 }
 
-// --- Shared wall-clock driver conformance suite. --------------------------
+// --- Wall-clock driver conformance suite. ----------------------------------
 //
-// Every real-socket driver (Loopback, Mesh) must honor the same contract:
-// idle upcalls from sender goroutines, deliveries from reader goroutines,
-// ErrChannelBusy on an occupied channel, errors (not panics) on misuse, and
-// an idempotent Close. The conformance tests below run once per transport.
+// The real-socket driver must honor one contract in every shape it ships in
+// (a single Mesh per node, or R rails per node): idle upcalls from sender
+// goroutines, deliveries from reader goroutines, ErrChannelBusy on an
+// occupied channel, errors (not panics) on misuse, and an idempotent Close.
+// The conformance tests below run once per shape.
 
 // wallTransport constructs an n-node fully connected cluster of one
-// wall-clock driver kind.
+// wall-clock transport shape.
 type wallTransport struct {
 	name string
 	// capsName is the profile name the transport's Caps() must report;
@@ -115,11 +116,6 @@ type wallTransport struct {
 }
 
 func oneRail(Driver, int) int { return 0 }
-
-// perChannel is the FIFO granularity of Loopback: each channel has its own
-// sender goroutine, and the channels share the destination connection
-// under a write lock, so only frames of the same channel are ordered.
-func perChannel(_ Driver, ch int) int { return ch }
 
 // railBundle is the conformance adapter for a multi-rail node as it ships:
 // the R mesh endpoints NewMeshRails returns, with their send channels laid
@@ -233,17 +229,6 @@ func multiRailTransport(rails int) wallTransport {
 
 func wallTransports() []wallTransport {
 	return []wallTransport{
-		{"loopback", "tcp", caps.TCP.Channels, func(n int, c caps.Caps) ([]Driver, func(), error) {
-			nodes, cleanup, err := NewLoopbackCluster(n, c)
-			if err != nil {
-				return nil, nil, err
-			}
-			ds := make([]Driver, len(nodes))
-			for i, m := range nodes {
-				ds[i] = m
-			}
-			return ds, cleanup, nil
-		}, perChannel},
 		{"mesh", "tcp", caps.TCP.Channels, func(n int, c caps.Caps) ([]Driver, func(), error) {
 			nodes, cleanup, err := NewMeshCluster(n, c)
 			if err != nil {

@@ -23,10 +23,9 @@ import (
 var ErrPeerDown = errors.New("drivers: peer down")
 
 // Mesh is a real multi-node TCP transport: each node listens on one port,
-// dials every peer, and exchanges length-prefixed frames (the same wire
-// encoding as the simulated drivers and the Loopback driver). It generalizes
-// Loopback from the pairwise localhost case to an N-endpoint mesh suitable
-// for multi-machine topologies:
+// dials every peer, and exchanges length-prefixed frames in the wire
+// encoding of internal/packet. It is the one real-socket driver — an
+// N-endpoint mesh that spans localhost or real machines alike:
 //
 //   - One outbound connection per peer, owned by a dedicated sender
 //     goroutine (the rail lifecycle in rails.go), so frames to different
@@ -78,7 +77,6 @@ type Mesh struct {
 }
 
 var _ Driver = (*Mesh)(nil)
-var _ WallDriver = (*Mesh)(nil)
 
 // NewMesh creates a node endpoint listening on the given TCP address
 // ("127.0.0.1:0" for an ephemeral localhost port, ":0" or a routable
@@ -436,9 +434,33 @@ func (m *Mesh) Close() error {
 }
 
 // NewMeshCluster creates n fully connected localhost mesh nodes sharing the
-// given capability profile. The returned cleanup closes every node.
+// given capability profile. The returned cleanup closes every node; on
+// failure everything already started is closed.
 func NewMeshCluster(n int, c caps.Caps) ([]*Mesh, func(), error) {
-	return newWallCluster(n, func(node packet.NodeID) (*Mesh, error) {
-		return NewMesh(node, c, "127.0.0.1:0")
-	})
+	nodes := make([]*Mesh, 0, n)
+	cleanup := func() {
+		for _, m := range nodes {
+			m.Close()
+		}
+	}
+	for i := 0; i < n; i++ {
+		m, err := NewMesh(packet.NodeID(i), c, "127.0.0.1:0")
+		if err != nil {
+			cleanup()
+			return nil, nil, err
+		}
+		nodes = append(nodes, m)
+	}
+	for i, a := range nodes {
+		for j, b := range nodes {
+			if i == j {
+				continue
+			}
+			if err := a.Dial(b.Node(), b.Addr()); err != nil {
+				cleanup()
+				return nil, nil, err
+			}
+		}
+	}
+	return nodes, cleanup, nil
 }

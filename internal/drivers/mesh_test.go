@@ -2,6 +2,8 @@ package drivers
 
 import (
 	"errors"
+	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -323,6 +325,11 @@ func TestMeshListenAddr(t *testing.T) {
 	if _, err := NewMesh(0, caps.Caps{}, "127.0.0.1:0"); err == nil {
 		t.Fatal("invalid caps accepted")
 	}
+	bad := caps.TCP
+	bad.Bandwidth = 0
+	if _, err := NewMesh(0, bad, "127.0.0.1:0"); err == nil {
+		t.Fatal("zero-bandwidth caps accepted")
+	}
 	if _, err := NewMesh(0, caps.TCP, "256.0.0.1:bad"); err == nil {
 		t.Fatal("invalid listen address accepted")
 	}
@@ -342,5 +349,42 @@ func TestMeshDialAfterClose(t *testing.T) {
 	a.Close()
 	if err := a.Dial(1, b.Addr()); err == nil {
 		t.Fatal("dial on closed mesh succeeded")
+	}
+}
+
+// TestMeshCorruptStreamClosesReader: a peer that sends an absurd length
+// prefix must not make the reader allocate it; the reader drops the
+// connection (the raw side reads EOF), the node keeps serving its other
+// peers, and Close still returns.
+func TestMeshCorruptStreamClosesReader(t *testing.T) {
+	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	got := make(chan struct{}, 1)
+	nodes[0].SetRecvHandler(func(packet.NodeID, *packet.Frame) { got <- struct{}{} })
+
+	conn, err := net.DialTimeout("tcp", nodes[0].Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Handshake as an unknown node 9, then a 4 GiB length prefix.
+	if _, err := conn.Write([]byte{0, 0, 0, 9, 0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("reader kept the poisoned connection open: read %d bytes, err %v", n, err)
+	}
+	// The poisoned stream took nothing else down.
+	if err := nodes[1].Post(0, simpleFrame(1, 0, 32), 0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("node stopped receiving after a corrupt inbound stream")
 	}
 }

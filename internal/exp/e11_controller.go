@@ -280,6 +280,6 @@ func runE11(cfg Config) []*stats.Table {
 		t.AddRow(row...)
 		retunes += r.Retunes
 	}
-	reportDecisions("E11", retunes)
+	report("E11", func(r *Report) { r.Decisions = retunes })
 	return []*stats.Table{t}
 }

@@ -48,61 +48,59 @@ func register(e Experiment) {
 	registry[e.ID] = e
 }
 
-// Controller-driven experiments (E11, X3) report how many retune decisions
-// their controllers applied; madbench folds the counts into its
-// machine-readable output (madbench/v2).
+// Report is what an experiment's last run recorded beside its tables;
+// cmd/madbench folds it into its machine-readable output. Experiments
+// that run several variants write once per variant; the last write (by
+// convention the full engine) is what is exported.
+type Report struct {
+	// Decisions counts the retunes the run's controllers applied (E11, X3).
+	Decisions uint64
+	// FaultsInjected and Recoveries count the faults that hit the run and
+	// the recovery actions the engines fired (X5).
+	FaultsInjected, Recoveries uint64
+	// Latency is the run's delivery-latency digest; nil when the
+	// experiment reported none.
+	Latency *LatencySummary
+	// Tenants holds per-tenant admission outcomes (X6).
+	Tenants []TenantSummary
+}
+
 var (
-	decMu          sync.Mutex
-	decisionCounts = map[string]uint64{}
+	reportMu sync.Mutex
+	reports  = map[string]*Report{}
 )
 
-// reportDecisions records the controller decision count of one experiment
-// run, replacing any previous count for that ID.
-func reportDecisions(id string, n uint64) {
-	decMu.Lock()
-	decisionCounts[id] = n
-	decMu.Unlock()
+// report updates experiment id's record.
+func report(id string, update func(*Report)) {
+	reportMu.Lock()
+	defer reportMu.Unlock()
+	r := reports[id]
+	if r == nil {
+		r = &Report{}
+		reports[id] = r
+	}
+	update(r)
 }
 
-// DecisionCount returns the controller decisions recorded by the last run
-// of the experiment (0 for experiments without controllers).
-func DecisionCount(id string) uint64 {
-	decMu.Lock()
-	defer decMu.Unlock()
-	return decisionCounts[id]
+// ReportOf returns the record of the experiment's last run (zero for an
+// experiment that recorded nothing).
+func ReportOf(id string) Report {
+	reportMu.Lock()
+	defer reportMu.Unlock()
+	if r := reports[id]; r != nil {
+		return *r
+	}
+	return Report{}
 }
 
-// Chaos experiments (X5) report how many faults hit the run and how many
-// recovery actions the engines fired; madbench folds the counts into its
-// machine-readable output (madbench/v3).
-var (
-	faultMu     sync.Mutex
-	faultCounts = map[string][2]uint64{}
-)
-
-// reportFaults records one experiment run's fault/recovery totals,
-// replacing any previous counts for that ID.
-func reportFaults(id string, injected, recovered uint64) {
-	faultMu.Lock()
-	faultCounts[id] = [2]uint64{injected, recovered}
-	faultMu.Unlock()
+// Latency returns the latency digest recorded by the last run of the
+// experiment; ok is false when the experiment never reported one.
+func Latency(id string) (s LatencySummary, ok bool) {
+	if l := ReportOf(id).Latency; l != nil {
+		return *l, true
+	}
+	return LatencySummary{}, false
 }
-
-// FaultCounts returns the (faults injected, recovery actions) recorded by
-// the last run of the experiment (0, 0 for fault-free experiments).
-func FaultCounts(id string) (injected, recovered uint64) {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	c := faultCounts[id]
-	return c[0], c[1]
-}
-
-// Every experiment reports the latency quantiles of its final run;
-// madbench folds them into its machine-readable output (madbench/v5).
-var (
-	latMu     sync.Mutex
-	latencies = map[string]LatencySummary{}
-)
 
 // LatencySummary is one run's delivery-latency digest: the end-to-end
 // span (submit→deliver; eager deliveries only — rendezvous payloads are
@@ -120,46 +118,22 @@ type LatencySummary struct {
 	QwaitP99Us float64
 }
 
-// summarizeLatency digests two merged span histograms (nanosecond
-// samples) into microsecond quantiles.
-func summarizeLatency(e2e, qwait *stats.Histogram) LatencySummary {
-	return LatencySummary{
-		E2ECount:   e2e.Count(),
-		E2EP50Us:   e2e.Quantile(0.50) / 1e3,
-		E2EP95Us:   e2e.Quantile(0.95) / 1e3,
-		E2EP99Us:   e2e.Quantile(0.99) / 1e3,
-		QwaitCount: qwait.Count(),
-		QwaitP50Us: qwait.Quantile(0.50) / 1e3,
-		QwaitP95Us: qwait.Quantile(0.95) / 1e3,
-		QwaitP99Us: qwait.Quantile(0.99) / 1e3,
-	}
+// reportLatency records the digest of two merged span histograms
+// (nanosecond samples) as microsecond quantiles.
+func reportLatency(id string, e2e, qwait *stats.Histogram) {
+	report(id, func(r *Report) {
+		r.Latency = &LatencySummary{
+			E2ECount:   e2e.Count(),
+			E2EP50Us:   e2e.Quantile(0.50) / 1e3,
+			E2EP95Us:   e2e.Quantile(0.95) / 1e3,
+			E2EP99Us:   e2e.Quantile(0.99) / 1e3,
+			QwaitCount: qwait.Count(),
+			QwaitP50Us: qwait.Quantile(0.50) / 1e3,
+			QwaitP95Us: qwait.Quantile(0.95) / 1e3,
+			QwaitP99Us: qwait.Quantile(0.99) / 1e3,
+		}
+	})
 }
-
-// reportLatency records one experiment run's latency digest, replacing
-// any previous record for that ID. Experiments that run several variants
-// report once per variant; the last one (by convention the full engine)
-// is what madbench exports.
-func reportLatency(id string, s LatencySummary) {
-	latMu.Lock()
-	latencies[id] = s
-	latMu.Unlock()
-}
-
-// Latency returns the latency digest recorded by the last run of the
-// experiment; ok is false when the experiment never reported one.
-func Latency(id string) (s LatencySummary, ok bool) {
-	latMu.Lock()
-	defer latMu.Unlock()
-	s, ok = latencies[id]
-	return s, ok
-}
-
-// Multi-tenant experiments (X6) report per-tenant admission outcomes;
-// madbench folds them into its machine-readable output (madbench/v6).
-var (
-	tenMu       sync.Mutex
-	tenantStats = map[string][]TenantSummary{}
-)
 
 // TenantSummary is one tenant's admission outcome in an experiment's final
 // run: submissions offered, the split into admitted and refused (refusals
@@ -171,22 +145,6 @@ type TenantSummary struct {
 	Admitted uint64
 	Refused  uint64
 	P99E2EUs float64
-}
-
-// reportTenants records one experiment run's per-tenant outcomes,
-// replacing any previous record for that ID.
-func reportTenants(id string, ts []TenantSummary) {
-	tenMu.Lock()
-	tenantStats[id] = ts
-	tenMu.Unlock()
-}
-
-// Tenants returns the per-tenant outcomes recorded by the last run of the
-// experiment (nil for tenant-free experiments).
-func Tenants(id string) []TenantSummary {
-	tenMu.Lock()
-	defer tenMu.Unlock()
-	return tenantStats[id]
 }
 
 // Get returns the experiment with the given ID.
@@ -384,7 +342,7 @@ func (r *Rig) Run(expected int) (Metrics, error) {
 		m.MsgPerSec = float64(total) / (float64(end) / float64(simnet.Second))
 	}
 	if r.id != "" {
-		reportLatency(r.id, summarizeLatency(lat, r.SpanTotal(core.SpanQueueWait)))
+		reportLatency(r.id, lat, r.SpanTotal(core.SpanQueueWait))
 	}
 	return m, nil
 }

@@ -190,6 +190,6 @@ func runX3(cfg Config) []*stats.Table {
 		stats.FormatFloat(float64(res.Sparse.Microseconds())/1e3), decs(0, res.SparseEndAt))
 	t.AddRow("dense", fmt.Sprintf("%d", res.DenseMsgs),
 		stats.FormatFloat(float64(res.Dense.Microseconds())/1e3), decs(res.SparseEndAt, simnet.Infinity))
-	reportDecisions("X3", uint64(len(res.Decisions)))
+	report("X3", func(r *Report) { r.Decisions = uint64(len(res.Decisions)) })
 	return []*stats.Table{t}
 }

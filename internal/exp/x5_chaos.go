@@ -328,8 +328,11 @@ waitDelivery:
 	qwait := res.Fleet.SpanTotal("queue_wait")
 	res.QwaitP50Us = qwait.Quantile(0.50) / 1e3
 	res.QwaitP99Us = qwait.Quantile(0.99) / 1e3
-	reportLatency("X5", summarizeLatency(res.Fleet.SpanTotal("e2e"), qwait))
-	reportFaults("X5", res.FaultsInjected+res.PeerDowns, res.Failovers+res.RdvRetries)
+	reportLatency("X5", res.Fleet.SpanTotal("e2e"), qwait)
+	report("X5", func(r *Report) {
+		r.FaultsInjected = res.FaultsInjected + res.PeerDowns
+		r.Recoveries = res.Failovers + res.RdvRetries
+	})
 
 	// Broken delivery freezes the evidence before anyone can panic: every
 	// node's flight-recorder ring lands on disk as JSONL.

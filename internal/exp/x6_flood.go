@@ -305,6 +305,6 @@ func runX6(cfg Config) []*stats.Table {
 			P99E2EUs: res.Flood.P99Us[tn],
 		})
 	}
-	reportTenants("X6", summaries)
+	report("X6", func(r *Report) { r.Tenants = summaries })
 	return []*stats.Table{t}
 }

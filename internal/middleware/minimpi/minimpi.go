@@ -6,7 +6,7 @@
 // The API is callback-based rather than blocking because the engine runs
 // to completion inside a discrete-event simulation: a Recv posts a request
 // that is matched against inbound messages, and the callback fires during
-// the simulation run (or, over the loopback driver, whenever the message
+// the simulation run (or, over the socket driver, whenever the message
 // lands).
 //
 // Wire format per message: fragment 0 (express) is an 16-byte header

@@ -14,7 +14,7 @@ import (
 // rendezvous and RMA protocols.
 //
 // The same binary encoding is used by the simulated drivers (for size
-// accounting) and the real TCP loopback driver (for actual bytes), so the
+// accounting) and the real TCP mesh driver (for actual bytes), so the
 // engine is tested against a single wire format.
 type Frame struct {
 	Kind FrameKind

@@ -11,14 +11,17 @@ import (
 //   - the discrete-event Engine, where time is virtual and callbacks run on
 //     the single simulation goroutine; and
 //   - RealRuntime, where time is the wall clock and callbacks arrive on
-//     timer goroutines (used with the real TCP loopback driver).
+//     timer goroutines (used with the real TCP mesh driver).
 //
 // Components written against Runtime must therefore be safe for concurrent
-// callbacks; under the Engine that safety is simply never exercised.
+// callbacks; under the Engine that safety is simply never exercised. The
+// chaos injectors (internal/chaos) schedule their holds here too, which is
+// what makes a Delay or Reorder fault replayable on the virtual clock.
 type Runtime interface {
 	Clock
 	// Schedule arranges for fn to run after d. The returned CancelFunc
-	// deschedules it, reporting whether the callback was prevented.
+	// deschedules it, reporting whether the callback was prevented (the
+	// semantics of time.Timer.Stop: false means fn has run or is about to).
 	Schedule(d Duration, label string, fn func()) CancelFunc
 }
 

@@ -422,6 +422,22 @@ func (m *Manifest) Quotas() map[packet.TenantID]core.TenantQuota {
 	return out
 }
 
+// FaultRules returns the per-frame fault rules the manifest means — the one
+// place drop_pct turns into a rule, for the emulated and the socket tier
+// alike. Drops apply only to rendezvous control frames (RTS/CTS), the fault
+// class the retry protocol recovers; dropping data frames would model a
+// lossy wire the reliable-interconnect stack has no retransmission for.
+func (m *Manifest) FaultRules() []chaos.Rule {
+	if m.DropPct <= 0 {
+		return nil
+	}
+	return []chaos.Rule{{
+		Kind:   chaos.Drop,
+		Prob:   m.DropPct / 100,
+		Frames: []packet.FrameKind{packet.FrameRTS, packet.FrameCTS},
+	}}
+}
+
 // GroupChaos converts the chaos clauses to the group-script DSL. Resolving
 // it with the seed-keyed "chaos" stream (as Build does) yields the concrete
 // schedule; other tiers (internal/cluster's socket meshes) use the same

@@ -53,17 +53,19 @@ type Net struct {
 	// misroutedAt remembers which nodes saw misrouted deliveries, for the
 	// anomaly spool's "involved nodes" set.
 	misroutedAt map[int]bool
-	ctrlDrops   uint64
 	recorders   map[int]*trace.Recorder
 }
 
 // Node is one emulated network member.
 type Node struct {
-	ID      packet.NodeID
-	Role    string
-	Engine  *core.Engine
-	ports   []*port
-	crashed bool
+	ID     packet.NodeID
+	Role   string
+	Engine *core.Engine
+	// Injectors is the node's fault layer, one per rail: the frame rules
+	// the manifest's drop_pct means, and the link gates the chaos script
+	// operates.
+	Injectors []*chaos.Injector
+	crashed   bool
 }
 
 // flowKey identifies one scheduled message; flow IDs are globally unique
@@ -74,10 +76,15 @@ type flowKey struct {
 }
 
 // Build boots the topology a manifest describes: role-blocked node IDs,
-// one fabric per rail, one NIC per (node, rail) wrapped in a fault port,
-// one optimizer engine per node, the workload expanded and scheduled, and
-// the chaos script resolved and planted on the virtual clock.
-func Build(m *Manifest) (*Net, error) {
+// one fabric per rail, one NIC per (node, rail) wrapped in a chaos.Injector
+// — the same fault layer the socket tier runs, here scheduling on the
+// virtual clock —, one optimizer engine per node, the workload expanded and
+// scheduled, and the chaos script resolved and planted on the virtual
+// clock.
+func Build(m *Manifest) (*Net, error) { return build(m, m.FaultRules()) }
+
+// build is Build with the per-frame fault rules given explicitly.
+func build(m *Manifest, rules []chaos.Rule) (*Net, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -125,23 +132,18 @@ func Build(m *Manifest) (*Net, error) {
 		for _, id := range n.Groups[role.Name] {
 			node := &Node{ID: packet.NodeID(id), Role: role.Name}
 			rails := make([]drivers.Driver, m.Rails)
-			node.ports = make([]*port, m.Rails)
+			node.Injectors = make([]*chaos.Injector, m.Rails)
 			for r := 0; r < m.Rails; r++ {
 				nic, err := nicsim.New(n.Eng, fabrics[r], node.ID, railCaps[r], mem, n.Stats)
 				if err != nil {
 					return nil, fmt.Errorf("testnet: node %d rail %d: %w", id, r, err)
 				}
-				p := &port{
-					Sim: drivers.NewSim(nic),
-					net: n,
-					// Keyed by identity, not construction order: the same
-					// (seed, node, rail) always yields the same drop stream.
-					rng:     base.ForkString(fmt.Sprintf("drop/%d/%d", id, r)),
-					dropPct: m.DropPct,
-					down:    make(map[packet.NodeID]bool),
+				inj, err := chaos.RailInjector(drivers.NewSim(nic), n.Eng, base, r, rules...)
+				if err != nil {
+					return nil, fmt.Errorf("testnet: node %d rail %d: %w", id, r, err)
 				}
-				node.ports[r] = p
-				rails[r] = p
+				node.Injectors[r] = inj
+				rails[r] = inj
 			}
 
 			bundle, err := strategy.New(m.Engine.Bundle)
@@ -288,54 +290,42 @@ func (n *Net) scheduleChaos(base *simnet.RNG) error {
 	for _, e := range script.Sorted() {
 		e := e
 		n.Eng.At(simnet.Time(0).Add(simnet.FromWall(e.At)), "testnet.chaos", func() {
-			n.execute(e)
+			_ = chaos.Apply(n, e) // only Mend can fail, and Net's cannot
 			n.Trace.Record(e)
 		})
 	}
 	return nil
 }
 
-// execute applies one chaos event. Down/heal act on the send-side ports of
-// both endpoints, never on the fabric: frames already in flight still
-// arrive, so a link cut delays traffic but cannot lose it.
-func (n *Net) execute(e chaos.Event) {
-	switch e.Op {
-	case chaos.OpRailDown:
-		n.setEdge(e.Node, e.Peer, e.Rail, true)
-	case chaos.OpRailHeal:
-		n.setEdge(e.Node, e.Peer, e.Rail, false)
-		n.flushPair(e.Node, e.Peer)
-	case chaos.OpPartition:
-		for r := 0; r < n.M.Rails; r++ {
-			n.setEdge(e.Node, e.Peer, r, true)
-		}
-	case chaos.OpHeal:
-		for r := 0; r < n.M.Rails; r++ {
-			n.setEdge(e.Node, e.Peer, r, false)
-		}
-		n.flushPair(e.Node, e.Peer)
-	case chaos.OpCrash:
-		node := n.Nodes[e.Node]
-		if !node.crashed {
-			node.crashed = true
-			node.Engine.Close()
-		}
-	}
+// Net is the chaos.Fabric of the emulated tier. Severing acts on the
+// send-side link gates of both endpoints, never on the fabric: frames
+// already in flight still arrive, so a link cut delays traffic but cannot
+// lose it.
+
+// Rails implements chaos.Fabric.
+func (n *Net) Rails() int { return n.M.Rails }
+
+// Sever implements chaos.Fabric.
+func (n *Net) Sever(a, b, rail int) {
+	n.Nodes[a].Injectors[rail].SetPeerDown(packet.NodeID(b), true)
+	n.Nodes[b].Injectors[rail].SetPeerDown(packet.NodeID(a), true)
 }
 
-func (n *Net) setEdge(a, b, rail int, down bool) {
-	n.Nodes[a].ports[rail].setDown(packet.NodeID(b), down)
-	n.Nodes[b].ports[rail].setDown(packet.NodeID(a), down)
+// Mend implements chaos.Fabric; reopening a gate cannot fail.
+func (n *Net) Mend(a, b, rail int) error {
+	n.Nodes[a].Injectors[rail].SetPeerDown(packet.NodeID(b), false)
+	n.Nodes[b].Injectors[rail].SetPeerDown(packet.NodeID(a), false)
+	return nil
 }
 
-// flushPair re-pumps both engines after a heal so frames retained in
-// failover queues travel immediately.
-func (n *Net) flushPair(a, b int) {
-	if na := n.Nodes[a]; !na.crashed {
-		na.Engine.Flush()
-	}
-	if nb := n.Nodes[b]; !nb.crashed {
-		nb.Engine.Flush()
+// Flush implements chaos.Fabric (a crashed node's closed engine ignores it).
+func (n *Net) Flush(node int) { n.Nodes[node].Engine.Flush() }
+
+// Crash implements chaos.Fabric.
+func (n *Net) Crash(node int) {
+	if nd := n.Nodes[node]; !nd.crashed {
+		nd.crashed = true
+		nd.Engine.Close()
 	}
 }
 
@@ -372,7 +362,8 @@ type Result struct {
 	CrashLost int
 	// Misrouted counts deliveries at the wrong node (always a bug).
 	Misrouted int
-	// CtrlDropped counts control frames the fault ports discarded.
+	// CtrlDropped counts the frames the injectors' Drop rules discarded
+	// (the manifest's drop_pct only ever drops control frames).
 	CtrlDropped uint64
 	// Events and End describe the simulation run; Drained reports whether
 	// the event heap emptied within the manifest's MaxEvents budget.
@@ -398,16 +389,20 @@ func (r *Result) String() string {
 func (n *Net) Run() *Result {
 	executed, drained := n.Eng.RunLimit(n.M.MaxEvents)
 	res := &Result{
-		Name:        n.M.Name,
-		Nodes:       len(n.Nodes),
-		Rails:       n.M.Rails,
-		Submitted:   n.submitted,
-		Throttled:   n.throttled,
-		Misrouted:   n.misrouted,
-		CtrlDropped: n.ctrlDrops,
-		Events:      executed,
-		End:         n.Eng.Now(),
-		Drained:     drained,
+		Name:      n.M.Name,
+		Nodes:     len(n.Nodes),
+		Rails:     n.M.Rails,
+		Submitted: n.submitted,
+		Throttled: n.throttled,
+		Misrouted: n.misrouted,
+		Events:    executed,
+		End:       n.Eng.Now(),
+		Drained:   drained,
+	}
+	for _, node := range n.Nodes {
+		for _, inj := range node.Injectors {
+			res.CtrlDropped += inj.Injected(chaos.Drop)
+		}
 	}
 	// involved collects the endpoints of anomalous flows for the spool.
 	involved := make(map[int]bool)
@@ -482,80 +477,4 @@ func nodeIDs(members []int) []packet.NodeID {
 		out[i] = packet.NodeID(m)
 	}
 	return out
-}
-
-// port wraps a simulated NIC driver with the testnet's fault model: peer
-// reachability gating on the send side and deterministic control-frame
-// drops on the receive side. Gating sends (rather than partitioning the
-// fabric) is what preserves zero-loss under chaos — frames in flight when
-// a link cuts still arrive; only new posts are refused, and those enter
-// the engine's failover path. Drops apply only to rendezvous control
-// frames (RTS/CTS), the fault class the retry protocol recovers; dropping
-// data frames would model a lossy wire the reliable-interconnect stack has
-// no retransmission for.
-//
-// The port runs entirely on the simulation goroutine; no locking.
-type port struct {
-	*drivers.Sim
-	net        *Net
-	rng        *simnet.RNG
-	dropPct    float64
-	down       map[packet.NodeID]bool
-	onPeerDown func(packet.NodeID)
-	recv       drivers.RecvFunc
-}
-
-var (
-	_ drivers.Driver           = (*port)(nil)
-	_ drivers.PeerChecker      = (*port)(nil)
-	_ drivers.PeerDownNotifier = (*port)(nil)
-)
-
-// Post refuses frames toward down peers with ErrPeerDown — exactly the
-// error the engine's failover path treats as "try another rail or hold".
-func (p *port) Post(ch int, f *packet.Frame, hostExtra simnet.Duration) error {
-	if p.down[f.Dst] {
-		return drivers.ErrPeerDown
-	}
-	return p.Sim.Post(ch, f, hostExtra)
-}
-
-// SetRecvHandler interposes the drop filter on the delivery upcall.
-func (p *port) SetRecvHandler(fn drivers.RecvFunc) {
-	p.recv = fn
-	if fn == nil {
-		p.Sim.SetRecvHandler(nil)
-		return
-	}
-	p.Sim.SetRecvHandler(func(src packet.NodeID, f *packet.Frame) {
-		if p.dropPct > 0 && (f.Kind == packet.FrameRTS || f.Kind == packet.FrameCTS) &&
-			p.rng.Float64()*100 < p.dropPct {
-			p.net.ctrlDrops++
-			return
-		}
-		p.recv(src, f)
-	})
-}
-
-// PeerDown implements drivers.PeerChecker; the engine consults it to route
-// failover traffic around cut links.
-func (p *port) PeerDown(peer packet.NodeID) bool { return p.down[peer] }
-
-// SetPeerDownHandler implements drivers.PeerDownNotifier.
-func (p *port) SetPeerDownHandler(fn func(peer packet.NodeID)) { p.onPeerDown = fn }
-
-// setDown flips reachability toward peer, firing the engine's peer-down
-// observer once per up->down transition.
-func (p *port) setDown(peer packet.NodeID, down bool) {
-	if down {
-		if p.down[peer] {
-			return
-		}
-		p.down[peer] = true
-		if p.onPeerDown != nil {
-			p.onPeerDown(peer)
-		}
-	} else {
-		delete(p.down, peer)
-	}
 }

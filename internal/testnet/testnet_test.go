@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 	"testing"
+	"time"
 
+	"newmad/internal/chaos"
 	"newmad/internal/packet"
 )
 
@@ -104,9 +106,15 @@ func maxInt(a, b int) int {
 
 func mustRun(t *testing.T, m *Manifest) (*Net, *Result) {
 	t.Helper()
-	n, err := Build(m)
+	return mustRunRules(t, m, m.FaultRules())
+}
+
+// mustRunRules is mustRun with the per-frame fault rules given explicitly.
+func mustRunRules(t *testing.T, m *Manifest, rules []chaos.Rule) (*Net, *Result) {
+	t.Helper()
+	n, err := build(m, rules)
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("build: %v", err)
 	}
 	res := n.Run()
 	n.Close()
@@ -214,6 +222,58 @@ func TestTestnet_SeedReplayChaosTrace(t *testing.T) {
 
 	n3, r3 := mustRun(t, batteryManifest(nodes, drop, seed+1))
 	if n1.Trace.Diff(n3.Trace) == "" && *r1 == *r3 {
+		t.Fatal("different seeds produced identical runs")
+	}
+}
+
+// TestTestnet_RulesReplay puts timing faults — Delay and Reorder, on every
+// frame kind — on every rail of the multi-rail battery topology, next to
+// its control-frame drops and its chaos script. The holds are events on
+// the virtual clock, so the run is a pure function of the seed: two
+// same-seed runs agree on the whole Result, the chaos trace and every
+// injector's fault counts, and delivery stays exactly-once.
+func TestTestnet_RulesReplay(t *testing.T) {
+	nodes, drop, seed := batteryNodes(), *flagDrop, *flagSeed
+	replayHint(t, nodes, drop, seed)
+
+	type faults struct{ delays, reorders uint64 }
+	run := func(seed uint64) (*Net, *Result, faults) {
+		m := batteryManifest(nodes, drop, seed)
+		n, res := mustRunRules(t, m, append(m.FaultRules(),
+			chaos.Rule{Kind: chaos.Delay, Prob: 0.1, Delay: 30 * time.Microsecond},
+			chaos.Rule{Kind: chaos.Reorder, Prob: 0.1}))
+		var f faults
+		for _, node := range n.Nodes {
+			if len(node.Injectors) != m.Rails {
+				t.Fatalf("node %d has %d injectors for %d rails", node.ID, len(node.Injectors), m.Rails)
+			}
+			for _, inj := range node.Injectors {
+				f.delays += inj.Injected(chaos.Delay)
+				f.reorders += inj.Injected(chaos.Reorder)
+			}
+		}
+		return n, res, f
+	}
+
+	n1, r1, f1 := run(seed)
+	n2, r2, f2 := run(seed)
+	assertExactlyOnce(t, r1)
+	if f1.delays == 0 || f1.reorders == 0 {
+		t.Fatalf("timing faults never fired: %+v", f1)
+	}
+	if drop > 0 && r1.CtrlDropped == 0 {
+		t.Errorf("no control frame dropped at %v%%", drop)
+	}
+	if *r1 != *r2 {
+		t.Fatalf("same seed, diverging accounting:\n  %v\n  %v", r1, r2)
+	}
+	if f1 != f2 {
+		t.Fatalf("same seed, diverging fault counts: %+v vs %+v", f1, f2)
+	}
+	if d := n1.Trace.Diff(n2.Trace); d != "" {
+		t.Fatalf("same seed, diverging chaos traces: %s", d)
+	}
+	if _, r3, f3 := run(seed + 1); *r1 == *r3 && f1 == f3 {
 		t.Fatal("different seeds produced identical runs")
 	}
 }

@@ -88,7 +88,7 @@ func (e Event) String() string {
 }
 
 // Recorder is a fixed-capacity ring of events. The zero value is unusable;
-// create with New. All methods are safe for concurrent use (the loopback
+// create with New. All methods are safe for concurrent use (the socket
 // driver records from several goroutines). A nil *Recorder ignores all
 // calls.
 type Recorder struct {
