@@ -18,8 +18,12 @@ type Channel struct {
 	name    string
 	index   int
 
+	connMu sync.Mutex // conns alone: Connect never waits behind assembly
+	conns  map[packet.NodeID]*Connection
+
+	// mu guards inflows and the handlers: readers of different rails may
+	// deliver fragments of one channel concurrently.
 	mu      sync.Mutex
-	conns   map[packet.NodeID]*Connection
 	inflows map[packet.FlowID]*assembly
 
 	onMessage  MessageHandler
@@ -33,13 +37,26 @@ type MessageHandler func(src packet.NodeID, msg *Incoming)
 // FragmentHandler receives a single fragment as it is delivered.
 type FragmentHandler func(src packet.NodeID, frag *packet.Packet)
 
-// Incoming is an assembled message: fragments in pack order.
+// A Message and an Incoming store their first inlineFrags fragments inside
+// themselves, so that such a message is one heap object on each side;
+// longer ones spill to the heap with the same semantics. saferArena bytes
+// of send_SAFER captures (the middlewares' express headers) ride along.
+const (
+	inlineFrags = 4
+	saferArena  = 48
+)
+
+// Incoming is an assembled message: fragments in pack order. It is an
+// ordinary garbage-collected object, the handler's to keep.
 type Incoming struct {
 	Src       packet.NodeID
 	Msg       packet.MsgID
 	Fragments [][]byte
 	// Express flags Fragments[i] that were packed receive_EXPRESS.
 	Express []bool
+	// Inline backing of Fragments and Express.
+	frags   [inlineFrags][]byte
+	express [inlineFrags]bool
 }
 
 // assembly accumulates the current message of one inbound flow.
@@ -81,8 +98,8 @@ func (c *Channel) Connect(peer packet.NodeID) *Connection {
 	if peer == c.session.node {
 		panic("mad: connecting a channel to self")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
 	if conn, ok := c.conns[peer]; ok {
 		return conn
 	}
@@ -96,41 +113,46 @@ func (c *Channel) Connect(peer packet.NodeID) *Connection {
 }
 
 // ingest processes one in-order fragment from the session dispatcher. The
-// deliverable carries the packet by value; the fragment handlers below get
-// a pointer to a per-ingest copy, valid for the duration of the callback.
+// deliverable carries the packet by value and stays on the stack: only an
+// installed fragment handler that will actually run gets a copy of the
+// packet, valid for the duration of the callback (TestAllocsMadIngest).
 func (c *Channel) ingest(d proto.Deliverable) {
-	p := &d.Pkt
+	express := d.Pkt.Recv == packet.RecvExpress
 	c.mu.Lock()
 	onFrag, onExpr, onMsg := c.onFragment, c.onExpress, c.onMessage
-	as := c.inflows[p.Flow]
+	as := c.inflows[d.Pkt.Flow]
 	if as == nil {
 		as = &assembly{}
-		c.inflows[p.Flow] = as
+		c.inflows[d.Pkt.Flow] = as
 	}
 	if !as.begun {
-		as.msg = &Incoming{Src: d.Src, Msg: p.Msg}
+		as.msg = &Incoming{Src: d.Src, Msg: d.Pkt.Msg}
+		as.msg.Fragments, as.msg.Express = as.msg.frags[:0], as.msg.express[:0]
 		as.begun = true
 	}
-	if p.Msg != as.msg.Msg {
+	if d.Pkt.Msg != as.msg.Msg {
 		c.mu.Unlock()
 		panic(fmt.Sprintf("mad: channel %q: fragment of message %d while message %d is open (flow %d)",
-			c.name, p.Msg, as.msg.Msg, p.Flow))
+			c.name, d.Pkt.Msg, as.msg.Msg, d.Pkt.Flow))
 	}
-	as.msg.Fragments = append(as.msg.Fragments, p.Payload)
-	as.msg.Express = append(as.msg.Express, p.Recv == packet.RecvExpress)
+	as.msg.Fragments = append(as.msg.Fragments, d.Pkt.Payload)
+	as.msg.Express = append(as.msg.Express, express)
 	var complete *Incoming
-	if p.Last {
+	if d.Pkt.Last {
 		complete = as.msg
 		as.begun = false
 		as.msg = nil
 	}
 	c.mu.Unlock()
 
-	if onFrag != nil {
-		onFrag(d.Src, p)
-	}
-	if onExpr != nil && p.Recv == packet.RecvExpress {
-		onExpr(d.Src, p)
+	if onFrag != nil || (onExpr != nil && express) {
+		p := d.Pkt // escapes into the handlers, so it is made only for them
+		if onFrag != nil {
+			onFrag(d.Src, &p)
+		}
+		if onExpr != nil && express {
+			onExpr(d.Src, &p)
+		}
 	}
 	if complete != nil && onMsg != nil {
 		onMsg(complete.Src, complete)
@@ -166,10 +188,16 @@ func (c *Connection) BeginPacking() *Message {
 	}
 	c.open = true
 	c.nextMsg++
-	return &Message{conn: c, msg: c.nextMsg}
+	m := &Message{conn: c, msg: c.nextMsg}
+	m.held = m.heldBuf[:0]
+	return m
 }
 
-// Message is an outbound structured message under construction.
+// Message is an outbound structured message under construction; packing
+// costs this one object. The engine holds *packet.Packet until the frame
+// is posted (or reclaimed by failover): those interior pointers keep the
+// Message alive that long, so it needs no release hook and must never be
+// pooled.
 type Message struct {
 	conn *Connection
 	msg  packet.MsgID
@@ -178,6 +206,12 @@ type Message struct {
 	// fragment (whose buffers must not be read before EndPacking).
 	held  []*packet.Packet
 	ended bool
+
+	npkts   uint8 // slots of pkts handed out
+	nsafer  uint8 // bytes of safer captured
+	heldBuf [inlineFrags]*packet.Packet
+	pkts    [inlineFrags]packet.Packet
+	safer   [saferArena]byte
 }
 
 // Pack appends one fragment with the given constraint modes.
@@ -196,35 +230,53 @@ func (m *Message) PackClass(data []byte, send packet.SendMode, recv packet.RecvM
 	payload := data
 	if send == packet.SendSafer {
 		// safer: capture now; caller may immediately reuse the buffer.
-		payload = append([]byte(nil), data...)
+		if n := int(m.nsafer); len(data) <= saferArena-n {
+			payload = m.safer[n : n+len(data) : n+len(data)]
+			copy(payload, data)
+			m.nsafer += uint8(len(data))
+		} else {
+			payload = append([]byte(nil), data...)
+		}
 	}
-	p := &packet.Packet{
+	p := m.newPacketLocked(class, payload)
+	p.Send, p.Recv = send, recv
+
+	// Submit every held fragment that is not send_LATER; the new one is
+	// always held because it may be the message's last fragment.
+	keep := m.held[:0]
+	for _, h := range m.held {
+		if h.Send == packet.SendLater {
+			keep = append(keep, h)
+		} else {
+			c.submitLocked(h)
+		}
+	}
+	m.held = append(keep, p)
+	c.mu.Unlock()
+}
+
+// newPacketLocked numbers the message's next fragment, in an inline slot
+// while there is one.
+func (m *Message) newPacketLocked(class packet.ClassID, payload []byte) *packet.Packet {
+	c := m.conn
+	var p *packet.Packet
+	if int(m.npkts) < inlineFrags {
+		p = &m.pkts[m.npkts]
+		m.npkts++
+	} else {
+		p = new(packet.Packet)
+	}
+	*p = packet.Packet{
 		Flow:    c.flow,
 		Msg:     m.msg,
 		Seq:     c.nextSeq,
 		Src:     c.channel.session.node,
 		Dst:     c.peer,
 		Class:   class,
-		Send:    send,
-		Recv:    recv,
 		Payload: payload,
 	}
 	c.nextSeq++
-
-	// Submit every held fragment that is not send_LATER and is not the
-	// new most-recent one; the newest is always held because it may be
-	// the message's last fragment.
-	m.held = append(m.held, p)
-	var still []*packet.Packet
-	for i, h := range m.held {
-		if i == len(m.held)-1 || h.Send == packet.SendLater {
-			still = append(still, h)
-			continue
-		}
-		c.submitLocked(h)
-	}
-	m.held = still
-	c.mu.Unlock()
+	return p
 }
 
 // EndPacking completes the message: the final fragment is marked Last and
@@ -240,18 +292,11 @@ func (m *Message) EndPacking() {
 	if len(m.held) == 0 {
 		// Empty message: emit a zero-length terminator so the receiver
 		// still observes a message boundary.
-		p := &packet.Packet{
-			Flow: c.flow, Msg: m.msg, Seq: c.nextSeq,
-			Src: c.channel.session.node, Dst: c.peer,
-			Class: packet.ClassControl, Last: true, Payload: []byte{},
-		}
-		c.nextSeq++
-		c.submitLocked(p)
-	} else {
-		m.held[len(m.held)-1].Last = true
-		for _, h := range m.held {
-			c.submitLocked(h)
-		}
+		m.held = append(m.held, m.newPacketLocked(packet.ClassControl, []byte{}))
+	}
+	m.held[len(m.held)-1].Last = true
+	for _, h := range m.held {
+		c.submitLocked(h)
 	}
 	m.held = nil
 	c.open = false

@@ -18,6 +18,11 @@
 // layer treats as reordering constraints, exactly as §3 of the paper
 // describes.
 //
+// Lifetimes: an *Incoming is an ordinary garbage-collected object, never
+// reused by the library — a MessageHandler may keep it and the payload
+// bytes it points at. A *packet.Packet handed to a fragment handler is a
+// copy valid only for the duration of the callback.
+//
 // Flow identity: each (channel, source node) pair maps to one flow id, so
 // channels must be created in the same order on every node (the usual SPMD
 // convention, as with MPI communicators).
@@ -26,6 +31,7 @@ package mad
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"newmad/internal/core"
 	"newmad/internal/packet"
@@ -54,9 +60,11 @@ type Session struct {
 	engine *core.Engine
 	node   packet.NodeID
 
-	mu       sync.Mutex
+	mu       sync.Mutex // serializes channel creation
 	channels map[string]*Channel
-	byIndex  []*Channel
+	// byIndex is the channel table Dispatch reads without a lock: creation
+	// publishes a longer slice and never writes inside a published one.
+	byIndex atomic.Pointer[[]*Channel]
 }
 
 // NewSession wraps an engine. The engine's Deliver option must already
@@ -103,18 +111,23 @@ func (s *Session) Channel(name string) *Channel {
 	if ch, ok := s.channels[name]; ok {
 		return ch
 	}
-	if len(s.byIndex) >= maxChannels {
+	var old []*Channel
+	if tab := s.byIndex.Load(); tab != nil {
+		old = *tab
+	}
+	if len(old) >= maxChannels {
 		panic(fmt.Sprintf("mad: more than %d channels", maxChannels))
 	}
 	ch := &Channel{
 		session: s,
 		name:    name,
-		index:   len(s.byIndex),
+		index:   len(old),
 		conns:   make(map[packet.NodeID]*Connection),
 		inflows: make(map[packet.FlowID]*assembly),
 	}
 	s.channels[name] = ch
-	s.byIndex = append(s.byIndex, ch)
+	tab := append(old, ch)
+	s.byIndex.Store(&tab)
 	return ch
 }
 
@@ -123,12 +136,10 @@ func (s *Session) Channel(name string) *Channel {
 // wire it; application code never calls it.
 func (s *Session) Dispatch(d proto.Deliverable) {
 	idx := int(uint32(d.Pkt.Flow) & (maxChannels - 1))
-	s.mu.Lock()
 	var ch *Channel
-	if idx < len(s.byIndex) {
-		ch = s.byIndex[idx]
+	if tab := s.byIndex.Load(); tab != nil && idx < len(*tab) {
+		ch = (*tab)[idx]
 	}
-	s.mu.Unlock()
 	if ch == nil {
 		panic(fmt.Sprintf("mad: fragment for unknown channel index %d (flow %d); channels must be created in the same order on all nodes", idx, d.Pkt.Flow))
 	}

@@ -233,3 +233,20 @@ func TestDSMTrafficMixesClasses(t *testing.T) {
 		t.Fatal("no control messages")
 	}
 }
+
+// TestAllocsControlToken pins what one control token costs end to end on the
+// simulated cluster (send, wire, assembly, handler). Its 9-byte send_SAFER
+// header is captured inside the mad.Message, not copied to the heap.
+func TestAllocsControlToken(t *testing.T) {
+	r := newRig(t, 2, 4, 64)
+	token := func() {
+		r.dsms[1].sendCtrl(0, opInvalidate, 1)
+		r.cl.Eng.Run()
+	}
+	for i := 0; i < 64; i++ {
+		token() // warm the pools and scratch buffers
+	}
+	if allocs := testing.AllocsPerRun(200, token); allocs > 12 {
+		t.Fatalf("a control token costs %.0f allocs, budget is 12 (13 with the header copied to the heap, 19 before inline fragment storage)", allocs)
+	}
+}

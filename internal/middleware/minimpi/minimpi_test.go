@@ -352,3 +352,29 @@ func TestHaloExchangePattern(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsSend pins what one matched Send costs end to end on the
+// simulated cluster (send, wire, assembly, match). Its 16-byte send_SAFER
+// header is captured inside the mad.Message, not copied to the heap.
+func TestAllocsSend(t *testing.T) {
+	j := newJob(t, 2)
+	data := make([]byte, 256)
+	got := 0
+	recv := func(int, int64, []byte) { got++ }
+	send := func() {
+		j.worlds[1].Recv(0, 7, recv)
+		if err := j.worlds[0].Send(1, 7, data); err != nil {
+			t.Fatal(err)
+		}
+		j.cl.Eng.Run()
+	}
+	for i := 0; i < 64; i++ {
+		send() // warm the pools and scratch buffers
+	}
+	if allocs := testing.AllocsPerRun(200, send); allocs > 23 {
+		t.Fatalf("a send costs %.0f allocs, budget is 23 (24 with the header copied to the heap, 35 before inline fragment storage)", allocs)
+	}
+	if got != 64+201 {
+		t.Fatalf("matched %d receives, want %d", got, 64+201)
+	}
+}

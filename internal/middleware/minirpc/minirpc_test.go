@@ -205,3 +205,28 @@ func TestRegisterValidation(t *testing.T) {
 	}()
 	r.peers[0].Register("x", nil)
 }
+
+// TestAllocsCall pins what one call costs end to end on the simulated
+// cluster (request and response: send, wire, assembly, handler). Both
+// send_SAFER headers are captured inside their mad.Message, not copied to
+// the heap a second time.
+func TestAllocsCall(t *testing.T) {
+	r := newRig(t, 2)
+	r.peers[1].Register("echo", func(_ packet.NodeID, args []byte) []byte { return args })
+	args := make([]byte, 256)
+	got := 0
+	done := func([]byte, error) { got++ }
+	call := func() {
+		r.peers[0].Call(1, "echo", args, done)
+		r.cl.Eng.Run()
+	}
+	for i := 0; i < 64; i++ {
+		call() // warm the pools and scratch buffers
+	}
+	if allocs := testing.AllocsPerRun(200, call); allocs > 43 {
+		t.Fatalf("a call costs %.0f allocs, budget is 43 (42 measured, 43 under -race; 44 with the header copied to the heap, 66 before inline fragment storage)", allocs)
+	}
+	if got != 64+201 {
+		t.Fatalf("completed %d calls, want %d", got, 64+201)
+	}
+}

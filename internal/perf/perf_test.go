@@ -64,15 +64,21 @@ func (d *sinkDriver) Post(ch int, f *packet.Frame, _ simnet.Duration) error {
 
 func newEngine(b testing.TB, deliver proto.DeliverFunc) (*core.Engine, *sinkDriver) {
 	b.Helper()
+	return newEngineAt(b, 0, deliver)
+}
+
+// newEngineAt is newEngine for an engine that is some other node.
+func newEngineAt(b testing.TB, node packet.NodeID, deliver proto.DeliverFunc) (*core.Engine, *sinkDriver) {
+	b.Helper()
 	bundle, err := strategy.New("aggregate")
 	if err != nil {
 		b.Fatal(err)
 	}
-	sink := newSink(0)
+	sink := newSink(node)
 	if deliver == nil {
 		deliver = func(d proto.Deliverable) {}
 	}
-	e, err := core.New(0, core.Options{
+	e, err := core.New(node, core.Options{
 		Bundle:  bundle,
 		Runtime: simnet.NewRealRuntime(),
 		Rails:   []drivers.Driver{sink},

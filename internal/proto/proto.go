@@ -21,7 +21,10 @@ import (
 // frame's worth of fragments costs no per-packet allocations — and no
 // consumer can retain a pointer into recycled storage by accident. The
 // Payload bytes are the consumer's to keep (DESIGN.md §5); everything else
-// is copied out of the struct as needed.
+// is copied out of the struct as needed. A consumer that lets &d.Pkt reach
+// an indirect call moves the Deliverable to the heap on every delivery:
+// mad's ingest copies the packet only for an installed fragment handler
+// (perf.TestAllocsMadIngest).
 type Deliverable struct {
 	Src packet.NodeID
 	Pkt packet.Packet
