@@ -16,8 +16,6 @@ import (
 
 	"newmad/internal/caps"
 	"newmad/internal/exp"
-	"newmad/internal/memsim"
-	"newmad/internal/packet"
 	"newmad/internal/simnet"
 	"newmad/internal/strategy"
 )
@@ -168,73 +166,6 @@ func BenchmarkE11AdaptiveController(b *testing.B) {
 	}
 	b.ReportMetric(adaptive, "total_us_adaptive")
 	b.ReportMetric(bestStatic, "total_us_best_static")
-}
-
-// --- Micro-benchmarks: host-side cost of the engine's hot paths. ----------
-
-// BenchmarkPlanBuilderAggregate measures one greedy aggregation decision
-// over a 64-packet backlog — the per-idle-upcall cost of the optimizer.
-func BenchmarkPlanBuilderAggregate(b *testing.B) {
-	ctx := builderContext(64)
-	builder := strategy.NewAggregate()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if plan := builder.Build(ctx); plan == nil {
-			b.Fatal("nil plan")
-		}
-	}
-}
-
-// BenchmarkPlanBuilderSearch measures a bounded search decision (budget
-// 16) over the same backlog.
-func BenchmarkPlanBuilderSearch(b *testing.B) {
-	ctx := builderContext(64)
-	ctx.Budget = 16
-	builder := strategy.NewBoundedSearch(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if plan := builder.Build(ctx); plan == nil {
-			b.Fatal("nil plan")
-		}
-	}
-}
-
-// BenchmarkFrameEncodeDecode measures the wire codec on an 8-entry
-// aggregated frame.
-func BenchmarkFrameEncodeDecode(b *testing.B) {
-	f := &packet.Frame{Kind: packet.FrameData, Src: 0, Dst: 1}
-	for i := 0; i < 8; i++ {
-		f.Entries = append(f.Entries, packet.Entry{
-			Flow: packet.FlowID(i), Msg: 1, Seq: i, Last: true,
-			Payload: make([]byte, 64),
-		})
-	}
-	buf := make([]byte, 0, f.WireSize())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = f.Encode(buf[:0])
-		if _, _, err := packet.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(f.WireSize()))
-}
-
-func builderContext(n int) *strategy.Context {
-	backlog := make([]*packet.Packet, 0, n)
-	for i := 0; i < n; i++ {
-		backlog = append(backlog, &packet.Packet{
-			Flow: packet.FlowID(i%8 + 1), Msg: 1, Seq: i / 8,
-			Dst: 1, Class: packet.ClassSmall,
-			Payload:   make([]byte, 64),
-			SubmitSeq: uint64(i + 1),
-		})
-	}
-	return &strategy.Context{
-		Caps:    caps.MX,
-		Mem:     memsim.DefaultModel(),
-		Backlog: backlog,
-	}
 }
 
 func benchName(prefix string, v int) string {

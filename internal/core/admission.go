@@ -13,8 +13,8 @@ import (
 // each submission against its tenant's token bucket and backlog quota
 // *before* the packet touches any shard state — a flooder is shed at the
 // Submit boundary with a typed refusal and a retry-after hint, never
-// queued, so its pressure cannot bloat the backlog index or the MPSC
-// inboxes (the shed-before-queue rule, DESIGN.md §10).
+// queued, so its pressure cannot bloat the backlog index (the
+// shed-before-queue rule, DESIGN.md §10).
 //
 // The rate check is a GCRA virtual-scheduling limiter: one atomic int64
 // per tenant holding the theoretical arrival time (TAT), advanced by a CAS
@@ -163,8 +163,9 @@ func (e *Engine) admit(p *packet.Packet, now simnet.Time, eager bool) error {
 	return nil
 }
 
-// releaseBacklog returns plan-taken packets' backlog charges to their
-// tenants. Called from pumpBacklogLocked under the shard lock.
+// releaseBacklog returns one backlog charge to its tenant: when a plan
+// takes the packet (pumpBacklogLocked, under the shard lock), or when the
+// Submit that was charged loses to Close.
 func (a *admission) releaseBacklog(t packet.TenantID) {
 	if ts := a.state(t); ts != nil {
 		ts.backlog.Add(-1)

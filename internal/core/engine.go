@@ -19,8 +19,8 @@
 //     capability records parameterize every decision.
 //
 // The engine is safe for concurrent use. There is no engine-wide lock:
-// send-side state is partitioned into destination-hashed shards fed by
-// lock-free submit inboxes (shard.go), each NIC channel's pump is
+// send-side state is partitioned into destination-hashed shards, each
+// behind its own lock (shard.go), each NIC channel's pump is
 // serialized by its own chanPump, and the receive/protocol side runs under
 // one protocol mutex (pmu). Under the discrete-event runtime all upcalls
 // arrive on one goroutine and every lock is uncontended; the socket
@@ -572,18 +572,18 @@ func (e *Engine) RailWeights() (w []float64, ok bool) {
 
 // Submit enqueues one packet from the collect layer and returns
 // immediately. Packets of one flow must be submitted with consecutive Seq
-// values starting at zero; the mad layer guarantees this. Eager packets
-// travel through the destination shard's lock-free inbox: Submit never
-// contends with a pump in progress, and concurrent submitters to different
-// destinations never touch a shared lock.
+// values starting at zero; the mad layer guarantees this. Every packet
+// enters its destination's shard under that shard's lock, so submitters to
+// destinations in different shards never touch a shared lock, and a Submit
+// that loses to Close is refused rather than silently dropped.
 //
 // Refusals are typed: ErrClosed after Close, ErrPeerUnreachable when
 // Options.RefuseUnreachable is set and no rail reaches the destination,
 // and the admission-control refusals ErrThrottled/ErrQuotaExceeded (with
 // retry-after, see ThrottleError) when the packet's tenant is over quota.
 // Admission runs before the packet touches any shard state — a shed
-// packet never pushes onto an MPSC inbox or charges a backlog counter
-// (the shed-before-queue rule, DESIGN.md §10).
+// packet never takes a shard lock or charges a backlog counter (the
+// shed-before-queue rule, DESIGN.md §10).
 func (e *Engine) Submit(p *packet.Packet) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -608,8 +608,8 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		return fmt.Errorf("%w: node %d", ErrPeerUnreachable, p.Dst)
 	}
 	// Admission last among the refusal checks: an admitted eager packet
-	// carries a backlog charge that is only released when a plan takes it,
-	// so nothing may refuse after admit has charged.
+	// carries a backlog charge that only a plan taking it releases, so the
+	// one later refusal (losing to Close, below) hands the charge back.
 	if err := e.admit(p, now, !rdv); err != nil {
 		return err
 	}
@@ -641,11 +641,7 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		s.mu.Lock()
 		s.ctrlQ = append(s.ctrlQ, rts)
 		s.nCtrl.Add(1)
-		s.ctr.Submitted++
-		s.ctr.SubmittedBytes += uint64(p.Size())
-		if p.Class == packet.ClassControl {
-			s.ctr.SubmittedCtrl++
-		}
+		s.countSubmitLocked(p)
 		s.ctr.RdvBytes += uint64(p.Size())
 		s.ctr.RdvStarted++
 		s.mu.Unlock()
@@ -655,11 +651,17 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		return nil
 	}
 	s := e.shardOf(p.Dst)
-	// The count goes up before the push: the drain election's emptiness
-	// check must never read zero while a packet is in flight.
-	s.nInbox.Add(1)
-	s.inbox.push(p)
-	s.submitKick()
+	s.mu.Lock()
+	if e.closed.Load() {
+		s.mu.Unlock()
+		e.adm.Load().releaseBacklog(p.Tenant) // no plan ever will
+		return ErrClosed
+	}
+	pump := s.pushEagerLocked(p)
+	s.mu.Unlock()
+	if pump {
+		e.pumpAll()
+	}
 	return nil
 }
 
@@ -803,7 +805,6 @@ func (e *Engine) Close() {
 		if s.nagleArmed {
 			s.disarmNagleLocked()
 		}
-		s.drainDiscardLocked()
 		s.mu.Unlock()
 	}
 	for _, r := range e.rails {

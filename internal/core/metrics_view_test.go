@@ -229,33 +229,58 @@ func TestSetViewMatchesMetrics(t *testing.T) {
 }
 
 // TestSubmitLosingToCloseCountsNothing pins the divergence the two ledgers
-// used to have: a rendezvous Submit that passes the first closed check and
-// then loses to Close under pmu returns ErrClosed — and must not have been
-// counted anywhere, by name or in Metrics.
+// used to have: a Submit that passes the first closed check and then loses
+// to Close under the lock its branch takes — pmu for rendezvous, the
+// destination's shard lock for eager — returns ErrClosed, and must not have
+// been counted anywhere, by name or in Metrics, nor keep the backlog charge
+// admission took for it.
 func TestSubmitLosingToCloseCountsNothing(t *testing.T) {
-	tn := newNet(t, 2, "aggregate", func(o *Options) { o.RdvThreshold = 1024 })
-	e := tn.engines[0]
+	const tenant = 3
+	for _, tc := range []struct {
+		name string
+		size int
+		lock func(*Engine) *sync.Mutex // where the Submit parks
+	}{
+		{"rendezvous", 8192, func(e *Engine) *sync.Mutex { return &e.pmu }},
+		{"eager", 64, func(e *Engine) *sync.Mutex { return &e.shardOf(1).mu }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tn := newNet(t, 2, "aggregate", func(o *Options) {
+				o.RdvThreshold = 1024
+				o.Quotas = map[packet.TenantID]TenantQuota{tenant: {Backlog: 4}}
+			})
+			e := tn.engines[0]
 
-	e.pmu.Lock() // park the Submit inside its rendezvous branch
-	errc := make(chan error, 1)
-	go func() { errc <- e.Submit(pkt(1, 0, 0, 1, 8192)) }()
-	for e.submitSeq.Load() == 0 { // past the first closed check once sequenced
-		time.Sleep(100 * time.Microsecond)
-	}
-	e.closed.Store(true)
-	e.pmu.Unlock()
+			mu := tc.lock(e)
+			mu.Lock()
+			errc := make(chan error, 1)
+			go func() {
+				p := pkt(1, 0, 0, 1, tc.size)
+				p.Tenant = tenant
+				errc <- e.Submit(p)
+			}()
+			for e.submitSeq.Load() == 0 { // past the first closed check once sequenced
+				time.Sleep(100 * time.Microsecond)
+			}
+			e.closed.Store(true)
+			mu.Unlock()
 
-	if err := <-errc; !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit = %v, want ErrClosed", err)
-	}
-	if n := e.Stats().CounterValue("core.submitted"); n != 0 {
-		t.Errorf("core.submitted = %d after a refused Submit", n)
-	}
-	if n := e.Stats().CounterValue("core.submitted_bytes"); n != 0 {
-		t.Errorf("core.submitted_bytes = %d after a refused Submit", n)
-	}
-	if m := e.Metrics(); m.Submitted != 0 || m.RdvStarted != 0 {
-		t.Errorf("Metrics counted the refused Submit: %+v", m.Counters)
+			if err := <-errc; !errors.Is(err, ErrClosed) {
+				t.Fatalf("Submit = %v, want ErrClosed", err)
+			}
+			if n := e.Stats().CounterValue("core.submitted"); n != 0 {
+				t.Errorf("core.submitted = %d after a refused Submit", n)
+			}
+			if n := e.Stats().CounterValue("core.submitted_bytes"); n != 0 {
+				t.Errorf("core.submitted_bytes = %d after a refused Submit", n)
+			}
+			if m := e.Metrics(); m.Submitted != 0 || m.RdvStarted != 0 || m.Backlog != 0 {
+				t.Errorf("Metrics counted the refused Submit: %+v", m.Counters)
+			}
+			if n := e.adm.Load().state(tenant).backlog.Load(); n != 0 {
+				t.Errorf("tenant backlog charge = %d after a refused Submit", n)
+			}
+		})
 	}
 }
 

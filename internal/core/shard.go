@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -33,8 +32,9 @@ import (
 // RMA windows, delivery batching, retry timers); it may take shard locks
 // to queue reactive frames, never the reverse. chanPump serializes one NIC
 // channel's pump, scanning shards for work; it may take shard locks, never
-// pmu. Submit reaches a shard through a lock-free MPSC inbox and never
-// touches pmu unless the packet goes rendezvous.
+// pmu. Submit takes its destination's shard lock — the one way into a
+// shard, eager and rendezvous alike — and never touches pmu unless the
+// packet goes rendezvous.
 
 // shardOf maps a destination to its owning shard. Plain modulo: node IDs
 // are dense small integers in every deployment this engine targets, so
@@ -50,13 +50,6 @@ func (e *Engine) shardOf(dst packet.NodeID) *shard {
 type shard struct {
 	idx int
 	eng *Engine
-
-	// inbox is the lock-free submit handoff; nInbox counts packets pushed
-	// but not yet drained (conservatively: incremented before the push
-	// completes). draining elects the single drainer; see submitKick.
-	inbox    submitInbox
-	nInbox   atomic.Int64
-	draining atomic.Bool
 
 	// Work hints, readable without mu: a channel pump skips shards whose
 	// hints are all zero instead of taking every shard lock per pump. They
@@ -133,95 +126,56 @@ type shard struct {
 	bulkProbe    packet.Packet
 }
 
-// submitKick drains s.inbox into the shard's backlog and pumps. At most
-// one goroutine drains at a time: a producer that loses the election
-// returns immediately — the active drainer's post-release re-check picks
-// its packet up. The handoff is the standard flag-and-recheck: the
-// producer pushes, then tries to become drainer; if that fails, the
-// current drainer has not yet cleared `draining`, so its subsequent
-// nInbox load (sequenced after the clear) observes the push.
-func (s *shard) submitKick() {
-	for {
-		if !s.draining.CompareAndSwap(false, true) {
-			return
-		}
-		s.mu.Lock()
-		n, pump := s.drainInboxLocked()
-		s.mu.Unlock()
-		s.draining.Store(false)
-		if pump {
-			s.eng.pumpAll()
-		}
-		if s.nInbox.Load() == 0 {
-			return
-		}
-		if n == 0 {
-			// A producer is mid-push (swapped the inbox head, not yet
-			// linked). Yield rather than spin on its two instructions.
-			runtime.Gosched()
-		}
+// countSubmitLocked tallies one accepted submission, eager or rendezvous.
+// Caller holds s.mu.
+func (s *shard) countSubmitLocked(p *packet.Packet) {
+	s.ctr.Submitted++
+	s.ctr.SubmittedBytes += uint64(p.Size())
+	if p.Class == packet.ClassControl {
+		s.ctr.SubmittedCtrl++
 	}
 }
 
-// drainInboxLocked moves every poppable inbox packet into the backlog,
-// applying the per-packet submit accounting and the Nagle arm/flush
-// decision. Returns the number of packets drained and whether the caller
-// should pump (false when every drained packet was absorbed into an armed
-// artificial delay). Caller holds s.mu.
-func (s *shard) drainInboxLocked() (drained int, pump bool) {
+// pushEagerLocked accounts one eager packet into the backlog and applies
+// the Nagle arm/flush decision. It reports whether the caller should pump:
+// false when the packet was absorbed into an armed artificial delay.
+// Caller holds s.mu.
+func (s *shard) pushEagerLocked(p *packet.Packet) (pump bool) {
 	e := s.eng
-	for {
-		p := s.inbox.pop()
-		if p == nil {
-			return drained, pump
-		}
-		s.nInbox.Add(-1)
-		drained++
-		if e.closed.Load() {
-			// A Submit that raced Close: the packet was accepted while the
-			// engine was still open and is discarded with the rest of the
-			// backlog, exactly as an already-queued packet would be.
-			continue
-		}
-		tun := e.tun.Load()
-		s.ctr.Submitted++
-		s.ctr.SubmittedBytes += uint64(p.Size())
-		if p.Class == packet.ClassControl {
-			s.ctr.SubmittedCtrl++
-		}
-		s.ctr.EagerBytes += uint64(p.Size())
-		s.backlog.push(p)
-		s.tenantCount[p.Tenant]++
-		if s.tenantCount[p.Tenant] == 1 {
-			s.tenantActive++
-		}
-		s.nBacklog.Add(1)
-		gsz := e.backlogSz.Add(1)
-		e.notePeak(gsz)
-
-		// Nagle: submission-triggered sends may be delayed briefly; the
-		// idle upcall path always sends immediately. The flush decision
-		// reads the global backlog depth — pressure anywhere flushes, as
-		// it did when one lock owned the whole backlog.
-		if tun.nagleDelay > 0 && int(gsz) < tun.nagleFlush {
-			if !s.nagleArmed {
-				s.nagleArmed = true
-				s.nagleGen++
-				gen := s.nagleGen
-				s.nagleCancel = e.rt.Schedule(tun.nagleDelay, "core.nagle", func() { e.onNagle(s, gen) })
-				e.rec.Record(trace.Event{
-					At: e.rt.Now(), Kind: trace.KindNagleArm, Node: e.node,
-					A: int(tun.nagleDelay), B: int(gsz),
-				})
-			}
-			continue
-		}
-		if s.nagleArmed {
-			s.ctr.NagleEarly++
-			s.disarmNagleLocked()
-		}
-		pump = true
+	s.countSubmitLocked(p)
+	s.ctr.EagerBytes += uint64(p.Size())
+	s.backlog.push(p)
+	s.tenantCount[p.Tenant]++
+	if s.tenantCount[p.Tenant] == 1 {
+		s.tenantActive++
 	}
+	s.nBacklog.Add(1)
+	gsz := e.backlogSz.Add(1)
+	e.notePeak(gsz)
+
+	// Nagle: submission-triggered sends may be delayed briefly; the idle
+	// upcall path always sends immediately. The flush decision reads the
+	// global backlog depth — pressure anywhere flushes, as it did when one
+	// lock owned the whole backlog.
+	tun := e.tun.Load()
+	if tun.nagleDelay > 0 && int(gsz) < tun.nagleFlush {
+		if !s.nagleArmed {
+			s.nagleArmed = true
+			s.nagleGen++
+			gen := s.nagleGen
+			s.nagleCancel = e.rt.Schedule(tun.nagleDelay, "core.nagle", func() { e.onNagle(s, gen) })
+			e.rec.Record(trace.Event{
+				At: e.rt.Now(), Kind: trace.KindNagleArm, Node: e.node,
+				A: int(tun.nagleDelay), B: int(gsz),
+			})
+		}
+		return false
+	}
+	if s.nagleArmed {
+		s.ctr.NagleEarly++
+		s.disarmNagleLocked()
+	}
+	return true
 }
 
 // disarmNagleLocked retires the shard's armed delay. The generation bump
@@ -422,86 +376,6 @@ func (e *Engine) pumpChannel(ri, ch int, idleUpcall bool, cp *chanPump, minEpoch
 	return true
 }
 
-// submitInbox is an intrusive MPSC queue (Vyukov-style): producers push
-// with one atomic swap and one store, the single consumer (whoever holds
-// the drain election) pops without contention. Nodes are pooled so the
-// steady-state submit path allocates nothing.
-type submitInbox struct {
-	head atomic.Pointer[submitNode] // most recently pushed
-	tail *submitNode                // consumer cursor; consumer-owned
-	stub submitNode
-}
-
-type submitNode struct {
-	next atomic.Pointer[submitNode]
-	p    *packet.Packet
-}
-
-var submitNodePool = sync.Pool{New: func() any { return new(submitNode) }}
-
-func (q *submitInbox) init() {
-	q.head.Store(&q.stub)
-	q.tail = &q.stub
-}
-
-// push appends p. Safe for any number of concurrent producers.
-func (q *submitInbox) push(p *packet.Packet) {
-	n := submitNodePool.Get().(*submitNode)
-	n.p = p
-	n.next.Store(nil)
-	prev := q.head.Swap(n)
-	// Between the swap and this store the chain is momentarily
-	// disconnected; pop reports empty and the producer's kick re-drains.
-	prev.next.Store(n)
-}
-
-// pop removes the oldest packet, or returns nil when the inbox is empty or
-// a producer is mid-push. Single consumer only (callers hold shard.mu).
-func (q *submitInbox) pop() *packet.Packet {
-	t := q.tail
-	next := t.next.Load()
-	if t == &q.stub {
-		if next == nil {
-			return nil
-		}
-		q.tail = next
-		t = next
-		next = t.next.Load()
-	}
-	if next != nil {
-		q.tail = next
-		p := t.p
-		t.p = nil
-		submitNodePool.Put(t)
-		return p
-	}
-	if t != q.head.Load() {
-		// A producer swapped the head but has not linked yet.
-		return nil
-	}
-	// t is the last real node: thread the stub behind it so t becomes
-	// poppable. Only this consumer ever pushes the stub.
-	q.stub.next.Store(nil)
-	prev := q.head.Swap(&q.stub)
-	prev.next.Store(&q.stub)
-	if next = t.next.Load(); next != nil {
-		q.tail = next
-		p := t.p
-		t.p = nil
-		submitNodePool.Put(t)
-		return p
-	}
-	return nil
-}
-
-// drainDiscardLocked empties the inbox without processing (Close path).
-// Caller holds s.mu.
-func (s *shard) drainDiscardLocked() {
-	for s.inbox.pop() != nil {
-		s.nInbox.Add(-1)
-	}
-}
-
 // newShard builds one shard with its scratch sized for the engine's rails.
 func newShard(e *Engine, idx int) *shard {
 	s := &shard{
@@ -509,7 +383,6 @@ func newShard(e *Engine, idx int) *shard {
 		eng:        e,
 		railFrames: make([]uint64, len(e.rails)),
 	}
-	s.inbox.init()
 	s.ctrlProbe = packet.Packet{Class: packet.ClassControl}
 	return s
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,11 +112,20 @@ func TestShardedDeterminism(t *testing.T) {
 
 // TestShardedLoopbackRace is the wall-clock concurrency battery: over real
 // TCP sockets, concurrent submitters to several destinations race metrics
-// snapshots, rail-weight retunes and Flush on a four-shard engine, and the
-// test ends with Close racing Submit. Run under -race this exercises every
-// lock tier at once: submit inboxes, shard locks, channel pumps, the
-// protocol mutex, and the atomic tuning/bundle swaps.
+// snapshots, rail-weight retunes, SetNagle and Flush, and the test ends
+// with Close racing Submit. Run under -race this exercises every lock tier
+// at once: shard locks, channel pumps, the protocol mutex, and the atomic
+// tuning/bundle swaps. The one-shard run puts all eight submitters, the
+// retuners and Close on a single shard.mu — the layout every simulation
+// and testnet runs.
 func TestShardedLoopbackRace(t *testing.T) {
+	t.Run("shards=4", func(t *testing.T) { shardedLoopbackRace(t, 4, 6) })
+	t.Run("shards=1", func(t *testing.T) { shardedLoopbackRace(t, 1, 8) })
+}
+
+// shardedLoopbackRace runs the battery on a sender with the given shard
+// count: flows 1..flows/2 go to node 1, the rest to node 2.
+func shardedLoopbackRace(t *testing.T, shards, flows int) {
 	nodes, cleanup, err := drivers.NewMeshCluster(3, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +133,6 @@ func TestShardedLoopbackRace(t *testing.T) {
 	defer cleanup()
 	rt := simnet.NewRealRuntime()
 
-	const flows = 6 // flows 1..3 -> node 1, flows 4..6 -> node 2
 	const perFlow = 40
 	type rx struct {
 		mu   sync.Mutex
@@ -132,7 +141,7 @@ func TestShardedLoopbackRace(t *testing.T) {
 		want int
 	}
 	mkRx := func(want int) *rx { return &rx{done: make(chan struct{}, 1), want: want} }
-	receivers := map[packet.NodeID]*rx{1: mkRx(3 * perFlow), 2: mkRx(3 * perFlow)}
+	receivers := map[packet.NodeID]*rx{1: mkRx(flows / 2 * perFlow), 2: mkRx(flows / 2 * perFlow)}
 
 	mkEngine := func(n packet.NodeID, deliver proto.DeliverFunc) *Engine {
 		b, err := strategy.New("aggregate")
@@ -147,7 +156,7 @@ func TestShardedLoopbackRace(t *testing.T) {
 			Runtime:    rt,
 			Rails:      []drivers.Driver{nodes[n]},
 			Deliver:    deliver,
-			Shards:     4,
+			Shards:     shards,
 			NagleDelay: simnet.FromWall(100 * time.Microsecond),
 		})
 		if err != nil {
@@ -184,8 +193,8 @@ func TestShardedLoopbackRace(t *testing.T) {
 			default:
 			}
 			sender.MetricsInto(&scratch)
-			if scratch.Shards != 4 {
-				t.Errorf("snapshot Shards = %d, want 4", scratch.Shards)
+			if scratch.Shards != shards {
+				t.Errorf("snapshot Shards = %d, want %d", scratch.Shards, shards)
 				return
 			}
 		}
@@ -206,19 +215,21 @@ func TestShardedLoopbackRace(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // flushes
+	go func() { // Nagle retunes and flushes
 		defer aux.Done()
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
+			sender.SetNagle(simnet.FromWall(time.Duration(i%2)*100*time.Microsecond), 0)
 			sender.Flush()
 			runtime.Gosched()
 		}
 	}()
 
+	var accepted atomic.Uint64 // Submits that returned nil
 	var wg sync.WaitGroup
 	for f := 1; f <= flows; f++ {
 		f := f
@@ -238,6 +249,7 @@ func TestShardedLoopbackRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				accepted.Add(1)
 			}
 		}()
 	}
@@ -274,9 +286,14 @@ func TestShardedLoopbackRace(t *testing.T) {
 		r.mu.Unlock()
 	}
 
+	if m := sender.Metrics(); m.Backlog != 0 || m.Submitted != accepted.Load() {
+		t.Fatalf("at quiescence: Backlog = %d, Submitted = %d of %d accepted", m.Backlog, m.Submitted, accepted.Load())
+	}
+
 	// Close races Submit: late submissions either land before the closed
 	// flag or come back with the closed error — nothing panics, nothing
-	// deadlocks, and the -race run certifies the shutdown ordering.
+	// deadlocks, the -race run certifies the shutdown ordering, and every
+	// Submit that returned nil was counted.
 	var lateWg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		g := g
@@ -291,9 +308,13 @@ func TestShardedLoopbackRace(t *testing.T) {
 				if err := sender.Submit(p); err != nil {
 					return // "engine closed" is the expected terminal answer
 				}
+				accepted.Add(1)
 			}
 		}()
 	}
 	sender.Close()
 	lateWg.Wait()
+	if got := sender.Metrics().Submitted; got != accepted.Load() {
+		t.Fatalf("after Close: Submitted = %d, Submit returned nil %d times", got, accepted.Load())
+	}
 }

@@ -105,18 +105,6 @@ func newMadTransfer(tb testing.TB) (transfer func()) {
 	}
 }
 
-// BenchmarkMadMeshTransfer measures one message through the whole Figure-1
-// stack, collect layer included, over a real 2-node TCP mesh.
-func BenchmarkMadMeshTransfer(b *testing.B) {
-	transfer := newMadTransfer(b)
-	b.SetBytes(16 + 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		transfer()
-	}
-}
-
 // TestAllocsMadMeshRoundTrip gates the same transfer's allocations. The
 // steady state is 4 — the Message, the Incoming, and one delivered-payload
 // block for each of the two data frames the message travels in (the header

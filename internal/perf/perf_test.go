@@ -1,18 +1,14 @@
-// Package perf holds the repo's datapath microbenchmarks and the
-// allocation-regression tests that keep the zero-alloc steady state honest
-// (DESIGN.md §5).
+// Package perf holds the allocation-regression tests that keep the
+// zero-alloc steady state honest (DESIGN.md §5), the multi-core submit
+// scaling gate and the retune-cost gates.
 //
-// Run with:
-//
-//	go test -bench . -benchmem ./internal/perf
-//
-// The benchmarks measure host-side cost of the three hot paths — the eager
-// send pump (submit → plan → frame → post), the receive path (decode →
-// dispatch → reassemble → deliver), and the wire codec — plus a real TCP
-// mesh round-trip and a rendezvous bulk transfer for end-to-end context.
-// The TestAllocs* tests pin the steady-state allocation budgets and
-// TestBytes* the bytes a received bulk frame may cost; CI fails on
-// regression.
+// The TestAllocs* tests pin the steady-state allocation budgets of the hot
+// paths — the eager send pump (submit → plan → frame → post), the receive
+// path (decode → dispatch → reassemble → deliver), the wire codec, a real
+// TCP mesh round trip — and TestBytes* the bytes a received bulk frame may
+// cost; CI fails on regression. What those paths cost in time is measured
+// on a real backlog by the repository benchmark's layer ledger
+// (`go run ./bench -trace 1`), not here.
 package perf
 
 import (
@@ -34,11 +30,15 @@ import (
 
 // sinkDriver is an always-idle driver that consumes every posted frame
 // terminally, exactly as a wire rail's owner goroutine does after the
-// bytes hit the socket: the frame is released back to the pool. The
-// cheapest possible transfer layer, so engine-side costs dominate.
+// bytes hit the socket: the frame is released back to the pool and the
+// channel reports idle again. The cheapest possible transfer layer, so
+// engine-side costs dominate. The idle upcall is what keeps a backlog
+// moving: a pump stops after one post, and on a rail that never says
+// "idle" nothing but the next Submit would run another.
 type sinkDriver struct {
 	node   packet.NodeID
 	caps   caps.Caps
+	onIdle drivers.IdleFunc
 	onRecv drivers.RecvFunc
 }
 
@@ -53,12 +53,15 @@ func (d *sinkDriver) Mem() memsim.Model                  { return memsim.Default
 func (d *sinkDriver) NumChannels() int                   { return d.caps.Channels }
 func (d *sinkDriver) ChannelIdle(ch int) bool            { return true }
 func (d *sinkDriver) FirstIdle() (int, bool)             { return 0, true }
-func (d *sinkDriver) SetIdleHandler(drivers.IdleFunc)    {}
+func (d *sinkDriver) SetIdleHandler(fn drivers.IdleFunc) { d.onIdle = fn }
 func (d *sinkDriver) SetRecvHandler(fn drivers.RecvFunc) { d.onRecv = fn }
 func (d *sinkDriver) Close() error                       { return nil }
 
 func (d *sinkDriver) Post(ch int, f *packet.Frame, _ simnet.Duration) error {
 	packet.ReleaseFrame(f)
+	if d.onIdle != nil {
+		d.onIdle(ch)
+	}
 	return nil
 }
 
@@ -88,26 +91,6 @@ func newEngineAt(b testing.TB, node packet.NodeID, deliver proto.DeliverFunc) (*
 		b.Fatal(err)
 	}
 	return e, sink
-}
-
-// BenchmarkEagerSend measures the steady-state eager datapath on the send
-// side: one Submit driving the full pump (eligibility, plan, frame build,
-// post) on an always-idle rail.
-func BenchmarkEagerSend(b *testing.B) {
-	e, _ := newEngine(b, nil)
-	defer e.Close()
-	payload := make([]byte, 64)
-	p := &packet.Packet{
-		Flow: 1, Msg: 1, Src: 0, Dst: 1,
-		Class: packet.ClassSmall, Payload: payload,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Submit(p); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // TestAllocsEagerSend pins the steady-state eager pump budget: no
@@ -229,20 +212,6 @@ func (h *receiveHarness) deliver(tb testing.TB) {
 	h.recv(1, f)
 }
 
-// BenchmarkMeshReceive measures the receive path for a 16-entry aggregated
-// frame — the aggregation depth the paper's cross-flow claim is about:
-// wire decode into a pooled frame, protocol dispatch (payload copy-out),
-// reassembly, delivery upcall, frame+buffer recycling.
-func BenchmarkMeshReceive(b *testing.B) {
-	h := newReceiveHarness(b, 16, 64)
-	b.SetBytes(int64(len(h.tmpl)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.deliver(b)
-	}
-}
-
 // TestAllocsMeshReceive pins the steady-state receive budget for an
 // 8-entry frame: one payload block (it escapes to the application as the
 // delivered payload slices) and nothing else — buffer, frame, entries,
@@ -258,22 +227,6 @@ func TestAllocsMeshReceive(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeVec measures the vectored encoder (headers into scratch,
-// payloads by reference) the wire rails serialize with.
-func BenchmarkEncodeVec(b *testing.B) {
-	f := benchFrame(8, 64)
-	var vec [][]byte
-	var meta []byte
-	b.SetBytes(int64(f.WireSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		meta = append(meta[:0], 0, 0, 0, 0)
-		vec, meta = f.EncodeVec(vec[:0], meta)
-	}
-	_ = vec
-}
-
 // TestAllocsEncodeVec pins the vectored encoder at zero steady-state
 // allocations — it is what every wire frame pays on the rail owner.
 func TestAllocsEncodeVec(t *testing.T) {
@@ -287,36 +240,6 @@ func TestAllocsEncodeVec(t *testing.T) {
 	op()
 	if allocs := testing.AllocsPerRun(500, op); allocs > 0 {
 		t.Fatalf("EncodeVec costs %.2f allocs/op, budget is 0", allocs)
-	}
-}
-
-// BenchmarkDecode measures the allocating decoder (fresh frame per call).
-func BenchmarkDecode(b *testing.B) {
-	f := benchFrame(8, 64)
-	buf := f.Encode(nil)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := packet.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeInto measures the pooling-aware decoder the wire readers
-// use: entries reuse the target frame's backing array.
-func BenchmarkDecodeInto(b *testing.B) {
-	f := benchFrame(8, 64)
-	buf := f.Encode(nil)
-	var into packet.Frame
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := packet.DecodeInto(&into, buf); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -420,20 +343,6 @@ func newRoundTrip(tb testing.TB) (roundTrip func()) {
 	}
 }
 
-// BenchmarkMeshRoundTrip measures one request-response over a real 2-node
-// TCP mesh. Expect 4 allocs/op (10 before the socket senders and the plan
-// builder stopped allocating per frame): the two packets the benchmark
-// itself builds and one delivered-payload block per direction.
-func BenchmarkMeshRoundTrip(b *testing.B) {
-	roundTrip := newRoundTrip(b)
-	b.SetBytes(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		roundTrip()
-	}
-}
-
 // TestAllocsMeshRoundTrip gates the round trip's allocations: 4 is the
 // steady state, and the budget of 5 leaves one of slack for a pool a
 // concurrent GC emptied (the count is process-wide: both engines, four
@@ -484,19 +393,6 @@ func newBulkTransfer(tb testing.TB, size int) (transfer func()) {
 	}
 }
 
-// BenchmarkMeshReceiveBulk measures a 256 KiB rendezvous transfer over the
-// real mesh; B/op is what the receive side allocates per RData frame.
-func BenchmarkMeshReceiveBulk(b *testing.B) {
-	const size = 256 << 10
-	transfer := newBulkTransfer(b, size)
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		transfer()
-	}
-}
-
 // TestBytesMeshReceiveBulk gates the landing-buffer rule (DESIGN.md §5): an
 // RData frame's payload escapes to the application, so the reader lands it
 // in an exact-size buffer and a transfer allocates about its payload — not
@@ -523,18 +419,6 @@ func TestBytesMeshReceiveBulk(t *testing.T) {
 		if per > budget {
 			t.Errorf("%d KiB RData: %.0f B allocated per transfer, budget is %.0f", size>>10, per, budget)
 		}
-	}
-}
-
-// BenchmarkSpanObserve measures the telemetry substrate's per-sample cost
-// in isolation: one histogram insert behind a per-cell mutex, with
-// pre-resolved integer indices — the price every datapath stamp pays.
-func BenchmarkSpanObserve(b *testing.B) {
-	sp := stats.NewSpans(5, int(packet.NumClasses), 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp.Observe(1, int(packet.ClassSmall), i&1, float64(100+i&1023))
 	}
 }
 
