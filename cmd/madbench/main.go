@@ -45,77 +45,32 @@ func fmtBytes(n uint64) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// jsonReport is the schema of the -json output. Each schema is a strict
-// superset of its predecessor, so committed snapshots keep comparing
-// field-for-field: madbench/v2 added per-experiment controller decision
-// counts (E11, X3) over v1, madbench/v3 added fault/recovery counters
-// for the chaos experiments (X5) — how many faults were injected into each
-// run and how many recovery actions (failovers, rendezvous retries) the
-// engines fired in response — plus their fleet totals, madbench/v4
-// adds per-experiment memory accounting (allocations, allocated bytes,
-// and GC pause time attributable to one experiment run — the "op" of the
-// *_per_op fields) so the zero-alloc datapath work stays observable in
-// the same trajectory the wall-clock numbers live in, and madbench/v5
-// adds per-experiment latency quantiles from the telemetry subsystem's
-// span histograms (end-to-end and queue-wait, merged across every engine
-// in the run) plus the report-level sample totals, and madbench/v6 adds
-// per-tenant admission outcomes (offered/admitted/refused splits and
-// per-tenant e2e p99) for the multi-tenant experiments (X6) plus the
-// report-level refusal total — every v5 field is carried unchanged.
+// jsonReport is the schema of the -json output, "madbench/v6": every table
+// of every selected experiment, what producing it cost (wall clock,
+// allocations, GC pause), what the run recorded beside its tables
+// (exp.Report: controller decisions, fault/recovery counts, latency-span
+// quantiles, per-tenant admission outcomes), and the totals of those
+// across the selection.
 type jsonReport struct {
-	Schema      string           `json:"schema"` // "madbench/v6"
+	Schema      string           `json:"schema"`
 	GeneratedAt time.Time        `json:"generated_at"`
 	Quick       bool             `json:"quick"`
 	Seed        uint64           `json:"seed"`
 	Experiments []jsonExperiment `json:"experiments"`
-	// ControllerDecisions totals the applied retunes across all selected
-	// experiments (v2).
+	// ControllerDecisions totals the applied retunes (E11, X3).
 	ControllerDecisions uint64 `json:"controller_decisions"`
-	// FaultsInjected/Recoveries total the chaos accounting across all
-	// selected experiments (v3).
+	// FaultsInjected/Recoveries total the chaos accounting (X5).
 	FaultsInjected uint64 `json:"faults_injected"`
 	Recoveries     uint64 `json:"recoveries"`
-	// TotalAllocs/TotalAllocBytes/GCPauseTotalNs total the memory
-	// accounting across all selected experiments (v4).
+	// TotalAllocs/TotalAllocBytes/GCPauseTotalNs total the memory accounting.
 	TotalAllocs     uint64 `json:"total_allocs"`
 	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
 	GCPauseTotalNs  uint64 `json:"gc_pause_total_ns"`
 	// LatencySamples totals the span observations behind every reported
-	// quantile across all selected experiments (v5).
+	// quantile.
 	LatencySamples uint64 `json:"latency_samples"`
-	// TenantRefusals totals the admission-control refusals across all
-	// selected experiments (v6).
+	// TenantRefusals totals the admission-control refusals (X6).
 	TenantRefusals uint64 `json:"tenant_refusals"`
-}
-
-// jsonTenant is one tenant's admission outcome in an experiment's final
-// run (v6). Refusals are typed Submit errors — shed at the admission
-// edge, never queued and never silently dropped.
-type jsonTenant struct {
-	Tenant   uint8   `json:"tenant"`
-	Offered  uint64  `json:"offered"`
-	Admitted uint64  `json:"admitted"`
-	Refused  uint64  `json:"refused"`
-	P99E2EUs float64 `json:"p99_e2e_us"`
-}
-
-// jsonQuantiles is one span kind's digest: sample count plus the µs
-// quantiles (v5).
-type jsonQuantiles struct {
-	Count uint64  `json:"count"`
-	P50Us float64 `json:"p50_us"`
-	P95Us float64 `json:"p95_us"`
-	P99Us float64 `json:"p99_us"`
-}
-
-// jsonLatency carries one experiment's latency digest: the end-to-end
-// span (submit→in-order delivery; eager deliveries only — rendezvous
-// payloads are reconstructed at the receiver without the submit stamp)
-// and the queue-wait span (submit→first post attempt), merged across
-// every engine in the run (v5).
-type jsonLatency struct {
-	E2E   jsonQuantiles `json:"e2e"`
-	Qwait jsonQuantiles `json:"queue_wait"`
 }
 
 type jsonExperiment struct {
@@ -124,25 +79,14 @@ type jsonExperiment struct {
 	Claim  string         `json:"claim"`
 	WallMs float64        `json:"wall_ms"`
 	Tables []*stats.Table `json:"tables"`
-	// ControllerDecisions counts retunes the experiment's controllers
-	// applied; omitted for controller-free experiments (v2).
-	ControllerDecisions uint64 `json:"controller_decisions,omitempty"`
-	// FaultsInjected/Recoveries count the faults that hit the run and the
-	// recovery actions the engines fired; omitted for fault-free
-	// experiments (v3).
-	FaultsInjected uint64 `json:"faults_injected,omitempty"`
-	Recoveries     uint64 `json:"recoveries,omitempty"`
 	// AllocsPerOp/BytesPerOp/GCPauseNs are runtime.MemStats deltas across
-	// the experiment's Run — the op is one full experiment execution (v4).
+	// the experiment's Run — the op is one full experiment execution.
 	AllocsPerOp uint64 `json:"allocs_per_op"`
 	BytesPerOp  uint64 `json:"bytes_per_op"`
 	GCPauseNs   uint64 `json:"gc_pause_ns"`
-	// Latency is the experiment's final-run latency digest; omitted when
-	// the experiment reported none (v5).
-	Latency *jsonLatency `json:"latency,omitempty"`
-	// Tenants is the experiment's per-tenant admission digest; omitted for
-	// tenant-free experiments (v6).
-	Tenants []jsonTenant `json:"tenants,omitempty"`
+	// Report is what the run recorded beside its tables; each part is
+	// omitted for experiments that have none (exp.Report carries the keys).
+	exp.Report
 }
 
 func main() {
@@ -215,7 +159,7 @@ func main() {
 	for _, e := range selected {
 		fmt.Printf("### %s — %s\n", e.ID, e.Title)
 		fmt.Printf("    claim: %s\n\n", e.Claim)
-		// Memory accounting (v4): a GC fence before the run keeps one
+		// Memory accounting: a GC fence before the run keeps one
 		// experiment's garbage from billing the next; deltas across Run
 		// attribute allocations and GC pauses to this experiment.
 		var m0, m1 runtime.MemStats
@@ -234,20 +178,10 @@ func main() {
 		fmt.Printf("    (%s in %v; %d allocs, %s allocated, %v GC pause)\n\n",
 			e.ID, wall.Round(time.Millisecond), allocs, fmtBytes(bytes), time.Duration(gcPause).Round(time.Microsecond))
 		rec := exp.ReportOf(e.ID)
-		var latency *jsonLatency
 		if lat := rec.Latency; lat != nil {
-			latency = &jsonLatency{
-				E2E:   jsonQuantiles{Count: lat.E2ECount, P50Us: lat.E2EP50Us, P95Us: lat.E2EP95Us, P99Us: lat.E2EP99Us},
-				Qwait: jsonQuantiles{Count: lat.QwaitCount, P50Us: lat.QwaitP50Us, P95Us: lat.QwaitP95Us, P99Us: lat.QwaitP99Us},
-			}
 			report.LatencySamples += lat.E2ECount + lat.QwaitCount
 		}
-		var tenants []jsonTenant
 		for _, ts := range rec.Tenants {
-			tenants = append(tenants, jsonTenant{
-				Tenant: ts.Tenant, Offered: ts.Offered, Admitted: ts.Admitted,
-				Refused: ts.Refused, P99E2EUs: ts.P99E2EUs,
-			})
 			report.TenantRefusals += ts.Refused
 		}
 		report.ControllerDecisions += rec.Decisions
@@ -258,16 +192,12 @@ func main() {
 		report.GCPauseTotalNs += gcPause
 		report.Experiments = append(report.Experiments, jsonExperiment{
 			ID: e.ID, Title: e.Title, Claim: e.Claim,
-			WallMs:              float64(wall.Microseconds()) / 1e3,
-			Tables:              tables,
-			ControllerDecisions: rec.Decisions,
-			FaultsInjected:      rec.FaultsInjected,
-			Recoveries:          rec.Recoveries,
-			AllocsPerOp:         allocs,
-			BytesPerOp:          bytes,
-			GCPauseNs:           gcPause,
-			Latency:             latency,
-			Tenants:             tenants,
+			WallMs:      float64(wall.Microseconds()) / 1e3,
+			Tables:      tables,
+			AllocsPerOp: allocs,
+			BytesPerOp:  bytes,
+			GCPauseNs:   gcPause,
+			Report:      rec,
 		})
 	}
 

@@ -16,15 +16,20 @@ import (
 	"time"
 
 	"newmad/internal/caps"
-	"newmad/internal/core"
-	"newmad/internal/drivers"
+	"newmad/internal/exp"
 	"newmad/internal/packet"
-	"newmad/internal/proto"
 	"newmad/internal/simnet"
 	"newmad/internal/strategy"
 	"newmad/internal/trace"
 	"newmad/internal/workload"
 )
+
+// usage reports a bad flag value the way flag itself would: one line, exit
+// status 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "madsim: "+format+"\n", args...)
+	os.Exit(2)
+}
 
 func main() {
 	var (
@@ -53,85 +58,64 @@ func main() {
 
 	prof, ok := caps.Lookup(*profile)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "madsim: unknown profile %q (have %v)\n", *profile, caps.Names())
-		os.Exit(2)
+		usage("unknown profile %q (have %v)", *profile, caps.Names())
+	}
+	if _, err := strategy.New(*bundle); err != nil {
+		usage("%v", err)
+	}
+	if *flows < 1 || *count < 1 || *size < 0 {
+		usage("need -flows >= 1, -count >= 1 and -size >= 0 (got %d, %d, %d)", *flows, *count, *size)
 	}
 	if *channels > 0 {
 		prof.Channels = *channels
 	}
-	cl, err := drivers.NewCluster(2, prof)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "madsim:", err)
-		os.Exit(1)
-	}
-	engines := map[packet.NodeID]*core.Engine{}
-	delivered := 0
 	var rec *trace.Recorder
 	if *doTrace {
 		rec = trace.New(256)
 	}
-	for n := packet.NodeID(0); n < 2; n++ {
-		b, err := strategy.New(*bundle)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "madsim:", err)
-			os.Exit(2)
-		}
-		eng, err := core.New(n, core.Options{
-			Bundle:       b,
-			Runtime:      cl.Eng,
-			Rails:        []drivers.Driver{cl.Driver(n, prof.Name)},
-			Deliver:      func(proto.Deliverable) { delivered++ },
-			NagleDelay:   simnet.FromWall(*nagle),
-			Lookahead:    *lookahead,
-			SearchBudget: *budget,
-			Stats:        cl.Stats,
-			Trace:        rec,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "madsim:", err)
-			os.Exit(1)
-		}
-		engines[n] = eng
-	}
-
 	var dist workload.SizeDist = workload.Fixed(*size)
 	if *size == 0 {
 		dist = workload.Pareto{Lo: 16, Hi: 64 << 10, Alpha: 1.2}
 	}
-	wl := workload.NewDriver(cl.Eng, engines, *seed)
-	for f := 0; f < *flows; f++ {
-		wl.Add(workload.FlowSpec{
-			Flow: packet.FlowID(f + 1), Src: 0, Dst: 1,
-			Class:   packet.ClassSmall,
+
+	// The scenario is one experiment point: every flow runs 0 -> 1.
+	m, rig, err := exp.RunPoint(exp.Point{
+		RigOptions: exp.RigOptions{
+			Profiles:     []caps.Caps{prof},
+			Bundle:       *bundle,
+			Nagle:        simnet.FromWall(*nagle),
+			Lookahead:    *lookahead,
+			SearchBudget: *budget,
+			Trace:        rec,
+		},
+		Flows: exp.Fan(*flows, workload.FlowSpec{
+			Dst: 1, Class: packet.ClassSmall,
 			Size:    dist,
 			Arrival: workload.BackToBack{},
 			Count:   *count,
-		})
+		}),
+	}, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "madsim:", err)
+		os.Exit(1)
 	}
 
-	start := time.Now()
-	end := cl.Eng.Run()
-	wall := time.Since(start)
-
 	total := *flows * *count
+	st := rig.Cl.Stats
 	fmt.Printf("scenario : %d flows × %d msgs of %s over %s, strategy %q\n",
 		*flows, *count, dist, prof.Name, *bundle)
-	fmt.Printf("delivered: %d/%d\n", delivered, total)
-	fmt.Printf("virtual  : %v  (wall %v)\n", end, wall.Round(time.Microsecond))
-	fmt.Printf("frames   : %d  (%.2f packets/frame)\n",
-		cl.Stats.CounterValue("nic.tx.frames"),
-		float64(total)/float64(cl.Stats.CounterValue("nic.tx.frames")))
-	lat := engines[1].Spans().Total(int(core.SpanE2E)) // every flow runs 0 -> 1
-	fmt.Printf("latency  : mean %.1fµs  p50 %.1fµs  p99 %.1fµs\n",
-		lat.Mean()/1000, lat.Quantile(0.5)/1000, lat.Quantile(0.99)/1000)
-	if end > 0 {
+	fmt.Printf("delivered: %d/%d\n", m.Delivered, total)
+	fmt.Printf("virtual  : %v  (wall %v)\n", m.End, m.Wall.Round(time.Microsecond))
+	fmt.Printf("frames   : %d  (%.2f packets/frame)\n", m.Frames, m.PerFrame())
+	fmt.Printf("latency  : mean %.1fµs  p50 %.1fµs  p99 %.1fµs\n", m.MeanLatUs, m.P50LatUs, m.P99LatUs)
+	if m.End > 0 {
+		secs := float64(m.End) / 1e9
 		fmt.Printf("rate     : %.0f msg/s, %.1f MB/s payload\n",
-			float64(total)/(float64(end)/1e9),
-			float64(cl.Stats.CounterValue("core.submitted_bytes"))/(float64(end)/1e9)/1e6)
+			float64(total)/secs, float64(st.CounterValue("core.submitted_bytes"))/secs/1e6)
 	}
 	if *dump {
 		fmt.Println()
-		fmt.Print(cl.Stats.Dump())
+		fmt.Print(st.Dump())
 	}
 	if rec != nil {
 		fmt.Printf("\ndecision timeline (%d of %d events retained):\n", rec.Len(), rec.Total())

@@ -167,6 +167,21 @@ func RailProfiles(base Caps, n int) []Caps {
 	return out
 }
 
+// EngineOrder returns a copy of profiles in the order an engine indexes a
+// node's rails — the order a strategy.NewScheduledRail table must use.
+//
+// core.New sorts rails by Driver.Name(), and every driver embeds its profile
+// name followed by '@' ("mesh:<profile>@n<id>", "<profile>@n<id>"), so the
+// comparison here is on Name+"@". Sorting bare names diverges whenever one
+// profile name is a strict prefix of another ("net" vs "net2": '@' > '2',
+// so the engine orders net2 first), and a mis-indexed rail table pins
+// control traffic to the wrong rail.
+func EngineOrder(profiles []Caps) []Caps {
+	out := append([]Caps(nil), profiles...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Name+"@" < out[j].Name+"@" })
+	return out
+}
+
 // String renders a single-line summary.
 func (c Caps) String() string {
 	return fmt.Sprintf("%s: α=%v wire=%v bw=%.0fMB/s pio<=%dB iov=%d agg<=%dB rndv>%dB rdma=%v ch=%d",

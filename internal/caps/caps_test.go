@@ -1,6 +1,7 @@
 package caps
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -139,5 +140,30 @@ func TestString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() = %q missing %q", s, want)
 		}
+	}
+}
+
+// TestEngineOrderMatchesDriverNames pins the one spelling of the engine's
+// rail order against what core.New actually sorts — driver names, which
+// embed the profile name followed by '@' — including the case a bare-name
+// sort gets wrong: one profile name a strict prefix of another.
+func TestEngineOrderMatchesDriverNames(t *testing.T) {
+	in := []Caps{{Name: "net"}, {Name: "net2"}, {Name: "mx"}, {Name: "gige.r1"}, {Name: "gige.r0"}}
+	got := EngineOrder(in)
+	if in[0].Name != "net" || in[4].Name != "gige.r0" {
+		t.Fatal("EngineOrder reordered its argument")
+	}
+	names := make([]string, len(in))
+	for i, c := range in {
+		names[i] = "mesh:" + c.Name + "@n3" // drivers.Mesh.Name()
+	}
+	sort.Strings(names)
+	for i, c := range got {
+		if want := names[i]; want != "mesh:"+c.Name+"@n3" {
+			t.Fatalf("rail %d: EngineOrder has %q, the engine sorts %q there", i, c.Name, want)
+		}
+	}
+	if got[3].Name != "net2" || got[4].Name != "net" {
+		t.Fatalf("prefix names: got %q then %q, want net2 before net ('2' < '@')", got[3].Name, got[4].Name)
 	}
 }

@@ -16,7 +16,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"newmad/internal/caps"
 	"newmad/internal/chaos"
@@ -150,27 +149,17 @@ type Cluster struct {
 }
 
 // RailCaps returns the rail capability profiles a cluster built from o will
-// run, in the engine's rail order. Use it to build a matching
-// strategy.NewScheduledRail.
-//
-// core.New sorts a node's rails by Driver.Name(), which for mesh rails is
-// "mesh:<profile>@n<id>" — so the sort key here must be the profile name
-// *as embedded in that string*, i.e. followed by '@'. Sorting bare names
-// would diverge whenever one profile name is a strict prefix of another
-// ("net" vs "net2": '@' > '2', so the engine orders net2 first), and a
-// mis-indexed rail table would pin control traffic to the wrong rail.
+// run, in the engine's rail order (caps.EngineOrder). Use it to build a
+// matching strategy.NewScheduledRail.
 func (o Options) RailCaps() []caps.Caps {
-	profiles := o.Rails
-	if len(profiles) == 0 {
-		c := o.Caps
-		if c.Name == "" {
-			c = caps.TCP
-		}
-		profiles = []caps.Caps{c}
+	if len(o.Rails) > 0 {
+		return caps.EngineOrder(o.Rails)
 	}
-	out := append([]caps.Caps(nil), profiles...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name+"@" < out[j].Name+"@" })
-	return out
+	c := o.Caps
+	if c.Name == "" {
+		c = caps.TCP
+	}
+	return []caps.Caps{c}
 }
 
 // New boots the cluster: every node listens (once per rail), dials every

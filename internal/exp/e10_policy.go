@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"newmad/internal/caps"
-	"newmad/internal/packet"
 	"newmad/internal/simnet"
 	"newmad/internal/stats"
 	"newmad/internal/strategy"
@@ -20,103 +18,42 @@ import (
 // observed mix shifts. Reported: control latency and completion per
 // (phase, policy).
 
-func init() {
-	register(Experiment{
-		ID:    "E10",
-		Title: "Dynamic re-assignment of channels to traffic classes",
-		Claim: "§2: resources re-assigned to classes as application phases change",
-		Run:   runE10,
-	})
+func e10Shape(cfg Config) (bulks, pings int) {
+	if cfg.Quick {
+		return 12, 40
+	}
+	return 40, 120
 }
 
-func e10Point(classes strategy.ClassPolicy, bulks, pings int, seed uint64) (Metrics, error) {
-	b, err := strategy.New("aggregate")
-	if err != nil {
-		return Metrics{}, err
-	}
-	b.Classes = classes
-	prof := caps.MX // 4 channels
-	rig, err := NewRig(RigOptions{ID: "E10", Profiles: []caps.Caps{prof}})
-	if err != nil {
-		return Metrics{}, err
-	}
-	for _, eng := range rig.Engines {
-		if err := eng.SetBundle(b); err != nil {
-			return Metrics{}, err
-		}
-	}
-	d := workload.NewDriver(rig.Cl.Eng, rig.Engines, seed)
+func e10Point(classes strategy.ClassPolicy, cfg Config) Metrics {
+	bulks, pings := e10Shape(cfg)
+	// Phase B starts after the bulk phase drains.
+	const phaseB = 4 * simnet.Millisecond
 	// Phase A (bulk-heavy, t=0): bulks × 16 KiB on four flows, plus sparse
 	// pings that suffer if classes share channels.
-	for f := 0; f < 4; f++ {
-		d.Add(workload.FlowSpec{
-			Flow: packet.FlowID(f + 1), Src: 0, Dst: 1, Class: packet.ClassBulk,
-			Size: workload.Fixed(16 << 10), Arrival: workload.BackToBack{},
-			Count: bulks,
-		})
-	}
-	d.Add(workload.FlowSpec{
-		Flow: 5, Src: 0, Dst: 1, Class: packet.ClassControl, Recv: packet.RecvExpress,
-		Size: workload.Fixed(16), Arrival: workload.Poisson{Mean: 50 * simnet.Microsecond},
-		Count: pings / 2,
-	})
-	// Phase B (control-heavy, after the bulk phase drains): a dense ping
-	// stream with a trickle of bulk. A static partition sized for phase A
-	// wastes channels here; the adaptive policy re-partitions.
-	const phaseB = 4 * simnet.Millisecond
-	d.Add(workload.FlowSpec{
-		Flow: 6, Src: 0, Dst: 1, Class: packet.ClassControl, Recv: packet.RecvExpress,
-		Size: workload.Fixed(16), Arrival: workload.Poisson{Mean: 5 * simnet.Microsecond},
-		Count: pings / 2, Start: phaseB,
-	})
-	d.Add(workload.FlowSpec{
-		Flow: 7, Src: 0, Dst: 1, Class: packet.ClassBulk,
-		Size: workload.Fixed(16 << 10), Arrival: workload.Poisson{Mean: 200 * simnet.Microsecond},
-		Count: bulks / 4, Start: phaseB,
-	})
-	total := 4*bulks + pings/2*2 + bulks/4
-	return rig.Run(total)
+	flows := Fan(4, bulk16K(0, workload.BackToBack{}, bulks, 0))
+	flows = append(flows,
+		ping(5, 50*simnet.Microsecond, pings/2, 0),
+		// Phase B (control-heavy): a dense ping stream with a trickle of
+		// bulk. A static partition sized for phase A wastes channels here;
+		// the adaptive policy re-partitions.
+		ping(6, 5*simnet.Microsecond, pings/2, phaseB),
+		bulk16K(7, workload.Poisson{Mean: 200 * simnet.Microsecond}, bulks/4, phaseB),
+	)
+	return classPoint("E10", 4, classes, flows, cfg) // MX's full 4 channels
 }
 
 func runE10(cfg Config) []*stats.Table {
-	bulks, pings := 40, 120
-	if cfg.Quick {
-		bulks, pings = 12, 40
-	}
 	t := stats.NewTable("E10 — static vs adaptive class partitioning across phases (MX, 4 channels)",
 		"class policy", "ctrl p50(µs)", "ctrl p99(µs)", "time(µs)", "frames")
 	t.Caption = "bulk-heavy phase then control-heavy phase; adaptive re-partitions between them"
-	for _, tc := range []struct {
-		name   string
-		policy strategy.ClassPolicy
-	}{
-		{"single-queue", strategy.SingleQueue{}},
-		{"static-reserved", strategy.ReservedControl{}},
-		{"adaptive", strategy.NewAdaptiveClasses(32)},
-	} {
-		m, err := e10Point(tc.policy, bulks, pings, cfg.Seed)
-		if err != nil {
-			panic(err)
-		}
-		t.AddRow(tc.name,
-			stats.FormatFloat(m.CtrlP50Us),
-			stats.FormatFloat(m.CtrlP99Us),
-			stats.FormatFloat(float64(m.End)/1000),
-			stats.FormatFloat(float64(m.Frames)),
-		)
-	}
-	return []*stats.Table{t}
+	return classTable(t, e10Point, cfg,
+		classCase{"single-queue", strategy.SingleQueue{}},
+		classCase{"static-reserved", strategy.ReservedControl{}},
+		classCase{"adaptive", strategy.NewAdaptiveClasses(32)})
 }
 
 // E10CtrlP99 exposes control tail latency per policy for the shape test.
 func E10CtrlP99(policy strategy.ClassPolicy, cfg Config) float64 {
-	bulks, pings := 40, 120
-	if cfg.Quick {
-		bulks, pings = 12, 40
-	}
-	m, err := e10Point(policy, bulks, pings, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	return m.CtrlP99Us
+	return e10Point(policy, cfg).CtrlP99Us
 }

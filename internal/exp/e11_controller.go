@@ -27,15 +27,6 @@ import (
 // live telemetry alone: within 10% of the best static tuning on *every*
 // phase, and strictly ahead of every static tuning end-to-end.
 
-func init() {
-	register(Experiment{
-		ID:    "E11",
-		Title: "Closed-loop adaptive retuning across application phases",
-		Claim: "§2 + controller addendum: a feedback controller re-tunes delay/lookahead/policy as phases alternate, beating every static operating point end-to-end",
-		Run:   runE11,
-	})
-}
-
 // E11Result is one configuration's outcome over the alternating phases.
 type E11Result struct {
 	Name string
@@ -95,15 +86,8 @@ func E11Run(tuningName string, adaptive bool, cfg Config) (E11Result, error) {
 			fail = err
 		}
 	}
-	mkPkt := func(flow packet.FlowID, seq, size int, src, dst packet.NodeID) *packet.Packet {
-		return &packet.Packet{
-			Flow: flow, Msg: packet.MsgID(seq), Seq: seq, Last: true,
-			Src: src, Dst: dst, Class: packet.ClassSmall,
-			Payload: make([]byte, size),
-		}
-	}
 	sendPing := func() {
-		submit(0, mkPkt(1, pingSeq, e11PingBytes, 0, 1))
+		submit(0, message(1, pingSeq, e11PingBytes, 0, 1))
 		pingSeq++
 	}
 
@@ -124,7 +108,7 @@ func E11Run(tuningName string, adaptive bool, cfg Config) (E11Result, error) {
 					for f := 0; f < e11Flows; f++ {
 						flow := packet.FlowID(100*(phaseIdx+1) + 10 + f)
 						for q := 0; q < e11BurstSize; q++ {
-							submit(0, mkPkt(flow, b*e11BurstSize+q, e11PingBytes, 0, 1))
+							submit(0, message(flow, b*e11BurstSize+q, e11PingBytes, 0, 1))
 						}
 					}
 				})
@@ -149,7 +133,7 @@ func E11Run(tuningName string, adaptive bool, cfg Config) (E11Result, error) {
 			switch {
 			case node == 1 && d.Pkt.Flow == 1:
 				// Ping arrived: answer.
-				submit(1, mkPkt(2, pongSeq, e11PingBytes, 1, 0))
+				submit(1, message(2, pongSeq, e11PingBytes, 1, 0))
 				pongSeq++
 			case node == 0 && d.Pkt.Flow == 2:
 				// Pong arrived: rung complete.
@@ -217,13 +201,7 @@ func E11Run(tuningName string, adaptive bool, cfg Config) (E11Result, error) {
 	}
 
 	startPhase()
-	// Controller ticks reschedule themselves, so with controllers attached
-	// the event queue never drains; a generous virtual deadline (the worst
-	// static configuration completes in tens of milliseconds) turns a lost
-	// delivery into a fast, diagnosable stall instead of a spin.
-	const deadline = simnet.Time(1 * simnet.Second)
-	for !done && fail == nil && rig.Cl.Eng.Now() < deadline && rig.Cl.Eng.Step() {
-	}
+	rig.stepUntil(func() bool { return done || fail != nil })
 	for _, c := range controllers {
 		c.Stop()
 		res.Retunes += c.Retunes()
@@ -259,25 +237,16 @@ func E11All(cfg Config) ([]E11Result, error) {
 }
 
 func runE11(cfg Config) []*stats.Table {
-	results, err := E11All(cfg)
-	if err != nil {
-		panic(err)
-	}
 	t := stats.NewTable("E11 — adaptive controller vs static tunings (alternating ping-pong / burst phases, MX 1ch)",
 		"tuning", "pingpong1(µs)", "burst1(µs)", "pingpong2(µs)", "burst2(µs)", "total(µs)", "frames", "retunes")
 	t.Caption = "the controller must track every phase within 10% of its best static tuning and win end-to-end"
 	var retunes uint64
-	for _, r := range results {
-		row := []string{r.Name}
+	for _, r := range must(E11All(cfg)) {
+		row := []any{r.Name}
 		for _, p := range r.PhaseTimes {
-			row = append(row, stats.FormatFloat(p.Micros()))
+			row = append(row, p.Micros())
 		}
-		row = append(row,
-			stats.FormatFloat(r.Total.Micros()),
-			fmt.Sprintf("%d", r.Frames),
-			fmt.Sprintf("%d", r.Retunes),
-		)
-		t.AddRow(row...)
+		t.AddRowf(append(row, r.Total.Micros(), r.Frames, r.Retunes)...)
 		retunes += r.Retunes
 	}
 	report("E11", func(r *Report) { r.Decisions = retunes })

@@ -20,13 +20,11 @@ import (
 // count: network transactions, completion time, message rate, mean
 // latency, and the speedup of the new engine over the baseline.
 
-func init() {
-	register(Experiment{
-		ID:    "E1",
-		Title: "Cross-flow aggregation of eager segments vs previous Madeleine",
-		Claim: "§4: aggregating eager segments from several independent flows brings huge gains",
-		Run:   runE1,
-	})
+func e1Shape(cfg Config) (perFlow int, flowCounts []int) {
+	if cfg.Quick {
+		return 16, []int{1, 4, 8}
+	}
+	return 64, []int{1, 2, 4, 8, 16}
 }
 
 // e1Point runs one (bundle, flows) cell. Per-flow arrivals are moderate
@@ -34,57 +32,31 @@ func init() {
 // once, so aggregation material exists only *across* flows — the exact
 // situation §4's claim is about. (Back-to-back arrivals would let a flow
 // aggregate with itself and hide the cross-flow effect.)
-func e1Point(bundle string, flows, perFlow, size int, seed uint64) (Metrics, error) {
-	rig, err := NewRig(RigOptions{ID: "E1", Bundle: bundle})
-	if err != nil {
-		return Metrics{}, err
-	}
-	d := workload.NewDriver(rig.Cl.Eng, rig.Engines, seed)
-	for f := 0; f < flows; f++ {
-		d.Add(workload.FlowSpec{
-			Flow: packet.FlowID(f + 1), Src: 0, Dst: 1,
-			Class: packet.ClassSmall,
-			Size:  workload.Fixed(size),
-			Arrival: workload.Poisson{
-				Mean: 4 * simnet.Microsecond,
-			},
-			Count: perFlow,
-		})
-	}
-	return rig.Run(flows * perFlow)
+func e1Point(bundle string, flows int, cfg Config) Metrics {
+	perFlow, _ := e1Shape(cfg)
+	m, _ := run(Point{
+		RigOptions: RigOptions{ID: "E1", Bundle: bundle},
+		Flows: Fan(flows, workload.FlowSpec{
+			Dst: 1, Class: packet.ClassSmall,
+			Size:    workload.Fixed(64),
+			Arrival: workload.Poisson{Mean: 4 * simnet.Microsecond},
+			Count:   perFlow,
+		}),
+	}, cfg)
+	return m
 }
 
 func runE1(cfg Config) []*stats.Table {
-	perFlow, size := 64, 64
-	flowCounts := []int{1, 2, 4, 8, 16}
-	if cfg.Quick {
-		perFlow = 16
-		flowCounts = []int{1, 4, 8}
-	}
+	_, flowCounts := e1Shape(cfg)
 	t := stats.NewTable("E1 — cross-flow eager aggregation (MX, 64 B messages)",
 		"flows", "strategy", "frames", "time(µs)", "msg/s", "meanLat(µs)", "speedup")
 	t.Caption = "speedup = fifo completion time / strategy completion time, same workload"
-
 	for _, flows := range flowCounts {
-		base, err := e1Point("fifo", flows, perFlow, size, cfg.Seed)
-		if err != nil {
-			panic(err)
-		}
+		base := e1Point("fifo", flows, cfg)
 		for _, bundle := range []string{"fifo", "aggregate-intraflow", "aggregate"} {
-			m, err := e1Point(bundle, flows, perFlow, size, cfg.Seed)
-			if err != nil {
-				panic(err)
-			}
-			speedup := float64(base.End) / float64(m.End)
-			t.AddRow(
-				fmt.Sprintf("%d", flows),
-				bundle,
-				fmt.Sprintf("%d", m.Frames),
-				stats.FormatFloat(float64(m.End)/1000),
-				stats.FormatFloat(m.MsgPerSec),
-				stats.FormatFloat(m.MeanLatUs),
-				fmt.Sprintf("%.2fx", speedup),
-			)
+			m := e1Point(bundle, flows, cfg)
+			t.AddRowf(flows, bundle, m.Frames, m.EndUs(), m.MsgPerSec, m.MeanLatUs,
+				fmt.Sprintf("%.2fx", float64(base.End)/float64(m.End)))
 		}
 	}
 	return []*stats.Table{t}
@@ -93,17 +65,5 @@ func runE1(cfg Config) []*stats.Table {
 // E1Speedup exposes the headline number for tests: the aggregate-engine
 // speedup over fifo at the given flow count.
 func E1Speedup(flows int, cfg Config) float64 {
-	perFlow := 64
-	if cfg.Quick {
-		perFlow = 16
-	}
-	base, err := e1Point("fifo", flows, perFlow, 64, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	agg, err := e1Point("aggregate", flows, perFlow, 64, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	return float64(base.End) / float64(agg.End)
+	return float64(e1Point("fifo", flows, cfg).End) / float64(e1Point("aggregate", flows, cfg).End)
 }

@@ -18,74 +18,45 @@ import (
 // frame. Small windows forfeit aggregation opportunities; unbounded
 // windows maximize them at higher scan cost (measured as wall time).
 
-func init() {
-	register(Experiment{
-		ID:    "E2",
-		Title: "Packet lookahead window size sweep",
-		Claim: "§4 future work: effect of the lookahead window on optimization quality",
-		Run:   runE2,
-	})
+func e2Shape(cfg Config) (flows, perFlow int, windows []int) {
+	if cfg.Quick {
+		return 4, 16, []int{1, 4, 0}
+	}
+	return 8, 48, []int{1, 2, 4, 8, 16, 32, 0}
 }
 
-func e2Point(window, flows, perFlow int, seed uint64) (Metrics, error) {
-	rig, err := NewRig(RigOptions{ID: "E2", Lookahead: window})
-	if err != nil {
-		return Metrics{}, err
-	}
-	d := workload.NewDriver(rig.Cl.Eng, rig.Engines, seed)
-	for f := 0; f < flows; f++ {
-		d.Add(workload.FlowSpec{
-			Flow: packet.FlowID(f + 1), Src: 0, Dst: 1,
-			Class: packet.ClassSmall,
-			Size:  workload.Uniform{Lo: 32, Hi: 256},
-			Arrival: &workload.Bursts{
-				Size: 8, Gap: 30 * simnet.Microsecond,
-			},
-			Count: perFlow,
-		})
-	}
-	return rig.Run(flows * perFlow)
+func e2Point(window int, cfg Config) Metrics {
+	flows, perFlow, _ := e2Shape(cfg)
+	m, _ := run(Point{
+		RigOptions: RigOptions{ID: "E2", Lookahead: window},
+		Flows: Fan(flows, workload.FlowSpec{
+			Dst: 1, Class: packet.ClassSmall,
+			Size:    workload.Uniform{Lo: 32, Hi: 256},
+			Arrival: &workload.Bursts{Size: 8, Gap: 30 * simnet.Microsecond},
+			Count:   perFlow,
+		}),
+	}, cfg)
+	return m
 }
+
+// wallMs renders a run's host cost for the sweep tables that report it.
+func wallMs(m Metrics) float64 { return float64(m.Wall.Microseconds()) / 1000 }
 
 func runE2(cfg Config) []*stats.Table {
-	flows, perFlow := 8, 48
-	windows := []int{1, 2, 4, 8, 16, 32, 0}
-	if cfg.Quick {
-		flows, perFlow = 4, 16
-		windows = []int{1, 4, 0}
-	}
+	_, _, windows := e2Shape(cfg)
 	t := stats.NewTable("E2 — lookahead window sweep (bursty traffic, MX)",
 		"window", "frames", "time(µs)", "meanLat(µs)", "p99Lat(µs)", "wall(ms)")
 	t.Caption = "window 0 = unbounded; fewer frames and lower completion time indicate better plans"
 	for _, w := range windows {
-		m, err := e2Point(w, flows, perFlow, cfg.Seed)
-		if err != nil {
-			panic(err)
-		}
+		m := e2Point(w, cfg)
 		label := fmt.Sprintf("%d", w)
 		if w == 0 {
 			label = "∞"
 		}
-		t.AddRow(label,
-			fmt.Sprintf("%d", m.Frames),
-			stats.FormatFloat(float64(m.End)/1000),
-			stats.FormatFloat(m.MeanLatUs),
-			stats.FormatFloat(m.P99LatUs),
-			stats.FormatFloat(float64(m.Wall.Microseconds())/1000),
-		)
+		t.AddRowf(label, m.Frames, m.EndUs(), m.MeanLatUs, m.P99LatUs, wallMs(m))
 	}
 	return []*stats.Table{t}
 }
 
 // E2Frames exposes the frame count for a window (test oracle).
-func E2Frames(window int, cfg Config) uint64 {
-	flows, perFlow := 8, 48
-	if cfg.Quick {
-		flows, perFlow = 4, 16
-	}
-	m, err := e2Point(window, flows, perFlow, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	return m.Frames
-}
+func E2Frames(window int, cfg Config) uint64 { return e2Point(window, cfg).Frames }

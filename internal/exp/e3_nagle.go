@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
 	"newmad/internal/stats"
@@ -19,75 +17,41 @@ import (
 // latency-versus-transactions trade-off: more delay, fewer frames, higher
 // mean latency.
 
-func init() {
-	register(Experiment{
-		ID:    "E3",
-		Title: "Nagle-style artificial delay sweep",
-		Claim: "§3: a short artificial delay increases aggregation potential under sparse traffic",
-		Run:   runE3,
-	})
-}
-
-func e3Point(delay simnet.Duration, flows, perFlow int, seed uint64) (Metrics, error) {
-	rig, err := NewRig(RigOptions{
-		ID:         "E3",
-		Nagle:      delay,
-		NagleFlush: 16, // rely on the timer, not backlog pressure
-	})
-	if err != nil {
-		return Metrics{}, err
-	}
-	d := workload.NewDriver(rig.Cl.Eng, rig.Engines, seed)
-	for f := 0; f < flows; f++ {
-		d.Add(workload.FlowSpec{
-			Flow: packet.FlowID(f + 1), Src: 0, Dst: 1,
-			Class:   packet.ClassSmall,
-			Size:    workload.Fixed(64),
-			Arrival: workload.Poisson{Mean: 10 * simnet.Microsecond},
-			Count:   perFlow,
-		})
-	}
-	return rig.Run(flows * perFlow)
-}
-
-func runE3(cfg Config) []*stats.Table {
-	flows, perFlow := 6, 50
-	delays := []simnet.Duration{0, 2 * simnet.Microsecond, 4 * simnet.Microsecond,
-		8 * simnet.Microsecond, 16 * simnet.Microsecond, 32 * simnet.Microsecond}
+func e3Shape(cfg Config) (flows, perFlow int, delaysUs []int) {
 	if cfg.Quick {
-		flows, perFlow = 4, 16
-		delays = []simnet.Duration{0, 8 * simnet.Microsecond, 32 * simnet.Microsecond}
+		return 4, 16, []int{0, 8, 32}
 	}
-	t := stats.NewTable("E3 — Nagle delay sweep (sparse Poisson traffic, MX)",
-		"delay(µs)", "frames", "pkts/frame", "meanLat(µs)", "p99Lat(µs)", "msg/s")
-	t.Caption = "frames fall and latency rises with delay; the knee is the tuning point"
-	for _, d := range delays {
-		m, err := e3Point(d, flows, perFlow, cfg.Seed)
-		if err != nil {
-			panic(err)
-		}
-		perFrame := float64(m.Delivered) / float64(m.Frames)
-		t.AddRow(
-			stats.FormatFloat(d.Micros()),
-			fmt.Sprintf("%d", m.Frames),
-			stats.FormatFloat(perFrame),
-			stats.FormatFloat(m.MeanLatUs),
-			stats.FormatFloat(m.P99LatUs),
-			stats.FormatFloat(m.MsgPerSec),
-		)
-	}
-	return []*stats.Table{t}
+	return 6, 50, []int{0, 2, 4, 8, 16, 32}
 }
 
 // E3Point exposes one sweep cell for tests.
 func E3Point(delay simnet.Duration, cfg Config) Metrics {
-	flows, perFlow := 6, 50
-	if cfg.Quick {
-		flows, perFlow = 4, 16
-	}
-	m, err := e3Point(delay, flows, perFlow, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
+	flows, perFlow, _ := e3Shape(cfg)
+	m, _ := run(Point{
+		RigOptions: RigOptions{
+			ID:         "E3",
+			Nagle:      delay,
+			NagleFlush: 16, // rely on the timer, not backlog pressure
+		},
+		Flows: Fan(flows, workload.FlowSpec{
+			Dst: 1, Class: packet.ClassSmall,
+			Size:    workload.Fixed(64),
+			Arrival: workload.Poisson{Mean: 10 * simnet.Microsecond},
+			Count:   perFlow,
+		}),
+	}, cfg)
 	return m
+}
+
+func runE3(cfg Config) []*stats.Table {
+	_, _, delaysUs := e3Shape(cfg)
+	t := stats.NewTable("E3 — Nagle delay sweep (sparse Poisson traffic, MX)",
+		"delay(µs)", "frames", "pkts/frame", "meanLat(µs)", "p99Lat(µs)", "msg/s")
+	t.Caption = "frames fall and latency rises with delay; the knee is the tuning point"
+	for _, us := range delaysUs {
+		d := simnet.Duration(us) * simnet.Microsecond
+		m := E3Point(d, cfg)
+		t.AddRowf(d.Micros(), m.Frames, m.PerFrame(), m.MeanLatUs, m.P99LatUs, m.MsgPerSec)
+	}
+	return []*stats.Table{t}
 }

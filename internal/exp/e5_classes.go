@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"newmad/internal/caps"
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
@@ -21,102 +19,77 @@ import (
 // control lane (or the adaptive partitioner) they keep their microsecond
 // latency.
 
-func init() {
-	register(Experiment{
-		ID:    "E5",
-		Title: "Traffic classes on dedicated channels",
-		Claim: "§2: class-to-channel assignment protects control latency under bulk load",
-		Run:   runE5,
-	})
-}
-
-// e5Point runs bulk+control with the named class policy and returns the
-// control-ping latency distribution.
-func e5Point(classes strategy.ClassPolicy, pings, bulks int, seed uint64) (Metrics, error) {
-	b, err := strategy.New("aggregate")
-	if err != nil {
-		return Metrics{}, err
-	}
-	b.Classes = classes
-
-	// Two channels: enough for one reserved control lane plus a bulk lane.
-	prof := caps.MX
-	prof.Channels = 2
-	rig, err := NewRig(RigOptions{ID: "E5", Profiles: []caps.Caps{prof}})
-	if err != nil {
-		return Metrics{}, err
-	}
-	for _, eng := range rig.Engines {
-		if err := eng.SetBundle(b); err != nil {
-			return Metrics{}, err
-		}
-	}
-	d := workload.NewDriver(rig.Cl.Eng, rig.Engines, seed)
-	// Bulk stream: 16 KiB eager frames back to back (below rendezvous
-	// threshold so they hold the channel).
-	d.Add(workload.FlowSpec{
-		Flow: 1, Src: 0, Dst: 1, Class: packet.ClassBulk,
-		Size: workload.Fixed(16 << 10), Arrival: workload.BackToBack{},
-		Count: bulks,
-	})
-	// Control pings every 20 µs.
-	d.Add(workload.FlowSpec{
-		Flow: 2, Src: 0, Dst: 1, Class: packet.ClassControl,
-		Recv: packet.RecvExpress,
-		Size: workload.Fixed(16), Arrival: workload.Poisson{Mean: 20 * simnet.Microsecond},
-		Count: pings,
-	})
-	return rig.Run(pings + bulks)
-}
-
-func runE5(cfg Config) []*stats.Table {
-	pings, bulks := 100, 60
+func e5Shape(cfg Config) (pings, bulks int) {
 	if cfg.Quick {
-		pings, bulks = 30, 20
+		return 30, 20
 	}
-	t := stats.NewTable("E5 — control latency under bulk load (MX, 2 channels)",
-		"class policy", "ctrl p50(µs)", "ctrl p99(µs)", "time(µs)", "frames")
-	t.Caption = "single = one shared queue; reserved = channel 0 dedicated to control"
-	for _, tc := range []struct {
-		name   string
-		policy strategy.ClassPolicy
-	}{
-		{"single", strategy.SingleQueue{}},
-		{"reserved", strategy.ReservedControl{}},
-		{"adaptive", strategy.NewAdaptiveClasses(64)},
-	} {
-		m, err := e5Point(tc.policy, pings, bulks, cfg.Seed)
-		if err != nil {
-			panic(err)
-		}
-		t.AddRow(tc.name,
-			stats.FormatFloat(ctrlP(m, 0.5)),
-			stats.FormatFloat(m.CtrlP99Us),
-			stats.FormatFloat(float64(m.End)/1000),
-			fmt.Sprintf("%d", m.Frames),
-		)
+	return 100, 60
+}
+
+// classPoint is the bulk+control mix E5 and E10 share: id's rig on MX with
+// the given channel count, the class policy installed over it, and flows
+// whose control pings are express.
+func classPoint(id string, channels int, classes strategy.ClassPolicy, flows []workload.FlowSpec, cfg Config) Metrics {
+	prof := caps.MX
+	prof.Channels = channels
+	m, _ := run(Point{
+		RigOptions: RigOptions{ID: id, Profiles: []caps.Caps{prof}},
+		Classes:    classes,
+		Flows:      flows,
+	}, cfg)
+	return m
+}
+
+// bulk16K is a 16 KiB eager flow (below the rendezvous threshold, so each
+// frame holds its channel); ping is a 16 B express control flow.
+func bulk16K(flow packet.FlowID, arrival workload.Arrival, count int, start simnet.Duration) workload.FlowSpec {
+	return workload.FlowSpec{Flow: flow, Dst: 1, Class: packet.ClassBulk,
+		Size: workload.Fixed(16 << 10), Arrival: arrival, Count: count, Start: start}
+}
+
+func ping(flow packet.FlowID, mean simnet.Duration, count int, start simnet.Duration) workload.FlowSpec {
+	return workload.FlowSpec{Flow: flow, Dst: 1, Class: packet.ClassControl, Recv: packet.RecvExpress,
+		Size: workload.Fixed(16), Arrival: workload.Poisson{Mean: mean}, Count: count, Start: start}
+}
+
+// e5Point runs bulk+control under a class policy on two channels: enough
+// for one reserved control lane plus a bulk lane. Metrics carry the
+// control-ping latency distribution.
+func e5Point(classes strategy.ClassPolicy, cfg Config) Metrics {
+	pings, bulks := e5Shape(cfg)
+	return classPoint("E5", 2, classes, []workload.FlowSpec{
+		bulk16K(1, workload.BackToBack{}, bulks, 0),
+		ping(2, 20*simnet.Microsecond, pings, 0),
+	}, cfg)
+}
+
+// classCase names one class policy in E5's and E10's tables.
+type classCase struct {
+	name   string
+	policy strategy.ClassPolicy
+}
+
+// classTable fills t with one row per class policy: control latency,
+// completion and frames.
+func classTable(t *stats.Table, point func(strategy.ClassPolicy, Config) Metrics, cfg Config, cases ...classCase) []*stats.Table {
+	for _, c := range cases {
+		m := point(c.policy, cfg)
+		t.AddRowf(c.name, m.CtrlP50Us, m.CtrlP99Us, m.EndUs(), m.Frames)
 	}
 	return []*stats.Table{t}
 }
 
-// ctrlP returns the control-latency quantile in µs; Metrics carries p99
-// directly, p50 comes from the same histogram via the median field.
-func ctrlP(m Metrics, q float64) float64 {
-	if q == 0.99 {
-		return m.CtrlP99Us
-	}
-	return m.CtrlP50Us
+func runE5(cfg Config) []*stats.Table {
+	t := stats.NewTable("E5 — control latency under bulk load (MX, 2 channels)",
+		"class policy", "ctrl p50(µs)", "ctrl p99(µs)", "time(µs)", "frames")
+	t.Caption = "single = one shared queue; reserved = channel 0 dedicated to control"
+	return classTable(t, e5Point, cfg,
+		classCase{"single", strategy.SingleQueue{}},
+		classCase{"reserved", strategy.ReservedControl{}},
+		classCase{"adaptive", strategy.NewAdaptiveClasses(64)})
 }
 
 // E5ControlP99 exposes the p99 control latency for the shape tests.
 func E5ControlP99(policy strategy.ClassPolicy, cfg Config) float64 {
-	pings, bulks := 100, 60
-	if cfg.Quick {
-		pings, bulks = 30, 20
-	}
-	m, err := e5Point(policy, pings, bulks, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	return m.CtrlP99Us
+	return e5Point(policy, cfg).CtrlP99Us
 }

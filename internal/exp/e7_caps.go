@@ -19,60 +19,41 @@ import (
 // cost it pays, where aggregation stops being profitable — follows the
 // capability record, not the workload.
 
-func init() {
-	register(Experiment{
-		ID:    "E7",
-		Title: "Optimization parameterized by driver capabilities",
-		Claim: "§1: decisions follow the driver capability record (gather/copy, PIO/DMA, limits)",
-		Run:   runE7,
-	})
+func e7Shape(cfg Config) (flows, perFlow int) {
+	if cfg.Quick {
+		return 4, 12
+	}
+	return 8, 32
 }
 
-func e7Point(prof caps.Caps, flows, perFlow, size int, seed uint64) (Metrics, error) {
-	rig, err := NewRig(RigOptions{ID: "E7", Profiles: []caps.Caps{SingleChannel(prof)}})
-	if err != nil {
-		return Metrics{}, err
-	}
-	d := workload.NewDriver(rig.Cl.Eng, rig.Engines, seed)
-	for f := 0; f < flows; f++ {
-		d.Add(workload.FlowSpec{
-			Flow: packet.FlowID(f + 1), Src: 0, Dst: 1,
-			Class:   packet.ClassSmall,
+func e7Point(prof caps.Caps, size int, cfg Config) Metrics {
+	flows, perFlow := e7Shape(cfg)
+	m, _ := run(Point{
+		RigOptions: RigOptions{ID: "E7", Profiles: []caps.Caps{SingleChannel(prof)}},
+		Flows: Fan(flows, workload.FlowSpec{
+			Dst: 1, Class: packet.ClassSmall,
 			Size:    workload.Fixed(size),
 			Arrival: workload.BackToBack{},
 			Count:   perFlow,
-		})
-	}
-	return rig.Run(flows * perFlow)
+		}),
+	}, cfg)
+	return m
 }
 
 func runE7(cfg Config) []*stats.Table {
-	flows, perFlow := 8, 32
-	if cfg.Quick {
-		flows, perFlow = 4, 12
-	}
 	ibInline, _ := caps.Lookup("ib-inline")
-
 	t := stats.NewTable("E7 — capability parameterization (8 flows, back-to-back)",
 		"profile", "gather", "msg size", "frames", "pkts/frame", "time(µs)", "meanLat(µs)")
 	t.Caption = "gather hardware aggregates via iovecs; Elan stages through a copy; limits cap frame size"
 	for _, size := range []int{64, 1024} {
 		for _, prof := range []caps.Caps{caps.MX, caps.Elan, caps.IB, ibInline} {
-			m, err := e7Point(prof, flows, perFlow, size, cfg.Seed)
-			if err != nil {
-				panic(err)
-			}
+			m := e7Point(prof, size, cfg)
 			gather := "copy"
 			if prof.Gather() {
 				gather = fmt.Sprintf("iov %d", prof.MaxIOV)
 			}
-			t.AddRow(prof.Name, gather,
-				fmt.Sprintf("%dB", size),
-				fmt.Sprintf("%d", m.Frames),
-				stats.FormatFloat(float64(m.Delivered)/float64(m.Frames)),
-				stats.FormatFloat(float64(m.End)/1000),
-				stats.FormatFloat(m.MeanLatUs),
-			)
+			t.AddRowf(prof.Name, gather, fmt.Sprintf("%dB", size),
+				m.Frames, m.PerFrame(), m.EndUs(), m.MeanLatUs)
 		}
 	}
 	return []*stats.Table{t}
@@ -80,13 +61,5 @@ func runE7(cfg Config) []*stats.Table {
 
 // E7PacketsPerFrame exposes the mean aggregation depth per profile.
 func E7PacketsPerFrame(prof caps.Caps, cfg Config) float64 {
-	flows, perFlow := 8, 32
-	if cfg.Quick {
-		flows, perFlow = 4, 12
-	}
-	m, err := e7Point(prof, flows, perFlow, 64, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	return float64(m.Delivered) / float64(m.Frames)
+	return e7Point(prof, 64, cfg).PerFrame()
 }

@@ -17,80 +17,58 @@ import (
 // (no RTS/CTS round trip), rendezvous wins above it (no staging copies,
 // flow-controlled receiver); the crossover is the driver's threshold.
 
-func init() {
-	register(Experiment{
-		ID:    "E8",
-		Title: "Eager/rendezvous protocol selection across message sizes",
-		Claim: "§1: per-message protocol choice; threshold follows the driver profile",
-		Run:   runE8,
-	})
+func e8Shape(cfg Config) (count int, sizes []int) {
+	if cfg.Quick {
+		return 4, []int{64, 16 << 10, 256 << 10}
+	}
+	return 12, []int{8, 64, 512, 4 << 10, 16 << 10, 32 << 10, 64 << 10, 256 << 10, 1 << 20}
 }
 
-func e8Point(policy strategy.ProtocolPolicy, size, count int, seed uint64) (Metrics, error) {
-	b, err := strategy.New("aggregate")
-	if err != nil {
-		return Metrics{}, err
-	}
-	b.Protocol = policy
-	rig, err := NewRig(RigOptions{ID: "E8"})
-	if err != nil {
-		return Metrics{}, err
-	}
-	for _, eng := range rig.Engines {
-		if err := eng.SetBundle(b); err != nil {
-			return Metrics{}, err
-		}
-	}
-	d := workload.NewDriver(rig.Cl.Eng, rig.Engines, seed)
+func e8Point(policy strategy.ProtocolPolicy, size int, cfg Config) (m Metrics, count int) {
+	count, _ = e8Shape(cfg)
 	class := packet.ClassSmall
 	if size >= 8<<10 {
 		class = packet.ClassBulk
 	}
-	d.Add(workload.FlowSpec{
-		Flow: 1, Src: 0, Dst: 1, Class: class,
-		Size: workload.Fixed(size), Arrival: workload.BackToBack{},
-		Count: count,
-	})
-	return rig.Run(count)
+	m, _ = run(Point{
+		RigOptions: RigOptions{ID: "E8"},
+		Protocol:   policy,
+		Flows: []workload.FlowSpec{{
+			Flow: 1, Dst: 1, Class: class,
+			Size: workload.Fixed(size), Arrival: workload.BackToBack{},
+			Count: count,
+		}},
+	}, cfg)
+	return m, count
 }
 
 func runE8(cfg Config) []*stats.Table {
-	count := 12
-	sizes := []int{8, 64, 512, 4 << 10, 16 << 10, 32 << 10, 64 << 10, 256 << 10, 1 << 20}
-	if cfg.Quick {
-		count = 4
-		sizes = []int{64, 16 << 10, 256 << 10}
+	_, sizes := e8Shape(cfg)
+	policies := []strategy.ProtocolPolicy{
+		strategy.ThresholdProtocol{}, strategy.EagerAlways{}, strategy.ThresholdProtocol{Override: 1},
 	}
-	policies := []struct {
-		name   string
-		policy strategy.ProtocolPolicy
-	}{
-		{"threshold(32K)", strategy.ThresholdProtocol{}},
-		{"eager-always", strategy.EagerAlways{}},
-		{"rndv-always", strategy.ThresholdProtocol{Override: 1}},
-	}
-	bwT := stats.NewTable("E8 — achieved bandwidth by protocol policy (MX, MB/s)",
-		"size", "threshold(32K)", "eager-always", "rndv-always")
+	header := []string{"size", "threshold(32K)", "eager-always", "rndv-always"}
+	bwT := stats.NewTable("E8 — achieved bandwidth by protocol policy (MX, MB/s)", header...)
 	bwT.Caption = "bandwidth = payload delivered / completion time; crossover sits at the driver threshold"
-	latT := stats.NewTable("E8 — per-message time by protocol policy (MX, µs)",
-		"size", "threshold(32K)", "eager-always", "rndv-always")
+	latT := stats.NewTable("E8 — per-message time by protocol policy (MX, µs)", header...)
 	for _, size := range sizes {
-		bwRow := []string{sizeLabel(size)}
-		latRow := []string{sizeLabel(size)}
+		bwRow := []any{sizeLabel(size)}
+		latRow := []any{sizeLabel(size)}
 		for _, p := range policies {
-			m, err := e8Point(p.policy, size, count, cfg.Seed)
-			if err != nil {
-				panic(err)
-			}
-			secs := float64(m.End) / 1e9
-			mbps := float64(size*count) / secs / 1e6
-			bwRow = append(bwRow, stats.FormatFloat(mbps))
-			latRow = append(latRow, stats.FormatFloat(float64(m.End)/float64(count)/1000))
+			m, count := e8Point(p, size, cfg)
+			bwRow = append(bwRow, float64(size*count)/(float64(m.End)/1e9)/1e6)
+			latRow = append(latRow, float64(m.End)/float64(count)/1000)
 		}
-		bwT.AddRow(bwRow...)
-		latT.AddRow(latRow...)
+		bwT.AddRowf(bwRow...)
+		latT.AddRowf(latRow...)
 	}
 	return []*stats.Table{bwT, latT}
+}
+
+// E8Time returns per-message completion time under a policy (test oracle).
+func E8Time(policy strategy.ProtocolPolicy, size int, cfg Config) float64 {
+	m, count := e8Point(policy, size, cfg)
+	return float64(m.End) / float64(count)
 }
 
 func sizeLabel(n int) string {
@@ -102,17 +80,4 @@ func sizeLabel(n int) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
-}
-
-// E8Time returns per-message completion time under a policy (test oracle).
-func E8Time(policy strategy.ProtocolPolicy, size int, cfg Config) float64 {
-	count := 12
-	if cfg.Quick {
-		count = 4
-	}
-	m, err := e8Point(policy, size, count, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	return float64(m.End) / float64(count)
 }

@@ -20,23 +20,16 @@ import (
 // handles each deterministically. The conglomerate is where cross-flow
 // optimization pays: none of the middlewares alone changes its code.
 
-func init() {
-	register(Experiment{
-		ID:    "E9",
-		Title: "Middleware conglomerate (MPI + RPC + DSM concurrently)",
-		Claim: "§1–2: concurrent flows from stacked middlewares benefit from cross-flow scheduling",
-		Run:   runE9,
-	})
+func e9Shape(cfg Config) (iters, calls int) {
+	if cfg.Quick {
+		return 4, 10
+	}
+	return 12, 40
 }
 
-type e9Result struct {
-	m        Metrics
-	rpcCalls int
-	haloIter int
-}
-
-func e9Point(bundle string, iters, calls int, seed uint64) (e9Result, error) {
+func e9Point(bundle string, cfg Config) (Metrics, error) {
 	const nodes = 4
+	iters, calls := e9Shape(cfg)
 	rig, err := NewRig(RigOptions{
 		ID:           "E9",
 		Nodes:        nodes,
@@ -44,7 +37,7 @@ func e9Point(bundle string, iters, calls int, seed uint64) (e9Result, error) {
 		WithSessions: true,
 	})
 	if err != nil {
-		return e9Result{}, err
+		return Metrics{}, err
 	}
 	// Build the middleware stack on every node, same creation order.
 	worlds := make([]*minimpi.World, nodes)
@@ -53,18 +46,18 @@ func e9Point(bundle string, iters, calls int, seed uint64) (e9Result, error) {
 	for n := 0; n < nodes; n++ {
 		w, err := minimpi.New(rig.Sessions[packet.NodeID(n)], nodes)
 		if err != nil {
-			return e9Result{}, err
+			return Metrics{}, err
 		}
 		worlds[n] = w
 		rpcs[n] = minirpc.New(rig.Sessions[packet.NodeID(n)])
 		d, err := minidsm.New(rig.Sessions[packet.NodeID(n)], nodes, 8, 4096)
 		if err != nil {
-			return e9Result{}, err
+			return Metrics{}, err
 		}
 		dsms[n] = d
 	}
 
-	res := e9Result{}
+	rpcCalls, haloIter := 0, 0
 
 	// --- MPI: iterated ring halo exchange with a barrier per iteration.
 	var iterate func(rank, iter int)
@@ -81,7 +74,7 @@ func e9Point(bundle string, iters, calls int, seed uint64) (e9Result, error) {
 			if got == 2 {
 				w.Barrier(func() {
 					if rank == 0 {
-						res.haloIter++
+						haloIter++
 					}
 					iterate(rank, iter+1)
 				})
@@ -111,7 +104,7 @@ func e9Point(bundle string, iters, calls int, seed uint64) (e9Result, error) {
 				if err != nil {
 					panic(err)
 				}
-				res.rpcCalls++
+				rpcCalls++
 				next(i + 1)
 			})
 		}
@@ -148,58 +141,31 @@ func e9Point(bundle string, iters, calls int, seed uint64) (e9Result, error) {
 
 	m, err := rig.Run(0) // delivery count varies; completion is the metric
 	if err != nil {
-		return e9Result{}, err
+		return Metrics{}, err
 	}
-	if res.haloIter != iters {
-		return e9Result{}, fmt.Errorf("halo iterations %d of %d", res.haloIter, iters)
+	if haloIter != iters {
+		return Metrics{}, fmt.Errorf("halo iterations %d of %d", haloIter, iters)
 	}
-	if res.rpcCalls != 2*calls {
-		return e9Result{}, fmt.Errorf("rpc calls %d of %d", res.rpcCalls, 2*calls)
+	if rpcCalls != 2*calls {
+		return Metrics{}, fmt.Errorf("rpc calls %d of %d", rpcCalls, 2*calls)
 	}
-	res.m = m
-	return res, nil
+	return m, nil
 }
 
 func runE9(cfg Config) []*stats.Table {
-	iters, calls := 12, 40
-	if cfg.Quick {
-		iters, calls = 4, 10
-	}
 	t := stats.NewTable("E9 — MPI halo + RPC storm + DSM churn on 4 nodes (MX)",
 		"strategy", "time(µs)", "frames", "aggregates", "speedup")
 	t.Caption = "identical middleware workload; only the engine's strategy bundle differs"
-	base, err := e9Point("fifo", iters, calls, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
+	base := must(e9Point("fifo", cfg))
 	for _, bundle := range []string{"fifo", "aggregate"} {
-		r, err := e9Point(bundle, iters, calls, cfg.Seed)
-		if err != nil {
-			panic(err)
-		}
-		t.AddRow(bundle,
-			stats.FormatFloat(float64(r.m.End)/1000),
-			fmt.Sprintf("%d", r.m.Frames),
-			fmt.Sprintf("%d", r.m.Aggregates),
-			fmt.Sprintf("%.2fx", float64(base.m.End)/float64(r.m.End)),
-		)
+		m := must(e9Point(bundle, cfg))
+		t.AddRowf(bundle, m.EndUs(), m.Frames, m.Aggregates,
+			fmt.Sprintf("%.2fx", float64(base.End)/float64(m.End)))
 	}
 	return []*stats.Table{t}
 }
 
 // E9Times returns (fifo, aggregate) completion times for the shape test.
 func E9Times(cfg Config) (fifo, aggregate float64) {
-	iters, calls := 12, 40
-	if cfg.Quick {
-		iters, calls = 4, 10
-	}
-	a, err := e9Point("fifo", iters, calls, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	b, err := e9Point("aggregate", iters, calls, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	return float64(a.m.End), float64(b.m.End)
+	return float64(must(e9Point("fifo", cfg)).End), float64(must(e9Point("aggregate", cfg)).End)
 }

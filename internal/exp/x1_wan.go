@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"newmad/internal/caps"
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
@@ -21,63 +19,44 @@ import (
 // streams and compares per-message FIFO against the aggregating engine on
 // a WAN path.
 
-func init() {
-	register(Experiment{
-		ID:    "X1",
-		Title: "WAN addendum: aggregation over an emulated wide-area path",
-		Claim: "reproduction brief: engine behaviour on an emulated WAN (not in the paper)",
-		Run:   runX1,
-	})
+// x1Size is the message size. Small messages: the regime where per-frame
+// fixed costs (~22 µs of stack overhead plus header tax) dwarf the 5 µs of
+// payload serialization, so transaction amortization is what sets goodput.
+const x1Size = 512
+
+func x1Shape(cfg Config) (perFlow int, flowCounts []int) {
+	if cfg.Quick {
+		return 30, []int{1, 8}
+	}
+	return 100, []int{1, 4, 16}
 }
 
-func x1Point(bundle string, flows, perFlow, size int, seed uint64) (Metrics, error) {
+// x1Point runs one (bundle, flows) cell and adds its goodput in MB/s.
+func x1Point(bundle string, flows int, cfg Config) (Metrics, float64) {
+	perFlow, _ := x1Shape(cfg)
 	wan := caps.WAN
 	wan.Channels = 2
-	rig, err := NewRig(RigOptions{ID: "X1", Bundle: bundle, Profiles: []caps.Caps{wan}})
-	if err != nil {
-		return Metrics{}, err
-	}
-	d := workload.NewDriver(rig.Cl.Eng, rig.Engines, seed)
-	for f := 0; f < flows; f++ {
-		d.Add(workload.FlowSpec{
-			Flow: packet.FlowID(f + 1), Src: 0, Dst: 1,
-			Class:   packet.ClassSmall,
-			Size:    workload.Fixed(size),
+	m, _ := run(Point{
+		RigOptions: RigOptions{ID: "X1", Bundle: bundle, Profiles: []caps.Caps{wan}},
+		Flows: Fan(flows, workload.FlowSpec{
+			Dst: 1, Class: packet.ClassSmall,
+			Size:    workload.Fixed(x1Size),
 			Arrival: workload.Poisson{Mean: 20 * simnet.Microsecond},
 			Count:   perFlow,
-		})
-	}
-	return rig.Run(flows * perFlow)
+		}),
+	}, cfg)
+	return m, float64(flows*perFlow*x1Size) / (float64(m.End) / 1e9) / 1e6
 }
 
 func runX1(cfg Config) []*stats.Table {
-	// Small messages: the regime where per-frame fixed costs (~22 µs of
-	// stack overhead plus header tax) dwarf the 5 µs of payload
-	// serialization, so transaction amortization is what sets goodput.
-	perFlow, size := 100, 512
-	flowCounts := []int{1, 4, 16}
-	if cfg.Quick {
-		perFlow = 30
-		flowCounts = []int{1, 8}
-	}
+	_, flowCounts := x1Shape(cfg)
 	t := stats.NewTable("X1 — WAN path (5 ms one-way, 100 MB/s), 512 B messages",
 		"flows", "strategy", "frames", "time(ms)", "goodput(MB/s)", "meanLat(ms)")
 	t.Caption = "small messages over a WAN: per-frame overhead dominates; aggregation amortizes it"
 	for _, flows := range flowCounts {
 		for _, bundle := range []string{"fifo", "aggregate"} {
-			m, err := x1Point(bundle, flows, perFlow, size, cfg.Seed)
-			if err != nil {
-				panic(err)
-			}
-			goodput := float64(flows*perFlow*size) / (float64(m.End) / 1e9) / 1e6
-			t.AddRow(
-				fmt.Sprintf("%d", flows),
-				bundle,
-				fmt.Sprintf("%d", m.Frames),
-				stats.FormatFloat(float64(m.End)/1e6),
-				stats.FormatFloat(goodput),
-				stats.FormatFloat(m.MeanLatUs/1000),
-			)
+			m, goodput := x1Point(bundle, flows, cfg)
+			t.AddRowf(flows, bundle, m.Frames, float64(m.End)/1e6, goodput, m.MeanLatUs/1000)
 		}
 	}
 	return []*stats.Table{t}
@@ -85,13 +64,6 @@ func runX1(cfg Config) []*stats.Table {
 
 // X1Goodput exposes goodput for the shape test.
 func X1Goodput(bundle string, flows int, cfg Config) float64 {
-	perFlow, size := 100, 512
-	if cfg.Quick {
-		perFlow = 30
-	}
-	m, err := x1Point(bundle, flows, perFlow, size, cfg.Seed)
-	if err != nil {
-		panic(err)
-	}
-	return float64(flows*perFlow*size) / (float64(m.End) / 1e9) / 1e6
+	_, goodput := x1Point(bundle, flows, cfg)
+	return goodput
 }

@@ -2,14 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"newmad/internal/caps"
 	"newmad/internal/cluster"
 	"newmad/internal/packet"
-	"newmad/internal/proto"
 	"newmad/internal/stats"
 )
 
@@ -26,15 +23,6 @@ import (
 // since the simulated profile models a 2006 gigabit stack while the real
 // mesh runs over the host's loopback device.
 
-func init() {
-	register(Experiment{
-		ID:    "X2",
-		Title: "mesh addendum: real TCP mesh sockets vs the virtual-time model",
-		Claim: "reproduction brief: the optimizer's transaction accounting carries over from the simulated fabric to a real N-node transport (not in the paper)",
-		Run:   runX2,
-	})
-}
-
 // X2Result is one substrate's outcome for the shared workload.
 type X2Result struct {
 	Nodes int
@@ -47,8 +35,6 @@ type X2Result struct {
 	Completion time.Duration
 }
 
-// x2Workload enumerates the all-to-all raw-packet workload: every ordered
-// (src, dst) pair carries one flow of perFlow packets.
 func x2Shape(cfg Config) (nodes, perFlow, size int) {
 	if cfg.Quick {
 		return 3, 30, 512
@@ -56,16 +42,22 @@ func x2Shape(cfg Config) (nodes, perFlow, size int) {
 	return 4, 200, 512
 }
 
-func x2Flow(nodes int, src, dst packet.NodeID) packet.FlowID {
-	return packet.FlowID(uint32(src)*uint32(nodes) + uint32(dst) + 1)
-}
-
+// x2Packet is one packet of the all-to-all raw-packet workload: every
+// ordered (src, dst) pair carries one flow of perFlow packets.
 func x2Packet(nodes, seq, size int, src, dst packet.NodeID) *packet.Packet {
 	return &packet.Packet{
-		Flow: x2Flow(nodes, src, dst), Msg: 1, Seq: seq,
+		Flow: packet.FlowID(uint32(src)*uint32(nodes) + uint32(dst) + 1), Msg: 1, Seq: seq,
 		Src: src, Dst: dst,
 		Class: packet.ClassSmall, Payload: make([]byte, size),
 	}
+}
+
+// x2Workload is the result skeleton both substrates fill in: the workload's
+// size, before frames and completion are measured.
+func x2Workload(cfg Config) X2Result {
+	nodes, perFlow, size := x2Shape(cfg)
+	total := nodes * (nodes - 1) * perFlow
+	return X2Result{Nodes: nodes, Msgs: total, Bytes: total * size}
 }
 
 // X2Sim runs the workload on the simulated TCP fabric and reports the
@@ -76,7 +68,6 @@ func X2Sim(cfg Config) (X2Result, error) {
 	if err != nil {
 		return X2Result{}, err
 	}
-	total := 0
 	for s := 0; s < nodes; s++ {
 		for d := 0; d < nodes; d++ {
 			if s == d {
@@ -87,118 +78,63 @@ func X2Sim(cfg Config) (X2Result, error) {
 				if err := rig.Engines[packet.NodeID(s)].Submit(p); err != nil {
 					return X2Result{}, err
 				}
-				total++
 			}
 		}
 	}
-	m, err := rig.Run(total)
+	res := x2Workload(cfg)
+	m, err := rig.Run(res.Msgs)
 	if err != nil {
 		return X2Result{}, err
 	}
-	return X2Result{
-		Nodes:      nodes,
-		Msgs:       total,
-		Bytes:      total * size,
-		Frames:     rig.Cl.Stats.CounterValue("core.frames_posted"),
-		Completion: time.Duration(m.End),
-	}, nil
+	res.Frames, res.Completion = rig.Cl.Stats.CounterValue("core.frames_posted"), time.Duration(m.End)
+	return res, nil
 }
 
 // X2Mesh runs the workload over real TCP mesh sockets and reports the
 // wall-clock measurement.
 func X2Mesh(cfg Config) (X2Result, error) {
 	nodes, perFlow, size := x2Shape(cfg)
-	total := nodes * (nodes - 1) * perFlow
-
-	var delivered atomic.Int64
-	done := make(chan struct{}, 1)
-	c, err := cluster.New(cluster.Options{
-		Nodes: nodes,
-		Raw:   true,
-		OnDeliver: func(packet.NodeID, proto.Deliverable) {
-			if delivered.Add(1) == int64(total) {
-				done <- struct{}{}
-			}
-		},
-	})
+	rig, err := newMeshRig(cluster.Options{Nodes: nodes}, nil)
 	if err != nil {
 		return X2Result{}, err
 	}
-	defer c.Close()
+	defer rig.Close()
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, nodes)
-	for s := 0; s < nodes; s++ {
-		s := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := c.Engine(packet.NodeID(s))
-			for q := 0; q < perFlow; q++ {
-				for d := 0; d < nodes; d++ {
-					if s == d {
-						continue
-					}
-					p := x2Packet(nodes, q, size, packet.NodeID(s), packet.NodeID(d))
-					if err := eng.Submit(p); err != nil {
-						errs <- err
-						return
+	if err := eachNode(nodes, func(src packet.NodeID) error {
+		eng := rig.Engine(src)
+		defer eng.Flush()
+		for q := 0; q < perFlow; q++ {
+			for d := 0; d < nodes; d++ {
+				if dst := packet.NodeID(d); dst != src {
+					if err := eng.Submit(x2Packet(nodes, q, size, src, dst)); err != nil {
+						return err
 					}
 				}
 			}
-			eng.Flush()
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+		}
+		return nil
+	})(); err != nil {
 		return X2Result{}, err
-	default:
 	}
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		return X2Result{}, fmt.Errorf("exp: mesh run incomplete, %d of %d delivered", delivered.Load(), total)
+	res := x2Workload(cfg)
+	if err := rig.wait(res.Msgs, 60*time.Second); err != nil {
+		return X2Result{}, err
 	}
-	wall := time.Since(start)
-
-	var frames uint64
-	for _, n := range c.Nodes {
-		frames += n.Stats.CounterValue("core.frames_posted")
-	}
-	return X2Result{
-		Nodes:      nodes,
-		Msgs:       total,
-		Bytes:      total * size,
-		Frames:     frames,
-		Completion: wall,
-	}, nil
+	res.Frames, res.Completion = rig.counter("core.frames_posted"), time.Since(start)
+	return res, nil
 }
 
 func runX2(cfg Config) []*stats.Table {
-	sim, err := X2Sim(cfg)
-	if err != nil {
-		panic(err)
-	}
-	mesh, err := X2Mesh(cfg)
-	if err != nil {
-		panic(err)
-	}
+	sim, mesh := must(X2Sim(cfg)), must(X2Mesh(cfg))
 	t := stats.NewTable(
 		fmt.Sprintf("X2 — all-to-all on %d nodes, 512 B messages: simulated TCP vs real mesh sockets", sim.Nodes),
 		"substrate", "time base", "msgs", "frames", "pkts/frame", "time(ms)", "goodput(MB/s)")
 	t.Caption = "frames measure the optimizer's transaction accounting; sim time models a 2006 gigabit stack, mesh time is the host's loopback"
 	add := func(name, base string, r X2Result) {
 		secs := r.Completion.Seconds()
-		t.AddRow(
-			name, base,
-			fmt.Sprintf("%d", r.Msgs),
-			fmt.Sprintf("%d", r.Frames),
-			stats.FormatFloat(float64(r.Msgs)/float64(r.Frames)),
-			stats.FormatFloat(secs*1e3),
-			stats.FormatFloat(float64(r.Bytes)/secs/1e6),
-		)
+		t.AddRowf(name, base, r.Msgs, r.Frames, float64(r.Msgs)/float64(r.Frames),
+			secs*1e3, float64(r.Bytes)/secs/1e6)
 	}
 	add("sim-tcp", "virtual", sim)
 	add("mesh-tcp", "wall", mesh)

@@ -2,13 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"newmad/internal/cluster"
 	"newmad/internal/control"
-	"newmad/internal/packet"
-	"newmad/internal/proto"
 	"newmad/internal/simnet"
 	"newmad/internal/stats"
 )
@@ -24,15 +21,6 @@ import (
 // reads as the latency regime, a dense phase flips it to throughput, and
 // the hysteresis/cooldown damping bounds the retune frequency on noisy
 // wall-clock telemetry exactly as it does on the model.
-
-func init() {
-	register(Experiment{
-		ID:    "X3",
-		Title: "controller addendum: closed-loop retuning live on the TCP mesh",
-		Claim: "reproduction brief: the adaptive controller's decisions fire on wall-clock telemetry over real sockets, damped by hysteresis and cooldown (not in the paper)",
-		Run:   runX3,
-	})
-}
 
 // X3Result is the wall-clock controller run's outcome.
 type X3Result struct {
@@ -71,14 +59,7 @@ func x3Shape(cfg Config) (sparseMsgs int, sparseGap time.Duration, denseMin int,
 func X3Mesh(cfg Config) (X3Result, error) {
 	sparseMsgs, sparseGap, denseMin, denseFor := x3Shape(cfg)
 
-	var delivered atomic.Int64
-	c, err := cluster.New(cluster.Options{
-		Nodes: 2,
-		Raw:   true,
-		OnDeliver: func(packet.NodeID, proto.Deliverable) {
-			delivered.Add(1)
-		},
-	})
+	c, err := newMeshRig(cluster.Options{Nodes: 2}, nil)
 	if err != nil {
 		return X3Result{}, err
 	}
@@ -105,19 +86,11 @@ func X3Mesh(cfg Config) (X3Result, error) {
 
 	res := X3Result{Cooldown: cooldown, SparseMsgs: sparseMsgs}
 	eng := c.Engine(0)
-	mk := func(flow packet.FlowID, seq, size int) *packet.Packet {
-		return &packet.Packet{
-			Flow: flow, Msg: packet.MsgID(seq), Seq: seq, Last: true,
-			Src: 0, Dst: 1, Class: packet.ClassSmall,
-			Payload: make([]byte, size),
-		}
-	}
-
 	// Sparse phase: one small message per gap — hundreds per second, well
 	// under LoRate: the loop must settle on the latency tuning.
 	start := time.Now()
 	for q := 0; q < sparseMsgs; q++ {
-		if err := eng.Submit(mk(1, q, 64)); err != nil {
+		if err := eng.Submit(message(1, q, 64, 0, 1)); err != nil {
 			return X3Result{}, err
 		}
 		eng.Flush()
@@ -134,7 +107,7 @@ func X3Mesh(cfg Config) (X3Result, error) {
 	denseMsgs := 0
 	for denseMsgs < denseMin || time.Since(start) < denseFor {
 		for b := 0; b < 512; b++ {
-			if err := eng.Submit(mk(2, denseMsgs, 256)); err != nil {
+			if err := eng.Submit(message(2, denseMsgs, 256, 0, 1)); err != nil {
 				return X3Result{}, err
 			}
 			denseMsgs++
@@ -142,13 +115,8 @@ func X3Mesh(cfg Config) (X3Result, error) {
 	}
 	eng.Flush()
 	res.DenseMsgs = denseMsgs
-	total := int64(sparseMsgs + denseMsgs)
-	deadline := time.Now().Add(60 * time.Second)
-	for delivered.Load() < total {
-		if time.Now().After(deadline) {
-			return X3Result{}, fmt.Errorf("exp: X3 incomplete, %d of %d delivered", delivered.Load(), total)
-		}
-		time.Sleep(time.Millisecond)
+	if err := c.wait(sparseMsgs+denseMsgs, 60*time.Second); err != nil {
+		return X3Result{}, err
 	}
 	res.Dense = time.Since(start)
 
@@ -162,10 +130,7 @@ func X3Mesh(cfg Config) (X3Result, error) {
 }
 
 func runX3(cfg Config) []*stats.Table {
-	res, err := X3Mesh(cfg)
-	if err != nil {
-		panic(err)
-	}
+	res := must(X3Mesh(cfg))
 	t := stats.NewTable("X3 — adaptive controller live on 2-node TCP mesh sockets",
 		"phase", "msgs", "wall(ms)", "regime decisions")
 	t.Caption = fmt.Sprintf("retunes damped to at most one per %v cooldown; final mode %q", res.Cooldown, res.FinalMode)
@@ -186,10 +151,8 @@ func runX3(cfg Config) []*stats.Table {
 		}
 		return out
 	}
-	t.AddRow("sparse", fmt.Sprintf("%d", res.SparseMsgs),
-		stats.FormatFloat(float64(res.Sparse.Microseconds())/1e3), decs(0, res.SparseEndAt))
-	t.AddRow("dense", fmt.Sprintf("%d", res.DenseMsgs),
-		stats.FormatFloat(float64(res.Dense.Microseconds())/1e3), decs(res.SparseEndAt, simnet.Infinity))
+	t.AddRowf("sparse", res.SparseMsgs, float64(res.Sparse.Microseconds())/1e3, decs(0, res.SparseEndAt))
+	t.AddRowf("dense", res.DenseMsgs, float64(res.Dense.Microseconds())/1e3, decs(res.SparseEndAt, simnet.Infinity))
 	report("X3", func(r *Report) { r.Decisions = uint64(len(res.Decisions)) })
 	return []*stats.Table{t}
 }

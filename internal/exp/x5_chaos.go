@@ -41,15 +41,6 @@ import (
 //     event-for-event, when the scenario is re-run from the same seed —
 //     the property that makes a chaotic failure debuggable.
 
-func init() {
-	register(Experiment{
-		ID:    "X5",
-		Title: "chaos addendum: conglomerate workload under rolling rail flaps and a node crash",
-		Claim: "reproduction brief: with deterministic fault injection underneath, the engine delivers every surviving-pair payload exactly once and the fault schedule replays event-for-event from its seed (not in the paper)",
-		Run:   runX5,
-	})
-}
-
 // X5Result is one chaos run's outcome.
 type X5Result struct {
 	Msgs  int // payloads between the surviving pair (the exactly-once set)
@@ -81,11 +72,11 @@ type X5Result struct {
 	SpoolDir string
 }
 
-func x5Shape(cfg Config) (smallMsgs, smallSize, bulkMsgs, bulkSize, flaps int) {
+func x5Shape(cfg Config) (w conglomerate, flaps int) {
 	if cfg.Quick {
-		return 300, 256, 16, 512 << 10, 3
+		return conglomerate{300, 256, 16, 512 << 10}, 3
 	}
-	return 1200, 256, 32, 1 << 20, 8
+	return conglomerate{1200, 256, 32, 1 << 20}, 8
 }
 
 // x5Rails derives the transport profiles, wire-paced like X4's: each TCP
@@ -104,7 +95,7 @@ func x5Rails() []caps.Caps {
 // x5Script builds the deterministic scenario for seed: rolling flaps on
 // the rails of the surviving pair, plus the bystander crash mid-run.
 func x5Script(cfg Config) (chaos.Script, error) {
-	_, _, _, _, flaps := x5Shape(cfg)
+	_, flaps := x5Shape(cfg)
 	s, err := chaos.RollingFlaps(cfg.Seed, chaos.FlapConfig{
 		Nodes: 2, Rails: 2, Flaps: flaps,
 		Start:   30 * time.Millisecond,
@@ -125,15 +116,12 @@ func x5Script(cfg Config) (chaos.Script, error) {
 // X5Chaos runs the scenario once and reports the delivery and fault
 // accounting.
 func X5Chaos(cfg Config) (X5Result, error) {
-	smallMsgs, smallSize, bulkMsgs, bulkSize, _ := x5Shape(cfg)
+	w, _ := x5Shape(cfg)
 	script, err := x5Script(cfg)
 	if err != nil {
 		return X5Result{}, err
 	}
-
-	// The exactly-once set: flows between nodes 0 and 1.
-	survivingFlow := func(f packet.FlowID) bool { return f >= 10 && f < 30 }
-	total := 2 * (smallMsgs + bulkMsgs)
+	total := w.msgs()
 
 	type key struct {
 		src  packet.NodeID
@@ -142,14 +130,11 @@ func X5Chaos(cfg Config) (X5Result, error) {
 	}
 	var mu sync.Mutex
 	delivered := map[key]int{}
-	var deliveredN atomic.Int64
 	var downs atomic.Int64
-	done := make(chan struct{}, 1)
 
 	opts := cluster.Options{
 		Nodes:       3,
 		Rails:       x5Rails(),
-		Raw:         true,
 		TraceRing:   512, // flight recorders: the anomaly spool's evidence
 		RdvRetry:    simnet.FromWall(40 * time.Millisecond),
 		RdvRetryMax: 10,
@@ -163,24 +148,19 @@ func X5Chaos(cfg Config) (X5Result, error) {
 					Frames: []packet.FrameKind{packet.FrameRTS, packet.FrameCTS}},
 			},
 		},
-		OnDeliver: func(node packet.NodeID, d proto.Deliverable) {
-			if !survivingFlow(d.Pkt.Flow) {
-				return
-			}
-			mu.Lock()
-			delivered[key{d.Src, d.Pkt.Flow, d.Pkt.Seq}]++
-			mu.Unlock()
-			if deliveredN.Add(1) == int64(total) {
-				select {
-				case done <- struct{}{}:
-				default:
-				}
-			}
-		},
 		OnPeerDown: func(packet.NodeID, int, packet.NodeID) { downs.Add(1) },
 	}
 	opts.RailPolicy = strategy.NewScheduledRail(opts.RailCaps())
-	c, err := cluster.New(opts)
+	// The exactly-once set: the conglomerate's flows between nodes 0 and 1.
+	c, err := newMeshRig(opts, func(_ packet.NodeID, d proto.Deliverable) bool {
+		if d.Pkt.Flow < 10 || d.Pkt.Flow >= 30 {
+			return false
+		}
+		mu.Lock()
+		delivered[key{d.Src, d.Pkt.Flow, d.Pkt.Seq}]++
+		mu.Unlock()
+		return true
+	})
 	if err != nil {
 		return X5Result{}, err
 	}
@@ -201,77 +181,29 @@ func X5Chaos(cfg Config) (X5Result, error) {
 	}
 
 	start := time.Now()
-	stopBg := make(chan struct{})
-	var wg sync.WaitGroup
-
-	// Surviving pair: the conglomerate, both directions.
-	for s := 0; s < 2; s++ {
-		s := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := c.Engine(packet.NodeID(s))
-			dst := packet.NodeID(1 - s)
-			smallFlow := packet.FlowID(10 + s)
-			bulkFlow := packet.FlowID(20 + s)
-			si, bi := 0, 0
-			for si < smallMsgs || bi < bulkMsgs {
-				for k := 0; k < smallMsgs/max(bulkMsgs, 1)+1 && si < smallMsgs; k++ {
-					p := &packet.Packet{
-						Flow: smallFlow, Msg: packet.MsgID(si + 1), Seq: si, Last: true,
-						Src: packet.NodeID(s), Dst: dst,
-						Class: packet.ClassSmall, Payload: make([]byte, smallSize),
-					}
-					if err := eng.Submit(p); err != nil {
-						return
-					}
-					si++
-				}
-				if bi < bulkMsgs {
-					p := &packet.Packet{
-						Flow: bulkFlow, Msg: packet.MsgID(bi + 1), Seq: bi, Last: true,
-						Src: packet.NodeID(s), Dst: dst,
-						Class: packet.ClassSmall, Payload: make([]byte, bulkSize),
-					}
-					if err := eng.Submit(p); err != nil {
-						return
-					}
-					bi++
-				}
-				// Pace the workload across the fault schedule: the engine
-				// must be mid-traffic when rails die, not already drained.
-				time.Sleep(200 * time.Microsecond)
-			}
-			eng.Flush()
-		}()
-	}
+	// Surviving pair: the conglomerate, both directions, paced across the
+	// fault schedule — the engines must be mid-traffic when rails die, not
+	// already drained.
+	pairDone := w.start(c.Cluster, 200*time.Microsecond)
 	// Bystander: background smalls toward both survivors until the crash
 	// stops it (Submit starts failing on the closed engine — expected).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	stopBg := make(chan struct{})
+	bgDone := eachNode(1, func(packet.NodeID) error {
 		eng := c.Engine(2)
-		seq := 0
-		for {
+		for seq := 0; ; seq++ {
 			select {
 			case <-stopBg:
-				return
+				return nil
 			default:
 			}
-			for d := 0; d < 2; d++ {
-				p := &packet.Packet{
-					Flow: packet.FlowID(50 + d), Msg: packet.MsgID(seq + 1), Seq: seq, Last: true,
-					Src: 2, Dst: packet.NodeID(d),
-					Class: packet.ClassSmall, Payload: make([]byte, smallSize),
-				}
-				if eng.Submit(p) != nil {
-					return // crashed: done stimulating
+			for d := packet.NodeID(0); d < 2; d++ {
+				if eng.Submit(message(packet.FlowID(50+d), seq, w.smallSize, 2, d)) != nil {
+					return nil // crashed: done stimulating
 				}
 			}
-			seq++
 			time.Sleep(time.Millisecond)
 		}
-	}()
+	})
 
 	tr := &chaos.Trace{}
 	if err := c.RunScript(script, tr); err != nil {
@@ -281,28 +213,20 @@ func X5Chaos(cfg Config) (X5Result, error) {
 		return X5Result{}, fmt.Errorf("exp: X5 executed %d of %d scripted events", tr.Len(), len(script.Events))
 	}
 	close(stopBg)
-	wg.Wait()
+	bgDone()
+	pairDone() // a Submit refused mid-flap shows up as a lost payload below
 
-	deadline := time.Now().Add(90 * time.Second)
-waitDelivery:
-	for deliveredN.Load() < int64(total) {
-		if time.Now().After(deadline) {
-			break waitDelivery
-		}
-		for n := 0; n < 2; n++ {
-			c.Engine(packet.NodeID(n)).Flush()
-		}
-		select {
-		case <-done:
-			break waitDelivery
-		case <-time.After(10 * time.Millisecond):
-		}
+	// A short delivery is a result (Lost), not an error: keep nudging the
+	// survivors' Nagle timers until the set completes or patience runs out.
+	for deadline := time.Now().Add(90 * time.Second); c.wait(total, 10*time.Millisecond) != nil && time.Now().Before(deadline); {
+		c.Engine(0).Flush()
+		c.Engine(1).Flush()
 	}
 	completion := time.Since(start)
 
 	res := X5Result{
 		Msgs:           total,
-		Bytes:          2 * (smallMsgs*smallSize + bulkMsgs*bulkSize),
+		Bytes:          w.bytes(),
 		Completion:     completion,
 		FaultsInjected: c.FaultsInjected(),
 		PeerDowns:      uint64(downs.Load()),
@@ -350,10 +274,7 @@ waitDelivery:
 }
 
 func runX5(cfg Config) []*stats.Table {
-	res, err := X5Chaos(cfg)
-	if err != nil {
-		panic(err)
-	}
+	res := must(X5Chaos(cfg))
 	if res.Lost != 0 || res.Duplicated != 0 {
 		panic(fmt.Sprintf("exp: X5 delivery broken: %d lost, %d duplicated of %d (flight-recorder spool: %s)",
 			res.Lost, res.Duplicated, res.Msgs, res.SpoolDir))
@@ -363,18 +284,8 @@ func runX5(cfg Config) []*stats.Table {
 		"msgs", "MB", "time(ms)", "lost", "dup", "faults", "peer-downs", "failovers", "reclaimed", "rdv-retries",
 		"qwait p50/p99 us")
 	t.Caption = "faults are injected deterministically from the workload seed; the executed schedule replays event-for-event on a re-run (the shape test asserts trace equality); qwait is backlog residence time while rails flapped"
-	t.AddRow(
-		fmt.Sprintf("%d", res.Msgs),
-		stats.FormatFloat(float64(res.Bytes)/1e6),
-		stats.FormatFloat(res.Completion.Seconds()*1e3),
-		fmt.Sprintf("%d", res.Lost),
-		fmt.Sprintf("%d", res.Duplicated),
-		fmt.Sprintf("%d", res.FaultsInjected),
-		fmt.Sprintf("%d", res.PeerDowns),
-		fmt.Sprintf("%d", res.Failovers),
-		fmt.Sprintf("%d", res.Reclaimed),
-		fmt.Sprintf("%d", res.RdvRetries),
-		fmt.Sprintf("%.0f/%.0f", res.QwaitP50Us, res.QwaitP99Us),
-	)
+	t.AddRowf(res.Msgs, float64(res.Bytes)/1e6, res.Completion.Seconds()*1e3, res.Lost, res.Duplicated,
+		res.FaultsInjected, res.PeerDowns, res.Failovers, res.Reclaimed, res.RdvRetries,
+		fmt.Sprintf("%.0f/%.0f", res.QwaitP50Us, res.QwaitP99Us))
 	return []*stats.Table{t}
 }

@@ -29,15 +29,6 @@ import (
 // onset, and the delivery ledger must stay exactly-once — every admitted
 // packet delivered once, every refusal explicit.
 
-func init() {
-	register(Experiment{
-		ID:    "X6",
-		Title: "flood isolation: per-tenant admission control under a 10× flooder",
-		Claim: "admission addendum: token-bucket + backlog quotas shed a flooding tenant at Submit while protected tenants hold p99 within 25% of the no-flood baseline (not in the paper)",
-		Run:   runX6,
-	})
-}
-
 // X6 tenant cast. Tenant IDs are arbitrary but stable so the tables and
 // the madbench JSON read the same run to run.
 const (
@@ -168,11 +159,8 @@ func x6Run(cfg Config, flood bool) (x6Phase, error) {
 	nextSeq := map[packet.FlowID]int{}
 	submit := func(flow packet.FlowID, tenant packet.TenantID) {
 		seq := nextSeq[flow]
-		p := &packet.Packet{
-			Flow: flow, Msg: packet.MsgID(seq), Seq: seq, Last: true,
-			Src: 0, Dst: 1, Class: packet.ClassSmall, Tenant: tenant,
-			Payload: make([]byte, 64),
-		}
+		p := message(flow, seq, 64, 0, 1)
+		p.Tenant = tenant
 		ph.Offered[tenant]++
 		err := rig.Engines[0].Submit(p)
 		switch {
@@ -208,26 +196,18 @@ func x6Run(cfg Config, flood bool) (x6Phase, error) {
 		}
 	}
 
-	// Controller ticks reschedule themselves, so the queue never drains;
-	// run until every admitted packet arrived (or a generous virtual
-	// deadline turns a silent drop into a diagnosable stall).
-	const deadline = simnet.Time(1 * simnet.Second)
+	// Run until every offered packet was admitted-and-delivered or refused.
 	totalOffered := 2 * steadyMsgs
 	if flood {
 		totalOffered += floodMsgs
 	}
-	offered := func() int {
-		n := 0
+	rig.stepUntil(func() bool {
+		offered := 0
 		for _, v := range ph.Offered {
-			n += v
+			offered += v
 		}
-		return n
-	}
-	for submitErr == nil && rig.Cl.Eng.Now() < deadline && rig.Cl.Eng.Step() {
-		if offered() == totalOffered && arrived == admitted {
-			break
-		}
-	}
+		return submitErr != nil || (offered == totalOffered && arrived == admitted)
+	})
 	if submitErr != nil {
 		return ph, submitErr
 	}
@@ -273,10 +253,7 @@ func X6Flood(cfg Config) (X6Result, error) {
 }
 
 func runX6(cfg Config) []*stats.Table {
-	res, err := X6Flood(cfg)
-	if err != nil {
-		panic(err)
-	}
+	res := must(X6Flood(cfg))
 	t := stats.NewTable("X6 — flood isolation: 3 tenants on one engine, flooder ramps to 10× quota (MX 1ch)",
 		"tenant", "offered", "admitted", "refused", "base p99(µs)", "flood p99(µs)")
 	retune := "no retune observed"
@@ -290,13 +267,8 @@ func runX6(cfg Config) []*stats.Table {
 		if tn == x6Flooder {
 			name += " (flooder)"
 		}
-		t.AddRow(name,
-			fmt.Sprintf("%d", res.Flood.Offered[tn]),
-			fmt.Sprintf("%d", res.Flood.Admitted[tn]),
-			fmt.Sprintf("%d", res.Flood.Refused[tn]),
-			stats.FormatFloat(res.Base.P99Us[tn]),
-			stats.FormatFloat(res.Flood.P99Us[tn]),
-		)
+		t.AddRowf(name, res.Flood.Offered[tn], res.Flood.Admitted[tn], res.Flood.Refused[tn],
+			res.Base.P99Us[tn], res.Flood.P99Us[tn])
 		summaries = append(summaries, TenantSummary{
 			Tenant:   uint8(tn),
 			Offered:  uint64(res.Flood.Offered[tn]),

@@ -8,7 +8,7 @@ import (
 // Table is a simple text table used by the bench harness to print the rows
 // each experiment reproduces. Columns are right-aligned except the first.
 // The json tags define its shape inside madbench's machine-readable output
-// (the "madbench/v1" schema), which is snake_case throughout.
+// (cmd/madbench -json), which is snake_case throughout.
 type Table struct {
 	Title   string     `json:"title"`
 	Caption string     `json:"caption,omitempty"`

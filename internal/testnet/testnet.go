@@ -3,7 +3,6 @@ package testnet
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"newmad/internal/caps"
 	"newmad/internal/chaos"
@@ -123,11 +122,9 @@ func build(m *Manifest, rules []chaos.Rule) (*Net, error) {
 		for r := range railCaps {
 			railCaps[r] = profile.Rail(r)
 		}
-		// core.New orders rails by driver name ("<profile>.r<k>@n<id>");
-		// the rail policy's table must use the same order. Sorting by
-		// Name+"@" reproduces that comparison (see cluster.RailCaps).
-		sorted := append([]caps.Caps(nil), railCaps...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name+"@" < sorted[j].Name+"@" })
+		// The rail policy's table must use the engine's rail order, not
+		// the fabric order the NICs are built in.
+		sorted := caps.EngineOrder(railCaps)
 
 		for _, id := range n.Groups[role.Name] {
 			node := &Node{ID: packet.NodeID(id), Role: role.Name}
