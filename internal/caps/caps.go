@@ -129,23 +129,6 @@ func (c Caps) Validate() error {
 // Gather reports whether the driver can gather multiple iovecs in hardware.
 func (c Caps) Gather() bool { return c.MaxIOV > 1 }
 
-// SendCost estimates the host+wire time for one network transaction of n
-// payload bytes (excluding queuing). It is the cost model strategies use to
-// score candidate plans; nicsim charges the same formula, so plan scores and
-// simulated outcomes agree by construction.
-func (c Caps) SendCost(n int) simnet.Duration {
-	total := n + c.PacketHeader
-	d := c.PostOverhead
-	if n <= c.PIOMax {
-		d += simnet.Duration(n) * c.PIOCostPerByte
-	} else {
-		d += c.DMASetup
-	}
-	d += simnet.BandwidthTime(total, c.Bandwidth)
-	d += c.WireLatency + c.RecvOverhead
-	return d
-}
-
 // Rail derives the capability record for rail k of a multi-rail node: the
 // same limits and costs under a distinct name ("tcp.r0", "tcp.r1", ...), so
 // several rails built from one base profile stay individually addressable —

@@ -83,47 +83,14 @@ func TestGather(t *testing.T) {
 	}
 }
 
-func TestSendCostShape(t *testing.T) {
-	// Small messages: latency-bound; cost nearly flat with size.
-	s8 := MX.SendCost(8)
-	s64 := MX.SendCost(64)
-	if float64(s64) > float64(s8)*1.2 {
-		t.Fatalf("small-message cost not latency-bound: 8B=%v 64B=%v", s8, s64)
-	}
-	// Large messages: bandwidth-bound; 64 KiB should take ≥ 64K/250MB/s.
-	s64k := MX.SendCost(64 * 1024)
-	min := simnet.BandwidthTime(64*1024, MX.Bandwidth)
-	if s64k < min {
-		t.Fatalf("64KiB cost %v below pure serialization %v", s64k, min)
-	}
-	// One aggregated send of 4×64B must beat four separate sends: that is
-	// the paper's core claim expressed in the cost model.
-	agg := MX.SendCost(4 * 64)
-	four := 4 * MX.SendCost(64)
-	if agg >= four {
-		t.Fatalf("aggregation not profitable in cost model: agg=%v four=%v", agg, four)
-	}
-}
-
-func TestSendCostPIOvsDMA(t *testing.T) {
-	// Within PIOMax the DMA setup must not be charged.
-	inPIO := MX.SendCost(MX.PIOMax)
-	justOver := MX.SendCost(MX.PIOMax + 1)
-	// The +1 byte send pays DMASetup instead of PIO per-byte cost.
-	wantDelta := MX.DMASetup - simnet.Duration(MX.PIOMax)*MX.PIOCostPerByte
-	gotDelta := justOver - inPIO
-	// allow for the extra byte of serialization
-	if gotDelta < wantDelta-10 || gotDelta > wantDelta+10 {
-		t.Fatalf("PIO/DMA boundary delta = %v, want ~%v", gotDelta, wantDelta)
-	}
-}
-
 func TestProfileRelativeShape(t *testing.T) {
 	// The reproduction depends on relative ordering of technologies.
-	if Elan.SendCost(8) >= MX.SendCost(8) {
+	// Short-message latency is the three fixed per-send costs.
+	short := func(c Caps) simnet.Duration { return c.PostOverhead + c.WireLatency + c.RecvOverhead }
+	if short(Elan) >= short(MX) {
 		t.Fatal("Elan should have lower short-message latency than MX")
 	}
-	if MX.SendCost(8) >= TCP.SendCost(8) {
+	if short(MX) >= short(TCP) {
 		t.Fatal("MX should have far lower latency than TCP")
 	}
 	if Elan.Bandwidth <= MX.Bandwidth {

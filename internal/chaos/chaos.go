@@ -197,9 +197,6 @@ func RailInjector(d drivers.Driver, rt simnet.Runtime, base *simnet.RNG, rail in
 	return NewInjector(d, rt, base.ForkString(fmt.Sprintf("drop/%d/%d", d.Node(), rail)), rules...)
 }
 
-// Inner returns the wrapped driver.
-func (in *Injector) Inner() drivers.Driver { return in.inner }
-
 // Injected returns how many faults of kind k the injector has applied.
 func (in *Injector) Injected(k FaultKind) uint64 {
 	in.mu.Lock()

@@ -327,9 +327,10 @@ func TestTraceDiff(t *testing.T) {
 // plays the wall clock at its worst — a release timer that has fired but not
 // yet taken the injector lock — deterministically.
 type lateRuntime struct {
-	simnet.FixedClock
 	fns []func()
 }
+
+func (r *lateRuntime) Now() simnet.Time { return 0 }
 
 func (r *lateRuntime) Schedule(_ simnet.Duration, _ string, fn func()) simnet.CancelFunc {
 	r.fns = append(r.fns, fn)

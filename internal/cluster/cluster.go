@@ -66,11 +66,9 @@ type Options struct {
 	// wall-clock clusters set it near GOMAXPROCS so concurrent submitters
 	// to different peers never share a lock; 0 keeps the single-shard
 	// serialized layout.
-	Shards       int
-	Lookahead    int
-	NagleDelay   simnet.Duration
-	NagleFlush   int
-	SearchBudget int
+	Shards     int
+	Lookahead  int
+	NagleDelay simnet.Duration
 	// RdvRetry/RdvRetryMax enable rendezvous timeout-and-retry on every
 	// engine (see core.Options); chaos scenarios that drop control frames
 	// need it for exactly-once completion.
@@ -84,7 +82,7 @@ type Options struct {
 	// (core.Options.Quotas): token-bucket rates and backlog quotas checked
 	// at Submit. The table is homogeneous across the cluster — a tenant's
 	// quota is per sending engine, not fleet-global. Empty disables
-	// admission control (the historical behavior).
+	// admission control: every Submit is admitted.
 	Quotas map[packet.TenantID]core.TenantQuota
 
 	// Chaos, when non-nil, wraps every rail of every node in a chaos
@@ -260,22 +258,20 @@ func New(o Options) (*Cluster, error) {
 				n.Trace = trace.New(o.TraceRing)
 			}
 			return core.New(node, core.Options{
-				Bundle:          b,
-				Runtime:         c.Runtime,
-				Rails:           rails,
-				Deliver:         wrapped,
-				Shards:          o.Shards,
-				Lookahead:       o.Lookahead,
-				NagleDelay:      o.NagleDelay,
-				NagleFlushCount: o.NagleFlush,
-				SearchBudget:    o.SearchBudget,
-				RdvRetry:        o.RdvRetry,
-				RdvRetryMax:     o.RdvRetryMax,
-				RdvThreshold:    o.RdvThreshold,
-				Quotas:          o.Quotas,
-				OnPeerDown:      onPeerDown,
-				Stats:           n.Stats,
-				Trace:           n.Trace,
+				Bundle:       b,
+				Runtime:      c.Runtime,
+				Rails:        rails,
+				Deliver:      wrapped,
+				Shards:       o.Shards,
+				Lookahead:    o.Lookahead,
+				NagleDelay:   o.NagleDelay,
+				RdvRetry:     o.RdvRetry,
+				RdvRetryMax:  o.RdvRetryMax,
+				RdvThreshold: o.RdvThreshold,
+				Quotas:       o.Quotas,
+				OnPeerDown:   onPeerDown,
+				Stats:        n.Stats,
+				Trace:        n.Trace,
 			})
 		})
 		if err != nil {

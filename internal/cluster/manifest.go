@@ -47,6 +47,7 @@ func OptionsFromManifest(m *testnet.Manifest) (Options, error) {
 		RdvRetry:     simnet.Duration(m.Engine.RdvRetryUS) * simnet.Microsecond,
 		RdvRetryMax:  m.Engine.RdvRetryMax,
 		RdvThreshold: m.Engine.RdvThreshold,
+		Quotas:       m.Quotas(),
 	}
 	if m.Rails > 1 {
 		o.Rails = caps.RailProfiles(base, m.Rails)

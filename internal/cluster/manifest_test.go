@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"newmad/internal/chaos"
+	"newmad/internal/core"
 	"newmad/internal/packet"
 	"newmad/internal/proto"
 	"newmad/internal/simnet"
@@ -45,9 +46,16 @@ func itoa(v uint64) string {
 
 func TestOptionsFromManifest(t *testing.T) {
 	m := socketManifest(7)
+	m.Roles[0].Tenant = 3
+	m.Roles[0].Quota = &testnet.QuotaClause{RatePPS: 5000, Burst: 8, Backlog: 64}
 	o, err := OptionsFromManifest(m)
 	if err != nil {
 		t.Fatalf("OptionsFromManifest: %v", err)
+	}
+	// A role's quota throttles under testnet.Build; the socket tier must
+	// carry it too, not run the same manifest unthrottled.
+	if q, ok := o.Quotas[3]; !ok || len(o.Quotas) != 1 || q != (core.TenantQuota{Rate: 5000, Burst: 8, Backlog: 64}) {
+		t.Fatalf("manifest quotas not carried: %+v", o.Quotas)
 	}
 	if o.Nodes != 3 || len(o.Rails) != 2 || o.RailPolicy == nil {
 		t.Fatalf("topology: %d nodes, %d rails, policy %v", o.Nodes, len(o.Rails), o.RailPolicy)

@@ -67,8 +67,6 @@ type Options struct {
 	Interval simnet.Duration
 	// HalfLife smooths the rate/backlog EWMAs (default 4×Interval).
 	HalfLife simnet.Duration
-	// Window spans the sliding-window ratios (default 8×Interval).
-	Window simnet.Duration
 	// Confirm is how many consecutive samples must agree on a new regime
 	// before the controller retunes (default 3; minimum 1).
 	Confirm int
@@ -79,11 +77,9 @@ type Options struct {
 	// HiRate/LoRate split the arrival-rate axis (packets/second): above
 	// HiRate the regime reads as throughput, below LoRate as latency, and
 	// the band between is hysteresis (hold the current mode). Defaults
-	// target the simulated profiles: 1e6 and 400e3.
+	// target the simulated profiles: 1e6 and 400e3. A waiting list of
+	// deepBacklog packets reads as throughput whatever the arrival rate.
 	HiRate, LoRate float64
-	// DeepBacklog marks a waiting list deep enough to read as throughput
-	// regardless of the arrival rate (default 24).
-	DeepBacklog int
 
 	// Tunings maps each mode to a registered tuning name; defaults to the
 	// built-in registry points ("latency", "balanced", "throughput").
@@ -114,14 +110,6 @@ type Options struct {
 	// Tenants need a positive Rate to be controlled; empty disables the
 	// loop entirely.
 	NominalQuotas map[packet.TenantID]core.TenantQuota
-	// QuotaTargetUtil is the pressure setpoint the dual ascent holds each
-	// tenant to (default 0.5).
-	QuotaTargetUtil float64
-	// QuotaEta is the dual-ascent step size (default 2).
-	QuotaEta float64
-	// QuotaMinRateFrac floors a demoted tenant's rate at this fraction of
-	// its nominal rate (default 0.1), so no tenant is ever starved to zero.
-	QuotaMinRateFrac float64
 
 	// Trace, when non-nil, records every decision as a policy event.
 	Trace *trace.Recorder
@@ -193,8 +181,7 @@ type Controller struct {
 	restores    uint64
 
 	// Quota-loop state (quota.go), guarded by mu.
-	qctl         map[packet.TenantID]*tenantCtl
-	quotaRetunes uint64
+	qctl map[packet.TenantID]*tenantCtl
 }
 
 // New validates the options and builds a controller. The engine is not
@@ -212,9 +199,6 @@ func New(o Options) (*Controller, error) {
 	if o.HalfLife <= 0 {
 		o.HalfLife = 4 * o.Interval
 	}
-	if o.Window <= 0 {
-		o.Window = 8 * o.Interval
-	}
 	if o.Confirm < 1 {
 		o.Confirm = 3
 	}
@@ -230,16 +214,12 @@ func New(o Options) (*Controller, error) {
 	if o.LoRate >= o.HiRate {
 		return nil, fmt.Errorf("control: LoRate %.0f must be below HiRate %.0f (the band between is the hysteresis)", o.LoRate, o.HiRate)
 	}
-	if o.DeepBacklog <= 0 {
-		o.DeepBacklog = 24
-	}
 	if o.Initial == "" {
 		o.Initial = ModeBalanced
 	}
 	if o.RailHealSamples <= 0 {
 		o.RailHealSamples = 8
 	}
-	quotaDefaults(&o)
 	names := map[Mode]string{
 		ModeLatency:    "latency",
 		ModeBalanced:   "balanced",
@@ -276,7 +256,7 @@ func New(o Options) (*Controller, error) {
 		cRailHealthEvents: set.Counter("control.rail_health_events"),
 		cQuotaRetunes:     set.Counter("control.quota_retunes"),
 
-		samp:    newSampler(int64(o.HalfLife), int64(o.Window)),
+		samp:    newSampler(int64(o.HalfLife), int64(8*o.Interval)),
 		mode:    o.Initial,
 		tunings: tunings,
 	}, nil
@@ -354,16 +334,6 @@ func (c *Controller) Retunes() uint64 {
 	defer c.mu.Unlock()
 	return uint64(len(c.decisions))
 }
-
-// Signals returns the latest derived evidence (zero before the first tick).
-func (c *Controller) Signals() Signals {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.samp.current
-}
-
-// Stats returns the controller's counter set.
-func (c *Controller) Stats() *stats.Set { return c.set }
 
 // tick is one pass of the loop: sample, classify, maybe retune, reschedule.
 func (c *Controller) tick() {
@@ -559,7 +529,7 @@ func (c *Controller) DemotedRails() []bool {
 // HiRate holds the current mode (rate hysteresis); a deep backlog reads as
 // throughput pressure regardless of the arrival rate.
 func (c *Controller) classify(sig Signals) Mode {
-	if sig.Backlog >= c.o.DeepBacklog {
+	if sig.Backlog >= deepBacklog {
 		return ModeThroughput
 	}
 	switch {

@@ -10,6 +10,7 @@ import (
 	"newmad/internal/packet"
 	"newmad/internal/proto"
 	"newmad/internal/simnet"
+	"newmad/internal/stats"
 	"newmad/internal/strategy"
 	"newmad/internal/trace"
 )
@@ -203,10 +204,9 @@ func TestControllerTracksRegimes(t *testing.T) {
 			m.NagleDelay, m.Lookahead, thr.NagleDelay, thr.Lookahead)
 	}
 	// Every decision must be on the trace as a policy event.
-	policies := rec.Filter(trace.KindPolicy)
 	ctl := 0
-	for _, ev := range policies {
-		if strings.HasPrefix(ev.Note, "ctl") {
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindPolicy && strings.HasPrefix(ev.Note, "ctl") {
 			ctl++
 		}
 	}
@@ -220,6 +220,7 @@ func TestControllerTracksRegimes(t *testing.T) {
 // applied.
 func TestControllerCooldownBounds(t *testing.T) {
 	cl, eng := simPair(t)
+	set := &stats.Set{}
 	c, err := New(Options{
 		Engine:   eng,
 		Runtime:  cl.Eng,
@@ -229,6 +230,7 @@ func TestControllerCooldownBounds(t *testing.T) {
 		HiRate:   1e6,
 		LoRate:   400e3,
 		Initial:  ModeLatency,
+		Stats:    set,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +264,7 @@ func TestControllerCooldownBounds(t *testing.T) {
 	if n := c.Retunes(); n != 1 {
 		t.Fatalf("retunes = %d (%v), want 1 (cooldown must suppress the flip back)", n, c.Decisions())
 	}
-	if c.Stats().CounterValue("control.cooldown_blocks") == 0 {
+	if set.CounterValue("control.cooldown_blocks") == 0 {
 		t.Fatal("cooldown suppressed nothing, yet only one retune applied")
 	}
 }
@@ -271,7 +273,8 @@ func TestControllerCooldownBounds(t *testing.T) {
 // nor restarts.
 func TestControllerStopIsFinal(t *testing.T) {
 	cl, eng := simPair(t)
-	c, err := New(Options{Engine: eng, Runtime: cl.Eng})
+	set := &stats.Set{}
+	c, err := New(Options{Engine: eng, Runtime: cl.Eng, Stats: set})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,9 +282,9 @@ func TestControllerStopIsFinal(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Stop()
-	before := c.Stats().CounterValue("control.samples")
+	before := set.CounterValue("control.samples")
 	cl.Eng.RunUntil(simnet.Time(1 * simnet.Millisecond))
-	if after := c.Stats().CounterValue("control.samples"); after != before {
+	if after := set.CounterValue("control.samples"); after != before {
 		t.Fatalf("stopped controller still sampling: %d → %d", before, after)
 	}
 	if err := c.Start(); err == nil {

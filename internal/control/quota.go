@@ -36,6 +36,25 @@ import (
 // knob operators use, so every demotion/heal emits a "tenant-quota"
 // RetuneEvent that experiments (X6) timestamp against the flood onset.
 
+// The loop's tuning constants. η = 2 with target 0.5: a saturated flooder
+// (backlogUtil ≈ 1, overDemand ≈ 0.9) gains μ ≈ 2.8 in one tick — rate cut
+// to ≲ 30% of nominal immediately — while an idle tenant decays μ by 1.0
+// per tick, healing in a few ticks.
+const (
+	// quotaTargetUtil is the pressure setpoint the dual ascent holds each
+	// tenant to.
+	quotaTargetUtil = 0.5
+	// quotaEta is the dual-ascent step size.
+	quotaEta = 2
+	// quotaMinRateFrac floors a demoted tenant's rate at this fraction of
+	// its nominal rate, so no tenant is ever starved to zero.
+	quotaMinRateFrac = 0.1
+	// deepBacklog is the waiting-list depth that reads as throughput
+	// pressure regardless of the arrival rate (classify), and the backlog
+	// a tenant without a backlog quota is priced against.
+	deepBacklog = 24
+)
+
 // tenantCtl is the per-tenant dual state.
 type tenantCtl struct {
 	nominal core.TenantQuota
@@ -99,8 +118,8 @@ func (c *Controller) quotaTick(m core.Metrics) {
 		var backlogUtil float64
 		if ctl.nominal.Backlog > 0 {
 			backlogUtil = float64(tm.Backlog) / float64(ctl.nominal.Backlog)
-		} else if c.o.DeepBacklog > 0 {
-			backlogUtil = float64(tm.Backlog) / float64(c.o.DeepBacklog)
+		} else {
+			backlogUtil = float64(tm.Backlog) / deepBacklog
 		}
 		dSub := tm.Submitted - ctl.lastSubmitted
 		dRef := (tm.Throttled - ctl.lastThrottled) + (tm.OverQuota - ctl.lastOverQuota)
@@ -110,12 +129,12 @@ func (c *Controller) quotaTick(m core.Metrics) {
 			overDemand = float64(dRef) / float64(dSub+dRef)
 		}
 
-		ctl.mu += c.o.QuotaEta * (backlogUtil + overDemand - c.o.QuotaTargetUtil)
+		ctl.mu += quotaEta * (backlogUtil + overDemand - quotaTargetUtil)
 		if ctl.mu < 0 {
 			ctl.mu = 0
 		}
 		rate := ctl.nominal.Rate / (1 + ctl.mu)
-		if min := c.o.QuotaMinRateFrac * ctl.nominal.Rate; rate < min {
+		if min := quotaMinRateFrac * ctl.nominal.Rate; rate < min {
 			rate = min
 		}
 		// Write only a meaningful move (>1% of nominal): the steady state
@@ -139,19 +158,6 @@ func (c *Controller) quotaTick(m core.Metrics) {
 			Note: fmt.Sprintf("ctl tenant %d rate=%.0f μ=%.2f", w.tenant, w.quota.Rate, w.mu),
 		})
 	}
-	if len(writes) > 0 {
-		c.mu.Lock()
-		c.quotaRetunes += uint64(len(writes))
-		c.mu.Unlock()
-	}
-}
-
-// QuotaRetunes returns the number of quota retunes the multiplier loop has
-// written to the engine.
-func (c *Controller) QuotaRetunes() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quotaRetunes
 }
 
 // TenantRate returns the admission rate the loop currently has in effect
@@ -164,32 +170,4 @@ func (c *Controller) TenantRate(tenant packet.TenantID) (float64, bool) {
 		return 0, false
 	}
 	return ctl.rate, true
-}
-
-// TenantMultiplier returns tenant's dual multiplier μ (0 when the tenant
-// is unpressured or not under quota control).
-func (c *Controller) TenantMultiplier(tenant packet.TenantID) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ctl, ok := c.qctl[tenant]; ok {
-		return ctl.mu
-	}
-	return 0
-}
-
-// quotaDefaults fills the loop's option defaults; kept next to the loop
-// rather than in New so the tuning constants read in context. η = 2 with
-// target 0.5: a saturated flooder (backlogUtil ≈ 1, overDemand ≈ 0.9)
-// gains μ ≈ 2.8 in one tick — rate cut to ≲ 30% of nominal immediately —
-// while an idle tenant decays μ by 1.0 per tick, healing in a few ticks.
-func quotaDefaults(o *Options) {
-	if o.QuotaTargetUtil <= 0 {
-		o.QuotaTargetUtil = 0.5
-	}
-	if o.QuotaEta <= 0 {
-		o.QuotaEta = 2
-	}
-	if o.QuotaMinRateFrac <= 0 {
-		o.QuotaMinRateFrac = 0.1
-	}
 }

@@ -24,9 +24,8 @@ import (
 // *ThrottleError they return; a shed packet is off the fast path by
 // definition.
 //
-// Engines with no quota table (adm == nil) skip every check and keep the
-// historical admit-everything behavior bit-for-bit, which the
-// deterministic-replay suites rely on.
+// Engines with no quota table (adm == nil) skip every check and admit
+// everything; the deterministic-replay suites run that way.
 
 // TenantQuota bounds one tenant's admission.
 type TenantQuota struct {
@@ -219,14 +218,4 @@ func (e *Engine) SetTenantQuota(tenant packet.TenantID, q TenantQuota) error {
 		Note: fmt.Sprintf("tenant=%d rate=%g burst=%d backlog=%d", tenant, q.Rate, q.Burst, q.Backlog),
 	})
 	return nil
-}
-
-// TenantQuota returns the quota currently in effect for tenant; ok is
-// false when the tenant has no admission state (admitted unconditionally).
-func (e *Engine) TenantQuota(tenant packet.TenantID) (TenantQuota, bool) {
-	ts := e.adm.Load().state(tenant)
-	if ts == nil {
-		return TenantQuota{}, false
-	}
-	return ts.quota.Load().TenantQuota, true
 }

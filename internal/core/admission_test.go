@@ -151,39 +151,6 @@ func TestSubmitClosedTyped(t *testing.T) {
 	tn.engines[0].Flush() // must return, not pump detached rails
 }
 
-// TestSubmitPeerUnreachableTyped pins ErrPeerUnreachable: with
-// RefuseUnreachable set and the only rail's peer down, Submit refuses with
-// the sentinel — and because refusals precede sequence-space entry, the
-// same seq-0 packet is accepted verbatim after the rail heals.
-func TestSubmitPeerUnreachableTyped(t *testing.T) {
-	rt := &hostileRuntime{}
-	d0 := newLossyDriver(0)
-	d0.down = true // peer dead from the start; no frames to reclaim
-	b, err := strategy.New("aggregate")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(0, Options{
-		Bundle:            b,
-		Runtime:           rt,
-		Rails:             []drivers.Driver{d0},
-		Deliver:           func(proto.Deliverable) {},
-		RefuseUnreachable: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	if err := eng.Submit(pkt(1, 0, 0, 1, 64)); !errors.Is(err, ErrPeerUnreachable) {
-		t.Fatalf("submit to down peer: got %v, want ErrPeerUnreachable", err)
-	}
-	d0.heal()
-	if err := eng.Submit(pkt(1, 0, 0, 1, 64)); err != nil {
-		t.Fatalf("submit after heal refused: %v", err)
-	}
-}
-
 // TestFlushCloseRace is the wall-clock pin for the Flush/Close race: over
 // real TCP sockets, goroutines hammer Flush on a four-shard engine with
 // Nagle arming and disarming underneath while Close tears the shards

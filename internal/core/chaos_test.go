@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"newmad/internal/caps"
+	"newmad/internal/chaos"
 	"newmad/internal/drivers"
 	"newmad/internal/packet"
 	"newmad/internal/proto"
@@ -129,56 +130,31 @@ func TestEngineFailoverAcrossRails(t *testing.T) {
 	}
 }
 
-// TestEngineRdvRetryAcrossPartition loses a rendezvous RTS to a simulated
-// partition and verifies the retry timer re-sends it after the heal: the
-// transfer completes without manual intervention, deterministically in
-// virtual time.
+// TestEngineRdvRetryAcrossPartition loses a rendezvous RTS to silent loss
+// on the path and verifies the retry timer re-sends it: the transfer
+// completes without manual intervention, deterministically in virtual time.
 func TestEngineRdvRetryAcrossPartition(t *testing.T) {
-	cl, fab, _, _ := newFailRig(t, 2)
-	// Rebuild node 0's engine with retry enabled (newFailRig builds without).
-	count := 0
-	b, _ := strategy.New("aggregate")
-	eng0, err := New(0, Options{
-		Bundle:  b,
-		Runtime: cl.Eng,
-		Rails:   []drivers.Driver{cl.Driver(0, "mx")},
-		Deliver: func(proto.Deliverable) {},
-		// First retry after 50 µs, doubling after that.
-		RdvRetry: 50 * simnet.Microsecond,
-		Stats:    cl.Stats,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, _ := strategy.New("aggregate")
-	eng1, err := New(1, Options{
-		Bundle:  b1,
-		Runtime: cl.Eng,
-		Rails:   []drivers.Driver{cl.Driver(1, "mx")},
-		Deliver: func(proto.Deliverable) { count++ },
-		Stats:   cl.Stats,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = eng1
-
-	// Partition 0 -> 1: the first RTS is silently dropped by the fabric.
-	fab.Partition(0, 1)
-	// Heal before the first retry fires, so the retry is what completes it.
-	cl.Eng.After(20*simnet.Microsecond, "test.heal", func() { fab.Heal(0, 1) })
+	// Node 1's rail loses RTS frames with probability 1/2; the rig's seed
+	// loses the first one and lets a retry through (both asserted below).
+	// First retry after 50 µs, doubling after that.
+	lossy := []chaos.Rule{{Kind: chaos.Drop, Prob: 0.5, Frames: []packet.FrameKind{packet.FrameRTS}}}
+	cl, inj, engines, counts := newFailRig(t, 2, Options{RdvRetry: 50 * simnet.Microsecond},
+		map[packet.NodeID][]chaos.Rule{1: lossy})
 
 	big := pkt(1, 0, 0, 1, 64<<10)
 	big.Class = packet.ClassBulk
-	if err := eng0.Submit(big); err != nil {
+	if err := engines[0].Submit(big); err != nil {
 		t.Fatal(err)
 	}
 	cl.Eng.Run()
 
-	if count != 1 {
-		t.Fatalf("rendezvous payload delivered %d times, want exactly 1", count)
+	if inj[1].Injected(chaos.Drop) == 0 {
+		t.Fatal("the first RTS was not lost — the retry path went untested")
 	}
-	m := eng0.Metrics()
+	if *counts[1] != 1 {
+		t.Fatalf("rendezvous payload delivered %d times, want exactly 1", *counts[1])
+	}
+	m := engines[0].Metrics()
 	if m.RdvRetries == 0 {
 		t.Fatal("no retry fired — the transfer completed some other way?")
 	}
@@ -190,28 +166,15 @@ func TestEngineRdvRetryAcrossPartition(t *testing.T) {
 // TestEngineRdvRetryGivesUp bounds the retry storm: with the path dead for
 // good, retries stop at RdvRetryMax and the run still terminates.
 func TestEngineRdvRetryGivesUp(t *testing.T) {
-	cl, fab, _, _ := newFailRig(t, 2)
-	b, _ := strategy.New("aggregate")
-	eng0, err := New(0, Options{
-		Bundle:      b,
-		Runtime:     cl.Eng,
-		Rails:       []drivers.Driver{cl.Driver(0, "mx")},
-		Deliver:     func(proto.Deliverable) {},
-		RdvRetry:    10 * simnet.Microsecond,
-		RdvRetryMax: 3,
-		Stats:       cl.Stats,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab.Partition(0, 1)
+	cl, _, engines, _ := newFailRig(t, 2, Options{RdvRetry: 10 * simnet.Microsecond, RdvRetryMax: 3},
+		map[packet.NodeID][]chaos.Rule{1: dropAll})
 	big := pkt(1, 0, 0, 1, 64<<10)
 	big.Class = packet.ClassBulk
-	if err := eng0.Submit(big); err != nil {
+	if err := engines[0].Submit(big); err != nil {
 		t.Fatal(err)
 	}
 	cl.Eng.Run() // must terminate: retries are bounded
-	if got := eng0.Metrics().RdvRetries; got != 3 {
+	if got := engines[0].Metrics().RdvRetries; got != 3 {
 		t.Fatalf("retries = %d, want exactly RdvRetryMax (3)", got)
 	}
 }

@@ -61,9 +61,9 @@ type Options struct {
 
 	// Shards partitions the send-side state (backlog index, reactive and
 	// failover queues, Nagle delay, pump scratch) into this many
-	// destination-hashed pump shards. 0 and 1 both mean one shard — the
-	// fully serialized legacy layout, which deterministic simulations
-	// rely on. Wall-clock deployments set this near GOMAXPROCS so flows
+	// destination-hashed pump shards. 0 and 1 both mean one shard — what
+	// every simulation and testnet runs, fully serialized and so
+	// deterministic. Wall-clock deployments set this near GOMAXPROCS so flows
 	// to different destinations never contend on a lock; flows sharing a
 	// destination always land in one shard, preserving the optimizer's
 	// cross-flow aggregation view.
@@ -108,17 +108,10 @@ type Options struct {
 	OnPeerDown func(rail int, peer packet.NodeID)
 	// Quotas seeds the per-tenant admission table (admission.go): token-
 	// bucket rates and backlog quotas checked at Submit before any shard
-	// state is touched. Empty/nil disables admission entirely — the
-	// historical admit-everything behavior, bit-for-bit. Tenants may also
+	// state is touched. Empty/nil disables admission entirely: every
+	// Submit is admitted. Tenants may also
 	// be added or retuned at runtime via SetTenantQuota.
 	Quotas map[packet.TenantID]TenantQuota
-	// RefuseUnreachable makes Submit refuse (ErrPeerUnreachable) packets
-	// toward destinations no rail currently reaches, instead of queueing
-	// them for a heal. Off by default: the failover contract — queue
-	// through a partition, deliver after the heal — is what the chaos
-	// suites pin down, and refusing is only right for callers that would
-	// rather re-route at the application layer.
-	RefuseUnreachable bool
 	// Stats stores the plan histograms and serves the engine's counters by
 	// name (metrics.go); nil allocates a private set.
 	Stats *stats.Set
@@ -353,7 +346,7 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 		r.SetRecvHandler(func(src packet.NodeID, f *packet.Frame) { e.onFrame(i, src, f) })
 		// Rails that can hand back undeliverable frames and report peer
 		// failures feed the engine's failover machinery; simulated fabrics
-		// implement neither and keep the historical loss-free contract.
+		// implement neither: they are loss-free.
 		if ln, ok := r.(drivers.FrameLossNotifier); ok {
 			ln.SetFrameLossHandler(func(peer packet.NodeID, frames []*packet.Frame) {
 				e.onFrameLoss(i, peer, frames)
@@ -577,10 +570,11 @@ func (e *Engine) RailWeights() (w []float64, ok bool) {
 // destinations in different shards never touch a shared lock, and a Submit
 // that loses to Close is refused rather than silently dropped.
 //
-// Refusals are typed: ErrClosed after Close, ErrPeerUnreachable when
-// Options.RefuseUnreachable is set and no rail reaches the destination,
-// and the admission-control refusals ErrThrottled/ErrQuotaExceeded (with
-// retry-after, see ThrottleError) when the packet's tenant is over quota.
+// Refusals are typed: ErrClosed after Close, and the admission-control
+// refusals ErrThrottled/ErrQuotaExceeded (with retry-after, see
+// ThrottleError) when the packet's tenant is over quota. A destination no
+// rail currently reaches is not a refusal: the packet queues for a heal
+// (the failover contract).
 // Admission runs before the packet touches any shard state — a shed
 // packet never takes a shard lock or charges a backlog counter (the
 // shed-before-queue rule, DESIGN.md §10).
@@ -604,9 +598,6 @@ func (e *Engine) Submit(p *packet.Packet) error {
 	// policy so the controller can move the switchover without swapping
 	// bundles.
 	rdv := e.useRendezvous(b, p)
-	if e.cfg.RefuseUnreachable && !e.anyRailReaches(p.Dst) {
-		return fmt.Errorf("%w: node %d", ErrPeerUnreachable, p.Dst)
-	}
 	// Admission last among the refusal checks: an admitted eager packet
 	// carries a backlog charge that only a plan taking it releases, so the
 	// one later refusal (losing to Close, below) hands the charge back.

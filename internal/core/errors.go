@@ -9,19 +9,13 @@ import (
 )
 
 // Typed refusal sentinels. Submit (and the RMA surface) refuse work for a
-// small set of reasons a caller may want to branch on — the engine is gone,
-// the destination is gone, or admission control shed the packet. Each is an
+// small set of reasons a caller may want to branch on — the engine is gone
+// or admission control shed the packet. Each is an
 // errors.Is target; the admission refusals additionally carry a
 // *ThrottleError with the tenant and a retry-after hint.
 var (
 	// ErrClosed reports an operation on a closed engine.
 	ErrClosed = errors.New("core: engine closed")
-
-	// ErrPeerUnreachable reports a submission toward a destination no rail
-	// currently reaches. Only surfaced when Options.RefuseUnreachable is
-	// set; by default the engine queues toward a down peer and waits for a
-	// heal (the failover contract chaos tests rely on).
-	ErrPeerUnreachable = errors.New("core: peer unreachable")
 
 	// ErrThrottled reports a tenant over its token-bucket admission rate.
 	ErrThrottled = errors.New("core: tenant throttled")

@@ -4,20 +4,29 @@ import (
 	"testing"
 
 	"newmad/internal/caps"
+	"newmad/internal/chaos"
 	"newmad/internal/drivers"
-	"newmad/internal/nicsim"
 	"newmad/internal/packet"
 	"newmad/internal/proto"
+	"newmad/internal/simnet"
 	"newmad/internal/strategy"
 )
 
 // Failure injection. The fabrics the paper targets are loss-free
 // interconnects, so the engine has no retransmission layer — but partial
 // failures (a dead path to one peer) must never wedge traffic to other
-// peers or crash the engine. These tests build the topology by hand to get
-// at the fabric's partition controls.
+// peers or crash the engine. Every rail of these rigs sits behind a
+// chaos.Injector, the one fault layer: silent one-way loss toward a node is
+// a Drop rule on that node's receive path.
 
-func newFailRig(t *testing.T, nodes int) (*drivers.Cluster, *nicsim.Fabric, map[packet.NodeID]*Engine, map[packet.NodeID]*int) {
+// dropAll silently loses every frame arriving at the node it is given to.
+var dropAll = []chaos.Rule{{Kind: chaos.Drop, Prob: 1}}
+
+// newFailRig builds nodes engines over one simulated MX fabric. loss[n] are
+// the receive-side fault rules of node n's rail; opt carries the protocol
+// options under test (bundle, runtime, rails, Deliver and Stats are the
+// rig's).
+func newFailRig(t *testing.T, nodes int, opt Options, loss map[packet.NodeID][]chaos.Rule) (*drivers.Cluster, map[packet.NodeID]*chaos.Injector, map[packet.NodeID]*Engine, map[packet.NodeID]*int) {
 	t.Helper()
 	prof := caps.MX
 	prof.Channels = 1
@@ -25,32 +34,40 @@ func newFailRig(t *testing.T, nodes int) (*drivers.Cluster, *nicsim.Fabric, map[
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := cl.Fabrics["mx"]
+	// Seed 3: node 1's stream draws 0.34 then 0.73, which
+	// TestEngineRdvRetryAcrossPartition's Prob-1/2 rule turns into "first
+	// RTS lost, retry through".
+	rng := simnet.NewRNG(3)
+	injectors := map[packet.NodeID]*chaos.Injector{}
 	engines := map[packet.NodeID]*Engine{}
 	counts := map[packet.NodeID]*int{}
 	for n := 0; n < nodes; n++ {
 		node := packet.NodeID(n)
 		c := new(int)
 		counts[node] = c
-		b, _ := strategy.New("aggregate")
-		eng, err := New(node, Options{
-			Bundle:  b,
-			Runtime: cl.Eng,
-			Rails:   []drivers.Driver{cl.Driver(node, "mx")},
-			Deliver: func(proto.Deliverable) { *c++ },
-			Stats:   cl.Stats,
-		})
+		inj, err := chaos.RailInjector(cl.Driver(node, "mx"), cl.Eng, rng, 0, loss[node]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		injectors[node] = inj
+		o := opt
+		o.Bundle, _ = strategy.New("aggregate")
+		o.Runtime = cl.Eng
+		o.Rails = []drivers.Driver{inj}
+		o.Deliver = func(proto.Deliverable) { *c++ }
+		o.Stats = cl.Stats
+		eng, err := New(node, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		engines[node] = eng
 	}
-	return cl, fab, engines, counts
+	return cl, injectors, engines, counts
 }
 
 func TestPartitionedPeerDoesNotWedgeOthers(t *testing.T) {
-	cl, fab, engines, counts := newFailRig(t, 3)
-	fab.Partition(0, 1) // node 0 -> node 1 silently drops
+	// Everything toward node 1 silently drops; only node 0 sends there.
+	cl, inj, engines, counts := newFailRig(t, 3, Options{}, map[packet.NodeID][]chaos.Rule{1: dropAll})
 
 	// Traffic to the dead peer and to the healthy peer, interleaved.
 	for i := 0; i < 10; i++ {
@@ -69,26 +86,24 @@ func TestPartitionedPeerDoesNotWedgeOthers(t *testing.T) {
 	if *counts[1] != 0 {
 		t.Fatalf("partitioned peer received %d frames through a partition", *counts[1])
 	}
-	if fab.Dropped() == 0 {
+	if inj[1].Injected(chaos.Drop) == 0 {
 		t.Fatal("partition dropped nothing")
 	}
 	// The engine is still usable after the failure.
-	fab.Heal(0, 1)
-	if err := engines[0].Submit(pkt(3, 0, 0, 1, 64)); err != nil {
+	if err := engines[0].Submit(pkt(2, 10, 0, 2, 64)); err != nil {
 		t.Fatal(err)
 	}
 	cl.Eng.Run()
-	if *counts[1] != 1 {
-		t.Fatalf("healed path delivered %d", *counts[1])
+	if *counts[2] != 11 {
+		t.Fatalf("healthy peer received %d of 11 after the failure", *counts[2])
 	}
 }
 
 func TestPartitionDuringRendezvousLeavesOthersRunning(t *testing.T) {
-	cl, fab, engines, counts := newFailRig(t, 3)
-	// Let the RTS through, then cut the reverse path so the CTS is lost:
+	// The RTS gets through, the reverse path is cut so the CTS is lost:
 	// the rendezvous to node 1 stalls forever (documented: loss-free
 	// fabrics have no timeouts) but traffic to node 2 must continue.
-	fab.Partition(1, 0)
+	cl, _, engines, counts := newFailRig(t, 3, Options{}, map[packet.NodeID][]chaos.Rule{0: dropAll})
 
 	big := pkt(1, 0, 0, 1, 64<<10)
 	big.Class = packet.ClassBulk
@@ -114,7 +129,7 @@ func TestPartitionDuringRendezvousLeavesOthersRunning(t *testing.T) {
 }
 
 func TestCloseDuringTraffic(t *testing.T) {
-	cl, _, engines, _ := newFailRig(t, 2)
+	cl, _, engines, _ := newFailRig(t, 2, Options{}, nil)
 	for i := 0; i < 20; i++ {
 		if err := engines[0].Submit(pkt(1, i, 0, 1, 256)); err != nil {
 			t.Fatal(err)
@@ -138,7 +153,7 @@ func TestCloseDuringTraffic(t *testing.T) {
 }
 
 func TestClosedEngineRejectsWork(t *testing.T) {
-	cl, _, engines, _ := newFailRig(t, 2)
+	cl, _, engines, _ := newFailRig(t, 2, Options{}, nil)
 	engines[0].Close()
 	if err := engines[0].Submit(pkt(1, 0, 0, 1, 8)); err == nil {
 		t.Fatal("submit after close accepted")

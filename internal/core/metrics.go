@@ -121,8 +121,8 @@ type Metrics struct {
 	SearchBudget    int
 	RdvThreshold    int
 	Bundle          string
-	// Shards is the engine's pump-shard count (1 = the legacy serialized
-	// layout). Constant for the engine's lifetime; snapshotted so fleet
+	// Shards is the engine's pump-shard count (1 = one shard, what every
+	// simulation and testnet runs). Constant for the engine's lifetime; snapshotted so fleet
 	// telemetry can tell sharded and serialized nodes apart.
 	Shards int
 }

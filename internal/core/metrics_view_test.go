@@ -111,8 +111,8 @@ func viewMismatch(set *stats.Set, engines []*Engine, moved []string) error {
 		}
 	}
 	// The Set stores none of it: only the plan histograms live there.
-	ctrs, _, gauges := set.Names()
-	for _, n := range append(ctrs, gauges...) {
+	ctrs, _ := set.Names()
+	for _, n := range ctrs {
 		if strings.HasPrefix(n, "core.") {
 			return fmt.Errorf("engine quantity %s is stored in the Set, not served", n)
 		}

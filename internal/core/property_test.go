@@ -122,7 +122,7 @@ func runInvariantWorkload(t *testing.T, bundleName string, seed uint64) {
 				sum += b
 			}
 			if sum != sums[connSeq{d.Pkt.Flow, d.Pkt.Dst, d.Pkt.Seq}] {
-				t.Fatalf("bundle %s seed %d: payload of %v corrupted", bundleName, seed, d.Pkt.Key())
+				t.Fatalf("bundle %s seed %d: payload of %v corrupted", bundleName, seed, &d.Pkt)
 			}
 		}
 	}

@@ -81,8 +81,8 @@ func (e *Engine) onFrame(ri int, src packet.NodeID, f *packet.Frame) {
 	// copied or pinned everything that escapes (proto's memory-discipline
 	// contract), so the frame and its unpinned backing buffer recycle here.
 	// Frames without pooled backing — simulated fabrics hand the sender's
-	// own frame object across, tests hand-build theirs — keep their
-	// historical GC lifetime.
+	// own frame object across, tests hand-build theirs — are left to the
+	// GC.
 	if f.Backed() {
 		packet.ReleaseFrame(f)
 	}
@@ -342,17 +342,6 @@ func (e *Engine) railReaches(ri int, peer packet.NodeID) bool {
 		return !pc.PeerDown(peer)
 	}
 	return true
-}
-
-// anyRailReaches reports whether at least one rail currently reaches peer
-// (the Options.RefuseUnreachable submit check).
-func (e *Engine) anyRailReaches(peer packet.NodeID) bool {
-	for ri := range e.rails {
-		if e.railReaches(ri, peer) {
-			return true
-		}
-	}
-	return false
 }
 
 // pumpFailoverLocked re-posts the first failover frame this (rail, channel)

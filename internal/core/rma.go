@@ -20,13 +20,6 @@ func (e *Engine) RegisterWindow(id int32, buf []byte) {
 	e.pmu.Unlock()
 }
 
-// Window returns a registered window's buffer.
-func (e *Engine) Window(id int32) ([]byte, bool) {
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
-	return e.rma.Window(id)
-}
-
 // Put writes data into (window, off) at dst. done, if non-nil, runs when
 // the remote acknowledges. The frame is scheduled like all RMA traffic.
 func (e *Engine) Put(dst packet.NodeID, window int32, off int64, data []byte, done func()) error {

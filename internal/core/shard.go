@@ -63,10 +63,9 @@ type shard struct {
 
 	// favorBulk round-robins fairness between backlog and bulkQ, per shard.
 	// It toggles on every planned-work visit — including visits the work
-	// hints short-circuit — because that is what the single-lock engine
-	// did: its alternation advanced on every pump that reached the
-	// backlog/bulk stage, work or no work. Keeping that cadence keeps the
-	// one-shard engine's schedule byte-identical to the legacy one.
+	// hints short-circuit: the alternation advances on every pump that
+	// reaches the backlog/bulk stage, work or no work. The replay digests
+	// and catalog.golden pin that cadence for the one-shard engine.
 	// Atomic so the toggle happens before (outside) the shard lock the
 	// hint skip avoids.
 	favorBulk atomic.Bool
@@ -403,5 +402,5 @@ func (s *shard) mergeInto(m *Metrics) {
 }
 
 // Shards returns the number of pump shards the engine runs (diagnostic;
-// 1 means the legacy single-shard layout).
+// 1 is what every simulation and testnet runs).
 func (e *Engine) Shards() int { return len(e.shards) }

@@ -47,7 +47,10 @@ func TestEngineTraceTimeline(t *testing.T) {
 	}
 	cl.Eng.Run()
 
-	sum := rec.Summary()
+	sum := map[trace.Kind]int{}
+	for _, e := range rec.Events() {
+		sum[e.Kind]++
+	}
 	if sum[trace.KindSubmit] != 4 {
 		t.Fatalf("submits = %d", sum[trace.KindSubmit])
 	}
@@ -79,13 +82,24 @@ func TestEngineTraceTimeline(t *testing.T) {
 		t.Fatal("deliver before any post")
 	}
 	// The aggregated plan should cover all four packets in one frame.
-	plans := rec.Filter(trace.KindPlan)
+	plans := eventsOf(rec, trace.KindPlan)
 	if len(plans) == 0 || plans[0].A != 4 {
 		t.Fatalf("first plan carried %d packets, want 4", plans[0].A)
 	}
 	if rec.Dump() == "" {
 		t.Fatal("empty dump")
 	}
+}
+
+// eventsOf returns rec's retained events of one kind, oldest first.
+func eventsOf(rec *trace.Recorder, k trace.Kind) []trace.Event {
+	var out []trace.Event
+	for _, e := range rec.Events() {
+		if e.Kind == k {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // TestEngineTraceRendezvous checks rendezvous grants are recorded.
@@ -117,7 +131,7 @@ func TestEngineTraceRendezvous(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl2.Eng.Run()
-	grants := rec2.Filter(trace.KindRdv)
+	grants := eventsOf(rec2, trace.KindRdv)
 	if len(grants) != 1 || grants[0].Note != "granted" {
 		t.Fatalf("rdv trace events = %v", grants)
 	}

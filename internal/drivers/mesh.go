@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 
 	"newmad/internal/caps"
@@ -320,9 +319,8 @@ func (m *Mesh) SetPeerDownHandler(fn func(peer packet.NodeID)) {
 }
 
 // SetFrameLossHandler installs the handler that receives frames reclaimed
-// from a failed connection (see FrameLossHandler). Optional; installing
-// none restores the historical behavior of dropping undelivered frames
-// with the connection. Called from the failed rail's owner goroutine.
+// from a failed connection (see FrameLossHandler). Optional; with none
+// installed, undelivered frames are dropped with the connection. Called from the failed rail's owner goroutine.
 func (m *Mesh) SetFrameLossHandler(fn FrameLossHandler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -376,20 +374,6 @@ func (m *Mesh) BreakPeer(peer packet.NodeID) bool {
 		h(peer)
 	}
 	return true
-}
-
-// Peers returns the ids of connected peers that have not failed, sorted.
-func (m *Mesh) Peers() []packet.NodeID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]packet.NodeID, 0, len(m.peers))
-	for id, p := range m.peers {
-		if !p.down {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // PeerDown reports whether the peer's connection has failed.

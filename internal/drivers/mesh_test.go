@@ -68,8 +68,8 @@ func TestMeshPeerFailure(t *testing.T) {
 	if !nodes[0].ChannelIdle(0) {
 		t.Fatal("failed post left the channel busy")
 	}
-	if got := nodes[0].Peers(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("surviving peers = %v, want [1]", got)
+	if nodes[0].PeerDown(1) || !nodes[0].PeerDown(2) {
+		t.Fatalf("peer 1 down = %v, peer 2 down = %v; want only peer 2", nodes[0].PeerDown(1), nodes[0].PeerDown(2))
 	}
 
 	// The surviving edge keeps carrying traffic.

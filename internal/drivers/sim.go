@@ -102,7 +102,7 @@ func NewCluster(n int, profiles ...caps.Caps) (*Cluster, error) {
 		if _, dup := cl.Fabrics[p.Name]; dup {
 			return nil, fmt.Errorf("drivers: duplicate profile %q in cluster", p.Name)
 		}
-		cl.Fabrics[p.Name] = nicsim.NewFabric(cl.Eng, p.Name)
+		cl.Fabrics[p.Name] = nicsim.NewFabric(p.Name)
 	}
 	for node := 0; node < n; node++ {
 		cl.Drivers[node] = make(map[string]*Sim, len(profiles))

@@ -163,15 +163,6 @@ func ReportOf(id string) Report {
 	return Report{}
 }
 
-// Latency returns the latency digest recorded by the last run of the
-// experiment; ok is false when the experiment never reported one.
-func Latency(id string) (s LatencySummary, ok bool) {
-	if l := ReportOf(id).Latency; l != nil {
-		return *l, true
-	}
-	return LatencySummary{}, false
-}
-
 // LatencySummary is one run's delivery-latency digest: the end-to-end
 // span (submit→deliver; eager deliveries only — rendezvous payloads are
 // reconstructed at the receiver without the submit stamp) and the

@@ -158,8 +158,8 @@ func TestX5ShapeChaosExactlyOnceAndReplayable(t *testing.T) {
 		if a.SpoolDir != "" {
 			return fmt.Errorf("clean run wrote an anomaly spool at %s", a.SpoolDir)
 		}
-		if lat, ok := Latency("X5"); !ok || lat.QwaitCount == 0 {
-			return fmt.Errorf("X5 did not report latency quantiles: %+v ok=%v", lat, ok)
+		if lat := ReportOf("X5").Latency; lat == nil || lat.QwaitCount == 0 {
+			return fmt.Errorf("X5 did not report latency quantiles: %+v", lat)
 		}
 		b, err := X5Chaos(quick)
 		if err != nil {

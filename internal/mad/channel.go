@@ -173,9 +173,6 @@ type Connection struct {
 	open    bool
 }
 
-// Peer returns the remote node.
-func (c *Connection) Peer() packet.NodeID { return c.peer }
-
 // Flow returns the wire flow id (diagnostics).
 func (c *Connection) Flow() packet.FlowID { return c.flow }
 

@@ -1,7 +1,6 @@
 // Package memsim models the host-memory costs that shape communication
 // optimization decisions: copying (for by-copy aggregation and eager
-// buffering) and memory registration (pinning pages for zero-copy DMA, as
-// required by Myrinet/MX, Quadrics/Elan and InfiniBand alike).
+// buffering) and building gather descriptors.
 //
 // The optimizer's central trade-off — aggregate several small packets into
 // one network transaction versus send them separately — is only meaningful
@@ -25,24 +24,14 @@ type Model struct {
 	// CopyLatency is the fixed per-copy overhead (function call, cache
 	// warmup) added to every copy regardless of size.
 	CopyLatency simnet.Duration
-	// RegisterLatency is the fixed cost of pinning a region for DMA
-	// (syscall + NIC table update), and RegisterPerPage the incremental
-	// cost per 4 KiB page.
-	RegisterLatency simnet.Duration
-	RegisterPerPage simnet.Duration
-	// PageSize is the registration granularity, normally 4096.
-	PageSize int
 }
 
 // DefaultModel returns a host memory model representative of a 2006-era
-// Opteron node: ~1.6 GB/s memcpy, 60 ns copy setup, ~1.5 µs pin syscall.
+// Opteron node: ~1.6 GB/s memcpy, 60 ns copy setup.
 func DefaultModel() Model {
 	return Model{
-		CopyBandwidth:   1.6e9,
-		CopyLatency:     60 * simnet.Nanosecond,
-		RegisterLatency: 1500 * simnet.Nanosecond,
-		RegisterPerPage: 50 * simnet.Nanosecond,
-		PageSize:        4096,
+		CopyBandwidth: 1.6e9,
+		CopyLatency:   60 * simnet.Nanosecond,
 	}
 }
 
@@ -51,10 +40,7 @@ func (m Model) Validate() error {
 	if m.CopyBandwidth <= 0 {
 		return fmt.Errorf("memsim: CopyBandwidth must be positive, got %v", m.CopyBandwidth)
 	}
-	if m.PageSize <= 0 {
-		return fmt.Errorf("memsim: PageSize must be positive, got %d", m.PageSize)
-	}
-	if m.CopyLatency < 0 || m.RegisterLatency < 0 || m.RegisterPerPage < 0 {
+	if m.CopyLatency < 0 {
 		return fmt.Errorf("memsim: negative latency in model %+v", m)
 	}
 	return nil
@@ -76,161 +62,4 @@ func (m Model) GatherCost(entries int) simnet.Duration {
 		return 0
 	}
 	return simnet.Duration(entries) * 40 * simnet.Nanosecond
-}
-
-// RegisterCost returns the time to pin a region of n bytes, assuming no
-// cache hit.
-func (m Model) RegisterCost(n int) simnet.Duration {
-	if n <= 0 {
-		return 0
-	}
-	pages := (n + m.PageSize - 1) / m.PageSize
-	return m.RegisterLatency + simnet.Duration(pages)*m.RegisterPerPage
-}
-
-// RegCache models a registration cache (pin cache): repeatedly used buffers
-// (the common case for middleware send rings) are pinned once. It is a
-// simple LRU keyed by (base, len) identity.
-type RegCache struct {
-	model   Model
-	cap     int
-	entries map[regKey]*regEntry
-	head    *regEntry // most-recently used
-	tail    *regEntry
-	hits    uint64
-	misses  uint64
-}
-
-type regKey struct {
-	base uintptr
-	size int
-}
-
-type regEntry struct {
-	key        regKey
-	prev, next *regEntry
-}
-
-// NewRegCache returns a cache holding at most capEntries registrations.
-func NewRegCache(model Model, capEntries int) *RegCache {
-	if capEntries <= 0 {
-		capEntries = 1
-	}
-	return &RegCache{
-		model:   model,
-		cap:     capEntries,
-		entries: make(map[regKey]*regEntry),
-	}
-}
-
-// Register returns the virtual-time cost of ensuring the buffer identified
-// by (base, size) is pinned. A cache hit costs nothing.
-func (c *RegCache) Register(base uintptr, size int) simnet.Duration {
-	k := regKey{base, size}
-	if e, ok := c.entries[k]; ok {
-		c.hits++
-		c.moveToFront(e)
-		return 0
-	}
-	c.misses++
-	e := &regEntry{key: k}
-	c.entries[k] = e
-	c.pushFront(e)
-	if len(c.entries) > c.cap {
-		c.evict()
-	}
-	return c.model.RegisterCost(size)
-}
-
-// Stats returns cache hits and misses so far.
-func (c *RegCache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// Len returns the number of cached registrations.
-func (c *RegCache) Len() int { return len(c.entries) }
-
-func (c *RegCache) pushFront(e *regEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *RegCache) moveToFront(e *regEntry) {
-	if c.head == e {
-		return
-	}
-	// unlink
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if c.tail == e {
-		c.tail = e.prev
-	}
-	c.pushFront(e)
-}
-
-func (c *RegCache) evict() {
-	e := c.tail
-	if e == nil {
-		return
-	}
-	if e.prev != nil {
-		e.prev.next = nil
-	}
-	c.tail = e.prev
-	if c.head == e {
-		c.head = nil
-	}
-	delete(c.entries, e.key)
-}
-
-// Pool is a fixed-size recycling buffer pool for staging aggregated frames,
-// mirroring the leaky-bucket free list idiom. It exists so by-copy
-// aggregation does not misleadingly "cost" a fresh allocation every frame in
-// wall-clock benchmarks.
-type Pool struct {
-	size int
-	free chan []byte
-}
-
-// NewPool returns a pool of byte slices of the given size, keeping at most
-// keep buffers.
-func NewPool(size, keep int) *Pool {
-	if size <= 0 {
-		panic("memsim: pool buffer size must be positive")
-	}
-	if keep <= 0 {
-		keep = 1
-	}
-	return &Pool{size: size, free: make(chan []byte, keep)}
-}
-
-// Get returns a buffer of the pool's size (zeroing not guaranteed).
-func (p *Pool) Get() []byte {
-	select {
-	case b := <-p.free:
-		return b
-	default:
-		return make([]byte, p.size)
-	}
-}
-
-// Put returns a buffer to the pool; wrong-sized buffers are dropped.
-func (p *Pool) Put(b []byte) {
-	if cap(b) < p.size {
-		return
-	}
-	b = b[:p.size]
-	select {
-	case p.free <- b:
-	default:
-	}
 }

@@ -18,11 +18,6 @@ func TestModelValidate(t *testing.T) {
 		t.Fatal("zero bandwidth accepted")
 	}
 	bad = m
-	bad.PageSize = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero page size accepted")
-	}
-	bad = m
 	bad.CopyLatency = -1
 	if bad.Validate() == nil {
 		t.Fatal("negative latency accepted")
@@ -61,91 +56,6 @@ func TestGatherCost(t *testing.T) {
 	if m.GatherCost(8) >= m.CopyCost(8*1024) {
 		t.Fatal("gather not cheaper than copy — aggregation trade-off broken")
 	}
-}
-
-func TestRegisterCostPages(t *testing.T) {
-	m := DefaultModel()
-	if m.RegisterCost(0) != 0 {
-		t.Fatal("empty registration should be free")
-	}
-	one := m.RegisterCost(1)
-	full := m.RegisterCost(4096)
-	if one != full {
-		t.Fatalf("1 byte (%v) and 4096 bytes (%v) should both pin one page", one, full)
-	}
-	two := m.RegisterCost(4097)
-	if two <= full {
-		t.Fatal("crossing a page boundary should cost more")
-	}
-}
-
-func TestRegCacheHitsAndEviction(t *testing.T) {
-	c := NewRegCache(DefaultModel(), 2)
-	if d := c.Register(0x1000, 4096); d == 0 {
-		t.Fatal("first registration should cost time")
-	}
-	if d := c.Register(0x1000, 4096); d != 0 {
-		t.Fatal("repeat registration should be a free cache hit")
-	}
-	c.Register(0x2000, 4096)
-	c.Register(0x3000, 4096) // evicts LRU (0x1000 was touched most recently before 0x2000... order: 0x1000 MRU after hit, then 0x2000, 0x3000 evicts 0x1000? No: capacity 2, inserting third evicts tail)
-	if c.Len() != 2 {
-		t.Fatalf("cache len = %d, want 2", c.Len())
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 3 {
-		t.Fatalf("hits=%d misses=%d, want 1/3", hits, misses)
-	}
-}
-
-func TestRegCacheLRUOrder(t *testing.T) {
-	c := NewRegCache(DefaultModel(), 2)
-	c.Register(1, 10)
-	c.Register(2, 10)
-	c.Register(1, 10) // touch 1 -> MRU
-	c.Register(3, 10) // evicts 2
-	if d := c.Register(1, 10); d != 0 {
-		t.Fatal("entry 1 should have survived eviction")
-	}
-	if d := c.Register(2, 10); d == 0 {
-		t.Fatal("entry 2 should have been evicted")
-	}
-}
-
-func TestRegCacheZeroCapacity(t *testing.T) {
-	c := NewRegCache(DefaultModel(), 0)
-	c.Register(1, 10)
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want clamped capacity 1", c.Len())
-	}
-}
-
-func TestPoolRecycles(t *testing.T) {
-	p := NewPool(1024, 2)
-	b := p.Get()
-	if len(b) != 1024 {
-		t.Fatalf("buffer len = %d", len(b))
-	}
-	b[0] = 0xAA
-	p.Put(b)
-	b2 := p.Get()
-	if &b2[0] != &b[0] {
-		t.Fatal("pool did not recycle the buffer")
-	}
-	p.Put(make([]byte, 10)) // undersized: dropped silently
-	b3 := p.Get()
-	if len(b3) != 1024 {
-		t.Fatalf("pool returned undersized buffer of %d", len(b3))
-	}
-}
-
-func TestPoolPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewPool(0, 1) did not panic")
-		}
-	}()
-	NewPool(0, 1)
 }
 
 // Property: copy cost is superadditive-resistant — copying a+b bytes in one

@@ -91,9 +91,6 @@ func New(session *mad.Session, nodes, pages, pageSize int) (*DSM, error) {
 // home returns the home node of page p.
 func (d *DSM) home(p int) packet.NodeID { return packet.NodeID(p % d.nodes) }
 
-// PageSize returns the page granularity.
-func (d *DSM) PageSize() int { return d.pageSz }
-
 // Stats returns (invalidations sent, received, cache hits, misses).
 func (d *DSM) Stats() (invSent, invRcvd, hits, misses uint64) {
 	d.mu.Lock()

@@ -60,9 +60,6 @@ func TestGeometryValidation(t *testing.T) {
 	if _, err := New(r.dsms[0].session, 2, 0, 256); err == nil {
 		t.Fatal("zero pages accepted")
 	}
-	if r.dsms[0].PageSize() != 256 {
-		t.Fatal("page size accessor")
-	}
 	if err := r.dsms[0].Read(99, func([]byte) {}); err == nil {
 		t.Fatal("out-of-range page accepted")
 	}

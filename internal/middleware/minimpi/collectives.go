@@ -1,20 +1,12 @@
 package minimpi
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
-// Collective operations over binomial trees and dissemination patterns.
-// Tags above the reserved base never collide with application tags: Send
-// rejects negative tags and the collective tags use the top bit range.
+// The one collective: a dissemination barrier. Its tags sit above the
+// reserved base and never collide with application tags by convention:
+// applications keep theirs below it.
 
-const (
-	tagBarrierBase = int64(1) << 40
-	tagBcastBase   = int64(2) << 40
-	tagReduceBase  = int64(3) << 40
-	tagGatherBase  = int64(4) << 40
-)
+const tagBarrierBase = int64(1) << 40
 
 // Barrier completes (calls done) after every rank has entered the barrier.
 // It uses the dissemination algorithm: ceil(log2(n)) rounds, each rank
@@ -46,187 +38,4 @@ func (w *World) Barrier(done func()) {
 		w.Recv(from, tag, func(int, int64, []byte) { round(k + 1) })
 	}
 	round(0)
-}
-
-// Bcast distributes root's data to all ranks along a binomial tree; done
-// receives the data on every rank (including root).
-func (w *World) Bcast(root int, data []byte, done func(data []byte)) {
-	if root < 0 || root >= w.size {
-		panic(fmt.Sprintf("minimpi: bcast root %d out of range", root))
-	}
-	w.mu.Lock()
-	w.collSeq++
-	tag := tagBcastBase + int64(w.collSeq)
-	w.mu.Unlock()
-
-	// Ranks are renumbered relative to the root; vrank 0 is the root.
-	vrank := (w.rank - root + w.size) % w.size
-	forward := func(payload []byte) {
-		// Binomial tree: the children of vrank are vrank | 1<<k for every
-		// k strictly above vrank's highest set bit (all k for the root).
-		hi := -1
-		for b := vrank; b > 0; b >>= 1 {
-			hi++
-		}
-		for k := hi + 1; ; k++ {
-			child := vrank | 1<<k
-			if child >= w.size {
-				break
-			}
-			real := (child + root) % w.size
-			if err := w.Send(real, tag, payload); err != nil {
-				panic(fmt.Sprintf("minimpi: bcast send: %v", err))
-			}
-		}
-		done(payload)
-	}
-	if vrank == 0 {
-		forward(data)
-		return
-	}
-	w.Recv(AnySource, tag, func(_ int, _ int64, payload []byte) { forward(payload) })
-}
-
-// ReduceOp combines two operand slices element-wise into the first.
-type ReduceOp func(acc, in []int64)
-
-// OpSum adds element-wise.
-func OpSum(acc, in []int64) {
-	for i := range acc {
-		acc[i] += in[i]
-	}
-}
-
-// OpMax keeps the element-wise maximum.
-func OpMax(acc, in []int64) {
-	for i := range acc {
-		if in[i] > acc[i] {
-			acc[i] = in[i]
-		}
-	}
-}
-
-// Reduce combines each rank's vector with op down a binomial tree; done
-// fires on the root with the result (other ranks get done(nil)).
-func (w *World) Reduce(root int, vec []int64, op ReduceOp, done func(result []int64)) {
-	if root < 0 || root >= w.size {
-		panic(fmt.Sprintf("minimpi: reduce root %d out of range", root))
-	}
-	w.mu.Lock()
-	w.collSeq++
-	tag := tagReduceBase + int64(w.collSeq)
-	w.mu.Unlock()
-
-	vrank := (w.rank - root + w.size) % w.size
-	acc := append([]int64(nil), vec...)
-
-	// Children of vrank in the binomial reduce tree: vrank | 1<<k below
-	// vrank's lowest set bit; count them first, then absorb that many
-	// messages.
-	expect := 0
-	for k := 0; ; k++ {
-		child := vrank | 1<<k
-		if vrank&(1<<k) != 0 {
-			break
-		}
-		if child >= w.size {
-			break
-		}
-		if child != vrank {
-			expect++
-		}
-	}
-
-	finish := func() {
-		if vrank == 0 {
-			done(acc)
-			return
-		}
-		// Send to parent: clear the lowest set bit.
-		parent := vrank & (vrank - 1)
-		real := (parent + root) % w.size
-		if err := w.Send(real, tag, encodeVec(acc)); err != nil {
-			panic(fmt.Sprintf("minimpi: reduce send: %v", err))
-		}
-		done(nil)
-	}
-	if expect == 0 {
-		finish()
-		return
-	}
-	remaining := expect
-	var absorb func(int, int64, []byte)
-	absorb = func(_ int, _ int64, payload []byte) {
-		op(acc, decodeVec(payload))
-		remaining--
-		if remaining == 0 {
-			finish()
-			return
-		}
-		w.Recv(AnySource, tag, absorb)
-	}
-	w.Recv(AnySource, tag, absorb)
-}
-
-// Allreduce is Reduce to rank 0 followed by Bcast; done fires everywhere
-// with the combined vector.
-func (w *World) Allreduce(vec []int64, op ReduceOp, done func(result []int64)) {
-	w.Reduce(0, vec, op, func(result []int64) {
-		if w.rank == 0 {
-			w.Bcast(0, encodeVec(result), func(data []byte) { done(decodeVec(data)) })
-		} else {
-			w.Bcast(0, nil, func(data []byte) { done(decodeVec(data)) })
-		}
-	})
-}
-
-// Gather collects each rank's vector at the root (simple linear gather;
-// fine at the scales simulated). done fires on the root with vectors
-// indexed by rank, and with nil elsewhere.
-func (w *World) Gather(root int, vec []int64, done func(all [][]int64)) {
-	w.mu.Lock()
-	w.collSeq++
-	tag := tagGatherBase + int64(w.collSeq)
-	w.mu.Unlock()
-	if w.rank != root {
-		if err := w.Send(root, tag, encodeVec(vec)); err != nil {
-			panic(fmt.Sprintf("minimpi: gather send: %v", err))
-		}
-		done(nil)
-		return
-	}
-	all := make([][]int64, w.size)
-	all[root] = append([]int64(nil), vec...)
-	remaining := w.size - 1
-	if remaining == 0 {
-		done(all)
-		return
-	}
-	var absorb func(src int, _ int64, payload []byte)
-	absorb = func(src int, _ int64, payload []byte) {
-		all[src] = decodeVec(payload)
-		remaining--
-		if remaining == 0 {
-			done(all)
-			return
-		}
-		w.Recv(AnySource, tag, absorb)
-	}
-	w.Recv(AnySource, tag, absorb)
-}
-
-func encodeVec(v []int64) []byte {
-	out := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.BigEndian.PutUint64(out[i*8:], uint64(x))
-	}
-	return out
-}
-
-func decodeVec(b []byte) []int64 {
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(binary.BigEndian.Uint64(b[i*8:]))
-	}
-	return out
 }

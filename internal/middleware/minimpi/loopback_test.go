@@ -1,6 +1,7 @@
 package minimpi
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -17,9 +18,9 @@ import (
 // TestCollectivesOverRealSockets runs the MPI middleware over the real TCP
 // mesh driver: the whole stack — packing API, optimizer, protocol
 // engines, wire codec — in wall-clock time with concurrent goroutine
-// upcalls. A barrier plus an allreduce across three endpoints is a
-// complete correctness workout: tag matching, ordered flows, collective
-// trees and bidirectional traffic all at once.
+// upcalls. A barrier plus an all-to-all exchange of tagged sends across
+// three endpoints is a complete correctness workout: tag matching, ordered
+// flows, the dissemination rounds and bidirectional traffic all at once.
 func TestCollectivesOverRealSockets(t *testing.T) {
 	const n = 3
 	nodes, cleanup, err := drivers.NewMeshCluster(n, caps.TCP)
@@ -55,30 +56,49 @@ func TestCollectivesOverRealSockets(t *testing.T) {
 		worlds[i] = w
 	}
 
-	// Barrier, then allreduce, chained per rank; all ranks report results.
+	// Barrier, then every rank sends its number to every other rank and
+	// sums what it receives, chained per rank; all ranks report results.
+	const tag = 7
 	type result struct {
 		rank int
-		vec  []int64
+		sum  int
 	}
 	results := make(chan result, n)
 	for r := 0; r < n; r++ {
 		r := r
 		go func() {
 			worlds[r].Barrier(func() {
-				worlds[r].Allreduce([]int64{int64(r + 1)}, OpSum, func(vec []int64) {
-					results <- result{r, vec}
-				})
+				var mu sync.Mutex
+				sum, got := r+1, 0
+				for peer := 0; peer < n; peer++ {
+					if peer == r {
+						continue
+					}
+					worlds[r].Recv(peer, tag, func(_ int, _ int64, data []byte) {
+						mu.Lock()
+						sum += int(data[0])
+						got++
+						total, done := sum, got == n-1
+						mu.Unlock()
+						if done {
+							results <- result{r, total}
+						}
+					})
+					if err := worlds[r].Send(peer, tag, []byte{byte(r + 1)}); err != nil {
+						t.Error(err)
+					}
+				}
 			})
 		}()
 	}
 
-	want := int64(1 + 2 + 3)
+	const want = 1 + 2 + 3
 	seen := 0
 	for seen < n {
 		select {
 		case res := <-results:
-			if len(res.vec) != 1 || res.vec[0] != want {
-				t.Fatalf("rank %d allreduce = %v, want [%d]", res.rank, res.vec, want)
+			if res.sum != want {
+				t.Fatalf("rank %d summed %d, want %d", res.rank, res.sum, want)
 			}
 			seen++
 		case <-time.After(20 * time.Second):

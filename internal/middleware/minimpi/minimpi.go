@@ -1,5 +1,5 @@
 // Package minimpi is a small message-passing middleware in the style of
-// MPI point-to-point and collective operations, built on the Madeleine
+// MPI point-to-point operations plus a barrier, built on the Madeleine
 // packing API. It is one of the three middleware substrates that generate
 // the concurrent structured flows the paper's optimizer feeds on.
 //
@@ -40,7 +40,6 @@ type World struct {
 	posted     []*recvReq // posted receives awaiting messages
 	unexpected []*envelope
 	barrierSeq int
-	collSeq    int
 }
 
 type recvReq struct {
@@ -71,12 +70,6 @@ func New(session *mad.Session, size int) (*World, error) {
 	w.channel.OnMessage(w.onMessage)
 	return w, nil
 }
-
-// Rank returns this process's rank.
-func (w *World) Rank() int { return w.rank }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
 
 const headerLen = 16
 

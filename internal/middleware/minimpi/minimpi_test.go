@@ -1,7 +1,6 @@
 package minimpi
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -59,8 +58,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(j.worlds[0].session, 0); err == nil {
 		t.Fatal("zero-size world accepted")
 	}
-	if j.worlds[0].Rank() != 0 || j.worlds[1].Rank() != 1 || j.worlds[0].Size() != 2 {
-		t.Fatal("rank/size accessors broken")
+	if j.worlds[0].rank != 0 || j.worlds[1].rank != 1 || j.worlds[0].size != 2 {
+		t.Fatal("rank is not the session's node, or size not the argument")
 	}
 }
 
@@ -224,108 +223,6 @@ func TestRepeatedBarriers(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 8} {
-		for root := 0; root < n; root += n/2 + 1 {
-			j := newJob(t, n)
-			payload := bytes.Repeat([]byte{0xCD}, 1000)
-			got := make([][]byte, n)
-			for r := 0; r < n; r++ {
-				r := r
-				var data []byte
-				if r == root {
-					data = payload
-				}
-				j.worlds[r].Bcast(root, data, func(d []byte) { got[r] = d })
-			}
-			j.cl.Eng.Run()
-			for r := 0; r < n; r++ {
-				if !bytes.Equal(got[r], payload) {
-					t.Fatalf("n=%d root=%d rank=%d: bcast data wrong (%d bytes)", n, root, r, len(got[r]))
-				}
-			}
-		}
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 6} {
-		j := newJob(t, n)
-		var result []int64
-		for r := 0; r < n; r++ {
-			r := r
-			vec := []int64{int64(r + 1), int64(10 * (r + 1))}
-			j.worlds[r].Reduce(0, vec, OpSum, func(res []int64) {
-				if r == 0 {
-					result = res
-				}
-			})
-		}
-		j.cl.Eng.Run()
-		wantA := int64(n * (n + 1) / 2)
-		if result == nil || result[0] != wantA || result[1] != 10*wantA {
-			t.Fatalf("n=%d: reduce = %v, want [%d %d]", n, result, wantA, 10*wantA)
-		}
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	j := newJob(t, 4)
-	var result []int64
-	for r := 0; r < 4; r++ {
-		r := r
-		j.worlds[r].Reduce(0, []int64{int64(r * r)}, OpMax, func(res []int64) {
-			if r == 0 {
-				result = res
-			}
-		})
-	}
-	j.cl.Eng.Run()
-	if result == nil || result[0] != 9 {
-		t.Fatalf("max = %v", result)
-	}
-}
-
-func TestAllreduce(t *testing.T) {
-	const n = 5
-	j := newJob(t, n)
-	results := make([][]int64, n)
-	for r := 0; r < n; r++ {
-		r := r
-		j.worlds[r].Allreduce([]int64{1, int64(r)}, OpSum, func(res []int64) { results[r] = res })
-	}
-	j.cl.Eng.Run()
-	wantB := int64(0 + 1 + 2 + 3 + 4)
-	for r := 0; r < n; r++ {
-		if results[r] == nil || results[r][0] != n || results[r][1] != wantB {
-			t.Fatalf("rank %d allreduce = %v", r, results[r])
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	const n = 4
-	j := newJob(t, n)
-	var all [][]int64
-	for r := 0; r < n; r++ {
-		r := r
-		j.worlds[r].Gather(2, []int64{int64(r * 100)}, func(a [][]int64) {
-			if r == 2 {
-				all = a
-			}
-		})
-	}
-	j.cl.Eng.Run()
-	if all == nil {
-		t.Fatal("gather root got nothing")
-	}
-	for r := 0; r < n; r++ {
-		if len(all[r]) != 1 || all[r][0] != int64(r*100) {
-			t.Fatalf("gather[%d] = %v", r, all[r])
-		}
-	}
-}
-
 func TestHaloExchangePattern(t *testing.T) {
 	// The classic stencil neighbor exchange: every rank sends to left and
 	// right neighbors (ring) and receives from both — a workload whose
@@ -350,6 +247,36 @@ func TestHaloExchangePattern(t *testing.T) {
 		if c != 2 {
 			t.Fatalf("rank %d received %d halos", r, c)
 		}
+	}
+}
+
+func TestAlltoallAggregatesAcrossFlows(t *testing.T) {
+	// Several concurrent all-to-all exchanges of small messages keep every
+	// NIC busy, so later sends accumulate as backlog and the optimizer
+	// finds cross-flow aggregation material (tags keep the exchanges
+	// separate).
+	const n, concurrent = 6, 4
+	j := newJob(t, n)
+	received := 0
+	for round := 0; round < concurrent; round++ {
+		for r := 0; r < n; r++ {
+			for peer := 0; peer < n; peer++ {
+				if peer == r {
+					continue
+				}
+				j.worlds[r].Recv(peer, int64(round), func(int, int64, []byte) { received++ })
+				if err := j.worlds[r].Send(peer, int64(round), make([]byte, 64)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	j.cl.Eng.Run()
+	if want := concurrent * n * (n - 1); received != want {
+		t.Fatalf("received %d of %d", received, want)
+	}
+	if j.cl.Stats.CounterValue("core.aggregates") == 0 {
+		t.Fatal("all-to-all exchange produced no aggregation")
 	}
 }
 

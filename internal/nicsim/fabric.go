@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"newmad/internal/packet"
-	"newmad/internal/simnet"
 )
 
 // Fabric is one interconnect network: the set of NICs of a single
@@ -17,59 +16,16 @@ import (
 // balances between them.
 type Fabric struct {
 	name string
-	eng  *simnet.Engine
 	nics map[packet.NodeID]*NIC
-
-	// delay optionally adds technology-independent extra latency per frame
-	// (used by the WAN emulation tests to stretch a profile without
-	// re-registering it).
-	delay simnet.Duration
-
-	// partitioned pairs drop frames, for failure-injection tests. Keys are
-	// directed (from, to).
-	partitioned map[[2]packet.NodeID]bool
-
-	// dropped counts frames discarded by partitions.
-	dropped uint64
 }
 
 // NewFabric creates an empty fabric.
-func NewFabric(eng *simnet.Engine, name string) *Fabric {
-	return &Fabric{name: name, eng: eng, nics: make(map[packet.NodeID]*NIC)}
+func NewFabric(name string) *Fabric {
+	return &Fabric{name: name, nics: make(map[packet.NodeID]*NIC)}
 }
 
 // Name returns the fabric label.
 func (f *Fabric) Name() string { return f.name }
-
-// SetExtraDelay adds d to every frame's propagation on this fabric.
-func (f *Fabric) SetExtraDelay(d simnet.Duration) { f.delay = d }
-
-// Partition makes frames from a to b vanish (one direction). Use for
-// failure-injection tests; there is no retransmission layer, mirroring the
-// reliable interconnects the paper targets, so partitioned traffic is lost.
-func (f *Fabric) Partition(from, to packet.NodeID) {
-	if f.partitioned == nil {
-		f.partitioned = make(map[[2]packet.NodeID]bool)
-	}
-	f.partitioned[[2]packet.NodeID{from, to}] = true
-}
-
-// Heal removes a partition.
-func (f *Fabric) Heal(from, to packet.NodeID) {
-	delete(f.partitioned, [2]packet.NodeID{from, to})
-}
-
-// Dropped returns the number of frames lost to partitions.
-func (f *Fabric) Dropped() uint64 { return f.dropped }
-
-// NIC returns the NIC registered for node.
-func (f *Fabric) NIC(node packet.NodeID) (*NIC, bool) {
-	n, ok := f.nics[node]
-	return n, ok
-}
-
-// Nodes returns the number of attached nodes.
-func (f *Fabric) Nodes() int { return len(f.nics) }
 
 func (f *Fabric) attach(n *NIC) error {
 	if _, dup := f.nics[n.node]; dup {
@@ -82,18 +38,9 @@ func (f *Fabric) attach(n *NIC) error {
 // arrive routes a frame that has finished propagation to its destination
 // NIC's receive engine.
 func (f *Fabric) arrive(src packet.NodeID, fr *packet.Frame) {
-	if f.partitioned[[2]packet.NodeID{src, fr.Dst}] {
-		f.dropped++
-		return
-	}
 	dst, ok := f.nics[fr.Dst]
 	if !ok {
 		panic(fmt.Sprintf("nicsim: frame for unattached node %d on fabric %s", fr.Dst, f.name))
 	}
-	deliver := func() { dst.receive(src, fr) }
-	if f.delay > 0 {
-		f.eng.After(f.delay, "fabric.extradelay", deliver)
-		return
-	}
-	deliver()
+	dst.receive(src, fr)
 }

@@ -50,9 +50,7 @@ type NIC struct {
 }
 
 type chanState struct {
-	busy     bool
-	busySum  simnet.Duration // total busy time, for utilization gauges
-	lastPost simnet.Time
+	busy bool
 }
 
 // New creates a NIC for node with the given capability profile and
@@ -130,7 +128,7 @@ var ErrChannelBusy = fmt.Errorf("nicsim: channel busy")
 // so that over-eager aggregation shows up as lost time, exactly as it would
 // on hardware.
 //
-// The timeline charged, mirroring caps.SendCost:
+// The timeline charged:
 //
 //	t0                — channel becomes busy
 //	+ hostExtra       — optimizer-added preparation
@@ -175,8 +173,6 @@ func (n *NIC) Post(ch int, f *packet.Frame, hostExtra simnet.Duration) error {
 	busyDur := host + serialize
 
 	st.busy = true
-	st.lastPost = n.eng.Now()
-	st.busySum += busyDur
 
 	n.txFrames.Inc()
 	n.txWireBytes.Add(uint64(wireBytes))
@@ -224,14 +220,4 @@ func (n *NIC) receive(src packet.NodeID, f *packet.Frame) {
 			n.onRecv(src, f)
 		}
 	})
-}
-
-// Utilization returns the fraction of elapsed virtual time channel ch spent
-// busy (meaningful once the simulation has advanced past zero).
-func (n *NIC) Utilization(ch int) float64 {
-	now := n.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(n.channels[ch].busySum) / float64(now)
 }

@@ -13,7 +13,7 @@ import (
 func testPair(t *testing.T, c caps.Caps) (*simnet.Engine, *NIC, *NIC) {
 	t.Helper()
 	eng := simnet.NewEngine()
-	fab := NewFabric(eng, c.Name)
+	fab := NewFabric(c.Name)
 	a, err := New(eng, fab, 0, c, memsim.DefaultModel(), &stats.Set{})
 	if err != nil {
 		t.Fatal(err)
@@ -38,14 +38,14 @@ func dataFrame(src, dst packet.NodeID, sizes ...int) *packet.Frame {
 
 func TestNICRejectsInvalidSetup(t *testing.T) {
 	eng := simnet.NewEngine()
-	fab := NewFabric(eng, "x")
+	fab := NewFabric("x")
 	bad := caps.MX
 	bad.Bandwidth = 0
 	if _, err := New(eng, fab, 0, bad, memsim.DefaultModel(), nil); err == nil {
 		t.Fatal("invalid caps accepted")
 	}
 	badMem := memsim.DefaultModel()
-	badMem.PageSize = 0
+	badMem.CopyBandwidth = 0
 	if _, err := New(eng, fab, 0, caps.MX, badMem, nil); err == nil {
 		t.Fatal("invalid memory model accepted")
 	}
@@ -257,7 +257,7 @@ func TestReceiveOccupancyQueues(t *testing.T) {
 	// Two frames from two senders arriving near-simultaneously must be
 	// processed sequentially by the destination's receive engine.
 	eng := simnet.NewEngine()
-	fab := NewFabric(eng, "mx")
+	fab := NewFabric("mx")
 	mem := memsim.DefaultModel()
 	a, _ := New(eng, fab, 0, caps.MX, mem, nil)
 	b, _ := New(eng, fab, 1, caps.MX, mem, nil)
@@ -280,73 +280,8 @@ func TestReceiveOccupancyQueues(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	eng, a, _ := testPair(t, caps.MX)
-	if a.Utilization(0) != 0 {
-		t.Fatal("utilization nonzero before any traffic")
-	}
-	if err := a.Post(0, dataFrame(0, 1, 4096), 0); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	u := a.Utilization(0)
-	if u <= 0 || u > 1.01 {
-		t.Fatalf("utilization = %v", u)
-	}
-}
-
-func TestFabricPartition(t *testing.T) {
-	eng, a, b := testPair(t, caps.MX)
-	delivered := 0
-	b.SetRecvHandler(func(packet.NodeID, *packet.Frame) { delivered++ })
-	fabOf := a // reuse fabric through NIC a
-	_ = fabOf
-	fab := aFabric(a)
-	fab.Partition(0, 1)
-	if err := a.Post(0, dataFrame(0, 1, 16), 0); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if delivered != 0 {
-		t.Fatal("partitioned frame delivered")
-	}
-	if fab.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", fab.Dropped())
-	}
-	fab.Heal(0, 1)
-	if err := a.Post(0, dataFrame(0, 1, 16), 0); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if delivered != 1 {
-		t.Fatal("healed fabric did not deliver")
-	}
-}
-
 // aFabric exposes the fabric of a NIC for tests.
 func aFabric(n *NIC) *Fabric { return n.fabric }
-
-func TestFabricExtraDelay(t *testing.T) {
-	eng, a, b := testPair(t, caps.MX)
-	var plain simnet.Time
-	b.SetRecvHandler(func(packet.NodeID, *packet.Frame) { plain = eng.Now() })
-	if err := a.Post(0, dataFrame(0, 1, 16), 0); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-
-	eng2, c, d := testPair(t, caps.MX)
-	aFabric(c).SetExtraDelay(1 * simnet.Millisecond)
-	var delayed simnet.Time
-	d.SetRecvHandler(func(packet.NodeID, *packet.Frame) { delayed = eng2.Now() })
-	if err := c.Post(0, dataFrame(0, 1, 16), 0); err != nil {
-		t.Fatal(err)
-	}
-	eng2.Run()
-	if delayed-plain != simnet.Time(1*simnet.Millisecond) {
-		t.Fatalf("extra delay shifted delivery by %v, want 1ms", delayed-plain)
-	}
-}
 
 func TestMTUSegmentationCost(t *testing.T) {
 	// A frame bigger than the MTU pays extra header bytes per segment: the
@@ -376,7 +311,7 @@ func TestMTUSegmentationCost(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	eng := simnet.NewEngine()
-	fab := NewFabric(eng, "mx")
+	fab := NewFabric("mx")
 	set := &stats.Set{}
 	a, _ := New(eng, fab, 0, caps.MX, memsim.DefaultModel(), set)
 	_, _ = New(eng, fab, 1, caps.MX, memsim.DefaultModel(), set)

@@ -7,8 +7,12 @@ package packet
 // into account as limiting factors — or constraints — by the scheduler while
 // estimating the value of a given packet reordering operation."
 //
-// The rules implemented here are the complete reordering contract of the
-// engine; every strategy consults them instead of encoding its own.
+// The rules stated here are the complete reordering contract of the
+// engine. Strategies satisfy rules 1 and 2 by construction — plans drain
+// each connection in waiting-list order — and the engine re-checks every
+// plan with OrderedSubset before posting it. MayReorder and MustPrecede are
+// the pairwise statement of rules 1 and 2, kept as the reference the
+// contract is tested against; no datapath code calls them.
 //
 //  1. Intra-connection FIFO: two packets of the same flow bound for the
 //     same destination must leave the sender in submission order

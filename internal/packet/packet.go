@@ -74,17 +74,3 @@ func (p *Packet) Validate() error {
 	}
 	return nil
 }
-
-// Key uniquely identifies a fragment across the engine, for tracing and
-// test assertions.
-type Key struct {
-	Flow FlowID
-	Msg  MsgID
-	Seq  int
-}
-
-// Key returns the packet's identity key.
-func (p *Packet) Key() Key { return Key{p.Flow, p.Msg, p.Seq} }
-
-// String renders the key.
-func (k Key) String() string { return fmt.Sprintf("f%d/m%d/#%d", k.Flow, k.Msg, k.Seq) }

@@ -27,17 +27,10 @@ func TestPacketValidate(t *testing.T) {
 	}
 }
 
-func TestPacketSizeAndKey(t *testing.T) {
+func TestPacketSizeAndString(t *testing.T) {
 	p := &Packet{Flow: 2, Msg: 5, Seq: 1, Payload: make([]byte, 37)}
 	if p.Size() != 37 {
 		t.Fatalf("Size = %d", p.Size())
-	}
-	k := p.Key()
-	if k != (Key{2, 5, 1}) {
-		t.Fatalf("Key = %v", k)
-	}
-	if !strings.Contains(k.String(), "f2/m5/#1") {
-		t.Fatalf("Key.String() = %q", k.String())
 	}
 	if !strings.Contains(p.String(), "37B") {
 		t.Fatalf("Packet.String() = %q", p.String())

@@ -23,8 +23,8 @@ import (
 //     owner will, after its own terminal consumption.
 //   - ReleaseFrame on a frame that never came from the pool only recycles
 //     its backing buffer (if any); the struct is left for the GC. Frames
-//     built by tests or simulated fabrics therefore keep their historical
-//     lifetime unless someone explicitly pools them.
+//     built by tests or simulated fabrics are therefore ordinary GC
+//     objects unless someone explicitly pools them.
 //   - Payload bytes are never owned by the frame. On the send side they
 //     alias application (or protocol-engine) memory; on the receive side
 //     they alias the backing Buf until the dispatcher copies or pins them

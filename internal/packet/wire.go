@@ -108,15 +108,6 @@ func EntryFromPacket(p *Packet) Entry {
 	}
 }
 
-// ToPacket reconstructs a receiver-side packet view of the entry.
-func (e Entry) ToPacket(src, dst NodeID) *Packet {
-	return &Packet{
-		Flow: e.Flow, Msg: e.Msg, Seq: e.Seq, Last: e.Last,
-		Src: src, Dst: dst, Class: e.Class, Recv: e.Recv, Payload: e.Payload,
-		Enqueued: e.Enqueued,
-	}
-}
-
 // Ctrl carries the metadata of control transactions.
 type Ctrl struct {
 	// Token correlates RTS/CTS/RData (rendezvous handle) or Get/GetReply.

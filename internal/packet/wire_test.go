@@ -3,7 +3,6 @@ package packet
 import (
 	"bytes"
 	"encoding/hex"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -146,11 +145,10 @@ func TestEntryPacketConversion(t *testing.T) {
 	p := &Packet{Flow: 3, Msg: 4, Seq: 5, Last: true, Src: 1, Dst: 2,
 		Class: ClassRMA, Recv: RecvExpress, Payload: []byte("x")}
 	e := EntryFromPacket(p)
-	back := e.ToPacket(1, 2)
-	if back.Flow != p.Flow || back.Msg != p.Msg || back.Seq != p.Seq ||
-		back.Last != p.Last || back.Class != p.Class || back.Recv != p.Recv ||
-		!bytes.Equal(back.Payload, p.Payload) || back.Src != 1 || back.Dst != 2 {
-		t.Fatalf("conversion lost fields: %+v vs %+v", back, p)
+	if e.Flow != p.Flow || e.Msg != p.Msg || e.Seq != p.Seq ||
+		e.Last != p.Last || e.Class != p.Class || e.Recv != p.Recv ||
+		!bytes.Equal(e.Payload, p.Payload) {
+		t.Fatalf("conversion lost fields: %+v vs %+v", e, p)
 	}
 }
 
@@ -212,31 +210,6 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIOVec(t *testing.T) {
-	v := IOVec{[]byte("ab"), []byte("cde"), nil, []byte("f")}
-	if v.Total() != 6 {
-		t.Fatalf("Total = %d", v.Total())
-	}
-	flat := v.Flatten(nil)
-	if string(flat) != "abcdef" {
-		t.Fatalf("Flatten = %q", flat)
-	}
-	parts := Split(flat, []int{2, 3, 0, 1})
-	if len(parts) != 4 || string(parts[0]) != "ab" || string(parts[1]) != "cde" ||
-		len(parts[2]) != 0 || string(parts[3]) != "f" {
-		t.Fatalf("Split = %v", parts)
-	}
-	// Flatten reuses dst capacity.
-	buf := make([]byte, 0, 16)
-	flat2 := v.Flatten(buf)
-	if &flat2[0] != &buf[:1][0] {
-		t.Fatal("Flatten did not reuse capacity")
-	}
-	if !reflect.DeepEqual(flat, flat2) {
-		t.Fatal("Flatten results differ")
 	}
 }
 

@@ -86,8 +86,8 @@ func (d *Dispatcher) HandleFrame(src packet.NodeID, f *packet.Frame) {
 //   - A backed frame's payloads alias a pooled wire buffer that will be
 //     recycled right after dispatch, so they are copied out into a single
 //     payload block owned by the delivered payload slices.
-//   - An unbacked frame (simulated fabrics, hand-built tests) keeps the
-//     historical zero-copy aliasing; nothing recycles its bytes.
+//   - An unbacked frame (simulated fabrics, hand-built tests) delivers
+//     payloads that alias the frame's own: nothing recycles its bytes.
 func (d *Dispatcher) ingestData(src packet.NodeID, f *packet.Frame) {
 	var block []byte
 	if f.Backed() {

@@ -49,12 +49,6 @@ func NewRMA(node packet.NodeID, send SendHook) *RMA {
 // by (id, offset). Re-registering an id replaces the window.
 func (m *RMA) RegisterWindow(id int32, buf []byte) { m.windows[id] = buf }
 
-// Window returns the registered buffer (shared, not a copy).
-func (m *RMA) Window(id int32) ([]byte, bool) {
-	b, ok := m.windows[id]
-	return b, ok
-}
-
 // Put builds a put frame writing data to (window, off) at dst. done, if
 // non-nil, runs when the remote acknowledges (an Ack frame); pass nil for
 // fire-and-forget semantics.

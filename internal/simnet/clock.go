@@ -45,12 +45,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
 // String formats the time as seconds with microsecond resolution, e.g.
 // "1.000003s". Infinity formats as "+inf".
 func (t Time) String() string {
@@ -66,28 +60,17 @@ func (d Duration) String() string { return time.Duration(d).String() }
 // Micros returns the duration as a floating-point number of microseconds.
 func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
 
-// Seconds returns the duration as a floating-point number of seconds.
-func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
-
 // FromWall converts a wall-clock duration into a virtual duration.
 func FromWall(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
 
 // ToWall converts a virtual duration into a wall-clock duration.
 func ToWall(d Duration) time.Duration { return time.Duration(d) }
 
-// Clock exposes the current virtual time. The Engine implements Clock;
-// components hold the narrow interface so they can be unit-tested with a
-// fixed fake clock.
+// Clock exposes the current virtual time. The Engine implements Clock.
 type Clock interface {
 	// Now returns the current virtual time.
 	Now() Time
 }
-
-// FixedClock is a trivial Clock pinned at a settable instant, for tests.
-type FixedClock struct{ T Time }
-
-// Now returns the pinned instant.
-func (f *FixedClock) Now() Time { return f.T }
 
 // BandwidthTime returns the time needed to move n bytes at rate bytesPerSec.
 // A non-positive rate is a programming error and panics: every link and

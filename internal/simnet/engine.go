@@ -24,9 +24,6 @@ type event struct {
 // EventID is invalid.
 type EventID struct{ ev *event }
 
-// Valid reports whether the id refers to a scheduled event.
-func (id EventID) Valid() bool { return id.ev != nil }
-
 type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -60,11 +57,9 @@ func (h *eventHeap) Pop() any {
 // event heap. It is not safe for concurrent use; all simulated components
 // run on the engine goroutine by construction.
 type Engine struct {
-	now     Time
-	seq     uint64
-	heap    eventHeap
-	running bool
-	stopped bool
+	now  Time
+	seq  uint64
+	heap eventHeap
 	// live counts scheduled, not-yet-canceled, not-yet-run events so that
 	// Pending is O(1) even with a million-event heap (1000-node fan-out
 	// polls it between phases).
@@ -138,14 +133,11 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run executes events until the heap drains or Stop is called. It returns
-// the final virtual time.
+// Run executes events until the heap drains. It returns the final virtual
+// time.
 func (e *Engine) Run() Time {
-	e.running = true
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
-	e.running = false
 	return e.now
 }
 
@@ -153,17 +145,9 @@ func (e *Engine) Run() Time {
 // clock to the deadline (if any time remains) and returns. Events scheduled
 // after the deadline stay pending.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.running = true
-	e.stopped = false
-	for !e.stopped {
-		// Peek for the next runnable event within the deadline.
-		next := e.peek()
-		if next == nil || next.at > deadline {
-			break
-		}
+	for next := e.peek(); next != nil && next.at <= deadline; next = e.peek() {
 		e.Step()
 	}
-	e.running = false
 	if e.now < deadline {
 		e.now = deadline
 	}
@@ -183,9 +167,6 @@ func (e *Engine) RunLimit(maxEvents uint64) (executed uint64, drained bool) {
 	return e.Executed - start, false
 }
 
-// Stop makes Run/RunUntil return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 func (e *Engine) peek() *event {
 	for len(e.heap) > 0 {
 		ev := e.heap[0]
@@ -195,46 +176,4 @@ func (e *Engine) peek() *event {
 		heap.Pop(&e.heap)
 	}
 	return nil
-}
-
-// Timer is a resettable one-shot virtual timer built on the engine, used for
-// Nagle-style delayed flushes. The zero value is unarmed; bind it with Init.
-type Timer struct {
-	eng   *Engine
-	id    EventID
-	armed bool
-}
-
-// NewTimer returns a timer bound to eng.
-func NewTimer(eng *Engine) *Timer { return &Timer{eng: eng} }
-
-// Armed reports whether the timer currently has a pending expiry.
-func (t *Timer) Armed() bool { return t.armed }
-
-// Arm schedules fn to fire after d, replacing any pending expiry.
-func (t *Timer) Arm(d Duration, label string, fn EventFunc) {
-	t.Disarm()
-	t.armed = true
-	t.id = t.eng.After(d, label, func() {
-		t.armed = false
-		fn()
-	})
-}
-
-// ArmIfIdle schedules fn only when no expiry is pending, preserving the
-// earliest deadline (Nagle semantics: the first queued packet starts the
-// clock; later packets do not push it back).
-func (t *Timer) ArmIfIdle(d Duration, label string, fn EventFunc) {
-	if t.armed {
-		return
-	}
-	t.Arm(d, label, fn)
-}
-
-// Disarm cancels any pending expiry.
-func (t *Timer) Disarm() {
-	if t.armed {
-		t.eng.Cancel(t.id)
-		t.armed = false
-	}
 }

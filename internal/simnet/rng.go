@@ -122,34 +122,3 @@ func (r *RNG) Pareto(lo, hi int, alpha float64) int {
 	}
 	return n
 }
-
-// Choice returns a pseudo-random index weighted by weights (all >= 0, at
-// least one > 0).
-func (r *RNG) Choice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("simnet: negative weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("simnet: all weights zero")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// Shuffle permutes s in place (Fisher–Yates).
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

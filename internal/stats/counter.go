@@ -27,16 +27,16 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Set is a named registry of counters and histograms, one per engine or
 // experiment. The zero value is ready to use.
 //
-// A name is either stored — written through Counter, Histogram or SetGauge —
-// or served: computed at read time by a Reader registered with Serve, whose
+// A name is either stored — written through Counter or Histogram — or
+// served: computed at read time by a Reader registered with Serve, whose
 // owner keeps the storage (the engine's core.* counters live in its own
-// per-shard tallies and are only named here). CounterValue, Gauge and Dump
-// resolve both; Names lists what the Set itself stores.
+// per-shard tallies and are only named here). Gauges are always served.
+// CounterValue, Gauge and Dump resolve both; Names lists what the Set
+// itself stores.
 type Set struct {
 	mu      sync.Mutex
 	ctrs    map[string]*Counter
 	hists   map[string]*Histogram
-	gauges  map[string]float64
 	readers []Reader
 }
 
@@ -104,27 +104,10 @@ func (s *Set) Histogram(name string) *Histogram {
 	return h
 }
 
-// SetGauge records a point-in-time value under name, replacing any previous
-// value.
-func (s *Set) SetGauge(name string, v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gauges == nil {
-		s.gauges = make(map[string]float64)
-	}
-	s.gauges[name] = v
-}
-
-// Gauge returns the named gauge value and whether it was ever set or is
-// served.
+// Gauge returns the named gauge value and whether a reader serves it.
 func (s *Set) Gauge(name string) (float64, bool) {
-	s.mu.Lock()
-	v, ok := s.gauges[name]
-	s.mu.Unlock()
-	if !ok {
-		_, g := s.served()
-		v, ok = g[name]
-	}
+	_, g := s.served()
+	v, ok := g[name]
 	return v, ok
 }
 
@@ -141,12 +124,12 @@ func (s *Set) CounterValue(name string) uint64 {
 	return ctrs[name]
 }
 
-// Names returns the sorted names of all stored counters, then histograms,
-// then gauges — useful for stable debug dumps.
-func (s *Set) Names() (counters, hists, gauges []string) {
+// Names returns the sorted names of all stored counters, then histograms —
+// useful for stable debug dumps.
+func (s *Set) Names() (counters, hists []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return sortedNames(s.ctrs), sortedNames(s.hists), sortedNames(s.gauges)
+	return sortedNames(s.ctrs), sortedNames(s.hists)
 }
 
 func sortedNames[V any](m map[string]V) []string {
@@ -161,13 +144,10 @@ func sortedNames[V any](m map[string]V) []string {
 // Dump renders every metric, stored and served, on its own line, sorted,
 // for debugging.
 func (s *Set) Dump() string {
-	cn, hn, gn := s.Names()
+	cn, hn := s.Names()
 	ctrs, gauges := s.served()
 	for _, n := range cn {
 		ctrs[n] = s.CounterValue(n)
-	}
-	for _, n := range gn {
-		gauges[n], _ = s.Gauge(n)
 	}
 	out := ""
 	for _, n := range sortedNames(ctrs) {

@@ -214,32 +214,6 @@ func bucketBounds(b int) (lo, hi float64) {
 	return math.Pow(2, float64(b-1)), math.Pow(2, float64(b))
 }
 
-// Stddev returns the sample standard deviation (exact while the reservoir
-// holds, else approximated from bucket midpoints).
-func (h *Histogram) Stddev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count < 2 {
-		return 0
-	}
-	mean := h.meanLocked()
-	var ss float64
-	if !h.overflow {
-		for _, v := range h.samples {
-			d := v - mean
-			ss += d * d
-		}
-		return math.Sqrt(ss / float64(len(h.samples)-1))
-	}
-	for b, n := range h.buckets {
-		lo, hi := bucketBounds(b)
-		mid := (lo + hi) / 2
-		d := mid - mean
-		ss += d * d * float64(n)
-	}
-	return math.Sqrt(ss / float64(h.count-1))
-}
-
 // Clone returns a deep copy of h. The copy shares nothing with the
 // original, so it can be serialized or merged while the original keeps
 // absorbing samples (telemetry snapshots clone under the owner's lock and

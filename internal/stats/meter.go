@@ -63,13 +63,6 @@ func (e *EWMA) Value() float64 {
 	return e.value
 }
 
-// Primed reports whether at least one observation was folded in.
-func (e *EWMA) Primed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.primed
-}
-
 // RateMeter turns observations of a cumulative counter into a smoothed
 // events-per-second rate: each Observe computes the instantaneous rate since
 // the previous observation and folds it into an EWMA. Counter resets
@@ -184,14 +177,4 @@ func (w *Window) Totals(nowNs int64) (sum float64, count uint64) {
 		}
 	}
 	return sum, count
-}
-
-// Mean returns the mean sample value over the window ending at nowNs (0 when
-// empty).
-func (w *Window) Mean(nowNs int64) float64 {
-	s, c := w.Totals(nowNs)
-	if c == 0 {
-		return 0
-	}
-	return s / float64(c)
 }

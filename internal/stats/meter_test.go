@@ -25,8 +25,8 @@ func TestEWMADecay(t *testing.T) {
 
 func TestEWMAUnprimed(t *testing.T) {
 	e := NewEWMA(0)
-	if e.Primed() || e.Value() != 0 {
-		t.Fatal("fresh EWMA should be unprimed at 0")
+	if e.Value() != 0 {
+		t.Fatal("fresh EWMA should read 0")
 	}
 }
 
@@ -85,12 +85,12 @@ func TestWindowSlidesOut(t *testing.T) {
 
 func TestWindowMean(t *testing.T) {
 	w := NewWindow(10e6, 5)
-	if m := w.Mean(0); m != 0 {
-		t.Fatalf("empty mean = %v", m)
+	if s, c := w.Totals(0); s != 0 || c != 0 {
+		t.Fatalf("empty totals = %v/%d", s, c)
 	}
 	w.Add(2, 0)
 	w.Add(4, 1e6)
-	if m := w.Mean(1e6); m != 3 {
-		t.Fatalf("mean = %v, want 3", m)
+	if s, c := w.Totals(1e6); c != 2 || s/float64(c) != 3 {
+		t.Fatalf("totals = %v/%d, want mean 3 over 2 samples", s, c)
 	}
 }

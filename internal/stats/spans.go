@@ -40,14 +40,6 @@ func NewSpans(kinds, classes, rails int) *Spans {
 	}
 }
 
-// Dims returns the family's (kinds, classes, rails) shape.
-func (s *Spans) Dims() (kinds, classes, rails int) {
-	if s == nil {
-		return 0, 0, 0
-	}
-	return s.kinds, s.classes, s.rails
-}
-
 // Observe records one sample in the (kind, class, rail) cell. A negative
 // rail (callers that genuinely have no rail context) is folded into rail
 // 0; kind/class/rail beyond the family's shape are dropped rather than

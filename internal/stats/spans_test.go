@@ -74,10 +74,6 @@ func TestSpansNilSafe(t *testing.T) {
 	if s.Total(0).Count() != 0 {
 		t.Fatal("nil Total not empty")
 	}
-	k, c, r := s.Dims()
-	if k != 0 || c != 0 || r != 0 {
-		t.Fatal("nil Dims not zero")
-	}
 }
 
 // TestSpansConcurrent exercises Observe against Snapshot/Total under the

@@ -56,22 +56,6 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestHistogramStddev(t *testing.T) {
-	var h Histogram
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.Add(v)
-	}
-	// Sample stddev of this classic set is ~2.138.
-	if s := h.Stddev(); math.Abs(s-2.138) > 0.01 {
-		t.Fatalf("stddev = %v, want ~2.138", s)
-	}
-	var one Histogram
-	one.Add(3)
-	if one.Stddev() != 0 {
-		t.Fatal("stddev of single sample should be 0")
-	}
-}
-
 func TestHistogramMerge(t *testing.T) {
 	var a, b Histogram
 	for i := 0; i < 10; i++ {
@@ -100,9 +84,6 @@ func TestHistogramOverflowQuantiles(t *testing.T) {
 	q := h.Quantile(0.5)
 	if q < 256 || q > 1024 {
 		t.Fatalf("overflowed p50 = %v, want within [256,1024]", q)
-	}
-	if h.Stddev() <= 0 {
-		t.Fatal("overflowed stddev should be positive")
 	}
 }
 
@@ -176,16 +157,12 @@ func TestSet(t *testing.T) {
 	if s.Histogram("h").Count() != 1 {
 		t.Fatal("histogram not shared by name")
 	}
-	s.SetGauge("g", 1.5)
-	if v, ok := s.Gauge("g"); !ok || v != 1.5 {
-		t.Fatalf("gauge = %v, %v", v, ok)
-	}
 	if _, ok := s.Gauge("missing"); ok {
 		t.Fatal("missing gauge reported present")
 	}
-	cn, hn, gn := s.Names()
-	if len(cn) != 1 || len(hn) != 1 || len(gn) != 1 {
-		t.Fatalf("names = %v %v %v", cn, hn, gn)
+	cn, hn := s.Names()
+	if len(cn) != 1 || len(hn) != 1 {
+		t.Fatalf("names = %v %v", cn, hn)
 	}
 	if !strings.Contains(s.Dump(), "counter") {
 		t.Fatal("dump missing counter line")
@@ -216,8 +193,8 @@ func TestServeReadersRunUnlocked(t *testing.T) {
 	if s.CounterValue("stored") != 2 || s.CounterValue("missing") != 0 {
 		t.Fatal("stored or missing name disturbed by readers")
 	}
-	if cn, _, gn := s.Names(); len(cn) != 1 || len(gn) != 0 {
-		t.Fatalf("Names lists served values: %v %v", cn, gn)
+	if cn, _ := s.Names(); len(cn) != 1 {
+		t.Fatalf("Names lists served values: %v", cn)
 	}
 	dump := s.Dump()
 	for _, want := range []string{"served", "stored", "peak"} {
@@ -261,26 +238,5 @@ func TestFormatFloat(t *testing.T) {
 		if got := FormatFloat(in); got != want {
 			t.Errorf("FormatFloat(%v) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestSeriesTable(t *testing.T) {
-	a := &Series{Name: "baseline"}
-	b := &Series{Name: "optimized"}
-	for i := 1; i <= 3; i++ {
-		a.Append(float64(i), float64(10*i))
-		if i < 3 {
-			b.Append(float64(i), float64(5*i))
-		}
-	}
-	tb := SeriesTable("fig", "size", a, b)
-	out := tb.String()
-	for _, want := range []string{"baseline", "optimized", "30"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("series table missing %q:\n%s", want, out)
-		}
-	}
-	if a.Len() != 3 || b.Len() != 2 {
-		t.Fatal("series lengths wrong")
 	}
 }

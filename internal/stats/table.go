@@ -111,56 +111,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// Series is a labeled sequence of (x, y) points, the unit of "figure"
-// reproduction: each paper curve becomes one Series.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Append adds a point.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
-// SeriesTable renders several series sharing the same X axis as a table
-// (one row per X, one column per series). Series may have different lengths;
-// missing cells are blank. X values are matched by position, and the xs of
-// the longest series label the rows.
-func SeriesTable(title, xlabel string, series ...*Series) *Table {
-	header := []string{xlabel}
-	longest := 0
-	for _, s := range series {
-		header = append(header, s.Name)
-		if s.Len() > longest {
-			longest = s.Len()
-		}
-	}
-	t := NewTable(title, header...)
-	for i := 0; i < longest; i++ {
-		row := make([]string, 0, len(header))
-		x := ""
-		for _, s := range series {
-			if i < s.Len() {
-				x = FormatFloat(s.X[i])
-				break
-			}
-		}
-		row = append(row, x)
-		for _, s := range series {
-			if i < s.Len() {
-				row = append(row, FormatFloat(s.Y[i]))
-			} else {
-				row = append(row, "")
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
-}

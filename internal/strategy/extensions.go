@@ -79,46 +79,6 @@ func (d *Densest) Build(ctx *Context) *Plan {
 	return plan
 }
 
-// WeightedRail splits flows across rails in proportion to rail bandwidth:
-// a static compromise between pinned (no adaptivity) and shared (full
-// pooling). Flow f goes to the rail owning the f-th slice of the total
-// bandwidth. Unlike SharedRail it keeps flows affine to one rail (warm
-// receiver caches); unlike PinnedRail it does not treat a 250 MB/s rail
-// and a 900 MB/s rail as equals.
-type WeightedRail struct {
-	// Bandwidths per rail index; zero entries default to 1.
-	Bandwidths []float64
-}
-
-// Name returns "rail-weighted".
-func (w *WeightedRail) Name() string { return "rail-weighted" }
-
-// Eligible maps the flow onto the bandwidth-proportional rail.
-func (w *WeightedRail) Eligible(p *packet.Packet, rail RailInfo) bool {
-	if rail.Count <= 1 {
-		return true
-	}
-	total := 0.0
-	weights := make([]float64, rail.Count)
-	for i := 0; i < rail.Count; i++ {
-		bw := 1.0
-		if i < len(w.Bandwidths) && w.Bandwidths[i] > 0 {
-			bw = w.Bandwidths[i]
-		}
-		weights[i] = bw
-		total += bw
-	}
-	// Deterministic slot assignment: hash the flow into [0, total).
-	x := float64(uint32(p.Flow)*2654435761%1024) / 1024 * total
-	for i, bw := range weights {
-		x -= bw
-		if x < 0 {
-			return i == rail.Index
-		}
-	}
-	return rail.Index == rail.Count-1
-}
-
 func init() {
 	// densest: throughput-greedy aggregation with a starvation bound.
 	MustRegister("densest", func() Bundle {

@@ -73,61 +73,6 @@ func TestDensestRegisteredBundle(t *testing.T) {
 	}
 }
 
-func TestWeightedRailProportions(t *testing.T) {
-	w := &WeightedRail{Bandwidths: []float64{250e6, 750e6}}
-	count := [2]int{}
-	for f := 1; f <= 1000; f++ {
-		p := &packet.Packet{Flow: packet.FlowID(f)}
-		for rail := 0; rail < 2; rail++ {
-			if w.Eligible(p, RailInfo{Index: rail, Count: 2}) {
-				count[rail]++
-			}
-		}
-	}
-	if count[0]+count[1] != 1000 {
-		t.Fatalf("flows multiply assigned: %v", count)
-	}
-	// Expect roughly 25/75 split.
-	if count[0] < 150 || count[0] > 350 {
-		t.Fatalf("split = %v, want ~250/750", count)
-	}
-	if w.Name() != "rail-weighted" {
-		t.Fatal("name")
-	}
-	// Single rail admits everything.
-	if !w.Eligible(&packet.Packet{Flow: 9}, RailInfo{Index: 0, Count: 1}) {
-		t.Fatal("single rail refused")
-	}
-}
-
-func TestWeightedRailDeterministic(t *testing.T) {
-	w := &WeightedRail{Bandwidths: []float64{1, 1, 1}}
-	p := &packet.Packet{Flow: 42}
-	var first int = -1
-	for trial := 0; trial < 10; trial++ {
-		for rail := 0; rail < 3; rail++ {
-			if w.Eligible(p, RailInfo{Index: rail, Count: 3}) {
-				if first == -1 {
-					first = rail
-				} else if rail != first {
-					t.Fatalf("flow 42 moved from rail %d to %d", first, rail)
-				}
-			}
-		}
-	}
-	// Zero/absent bandwidths default to 1 (no panic, full coverage).
-	z := &WeightedRail{}
-	hit := false
-	for rail := 0; rail < 4; rail++ {
-		if z.Eligible(p, RailInfo{Index: rail, Count: 4}) {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Fatal("flow lost with default bandwidths")
-	}
-}
-
 // Ablation: on a multi-destination backlog, densest must produce an equal
 // or better score than head-first aggregation; on single-destination
 // backlogs they must agree.

@@ -171,13 +171,6 @@ func (a *AdaptiveClasses) Observe(p *packet.Packet) {
 	}
 }
 
-// BulkShare returns the current fraction of channels granted to bulk.
-func (a *AdaptiveClasses) BulkShare() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.bulkShare
-}
-
 // Allowed splits channels [0, split) for latency classes and [split,
 // numCh) for throughput classes, where split tracks the observed mix; each
 // side always keeps at least one channel.

@@ -122,9 +122,6 @@ func TestReservedControl(t *testing.T) {
 
 func TestAdaptiveClassesRepartitions(t *testing.T) {
 	a := NewAdaptiveClasses(10)
-	if a.BulkShare() != 0.5 {
-		t.Fatalf("initial share = %v", a.BulkShare())
-	}
 	// A bulk-heavy phase: 9 bulk + 1 control per window.
 	for i := 0; i < 10; i++ {
 		cls := packet.ClassBulk
@@ -132,9 +129,6 @@ func TestAdaptiveClassesRepartitions(t *testing.T) {
 			cls = packet.ClassControl
 		}
 		a.Observe(&packet.Packet{Class: cls})
-	}
-	if a.BulkShare() != 0.9 {
-		t.Fatalf("share after bulk phase = %v, want 0.9", a.BulkShare())
 	}
 	// With 4 channels and 90% bulk, channels 1..3 are bulk's, 0 latency's.
 	if !a.Allowed(packet.ClassBulk, 3, 4) || !a.Allowed(packet.ClassBulk, 1, 4) {
@@ -150,9 +144,6 @@ func TestAdaptiveClassesRepartitions(t *testing.T) {
 	// A latency-heavy phase flips the split.
 	for i := 0; i < 10; i++ {
 		a.Observe(&packet.Packet{Class: packet.ClassControl})
-	}
-	if a.BulkShare() != 0 {
-		t.Fatalf("share after control phase = %v", a.BulkShare())
 	}
 	if !a.Allowed(packet.ClassBulk, 3, 4) {
 		t.Fatal("bulk must always keep at least one channel")

@@ -80,15 +80,6 @@ type Plan struct {
 	Evaluated int
 }
 
-// TotalBytes returns the summed payload size of the plan.
-func (p *Plan) TotalBytes() int {
-	n := 0
-	for _, pkt := range p.Packets {
-		n += pkt.Size()
-	}
-	return n
-}
-
 // PlanBuilder chooses the contents of the next frame for an idle channel.
 type PlanBuilder interface {
 	// Name identifies the builder in the registry and in experiment rows.

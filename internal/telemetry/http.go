@@ -48,9 +48,6 @@ func NewServer(reg *Registry, defaultNode packet.NodeID) *Server {
 	return s
 }
 
-// Handler returns the server's mux for tests and embedding.
-func (s *Server) Handler() http.Handler { return s.srv.Handler }
-
 // Listen binds addr (e.g. "127.0.0.1:0") and serves in the background
 // until Close. It returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {

@@ -88,7 +88,7 @@ func engineRows(t FleetTotals) []promRow {
 // WriteProm renders one node's snapshot in Prometheus text format. The
 // engine's counters come from its Metrics through core's one name table
 // ("core.submitted" renders as newmad_submitted_total); the snapshot's
-// Counters/Gauges maps hold only what the node's Set stores itself, so no
+// Counters/Hists maps hold only what the node's Set stores itself, so no
 // engine quantity appears under two families.
 func WriteProm(w io.Writer, ns NodeSnapshot) {
 	m := &ns.Metrics
@@ -123,7 +123,7 @@ func WriteProm(w io.Writer, ns NodeSnapshot) {
 	}
 	writeTenantProm(w, m.Tenants)
 
-	writeSetProm(w, ns.Counters, ns.Gauges, ns.Hists)
+	writeSetProm(w, ns.Counters, ns.Hists)
 }
 
 // WriteFleetProm renders the fleet roll-up in Prometheus text format.
@@ -143,7 +143,7 @@ func WriteFleetProm(w io.Writer, fs FleetSnapshot) {
 		}
 	}
 	writeTenantProm(w, fs.Tenants)
-	writeSetProm(w, fs.Counters, fs.Gauges, fs.Hists)
+	writeSetProm(w, fs.Counters, fs.Hists)
 }
 
 // writeTenantProm renders the per-tenant admission families — one sample
@@ -179,16 +179,11 @@ func writeTenantProm(w io.Writer, tenants []core.TenantMetrics) {
 
 // writeSetProm renders a snapshot's stats.Set maps, one Prometheus
 // family per name.
-func writeSetProm(w io.Writer, ctrs map[string]uint64, gauges map[string]float64, hists map[string]HistStat) {
+func writeSetProm(w io.Writer, ctrs map[string]uint64, hists map[string]HistStat) {
 	for _, n := range sortedKeys(ctrs) {
 		pn := "newmad_" + promName(n) + "_total"
 		promHead(w, pn, "counter", "Experiment counter "+n+".")
 		fmt.Fprintf(w, "%s %d\n", pn, ctrs[n])
-	}
-	for _, n := range sortedKeys(gauges) {
-		pn := "newmad_" + promName(n)
-		promHead(w, pn, "gauge", "Experiment gauge "+n+".")
-		fmt.Fprintf(w, "%s %g\n", pn, gauges[n])
 	}
 	for _, n := range sortedKeys(hists) {
 		pn := "newmad_" + promName(n)

@@ -39,9 +39,6 @@ type Source struct {
 	// (the testnet's fleet-wide set) — register it once with
 	// SetFleetStats instead, or every node would re-report it.
 	Stats *stats.Set
-	// Extra, when non-nil, contributes additional counters (chaos fault
-	// totals, ledger accounting) to this node's snapshot at scrape time.
-	Extra func() map[string]uint64
 }
 
 // Registry aggregates sources into snapshots. Safe for concurrent use;
@@ -51,8 +48,6 @@ type Registry struct {
 	sources    []Source
 	byNode     map[packet.NodeID]int
 	fleetStats *stats.Set
-	fleetExtra func() map[string]uint64
-	scratch    core.Metrics // serially reused under mu for roll-ups
 }
 
 // NewRegistry returns an empty registry.
@@ -79,26 +74,6 @@ func (r *Registry) SetFleetStats(s *stats.Set) {
 	r.mu.Lock()
 	r.fleetStats = s
 	r.mu.Unlock()
-}
-
-// SetFleetExtra registers a fleet-level counter callback (ledger
-// accounting, chaos totals), reported in fleet snapshots.
-func (r *Registry) SetFleetExtra(fn func() map[string]uint64) {
-	r.mu.Lock()
-	r.fleetExtra = fn
-	r.mu.Unlock()
-}
-
-// Nodes returns the registered node IDs, ascending.
-func (r *Registry) Nodes() []packet.NodeID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]packet.NodeID, 0, len(r.sources))
-	for _, s := range r.sources {
-		out = append(out, s.Node)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func (r *Registry) source(node packet.NodeID) (Source, bool) {
@@ -188,7 +163,6 @@ type NodeSnapshot struct {
 	Metrics  core.Metrics        `json:"metrics"`
 	Spans    []SpanStat          `json:"spans,omitempty"`
 	Counters map[string]uint64   `json:"counters,omitempty"`
-	Gauges   map[string]float64  `json:"gauges,omitempty"`
 	Hists    map[string]HistStat `json:"hists,omitempty"`
 }
 
@@ -210,19 +184,12 @@ func spanStats(e *core.Engine) []SpanStat {
 // setStats renders what a stats.Set stores into snapshot maps. Names the
 // Set serves on an engine's behalf are not listed by Names and so are not
 // repeated here: Metrics carries them.
-func setStats(s *stats.Set) (ctrs map[string]uint64, gauges map[string]float64, hists map[string]HistStat) {
-	cn, hn, gn := s.Names()
+func setStats(s *stats.Set) (ctrs map[string]uint64, hists map[string]HistStat) {
+	cn, hn := s.Names()
 	if len(cn) > 0 {
 		ctrs = make(map[string]uint64, len(cn))
 		for _, n := range cn {
 			ctrs[n] = s.CounterValue(n)
-		}
-	}
-	if len(gn) > 0 {
-		gauges = make(map[string]float64, len(gn))
-		for _, n := range gn {
-			v, _ := s.Gauge(n)
-			gauges[n] = v
 		}
 	}
 	if len(hn) > 0 {
@@ -253,30 +220,9 @@ func snapshotSource(s Source) NodeSnapshot {
 	}
 	ns.NowNs = int64(ns.Metrics.Now)
 	if s.Stats != nil {
-		ns.Counters, ns.Gauges, ns.Hists = setStats(s.Stats)
-	}
-	if s.Extra != nil {
-		if ns.Counters == nil {
-			ns.Counters = make(map[string]uint64)
-		}
-		for k, v := range s.Extra() {
-			ns.Counters[k] = v
-		}
+		ns.Counters, ns.Hists = setStats(s.Stats)
 	}
 	return ns
-}
-
-// SnapshotAll scrapes every node, ascending by node ID.
-func (r *Registry) SnapshotAll() []NodeSnapshot {
-	r.mu.Lock()
-	srcs := append([]Source(nil), r.sources...)
-	r.mu.Unlock()
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].Node < srcs[j].Node })
-	out := make([]NodeSnapshot, 0, len(srcs))
-	for _, s := range srcs {
-		out = append(out, snapshotSource(s))
-	}
-	return out
 }
 
 // FleetTotals is the fleet's (or one role's) summed engine activity.
@@ -346,7 +292,6 @@ type FleetSnapshot struct {
 	// Ordered by tenant ID. Empty when no engine has admission enabled.
 	Tenants  []core.TenantMetrics `json:"tenants,omitempty"`
 	Counters map[string]uint64    `json:"counters,omitempty"`
-	Gauges   map[string]float64   `json:"gauges,omitempty"`
 	Hists    map[string]HistStat  `json:"hists,omitempty"`
 }
 
@@ -364,7 +309,6 @@ func (r *Registry) Fleet() FleetSnapshot {
 	r.mu.Lock()
 	srcs := append([]Source(nil), r.sources...)
 	fleetStats := r.fleetStats
-	fleetExtra := r.fleetExtra
 	r.mu.Unlock()
 
 	fs := FleetSnapshot{Schema: Schema, Nodes: len(srcs)}
@@ -473,15 +417,7 @@ func (r *Registry) Fleet() FleetSnapshot {
 	}
 
 	if fleetStats != nil {
-		fs.Counters, fs.Gauges, fs.Hists = setStats(fleetStats)
-	}
-	if fleetExtra != nil {
-		if fs.Counters == nil {
-			fs.Counters = make(map[string]uint64)
-		}
-		for k, v := range fleetExtra() {
-			fs.Counters[k] = v
-		}
+		fs.Counters, fs.Hists = setStats(fleetStats)
 	}
 	return fs
 }

@@ -106,7 +106,7 @@ func build(m *Manifest, rules []chaos.Rule) (*Net, error) {
 
 	fabrics := make([]*nicsim.Fabric, m.Rails)
 	for r := range fabrics {
-		fabrics[r] = nicsim.NewFabric(n.Eng, fmt.Sprintf("rail%d", r))
+		fabrics[r] = nicsim.NewFabric(fmt.Sprintf("rail%d", r))
 	}
 
 	mem := memsim.DefaultModel()

@@ -5,18 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // The flight-recorder spool: the in-memory ring keeps the last capacity
-// events, the spool persists them as JSONL so a post-mortem survives the
-// process. Two sinks share the format:
-//
-//   - Spool streams every recorded event to a bounded, rotating file pair
-//     (attach one to a Recorder via OnRecord for an always-on disk tail);
-//   - DumpAnomaly writes the current ring contents of a set of recorders
-//     in one shot — the "something just went wrong, freeze the evidence"
-//     path used by the testnet ledger and the chaos soaks.
+// events, DumpAnomaly persists the ring contents of a set of recorders as
+// JSONL in one shot so a post-mortem survives the process — the "something
+// just went wrong, freeze the evidence" path used by the testnet ledger
+// and the chaos soaks.
 
 // spoolRecord is the stable JSONL schema of one event. Kind travels as
 // its mnemonic so dumps grep well; the numeric fields are the Event's,
@@ -43,131 +38,6 @@ func recordOf(e Event) spoolRecord {
 		B:    e.B,
 		Note: e.Note,
 	}
-}
-
-// Spool is a bounded, rotating JSONL event sink. It keeps at most two
-// generations on disk — <name>.jsonl (current) and <name>.1.jsonl
-// (previous) — rotating when the current file passes maxBytes, so the
-// disk footprint is bounded by ~2×maxBytes regardless of run length.
-// Write is safe for concurrent use.
-type Spool struct {
-	mu      sync.Mutex
-	path    string // current file
-	prev    string // rotated-out file
-	max     int64
-	f       *os.File
-	written int64
-	dropped uint64
-}
-
-// DefaultSpoolBytes bounds one spool generation when NewSpool is given a
-// non-positive limit.
-const DefaultSpoolBytes = 4 << 20
-
-// NewSpool creates (or truncates) dir/<name>.jsonl and returns the sink.
-// maxBytes ≤ 0 uses DefaultSpoolBytes.
-func NewSpool(dir, name string, maxBytes int64) (*Spool, error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultSpoolBytes
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("trace: spool dir: %w", err)
-	}
-	path := filepath.Join(dir, name+".jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: spool: %w", err)
-	}
-	return &Spool{
-		path: path,
-		prev: filepath.Join(dir, name+".1.jsonl"),
-		max:  maxBytes,
-		f:    f,
-	}, nil
-}
-
-// Write appends one event. Errors are absorbed into a drop counter — the
-// spool rides the datapath's OnRecord tap, which must never propagate a
-// disk failure into the engine.
-func (s *Spool) Write(e Event) {
-	if s == nil {
-		return
-	}
-	buf, err := json.Marshal(recordOf(e))
-	if err != nil {
-		return
-	}
-	buf = append(buf, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		s.dropped++
-		return
-	}
-	if s.written+int64(len(buf)) > s.max {
-		if err := s.rotateLocked(); err != nil {
-			s.dropped++
-			return
-		}
-	}
-	n, err := s.f.Write(buf)
-	s.written += int64(n)
-	if err != nil {
-		s.dropped++
-	}
-}
-
-// rotateLocked moves the current generation to .1 and starts a fresh one.
-func (s *Spool) rotateLocked() error {
-	s.f.Close()
-	s.f = nil
-	if err := os.Rename(s.path, s.prev); err != nil {
-		return err
-	}
-	f, err := os.Create(s.path)
-	if err != nil {
-		return err
-	}
-	s.f = f
-	s.written = 0
-	return nil
-}
-
-// Attach installs the spool as r's OnRecord tap. One spool per recorder:
-// this replaces any previous tap.
-func (s *Spool) Attach(r *Recorder) { r.OnRecord(s.Write) }
-
-// Dropped returns how many events failed to reach disk.
-func (s *Spool) Dropped() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Path returns the current generation's file path.
-func (s *Spool) Path() string {
-	if s == nil {
-		return ""
-	}
-	return s.path
-}
-
-// Close flushes and closes the current generation.
-func (s *Spool) Close() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
 }
 
 // DumpAnomaly freezes the evidence after a correctness anomaly (a lost,

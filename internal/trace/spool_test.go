@@ -28,89 +28,6 @@ func readLines(t *testing.T, path string) []spoolRecord {
 	return out
 }
 
-func TestSpoolWritesJSONL(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewSpool(dir, "flight", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Write(Event{At: 42, Kind: KindDeliver, Node: 3, Flow: 7, Seq: 9, A: 128, Note: "x"})
-	s.Write(Event{At: 43, Kind: KindFault, Node: 3})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs := readLines(t, s.Path())
-	if len(recs) != 2 {
-		t.Fatalf("lines = %d", len(recs))
-	}
-	r0 := recs[0]
-	if r0.At != 42 || r0.Kind != "DELIVER" || r0.Node != 3 || r0.Flow != 7 || r0.Seq != 9 || r0.A != 128 || r0.Note != "x" {
-		t.Fatalf("record = %+v", r0)
-	}
-	if recs[1].Kind != "FAULT" {
-		t.Fatalf("record 1 = %+v", recs[1])
-	}
-	if s.Dropped() != 0 {
-		t.Fatalf("dropped = %d", s.Dropped())
-	}
-}
-
-func TestSpoolRotationBoundsDisk(t *testing.T) {
-	dir := t.TempDir()
-	const maxBytes = 512
-	s, err := NewSpool(dir, "flight", maxBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		s.Write(Event{At: 1, Kind: KindRecv, Node: 1, Seq: i, Note: "padpadpadpad"})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := os.Stat(filepath.Join(dir, "flight.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := os.Stat(filepath.Join(dir, "flight.1.jsonl"))
-	if err != nil {
-		t.Fatalf("rotation never happened: %v", err)
-	}
-	if cur.Size() > maxBytes || prev.Size() > maxBytes {
-		t.Fatalf("generation exceeds bound: cur=%d prev=%d", cur.Size(), prev.Size())
-	}
-	// The newest events live in the current generation.
-	recs := readLines(t, s.Path())
-	if len(recs) == 0 || recs[len(recs)-1].Seq != 199 {
-		t.Fatalf("current generation tail = %+v", recs)
-	}
-}
-
-func TestSpoolAttachTapsRecorder(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewSpool(dir, "tap", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(16)
-	s.Attach(r)
-	for i := 0; i < 40; i++ { // beyond ring capacity: the spool keeps them all
-		r.Record(Event{Kind: KindPost, Seq: i})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs := readLines(t, s.Path())
-	if len(recs) != 40 {
-		t.Fatalf("spool lines = %d, want all 40 (ring only keeps 16)", len(recs))
-	}
-	// Writes after Close are absorbed, not crashed on.
-	r.Record(Event{Kind: KindPost})
-	if s.Dropped() != 1 {
-		t.Fatalf("dropped = %d", s.Dropped())
-	}
-}
-
 func TestDumpAnomaly(t *testing.T) {
 	dir := t.TempDir()
 	r1, r2 := New(32), New(32)

@@ -47,7 +47,6 @@ const (
 	// from a dead connection, a rendezvous timed out and retried, or the
 	// chaos layer injected a fault.
 	KindFault
-	kindMax
 )
 
 // String returns the event mnemonic.
@@ -92,10 +91,9 @@ func (e Event) String() string {
 // driver records from several goroutines). A nil *Recorder ignores all
 // calls.
 type Recorder struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  uint64 // total events ever recorded
-	onrec func(Event)
+	mu   sync.Mutex
+	buf  []Event
+	next uint64 // total events ever recorded
 }
 
 // New returns a recorder keeping the last capacity events (min 16).
@@ -118,21 +116,6 @@ func (r *Recorder) Record(e Event) {
 		r.buf[r.next%uint64(cap(r.buf))] = e
 	}
 	r.next++
-	cb := r.onrec
-	r.mu.Unlock()
-	if cb != nil {
-		cb(e)
-	}
-}
-
-// OnRecord installs a live tap (e.g. streaming trace printing). Pass nil
-// to remove it.
-func (r *Recorder) OnRecord(fn func(Event)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.onrec = fn
 	r.mu.Unlock()
 }
 
@@ -175,38 +158,6 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// KindMask is a set of event kinds packed into one word (kindMax ≤ 64).
-type KindMask uint64
-
-// MaskOf builds the mask selecting exactly the given kinds.
-func MaskOf(kinds ...Kind) KindMask {
-	var m KindMask
-	for _, k := range kinds {
-		if k < kindMax {
-			m |= 1 << k
-		}
-	}
-	return m
-}
-
-// Has reports whether the mask selects k.
-func (m KindMask) Has(k Kind) bool { return m&(1<<k) != 0 }
-
-// Filter returns retained events of the given kinds (all when empty),
-// oldest-first. The kind set is a bitmask, not a map: Filter runs inside
-// assertion loops over large testnet traces, where a per-call map
-// allocation is pure overhead.
-func (r *Recorder) Filter(kinds ...Kind) []Event {
-	want := MaskOf(kinds...)
-	var out []Event
-	for _, e := range r.Events() {
-		if want == 0 || want.Has(e.Kind) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Dump renders the retained events as a timeline.
 func (r *Recorder) Dump() string {
 	var b strings.Builder
@@ -215,13 +166,4 @@ func (r *Recorder) Dump() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Summary tallies retained events per kind.
-func (r *Recorder) Summary() map[Kind]int {
-	out := map[Kind]int{}
-	for _, e := range r.Events() {
-		out[e.Kind]++
-	}
-	return out
 }
