@@ -11,7 +11,6 @@ import (
 	"newmad/internal/packet"
 	"newmad/internal/proto"
 	"newmad/internal/simnet"
-	"newmad/internal/strategy"
 )
 
 // TestChaosSoakRailsAndPartition is the resilience battery's -race soak: a
@@ -61,7 +60,6 @@ func TestChaosSoakRailsAndPartition(t *testing.T) {
 			downs.Add(1)
 		},
 	}
-	opts.RailPolicy = strategy.NewScheduledRail(opts.RailCaps())
 	c, err := New(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -43,14 +43,10 @@ type Options struct {
 	// one mesh endpoint (one TCP connection per peer) per profile, and its
 	// engine schedules over all of them. Profile names must be distinct
 	// (caps.RailProfiles derives uniquely named variants of one base).
-	// Empty means a single rail of Caps.
+	// With more than one rail each engine schedules them with its own
+	// capability-aware strategy.ScheduledRail, so a rail retune on one node
+	// stays on that node. Empty means a single rail of Caps.
 	Rails []caps.Caps
-	// RailPolicy overrides the bundle's rail policy on every engine —
-	// typically strategy.NewScheduledRail over the (sorted) rail profiles
-	// for capability-aware striping. The instance is shared by every
-	// engine, so it must be safe for concurrent use (ScheduledRail is);
-	// nil keeps the bundle's own policy.
-	RailPolicy strategy.RailPolicy
 	// Bundle names the strategy bundle each engine runs; default
 	// "aggregate" (the paper's optimizing configuration).
 	Bundle string
@@ -146,20 +142,6 @@ type Cluster struct {
 	Registry *telemetry.Registry
 }
 
-// RailCaps returns the rail capability profiles a cluster built from o will
-// run, in the engine's rail order (caps.EngineOrder). Use it to build a
-// matching strategy.NewScheduledRail.
-func (o Options) RailCaps() []caps.Caps {
-	if len(o.Rails) > 0 {
-		return caps.EngineOrder(o.Rails)
-	}
-	c := o.Caps
-	if c.Name == "" {
-		c = caps.TCP
-	}
-	return []caps.Caps{c}
-}
-
 // New boots the cluster: every node listens (once per rail), dials every
 // peer, and runs its own engine and session against the shared wall-clock
 // runtime. On error, everything already started is torn down.
@@ -176,7 +158,14 @@ func New(o Options) (*Cluster, error) {
 	if o.Listen != nil && len(o.Listen) != o.Nodes {
 		return nil, fmt.Errorf("cluster: %d listen addresses for %d nodes", len(o.Listen), o.Nodes)
 	}
-	profiles := o.RailCaps()
+	// The rail profiles every node runs, in the engine's rail order.
+	profiles := caps.EngineOrder(o.Rails)
+	if len(profiles) == 0 {
+		if o.Caps.Name == "" {
+			o.Caps = caps.TCP
+		}
+		profiles = []caps.Caps{o.Caps}
+	}
 
 	c := &Cluster{Runtime: simnet.NewRealRuntime()}
 	fail := func(err error) (*Cluster, error) {
@@ -219,8 +208,8 @@ func New(o Options) (*Cluster, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if o.RailPolicy != nil {
-			b.Rail = o.RailPolicy
+		if len(profiles) > 1 {
+			b.Rail = strategy.NewScheduledRail(profiles)
 		}
 		n := n
 		sess, err := mad.Bind(node, func(deliver proto.DeliverFunc) (*core.Engine, error) {

@@ -6,7 +6,6 @@ import (
 	"newmad/internal/caps"
 	"newmad/internal/chaos"
 	"newmad/internal/simnet"
-	"newmad/internal/strategy"
 	"newmad/internal/testnet"
 )
 
@@ -51,7 +50,6 @@ func OptionsFromManifest(m *testnet.Manifest) (Options, error) {
 	}
 	if m.Rails > 1 {
 		o.Rails = caps.RailProfiles(base, m.Rails)
-		o.RailPolicy = strategy.NewScheduledRail(o.RailCaps())
 	} else {
 		o.Caps = base
 	}

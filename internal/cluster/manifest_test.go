@@ -57,8 +57,8 @@ func TestOptionsFromManifest(t *testing.T) {
 	if q, ok := o.Quotas[3]; !ok || len(o.Quotas) != 1 || q != (core.TenantQuota{Rate: 5000, Burst: 8, Backlog: 64}) {
 		t.Fatalf("manifest quotas not carried: %+v", o.Quotas)
 	}
-	if o.Nodes != 3 || len(o.Rails) != 2 || o.RailPolicy == nil {
-		t.Fatalf("topology: %d nodes, %d rails, policy %v", o.Nodes, len(o.Rails), o.RailPolicy)
+	if o.Nodes != 3 || len(o.Rails) != 2 {
+		t.Fatalf("topology: %d nodes, %d rails", o.Nodes, len(o.Rails))
 	}
 	if o.Bundle != "aggregate" || o.RdvThreshold != 4096 || o.RdvRetryMax != 10 {
 		t.Fatalf("tuning not carried: %+v", o)

@@ -45,6 +45,12 @@ func runViewTraffic(t *testing.T, telemetryOn bool) *Cluster {
 		}
 		if i == perSide/2 {
 			c.Nodes[0].Rails[0].BreakPeer(1)
+			// What the rail-health controller does for a rail that stays
+			// down: take it out of the stripe set, or bulk placed on it
+			// waits for a heal that never comes.
+			for n := packet.NodeID(0); n < 2; n++ {
+				c.Engine(n).SetRailWeights([]float64{0, 1})
+			}
 		}
 	}
 	deadline := time.Now().Add(30 * time.Second)

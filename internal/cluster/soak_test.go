@@ -46,7 +46,6 @@ func TestMultiRailSoakRetuneAndRedial(t *testing.T) {
 			}
 		},
 	}
-	opts.RailPolicy = strategy.NewScheduledRail(opts.RailCaps())
 	c, err := New(opts)
 	if err != nil {
 		t.Fatal(err)

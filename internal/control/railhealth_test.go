@@ -8,7 +8,6 @@ import (
 	"newmad/internal/cluster"
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
-	"newmad/internal/strategy"
 )
 
 // TestControllerDemotesAndRestoresLossyRail drives the rail-health loop on
@@ -22,7 +21,6 @@ func TestControllerDemotesAndRestoresLossyRail(t *testing.T) {
 		Rails: caps.RailProfiles(caps.TCP, 2),
 		Raw:   true,
 	}
-	opts.RailPolicy = strategy.NewScheduledRail(opts.RailCaps())
 	c, err := cluster.New(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -162,7 +162,7 @@ type Engine struct {
 	// view's merge key). backlogSz/backlogPeak track the global waiting-
 	// packet count — the Nagle flush decision and BacklogLen read it
 	// without touching any shard. idleUps counts scheduler activations,
-	// the four below it retune activity (knob changes hold no engine lock).
+	// the three below it retune activity (knob changes hold no engine lock).
 	submitSeq      atomic.Uint64
 	backlogSz      atomic.Int64
 	backlogPeak    atomic.Int64
@@ -170,13 +170,6 @@ type Engine struct {
 	policySwitches atomic.Uint64
 	railRetunes    atomic.Uint64
 	tenantRetunes  atomic.Uint64
-	repumpedShards atomic.Uint64
-
-	// repumpEpoch numbers SetRailWeights' targeted re-pump sweeps: each
-	// sweep stamps the shards it claims (shard.repumpEpoch) and the epoch
-	// rides the refused-kick protocol (chanPump.refusedEpoch/doneEpoch) so
-	// every channel knows which flagged shards it still owes a visit.
-	repumpEpoch atomic.Uint64
 
 	// shards own the send side; pumps[rail][channel] serialize each NIC
 	// channel's scan over them.
@@ -544,10 +537,8 @@ func (e *Engine) SetRailWeights(w []float64) bool {
 	rs.SetWeights(w)
 	e.railRetunes.Add(1)
 	e.notifyRetune(RetuneEvent{At: e.rt.Now(), Knob: "rail-weights", Note: fmt.Sprintf("rail-weights=%v", w)})
-	// Incremental re-pump: only the shards whose scans recorded weight-bound
-	// refusals are revisited — a weight delta costs O(affected queues), not
-	// a pumpAll sweep of every queue (DESIGN.md §3.2).
-	e.pumpRefused()
+	// Work the old weights kept off an idle rail is re-offered now.
+	e.pumpAll()
 	return true
 }
 

@@ -93,12 +93,10 @@ type Metrics struct {
 	Counters
 	IdleUpcalls uint64 `set:"core.idle_upcalls"` // scheduler activations
 
-	// Retune activity: knob changes applied, and the shards SetRailWeights
-	// sweeps re-pumped.
+	// Retune activity: knob changes applied.
 	PolicySwitches uint64 `set:"core.policy_switches"`
 	RailRetunes    uint64 `set:"core.rail_retunes"`
 	TenantRetunes  uint64 `set:"core.tenant_retunes"`
-	RepumpedShards uint64 `set:"core.retune_repumped_shards"`
 
 	// RailFrames is the per-rail frame count and RailDowns the per-rail
 	// peer-down events, indexed like Rails().
@@ -174,7 +172,6 @@ func (e *Engine) MetricsInto(m *Metrics) {
 		PolicySwitches:  e.policySwitches.Load(),
 		RailRetunes:     e.railRetunes.Load(),
 		TenantRetunes:   e.tenantRetunes.Load(),
-		RepumpedShards:  e.repumpedShards.Load(),
 		RailFrames:      m.RailFrames[:0],
 		RailDowns:       m.RailDowns[:0],
 		Tenants:         m.Tenants[:0],

@@ -57,7 +57,6 @@ var viewNames = []struct {
 	{"core.policy_switches", func(m *Metrics) uint64 { return m.PolicySwitches }},
 	{"core.rail_retunes", func(m *Metrics) uint64 { return m.RailRetunes }},
 	{"core.tenant_retunes", func(m *Metrics) uint64 { return m.TenantRetunes }},
-	{"core.retune_repumped_shards", func(m *Metrics) uint64 { return m.RepumpedShards }},
 	{"core.tenant_throttled", func(m *Metrics) uint64 {
 		var n uint64
 		for _, t := range m.Tenants {

@@ -207,54 +207,8 @@ func (e *Engine) pumpAll() {
 	}
 }
 
-// pumpRefused is SetRailWeights' incremental replacement for pumpAll: it
-// claims the shards whose scans recorded weight-bound refusals, stamps them
-// with a fresh repump epoch, and offers only those shards to the idle
-// channels (kickChannelRefused). Shards with no refused work are never
-// locked or scanned, so a weight delta costs O(affected queues) plus
-// O(shards + channels) bookkeeping — not a full backlog sweep.
-func (e *Engine) pumpRefused() {
-	if e.closed.Load() {
-		return
-	}
-	var epoch uint64
-	affected := 0
-	for _, s := range e.shards {
-		if s.railRefused.Swap(false) {
-			if epoch == 0 {
-				epoch = e.repumpEpoch.Add(1)
-			}
-			s.repumpEpoch.Store(epoch)
-			affected++
-		}
-	}
-	if epoch == 0 {
-		return
-	}
-	e.repumpedShards.Add(uint64(affected))
-	for ri, r := range e.rails {
-		for ch := 0; ch < r.NumChannels(); ch++ {
-			if r.ChannelIdle(ch) {
-				e.kickChannelRefused(ri, ch, epoch)
-			}
-		}
-	}
-}
-
 func (e *Engine) railInfo(ri int) strategy.RailInfo {
 	return strategy.RailInfo{Index: ri, Count: len(e.rails), Caps: e.rails[ri].Caps()}
-}
-
-// railEligibleWeighted consults the rail policy for p on info, classifying
-// a refusal as weight-bound (curable by a SetRailWeights call alone) or
-// structural. Policies without refusal classification (strategy.WeightAware)
-// are treated conservatively — every refusal counts as weight-bound — so a
-// weight delta re-offers their queued work exactly as pumpAll did.
-func railEligibleWeighted(rail strategy.RailPolicy, p *packet.Packet, info strategy.RailInfo) (ok, weightBound bool) {
-	if wa, is := rail.(strategy.WeightAware); is {
-		return wa.EligibleWeighted(p, info)
-	}
-	return rail.Eligible(p, info), true
 }
 
 // pumpReactiveLocked tries to occupy (rail ri, channel ch) with this
@@ -268,15 +222,11 @@ func (s *shard) pumpReactiveLocked(b *strategy.Bundle, ri, ch int) bool {
 	// class policy admits it here. The probe packet is shard-owned
 	// scratch: policies only read it.
 	if b.Classes.Allowed(packet.ClassControl, ch, numCh) {
-		if ok, wb := railEligibleWeighted(b.Rail, &s.ctrlProbe, e.railInfo(ri)); ok {
+		if b.Rail.Eligible(&s.ctrlProbe, e.railInfo(ri)) {
 			if f := s.popFrameLocked(&s.ctrlQ, &s.nCtrl); f != nil {
 				s.postLocked(ri, ch, f, nil, 0)
 				return true
 			}
-		} else if wb && len(s.ctrlQ) > 0 {
-			// Queued control frames held back by a weight-bound refusal:
-			// flag the shard for the next weight delta's targeted re-pump.
-			s.railRefused.Store(true)
 		}
 	}
 	// Failover traffic: frames whose original rail died re-travel on the
@@ -380,20 +330,10 @@ func (s *shard) pumpFailoverLocked(b *strategy.Bundle, ri, ch int) bool {
 // Caller holds s.mu.
 func (s *shard) pumpBulkLocked(b *strategy.Bundle, ri, ch int) bool {
 	e := s.eng
-	r := e.rails[ri]
 	info := e.railInfo(ri)
-	numCh := r.NumChannels()
-	placer, hasPlacer := b.Rail.(strategy.BulkPlacer)
-	var gen uint64
-	if hasPlacer {
-		gen = placer.WeightGen()
-	}
-	refused := false
+	numCh := e.rails[ri].NumChannels()
 	for i, f := range s.bulkQ {
-		class := packet.ClassBulk
-		if f.Kind == packet.FramePut || f.Kind == packet.FrameGet || f.Kind == packet.FrameGetReply {
-			class = packet.ClassRMA
-		}
+		class := frameClass(f)
 		if !b.Classes.Allowed(class, ch, numCh) {
 			continue
 		}
@@ -401,39 +341,17 @@ func (s *shard) pumpBulkLocked(b *strategy.Bundle, ri, ch int) bool {
 		// fragment seq) so striping rail policies can spread distinct bulk
 		// transfers across rails while keeping each transfer's placement
 		// stable. It is shard-owned scratch: policies only read it.
-		if hasPlacer {
-			// Placement is a pure function of (transfer identity, weights):
-			// compute it once per frame per weight generation and cache it
-			// on the frame, instead of probing the policy once per rail.
-			if f.StripeGen != gen {
-				s.bulkProbe = packet.Packet{Class: class, Flow: f.Ctrl.Flow, Msg: f.Ctrl.Msg, Seq: f.Ctrl.Seq}
-				f.StripeRail = int32(placer.BulkRail(&s.bulkProbe, info.Count))
-				f.StripeGen = gen
-			}
-			if f.StripeRail >= 0 && int(f.StripeRail) != ri {
-				refused = true // striped elsewhere: a weight delta can move it here
-				continue
-			}
-		} else {
-			s.bulkProbe = packet.Packet{Class: class, Flow: f.Ctrl.Flow, Msg: f.Ctrl.Msg, Seq: f.Ctrl.Seq}
-			if ok, wb := railEligibleWeighted(b.Rail, &s.bulkProbe, info); !ok {
-				refused = refused || wb
-				continue
-			}
+		s.bulkProbe = packet.Packet{Class: class, Flow: f.Ctrl.Flow, Msg: f.Ctrl.Msg, Seq: f.Ctrl.Seq}
+		if !b.Rail.Eligible(&s.bulkProbe, info) {
+			continue
 		}
 		if !e.railReaches(ri, f.Dst) {
 			continue
 		}
 		s.bulkQ = append(s.bulkQ[:i], s.bulkQ[i+1:]...)
 		s.nBulk.Add(-1)
-		if refused {
-			s.railRefused.Store(true)
-		}
 		s.postLocked(ri, ch, f, nil, 0)
 		return true
-	}
-	if refused {
-		s.railRefused.Store(true)
 	}
 	return false
 }
@@ -548,7 +466,6 @@ func (s *shard) eligibleLocked(b *strategy.Bundle, info strategy.RailInfo, ch, n
 	e := s.eng
 	view := s.viewScratch[:0]
 	cur := s.curScratch[:0]
-	refused := false
 	// Weighted per-tenant service: with admission enabled and more than
 	// one tenant waiting, no tenant may fill more than its fair share of
 	// a bounded lookahead window. The merge stays in SubmitSeq order and a
@@ -598,8 +515,7 @@ func (s *shard) eligibleLocked(b *strategy.Bundle, info strategy.RailInfo, ch, n
 		c := &cur[best]
 		p := c.q.pkts[c.pos]
 		c.pos++
-		if ok, wb := railEligibleWeighted(b.Rail, p, info); !ok {
-			refused = refused || wb
+		if !b.Rail.Eligible(p, info) {
 			continue
 		}
 		if perTenant > 0 {
@@ -612,12 +528,6 @@ func (s *shard) eligibleLocked(b *strategy.Bundle, info strategy.RailInfo, ch, n
 		if limit > 0 && len(view) >= limit {
 			break
 		}
-	}
-	if refused {
-		// At least one queued packet was refused for a weight-bound reason:
-		// flag the shard so the next weight delta's targeted re-pump
-		// revisits it (and only shards like it).
-		s.railRefused.Store(true)
 	}
 	s.viewScratch = view[:0]
 	s.curScratch = cur[:0]

@@ -70,19 +70,6 @@ type shard struct {
 	// hint skip avoids.
 	favorBulk atomic.Bool
 
-	// railRefused records that a completed scan of this shard refused at
-	// least one queued packet for a weight-bound reason (strategy.WeightAware):
-	// work that only a SetRailWeights call can re-admit. SetRailWeights
-	// sweeps these hints and re-pumps only the flagged shards — the
-	// incremental alternative to pumpAll (DESIGN.md §3.2). repumpEpoch
-	// stamps the sweep that claimed this shard, so every channel can tell
-	// which flagged shards it has not yet revisited (chanPump.doneEpoch).
-	// Like the work hints above, staleness is only ever in the direction of
-	// a spurious re-scan or a deferred one — never a lost packet: any full
-	// pump re-offers everything regardless of hints.
-	railRefused atomic.Bool
-	repumpEpoch atomic.Uint64
-
 	mu      sync.Mutex
 	backlog backlogIndex    // waiting packets, indexed by (dst, class)
 	ctrlQ   []*packet.Frame // reactive control frames (RTS/CTS/Ack)
@@ -230,78 +217,32 @@ type chanPump struct {
 	pending     atomic.Bool
 	pendingIdle atomic.Bool
 	rotor       int
-
-	// Weight-delta pump requests, epoch-numbered (engine.repumpEpoch).
-	// refusedEpoch is the newest sweep that asked this channel to revisit
-	// flagged shards; doneEpoch (written under mu) is the newest sweep whose
-	// flagged shards a scan of this channel has fully covered. A refused
-	// request is satisfied by any full scan too, so full pumps advance
-	// doneEpoch for free. Per-channel tracking is what keeps the protocol
-	// live: one channel covering a flagged shard must not absorb another
-	// channel's obligation to offer that shard its own bandwidth.
-	refusedEpoch atomic.Uint64
-	doneEpoch    atomic.Uint64
 }
 
 // kickChannel requests a pump of (rail ri, channel ch). idleUpcall marks a
 // genuine NIC-idle activation (which an armed Nagle delay never holds
-// against, per the paper).
+// against, per the paper); it reaches the pump only through pendingIdle, so
+// it is applied to exactly one scan — the first to consume it.
 func (e *Engine) kickChannel(ri, ch int, idleUpcall bool) {
 	cp := &e.pumps[ri][ch]
 	cp.pending.Store(true)
 	if idleUpcall {
 		cp.pendingIdle.Store(true)
 	}
-	e.runChannel(ri, ch, idleUpcall, cp)
-}
-
-// kickChannelRefused requests a weight-delta pump of (rail ri, channel ch):
-// the scan visits only shards flagged at an epoch this channel has not yet
-// covered, skipping the rest of the backlog entirely.
-func (e *Engine) kickChannelRefused(ri, ch int, epoch uint64) {
-	cp := &e.pumps[ri][ch]
-	for { // monotone max: a newer sweep never loses to an older one
-		cur := cp.refusedEpoch.Load()
-		if cur >= epoch || cp.refusedEpoch.CompareAndSwap(cur, epoch) {
-			break
-		}
-	}
-	e.runChannel(ri, ch, false, cp)
-}
-
-// runChannel drains every outstanding pump request on (ri, ch) — full kicks
-// and epoch-numbered refused kicks — under the channel's TryLock protocol:
-// the holder re-checks both request kinds after releasing, so no kick is
-// ever lost to contention.
-func (e *Engine) runChannel(ri, ch int, idleUpcall bool, cp *chanPump) {
 	for {
 		if !cp.mu.TryLock() {
 			// The holder clears pending before pumping and re-checks after
 			// releasing, so our request is either seen or re-run.
 			return
 		}
-		full := cp.pending.Load()
-		refEp := cp.refusedEpoch.Load()
-		if !full && refEp <= cp.doneEpoch.Load() {
+		if !cp.pending.Load() {
 			cp.mu.Unlock()
 			return
 		}
-		var swept bool
-		if full {
-			cp.pending.Store(false)
-			idle := cp.pendingIdle.Swap(false) || idleUpcall
-			swept = e.pumpChannel(ri, ch, idle, cp, 0)
-		} else {
-			swept = e.pumpChannel(ri, ch, false, cp, cp.doneEpoch.Load()+1)
-		}
-		if swept {
-			// The scan covered every shard flagged at or before refEp (a
-			// posted early-exit does not sweep; the loop re-runs until the
-			// remaining flagged shards have been offered this channel).
-			cp.doneEpoch.Store(refEp)
-		}
+		cp.pending.Store(false)
+		e.pumpChannel(ri, ch, cp.pendingIdle.Swap(false), cp)
 		cp.mu.Unlock()
-		if !cp.pending.Load() && cp.refusedEpoch.Load() <= cp.doneEpoch.Load() {
+		if !cp.pending.Load() {
 			return
 		}
 	}
@@ -312,22 +253,15 @@ func (e *Engine) runChannel(ri, ch int, idleUpcall bool, cp *chanPump) {
 // reactive control frames and failover re-posts from any shard first, then
 // planned backlog/bulk work. The scan starts at the channel's rotor so
 // shard service order rotates deterministically. Caller holds cp.mu.
-//
-// minEpoch > 0 selects the weight-delta mode: only shards whose repumpEpoch
-// reached minEpoch are visited — the rest of the backlog is untouched, so a
-// retune costs O(affected queues). The return value reports whether the
-// scan swept every shard it owed a visit: false only on a posted early exit
-// (the caller re-runs); a busy channel counts as swept because its eventual
-// idle upcall runs an unconditional full scan.
-func (e *Engine) pumpChannel(ri, ch int, idleUpcall bool, cp *chanPump, minEpoch uint64) bool {
+func (e *Engine) pumpChannel(ri, ch int, idleUpcall bool, cp *chanPump) {
 	if e.closed.Load() {
 		// A pump that raced Close stops scanning: Close is discarding the
 		// queues this scan would read, and the rails are being detached.
-		return true
+		return
 	}
 	r := e.rails[ri]
 	if !r.ChannelIdle(ch) {
-		return true
+		return
 	}
 	shards := e.shards
 	n := len(shards)
@@ -341,9 +275,6 @@ func (e *Engine) pumpChannel(ri, ch int, idleUpcall bool, cp *chanPump, minEpoch
 	// never queues behind data.
 	for i := 0; i < n; i++ {
 		s := shards[(start+i)%n]
-		if minEpoch > 0 && s.repumpEpoch.Load() < minEpoch {
-			continue
-		}
 		if s.nCtrl.Load() == 0 && s.nFail.Load() == 0 {
 			continue
 		}
@@ -351,15 +282,12 @@ func (e *Engine) pumpChannel(ri, ch int, idleUpcall bool, cp *chanPump, minEpoch
 		posted := s.pumpReactiveLocked(b, ri, ch)
 		s.mu.Unlock()
 		if posted {
-			return false
+			return
 		}
 	}
 	// Pass 2: planned work — the eager backlog and granted bulk.
 	for i := 0; i < n; i++ {
 		s := shards[(start+i)%n]
-		if minEpoch > 0 && s.repumpEpoch.Load() < minEpoch {
-			continue
-		}
 		fav := s.favorBulk.Load()
 		s.favorBulk.Store(!fav)
 		if s.nBacklog.Load() == 0 && s.nBulk.Load() == 0 {
@@ -369,10 +297,9 @@ func (e *Engine) pumpChannel(ri, ch int, idleUpcall bool, cp *chanPump, minEpoch
 		posted := s.pumpWorkLocked(b, ri, ch, idleUpcall, fav)
 		s.mu.Unlock()
 		if posted {
-			return false
+			return
 		}
 	}
-	return true
 }
 
 // newShard builds one shard with its scratch sized for the engine's rails.

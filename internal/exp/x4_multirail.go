@@ -8,7 +8,6 @@ import (
 	"newmad/internal/caps"
 	"newmad/internal/cluster"
 	"newmad/internal/stats"
-	"newmad/internal/strategy"
 )
 
 // X4 — multi-rail addendum (not a claim of the paper; added with the
@@ -79,7 +78,6 @@ func x4Rails(n int) []caps.Caps {
 func X4Mesh(cfg Config, railCount int) (X4Result, error) {
 	w, _ := x4Shape(cfg)
 	opts := cluster.Options{Nodes: 2, Rails: x4Rails(railCount)}
-	opts.RailPolicy = strategy.NewScheduledRail(opts.RailCaps())
 	c, err := newMeshRig(opts, nil)
 	if err != nil {
 		return X4Result{}, err

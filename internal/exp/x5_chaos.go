@@ -15,7 +15,6 @@ import (
 	"newmad/internal/proto"
 	"newmad/internal/simnet"
 	"newmad/internal/stats"
-	"newmad/internal/strategy"
 	"newmad/internal/telemetry"
 	"newmad/internal/trace"
 )
@@ -150,7 +149,6 @@ func X5Chaos(cfg Config) (X5Result, error) {
 		},
 		OnPeerDown: func(packet.NodeID, int, packet.NodeID) { downs.Add(1) },
 	}
-	opts.RailPolicy = strategy.NewScheduledRail(opts.RailCaps())
 	// The exactly-once set: the conglomerate's flows between nodes 0 and 1.
 	c, err := newMeshRig(opts, func(_ packet.NodeID, d proto.Deliverable) bool {
 		if d.Pkt.Flow < 10 || d.Pkt.Flow >= 30 {

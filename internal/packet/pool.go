@@ -78,8 +78,6 @@ func (f *Frame) Reset() {
 	f.Ctrl = Ctrl{}
 	f.Bulk = nil
 	f.Posted = 0
-	f.StripeRail = 0
-	f.StripeGen = 0
 }
 
 // SetBacking records the wire buffer this frame was decoded from.

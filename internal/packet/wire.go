@@ -36,14 +36,6 @@ type Frame struct {
 	// the wire encoding and reads zero after a real transport.
 	Posted simnet.Time
 
-	// StripeRail/StripeGen cache the bulk rail placement the scheduler
-	// computed for this frame under one weight generation (see
-	// strategy.BulkPlacer): scheduling scratch that travels only in-memory,
-	// never on the wire. StripeGen 0 means "not computed"; the pump
-	// recomputes whenever the policy's generation has moved past it.
-	StripeRail int32
-	StripeGen  uint64
-
 	// Pool lifecycle state (see pool.go): whether this struct came from
 	// the frame pool, the wire buffer its payload slices alias on the
 	// receive path, and whether that buffer escaped to the application.

@@ -15,12 +15,12 @@ import (
 	"newmad/internal/strategy"
 )
 
-// The flap-storm battery measures what a rail-weight delta costs with a
-// deep backlog queued behind busy rails: the incremental re-pump must scale
-// with the queues the delta can actually affect (weight-bound refusals),
-// not with the total backlog. gatedSink is the instrument — a driver whose
-// channel-idle state the test controls, so packets queue without draining
-// and a retune's scan cost is the only moving part.
+// The retune battery covers what a rail-weight delta does with a backlog
+// queued behind gated rails: work the old weights kept off an idle rail is
+// re-offered by the delta itself, structurally pinned work stays put, and
+// the delta allocates nothing per queued packet. gatedSink is the
+// instrument — a driver whose channel-idle state the test controls, so
+// packets queue without draining until the test opens a gate.
 
 // gatedSink is sinkDriver with a gate on channel idleness: while closed,
 // every pump sees a busy channel and queued work stays queued.
@@ -118,9 +118,9 @@ func newRetuneHarness(tb testing.TB) *retuneHarness {
 // ever carry — their size exceeds the fat rail's eager cap, so no weight
 // update can move them — spread over shards 1 and 2, plus `affected` small
 // aggregates on shard 3 that the fat rail refuses only because its weight
-// is zero. Both gates are closed during the fill, so nothing drains; a
-// single fat-rail scan afterwards records the refusals the incremental
-// re-pump path keys off.
+// is zero. Both gates are closed during the fill, so nothing drains; the
+// fat rail's gate opens afterwards, so every later pump scans the whole
+// backlog on its behalf.
 func (h *retuneHarness) fill(tb testing.TB, pinned, affected int) {
 	tb.Helper()
 	h.lo.idle.Store(false)
@@ -145,60 +145,58 @@ func (h *retuneHarness) fill(tb testing.TB, pinned, affected int) {
 			tb.Fatal(err)
 		}
 	}
-	// One full scan of the fat rail observes every refusal and arms the
-	// per-shard hints; the lo rail stays gated so nothing posts.
+	// The lo rail stays gated: only what the fat rail admits can post.
 	h.fat.idle.Store(true)
 	h.eng.Flush()
 }
 
-// TestRetuneRepumpTargeting is the deterministic gate on the tentpole: a
-// weight delta re-pumps exactly the shards holding weight-bound refused
-// work — zero shards when the backlog is all structurally pinned work, and
-// exactly the one affected shard otherwise — counted by the engine's
-// core.retune_repumped_shards counter, with no packet drained either way.
-func TestRetuneRepumpTargeting(t *testing.T) {
+// TestRetuneReoffersWeightRefusedWork is the liveness contract of a weight
+// delta: aggregates an idle rail refused only because its weight was zero
+// post on that rail when SetRailWeights lifts the weight — the call's own
+// pump, no submit, receive or timer behind it — while packets the rail can
+// never carry stay queued.
+func TestRetuneReoffersWeightRefusedWork(t *testing.T) {
+	const pinned, affected = 64, 32
 	h := newRetuneHarness(t)
 	defer h.eng.Close()
-	repumped := func() uint64 {
-		return h.eng.Stats().CounterValue("core.retune_repumped_shards")
-	}
-
-	// Drain the fat rail before anything is queued, then fill with pinned
-	// work only: the scan records no weight-bound refusal anywhere.
 	if !h.eng.SetRailWeights([]float64{1, 0}) {
 		t.Fatal("rail policy not weight-tunable")
 	}
-	h.fill(t, 1024, 0)
-	before := repumped()
-	h.eng.SetRailWeights([]float64{2, 0})
-	if got := repumped() - before; got != 0 {
-		t.Fatalf("pinned-only backlog: delta re-pumped %d shards, want 0", got)
+	carried := 0
+	h.fat.onPost = func(f *packet.Frame) {
+		for _, en := range f.Entries {
+			if en.Flow != 2 {
+				t.Errorf("fat rail carried flow %d: a packet over its eager cap", en.Flow)
+			}
+		}
+		carried += len(f.Entries)
+	}
+	h.fill(t, pinned, affected)
+	if n := h.fat.posted.Load(); n != 0 {
+		t.Fatalf("fat rail posted %d frames at weight 0", n)
 	}
 
-	// Add weight-refused work on one shard; its refusals were recorded by
-	// fill's seed scan, so the next delta re-pumps exactly that shard.
-	h.fill(t, 0, 256)
-	before = repumped()
-	h.eng.SetRailWeights([]float64{3, 0})
-	if got := repumped() - before; got != 1 {
-		t.Fatalf("one affected shard: delta re-pumped %d shards, want 1", got)
+	h.eng.SetRailWeights([]float64{1, 1})
+	if h.fat.posted.Load() == 0 {
+		t.Fatal("weight delta did not re-offer the refused aggregates to the idle fat rail")
 	}
-	// The refused scan re-observed the refusals (weights kept the fat rail
-	// drained), so the hint re-arms and the next delta re-pumps it again.
-	before = repumped()
-	h.eng.SetRailWeights([]float64{4, 0})
-	if got := repumped() - before; got != 1 {
-		t.Fatalf("re-armed hint: delta re-pumped %d shards, want 1", got)
+	// Each post is followed by the NIC-idle edge; those drain the rest.
+	for i := 0; i < affected && h.eng.BacklogLen() > pinned; i++ {
+		h.fat.fn(0)
 	}
-	if n := h.eng.BacklogLen(); n != 1024+256 {
-		t.Fatalf("backlog drained during retunes: %d packets left, want %d", n, 1024+256)
+	if carried != affected || h.eng.BacklogLen() != pinned {
+		t.Fatalf("fat rail carried %d of %d refused packets, %d left queued (want %d pinned)",
+			carried, affected, h.eng.BacklogLen(), pinned)
+	}
+	if n := h.lo.posted.Load(); n != 0 {
+		t.Fatalf("gated lo rail posted %d frames", n)
 	}
 }
 
 // TestAllocsRailSchedEligible extends the AllocsPerRun gates to the
-// multi-rail bulk placement path: Eligible across every rail and class plus
-// the BulkRail stripe walk — one atomic snapshot load each, zero
-// allocations, zero locks (DESIGN.md §3.2).
+// multi-rail bulk placement path: Eligible across every rail and class,
+// stripe walk included — one atomic snapshot load each, zero allocations,
+// zero locks (DESIGN.md §3.2).
 func TestAllocsRailSchedEligible(t *testing.T) {
 	rails := []caps.Caps{caps.MX, caps.Elan, caps.Elan}
 	for i := range rails {
@@ -215,7 +213,6 @@ func TestAllocsRailSchedEligible(t *testing.T) {
 			sink = s.Eligible(bulk, info) || sink
 			sink = s.Eligible(small, info) || sink
 		}
-		sink = s.BulkRail(bulk, len(rails)) >= 0 || sink
 		bulk.Seq++
 	})
 	_ = sink
@@ -226,8 +223,8 @@ func TestAllocsRailSchedEligible(t *testing.T) {
 
 // TestAllocsFlapRetune pins the weight delta itself to a small constant
 // allocation budget that does not scale with the backlog: the snapshot
-// build, the retune event note, and nothing per queued packet (the refused
-// scan runs entirely on reused shard scratch).
+// build, the retune event note, and nothing per queued packet (the scan
+// runs entirely on reused shard scratch).
 func TestAllocsFlapRetune(t *testing.T) {
 	h := newRetuneHarness(t)
 	defer h.eng.Close()
@@ -244,29 +241,5 @@ func TestAllocsFlapRetune(t *testing.T) {
 	})
 	if allocs > 10 {
 		t.Fatalf("flap retune allocates %.1f allocs/op with 1k+ packets queued, want <= 10", allocs)
-	}
-}
-
-// BenchmarkFlapStormRetune measures one rail-weight delta against a gated
-// backlog, across (total backlog, affected queue) sizes. The incremental
-// re-pump contract is visible as flat ns/op in the backlog dimension and
-// linear ns/op only in the affected dimension; before the fix every delta
-// paid a full pumpAll sweep of all queues.
-func BenchmarkFlapStormRetune(b *testing.B) {
-	for _, backlog := range []int{1024, 4096} {
-		for _, affected := range []int{0, 256} {
-			b.Run(fmt.Sprintf("backlog=%d/affected=%d", backlog, affected), func(b *testing.B) {
-				h := newRetuneHarness(b)
-				defer h.eng.Close()
-				h.eng.SetRailWeights([]float64{1, 0})
-				h.fill(b, backlog, affected)
-				w := [][]float64{{1, 0}, {2, 0}}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					h.eng.SetRailWeights(w[i%2])
-				}
-			})
-		}
 	}
 }

@@ -40,34 +40,23 @@ type ScheduledRail struct {
 	lowLat int  // index of the lowest-latency rail
 	hetero bool // lowLat rail is strictly slower than the fastest rail
 
-	genBase uint64 // per-instance generation prefix (see WeightGen)
-	genSeq  atomic.Uint64
-	snap    atomic.Pointer[railSnap]
+	snap atomic.Pointer[railSnap]
 }
 
 // railSnap is one immutable weight configuration. Everything stripe and
 // Eligible need per decision is precomputed here so the datapath never
 // copies or walks more than it must.
 type railSnap struct {
-	gen     uint64
 	weights []float64 // sanitized effective weights (what Weights reports)
 	prefix  []float64 // running sums of the hetero-masked stripe weights
 	total   float64   // prefix[len-1]; <= 0 means "nothing to stripe onto"
 }
 
-// railSchedInstances seeds genBase so two ScheduledRail instances (e.g.
-// across a bundle swap) can never hand out the same weight generation:
-// cached placements keyed by gen would otherwise survive the swap.
-var railSchedInstances atomic.Uint64
-
 // NewScheduledRail builds the scheduler for a node's rails (indexed like
 // RailInfo.Index; must match the engine's rail order). Initial weights are
 // bandwidth-proportional.
 func NewScheduledRail(rails []caps.Caps) *ScheduledRail {
-	s := &ScheduledRail{
-		rails:   append([]caps.Caps(nil), rails...),
-		genBase: railSchedInstances.Add(1) << 32,
-	}
+	s := &ScheduledRail{rails: append([]caps.Caps(nil), rails...)}
 	maxBW := 0.0
 	for i, c := range s.rails {
 		lat := c.PostOverhead + c.WireLatency
@@ -135,14 +124,10 @@ func (s *ScheduledRail) SetWeights(w []float64) {
 }
 
 // publish builds and atomically installs the snapshot for ws: hetero mask
-// applied once, prefix sums precomputed, a fresh generation stamped. This is
-// the only writer path; readers never see a partially built snapshot.
+// applied once, prefix sums precomputed. This is the only writer path;
+// readers never see a partially built snapshot.
 func (s *ScheduledRail) publish(ws []float64) {
-	sn := &railSnap{
-		gen:     s.genBase + s.genSeq.Add(1),
-		weights: ws,
-		prefix:  make([]float64, len(ws)),
-	}
+	sn := &railSnap{weights: ws, prefix: make([]float64, len(ws))}
 	masked := ws
 	if s.hetero {
 		// Keep bulk off the latency rail when another weighted rail exists.
@@ -171,54 +156,26 @@ func (s *ScheduledRail) Weights() []float64 {
 	return append([]float64(nil), s.snap.Load().weights...)
 }
 
-// WeightGen implements BulkPlacer: it identifies the snapshot in effect and
-// moves on every SetWeights. Generations are unique across instances and
-// never zero, so callers may use 0 as a "not yet computed" sentinel.
-func (s *ScheduledRail) WeightGen() uint64 {
-	return s.snap.Load().gen
-}
-
-// BulkRail implements BulkPlacer: the rail one bulk transfer stripes onto,
-// or -1 when this policy does not stripe for a table of railCount rails
-// (single rail, or a mismatched topology — the per-rail Eligible fallback
-// admits everything in that case).
-func (s *ScheduledRail) BulkRail(p *packet.Packet, railCount int) int {
-	if railCount <= 1 || len(s.rails) != railCount {
-		return -1
-	}
-	return s.stripe(s.snap.Load(), p)
-}
-
 // Eligible implements RailPolicy.
 func (s *ScheduledRail) Eligible(p *packet.Packet, rail RailInfo) bool {
-	ok, _ := s.EligibleWeighted(p, rail)
-	return ok
-}
-
-// EligibleWeighted implements WeightAware: alongside the Eligible verdict it
-// reports whether a refusal is weight-bound — i.e. could be lifted by a
-// SetWeights call alone. Structural refusals (control pinned to the latency
-// rail, aggregates over a rail's eager limit) are not: no weight update can
-// admit them, so a retune need not revisit that work.
-func (s *ScheduledRail) EligibleWeighted(p *packet.Packet, rail RailInfo) (ok, weightBound bool) {
 	if rail.Count <= 1 || len(s.rails) != rail.Count {
 		// Single rail, or a rail table that does not describe this node:
 		// admit everything rather than strand traffic.
-		return true, false
+		return true
 	}
 	switch p.Class {
 	case packet.ClassControl:
-		return rail.Index == s.lowLat, false
+		return rail.Index == s.lowLat
 	case packet.ClassBulk, packet.ClassRMA:
-		return rail.Index == s.stripe(s.snap.Load(), p), true
+		return rail.Index == s.stripe(s.snap.Load(), p)
 	default:
 		if rail.Index == s.lowLat {
-			return true, false
+			return true
 		}
 		if p.Size() > s.rails[rail.Index].MaxAggregate {
-			return false, false // capability refusal dominates: never weight-curable
+			return false
 		}
-		return s.snap.Load().weights[rail.Index] > 0, true
+		return s.snap.Load().weights[rail.Index] > 0
 	}
 }
 
@@ -256,27 +213,5 @@ type RailWeightSetter interface {
 	Weights() []float64
 }
 
-// BulkPlacer is implemented by rail policies that place each bulk transfer
-// on exactly one rail as a pure function of (transfer identity, weights).
-// The engine uses it to compute a placement once per packet per weight
-// generation instead of probing Eligible once per rail: WeightGen must be
-// nonzero and change on every weight update, so a placement cached under
-// one generation can be reused until the weights move.
-type BulkPlacer interface {
-	WeightGen() uint64
-	BulkRail(p *packet.Packet, railCount int) int
-}
-
-// WeightAware is implemented by rail policies that can classify a refusal:
-// weightBound reports whether an ineligibility verdict could be lifted by a
-// weight update alone (meaningful only when ok is false). The engine uses
-// it to decide which queues a weight delta must revisit; policies without
-// it are treated conservatively (every refusal is assumed weight-bound).
-type WeightAware interface {
-	EligibleWeighted(p *packet.Packet, rail RailInfo) (ok, weightBound bool)
-}
-
 var _ RailPolicy = (*ScheduledRail)(nil)
 var _ RailWeightSetter = (*ScheduledRail)(nil)
-var _ BulkPlacer = (*ScheduledRail)(nil)
-var _ WeightAware = (*ScheduledRail)(nil)

@@ -142,83 +142,30 @@ func TestScheduledRailEnvelopeUnderWeightChurn(t *testing.T) {
 	}
 }
 
-// TestScheduledRailWeightGenAndPlacer pins the BulkPlacer contract the
-// engine's per-frame placement cache depends on: generations are nonzero,
-// move on every SetWeights, never collide across instances, and BulkRail
-// agrees with the per-rail Eligible verdicts it replaces.
-func TestScheduledRailWeightGenAndPlacer(t *testing.T) {
+// TestScheduledRailBulkOnExactlyOneRail pins what the pump's per-rail
+// probe relies on: after a retune every bulk transfer is eligible on exactly
+// one rail of a table that describes this node, and on every rail of a
+// table that does not (mismatched count, or a single rail) — traffic is
+// admitted rather than stranded.
+func TestScheduledRailBulkOnExactlyOneRail(t *testing.T) {
 	s := NewScheduledRail(homogeneousRails(3))
-	g0 := s.WeightGen()
-	if g0 == 0 {
-		t.Fatal("weight generation must be nonzero (0 is the cache sentinel)")
-	}
 	s.SetWeights([]float64{1, 2, 3})
-	g1 := s.WeightGen()
-	if g1 == g0 {
-		t.Fatal("SetWeights did not move the weight generation")
-	}
-	if other := NewScheduledRail(homogeneousRails(3)); other.WeightGen() == g0 || other.WeightGen() == g1 {
-		t.Fatal("weight generations collide across instances")
-	}
-	for seq := 0; seq < 64; seq++ {
-		p := &packet.Packet{Class: packet.ClassBulk, Flow: 5, Msg: 11, Seq: seq}
-		target := s.BulkRail(p, 3)
-		if target < 0 || target > 2 {
-			t.Fatalf("BulkRail out of range: %d", target)
-		}
-		for ri := 0; ri < 3; ri++ {
-			if got := s.Eligible(p, RailInfo{Index: ri, Count: 3}); got != (ri == target) {
-				t.Fatalf("seq %d: Eligible(rail %d) = %v, BulkRail = %d", seq, ri, got, target)
-			}
-		}
+	if stripeCountsProp(s, 3, 64, 5, 11) == nil {
+		t.Fatal("a bulk transfer was eligible on no rail, or on more than one")
 	}
 	p := &packet.Packet{Class: packet.ClassBulk, Flow: 5, Msg: 11, Seq: 0}
-	if got := s.BulkRail(p, 4); got != -1 {
-		t.Fatalf("mismatched rail table: BulkRail = %d, want -1", got)
-	}
-	if got := s.BulkRail(p, 1); got != -1 {
-		t.Fatalf("single rail: BulkRail = %d, want -1", got)
-	}
-}
-
-// TestScheduledRailRefusalClassification pins EligibleWeighted's verdicts:
-// only refusals a SetWeights call could lift are weight-bound.
-func TestScheduledRailRefusalClassification(t *testing.T) {
-	rails := schedRails() // hetero: rail 0 low-latency, rails 1,2 fat (16K eager cap)
-	s := NewScheduledRail(rails)
-	info := func(ri int) RailInfo { return RailInfo{Index: ri, Count: 3, Caps: rails[ri]} }
-
-	ctrl := &packet.Packet{Class: packet.ClassControl}
-	if ok, wb := s.EligibleWeighted(ctrl, info(1)); ok || wb {
-		t.Fatalf("control off the latency rail: (ok=%v, weightBound=%v), want structural refusal", ok, wb)
-	}
-
-	over := &packet.Packet{Class: packet.ClassSmall, Payload: make([]byte, 20*1024)}
-	if ok, wb := s.EligibleWeighted(over, info(1)); ok || wb {
-		t.Fatalf("aggregate over the eager cap: (ok=%v, weightBound=%v), want structural refusal", ok, wb)
-	}
-
-	s.SetWeights([]float64{1, 0, 1}) // drain rail 1
-	fits := &packet.Packet{Class: packet.ClassSmall, Payload: make([]byte, 1024)}
-	if ok, wb := s.EligibleWeighted(fits, info(1)); ok || !wb {
-		t.Fatalf("drained rail: (ok=%v, weightBound=%v), want weight-bound refusal", ok, wb)
-	}
-
-	bulk := &packet.Packet{Class: packet.ClassBulk, Flow: 1, Msg: 1, Seq: 1}
-	target := s.BulkRail(bulk, 3)
-	for ri := 1; ri <= 2; ri++ {
-		if ri == target {
-			continue
-		}
-		if ok, wb := s.EligibleWeighted(bulk, info(ri)); ok || !wb {
-			t.Fatalf("bulk striped elsewhere: (ok=%v, weightBound=%v), want weight-bound refusal", ok, wb)
+	for _, count := range []int{4, 1} {
+		for ri := 0; ri < count; ri++ {
+			if !s.Eligible(p, RailInfo{Index: ri, Count: count}) {
+				t.Fatalf("3-rail policy asked about a %d-rail table: rail %d refused bulk", count, ri)
+			}
 		}
 	}
 }
 
 // TestScheduledRailZeroAllocs pins the snapshot swap's whole point: the
-// hot-path placement reads — Eligible for every class, the stripe walk,
-// BulkRail — allocate nothing and take no locks. (The engine-side gate in
+// hot-path placement reads — Eligible for every class, the stripe walk —
+// allocate nothing and take no locks. (The engine-side gate in
 // internal/perf covers the same path through the pump; this one isolates
 // the policy.)
 func TestScheduledRailZeroAllocs(t *testing.T) {
@@ -236,7 +183,6 @@ func TestScheduledRailZeroAllocs(t *testing.T) {
 			sink = s.Eligible(small, ri) || sink
 			sink = s.Eligible(ctrl, ri) || sink
 		}
-		sink = s.BulkRail(bulk, 3) >= 0 || sink
 		bulk.Seq++
 	})
 	_ = sink
