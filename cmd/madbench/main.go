@@ -5,14 +5,16 @@
 //
 //	madbench               # run every experiment, full size
 //	madbench -quick        # reduced workloads (seconds, not minutes)
-//	madbench -run E1,E3    # a subset
-//	madbench -chaos        # only the chaos battery (X5), faults from -seed
+//	madbench -run E1,E3    # a subset (-run X5: the chaos battery)
 //	madbench -list         # list experiments and the claims they test
 //	madbench -seed 7       # change the workload seed
 //	madbench -json out.json  # also write machine-readable results
 //	madbench -manifest testnet.json          # boot an emulated testnet instead
 //	madbench -manifest testnet.json -seed 7  # ... overriding the manifest's seed
 //	madbench -manifest testnet.json -trace out.trace  # ... dumping the chaos trace
+//
+// A flag the selected mode would ignore exits 2 instead of being dropped:
+// -json, -quick, -list and -run refuse -manifest, and -trace requires it.
 //
 // The -json file records every table of every selected experiment plus the
 // wall-clock cost of producing it. The repository's performance record is
@@ -43,6 +45,13 @@ func fmtBytes(n uint64) string {
 		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
 	}
 	return fmt.Sprintf("%dB", n)
+}
+
+// usage reports a bad flag combination the way flag itself would: one line,
+// exit status 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "madbench: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // jsonReport is the schema of the -json output, "madbench/v6": every table
@@ -96,30 +105,29 @@ func main() {
 		list      = flag.Bool("list", false, "list experiments and exit")
 		seed      = flag.Uint64("seed", 1, "workload RNG seed")
 		jsonPath  = flag.String("json", "", "write results as JSON to this file")
-		chaosOnly = flag.Bool("chaos", false, "run only the chaos battery (X5): scripted faults from -seed, fault/recovery counters in the JSON")
 		manifest  = flag.String("manifest", "", "boot the emulated testnet this manifest describes instead of the experiment catalog")
 		tracePath = flag.String("trace", "", "with -manifest: write the executed chaos trace to this file")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *manifest != "" {
-		if *run != "" || *chaosOnly {
-			fmt.Fprintln(os.Stderr, "madbench: -manifest is mutually exclusive with -run/-chaos")
-			os.Exit(2)
+		for _, name := range []string{"json", "quick", "list", "run"} {
+			if set[name] {
+				usage("-manifest is mutually exclusive with -%s", name)
+			}
 		}
 		// -seed overrides the manifest's seed only when given explicitly, so
 		// the manifest stays the single source of truth by default.
-		seedSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				seedSet = true
-			}
-		})
-		if err := runManifest(*manifest, *seed, seedSet, *tracePath); err != nil {
+		if err := runManifest(*manifest, *seed, set["seed"], *tracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "madbench: %v\n", err)
 			os.Exit(1)
 		}
 		return
+	}
+	if set["trace"] {
+		usage("-trace needs -manifest")
 	}
 
 	if *list {
@@ -130,20 +138,12 @@ func main() {
 	}
 
 	selected := exp.All()
-	if *chaosOnly {
-		if *run != "" {
-			fmt.Fprintln(os.Stderr, "madbench: -chaos and -run are mutually exclusive")
-			os.Exit(2)
-		}
-		*run = "X5"
-	}
 	if *run != "" {
 		selected = selected[:0]
 		for _, id := range strings.Split(*run, ",") {
 			e, ok := exp.Get(strings.TrimSpace(id))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "madbench: unknown experiment %q\n", id)
-				os.Exit(2)
+				usage("unknown experiment %q", id)
 			}
 			selected = append(selected, e)
 		}

@@ -33,7 +33,7 @@ func usage(format string, args ...any) {
 
 func main() {
 	var (
-		profile   = flag.String("profile", "mx", "capability profile (see madcaps)")
+		profile   = flag.String("profile", "mx", fmt.Sprint("capability profile, one of ", caps.Names()))
 		bundle    = flag.String("strategy", "aggregate", "strategy bundle (see -strategies)")
 		flows     = flag.Int("flows", 8, "number of concurrent flows")
 		count     = flag.Int("count", 64, "messages per flow")
@@ -44,7 +44,7 @@ func main() {
 		channels  = flag.Int("channels", 1, "send channels per NIC (0 = profile default)")
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		listStrat = flag.Bool("strategies", false, "list strategy bundles and exit")
-		dump      = flag.Bool("dump", false, "dump every counter and histogram")
+		dump      = flag.Bool("dump", false, "dump the profile's capability record, every counter and histogram")
 		doTrace   = flag.Bool("trace", false, "print the engine decision timeline (last 256 events)")
 	)
 	flag.Parse()
@@ -114,7 +114,7 @@ func main() {
 			float64(total)/secs, float64(st.CounterValue("core.submitted_bytes"))/secs/1e6)
 	}
 	if *dump {
-		fmt.Println()
+		fmt.Printf("\ncaps     : %s\n\n", prof)
 		fmt.Print(st.Dump())
 	}
 	if rec != nil {

@@ -1,7 +1,7 @@
 // Extend: the paper's extensibility claim, live. A custom strategy bundle
-// — a plan builder that only aggregates packet *pairs* plus a rail policy
-// that pins bulk to even rails — is registered in a few lines and compared
-// against the built-in strategies on the same workload.
+// — a plan builder that only aggregates packet *pairs* — is registered in a
+// few lines and compared against the built-in strategies on the same
+// workload.
 //
 //	go run ./examples/extend
 package main
@@ -11,11 +11,8 @@ import (
 	"log"
 
 	"newmad/internal/caps"
-	"newmad/internal/core"
-	"newmad/internal/drivers"
+	"newmad/internal/exp"
 	"newmad/internal/packet"
-	"newmad/internal/proto"
-	"newmad/internal/simnet"
 	"newmad/internal/strategy"
 	"newmad/internal/workload"
 )
@@ -57,53 +54,28 @@ func init() {
 	})
 }
 
-func run(bundleName string) (simnet.Time, uint64) {
-	profile := caps.MX
-	profile.Channels = 1
-	cluster, err := drivers.NewCluster(2, profile)
-	if err != nil {
-		log.Fatal(err)
+// point is the comparison every bundle runs: 8 flows of 32 back-to-back
+// 64 B messages, node 0 -> 1 over single-channel MX.
+func point(bundle string) exp.Point {
+	return exp.Point{
+		RigOptions: exp.RigOptions{Profiles: []caps.Caps{exp.SingleChannel(caps.MX)}, Bundle: bundle},
+		Flows: exp.Fan(8, workload.FlowSpec{
+			Dst: 1, Class: packet.ClassSmall,
+			Size: workload.Fixed(64), Arrival: workload.BackToBack{}, Count: 32,
+		}),
 	}
-	engines := map[packet.NodeID]*core.Engine{}
-	for n := packet.NodeID(0); n < 2; n++ {
-		bundle, err := strategy.New(bundleName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		eng, err := core.New(n, core.Options{
-			Bundle:  bundle,
-			Runtime: cluster.Eng,
-			Rails:   []drivers.Driver{cluster.Driver(n, "mx")},
-			Deliver: func(proto.Deliverable) {},
-			Stats:   cluster.Stats,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		engines[n] = eng
-	}
-	wl := workload.NewDriver(cluster.Eng, engines, 1)
-	for f := 0; f < 8; f++ {
-		wl.Add(workload.FlowSpec{
-			Flow: packet.FlowID(f + 1), Src: 0, Dst: 1,
-			Class:   packet.ClassSmall,
-			Size:    workload.Fixed(64),
-			Arrival: workload.BackToBack{},
-			Count:   32,
-		})
-	}
-	end := cluster.Eng.Run()
-	return end, cluster.Stats.CounterValue("nic.tx.frames")
 }
 
 func main() {
-
 	fmt.Println("a custom strategy registers in one init block and competes immediately:")
 	fmt.Println()
 	fmt.Printf("%-22s %10s %10s\n", "strategy", "frames", "time")
 	for _, name := range []string{"fifo", "pairwise", "aggregate"} {
-		end, frames := run(name)
-		fmt.Printf("%-22s %10d %10v\n", name, frames, end)
+		m, _, err := exp.RunPoint(point(name), 1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-22s %10d %10v\n", name, m.Frames, m.End)
 	}
 	fmt.Println()
 	fmt.Println("pairwise halves the transaction count of fifo; the built-in greedy")

@@ -323,8 +323,8 @@ func (in *Injector) corrupt(f *packet.Frame) *packet.Frame {
 		enc[in.rng.Intn(len(enc))] ^= byte(1 << in.rng.Intn(8))
 	}
 	in.mu.Unlock()
-	cf, _, err := packet.Decode(enc)
-	if err != nil {
+	cf := &packet.Frame{}
+	if _, err := packet.DecodeInto(cf, enc); err != nil {
 		return nil // corruption broke the framing: the frame is gone
 	}
 	return cf

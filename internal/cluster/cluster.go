@@ -7,8 +7,8 @@
 // runtime, with every pair of nodes connected over genuine TCP — one
 // connection per rail. The result is the paper's full Figure-1 stack —
 // collect layer, optimizing scheduler, transfer layer — replicated N ways
-// over an actual transport, which is what multi-node examples
-// (examples/mesh), wall-clock experiments (exp X2–X4) and failure tests
+// over an actual transport, which is what the telemetry example
+// (examples/monitor), wall-clock experiments (exp X2–X5) and failure tests
 // drive. Multi-rail nodes (Options.Rails) give each engine several
 // independent TCP rails per peer, each with its own capability record, so
 // heterogeneous-NIC scheduling runs over real sockets.

@@ -9,8 +9,8 @@ import (
 	"newmad/internal/simnet"
 )
 
-// Decode must never panic, whatever bytes arrive: a real transport can
-// deliver garbage, and the loopback driver feeds Decode straight from the
+// DecodeInto must never panic, whatever bytes arrive: a real transport can
+// deliver garbage, and the loopback driver feeds it straight from the
 // socket. These adversarial-input tests are the property-based complement
 // to the round-trip tests in wire_test.go.
 
@@ -19,10 +19,10 @@ func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 		// Any outcome is fine except a panic.
 		defer func() {
 			if recover() != nil {
-				t.Errorf("Decode panicked on %x", data)
+				t.Errorf("DecodeInto panicked on %x", data)
 			}
 		}()
-		_, _, _ = Decode(data)
+		_, _ = DecodeInto(&Frame{}, data)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -52,10 +52,11 @@ func TestDecodeNeverPanicsOnCorruptedFrames(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() != nil {
-					t.Fatalf("Decode panicked on corrupted frame (trial %d): %x", trial, data)
+					t.Fatalf("DecodeInto panicked on corrupted frame (trial %d): %x", trial, data)
 				}
 			}()
-			f, n, err := Decode(data)
+			f := &Frame{}
+			n, err := DecodeInto(f, data)
 			if err == nil {
 				// A successfully decoded frame must be internally
 				// consistent: consumed bytes within bounds, payload
@@ -95,7 +96,7 @@ func fuzzSeedFrames() []*Frame {
 
 // FuzzDecode is the go-fuzz harness for the wire path the real-socket mesh
 // rails feed straight from their sockets: arbitrary bytes must never panic
-// Decode, every error must be one of the declared decode errors, and any
+// DecodeInto, every error must be one of the declared decode errors, and any
 // successfully decoded frame must re-encode to a fixed point (encode →
 // decode → encode is byte-identical, with WireSize agreeing).
 func FuzzDecode(f *testing.F) {
@@ -111,7 +112,7 @@ func FuzzDecode(f *testing.F) {
 	lying[3], lying[4] = 0xFF, 0xFF // entry count far beyond the data
 	f.Add(lying)
 	// Preallocation bomb: a minimal data-frame header whose count field
-	// demands ~64Ki entries while the body holds none. Decode must clamp
+	// demands ~64Ki entries while the body holds none. DecodeInto must clamp
 	// its Entries preallocation to what the bytes could possibly hold
 	// instead of trusting the count.
 	bomb := (&Frame{Kind: FrameData, Src: 1, Dst: 2}).Encode(nil)
@@ -119,14 +120,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(bomb)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, n, err := Decode(data)
-		// DecodeInto must agree with Decode bit for bit, including when
-		// the target frame carries stale state from a previous decode.
-		reused := &Frame{Entries: make([]Entry, 2, 2)}
-		n2, err2 := DecodeInto(reused, data)
-		if (err == nil) != (err2 == nil) {
-			t.Fatalf("Decode err %v but DecodeInto err %v", err, err2)
-		}
+		fr := &Frame{}
+		n, err := DecodeInto(fr, data)
 		if err != nil {
 			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrBadKind) {
 				t.Fatalf("undeclared decode error %v on %x", err, data)
@@ -136,15 +131,9 @@ func FuzzDecode(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		if n2 != n {
-			t.Fatalf("DecodeInto consumed %d, Decode consumed %d", n2, n)
-		}
 		enc := fr.Encode(nil)
 		if len(enc) != fr.WireSize() {
 			t.Fatalf("WireSize %d != encoded length %d", fr.WireSize(), len(enc))
-		}
-		if encReused := reused.Encode(nil); !bytes.Equal(enc, encReused) {
-			t.Fatalf("DecodeInto disagrees with Decode:\n  decode %x\nreused %x", enc, encReused)
 		}
 		// The vectored encoder must concatenate to Encode's bytes.
 		vec, _ := fr.EncodeVec(nil, nil)
@@ -155,7 +144,8 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(concat, enc) {
 			t.Fatalf("EncodeVec disagrees with Encode:\n   vec %x\nencode %x", concat, enc)
 		}
-		fr2, n2, err := Decode(enc)
+		fr2 := &Frame{}
+		n2, err := DecodeInto(fr2, enc)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded frame failed: %v", err)
 		}
@@ -179,10 +169,10 @@ func TestDecodeNeverPanicsOnTruncations(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() != nil {
-					t.Fatalf("Decode panicked at truncation %d", cut)
+					t.Fatalf("DecodeInto panicked at truncation %d", cut)
 				}
 			}()
-			_, _, _ = Decode(enc[:cut])
+			_, _ = DecodeInto(&Frame{}, enc[:cut])
 		}()
 	}
 }

@@ -279,22 +279,11 @@ var (
 	ErrBadKind   = errors.New("packet: unknown frame kind")
 )
 
-// Decode parses one frame from data, returning the frame and the number of
-// bytes consumed. Payload slices alias data.
-func Decode(data []byte) (*Frame, int, error) {
-	f := &Frame{}
-	n, err := DecodeInto(f, data)
-	if err != nil {
-		return nil, 0, err
-	}
-	return f, n, nil
-}
-
-// DecodeInto is the pooling-aware decoder: it parses one frame from data
-// into f, reusing f's Entries backing array, and returns the number of
-// bytes consumed. Payload slices alias data — callers recycling data (the
-// wire drivers) attach it with SetBacking so ReleaseFrame can route it
-// back. On error f's contents are unspecified; reset or release it.
+// DecodeInto parses one frame from data into f, reusing f's Entries backing
+// array, and returns the number of bytes consumed. Payload slices alias
+// data — callers recycling data (the wire drivers) attach it with
+// SetBacking so ReleaseFrame can route it back. On error f's contents are
+// unspecified; reset or release it.
 func DecodeInto(f *Frame, data []byte) (int, error) {
 	if len(data) < HeaderSize {
 		return 0, ErrTruncated

@@ -21,7 +21,8 @@ func TestFrameDataRoundTrip(t *testing.T) {
 	if len(enc) != f.WireSize() {
 		t.Fatalf("encoded %d bytes, WireSize says %d", len(enc), f.WireSize())
 	}
-	got, n, err := Decode(enc)
+	got := &Frame{}
+	n, err := DecodeInto(got, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +54,8 @@ func TestFrameCtrlRoundTrip(t *testing.T) {
 		if len(enc) != f.WireSize() {
 			t.Fatalf("%v: encoded %d, WireSize %d", kind, len(enc), f.WireSize())
 		}
-		got, _, err := Decode(enc)
-		if err != nil {
+		got := &Frame{}
+		if _, err := DecodeInto(got, enc); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		if got.Ctrl != f.Ctrl {
@@ -71,7 +72,8 @@ func TestFrameBulkRoundTrip(t *testing.T) {
 			Bulk: bytes.Repeat([]byte{0x5A}, 1000),
 		}
 		enc := f.Encode(nil)
-		got, n, err := Decode(enc)
+		got := &Frame{}
+		n, err := DecodeInto(got, enc)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -85,38 +87,38 @@ func TestFrameBulkRoundTrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode(nil); err != ErrTruncated {
+	if _, err := DecodeInto(&Frame{}, nil); err != ErrTruncated {
 		t.Fatalf("nil: %v", err)
 	}
-	if _, _, err := Decode(make([]byte, 4)); err != ErrTruncated {
+	if _, err := DecodeInto(&Frame{}, make([]byte, 4)); err != ErrTruncated {
 		t.Fatalf("short: %v", err)
 	}
 	bad := (&Frame{Kind: FrameData, Src: 1, Dst: 2}).Encode(nil)
 	bad[0] = 0xFF
-	if _, _, err := Decode(bad); err != ErrBadMagic {
+	if _, err := DecodeInto(&Frame{}, bad); err != ErrBadMagic {
 		t.Fatalf("magic: %v", err)
 	}
 	bad = (&Frame{Kind: FrameData, Src: 1, Dst: 2}).Encode(nil)
 	bad[2] = 0x7F
-	if _, _, err := Decode(bad); err != ErrBadKind {
+	if _, err := DecodeInto(&Frame{}, bad); err != ErrBadKind {
 		t.Fatalf("kind: %v", err)
 	}
 	// Truncated entry payload.
 	f := &Frame{Kind: FrameData, Src: 1, Dst: 2, Entries: []Entry{{Payload: []byte("hello")}}}
 	enc := f.Encode(nil)
-	if _, _, err := Decode(enc[:len(enc)-2]); err != ErrTruncated {
+	if _, err := DecodeInto(&Frame{}, enc[:len(enc)-2]); err != ErrTruncated {
 		t.Fatalf("truncated payload: %v", err)
 	}
 	// Truncated ctrl.
 	cf := &Frame{Kind: FrameRTS, Src: 1, Dst: 2}
 	cenc := cf.Encode(nil)
-	if _, _, err := Decode(cenc[:HeaderSize+3]); err != ErrTruncated {
+	if _, err := DecodeInto(&Frame{}, cenc[:HeaderSize+3]); err != ErrTruncated {
 		t.Fatalf("truncated ctrl: %v", err)
 	}
 	// Truncated bulk.
 	bf := &Frame{Kind: FramePut, Src: 1, Dst: 2, Bulk: []byte("0123456789")}
 	benc := bf.Encode(nil)
-	if _, _, err := Decode(benc[:len(benc)-1]); err != ErrTruncated {
+	if _, err := DecodeInto(&Frame{}, benc[:len(benc)-1]); err != ErrTruncated {
 		t.Fatalf("truncated bulk: %v", err)
 	}
 }
@@ -125,11 +127,12 @@ func TestDecodeConsumesExactlyOneFrame(t *testing.T) {
 	a := (&Frame{Kind: FrameAck, Src: 1, Dst: 2, Ctrl: Ctrl{Token: 1}}).Encode(nil)
 	b := (&Frame{Kind: FrameAck, Src: 2, Dst: 1, Ctrl: Ctrl{Token: 2}}).Encode(nil)
 	stream := append(append([]byte{}, a...), b...)
-	f1, n1, err := Decode(stream)
+	f1, f2 := &Frame{}, &Frame{}
+	n1, err := DecodeInto(f1, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, n2, err := Decode(stream[n1:])
+	n2, err := DecodeInto(f2, stream[n1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +192,8 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			})
 		}
 		enc := fr.Encode(nil)
-		got, used, err := Decode(enc)
+		got := &Frame{}
+		used, err := DecodeInto(got, enc)
 		if err != nil || used != len(enc) {
 			return false
 		}
@@ -259,7 +263,7 @@ func TestDecodeClampsEntryPrealloc(t *testing.T) {
 	bomb := (&Frame{Kind: FrameData, Src: 1, Dst: 2}).Encode(nil)
 	bomb[3], bomb[4] = 0xFF, 0xFF
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := Decode(bomb); err != ErrTruncated {
+		if _, err := DecodeInto(&Frame{}, bomb); err != ErrTruncated {
 			t.Fatalf("expected ErrTruncated, got %v", err)
 		}
 	})

@@ -110,7 +110,8 @@ func FuzzDispatch(f *testing.F) {
 		d := NewDispatcher(1, reasm, rdvS, rdvR, rma)
 
 		for len(stream) > 0 {
-			fr, n, err := packet.Decode(stream)
+			fr := &packet.Frame{}
+			n, err := packet.DecodeInto(fr, stream)
 			if err != nil {
 				stream = stream[1:] // skip garbage a byte at a time
 				continue
