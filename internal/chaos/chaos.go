@@ -500,6 +500,13 @@ func (in *Injector) PeerDown(peer packet.NodeID) bool {
 	return ok && pc.PeerDown(peer)
 }
 
+// LandsFrames forwards drivers.FrameLander (a corrupted copy arrives
+// unbacked and is refused like an unknown token).
+func (in *Injector) LandsFrames() bool {
+	fl, ok := in.inner.(drivers.FrameLander)
+	return ok && fl.LandsFrames()
+}
+
 var _ drivers.Driver = (*Injector)(nil)
 var _ drivers.FrameLossNotifier = (*Injector)(nil)
 var _ drivers.PeerDownNotifier = (*Injector)(nil)

@@ -86,9 +86,6 @@ type Options struct {
 	// rendezvous (express packets stay eager regardless). 0 defers to the
 	// bundle policy. Runtime-tunable via SetRdvThreshold.
 	RdvThreshold int
-	// RdvMaxConcurrent caps concurrently granted inbound rendezvous
-	// transfers (0 = unlimited).
-	RdvMaxConcurrent int
 	// RdvRetry, when positive, arms a timeout per rendezvous start: if no
 	// CTS arrives within the window, the RTS is rebuilt and re-sent (the
 	// receiver deduplicates by token, so a retry can never double-deliver).
@@ -329,7 +326,7 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 		e.pendingDeliver = append(e.pendingDeliver, d)
 	})
 	e.rdvS = proto.NewRdvSender(node, e.onRdvGrant)
-	e.rdvR = proto.NewRdvReceiver(node, e.reasm, e.enqueueReactive, opt.RdvMaxConcurrent)
+	e.rdvR = proto.NewRdvReceiver(node, e.reasm, e.enqueueReactive, 0)
 	e.rma = proto.NewRMA(node, e.enqueueReactive)
 	e.disp = proto.NewDispatcher(node, e.reasm, e.rdvS, e.rdvR, e.rma)
 
@@ -588,7 +585,8 @@ func (e *Engine) Submit(p *packet.Packet) error {
 	// threshold override (SetRdvThreshold) takes precedence over the bundle
 	// policy so the controller can move the switchover without swapping
 	// bundles.
-	rdv := e.useRendezvous(b, p)
+	ri := e.protoRail(b, p)
+	rdv := e.useRendezvous(b, p, e.rails[ri].Caps())
 	// Admission last among the refusal checks: an admitted eager packet
 	// carries a backlog charge that only a plan taking it releases, so the
 	// one later refusal (losing to Close, below) hands the charge back.
@@ -608,7 +606,8 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		Flow: p.Flow, Seq: p.Seq, A: p.Size(), B: int(p.Class),
 	})
 
-	if rdv {
+	fl, lands := e.rails[ri].(drivers.FrameLander)
+	if rdv && !(lands && fl.LandsFrames()) {
 		e.pmu.Lock()
 		if e.closed.Load() {
 			e.pmu.Unlock()
@@ -623,9 +622,7 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		s.mu.Lock()
 		s.ctrlQ = append(s.ctrlQ, rts)
 		s.nCtrl.Add(1)
-		s.countSubmitLocked(p)
-		s.ctr.RdvBytes += uint64(p.Size())
-		s.ctr.RdvStarted++
+		s.countSubmitLocked(p, true)
 		s.mu.Unlock()
 		e.armRdvRetryLocked(token, 0)
 		e.pmu.Unlock()
@@ -636,10 +633,21 @@ func (e *Engine) Submit(p *packet.Packet) error {
 	s.mu.Lock()
 	if e.closed.Load() {
 		s.mu.Unlock()
-		e.adm.Load().releaseBacklog(p.Tenant) // no plan ever will
+		if !rdv {
+			e.adm.Load().releaseBacklog(p.Tenant) // no plan ever will
+		}
 		return ErrClosed
 	}
-	pump := s.pushEagerLocked(p)
+	pump := true
+	if rdv {
+		// The rail lands frames: the RData leaves now — no RTS, CTS or timer.
+		s.bulkQ = append(s.bulkQ, e.rdvS.Direct(p))
+		s.nBulk.Add(1)
+		s.countSubmitLocked(p, true)
+		s.ctr.RdvGranted++
+	} else {
+		pump = s.pushEagerLocked(p)
+	}
 	s.mu.Unlock()
 	if pump {
 		e.pumpAll()
@@ -648,23 +656,23 @@ func (e *Engine) Submit(p *packet.Packet) error {
 }
 
 // useRendezvous applies the runtime threshold override, falling back to
-// the bundle's protocol policy when no override is set.
-func (e *Engine) useRendezvous(b *strategy.Bundle, p *packet.Packet) bool {
+// the bundle's protocol policy over capability record c.
+func (e *Engine) useRendezvous(b *strategy.Bundle, p *packet.Packet, c caps.Caps) bool {
 	if thr := e.tun.Load().rdvThreshold; thr > 0 {
 		return !packet.EagerOnly(p) && p.Size() > thr
 	}
-	return b.Protocol.UseRendezvous(p, e.protoCaps(b, p))
+	return b.Protocol.UseRendezvous(p, c)
 }
 
-// protoCaps returns the capability record governing protocol selection for
-// p: the first rail the packet is eligible to use.
-func (e *Engine) protoCaps(b *strategy.Bundle, p *packet.Packet) caps.Caps {
-	for i, r := range e.rails {
+// protoRail returns the rail governing protocol selection for p: the first
+// rail the packet is eligible to use.
+func (e *Engine) protoRail(b *strategy.Bundle, p *packet.Packet) int {
+	for i := range e.rails {
 		if b.Rail.Eligible(p, e.railInfo(i)) {
-			return r.Caps()
+			return i
 		}
 	}
-	return e.rails[0].Caps()
+	return 0
 }
 
 // Flush forces any Nagle-delayed packets out now. On a closed engine it

@@ -174,28 +174,6 @@ func TestEightNodeStress(t *testing.T) {
 	}
 }
 
-// TestRdvConcurrencyCapThroughEngines verifies the receiver-side rendezvous
-// admission limit holds end to end.
-func TestRdvConcurrencyCapThroughEngines(t *testing.T) {
-	tn := newNet(t, 2, "aggregate", func(o *Options) {
-		o.RdvMaxConcurrent = 1
-	}, singleChanMX())
-	for i := 0; i < 4; i++ {
-		big := pkt(packet.FlowID(i+1), 0, 0, 1, 64<<10)
-		big.Class = packet.ClassBulk
-		if err := tn.engines[0].Submit(big); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tn.cl.Eng.Run()
-	if len(tn.inbox[1]) != 4 {
-		t.Fatalf("delivered %d of 4 rendezvous transfers", len(tn.inbox[1]))
-	}
-	if got := tn.cl.Stats.CounterValue("core.rdv_granted"); got != 4 {
-		t.Fatalf("granted %d", got)
-	}
-}
-
 // TestMixedBundlesAcrossNodes: nodes may run different strategies (the
 // engine is per-node); traffic between them must still satisfy FIFO and
 // conservation.

@@ -114,11 +114,15 @@ type shard struct {
 
 // countSubmitLocked tallies one accepted submission, eager or rendezvous.
 // Caller holds s.mu.
-func (s *shard) countSubmitLocked(p *packet.Packet) {
+func (s *shard) countSubmitLocked(p *packet.Packet, rdv bool) {
 	s.ctr.Submitted++
 	s.ctr.SubmittedBytes += uint64(p.Size())
 	if p.Class == packet.ClassControl {
 		s.ctr.SubmittedCtrl++
+	}
+	if rdv {
+		s.ctr.RdvBytes += uint64(p.Size())
+		s.ctr.RdvStarted++
 	}
 }
 
@@ -128,7 +132,7 @@ func (s *shard) countSubmitLocked(p *packet.Packet) {
 // Caller holds s.mu.
 func (s *shard) pushEagerLocked(p *packet.Packet) (pump bool) {
 	e := s.eng
-	s.countSubmitLocked(p)
+	s.countSubmitLocked(p, false)
 	s.ctr.EagerBytes += uint64(p.Size())
 	s.backlog.push(p)
 	s.tenantCount[p.Tenant]++

@@ -41,7 +41,7 @@ var ErrClosed = errors.New("drivers: closed")
 
 // IdleFunc is invoked when a send channel becomes free. Sim drivers call it
 // on the simulation goroutine; Mesh calls it from the destination peer's
-// sender goroutine.
+// sender goroutine, or from inside Post when Post wrote the frame itself.
 type IdleFunc func(ch int)
 
 // RecvFunc delivers a fully received frame.
@@ -70,6 +70,14 @@ type FrameLossNotifier interface {
 // as always-reachable.
 type PeerChecker interface {
 	PeerDown(peer packet.NodeID) bool
+}
+
+// FrameLander is implemented by drivers whose peer lands every frame in a
+// buffer of its own (packet.LandingBuf): there is no receive buffer to post,
+// so rendezvous payloads go at once, without RTS/CTS. Drivers without the
+// method (simulated fabrics) keep the handshake.
+type FrameLander interface {
+	LandsFrames() bool
 }
 
 // PeerDownNotifier is implemented by drivers that can report peer failure

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"newmad/internal/caps"
 	"newmad/internal/memsim"
@@ -30,8 +32,8 @@ var ErrPeerDown = errors.New("drivers: peer down")
 //     goroutine (the rail lifecycle in rails.go), so frames to different
 //     destinations never serialize behind a shared write lock. A send
 //     channel is busy from Post until its frame has been fully written to
-//     the destination socket, at which point the idle upcall fires from
-//     that peer's sender goroutine.
+//     the destination socket; the idle upcall then fires from that peer's
+//     sender goroutine, or inside the Post that wrote the frame itself.
 //   - Peer failure is a first-class event: a write or read error marks the
 //     peer down, releases any channels with frames queued toward it (the
 //     engine above must not wedge on a dead destination), and makes
@@ -58,12 +60,14 @@ type Mesh struct {
 	mem   memsim.Model
 	pacer *wirePacer // non-nil iff caps.EmulateWire
 
-	ln net.Listener
+	ln      net.Listener
+	dialGen atomic.Uint64 // the last dial generation sent in a hello
 
 	mu       sync.Mutex
 	peers    map[packet.NodeID]*rail
 	draining map[*rail]struct{}         // retired rails whose owners are still draining
-	inbound  map[packet.NodeID]net.Conn // latest identified inbound conn per peer
+	inbound  map[packet.NodeID]net.Conn // newest inbound conn per peer, until it ends
+	inGen    map[packet.NodeID]uint64   // highest dial generation read per peer
 	accepted map[net.Conn]struct{}      // live inbound connections
 	chans    []bool                     // busy flags, one per send channel
 	onIdle   IdleFunc
@@ -97,9 +101,11 @@ func NewMesh(node packet.NodeID, c caps.Caps, listen string) (*Mesh, error) {
 		peers:    make(map[packet.NodeID]*rail),
 		draining: make(map[*rail]struct{}),
 		inbound:  make(map[packet.NodeID]net.Conn),
+		inGen:    make(map[packet.NodeID]uint64),
 		accepted: make(map[net.Conn]struct{}),
 		chans:    make([]bool, c.Channels),
 	}
+	m.dialGen.Store(uint64(time.Now().UnixNano()))
 	if c.EmulateWire {
 		m.pacer = newWirePacer(c.Bandwidth)
 	}
@@ -168,9 +174,9 @@ func (m *Mesh) acceptLoop() {
 }
 
 // reader drains one inbound connection: hello, then length-prefixed frames.
-// A read error (peer crashed, connection reset, or local shutdown) ends the
-// goroutine cleanly and — if this was still the peer's latest connection —
-// marks the sending peer down so the failure is visible on this side too.
+// The hello registers it as the peer's newest unless a later dial generation
+// was read (a superseded one still delivers). A read error ends it and, on
+// the peer's newest connection, marks the sending peer down here too.
 func (m *Mesh) reader(c net.Conn) {
 	defer m.wg.Done()
 	defer func() {
@@ -180,13 +186,16 @@ func (m *Mesh) reader(c net.Conn) {
 		c.Close()
 	}()
 	br := bufio.NewReader(c)
-	var hello [4]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
+	var h [helloSize]byte
+	if _, err := io.ReadFull(br, h[:]); err != nil {
 		return
 	}
-	src := packet.NodeID(binary.BigEndian.Uint32(hello[:]))
+	src := packet.NodeID(binary.BigEndian.Uint32(h[0:4]))
+	gen := binary.BigEndian.Uint64(h[4:])
 	m.mu.Lock()
-	m.inbound[src] = c
+	if gen > m.inGen[src] {
+		m.inGen[src], m.inbound[src] = gen, c
+	}
 	m.mu.Unlock()
 	for {
 		f, err := readFrame(br)
@@ -252,18 +261,14 @@ func (m *Mesh) FirstIdle() (int, bool) {
 	return 0, false
 }
 
-// Post hands the frame to the destination peer's sender goroutine.
-// hostExtra is ignored: on a real transport, preparation already took real
-// time. The enqueue happens under the driver lock and the rail queue has
-// one slot per channel, so it can never block or race Close.
-//
-// Wire encoding happens in the rail's owner goroutine, not here: Post runs
-// under the optimizer's engine lock, and serializing every payload copy
-// there would make rails share one memory bandwidth-bound critical section
-// — deferring the copy is what lets N rails encode and write N frames
-// genuinely in parallel. The caller must therefore treat the frame and its
-// payloads as immutable once posted, exactly as with the simulated drivers
-// (which hand the same frame object to the receiving engine).
+// Post hands the frame to the destination peer's sender goroutine, or
+// writes it itself; it never blocks (hostExtra is ignored). FrameData goes
+// to the owner: it is the asynchronous send unit the paper's idle
+// activation needs, and it lets N rails write in parallel. Any other frame
+// is written here (writeInline) when the rail is unpaced with nothing
+// queued or in flight, unless the caller is inside an inline completion's
+// idle upcall. The frame and its payloads are immutable once posted, as
+// with the simulated drivers (which hand the receiver the same object).
 func (m *Mesh) Post(ch int, f *packet.Frame, _ simnet.Duration) error {
 	if ch < 0 || ch >= len(m.chans) {
 		return fmt.Errorf("drivers: mesh node %d has no channel %d", m.node, ch)
@@ -275,26 +280,39 @@ func (m *Mesh) Post(ch int, f *packet.Frame, _ simnet.Duration) error {
 		return err
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return fmt.Errorf("drivers: mesh node %d: %w", m.node, ErrClosed)
-	}
-	if m.chans[ch] {
-		return ErrChannelBusy
-	}
 	p, ok := m.peers[f.Dst]
-	if !ok {
-		return fmt.Errorf("drivers: node %d not connected to %d", m.node, f.Dst)
+	var err error
+	switch {
+	case m.closed:
+		err = fmt.Errorf("drivers: mesh node %d: %w", m.node, ErrClosed)
+	case m.chans[ch]:
+		err = ErrChannelBusy
+	case !ok:
+		err = fmt.Errorf("drivers: node %d not connected to %d", m.node, f.Dst)
+	case p.down:
+		err = fmt.Errorf("drivers: node %d -> %d: %w", m.node, f.Dst, ErrPeerDown)
 	}
-	if p.down {
-		return fmt.Errorf("drivers: node %d -> %d: %w", m.node, f.Dst, ErrPeerDown)
+	if err != nil {
+		m.mu.Unlock()
+		return err
 	}
 	m.chans[ch] = true
+	if f.Kind != packet.FrameData && m.pacer == nil && p.tw != nil &&
+		p.queued == 0 && p.upcalls.Load() == 0 && p.wmu.TryLock() {
+		m.mu.Unlock()
+		m.writeInline(p, ch, f)
+		return nil
+	}
+	p.queued++
 	p.q <- railTx{ch: ch, f: f}
+	m.mu.Unlock()
 	return nil
 }
 
-// SetIdleHandler installs the idle upcall (called from sender goroutines).
+// LandsFrames implements FrameLander (see readFrame).
+func (m *Mesh) LandsFrames() bool { return true }
+
+// SetIdleHandler installs the idle upcall (see IdleFunc for its goroutines).
 func (m *Mesh) SetIdleHandler(fn IdleFunc) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

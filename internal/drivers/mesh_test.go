@@ -352,6 +352,64 @@ func TestMeshDialAfterClose(t *testing.T) {
 	}
 }
 
+// TestMeshSupersededInboundKeepsPeerUp: two inbound connections from one
+// peer, whose hellos are read newest first. The older one then dies without
+// a retire marker. It is not the peer's newest connection, so the peer must
+// stay up — registering whichever hello was read last took a live peer down.
+// The newest connection dying is a genuine failure and still does.
+func TestMeshSupersededInboundKeepsPeerUp(t *testing.T) {
+	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	got := make(chan struct{}, 1)
+	nodes[0].SetRecvHandler(func(_ packet.NodeID, f *packet.Frame) {
+		packet.ReleaseFrame(f)
+		got <- struct{}{}
+	})
+	dial := func() net.Conn {
+		c, err := net.DialTimeout("tcp", nodes[0].Addr(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	older, newer := dial(), dial()
+	defer older.Close()
+	defer newer.Close()
+	gen := nodes[1].dialGen.Load()
+
+	// The newer hello first, a frame behind it: once the frame is delivered,
+	// the reader has registered the hello.
+	h := hello(1, gen+2)
+	ack := &packet.Frame{Kind: packet.FrameAck, Src: 1, Dst: 0, Ctrl: packet.Ctrl{Token: 7}}
+	if _, err := newer.Write(append(h[:], prefixed(ack.Encode(nil))...)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("frame on the newer connection never arrived")
+	}
+	h = hello(1, gen+1)
+	if _, err := older.Write(h[:]); err != nil {
+		t.Fatal(err)
+	}
+	older.Close()
+	accepted := func() int {
+		nodes[0].mu.Lock()
+		defer nodes[0].mu.Unlock()
+		return len(nodes[0].accepted)
+	}
+	waitFor(t, 5*time.Second, "the older connection's reader to exit", func() bool { return accepted() == 2 })
+	if nodes[0].PeerDown(1) {
+		t.Fatal("a superseded connection's EOF took the peer down")
+	}
+	newer.Close()
+	waitFor(t, 5*time.Second, "the newest connection's EOF to take the peer down", func() bool { return nodes[0].PeerDown(1) })
+}
+
 // TestMeshCorruptStreamClosesReader: a peer that sends an absurd length
 // prefix must not make the reader allocate it; the reader drops the
 // connection (the raw side reads EOF), the node keeps serving its other
@@ -371,7 +429,8 @@ func TestMeshCorruptStreamClosesReader(t *testing.T) {
 	}
 	defer conn.Close()
 	// Handshake as an unknown node 9, then a 4 GiB length prefix.
-	if _, err := conn.Write([]byte{0, 0, 0, 9, 0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+	h := hello(9, 1)
+	if _, err := conn.Write(append(h[:], 0xFF, 0xFF, 0xFF, 0xFF)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"newmad/internal/packet"
@@ -11,10 +12,12 @@ import (
 
 // The rail lifecycle.
 //
-// One rail is one TCP connection toward one peer. Exactly one goroutine —
-// the rail's owner, started by Dial — writes to the socket, and in the
-// graceful paths it is also the only goroutine that closes it. Every state
-// transition happens under Mesh.mu:
+// One rail is one TCP connection toward one peer. Its owner goroutine,
+// started by Dial, writes the frames handed to it and, in the graceful
+// paths, is the only goroutine that closes the socket. Post may write a
+// frame itself while nothing is queued (see Mesh.Post); the rail's wmu
+// makes the two writers take turns. Every state transition happens under
+// Mesh.mu:
 //
 //	       Dial                Dial (replace)           queue drained
 //	───▶ railActive ─────────▶ railDraining ──────────▶ railClosed
@@ -44,6 +47,19 @@ type rail struct {
 	q     chan railTx
 	state railState
 	down  bool
+	// queued (under Mesh.mu) counts frames the owner has yet to finish: Post
+	// writes inline only at zero. upcalls counts inline completions' idle
+	// upcalls in progress: a Post from inside one goes to the owner.
+	queued  int
+	upcalls atomic.Int32
+
+	// wmu is held by whoever writes to c; the fields below are under it.
+	wmu   sync.Mutex
+	carry railTx      // an inline write's unfinished frame, for the owner
+	tw    *tryWriter  // nil: Post never writes inline on this rail
+	vec   [][]byte    // reused gather-list backing
+	meta  []byte      // reused header scratch; gather segments alias it
+	bufs  net.Buffers // WriteTo's receiver escapes: one per rail, not per frame
 }
 
 type railState uint8
@@ -57,12 +73,12 @@ const (
 	railClosed
 )
 
-// railTx is one queued frame: the channel it occupies and the frame itself.
-// Encoding is deferred to the rail's owner (see Mesh.Post), so the payload
-// copy runs on the rail's goroutine instead of under the engine lock.
+// railTx is a frame handed to the owner, its channel and, for a carry, the
+// bytes already written; a nil frame is the wake-up announcing a carry.
 type railTx struct {
-	ch int
-	f  *packet.Frame
+	ch  int
+	f   *packet.Frame
+	off int
 }
 
 // maxScratch bounds the header scratch a sender keeps between frames;
@@ -73,47 +89,91 @@ type railTx struct {
 const maxScratch = 1 << 16
 
 // newRail builds the rail for a freshly dialed connection. The queue holds
-// at most one frame per send channel, so enqueueing under the driver lock
-// never blocks.
+// at most one entry per busy send channel, so enqueueing never blocks.
 func newRail(c net.Conn, slots int) *rail {
-	return &rail{c: c, q: make(chan railTx, slots)}
+	return &rail{c: c, q: make(chan railTx, slots), tw: newTryWriter(c)}
 }
 
-// sender is the rail's owner goroutine: it writes each queued frame
-// atomically as one vectored write — the 4-byte length prefix and every
-// frame/sub-packet header come from a reused scratch block, the payload
-// slices are handed to writev as-is, so payload bytes go from application
-// memory to the socket without an intermediate copy — and then releases
-// the channel that carried it. A successfully written frame is terminally
-// consumed here: the owner returns it to the frame pool. On a write error
-// the peer is taken down (railWriteFailed) and every frame still aboard —
-// the one that failed mid-write plus everything queued behind it — is
-// reclaimed and handed to the frame-loss handler (ownership moves back to
-// the layer above, so reclaimed frames are NOT released), so the layer
-// above can fail the frames over onto a surviving rail instead of losing
-// them with the connection. The goroutine keeps draining so every channel
-// pointed at the dead connection is released — the engine above sees idle
-// upcalls, not a wedged send unit. When the queue closes (retirement) the
-// owner finishes the drain and disposes of the socket.
+// encodeLocked lays f out as one vectored write minus its first off bytes:
+// prefix and headers in reused scratch, payloads by reference (no copy).
+// Caller holds r.wmu and scrubs after the write.
+func (r *rail) encodeLocked(f *packet.Frame, off int) [][]byte {
+	r.meta = append(r.meta[:0], 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(r.meta[0:4], uint32(f.WireSize()))
+	r.vec, r.meta = f.EncodeVec(r.vec[:0], r.meta)
+	vec := r.vec
+	for off > 0 {
+		k := min(off, len(vec[0]))
+		vec[0], off = vec[0][k:], off-k
+		if len(vec[0]) == 0 {
+			vec = vec[1:]
+		}
+	}
+	return vec
+}
+
+// scrubLocked drops the payload references and an oversized header block.
+func (r *rail) scrubLocked() {
+	clear(r.vec)
+	if cap(r.meta) > maxScratch {
+		r.meta = nil
+	}
+}
+
+// writeInline is Post's own write (caller holds r.wmu and channel ch, with
+// nothing queued on r): one non-blocking writev. What the socket does not
+// take is carried over to the owner, ahead of any frame queued meanwhile.
+func (m *Mesh) writeInline(r *rail, ch int, f *packet.Frame) {
+	n := r.tw.write(r.encodeLocked(f, 0))
+	r.scrubLocked()
+	if n == f.WireSize()+4 {
+		r.wmu.Unlock()
+		packet.ReleaseFrame(f)
+		r.upcalls.Add(1)
+		m.releaseChannel(ch, nil)
+		r.upcalls.Add(-1)
+		return
+	}
+	r.carry = railTx{ch: ch, f: f, off: n}
+	m.mu.Lock()
+	r.queued++
+	if r.state == railActive {
+		r.q <- railTx{} // a retiring owner finds the carry on its way out
+	}
+	m.mu.Unlock()
+	r.wmu.Unlock()
+}
+
+// sender is the rail's owner goroutine: it writes each frame handed to it (a
+// carry from where the inline write stopped), then pools it and frees its
+// channel. A write error takes the peer down and hands every frame aboard
+// back, unreleased, to the frame-loss handler for failover; the owner drains
+// on so no channel wedges, and retires the socket once the queue closes.
 func (m *Mesh) sender(peer packet.NodeID, r *rail) {
 	defer m.wg.Done()
 	broken := false
-	var (
-		vecScratch [][]byte    // reused gather-list backing
-		meta       []byte      // reused header scratch; gather segments alias it
-		bufs       net.Buffers // WriteTo's receiver escapes: one per owner, not per frame
-	)
-	for tx := range r.q {
-		if !broken {
-			wire := tx.f.WireSize()
-			meta = append(meta[:0], 0, 0, 0, 0)
-			binary.BigEndian.PutUint32(meta[0:4], uint32(wire))
-			vecScratch, meta = tx.f.EncodeVec(vecScratch[:0], meta)
-			bufs = vecScratch // WriteTo consumes bufs, vecScratch keeps the backing
-			_, err := bufs.WriteTo(r.c)
-			for i := range vecScratch {
-				vecScratch[i] = nil // drop payload refs; the gather backing is reused
+	for open := true; open; {
+		var next railTx
+		next, open = <-r.q // closed: one last look for a carry, then retire
+		r.wmu.Lock()
+		carry := r.carry
+		r.carry = railTx{}
+		r.wmu.Unlock()
+		for _, tx := range [2]railTx{carry, next} {
+			if tx.f == nil {
+				continue
 			}
+			if broken {
+				// A straggler that raced the reclaim below: same treatment.
+				m.framesLost(peer, []*packet.Frame{tx.f})
+				m.releaseChannel(tx.ch, r)
+				continue
+			}
+			r.wmu.Lock()
+			r.bufs = r.encodeLocked(tx.f, tx.off) // WriteTo consumes bufs, r.vec keeps the backing
+			_, err := r.bufs.WriteTo(r.c)
+			r.scrubLocked()
+			r.wmu.Unlock()
 			if err != nil {
 				broken = true
 				m.railWriteFailed(peer, r)
@@ -130,33 +190,27 @@ func (m *Mesh) sender(peer packet.NodeID, r *rail) {
 						if !ok {
 							break reclaim
 						}
-						lost = append(lost, tx2.f)
-						chans = append(chans, tx2.ch)
+						if tx2.f != nil {
+							lost = append(lost, tx2.f)
+							chans = append(chans, tx2.ch)
+						}
 					default:
 						break reclaim
 					}
 				}
 				m.framesLost(peer, lost)
 				for _, ch := range chans {
-					m.releaseChannel(ch)
+					m.releaseChannel(ch, r)
 				}
 				continue
 			}
-			// The frame is on the socket: this owner was its last user.
-			packet.ReleaseFrame(tx.f)
+			wire := tx.f.WireSize()
+			packet.ReleaseFrame(tx.f) // on the socket: this owner was its last user
 			if m.pacer != nil {
 				m.pacer.serialize(wire + m.caps.PacketHeader)
 			}
-			if cap(meta) > maxScratch {
-				// Don't let one pathologically wide aggregate pin a large
-				// header block to this connection for its lifetime.
-				meta = nil
-			}
-		} else {
-			// A straggler that raced the reclaim above: same treatment.
-			m.framesLost(peer, []*packet.Frame{tx.f})
+			m.releaseChannel(tx.ch, r)
 		}
-		m.releaseChannel(tx.ch)
 	}
 	// Queue closed and drained. Announce the graceful retirement in-band (a
 	// zero length prefix) so the peer's reader unregisters this connection
@@ -204,9 +258,13 @@ func (p *wirePacer) serialize(n int) {
 	time.Sleep(end.Sub(now))
 }
 
-// releaseChannel frees one send channel and fires the idle upcall.
-func (m *Mesh) releaseChannel(ch int) {
+// releaseChannel frees one send channel and fires the idle upcall. handed
+// is the rail whose owner finished the frame, or nil for one Post wrote.
+func (m *Mesh) releaseChannel(ch int, handed *rail) {
 	m.mu.Lock()
+	if handed != nil {
+		handed.queued--
+	}
 	m.chans[ch] = false
 	h := m.onIdle
 	closed := m.closed

@@ -30,9 +30,8 @@ func (m *Mesh) Dial(peer packet.NodeID, addr string) error {
 		return err
 	}
 	// Identify ourselves so the peer's reader can attribute inbound frames.
-	var hello [4]byte
-	binary.BigEndian.PutUint32(hello[:], uint32(m.node))
-	if _, err := c.Write(hello[:]); err != nil {
+	h := hello(m.node, m.dialGen.Add(1))
+	if _, err := c.Write(h[:]); err != nil {
 		c.Close()
 		return err
 	}
@@ -51,6 +50,18 @@ func (m *Mesh) Dial(peer packet.NodeID, addr string) error {
 	m.mu.Unlock()
 	go m.sender(peer, r)
 	return nil
+}
+
+// helloSize is a connection's preamble: the dialer's node id and its dial
+// generation, which grows with every Dial (from a wall-clock seed, so across
+// restarts too) and tells a superseded connection from its replacement.
+const helloSize = 12
+
+func hello(node packet.NodeID, gen uint64) [helloSize]byte {
+	var h [helloSize]byte
+	binary.BigEndian.PutUint32(h[0:4], uint32(node))
+	binary.BigEndian.PutUint64(h[4:], gen)
+	return h
 }
 
 // retireLocked takes a rail out of service. A graceful retirement (re-dial
@@ -105,10 +116,10 @@ func (m *Mesh) railWriteFailed(peer packet.NodeID, r *rail) {
 }
 
 // inboundFailed handles a read error on an inbound connection. Only the
-// peer's latest identified connection counts: a connection superseded by a
-// re-dial retires through the in-band marker (see reader), so its EOF
-// never lands here; and once the replacement's hello registers, late
-// errors of older connections are ignored. What remains is the genuine
+// peer's newest connection counts — the highest dial generation whose
+// hello has been read (see reader): a connection superseded by a re-dial
+// retires through the in-band marker, and the errors of older generations
+// are ignored, whichever hello arrived last. What remains is the genuine
 // failure surface — a connection that died without announcing retirement.
 func (m *Mesh) inboundFailed(src packet.NodeID, c net.Conn) {
 	m.mu.Lock()

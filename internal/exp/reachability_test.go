@@ -32,7 +32,6 @@ var keptUnreached = map[string]string{
 	"proto.RdvSender.Outstanding":         "observer: payloads the sender still holds — the fuzzer's leak bound",
 	"proto.RdvSender.Pending":             "observer: whether a token still awaits its CTS",
 	"proto.RdvSender.DupCTS":              "observer: stray/duplicate CTS frames tolerated",
-	"proto.RdvReceiver.QueuedRTS":         "observer: the grant queue's depth (RdvMaxConcurrent, ROADMAP item 3)",
 	"proto.RdvReceiver.Granted":           "observer: in-flight grants — must be 0 after completion",
 	"proto.RdvReceiver.Anomalies":         "observer: tolerated protocol irregularities by kind",
 	"proto.RMA.Outstanding":               "observer: pending get/put tables — must drain",

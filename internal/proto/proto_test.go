@@ -180,12 +180,11 @@ func TestRendezvousRetryIdempotent(t *testing.T) {
 // AFTER its transfer already completed (it sat in a dead rail's queue while
 // the retried copy won the race end to end) must not be re-granted — the
 // sender has nothing left to send for the token, so a re-grant would hold
-// a rendezvous slot open forever and, under RdvMaxConcurrent, eventually
-// wedge all rendezvous traffic from that peer.
+// a grant open forever.
 func TestRendezvousStragglerRTSAfterCompletion(t *testing.T) {
 	reasm := NewReassembler(1, func(Deliverable) {})
 	var ctses []*packet.Frame
-	rdvR := NewRdvReceiver(1, reasm, func(f *packet.Frame) { ctses = append(ctses, f) }, 1)
+	rdvR := NewRdvReceiver(1, reasm, func(f *packet.Frame) { ctses = append(ctses, f) }, 0)
 	rdvS := NewRdvSender(0, func(uint64, *packet.Packet) {})
 
 	p := &packet.Packet{Flow: 1, Seq: 0, Last: true, Src: 0, Dst: 1, Payload: make([]byte, 16)}
@@ -210,12 +209,11 @@ func TestRendezvousStragglerRTSAfterCompletion(t *testing.T) {
 		t.Fatalf("dupRTS = %d, want 1", dupRTS)
 	}
 
-	// The slot is genuinely free: a fresh rendezvous grants immediately
-	// despite the cap of 1.
+	// A fresh rendezvous still grants.
 	p2 := &packet.Packet{Flow: 2, Seq: 0, Last: true, Src: 0, Dst: 1, Payload: make([]byte, 16)}
 	rdvR.HandleRTS(rdvS.Start(p2))
-	if rdvR.Granted() != 1 || rdvR.QueuedRTS() != 0 {
-		t.Fatalf("fresh RTS blocked: granted=%d queued=%d", rdvR.Granted(), rdvR.QueuedRTS())
+	if rdvR.Granted() != 1 {
+		t.Fatalf("fresh RTS not granted: granted=%d", rdvR.Granted())
 	}
 }
 
@@ -244,6 +242,56 @@ func TestRendezvousBadRDataDropped(t *testing.T) {
 	rdvR.HandleRData(0, rd)
 	if rdvR.Granted() != 0 {
 		t.Fatal("genuine RData after corrupt one not accepted")
+	}
+}
+
+// wireLanded returns f the way a socket reader hands it up: decoded from
+// its encoding into a pooled frame backed by a landing buffer of its own.
+func wireLanded(t *testing.T, f *packet.Frame) *packet.Frame {
+	t.Helper()
+	enc := f.Encode(nil)
+	buf := packet.LandingBuf(len(enc), enc[:packet.HeaderSize])
+	copy(buf.B, enc)
+	out := packet.AcquireFrame()
+	if _, err := packet.DecodeInto(out, buf.B); err != nil {
+		t.Fatal(err)
+	}
+	out.SetBacking(buf)
+	return out
+}
+
+// TestRendezvousDirectNeedsWireLanding: an RData that no CTS granted is a
+// direct transfer when it arrived wire-landed — delivered once, the copy a
+// dying rail may have written before its reclaim dropped — and an unknown
+// token when it did not.
+func TestRendezvousDirectNeedsWireLanding(t *testing.T) {
+	var delivered []Deliverable
+	reasm := NewReassembler(1, func(d Deliverable) { delivered = append(delivered, d) })
+	rdvR := NewRdvReceiver(1, reasm, func(*packet.Frame) { t.Fatal("a direct transfer elicited a control frame") }, 0)
+	rdvS := NewRdvSender(0, func(uint64, *packet.Packet) {})
+	direct := func(flow packet.FlowID) *packet.Frame {
+		return rdvS.Direct(&packet.Packet{Flow: flow, Msg: 1, Seq: 0, Last: true, Src: 0, Dst: 1,
+			Class: packet.ClassBulk, Payload: []byte("payload")})
+	}
+
+	rd := direct(1)
+	if rd.Kind != packet.FrameRData || rdvS.Outstanding() != 0 {
+		t.Fatalf("Direct built %v and holds %d payloads", rd.Kind, rdvS.Outstanding())
+	}
+	rdvR.HandleRData(0, wireLanded(t, rd))
+	rdvR.HandleRData(0, wireLanded(t, rd))
+	if len(delivered) != 1 || string(delivered[0].Pkt.Payload) != "payload" {
+		t.Fatalf("delivered %v, want the payload once", delivered)
+	}
+	rdvR.HandleRData(0, direct(2)) // unbacked: never reached a wire
+	if len(delivered) != 1 {
+		t.Fatal("an unbacked ungranted RData was delivered")
+	}
+	if _, dupRD, _ := rdvR.Anomalies(); dupRD != 2 {
+		t.Fatalf("dupRData = %d, want 2 (the replay and the unbacked frame)", dupRD)
+	}
+	if rdvR.Granted() != 0 {
+		t.Fatal("a direct transfer left a grant behind")
 	}
 }
 
@@ -340,36 +388,6 @@ func TestRendezvousFullExchange(t *testing.T) {
 	}
 	if rdvR.Granted() != 0 {
 		t.Fatal("grant slot not released")
-	}
-}
-
-func TestRendezvousConcurrencyCap(t *testing.T) {
-	reasm := NewReassembler(1, func(Deliverable) {})
-	var ctses []*packet.Frame
-	rdvR := NewRdvReceiver(1, reasm, func(f *packet.Frame) { ctses = append(ctses, f) }, 1)
-	rdvS := NewRdvSender(0, func(uint64, *packet.Packet) {})
-
-	p1 := &packet.Packet{Flow: 1, Seq: 0, Src: 0, Dst: 1, Payload: make([]byte, 10), Last: true}
-	p2 := &packet.Packet{Flow: 2, Seq: 0, Src: 0, Dst: 1, Payload: make([]byte, 10), Last: true}
-	rts1 := rdvS.Start(p1)
-	rts2 := rdvS.Start(p2)
-	rdvR.HandleRTS(rts1)
-	rdvR.HandleRTS(rts2)
-	if len(ctses) != 1 {
-		t.Fatalf("cap=1 granted %d", len(ctses))
-	}
-	if rdvR.QueuedRTS() != 1 {
-		t.Fatalf("queued = %d", rdvR.QueuedRTS())
-	}
-	// Completing the first transfer releases the second grant.
-	rdvS.HandleCTS(ctses[0])
-	rd := rdvS.BuildRData(rts1.Ctrl.Token)
-	rdvR.HandleRData(0, rd)
-	if len(ctses) != 2 {
-		t.Fatal("queued RTS not granted after completion")
-	}
-	if rdvR.QueuedRTS() != 0 {
-		t.Fatal("queue not drained")
 	}
 }
 

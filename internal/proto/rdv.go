@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"newmad/internal/packet"
 )
@@ -15,6 +16,10 @@ import (
 // receiver posts buffers and answers CTS, the bulk payload travels as an
 // RData frame — re-entering the optimizer as a ClassBulk item, so bulk
 // transfers are scheduled (and balanced across NICs) like everything else.
+//
+// Where the receiver lands every frame in a buffer of its own (the socket
+// mesh), the handshake buys nothing: the RData leaves at once (Direct) and
+// is accepted ungranted because it arrived wire-landed (HandleRData).
 //
 // The engines below are deliberately passive: they build frames and invoke
 // injected hooks, and the optimizing layer decides when frames actually hit
@@ -40,7 +45,7 @@ type GrantHook func(token uint64, p *packet.Packet)
 // RdvSender is the source-side rendezvous engine of one node.
 type RdvSender struct {
 	node      packet.NodeID
-	nextToken uint64
+	nextToken atomic.Uint64             // Direct runs outside the engine's protocol lock
 	pending   map[uint64]*packet.Packet // RTS sent, no CTS yet
 	granted   map[uint64]*packet.Packet // CTS seen, RData not yet built
 	onGrant   GrantHook
@@ -80,10 +85,15 @@ func (s *RdvSender) rtsFor(tok uint64, p *packet.Packet) *packet.Frame {
 // schedule (control class). The payload stays with the engine until
 // granted.
 func (s *RdvSender) Start(p *packet.Packet) *packet.Frame {
-	s.nextToken++
-	tok := s.nextToken
+	tok := s.nextToken.Add(1)
 	s.pending[tok] = p
 	return s.rtsFor(tok, p)
+}
+
+// Direct returns the RData carrying p under a fresh token, keeping nothing;
+// it touches only the token counter, so it is safe concurrently.
+func (s *RdvSender) Direct(p *packet.Packet) *packet.Frame {
+	return s.rdataFor(s.nextToken.Add(1), p)
 }
 
 // RetryRTS rebuilds the RTS for a still-ungranted token — the engine's
@@ -124,6 +134,11 @@ func (s *RdvSender) BuildRData(token uint64) *packet.Frame {
 		panic(fmt.Sprintf("proto: BuildRData for unknown token %d", token))
 	}
 	delete(s.granted, token)
+	return s.rdataFor(token, p)
+}
+
+// rdataFor builds the RData frame carrying p's payload under token.
+func (s *RdvSender) rdataFor(token uint64, p *packet.Packet) *packet.Frame {
 	rd := packet.AcquireFrame()
 	rd.Kind = packet.FrameRData
 	rd.Src = s.node
@@ -159,10 +174,11 @@ type rdvKey struct {
 // completedWindow bounds the receiver's memory of finished transfers per
 // source. A retried RTS can arrive arbitrarily late (it was delayed in a
 // rail queue while its sibling completed the transfer), and granting it
-// would open a rendezvous no RData will ever close — leaking a concurrency
-// slot permanently. The retry budget is small (core.DefaultRdvRetryMax
-// with bounded backoff), so a duplicate older than the last 4096
-// completions from one source cannot occur in practice.
+// would open a rendezvous no RData will ever close; a direct RData may
+// arrive twice (a dying rail's copy, then its failover). Retries are few
+// (core.DefaultRdvRetryMax) and a failover follows its rail's death, so a
+// duplicate older than the last 4096 completions from one source cannot
+// occur in practice.
 const completedWindow = 4096
 
 // completedLog remembers the most recent completedWindow finished tokens
@@ -186,36 +202,25 @@ func (c *completedLog) add(token uint64) {
 	c.set[token] = true
 }
 
-func (c *completedLog) has(token uint64) bool { return c.set[token] }
+func (c *completedLog) has(token uint64) bool { return c != nil && c.set[token] }
 
-// queuedRTS is a grant-slot queue entry: the request's identity copied out
-// of the RTS frame, so the receiver never retains a frame past HandleRTS —
-// frames are pooled objects the driver may recycle after dispatch.
-type queuedRTS struct {
-	src  packet.NodeID
-	ctrl packet.Ctrl
-}
-
-// RdvReceiver is the sink-side engine: it grants RTSes (subject to a
-// concurrency cap modeling receive-buffer supply) and turns RData frames
-// back into packets for the reassembler.
+// RdvReceiver is the sink-side engine: it grants RTSes and turns RData
+// frames back into packets for the reassembler.
 type RdvReceiver struct {
 	node      packet.NodeID
 	send      SendHook
 	reasm     *Reassembler
-	max       int             // max concurrent granted rendezvous; 0 = unlimited
 	granted   map[rdvKey]bool // in-flight granted transfers
-	queued    map[rdvKey]bool // RTSes waiting for a grant slot
-	queue     []queuedRTS     // grant-slot FIFO (mirror of queued)
 	completed map[packet.NodeID]*completedLog
 	dupRTS    uint64
 	dupRD     uint64
 	badRD     uint64
 }
 
-// NewRdvReceiver creates the engine. send emits CTS frames;
-// maxConcurrent=0 grants immediately and without limit.
-func NewRdvReceiver(node packet.NodeID, reasm *Reassembler, send SendHook, maxConcurrent int) *RdvReceiver {
+// NewRdvReceiver creates the engine; send emits CTS frames. The last
+// argument is ignored: it was the cap of a grant queue that no engine set
+// (TCP's receive window is the bound on sockets), and callers pass 0.
+func NewRdvReceiver(node packet.NodeID, reasm *Reassembler, send SendHook, _ int) *RdvReceiver {
 	if send == nil {
 		panic("proto: nil send hook")
 	}
@@ -226,67 +231,49 @@ func NewRdvReceiver(node packet.NodeID, reasm *Reassembler, send SendHook, maxCo
 		node:      node,
 		send:      send,
 		reasm:     reasm,
-		max:       maxConcurrent,
 		granted:   make(map[rdvKey]bool),
-		queued:    make(map[rdvKey]bool),
 		completed: make(map[packet.NodeID]*completedLog),
 	}
 }
 
-// HandleRTS grants (or queues) an incoming rendezvous request. A duplicate
-// RTS — the sender timed out waiting for the CTS and retried — re-sends the
-// CTS when the transfer was already granted (the original CTS may have been
-// lost) and is otherwise ignored; it never double-grants. A straggler RTS
-// for a transfer that already *completed* (its sibling won the race end to
-// end) is dropped outright: re-granting it would hold a rendezvous slot
-// open forever, since the sender has nothing left to send for the token.
+// HandleRTS grants an incoming rendezvous request. A duplicate RTS — the
+// sender timed out waiting for the CTS and retried — re-sends the CTS when
+// the transfer was already granted (the original CTS may have been lost);
+// it never double-grants. A straggler RTS for a transfer that already
+// *completed* (its sibling won the race end to end) is dropped outright:
+// re-granting it would hold a grant open forever, since the sender has
+// nothing left to send for the token.
 func (r *RdvReceiver) HandleRTS(f *packet.Frame) {
-	req := queuedRTS{src: f.Src, ctrl: f.Ctrl} // copy: f may be recycled after dispatch
-	k := rdvKey{req.src, req.ctrl.Token}
-	if c := r.completed[req.src]; c != nil && c.has(req.ctrl.Token) {
+	k := rdvKey{f.Src, f.Ctrl.Token}
+	if r.completed[k.src].has(k.token) {
 		r.dupRTS++
 		return
 	}
 	if r.granted[k] {
-		r.dupRTS++
-		r.sendCTS(req) // recover a possibly-lost CTS without re-granting
-		return
+		r.dupRTS++ // re-send below: recover a possibly-lost CTS without re-granting
 	}
-	if r.queued[k] {
-		r.dupRTS++
-		return
-	}
-	if r.max > 0 && len(r.granted) >= r.max {
-		r.queued[k] = true
-		r.queue = append(r.queue, req)
-		return
-	}
-	r.grant(req)
-}
-
-func (r *RdvReceiver) sendCTS(req queuedRTS) {
+	r.granted[k] = true
 	cts := packet.AcquireFrame()
 	cts.Kind = packet.FrameCTS
 	cts.Src = r.node
-	cts.Dst = req.src
-	cts.Ctrl = req.ctrl
+	cts.Dst = k.src
+	cts.Ctrl = f.Ctrl // copy: f may be recycled after dispatch
 	r.send(cts)
 }
 
-func (r *RdvReceiver) grant(req queuedRTS) {
-	r.granted[rdvKey{req.src, req.ctrl.Token}] = true
-	r.sendCTS(req)
-}
-
 // HandleRData completes a rendezvous: the bulk payload becomes an ordinary
-// fragment in the reassembly stream. RData frames for unknown transfers
-// (already completed, or never granted) and frames whose payload length
-// contradicts the negotiated size are dropped and counted — both are
-// producible by a lossy or corrupting network, neither may crash the node.
+// fragment in the reassembly stream. A granted token completes; so does an
+// ungranted one that arrived wire-landed (f.Backed() — a direct transfer,
+// see RdvSender.Direct) and is not a completed token's duplicate. Everything
+// else — an unbacked frame for a token never granted, a token already
+// completed — is dropped and counted, as is a frame whose payload length
+// contradicts the negotiated size: all are producible by a lossy or
+// corrupting network, and none may crash the node.
 func (r *RdvReceiver) HandleRData(src packet.NodeID, f *packet.Frame) {
 	c := f.Ctrl
 	k := rdvKey{src, c.Token}
-	if !r.granted[k] {
+	log := r.completed[src]
+	if !r.granted[k] && (!f.Backed() || log.has(k.token)) {
 		r.dupRD++
 		return
 	}
@@ -295,7 +282,6 @@ func (r *RdvReceiver) HandleRData(src packet.NodeID, f *packet.Frame) {
 		return
 	}
 	delete(r.granted, k)
-	log := r.completed[src]
 	if log == nil {
 		log = &completedLog{}
 		r.completed[src] = log
@@ -312,17 +298,7 @@ func (r *RdvReceiver) HandleRData(src packet.NodeID, f *packet.Frame) {
 		Recv: packet.RecvCheaper, Payload: f.Bulk,
 	}
 	r.reasm.Ingest(src, &p)
-	// A completed transfer frees a grant slot for a queued RTS.
-	if len(r.queue) > 0 && (r.max == 0 || len(r.granted) < r.max) {
-		next := r.queue[0]
-		r.queue = r.queue[1:]
-		delete(r.queued, rdvKey{next.src, next.ctrl.Token})
-		r.grant(next)
-	}
 }
-
-// QueuedRTS returns the number of requests waiting for a grant slot.
-func (r *RdvReceiver) QueuedRTS() int { return len(r.queue) }
 
 // Granted returns the number of in-flight granted transfers.
 func (r *RdvReceiver) Granted() int { return len(r.granted) }
