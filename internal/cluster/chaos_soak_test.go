@@ -10,7 +10,6 @@ import (
 	"newmad/internal/chaos"
 	"newmad/internal/packet"
 	"newmad/internal/proto"
-	"newmad/internal/simnet"
 )
 
 // TestChaosSoakRailsAndPartition is the resilience battery's -race soak: a
@@ -44,12 +43,9 @@ func TestChaosSoakRailsAndPartition(t *testing.T) {
 	var downs atomic.Int64
 
 	opts := Options{
-		Nodes:    3,
-		Rails:    caps.RailProfiles(caps.TCP, 2),
-		Raw:      true,
-		RdvRetry: simnet.FromWall(50 * time.Millisecond),
-		// Enough backoff budget to ride out any scripted outage.
-		RdvRetryMax: 10,
+		Nodes: 3,
+		Rails: caps.RailProfiles(caps.TCP, 2),
+		Raw:   true,
 		OnDeliver: func(node packet.NodeID, d proto.Deliverable) {
 			mu.Lock()
 			delivered[key{d.Src, d.Pkt.Flow, d.Pkt.Seq}]++

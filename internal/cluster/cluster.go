@@ -56,20 +56,14 @@ type Options struct {
 	// one ephemeral port per rail.
 	Listen []string
 
-	// Engine tuning, passed through to core.Options.
-	//
-	// Shards is each engine's pump-shard count (core.Options.Shards):
-	// wall-clock clusters set it near GOMAXPROCS so concurrent submitters
-	// to different peers never share a lock; 0 keeps the single-shard
-	// serialized layout.
-	Shards     int
+	// Deprecated: ignored. The engine has one send side.
+	Shards int
+
+	// Engine tuning, passed through to core.Options. Every rail here lands
+	// frames (drivers.FrameLander), so rendezvous is one direct RData and
+	// there is no RTS/CTS retry to tune.
 	Lookahead  int
 	NagleDelay simnet.Duration
-	// RdvRetry/RdvRetryMax enable rendezvous timeout-and-retry on every
-	// engine (see core.Options); chaos scenarios that drop control frames
-	// need it for exactly-once completion.
-	RdvRetry    simnet.Duration
-	RdvRetryMax int
 	// RdvThreshold forces rendezvous above this size on every engine
 	// (0 defers to the bundle policy).
 	RdvThreshold int
@@ -251,11 +245,8 @@ func New(o Options) (*Cluster, error) {
 				Runtime:      c.Runtime,
 				Rails:        rails,
 				Deliver:      wrapped,
-				Shards:       o.Shards,
 				Lookahead:    o.Lookahead,
 				NagleDelay:   o.NagleDelay,
-				RdvRetry:     o.RdvRetry,
-				RdvRetryMax:  o.RdvRetryMax,
 				RdvThreshold: o.RdvThreshold,
 				Quotas:       o.Quotas,
 				OnPeerDown:   onPeerDown,

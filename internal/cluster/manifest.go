@@ -43,8 +43,6 @@ func OptionsFromManifest(m *testnet.Manifest) (Options, error) {
 		Bundle:       m.Engine.Bundle,
 		Lookahead:    m.Engine.Lookahead,
 		NagleDelay:   simnet.Duration(m.Engine.NagleUS) * simnet.Microsecond,
-		RdvRetry:     simnet.Duration(m.Engine.RdvRetryUS) * simnet.Microsecond,
-		RdvRetryMax:  m.Engine.RdvRetryMax,
 		RdvThreshold: m.Engine.RdvThreshold,
 		Quotas:       m.Quotas(),
 	}

@@ -9,7 +9,6 @@ import (
 	"newmad/internal/core"
 	"newmad/internal/packet"
 	"newmad/internal/proto"
-	"newmad/internal/simnet"
 	"newmad/internal/testnet"
 )
 
@@ -60,11 +59,8 @@ func TestOptionsFromManifest(t *testing.T) {
 	if o.Nodes != 3 || len(o.Rails) != 2 {
 		t.Fatalf("topology: %d nodes, %d rails", o.Nodes, len(o.Rails))
 	}
-	if o.Bundle != "aggregate" || o.RdvThreshold != 4096 || o.RdvRetryMax != 10 {
+	if o.Bundle != "aggregate" || o.RdvThreshold != 4096 {
 		t.Fatalf("tuning not carried: %+v", o)
-	}
-	if o.RdvRetry != 2*simnet.Millisecond {
-		t.Fatalf("RdvRetry = %v", o.RdvRetry)
 	}
 	if o.Chaos == nil || o.Chaos.Seed != 7 || len(o.Chaos.Rules) != 1 {
 		t.Fatalf("chaos plan not derived: %+v", o.Chaos)

@@ -153,10 +153,10 @@ type Controller struct {
 	// buffers alternate — the one being refilled is never the one the
 	// sampler still reads. Guarded by tickMu (only tick touches it). At
 	// 1000-node testnet scale this is what removes the two slice
-	// allocations per node per sample. On a sharded engine each snapshot
-	// is a per-shard merge rather than one atomic cut; shard totals are
-	// monotone, so the windowed deltas the controller derives stay
-	// non-negative and the rate evidence stays sound.
+	// allocations per node per sample. A snapshot reads the send and
+	// protocol sides under separate locks rather than as one atomic cut;
+	// both halves are monotone, so the windowed deltas the controller
+	// derives stay non-negative and the rate evidence stays sound.
 	scratch    [2]core.Metrics
 	scratchIdx int
 

@@ -11,7 +11,7 @@ import (
 // Multi-tenant admission control. Every packet carries a TenantID; an
 // engine configured with quotas (Options.Quotas or SetTenantQuota) checks
 // each submission against its tenant's token bucket and backlog quota
-// *before* the packet touches any shard state — a flooder is shed at the
+// *before* the packet touches any send-side state — a flooder is shed at the
 // Submit boundary with a typed refusal and a retry-after hint, never
 // queued, so its pressure cannot bloat the backlog index (the
 // shed-before-queue rule, DESIGN.md §10).
@@ -163,7 +163,7 @@ func (e *Engine) admit(p *packet.Packet, now simnet.Time, eager bool) error {
 }
 
 // releaseBacklog returns one backlog charge to its tenant: when a plan
-// takes the packet (pumpBacklogLocked, under the shard lock), or when the
+// takes the packet (pumpBacklogLocked, under smu), or when the
 // Submit that was charged loses to Close.
 func (a *admission) releaseBacklog(t packet.TenantID) {
 	if ts := a.state(t); ts != nil {

@@ -141,7 +141,7 @@ func TestSubmitBacklogQuotaTyped(t *testing.T) {
 
 // TestSubmitClosedTyped pins ErrClosed: Submit after Close refuses with
 // the sentinel under errors.Is, and Flush on a closed engine returns
-// immediately instead of touching torn-down shards.
+// immediately instead of touching the torn-down send side.
 func TestSubmitClosedTyped(t *testing.T) {
 	tn := newNet(t, 2, "aggregate", nil)
 	tn.engines[0].Close()
@@ -152,11 +152,11 @@ func TestSubmitClosedTyped(t *testing.T) {
 }
 
 // TestFlushCloseRace is the wall-clock pin for the Flush/Close race: over
-// real TCP sockets, goroutines hammer Flush on a four-shard engine with
-// Nagle arming and disarming underneath while Close tears the shards
-// down. Flush must always return — when Close wins, the closed check
-// makes it a no-op instead of re-pumping rails whose handlers are being
-// detached or blocking on shard locks held by the teardown. Run under
+// real TCP sockets, goroutines hammer Flush on an engine with Nagle
+// arming and disarming underneath while Close tears the send side down.
+// Flush must always return — when Close wins, the closed check makes it a
+// no-op instead of re-pumping rails whose handlers are being detached or
+// blocking on the send lock held by the teardown. Run under
 // -race this also pins the closed.Load ordering against the teardown
 // writes.
 func TestFlushCloseRace(t *testing.T) {
@@ -188,7 +188,6 @@ func TestFlushCloseRace(t *testing.T) {
 		Runtime:    rt,
 		Rails:      []drivers.Driver{nodes[0]},
 		Deliver:    func(proto.Deliverable) {},
-		Shards:     4,
 		NagleDelay: simnet.FromWall(50 * time.Microsecond),
 	})
 	if err != nil {
@@ -236,15 +235,13 @@ func TestFlushCloseRace(t *testing.T) {
 }
 
 // TestQueueGaugesQuiesce pins the observation-surface consistency
-// contract on a sharded engine: after multi-destination traffic fully
-// drains, BacklogLen, QueuedFrames, and the per-tenant backlog gauge must
-// all agree on zero — no shard may strand a count in its local counters
-// when its queues are empty.
+// contract: after multi-destination traffic fully drains, BacklogLen,
+// QueuedFrames, and the per-tenant backlog gauge must all agree on zero —
+// no counter may strand a count when its queues are empty.
 func TestQueueGaugesQuiesce(t *testing.T) {
 	const tenant = packet.TenantID(5)
 	const perFlow = 20
 	tn := newNet(t, 3, "aggregate", func(o *Options) {
-		o.Shards = 4
 		o.Quotas = map[packet.TenantID]TenantQuota{
 			tenant: {Backlog: 1 << 20}, // roomy: accounting on, shedding off
 		}

@@ -18,14 +18,12 @@
 //     constraint rules of internal/packet bound every reordering; driver
 //     capability records parameterize every decision.
 //
-// The engine is safe for concurrent use. There is no engine-wide lock:
-// send-side state is partitioned into destination-hashed shards, each
-// behind its own lock (shard.go), each NIC channel's pump is
-// serialized by its own chanPump, and the receive/protocol side runs under
-// one protocol mutex (pmu). Under the discrete-event runtime all upcalls
-// arrive on one goroutine and every lock is uncontended; the socket
-// driver delivers idle and receive upcalls from its own goroutines and
-// exercises the full lock hierarchy (see shard.go for the ordering rules).
+// The engine is safe for concurrent use. The send side runs under one send
+// mutex (smu), each NIC channel's pump is serialized by its own chanPump,
+// and the receive/protocol side runs under one protocol mutex (pmu). Under
+// the discrete-event runtime all upcalls arrive on one goroutine and every
+// lock is uncontended; the socket driver delivers idle and receive upcalls
+// from its own goroutines and exercises the full lock order (send.go).
 package core
 
 import (
@@ -59,14 +57,7 @@ type Options struct {
 	// mad layer). It may call back into the engine (e.g. Submit a reply).
 	Deliver proto.DeliverFunc
 
-	// Shards partitions the send-side state (backlog index, reactive and
-	// failover queues, Nagle delay, pump scratch) into this many
-	// destination-hashed pump shards. 0 and 1 both mean one shard — what
-	// every simulation and testnet runs, fully serialized and so
-	// deterministic. Wall-clock deployments set this near GOMAXPROCS so flows
-	// to different destinations never contend on a lock; flows sharing a
-	// destination always land in one shard, preserving the optimizer's
-	// cross-flow aggregation view.
+	// Deprecated: ignored. The engine has one send side.
 	Shards int
 
 	// Lookahead bounds how many eligible waiting packets a plan may
@@ -104,7 +95,7 @@ type Options struct {
 	// (drivers.PeerDownNotifier).
 	OnPeerDown func(rail int, peer packet.NodeID)
 	// Quotas seeds the per-tenant admission table (admission.go): token-
-	// bucket rates and backlog quotas checked at Submit before any shard
+	// bucket rates and backlog quotas checked at Submit before any send-side
 	// state is touched. Empty/nil disables admission entirely: every
 	// Submit is admitted. Tenants may also
 	// be added or retuned at runtime via SetTenantQuota.
@@ -155,11 +146,12 @@ type Engine struct {
 	// beyond one atomic load per Submit.
 	adm atomic.Pointer[admission]
 
-	// submitSeq totally orders submissions across shards (the eligible
-	// view's merge key). backlogSz/backlogPeak track the global waiting-
-	// packet count — the Nagle flush decision and BacklogLen read it
-	// without touching any shard. idleUps counts scheduler activations,
-	// the three below it retune activity (knob changes hold no engine lock).
+	// submitSeq totally orders submissions across the backlog's (dst,
+	// class) queues (the eligible view's merge key). backlogSz/backlogPeak
+	// track the waiting-packet count — the Nagle flush decision, the pump's
+	// skip hint and BacklogLen read it without smu. idleUps counts scheduler
+	// activations, the three below it retune activity (knob changes hold no
+	// engine lock).
 	submitSeq      atomic.Uint64
 	backlogSz      atomic.Int64
 	backlogPeak    atomic.Int64
@@ -168,10 +160,63 @@ type Engine struct {
 	railRetunes    atomic.Uint64
 	tenantRetunes  atomic.Uint64
 
-	// shards own the send side; pumps[rail][channel] serialize each NIC
-	// channel's scan over them.
-	shards []*shard
-	pumps  [][]chanPump
+	// pumps[rail][channel] serialize each NIC channel's pump (send.go).
+	pumps [][]chanPump
+
+	// Work hints, readable without smu: a channel pump skips the lock when
+	// the queues it would visit are empty. They are updated under smu at
+	// the same point as the queues they mirror, so a hint can be stale only
+	// in the direction of a missed skip (the enqueuer's own pump follows).
+	nCtrl atomic.Int64
+	nBulk atomic.Int64
+	nFail atomic.Int64
+
+	// favorBulk alternates the planned-work pass between the eager backlog
+	// and bulkQ (pumpChannel). Atomic because the toggle happens before the
+	// hint skip, outside smu.
+	favorBulk atomic.Bool
+
+	// smu guards the send side (send.go): the fields below, through
+	// bulkProbe.
+	smu     sync.Mutex
+	backlog backlogIndex    // waiting packets, indexed by (dst, class)
+	ctrlQ   []*packet.Frame // reactive control frames (RTS/CTS/Ack)
+	bulkQ   []*packet.Frame // granted rendezvous data, RMA frames
+	failQ   []*packet.Frame // frames whose rail died under them
+
+	// The Nagle delay, keyed by a generation so wall-clock stale fires are
+	// inert.
+	nagleArmed  bool
+	nagleCancel simnet.CancelFunc
+	nagleGen    uint64
+
+	// ctr/railFrames are the send side's observation counters; MetricsInto
+	// adds the protocol side's pctr.
+	ctr        Counters
+	railFrames []uint64
+
+	// Per-tenant service accounting (admission.go): how many waiting
+	// packets belong to each tenant, maintained at the same points as the
+	// backlog index (drain in, plan out). tenantActive counts tenants
+	// holding a nonzero share; the eligible view divides the lookahead
+	// window by it so an admitted-but-heavy tenant cannot monopolize a
+	// plan's slots. Fixed arrays: TenantID is a byte, so the full table is
+	// 1 KiB and never allocates.
+	tenantCount  [256]int32
+	tenantActive int
+	tenantTaken  [256]int32 // eligible-view merge scratch
+
+	// Pump scratch, reused across pumps so the steady-state eager path
+	// allocates nothing: the eligible view and its merge cursors, the
+	// per-queue removal subsequences, the strategy context handed to plan
+	// builders (builders must not retain it past Build), and the probe
+	// packets the class/rail policies are consulted with.
+	viewScratch  []*packet.Packet
+	curScratch   []backlogCursor
+	takenScratch []*packet.Packet
+	planCtx      strategy.Context
+	ctrlProbe    packet.Packet
+	bulkProbe    packet.Packet
 
 	// The only engine quantities stored in the Set, resolved once.
 	hPlanPackets   *stats.Histogram
@@ -179,15 +224,14 @@ type Engine struct {
 	hPlanScore     *stats.Histogram
 
 	// spans is the latency-span family (spans.go); its cells carry their
-	// own locks, so shards and the receive path observe into one shared
+	// own locks, so the send and receive sides observe into one shared
 	// family without coordination.
 	spans *stats.Spans
 
-	// pmu serializes the receive/protocol side and the cross-shard
-	// coordination state below it: protocol engines and their maps, the
-	// rendezvous span stamps and retry timers, delivery batching, and the
-	// per-rail failure counters. pmu may take shard locks; shard locks
-	// never take pmu (see shard.go for the full ordering).
+	// pmu serializes the receive/protocol side: protocol engines and their
+	// maps, the rendezvous span stamps and retry timers, delivery batching,
+	// and the per-rail failure counters. pmu may take smu; smu never takes
+	// pmu (send.go).
 	pmu       sync.Mutex
 	retuneObs func(RetuneEvent)
 	railDowns []uint64 // peer-down events per rail (lossy-rail evidence)
@@ -197,7 +241,8 @@ type Engine struct {
 	rdvTimers map[uint64]rdvTimer
 	rdvGen    uint64
 
-	// pctr tallies deliveries and rendezvous retries, which no shard owns.
+	// pctr tallies deliveries and rendezvous retries, the protocol side's
+	// events.
 	pctr Counters
 
 	// Latency spans (see spans.go). rdvStart stamps when each outgoing
@@ -244,7 +289,7 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 	}
 	if opt.Lookahead < 0 || opt.NagleDelay < 0 || opt.SearchBudget < 0 ||
 		opt.RdvThreshold < 0 || opt.NagleFlushCount < 0 ||
-		opt.RdvRetry < 0 || opt.RdvRetryMax < 0 || opt.Shards < 0 {
+		opt.RdvRetry < 0 || opt.RdvRetryMax < 0 {
 		return nil, fmt.Errorf("core: negative tuning option")
 	}
 	if opt.NagleFlushCount == 0 {
@@ -252,10 +297,6 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 	}
 	if opt.RdvRetryMax == 0 {
 		opt.RdvRetryMax = DefaultRdvRetryMax
-	}
-	nshards := opt.Shards
-	if nshards == 0 {
-		nshards = 1
 	}
 	set := opt.Stats
 	if set == nil {
@@ -279,6 +320,9 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 		railDowns: make([]uint64, len(rails)),
 		rdvTimers: make(map[uint64]rdvTimer),
 		deliver:   opt.Deliver,
+
+		railFrames: make([]uint64, len(rails)),
+		ctrlProbe:  packet.Packet{Class: packet.ClassControl},
 
 		spans:        stats.NewSpans(int(NumSpanKinds), int(packet.NumClasses), len(rails)),
 		rdvStart:     make(map[uint64]simnet.Time),
@@ -314,10 +358,6 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 		searchBudget: opt.SearchBudget,
 		rdvThreshold: opt.RdvThreshold,
 	})
-	e.shards = make([]*shard, nshards)
-	for i := range e.shards {
-		e.shards[i] = newShard(e, i)
-	}
 	e.pumps = make([][]chanPump, len(rails))
 	for i, r := range rails {
 		e.pumps[i] = make([]chanPump, r.NumChannels())
@@ -338,8 +378,8 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 		// failures feed the engine's failover machinery; simulated fabrics
 		// implement neither: they are loss-free.
 		if ln, ok := r.(drivers.FrameLossNotifier); ok {
-			ln.SetFrameLossHandler(func(peer packet.NodeID, frames []*packet.Frame) {
-				e.onFrameLoss(i, peer, frames)
+			ln.SetFrameLossHandler(func(_ packet.NodeID, frames []*packet.Frame) {
+				e.onFrameLoss(i, frames)
 			})
 		}
 		if dn, ok := r.(drivers.PeerDownNotifier); ok {
@@ -355,21 +395,19 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 const DefaultRdvRetryMax = 6
 
 // onFrameLoss receives frames a failing rail reclaimed from its queue.
-// They join the owning shard's failover queue (all reclaimed frames share
-// the peer, hence the shard) and re-travel on whatever rail still reaches
+// They join the failover queue and re-travel on whatever rail still reaches
 // their destination; the receiver's sequence-number dedupe turns the
 // possible duplicate (the mid-write ambiguous frame) back into
 // exactly-once delivery.
-func (e *Engine) onFrameLoss(ri int, peer packet.NodeID, frames []*packet.Frame) {
+func (e *Engine) onFrameLoss(ri int, frames []*packet.Frame) {
 	if e.closed.Load() {
 		return
 	}
-	s := e.shardOf(peer)
-	s.mu.Lock()
-	s.failQ = append(s.failQ, frames...)
-	s.nFail.Add(int64(len(frames)))
-	s.ctr.FramesReclaimed += uint64(len(frames))
-	s.mu.Unlock()
+	e.smu.Lock()
+	e.failQ = append(e.failQ, frames...)
+	e.nFail.Add(int64(len(frames)))
+	e.ctr.FramesReclaimed += uint64(len(frames))
+	e.smu.Unlock()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 		A: ri, B: len(frames), Note: "reclaim:rail-down",
@@ -554,17 +592,16 @@ func (e *Engine) RailWeights() (w []float64, ok bool) {
 // Submit enqueues one packet from the collect layer and returns
 // immediately. Packets of one flow must be submitted with consecutive Seq
 // values starting at zero; the mad layer guarantees this. Every packet
-// enters its destination's shard under that shard's lock, so submitters to
-// destinations in different shards never touch a shared lock, and a Submit
-// that loses to Close is refused rather than silently dropped.
+// enters the send side under smu, so a Submit that loses to Close is
+// refused rather than silently dropped.
 //
 // Refusals are typed: ErrClosed after Close, and the admission-control
 // refusals ErrThrottled/ErrQuotaExceeded (with retry-after, see
 // ThrottleError) when the packet's tenant is over quota. A destination no
 // rail currently reaches is not a refusal: the packet queues for a heal
 // (the failover contract).
-// Admission runs before the packet touches any shard state — a shed
-// packet never takes a shard lock or charges a backlog counter (the
+// Admission runs before the packet touches any send-side state — a shed
+// packet never takes smu or charges a backlog counter (the
 // shed-before-queue rule, DESIGN.md §10).
 func (e *Engine) Submit(p *packet.Packet) error {
 	if err := p.Validate(); err != nil {
@@ -614,25 +651,23 @@ func (e *Engine) Submit(p *packet.Packet) error {
 			return ErrClosed
 		}
 		rts := e.rdvS.Start(p)
-		// Once queued and the shard lock dropped, a concurrent pump may post
-		// the RTS and the rail owner recycle it: take the token now.
+		// Once queued and smu dropped, a concurrent pump may post the RTS
+		// and the rail owner recycle it: take the token now.
 		token := rts.Ctrl.Token
 		e.rdvStart[token] = p.Enqueued
-		s := e.shardOf(p.Dst)
-		s.mu.Lock()
-		s.ctrlQ = append(s.ctrlQ, rts)
-		s.nCtrl.Add(1)
-		s.countSubmitLocked(p, true)
-		s.mu.Unlock()
+		e.smu.Lock()
+		e.ctrlQ = append(e.ctrlQ, rts)
+		e.nCtrl.Add(1)
+		e.countSubmitLocked(p, true)
+		e.smu.Unlock()
 		e.armRdvRetryLocked(token, 0)
 		e.pmu.Unlock()
 		e.pumpAll()
 		return nil
 	}
-	s := e.shardOf(p.Dst)
-	s.mu.Lock()
+	e.smu.Lock()
 	if e.closed.Load() {
-		s.mu.Unlock()
+		e.smu.Unlock()
 		if !rdv {
 			e.adm.Load().releaseBacklog(p.Tenant) // no plan ever will
 		}
@@ -641,14 +676,14 @@ func (e *Engine) Submit(p *packet.Packet) error {
 	pump := true
 	if rdv {
 		// The rail lands frames: the RData leaves now — no RTS, CTS or timer.
-		s.bulkQ = append(s.bulkQ, e.rdvS.Direct(p))
-		s.nBulk.Add(1)
-		s.countSubmitLocked(p, true)
-		s.ctr.RdvGranted++
+		e.bulkQ = append(e.bulkQ, e.rdvS.Direct(p))
+		e.nBulk.Add(1)
+		e.countSubmitLocked(p, true)
+		e.ctr.RdvGranted++
 	} else {
-		pump = s.pushEagerLocked(p)
+		pump = e.pushEagerLocked(p)
 	}
-	s.mu.Unlock()
+	e.smu.Unlock()
 	if pump {
 		e.pumpAll()
 	}
@@ -676,9 +711,9 @@ func (e *Engine) protoRail(b *strategy.Bundle, p *packet.Packet) int {
 }
 
 // Flush forces any Nagle-delayed packets out now. On a closed engine it
-// returns immediately: Close owns the shard teardown, and a Flush racing
-// it must neither re-pump rails whose handlers are being detached nor
-// wait on anything (pinned by TestFlushCloseRace).
+// returns immediately: Close owns the send-side teardown, and a Flush
+// racing it must neither re-pump rails whose handlers are being detached
+// nor wait on anything (pinned by TestFlushCloseRace).
 func (e *Engine) Flush() {
 	if e.closed.Load() {
 		return
@@ -687,19 +722,17 @@ func (e *Engine) Flush() {
 	e.pumpAll()
 }
 
-// releaseNagle cuts every armed artificial delay short, reporting whether
-// any was armed.
-func (e *Engine) releaseNagle() (released bool) {
-	for _, s := range e.shards {
-		s.mu.Lock()
-		if s.nagleArmed {
-			s.ctr.NagleEarly++
-			s.disarmNagleLocked()
-			released = true
-		}
-		s.mu.Unlock()
+// releaseNagle cuts an armed artificial delay short, reporting whether one
+// was armed.
+func (e *Engine) releaseNagle() bool {
+	e.smu.Lock()
+	defer e.smu.Unlock()
+	if !e.nagleArmed {
+		return false
 	}
-	return released
+	e.ctr.NagleEarly++
+	e.disarmNagleLocked()
+	return true
 }
 
 // armRdvRetryLocked schedules the attempt-th RTS retry for token, with
@@ -751,11 +784,10 @@ func (e *Engine) onRdvRetry(token uint64, attempt int, gen uint64) {
 		return
 	}
 	ctrl := rts.Ctrl // the frame is a pump's to post and recycle once queued
-	s := e.shardOf(rts.Dst)
-	s.mu.Lock()
-	s.ctrlQ = append(s.ctrlQ, rts)
-	s.nCtrl.Add(1)
-	s.mu.Unlock()
+	e.smu.Lock()
+	e.ctrlQ = append(e.ctrlQ, rts)
+	e.nCtrl.Add(1)
+	e.smu.Unlock()
 	e.pctr.RdvRetries++
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
@@ -778,10 +810,10 @@ func (e *Engine) cancelRdvRetryLocked(token uint64) {
 }
 
 // Close detaches the engine from its rails and cancels every outstanding
-// timer — the per-shard Nagle delays and all rendezvous retries — under
-// their owning locks. On the wall-clock runtime a cancelled timer's
-// callback may already be running; the closed flag and the generation
-// checks make such late fires inert (pinned by TestCloseCancelsAllTimers).
+// timer — the Nagle delay and all rendezvous retries — under their owning
+// locks. On the wall-clock runtime a cancelled timer's callback may
+// already be running; the closed flag and the generation checks make such
+// late fires inert (pinned by TestCloseCancelsAllTimers).
 func (e *Engine) Close() {
 	e.pmu.Lock()
 	e.closed.Store(true)
@@ -790,13 +822,11 @@ func (e *Engine) Close() {
 		t.cancel()
 	}
 	e.pmu.Unlock()
-	for _, s := range e.shards {
-		s.mu.Lock()
-		if s.nagleArmed {
-			s.disarmNagleLocked()
-		}
-		s.mu.Unlock()
+	e.smu.Lock()
+	if e.nagleArmed {
+		e.disarmNagleLocked()
 	}
+	e.smu.Unlock()
 	for _, r := range e.rails {
 		r.SetIdleHandler(nil)
 		r.SetRecvHandler(nil)
@@ -808,11 +838,7 @@ func (e *Engine) BacklogLen() int { return int(e.backlogSz.Load()) }
 
 // QueuedFrames returns pending (control, bulk) frame counts (diagnostic).
 func (e *Engine) QueuedFrames() (ctrl, bulk int) {
-	for _, s := range e.shards {
-		s.mu.Lock()
-		ctrl += len(s.ctrlQ)
-		bulk += len(s.bulkQ)
-		s.mu.Unlock()
-	}
-	return ctrl, bulk
+	e.smu.Lock()
+	defer e.smu.Unlock()
+	return len(e.ctrlQ), len(e.bulkQ)
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // The engine's one metrics path. Every event is counted once, in engine-
-// private storage: a Counters per shard (under the shard.mu the caller
+// private storage: a Counters for the send side (under the smu the caller
 // already holds), one for the protocol side under pmu, and a few engine
 // atomics. MetricsInto merges that storage into a Metrics snapshot — what
 // controllers and telemetry read, so a controller watching one node never
@@ -19,7 +19,7 @@ import (
 // names at read time (serve), summed over the engines sharing the Set.
 
 // Counters is the event tally since construction; Metrics embeds the sum
-// of the per-shard and protocol-side copies.
+// of the send-side and protocol-side copies.
 type Counters struct {
 	Submitted      uint64 `set:"core.submitted"`
 	SubmittedBytes uint64 `set:"core.submitted_bytes"`
@@ -119,10 +119,6 @@ type Metrics struct {
 	SearchBudget    int
 	RdvThreshold    int
 	Bundle          string
-	// Shards is the engine's pump-shard count (1 = one shard, what every
-	// simulation and testnet runs). Constant for the engine's lifetime; snapshotted so fleet
-	// telemetry can tell sharded and serialized nodes apart.
-	Shards int
 }
 
 // TenantMetrics is one tenant's slice of the admission surface: the quota
@@ -156,13 +152,10 @@ func (e *Engine) Metrics() Metrics {
 // retain a previous snapshot for windowed deltas must keep two scratch
 // values and alternate — the slices are overwritten in place.
 //
-// On a sharded engine the snapshot is a merge: each shard is summed under
-// its own lock, then the protocol-side tallies are read under pmu. Each
-// shard's contribution is internally consistent, but the merge is not one
-// global atomic cut — totals are exact once the engine quiesces, and
-// monotone per shard while it runs, which is all the windowed-delta
-// controllers need. With one shard (the deterministic-simulation layout)
-// every upcall is serialized anyway and the snapshot is exact, as before.
+// The send side is read under smu, then the protocol side under pmu. Each
+// half is internally consistent, but the two are not one atomic cut —
+// totals are exact once the engine quiesces and monotone while it runs,
+// which is all the windowed-delta controllers need.
 func (e *Engine) MetricsInto(m *Metrics) {
 	tun := e.tun.Load()
 	*m = Metrics{
@@ -181,14 +174,15 @@ func (e *Engine) MetricsInto(m *Metrics) {
 		SearchBudget:    tun.searchBudget,
 		RdvThreshold:    tun.rdvThreshold,
 		Bundle:          e.bundle.Load().Name,
-		Shards:          len(e.shards),
 	}
-	for range e.rails {
-		m.RailFrames = append(m.RailFrames, 0)
-	}
-	for _, s := range e.shards {
-		s.mergeInto(m)
-	}
+	e.smu.Lock()
+	m.Backlog = e.backlog.size
+	m.CtrlQueued = len(e.ctrlQ)
+	m.BulkQueued = len(e.bulkQ)
+	m.FailoverQueued = len(e.failQ)
+	m.Counters = e.ctr
+	m.RailFrames = append(m.RailFrames, e.railFrames...)
+	e.smu.Unlock()
 	if a := e.adm.Load(); a != nil {
 		for _, ts := range a.states {
 			if ts == nil {
@@ -242,7 +236,7 @@ func eachTagged(v reflect.Value, counter func(name string, v uint64)) {
 
 // serve is the engine's stats.Reader: a fresh snapshot by name, plus the
 // per-rail frame counters. The Set calls it outside its own mutex
-// (MetricsInto takes shard locks and pmu).
+// (MetricsInto takes smu and pmu).
 func (e *Engine) serve(counter func(name string, v uint64), gauge func(name string, v float64)) {
 	var m Metrics
 	e.MetricsInto(&m)

@@ -229,8 +229,8 @@ func TestSetViewMatchesMetrics(t *testing.T) {
 
 // TestSubmitLosingToCloseCountsNothing pins the divergence the two ledgers
 // used to have: a Submit that passes the first closed check and then loses
-// to Close under the lock its branch takes — pmu for rendezvous, the
-// destination's shard lock for eager — returns ErrClosed, and must not have
+// to Close under the lock its branch takes — pmu for rendezvous, the send
+// lock for eager — returns ErrClosed, and must not have
 // been counted anywhere, by name or in Metrics, nor keep the backlog charge
 // admission took for it.
 func TestSubmitLosingToCloseCountsNothing(t *testing.T) {
@@ -241,7 +241,7 @@ func TestSubmitLosingToCloseCountsNothing(t *testing.T) {
 		lock func(*Engine) *sync.Mutex // where the Submit parks
 	}{
 		{"rendezvous", 8192, func(e *Engine) *sync.Mutex { return &e.pmu }},
-		{"eager", 64, func(e *Engine) *sync.Mutex { return &e.shardOf(1).mu }},
+		{"eager", 64, func(e *Engine) *sync.Mutex { return &e.smu }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tn := newNet(t, 2, "aggregate", func(o *Options) {
@@ -284,9 +284,9 @@ func TestSubmitLosingToCloseCountsNothing(t *testing.T) {
 }
 
 // TestSharedSetReadersRaceEngines is the -race battery for the by-name
-// view: readers Dump a Set shared by two four-shard wall-clock engines
-// while those engines submit, pump and retune. Every read takes each
-// engine's shard locks and pmu from a foreign goroutine — outside the Set's
+// view: readers Dump a Set shared by two wall-clock engines while those
+// engines submit, pump and retune. Every read takes each engine's send
+// lock and pmu from a foreign goroutine — outside the Set's
 // own mutex, which stats.TestServeReadersRunUnlocked pins directly.
 func TestSharedSetReadersRaceEngines(t *testing.T) {
 	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)
@@ -307,7 +307,7 @@ func TestSharedSetReadersRaceEngines(t *testing.T) {
 		engines[n], err = New(packet.NodeID(n), Options{
 			Bundle: b, Runtime: rt, Rails: []drivers.Driver{nodes[n]},
 			Deliver: func(proto.Deliverable) { delivered.Add(1) },
-			Shards:  4, Stats: shared,
+			Stats:   shared,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -150,22 +150,21 @@ func (e *Engine) dispatchDeliveries(ds []proto.Deliverable, fns []func(), rail i
 }
 
 // enqueueReactive is the SendHook for the protocol engines: CTS/Ack frames
-// join the owning shard's control queue, data-bearing frames its bulk
-// queue. Called with pmu held (protocol engines run under it); taking the
-// shard lock nested is the pmu > shard.mu tier order.
+// join the control queue, data-bearing frames the bulk queue. Called with
+// pmu held (protocol engines run under it); taking smu nested is the
+// pmu > smu order.
 func (e *Engine) enqueueReactive(f *packet.Frame) {
-	s := e.shardOf(f.Dst)
-	s.mu.Lock()
+	e.smu.Lock()
 	switch f.Kind {
 	case packet.FrameCTS, packet.FrameAck, packet.FrameRTS:
-		s.ctrlQ = append(s.ctrlQ, f)
-		s.nCtrl.Add(1)
+		e.ctrlQ = append(e.ctrlQ, f)
+		e.nCtrl.Add(1)
 	default:
-		s.bulkQ = append(s.bulkQ, f)
-		s.nBulk.Add(1)
+		e.bulkQ = append(e.bulkQ, f)
+		e.nBulk.Add(1)
 	}
-	s.ctr.ReactiveFrames++
-	s.mu.Unlock()
+	e.ctr.ReactiveFrames++
+	e.smu.Unlock()
 }
 
 // onRdvGrant fires when a CTS arrives for a rendezvous this node started:
@@ -181,12 +180,11 @@ func (e *Engine) onRdvGrant(token uint64, p *packet.Packet) {
 	}
 	rdata := e.rdvS.BuildRData(token)
 	ctrl := rdata.Ctrl // the frame is a pump's to post and recycle once queued
-	s := e.shardOf(rdata.Dst)
-	s.mu.Lock()
-	s.bulkQ = append(s.bulkQ, rdata)
-	s.nBulk.Add(1)
-	s.ctr.RdvGranted++
-	s.mu.Unlock()
+	e.smu.Lock()
+	e.bulkQ = append(e.bulkQ, rdata)
+	e.nBulk.Add(1)
+	e.ctr.RdvGranted++
+	e.smu.Unlock()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindRdv, Node: e.node,
 		Flow: ctrl.Flow, Seq: ctrl.Seq, A: ctrl.Size, Note: "granted",
@@ -211,20 +209,19 @@ func (e *Engine) railInfo(ri int) strategy.RailInfo {
 	return strategy.RailInfo{Index: ri, Count: len(e.rails), Caps: e.rails[ri].Caps()}
 }
 
-// pumpReactiveLocked tries to occupy (rail ri, channel ch) with this
-// shard's latency-critical traffic: a control frame if the class policy
-// admits control here, else a failover re-post. Returns whether a frame
-// was posted. Caller holds s.mu (under the owning chanPump).
-func (s *shard) pumpReactiveLocked(b *strategy.Bundle, ri, ch int) bool {
-	e := s.eng
+// pumpReactiveLocked tries to occupy (rail ri, channel ch) with
+// latency-critical traffic: a control frame if the class policy admits
+// control here, else a failover re-post. Returns whether a frame was
+// posted. Caller holds smu (under the owning chanPump).
+func (e *Engine) pumpReactiveLocked(b *strategy.Bundle, ri, ch int) bool {
 	numCh := e.rails[ri].NumChannels()
 	// Control/signalling first: tiny, never queues behind data if the
-	// class policy admits it here. The probe packet is shard-owned
+	// class policy admits it here. The probe packet is engine-owned
 	// scratch: policies only read it.
 	if b.Classes.Allowed(packet.ClassControl, ch, numCh) {
-		if b.Rail.Eligible(&s.ctrlProbe, e.railInfo(ri)) {
-			if f := s.popFrameLocked(&s.ctrlQ, &s.nCtrl); f != nil {
-				s.postLocked(ri, ch, f, nil, 0)
+		if b.Rail.Eligible(&e.ctrlProbe, e.railInfo(ri)) {
+			if f := e.popFrameLocked(&e.ctrlQ, &e.nCtrl); f != nil {
+				e.postLocked(ri, ch, f, nil, 0)
 				return true
 			}
 		}
@@ -236,13 +233,12 @@ func (s *shard) pumpReactiveLocked(b *strategy.Bundle, ri, ch int) bool {
 	// reclaimed frames ahead of same-flow frames still in the backlog:
 	// the reassembler tolerates reordering, but the failover queue
 	// clearing first keeps recovery from queueing behind new plans.
-	return s.pumpFailoverLocked(b, ri, ch)
+	return e.pumpFailoverLocked(b, ri, ch)
 }
 
-// pumpWorkLocked tries to occupy (rail ri, channel ch) with this shard's
-// planned work, alternating fairly between the eager backlog and granted
-// bulk. Returns whether a frame was posted. Caller holds s.mu (under the
-// owning chanPump).
+// pumpWorkLocked tries to occupy (rail ri, channel ch) with planned work,
+// alternating fairly between the eager backlog and granted bulk. Returns
+// whether a frame was posted. Caller holds smu (under the owning chanPump).
 //
 // idleUpcall distinguishes a genuine NIC-idle activation from an
 // opportunistic pump (after a received frame, a policy switch, ...). An
@@ -252,10 +248,10 @@ func (s *shard) pumpReactiveLocked(b *strategy.Bundle, ri, ch int) bool {
 // never against a genuine idle upcall: per the paper, the moment a send
 // channel becomes free the optimizer runs with whatever accumulated.
 // Control and granted-bulk frames are never held.
-func (s *shard) pumpWorkLocked(b *strategy.Bundle, ri, ch int, idleUpcall, favorBulk bool) bool {
-	holdBacklog := s.nagleArmed && !idleUpcall
-	tryBacklog := func() bool { return !holdBacklog && s.pumpBacklogLocked(b, ri, ch) }
-	tryBulk := func() bool { return s.pumpBulkLocked(b, ri, ch) }
+func (e *Engine) pumpWorkLocked(b *strategy.Bundle, ri, ch int, idleUpcall, favorBulk bool) bool {
+	holdBacklog := e.nagleArmed && !idleUpcall
+	tryBacklog := func() bool { return !holdBacklog && e.pumpBacklogLocked(b, ri, ch) }
+	tryBulk := func() bool { return e.pumpBulkLocked(b, ri, ch) }
 	first, second := tryBacklog, tryBulk
 	if favorBulk {
 		first, second = tryBulk, tryBacklog
@@ -299,40 +295,38 @@ func (e *Engine) railReaches(ri int, peer packet.NodeID) bool {
 // but the rail policy is bypassed — its preferred rail for the frame is
 // exactly the one that died — and rails that do not reach the frame's
 // destination are skipped. Frames nothing currently reaches stay queued for
-// a heal. Caller holds s.mu.
-func (s *shard) pumpFailoverLocked(b *strategy.Bundle, ri, ch int) bool {
-	if len(s.failQ) == 0 {
+// a heal. Caller holds smu.
+func (e *Engine) pumpFailoverLocked(b *strategy.Bundle, ri, ch int) bool {
+	if len(e.failQ) == 0 {
 		return false
 	}
-	e := s.eng
 	numCh := e.rails[ri].NumChannels()
-	for i, f := range s.failQ {
+	for i, f := range e.failQ {
 		if !b.Classes.Allowed(frameClass(f), ch, numCh) {
 			continue
 		}
 		if !e.railReaches(ri, f.Dst) {
 			continue
 		}
-		s.failQ = append(s.failQ[:i], s.failQ[i+1:]...)
-		s.nFail.Add(-1)
-		s.ctr.Failovers++
+		e.failQ = append(e.failQ[:i], e.failQ[i+1:]...)
+		e.nFail.Add(-1)
+		e.ctr.Failovers++
 		e.rec.Record(trace.Event{
 			At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 			A: ri, B: f.WireSize(), Note: "failover:" + f.Kind.String(),
 		})
-		s.postLocked(ri, ch, f, nil, 0)
+		e.postLocked(ri, ch, f, nil, 0)
 		return true
 	}
 	return false
 }
 
 // pumpBulkLocked posts the first bulk frame admitted on this channel.
-// Caller holds s.mu.
-func (s *shard) pumpBulkLocked(b *strategy.Bundle, ri, ch int) bool {
-	e := s.eng
+// Caller holds smu.
+func (e *Engine) pumpBulkLocked(b *strategy.Bundle, ri, ch int) bool {
 	info := e.railInfo(ri)
 	numCh := e.rails[ri].NumChannels()
-	for i, f := range s.bulkQ {
+	for i, f := range e.bulkQ {
 		class := frameClass(f)
 		if !b.Classes.Allowed(class, ch, numCh) {
 			continue
@@ -340,41 +334,39 @@ func (s *shard) pumpBulkLocked(b *strategy.Bundle, ri, ch int) bool {
 		// The probe carries the transfer's full identity (flow, msg,
 		// fragment seq) so striping rail policies can spread distinct bulk
 		// transfers across rails while keeping each transfer's placement
-		// stable. It is shard-owned scratch: policies only read it.
-		s.bulkProbe = packet.Packet{Class: class, Flow: f.Ctrl.Flow, Msg: f.Ctrl.Msg, Seq: f.Ctrl.Seq}
-		if !b.Rail.Eligible(&s.bulkProbe, info) {
+		// stable. It is engine-owned scratch: policies only read it.
+		e.bulkProbe = packet.Packet{Class: class, Flow: f.Ctrl.Flow, Msg: f.Ctrl.Msg, Seq: f.Ctrl.Seq}
+		if !b.Rail.Eligible(&e.bulkProbe, info) {
 			continue
 		}
 		if !e.railReaches(ri, f.Dst) {
 			continue
 		}
-		s.bulkQ = append(s.bulkQ[:i], s.bulkQ[i+1:]...)
-		s.nBulk.Add(-1)
-		s.postLocked(ri, ch, f, nil, 0)
+		e.bulkQ = append(e.bulkQ[:i], e.bulkQ[i+1:]...)
+		e.nBulk.Add(-1)
+		e.postLocked(ri, ch, f, nil, 0)
 		return true
 	}
 	return false
 }
 
-// pumpBacklogLocked runs the plan builder over the shard's eligible backlog
-// view. The view and the plan live only for this pump — the plan may sit in
-// the context's scratch, which the shard's next Build overwrites — and
-// builders must not retain the view or the context past Build. Caller
-// holds s.mu.
-func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
-	e := s.eng
+// pumpBacklogLocked runs the plan builder over the eligible backlog view.
+// The view and the plan live only for this pump — the plan may sit in the
+// context's scratch, which the next Build overwrites — and builders must
+// not retain the view or the context past Build. Caller holds smu.
+func (e *Engine) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 	r := e.rails[ri]
 	info := e.railInfo(ri)
 	numCh := r.NumChannels()
 	tun := e.tun.Load()
 
-	view := s.eligibleLocked(b, info, ch, numCh, tun.lookahead)
+	view := e.eligibleLocked(b, info, ch, numCh, tun.lookahead)
 	if len(view) == 0 {
 		return false
 	}
 	// Field by field: the context outlives the pump because it carries the
 	// builders' plan scratch from one Build to the next.
-	ctx := &s.planCtx
+	ctx := &e.planCtx
 	ctx.Now = e.rt.Now()
 	ctx.Caps = r.Caps()
 	ctx.Mem = r.Mem()
@@ -387,31 +379,30 @@ func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 	if !packet.OrderedSubset(plan.Packets) {
 		panic(fmt.Sprintf("core: strategy %q produced an order-violating plan", b.Builder.Name()))
 	}
-	s.takenScratch = s.backlog.removePlan(plan.Packets, s.takenScratch[:0])
+	e.takenScratch = e.backlog.removePlan(plan.Packets, e.takenScratch[:0])
 	taken := int64(len(plan.Packets))
-	s.nBacklog.Add(-taken)
 	e.backlogSz.Add(-taken)
-	// Return the plan's packets to their tenants: the shard's service
-	// shares and the engine-level backlog quotas both release here, the
-	// single point where packets leave the backlog index.
+	// Return the plan's packets to their tenants: the service shares and
+	// the backlog quotas both release here, the single point where packets
+	// leave the backlog index.
 	adm := e.adm.Load()
 	for _, p := range plan.Packets {
-		if s.tenantCount[p.Tenant] > 0 {
-			s.tenantCount[p.Tenant]--
-			if s.tenantCount[p.Tenant] == 0 {
-				s.tenantActive--
+		if e.tenantCount[p.Tenant] > 0 {
+			e.tenantCount[p.Tenant]--
+			if e.tenantCount[p.Tenant] == 0 {
+				e.tenantActive--
 			}
 		}
 		if adm != nil {
 			adm.releaseBacklog(p.Tenant)
 		}
 	}
-	if s.backlog.size == 0 && s.nagleArmed {
+	if e.backlog.size == 0 && e.nagleArmed {
 		// The idle path drained everything the delay was holding; retire
 		// the timer silently (neither a fire nor an early flush — the
 		// packets left through a genuine idle upcall, so the delay was
 		// neither pure latency nor pressure-cut).
-		s.disarmNagleLocked()
+		e.disarmNagleLocked()
 	}
 
 	// The frame is pooled: on wire rails the owner goroutine releases it
@@ -432,7 +423,7 @@ func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 			e.spans.Observe(int(SpanQueueWait), int(p.Class), ri, float64(ctx.Now.Sub(p.Enqueued)))
 		}
 	}
-	s.postLocked(ri, ch, f, plan.Packets, plan.HostExtra)
+	e.postLocked(ri, ch, f, plan.Packets, plan.HostExtra)
 
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindPlan, Node: e.node,
@@ -446,26 +437,23 @@ func (s *shard) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 		e.hPlanScore.Add(float64(plan.Score))
 	}
 	if len(plan.Packets) > 1 {
-		s.ctr.Aggregates++
-		s.ctr.AggregatedPackets += uint64(len(plan.Packets))
+		e.ctr.Aggregates++
+		e.ctr.AggregatedPackets += uint64(len(plan.Packets))
 	}
 	return true
 }
 
-// eligibleLocked builds the shard's backlog view for one (rail, channel):
-// packets admitted by the rail and class policies, in submission order, up
-// to the lookahead window. The backlog index lets the uniform filters act
-// on whole queues — a class the channel refuses, a destination the rail
-// lost — while the per-packet rail policy runs only on merge survivors.
-// The merge is by SubmitSeq, the engine-global submission order, so with
-// one shard the view is exactly the submission-order scan of the old flat
-// backlog, and with many shards each view is the submission-order scan of
-// that shard's destinations. The returned slice is shard-owned scratch,
-// valid until the shard's next pump. Caller holds s.mu.
-func (s *shard) eligibleLocked(b *strategy.Bundle, info strategy.RailInfo, ch, numCh, limit int) []*packet.Packet {
-	e := s.eng
-	view := s.viewScratch[:0]
-	cur := s.curScratch[:0]
+// eligibleLocked builds the backlog view for one (rail, channel): packets
+// admitted by the rail and class policies, in submission order, up to the
+// lookahead window. The backlog index lets the uniform filters act on
+// whole queues — a class the channel refuses, a destination the rail lost
+// — while the per-packet rail policy runs only on merge survivors. The
+// merge is by SubmitSeq, so the view is exactly a submission-order scan of
+// the whole backlog. The returned slice is engine-owned scratch, valid
+// until the next pump. Caller holds smu.
+func (e *Engine) eligibleLocked(b *strategy.Bundle, info strategy.RailInfo, ch, numCh, limit int) []*packet.Packet {
+	view := e.viewScratch[:0]
+	cur := e.curScratch[:0]
 	// Weighted per-tenant service: with admission enabled and more than
 	// one tenant waiting, no tenant may fill more than its fair share of
 	// a bounded lookahead window. The merge stays in SubmitSeq order and a
@@ -474,16 +462,16 @@ func (s *shard) eligibleLocked(b *strategy.Bundle, info strategy.RailInfo, ch, n
 	// skips. With one tenant — or no quota table — the cap is off and the
 	// view is byte-identical to the unweighted scan.
 	perTenant := 0
-	if limit > 0 && s.tenantActive > 1 && e.adm.Load() != nil {
-		perTenant = limit / s.tenantActive
+	if limit > 0 && e.tenantActive > 1 && e.adm.Load() != nil {
+		perTenant = limit / e.tenantActive
 		if perTenant < 1 {
 			perTenant = 1
 		}
-		for i := range s.tenantTaken {
-			s.tenantTaken[i] = 0
+		for i := range e.tenantTaken {
+			e.tenantTaken[i] = 0
 		}
 	}
-	for _, q := range s.backlog.list {
+	for _, q := range e.backlog.list {
 		if q.size() == 0 {
 			continue
 		}
@@ -519,24 +507,24 @@ func (s *shard) eligibleLocked(b *strategy.Bundle, info strategy.RailInfo, ch, n
 			continue
 		}
 		if perTenant > 0 {
-			if int(s.tenantTaken[p.Tenant]) >= perTenant {
+			if int(e.tenantTaken[p.Tenant]) >= perTenant {
 				continue
 			}
-			s.tenantTaken[p.Tenant]++
+			e.tenantTaken[p.Tenant]++
 		}
 		view = append(view, p)
 		if limit > 0 && len(view) >= limit {
 			break
 		}
 	}
-	s.viewScratch = view[:0]
-	s.curScratch = cur[:0]
+	e.viewScratch = view[:0]
+	e.curScratch = cur[:0]
 	return view
 }
 
 // popFrameLocked pops the oldest frame off q, keeping its work hint in
-// step. Caller holds s.mu.
-func (s *shard) popFrameLocked(q *[]*packet.Frame, hint *atomic.Int64) *packet.Frame {
+// step. Caller holds smu.
+func (e *Engine) popFrameLocked(q *[]*packet.Frame, hint *atomic.Int64) *packet.Frame {
 	if len(*q) == 0 {
 		return nil
 	}
@@ -557,16 +545,15 @@ func (s *shard) popFrameLocked(q *[]*packet.Frame, hint *atomic.Int64) *packet.F
 //
 // ErrPeerDown is the exception: real transports lose peers at any moment,
 // and the contract is that a dead destination releases rather than wedges.
-// The frame joins the shard's failover queue — to re-travel on a rail that
+// The frame joins the failover queue — to re-travel on a rail that
 // still reaches the peer, or to wait out a partition until a heal — instead
-// of being dropped: the shard owns the frame until some rail accepts it.
+// of being dropped: the engine owns the frame until some rail accepts it.
 //
 // ErrClosed is the other one: teardown (a test's or a cluster's cleanup)
 // closes rails while pumps are mid-post. The rail is gone for good, so the
 // frame is released and the post counts for nothing.
-// Caller holds s.mu.
-func (s *shard) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, hostExtra simnet.Duration) {
-	e := s.eng
+// Caller holds smu.
+func (e *Engine) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, hostExtra simnet.Duration) {
 	// Ownership of f transfers to the driver at a successful Post: a wire
 	// rail's owner goroutine may serialize and release it concurrently
 	// with the accounting below, so everything the trace needs is read
@@ -579,9 +566,9 @@ func (s *shard) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, h
 	f.Posted = e.rt.Now()
 	if err := e.rails[ri].Post(ch, f, hostExtra); err != nil {
 		if errors.Is(err, drivers.ErrPeerDown) {
-			s.failQ = append(s.failQ, f)
-			s.nFail.Add(1)
-			s.ctr.PeerDownPosts++
+			e.failQ = append(e.failQ, f)
+			e.nFail.Add(1)
+			e.ctr.PeerDownPosts++
 			e.rec.Record(trace.Event{
 				At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 				A: ri, B: wire, Note: "requeue:peer-down",
@@ -594,11 +581,11 @@ func (s *shard) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, h
 		}
 		panic(fmt.Sprintf("core: post on %s ch%d failed: %v", e.rails[ri].Name(), ch, err))
 	}
-	s.ctr.FramesPosted++
-	s.railFrames[ri]++
+	e.ctr.FramesPosted++
+	e.railFrames[ri]++
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindPost, Node: e.node,
 		A: ri, B: wire, Note: kind.String(),
 	})
-	s.ctr.PacketsSent += uint64(len(pkts))
+	e.ctr.PacketsSent += uint64(len(pkts))
 }

@@ -69,8 +69,15 @@ func TestRetuneUnderLiveTraffic(t *testing.T) {
 	_ = mkEngine(1, recv)
 	sender := mkEngine(0, func(proto.Deliverable) {})
 
+	// The senders start only after the tuner's first retune: 400 packets
+	// can drain before a loaded scheduler ever runs the tuner goroutine.
 	var retunes atomic.Int64
-	sender.SetRetuneObserver(func(RetuneEvent) { retunes.Add(1) })
+	firstRetune := make(chan struct{})
+	sender.SetRetuneObserver(func(RetuneEvent) {
+		if retunes.Add(1) == 1 {
+			close(firstRetune)
+		}
+	})
 
 	// The tuner: churn every knob as fast as possible until the traffic
 	// completes, reading the metrics surface between writes exactly as a
@@ -120,6 +127,7 @@ func TestRetuneUnderLiveTraffic(t *testing.T) {
 		}
 	}()
 
+	<-firstRetune
 	var wg sync.WaitGroup
 	for f := 1; f <= flows; f++ {
 		f := f

@@ -10,8 +10,7 @@ import (
 // third traffic class the paper names; middlewares (the DSM in particular)
 // use these instead of packet flows when they want one-sided semantics.
 // The RMA protocol engine is receive-side state, so it lives under pmu;
-// the frames it builds are send-side work and join the destination
-// shard's bulk queue.
+// the frames it builds are send-side work and join the bulk queue.
 
 // RegisterWindow exposes buf to remote put/get under window id.
 func (e *Engine) RegisterWindow(id int32, buf []byte) {
@@ -39,12 +38,11 @@ func (e *Engine) Put(dst packet.NodeID, window int32, off int64, data []byte, do
 		wrapped = func() { e.pendingFns = append(e.pendingFns, done) }
 	}
 	f := e.rma.Put(dst, window, off, data, wrapped)
-	s := e.shardOf(dst)
-	s.mu.Lock()
-	s.bulkQ = append(s.bulkQ, f)
-	s.nBulk.Add(1)
-	s.ctr.RMAPuts++
-	s.mu.Unlock()
+	e.smu.Lock()
+	e.bulkQ = append(e.bulkQ, f)
+	e.nBulk.Add(1)
+	e.ctr.RMAPuts++
+	e.smu.Unlock()
 	e.pmu.Unlock()
 	e.pumpAll()
 	return nil
@@ -67,12 +65,11 @@ func (e *Engine) Get(dst packet.NodeID, window int32, off int64, n int, done fun
 		e.pendingFns = append(e.pendingFns, func() { done(data) })
 	}
 	f := e.rma.Get(dst, window, off, n, wrapped)
-	s := e.shardOf(dst)
-	s.mu.Lock()
-	s.bulkQ = append(s.bulkQ, f)
-	s.nBulk.Add(1)
-	s.ctr.RMAGets++
-	s.mu.Unlock()
+	e.smu.Lock()
+	e.bulkQ = append(e.bulkQ, f)
+	e.nBulk.Add(1)
+	e.ctr.RMAGets++
+	e.smu.Unlock()
 	e.pmu.Unlock()
 	e.pumpAll()
 	return nil

@@ -17,24 +17,18 @@ import (
 	"newmad/internal/strategy"
 )
 
-// Sharded-engine battery. The shard count must be invisible to every
-// correctness property: exactly-once in-order delivery, determinism under
-// the simulated runtime, and data-race freedom when Submit, metrics
-// snapshots, retuning, Flush and Close all run concurrently against the
-// wall clock.
+// Send-side battery: exactly-once in-order delivery across many
+// destinations, determinism under the simulated runtime, and data-race
+// freedom when Submit, metrics snapshots, retuning, Flush and Close all run
+// concurrently against the wall clock.
 
 // TestShardedExactlyOnceSim runs crisscross traffic (every node sends one
-// flow to every other node) through four-shard engines on the simulator
-// and checks per-flow in-order exactly-once delivery at every receiver.
+// flow to every other node) through 8 engines on the simulator and checks
+// per-flow in-order exactly-once delivery at every receiver.
 func TestShardedExactlyOnceSim(t *testing.T) {
 	const nodes = 8
 	const perFlow = 12
-	tn := newNet(t, nodes, "aggregate", func(o *Options) { o.Shards = 4 })
-	for _, eng := range tn.engines {
-		if got := eng.Shards(); got != 4 {
-			t.Fatalf("engine reports %d shards, want 4", got)
-		}
-	}
+	tn := newNet(t, nodes, "aggregate", nil)
 	flow := func(src, dst int) packet.FlowID {
 		return packet.FlowID(src*nodes + dst + 1)
 	}
@@ -72,15 +66,14 @@ func TestShardedExactlyOnceSim(t *testing.T) {
 	}
 }
 
-// TestShardedDeterminism pins that a sharded engine stays bit-for-bit
-// deterministic under the single-goroutine simulator: the shards partition
-// state, not control flow, so two identical runs must produce identical
+// TestShardedDeterminism pins that engines with Nagle delays armed and
+// fired across six destinations stay bit-for-bit deterministic under the
+// single-goroutine simulator: two identical runs must produce identical
 // delivery transcripts.
 func TestShardedDeterminism(t *testing.T) {
 	digest := func() string {
 		const nodes = 6
 		tn := newNet(t, nodes, "aggregate", func(o *Options) {
-			o.Shards = 4
 			o.NagleDelay = 2 * simnet.Microsecond
 		}, singleChanMX())
 		for s := 0; s < 10; s++ {
@@ -106,26 +99,23 @@ func TestShardedDeterminism(t *testing.T) {
 		t.Fatal("empty transcript")
 	}
 	if second := digest(); second != first {
-		t.Fatalf("sharded sim diverged between identical runs:\n run1: %s\n run2: %s", first, second)
+		t.Fatalf("sim diverged between identical runs:\n run1: %s\n run2: %s", first, second)
 	}
 }
 
 // TestShardedLoopbackRace is the wall-clock concurrency battery: over real
-// TCP sockets, concurrent submitters to several destinations race metrics
-// snapshots, rail-weight retunes, SetNagle and Flush, and the test ends
-// with Close racing Submit. Run under -race this exercises every lock tier
-// at once: shard locks, channel pumps, the protocol mutex, and the atomic
-// tuning/bundle swaps. The one-shard run puts all eight submitters, the
-// retuners and Close on a single shard.mu — the layout every simulation
-// and testnet runs.
+// TCP sockets, eight concurrent submitters — flows 1–4 to node 1, 5–8 to
+// node 2 — race metrics snapshots, rail-weight retunes, SetNagle and
+// Flush, and the test ends with Close racing Submit. Run under -race this
+// exercises every lock at once: the send lock, channel pumps, the protocol
+// mutex, and the atomic tuning/bundle swaps. The engine has a single send
+// side, so the one arm is the one-shard layout.
 func TestShardedLoopbackRace(t *testing.T) {
-	t.Run("shards=4", func(t *testing.T) { shardedLoopbackRace(t, 4, 6) })
-	t.Run("shards=1", func(t *testing.T) { shardedLoopbackRace(t, 1, 8) })
+	t.Run("shards=1", shardedLoopbackRace)
 }
 
-// shardedLoopbackRace runs the battery on a sender with the given shard
-// count: flows 1..flows/2 go to node 1, the rest to node 2.
-func shardedLoopbackRace(t *testing.T, shards, flows int) {
+func shardedLoopbackRace(t *testing.T) {
+	const flows = 8
 	nodes, cleanup, err := drivers.NewMeshCluster(3, caps.TCP)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +146,6 @@ func shardedLoopbackRace(t *testing.T, shards, flows int) {
 			Runtime:    rt,
 			Rails:      []drivers.Driver{nodes[n]},
 			Deliver:    deliver,
-			Shards:     shards,
 			NagleDelay: simnet.FromWall(100 * time.Microsecond),
 		})
 		if err != nil {
@@ -193,10 +182,6 @@ func shardedLoopbackRace(t *testing.T, shards, flows int) {
 			default:
 			}
 			sender.MetricsInto(&scratch)
-			if scratch.Shards != shards {
-				t.Errorf("snapshot Shards = %d, want %d", scratch.Shards, shards)
-				return
-			}
 		}
 	}()
 	go func() { // rail-weight retunes

@@ -150,7 +150,7 @@ func TestRdvRetryStaleFireInert(t *testing.T) {
 }
 
 // TestCloseCancelsAllTimers pins Engine.Close timer hygiene: every armed
-// timer — the per-shard Nagle delays and all rendezvous retries — is
+// timer — the Nagle delay and all rendezvous retries — is
 // cancelled under its owning lock, and a callback that was already in
 // flight when Close ran (cancel-too-late) finds the engine inert.
 func TestCloseCancelsAllTimers(t *testing.T) {
@@ -204,7 +204,7 @@ func TestCloseCancelsAllTimers(t *testing.T) {
 }
 
 // TestNagleStaleFireInert pins the same generation discipline on the
-// per-shard Nagle timer: a fire that lost the race against a disarm (Flush
+// Nagle timer: a fire that lost the race against a disarm (Flush
 // here) must not flush a delay armed afterwards.
 func TestNagleStaleFireInert(t *testing.T) {
 	rt := &hostileRuntime{}

@@ -13,7 +13,6 @@ import (
 	"newmad/internal/core"
 	"newmad/internal/packet"
 	"newmad/internal/proto"
-	"newmad/internal/simnet"
 	"newmad/internal/stats"
 	"newmad/internal/telemetry"
 	"newmad/internal/trace"
@@ -27,13 +26,12 @@ import (
 // workload (small streams + rendezvous bulks, both directions) between two
 // 2-rail nodes while a seed-generated script of rolling rail flaps plays
 // out underneath, a third node's background traffic gets cut off by a
-// scripted crash, and the chaos injectors drop a fraction of the
-// rendezvous control frames. The measured claims:
+// scripted crash, and the chaos injectors are armed to drop a fraction of
+// any rendezvous control frames. The measured claims:
 //
 //   - exactly-once: every payload between the surviving nodes is delivered
 //     exactly once — failover re-routes frames reclaimed from dead rails,
-//     the rendezvous retry re-sends lost control frames, and the
-//     reassembler's dedupe absorbs the ambiguous re-sends;
+//     and the reassembler's dedupe absorbs the ambiguous re-sends;
 //   - graceful degradation: the run completes in bounded wall-clock time
 //     despite the fault schedule;
 //   - replayability: the executed fault schedule is identical,
@@ -132,17 +130,16 @@ func X5Chaos(cfg Config) (X5Result, error) {
 	var downs atomic.Int64
 
 	opts := cluster.Options{
-		Nodes:       3,
-		Rails:       x5Rails(),
-		TraceRing:   512, // flight recorders: the anomaly spool's evidence
-		RdvRetry:    simnet.FromWall(40 * time.Millisecond),
-		RdvRetryMax: 10,
+		Nodes:     3,
+		Rails:     x5Rails(),
+		TraceRing: 512, // flight recorders: the anomaly spool's evidence
 		Chaos: &cluster.ChaosPlan{
 			Seed: cfg.Seed,
 			Rules: []chaos.Rule{
-				// Recoverable by design: the rendezvous retry re-sends RTS,
-				// the receiver re-answers CTS. Data frames stay untouched —
-				// nothing retransmits a silently dropped payload.
+				// Socket rails land frames, so rendezvous is one direct
+				// RData and no RTS/CTS crosses them: this rule finds nothing
+				// to drop. Data frames stay untouched — nothing retransmits
+				// a silently dropped payload.
 				{Kind: chaos.Drop, Prob: 0.15,
 					Frames: []packet.FrameKind{packet.FrameRTS, packet.FrameCTS}},
 			},

@@ -59,7 +59,7 @@ func (d *gatedSink) Post(ch int, f *packet.Frame, _ simnet.Duration) error {
 	return nil
 }
 
-// retuneHarness is a 4-shard engine over two gated rails — "lo", the
+// retuneHarness is an engine over two gated rails — "lo", the
 // low-latency rail every small aggregate is structurally eligible for, and
 // "fat", a higher-bandwidth rail with a tighter eager cap — scheduled by
 // the weight-tunable ScheduledRail (the controller's retune target).
@@ -103,7 +103,6 @@ func newRetuneHarness(tb testing.TB) *retuneHarness {
 		Runtime: simnet.NewRealRuntime(),
 		Rails:   []drivers.Driver{h.lo, h.fat},
 		Deliver: func(proto.Deliverable) {},
-		Shards:  4,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -116,11 +115,11 @@ func newRetuneHarness(tb testing.TB) *retuneHarness {
 
 // fill queues `pinned` aggregates that only the (busy) low-latency rail can
 // ever carry — their size exceeds the fat rail's eager cap, so no weight
-// update can move them — spread over shards 1 and 2, plus `affected` small
-// aggregates on shard 3 that the fat rail refuses only because its weight
-// is zero. Both gates are closed during the fill, so nothing drains; the
-// fat rail's gate opens afterwards, so every later pump scans the whole
-// backlog on its behalf.
+// update can move them — spread over destinations 1 and 2, plus `affected`
+// small aggregates to destination 3 that the fat rail refuses only because
+// its weight is zero. Both gates are closed during the fill, so nothing
+// drains; the fat rail's gate opens afterwards, so every later pump scans
+// the whole backlog on its behalf.
 func (h *retuneHarness) fill(tb testing.TB, pinned, affected int) {
 	tb.Helper()
 	h.lo.idle.Store(false)
@@ -224,7 +223,7 @@ func TestAllocsRailSchedEligible(t *testing.T) {
 // TestAllocsFlapRetune pins the weight delta itself to a small constant
 // allocation budget that does not scale with the backlog: the snapshot
 // build, the retune event note, and nothing per queued packet (the scan
-// runs entirely on reused shard scratch).
+// runs entirely on reused pump scratch).
 func TestAllocsFlapRetune(t *testing.T) {
 	h := newRetuneHarness(t)
 	defer h.eng.Close()

@@ -30,7 +30,7 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // A name is either stored — written through Counter or Histogram — or
 // served: computed at read time by a Reader registered with Serve, whose
 // owner keeps the storage (the engine's core.* counters live in its own
-// per-shard tallies and are only named here). Gauges are always served.
+// tallies and are only named here). Gauges are always served.
 // CounterValue, Gauge and Dump resolve both; Names lists what the Set
 // itself stores.
 type Set struct {
@@ -54,7 +54,7 @@ func (s *Set) Serve(r Reader) {
 }
 
 // served runs every reader and merges what they report. Readers run outside
-// s.mu: a reader takes its owner's locks (an engine's shard.mu, pmu), and
+// s.mu: a reader takes its owner's locks (an engine's smu and pmu), and
 // those rank above this leaf mutex — code holding them writes stored
 // counters and histograms.
 func (s *Set) served() (ctrs map[string]uint64, gauges map[string]float64) {

@@ -17,7 +17,7 @@ import (
 // (count/sum/min/max) alongside for precise means. The zero value is ready
 // to use.
 //
-// All methods are safe for concurrent use: the sharded engine core records
+// All methods are safe for concurrent use: the engine core records
 // plan and delivery latencies from several pump goroutines at once while
 // reporting code reads quantiles, so every access is serialized on an
 // internal mutex. Merge snapshots its argument before locking the

@@ -34,11 +34,11 @@ type Context struct {
 	Caps caps.Caps
 	Mem  memsim.Model
 	// Backlog is the view of waiting packets eligible for this NIC, in
-	// submission order. Builders must not mutate it. On a sharded engine
-	// this is one shard's eligible view, not the whole node's: the engine
-	// shards by destination, so everything aggregatable into one frame
-	// (one destination's flows) is always visible together, and a builder
-	// never needs to look past the slice it was given.
+	// submission order. Builders must not mutate it. It is the node's whole
+	// eligible backlog up to the lookahead window, so everything
+	// aggregatable into one frame (one destination's flows) is visible
+	// together, and a builder never needs to look past the slice it was
+	// given.
 	Backlog []*packet.Packet
 	// Budget bounds how many candidate arrangements the builder may
 	// evaluate (the paper's future-work question, reproduced by E6).
@@ -46,7 +46,7 @@ type Context struct {
 	Budget int
 
 	// plan is builder scratch, see scratchPlan. A Context that is reused
-	// across Builds (the engine keeps one per pump shard) carries it along;
+	// across Builds (the engine keeps one for all its pumps) carries it along;
 	// the exported fields are set per Build.
 	plan Plan
 }
@@ -55,7 +55,7 @@ type Context struct {
 // return it from Build instead of allocating a plan and a packet slice per
 // call; the plan is then valid only until the next Build with the same
 // Context. That is all the engine needs: a pump consumes its plan under the
-// shard lock before that shard builds again, and nothing keeps plan.Packets
+// send lock before the next pump builds again, and nothing keeps plan.Packets
 // past the post. Never alias the backlog through it (append copies) — the
 // next builder to run on this Context writes into the same backing array.
 func (c *Context) scratchPlan() *Plan {

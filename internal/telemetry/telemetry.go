@@ -5,10 +5,10 @@
 // stats.Histogram.Merge), and exposes it all over HTTP as Prometheus text
 // and JSON alongside net/http/pprof and expvar (http.go, prom.go).
 //
-// The division of labor with the datapath: engines observe into sharded
-// stats.Spans cells (internal/core) and never format anything; this
+// The division of labor with the datapath: engines observe into per-cell
+// stats.Spans histograms (internal/core) and never format anything; this
 // package does all naming, quantile math and serialization at scrape
-// time, outside the engine lock.
+// time, outside the engine locks.
 package telemetry
 
 import (
@@ -240,10 +240,6 @@ type FleetTotals struct {
 	Failovers       uint64 `json:"failovers"`
 	RdvRetries      uint64 `json:"rdv_retries"`
 	RailDowns       uint64 `json:"rail_downs"`
-	// PumpShards sums the engines' pump-shard counts, so a fleet mixing
-	// sharded wall-clock nodes with serialized sim nodes is legible from
-	// the roll-up alone (per-node counts are in each NodeSnapshot).
-	PumpShards uint64 `json:"pump_shards"`
 }
 
 func (t *FleetTotals) add(m *core.Metrics) {
@@ -262,7 +258,6 @@ func (t *FleetTotals) add(m *core.Metrics) {
 	for _, d := range m.RailDowns {
 		t.RailDowns += d
 	}
-	t.PumpShards += uint64(m.Shards)
 }
 
 // RoleRollup is one role's merged view: summed totals plus per-span
