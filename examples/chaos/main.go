@@ -2,12 +2,15 @@
 //
 // Three nodes, two wire-paced TCP rails each, carry a conglomerate
 // workload while a scripted scenario — generated from a seed — rolls rail
-// flaps across the surviving pair and crashes the bystander node mid-run,
-// and the frame-level injectors drop a fraction of the rendezvous control
-// frames. The engines fight back with the machinery this repository's
-// chaos subsystem added: frames reclaimed from dead connections fail over
-// onto surviving rails, lost RTS/CTS frames are re-sent by the rendezvous
-// retry, and the reassembler's sequence dedupe keeps delivery exactly-once.
+// flaps across the surviving pair and crashes the bystander node mid-run.
+// The frame-level injectors carry a drop rule for rendezvous control
+// frames, but socket rails send none: a rendezvous payload leaves as one
+// direct RData frame. The engines fight back with the machinery this
+// repository's chaos subsystem added: frames reclaimed from dead
+// connections — a direct RData caught on a dying rail included — fail over
+// onto surviving rails, work the rail policy placed on a rail that lost its
+// peer is taken by a rail that still reaches it, and the reassembler's
+// sequence dedupe keeps delivery exactly-once.
 //
 // The run prints the executed fault schedule (identical on every run with
 // the same -seed — that is the point) and the recovery accounting.

@@ -44,13 +44,9 @@ func runViewTraffic(t *testing.T, telemetryOn bool) *Cluster {
 			}
 		}
 		if i == perSide/2 {
+			// Severed for good: work striped onto rail 0 falls through to
+			// rail 1 in the pump.
 			c.Nodes[0].Rails[0].BreakPeer(1)
-			// What the rail-health controller does for a rail that stays
-			// down: take it out of the stripe set, or bulk placed on it
-			// waits for a heal that never comes.
-			for n := packet.NodeID(0); n < 2; n++ {
-				c.Engine(n).SetRailWeights([]float64{0, 1})
-			}
 		}
 	}
 	deadline := time.Now().Add(30 * time.Second)

@@ -87,22 +87,6 @@ type Options struct {
 	// Initial is the mode applied at Start (default ModeBalanced).
 	Initial Mode
 
-	// DemoteLossyRails enables the rail-health loop: a rail whose peer-down
-	// count grew since the previous sample is demoted — its scheduling
-	// weight driven to zero through the engine's rail-weight knob, draining
-	// new traffic off the flapping connection — and restored after
-	// RailHealSamples consecutive clean samples. Regime retunes and rail
-	// demotion compose in a single write: a retune folds the demotion mask
-	// into its tuning's RailWeights before touching the engine, so a
-	// demoted rail can never resurface between health samples and a
-	// chaos-driven flap storm costs one cheap weight update per event.
-	// No-op on engines whose rail policy is not weight-tunable. Off by
-	// default.
-	DemoteLossyRails bool
-	// RailHealSamples is how many consecutive loss-free samples restore a
-	// demoted rail (default 8).
-	RailHealSamples int
-
 	// NominalQuotas enables the per-tenant quota loop (quota.go): each
 	// tenant's unconstrained operating point, seeded into the engine's
 	// admission table at Start and then retuned every tick by the
@@ -139,8 +123,8 @@ type Controller struct {
 	set *stats.Set
 
 	// Counter handles into set, resolved once.
-	cSamples, cHolds, cCooldownBlocks          *stats.Counter
-	cRetunes, cRailHealthEvents, cQuotaRetunes *stats.Counter
+	cSamples, cHolds, cCooldownBlocks *stats.Counter
+	cRetunes, cQuotaRetunes           *stats.Counter
 
 	// tickMu is held for the whole of each tick; Stop acquires it after
 	// setting closed, so Stop returning guarantees no in-flight tick will
@@ -172,13 +156,6 @@ type Controller struct {
 	cancel    simnet.CancelFunc
 	running   bool
 	closed    bool
-
-	// Rail-health state (DemoteLossyRails).
-	lastDowns   []uint64 // per-rail peer-down counts at the previous sample
-	demoted     []bool
-	cleanStreak []int
-	demotions   uint64
-	restores    uint64
 
 	// Quota-loop state (quota.go), guarded by mu.
 	qctl map[packet.TenantID]*tenantCtl
@@ -217,9 +194,6 @@ func New(o Options) (*Controller, error) {
 	if o.Initial == "" {
 		o.Initial = ModeBalanced
 	}
-	if o.RailHealSamples <= 0 {
-		o.RailHealSamples = 8
-	}
 	names := map[Mode]string{
 		ModeLatency:    "latency",
 		ModeBalanced:   "balanced",
@@ -249,12 +223,11 @@ func New(o Options) (*Controller, error) {
 		o:   o,
 		set: set,
 
-		cSamples:          set.Counter("control.samples"),
-		cHolds:            set.Counter("control.holds"),
-		cCooldownBlocks:   set.Counter("control.cooldown_blocks"),
-		cRetunes:          set.Counter("control.retunes"),
-		cRailHealthEvents: set.Counter("control.rail_health_events"),
-		cQuotaRetunes:     set.Counter("control.quota_retunes"),
+		cSamples:        set.Counter("control.samples"),
+		cHolds:          set.Counter("control.holds"),
+		cCooldownBlocks: set.Counter("control.cooldown_blocks"),
+		cRetunes:        set.Counter("control.retunes"),
+		cQuotaRetunes:   set.Counter("control.quota_retunes"),
 
 		samp:    newSampler(int64(o.HalfLife), int64(8*o.Interval)),
 		mode:    o.Initial,
@@ -407,13 +380,6 @@ func (c *Controller) tick() {
 		})
 	}
 
-	if c.o.DemoteLossyRails {
-		// A regime retune already carried the demotion mask in its own
-		// composed weight write (c.apply); this pass only reacts to new
-		// demote/restore evidence in the sample.
-		c.railHealth(m)
-	}
-
 	if len(c.o.NominalQuotas) > 0 {
 		// Per-tenant constrained optimization: one multiplier-update step
 		// against this sample's tenant pressure (quota.go). Runs every
@@ -428,101 +394,6 @@ func (c *Controller) tick() {
 		c.cancel = c.rt.Schedule(c.o.Interval, "control.tick", c.tick)
 	}
 	c.mu.Unlock()
-}
-
-// railHealth is the lossy-rail demotion loop: one pass per sample. A rail
-// with new peer-down events since the last sample loses its scheduling
-// weight; RailHealSamples clean samples earn it back. It writes weights
-// only on an actual demote/restore event — regime retunes carry the
-// demotion mask themselves (composeRailWeights), so there is no window in
-// which a retune's weights resurrect a demoted rail.
-func (c *Controller) railHealth(m core.Metrics) {
-	c.mu.Lock()
-	if c.lastDowns == nil {
-		// Baseline at zero, where the engine's counters start: a rail that
-		// failed between engine creation and the first sample is still
-		// evidence, not history.
-		c.lastDowns = make([]uint64, len(m.RailDowns))
-		c.demoted = make([]bool, len(m.RailDowns))
-		c.cleanStreak = make([]int, len(m.RailDowns))
-	}
-	changed := false
-	var events []string
-	var restored []int
-	for i := range m.RailDowns {
-		if i >= len(c.lastDowns) {
-			break
-		}
-		if m.RailDowns[i] > c.lastDowns[i] {
-			c.cleanStreak[i] = 0
-			if !c.demoted[i] {
-				c.demoted[i] = true
-				c.demotions++
-				changed = true
-				events = append(events, fmt.Sprintf("rail %d demoted (+%d downs)", i, m.RailDowns[i]-c.lastDowns[i]))
-			}
-		} else if c.demoted[i] {
-			c.cleanStreak[i]++
-			if c.cleanStreak[i] >= c.o.RailHealSamples {
-				c.demoted[i] = false
-				c.cleanStreak[i] = 0
-				c.restores++
-				changed = true
-				restored = append(restored, i)
-				events = append(events, fmt.Sprintf("rail %d restored", i))
-			}
-		}
-		c.lastDowns[i] = m.RailDowns[i]
-	}
-	demoted := append([]bool(nil), c.demoted...)
-	c.mu.Unlock()
-
-	if !changed {
-		return
-	}
-	if len(events) > 0 {
-		c.cRailHealthEvents.Add(uint64(len(events)))
-	}
-	// Compose: start from the weights in effect (the tuning's operating
-	// point), zero the demoted rails, and hand just-restored rails back
-	// their capability default (-1 means "default" to the weight setter)
-	// rather than the zero this loop wrote earlier.
-	w, ok := c.eng.RailWeights()
-	if !ok {
-		return
-	}
-	for i := range w {
-		if i < len(demoted) && demoted[i] {
-			w[i] = 0
-		}
-	}
-	for _, i := range restored {
-		if i < len(w) {
-			w[i] = -1
-		}
-	}
-	c.eng.SetRailWeights(w)
-	for _, ev := range events {
-		c.o.Trace.Record(trace.Event{
-			At: m.Now, Kind: trace.KindFault, Node: c.eng.Node(), Note: "ctl " + ev,
-		})
-	}
-}
-
-// RailDemotions returns (demotions, restores) applied by the rail-health
-// loop.
-func (c *Controller) RailDemotions() (demotions, restores uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.demotions, c.restores
-}
-
-// DemotedRails returns a copy of the per-rail demotion flags (nil before
-// the first sample).
-func (c *Controller) DemotedRails() []bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]bool(nil), c.demoted...)
 }
 
 // classify maps evidence to a desired regime. The band between LoRate and
@@ -549,14 +420,6 @@ func (c *Controller) classify(sig Signals) Mode {
 // the controller uses — any knob added to strategy.Tuning is wired here
 // once.
 func Apply(eng *core.Engine, t strategy.Tuning) error {
-	return applyTuning(eng, t, nil)
-}
-
-// applyTuning is Apply with a rail-demotion mask: when the controller's
-// rail-health loop has rails demoted, their zeroes are folded into the
-// tuning's weight vector before it reaches the engine — one composed write,
-// no window in which the raw tuning weights resurrect a lossy rail.
-func applyTuning(eng *core.Engine, t strategy.Tuning, demoted []bool) error {
 	b, err := strategy.New(t.Bundle)
 	if err != nil {
 		return fmt.Errorf("control: tuning %q: %w", t.Name, err)
@@ -580,53 +443,19 @@ func applyTuning(eng *core.Engine, t strategy.Tuning, demoted []bool) error {
 	eng.SetNagle(t.NagleDelay, t.NagleFlushCount)
 	eng.SetSearchBudget(t.SearchBudget)
 	eng.SetRdvThreshold(t.RdvThreshold)
-	if w := composeRailWeights(t.RailWeights, demoted); w != nil {
-		eng.SetRailWeights(w)
+	// A tuning without RailWeights has no opinion: the weights in effect
+	// stay, since the tunable rail policy survives the bundle swap.
+	if len(t.RailWeights) > 0 {
+		eng.SetRailWeights(t.RailWeights)
 	}
 	return nil
 }
 
-// composeRailWeights merges a tuning's rail-weight operating point with the
-// rail-health demotion mask into the single vector actually written to the
-// engine. nil means "write nothing": a tuning without RailWeights has no
-// opinion, and the weights already in effect — demotion zeroes included,
-// since the tunable rail policy survives the bundle swap — stay as they
-// are. When the mask is longer than the tuning vector, missing entries are
-// -1 ("capability default") so a demotion beyond the tuning's horizon still
-// lands as an explicit zero.
-func composeRailWeights(tw []float64, demoted []bool) []float64 {
-	if len(tw) == 0 {
-		return nil
-	}
-	n := len(tw)
-	if len(demoted) > n {
-		n = len(demoted)
-	}
-	w := make([]float64, n)
-	for i := range w {
-		if i < len(tw) {
-			w[i] = tw[i]
-		} else {
-			w[i] = -1
-		}
-	}
-	for i, d := range demoted {
-		if d {
-			w[i] = 0
-		}
-	}
-	return w
-}
-
-// apply is Apply against the controller's own engine, with the current
-// rail-demotion mask composed into the tuning's weight write; tunings were
+// apply is Apply against the controller's own engine; tunings were
 // validated against the bundle registry at New, so a failure means the
 // bundle was unregistered mid-run — a programming error worth crashing on.
 func (c *Controller) apply(t strategy.Tuning) {
-	c.mu.Lock()
-	demoted := append([]bool(nil), c.demoted...)
-	c.mu.Unlock()
-	if err := applyTuning(c.eng, t, demoted); err != nil {
+	if err := Apply(c.eng, t); err != nil {
 		panic(err)
 	}
 }

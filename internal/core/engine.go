@@ -234,7 +234,7 @@ type Engine struct {
 	// pmu (send.go).
 	pmu       sync.Mutex
 	retuneObs func(RetuneEvent)
-	railDowns []uint64 // peer-down events per rail (lossy-rail evidence)
+	railDowns []uint64 // peer-down events per rail (newmad_rail_peer_downs_total)
 
 	// rdvTimers tracks the retry timer armed per outstanding rendezvous;
 	// rdvGen stamps each arming (see rdvTimer).
@@ -416,7 +416,8 @@ func (e *Engine) onFrameLoss(ri int, frames []*packet.Frame) {
 }
 
 // onPeerDown counts a rail-level peer failure and forwards it to the
-// observer. The count per rail is the controller's lossy-rail evidence.
+// observer. Telemetry exports the per-rail counts summed, as
+// newmad_rail_peer_downs_total.
 func (e *Engine) onPeerDown(ri int, peer packet.NodeID) {
 	if e.closed.Load() {
 		return
@@ -579,8 +580,6 @@ func (e *Engine) SetRailWeights(w []float64) bool {
 
 // RailWeights returns the per-rail scheduling weights currently in effect,
 // when the bundle's rail policy is weight-tunable; ok is false otherwise.
-// The controller's rail-demotion logic reads this to compose its zeroes
-// with whatever operating point the tuning established.
 func (e *Engine) RailWeights() (w []float64, ok bool) {
 	rs, tunable := e.bundle.Load().Rail.(strategy.RailWeightSetter)
 	if !tunable {

@@ -290,6 +290,29 @@ func (e *Engine) railReaches(ri int, peer packet.NodeID) bool {
 	return true
 }
 
+// railAdmits is the pump's rail rule: the rail policy's pick is a
+// preference, not a pin. p may travel on rail info.Index, which the caller
+// has found to reach p.Dst, when the policy picks that rail, or when the
+// policy picks some rail and none of its picks reaches p.Dst. So a rail that
+// lost its peer is routed around with no retune, a healed one takes its share
+// back at once, and a packet the policy admits on no rail at all stays put.
+func (e *Engine) railAdmits(b *strategy.Bundle, p *packet.Packet, info strategy.RailInfo) bool {
+	if b.Rail.Eligible(p, info) {
+		return true
+	}
+	picked := false
+	for i := range e.rails {
+		if i == info.Index || !b.Rail.Eligible(p, e.railInfo(i)) {
+			continue
+		}
+		if e.railReaches(i, p.Dst) {
+			return false
+		}
+		picked = true
+	}
+	return picked
+}
+
 // pumpFailoverLocked re-posts the first failover frame this (rail, channel)
 // can carry: the class policy still applies (control lanes stay protected),
 // but the rail policy is bypassed — its preferred rail for the frame is
@@ -335,11 +358,8 @@ func (e *Engine) pumpBulkLocked(b *strategy.Bundle, ri, ch int) bool {
 		// fragment seq) so striping rail policies can spread distinct bulk
 		// transfers across rails while keeping each transfer's placement
 		// stable. It is engine-owned scratch: policies only read it.
-		e.bulkProbe = packet.Packet{Class: class, Flow: f.Ctrl.Flow, Msg: f.Ctrl.Msg, Seq: f.Ctrl.Seq}
-		if !b.Rail.Eligible(&e.bulkProbe, info) {
-			continue
-		}
-		if !e.railReaches(ri, f.Dst) {
+		e.bulkProbe = packet.Packet{Class: class, Flow: f.Ctrl.Flow, Msg: f.Ctrl.Msg, Seq: f.Ctrl.Seq, Dst: f.Dst}
+		if !e.railReaches(ri, f.Dst) || !e.railAdmits(b, &e.bulkProbe, info) {
 			continue
 		}
 		e.bulkQ = append(e.bulkQ[:i], e.bulkQ[i+1:]...)
@@ -447,10 +467,10 @@ func (e *Engine) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 // admitted by the rail and class policies, in submission order, up to the
 // lookahead window. The backlog index lets the uniform filters act on
 // whole queues — a class the channel refuses, a destination the rail lost
-// — while the per-packet rail policy runs only on merge survivors. The
-// merge is by SubmitSeq, so the view is exactly a submission-order scan of
-// the whole backlog. The returned slice is engine-owned scratch, valid
-// until the next pump. Caller holds smu.
+// — while the per-packet rail rule (railAdmits) runs only on merge
+// survivors. The merge is by SubmitSeq, so the view is exactly a
+// submission-order scan of the whole backlog. The returned slice is
+// engine-owned scratch, valid until the next pump. Caller holds smu.
 func (e *Engine) eligibleLocked(b *strategy.Bundle, info strategy.RailInfo, ch, numCh, limit int) []*packet.Packet {
 	view := e.viewScratch[:0]
 	cur := e.curScratch[:0]
@@ -503,7 +523,7 @@ func (e *Engine) eligibleLocked(b *strategy.Bundle, info strategy.RailInfo, ch, 
 		c := &cur[best]
 		p := c.q.pkts[c.pos]
 		c.pos++
-		if !b.Rail.Eligible(p, info) {
+		if !e.railAdmits(b, p, info) {
 			continue
 		}
 		if perTenant > 0 {

@@ -37,10 +37,9 @@ var keptUnreached = map[string]string{
 	"proto.RMA.Outstanding":               "observer: pending get/put tables — must drain",
 	"proto.RMA.Rejected":                  "observer: remote-originated frames refused whole",
 	"core.Engine.Stats":                   "observer: the Set whose core.* names the metrics-view tests compare with Metrics",
+	"core.Engine.RailWeights":             "observer: the rail weights in effect, read per node by the rail-retune tests (DESIGN.md §11 row 1)",
 	"drivers.Mesh.LostFrames":             "observer: frames reclaimed from failed connections",
 	"drivers.Mesh.Draining":               "observer: retired rails still writing out — the ownership battery waits on 0",
-	"control.Controller.RailDemotions":    "observer of the rail-health loop, itself unreached in practice: nothing sets DemoteLossyRails (ROADMAP item 5)",
-	"control.Controller.DemotedRails":     "observer of the rail-health loop (ROADMAP item 5)",
 	"chaos.Trace.Diff":                    "observer: first divergence of two executed-event traces — the replay battery's failure message",
 	"chaos.Trace.Equal":                   "observer: Diff == \"\"",
 	"testnet.Net.Fleet":                   "observer: the final fleet roll-up the testnet battery asserts on and writes as its CI artifact",
