@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"newmad/internal/caps"
 	"newmad/internal/mad"
 	"newmad/internal/packet"
 )
@@ -166,29 +164,5 @@ func TestClusterSurvivesPeerDeath(t *testing.T) {
 	case <-recv:
 	case <-time.After(20 * time.Second):
 		t.Fatal("survivors stopped exchanging after peer death")
-	}
-}
-
-// TestClusterRailRetuneStaysOnItsNode pins per-node rail scheduling: every
-// engine of a multi-rail cluster owns its rail policy, so retuning node 0
-// leaves node 1 on its bandwidth defaults.
-func TestClusterRailRetuneStaysOnItsNode(t *testing.T) {
-	c, err := New(Options{Nodes: 2, Rails: caps.RailProfiles(caps.TCP, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	defaults, ok := c.Engine(1).RailWeights()
-	if !ok {
-		t.Fatal("multi-rail cluster runs a rail policy without weights")
-	}
-	if !c.Engine(0).SetRailWeights([]float64{1, 0}) {
-		t.Fatal("node 0 rail policy not weight-tunable")
-	}
-	if got, _ := c.Engine(0).RailWeights(); !slices.Equal(got, []float64{1, 0}) {
-		t.Fatalf("node 0 weights = %v after its own retune", got)
-	}
-	if got, _ := c.Engine(1).RailWeights(); !slices.Equal(got, defaults) {
-		t.Fatalf("node 0's retune rewrote node 1's weights: %v, want defaults %v", got, defaults)
 	}
 }

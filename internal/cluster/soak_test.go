@@ -17,14 +17,13 @@ import (
 // TestMultiRailSoakRetuneAndRedial is the concurrency soak for the
 // multi-rail wall-clock path, meant to run under -race: a 2-node, 2-rail
 // cluster carries live eager and rendezvous traffic in both directions
-// while (a) the adaptive controller samples node 0 and retunes — its
-// tunings carry rail weights, so regime flips rewrite the rail scheduler's
-// weights mid-traffic, (b) a background goroutine churns the rail-weight
-// knob directly on both engines, and (c) one rail is force-re-dialed in
-// the middle of the run, exercising the retire→drain→replace path with
-// frames genuinely queued. The assertion is total: every submitted packet
-// is delivered — the drain may not lose frames, the weight churn may not
-// strand any class, and the race detector must stay quiet.
+// while (a) the adaptive controller samples node 0 and retunes — every
+// regime flip swaps the bundle under the node's rail scheduler
+// mid-traffic — and (b) one rail is force-re-dialed in the middle of the
+// run, exercising the retire→drain→replace path with frames genuinely
+// queued. The assertion is total: every submitted packet is delivered —
+// the drain may not lose frames, the retunes may not strand any class or
+// evict the rail scheduler, and the race detector must stay quiet.
 func TestMultiRailSoakRetuneAndRedial(t *testing.T) {
 	const (
 		smallMsgs = 1500
@@ -52,16 +51,14 @@ func TestMultiRailSoakRetuneAndRedial(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Register soak tunings whose rail weights differ, so every controller
-	// regime flip rewrites the scheduler's weights.
+	// Register soak tunings with a wall-clock Nagle delay, so every regime
+	// flip moves a live operating point.
 	strategy.MustRegisterTuning(strategy.Tuning{
 		Name: "soak-latency", Bundle: "aggregate", Lookahead: 2,
-		RailWeights: []float64{3, 1},
 	})
 	strategy.MustRegisterTuning(strategy.Tuning{
 		Name: "soak-throughput", Bundle: "aggregate",
 		NagleDelay: simnet.FromWall(200 * time.Microsecond), NagleFlushCount: 16,
-		RailWeights: []float64{1, 3},
 	})
 	ctl, err := control.New(control.Options{
 		Engine:   c.Engine(0),
@@ -88,30 +85,6 @@ func TestMultiRailSoakRetuneAndRedial(t *testing.T) {
 
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
-	// Direct rail-weight churn on both engines, concurrent with the
-	// controller's own retunes.
-	churn.Add(1)
-	go func() {
-		defer churn.Done()
-		weights := [][]float64{{1, 1}, {2, 1}, {1, 2}}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
-			for n := 0; n < 2; n++ {
-				// SetRailWeights reports false when the engine's rail
-				// policy is not weight-tunable — which would mean a
-				// controller retune evicted the ScheduledRail and the
-				// soak were no longer exercising weight churn at all.
-				if !c.Engine(packet.NodeID(n)).SetRailWeights(weights[i%len(weights)]) {
-					t.Errorf("node %d: rail policy lost its weight knob mid-soak", n)
-					return
-				}
-			}
-		}
-	}()
 	// Force a healthy re-dial of rail 0 in both directions mid-run, while
 	// frames are queued toward the old connections.
 	churn.Add(1)
@@ -190,5 +163,8 @@ func TestMultiRailSoakRetuneAndRedial(t *testing.T) {
 	}
 	if delivered.Load() != int64(total) {
 		t.Fatalf("delivered %d of %d", delivered.Load(), total)
+	}
+	if rail := c.Engine(0).Bundle().Rail; rail.Name() != "rail-sched" {
+		t.Fatalf("controller retunes replaced node 0's rail scheduler with %q", rail.Name())
 	}
 }

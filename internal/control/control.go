@@ -65,7 +65,7 @@ type Options struct {
 	// Interval is the sampling period (default 10 µs of virtual time;
 	// wall-clock deployments pass milliseconds).
 	Interval simnet.Duration
-	// HalfLife smooths the rate/backlog EWMAs (default 4×Interval).
+	// HalfLife smooths the arrival-rate EWMA (default 4×Interval).
 	HalfLife simnet.Duration
 	// Confirm is how many consecutive samples must agree on a new regime
 	// before the controller retunes (default 3; minimum 1).
@@ -101,6 +101,23 @@ type Options struct {
 	Stats *stats.Set
 }
 
+// Signals is the controller's evidence: exactly the two quantities classify
+// decides on. Every retune decision carries the Signals that triggered it,
+// so the decision log (Decisions) reads as "what the controller saw" rather
+// than "what it did".
+type Signals struct {
+	// ArrivalPerSec is the smoothed packet submission rate.
+	ArrivalPerSec float64
+	// Backlog is the waiting-list depth at the latest sample (raw, not
+	// smoothed: regime confirmation across consecutive samples provides the
+	// damping).
+	Backlog int
+}
+
+func (s Signals) String() string {
+	return fmt.Sprintf("rate=%.0f/s backlog=%d", s.ArrivalPerSec, s.Backlog)
+}
+
 // Decision is one applied retune, with the evidence that triggered it.
 type Decision struct {
 	// At is when the retune was applied.
@@ -132,20 +149,13 @@ type Controller struct {
 	// no-op for an already-running callback).
 	tickMu sync.Mutex
 
-	// scratch is the ping-pong snapshot pair for MetricsInto: the sampler
-	// retains the previous tick's snapshot for windowed deltas, so two
-	// buffers alternate — the one being refilled is never the one the
-	// sampler still reads. Guarded by tickMu (only tick touches it). At
-	// 1000-node testnet scale this is what removes the two slice
-	// allocations per node per sample. A snapshot reads the send and
-	// protocol sides under separate locks rather than as one atomic cut;
-	// both halves are monotone, so the windowed deltas the controller
-	// derives stay non-negative and the rate evidence stays sound.
-	scratch    [2]core.Metrics
-	scratchIdx int
+	// scratch is the MetricsInto snapshot each tick refills, guarded by
+	// tickMu (only tick touches it). At 1000-node testnet scale this is what
+	// removes the two slice allocations per node per sample.
+	scratch core.Metrics
 
 	mu        sync.Mutex
-	samp      *sampler
+	rate      *stats.RateMeter // the arrival rate, from Submitted
 	mode      Mode
 	pending   Mode // candidate regime accumulating confirmation
 	streak    int
@@ -229,7 +239,7 @@ func New(o Options) (*Controller, error) {
 		cRetunes:        set.Counter("control.retunes"),
 		cQuotaRetunes:   set.Counter("control.quota_retunes"),
 
-		samp:    newSampler(int64(o.HalfLife), int64(8*o.Interval)),
+		rate:    stats.NewRateMeter(int64(o.HalfLife)),
 		mode:    o.Initial,
 		tunings: tunings,
 	}, nil
@@ -323,17 +333,16 @@ func (c *Controller) tick() {
 	}
 	c.mu.Unlock()
 
-	cur := &c.scratch[c.scratchIdx]
-	c.scratchIdx ^= 1
-	c.eng.MetricsInto(cur)
-	m := *cur
+	m := &c.scratch
+	c.eng.MetricsInto(m)
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return
 	}
-	sig := c.samp.observe(m)
+	c.rate.Observe(m.Submitted, int64(m.Now))
+	sig := Signals{ArrivalPerSec: c.rate.PerSecond(), Backlog: m.Backlog}
 	c.cSamples.Inc()
 
 	want := c.classify(sig)
@@ -425,16 +434,12 @@ func Apply(eng *core.Engine, t strategy.Tuning) error {
 		return fmt.Errorf("control: tuning %q: %w", t.Name, err)
 	}
 	// The rail policy is topology-bound, not regime-bound: a multi-rail
-	// node's scheduler (e.g. strategy.ScheduledRail) is built from the
-	// node's physical rail records, which no registry bundle knows about.
-	// Preserve a weight-tunable rail policy across the bundle swap —
-	// otherwise the first retune would silently evict the scheduler for
-	// the registry default and every subsequent SetRailWeights would be a
-	// no-op.
-	if cur := eng.Bundle().Rail; cur != nil {
-		if _, tunable := cur.(strategy.RailWeightSetter); tunable {
-			b.Rail = cur
-		}
+	// node's strategy.ScheduledRail is built from the node's physical rail
+	// records, which no registry bundle knows about. Preserve it across the
+	// bundle swap — otherwise the first retune would silently evict the
+	// scheduler for the registry default.
+	if cur, ok := eng.Bundle().Rail.(*strategy.ScheduledRail); ok {
+		b.Rail = cur
 	}
 	if err := eng.SetBundle(b); err != nil {
 		return fmt.Errorf("control: tuning %q: %w", t.Name, err)
@@ -443,11 +448,6 @@ func Apply(eng *core.Engine, t strategy.Tuning) error {
 	eng.SetNagle(t.NagleDelay, t.NagleFlushCount)
 	eng.SetSearchBudget(t.SearchBudget)
 	eng.SetRdvThreshold(t.RdvThreshold)
-	// A tuning without RailWeights has no opinion: the weights in effect
-	// stay, since the tunable rail policy survives the bundle swap.
-	if len(t.RailWeights) > 0 {
-		eng.SetRailWeights(t.RailWeights)
-	}
 	return nil
 }
 

@@ -49,12 +49,11 @@ func simPair(t *testing.T) (*drivers.Cluster, *core.Engine) {
 	return cl, engines[0]
 }
 
-// TestApplyPreservesTunableRailPolicy pins the topology/regime split: a
-// weight-tunable rail policy (the multi-rail scheduler, built from the
-// node's physical rail records) must survive Apply's bundle swap, so that
-// the tuning's RailWeights land on it instead of on the registry bundle's
-// default policy — which knows nothing of the node's rails and has no
-// weight knob.
+// TestApplyPreservesTunableRailPolicy pins the topology/regime split: the
+// multi-rail scheduler (built from the node's physical rail records) must
+// survive Apply's bundle swap rather than be replaced by the registry
+// bundle's default policy, which knows nothing of the node's rails. Any
+// other rail policy is replaced by the tuning's bundle as usual.
 func TestApplyPreservesTunableRailPolicy(t *testing.T) {
 	_, eng := simPair(t)
 	sched := strategy.NewScheduledRail([]caps.Caps{caps.MX})
@@ -67,18 +66,14 @@ func TestApplyPreservesTunableRailPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tune.RailWeights = []float64{7}
 	if err := Apply(eng, tune); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.Bundle().Rail; got != strategy.RailPolicy(sched) {
 		t.Fatalf("bundle swap evicted the rail scheduler: now %T", got)
 	}
-	if w := sched.Weights(); len(w) != 1 || w[0] != 7 {
-		t.Fatalf("tuning's rail weights not applied: %v", w)
-	}
-	// A weight-free policy is left alone: the registry bundle's own rail
-	// policy takes over as before.
+	// Any other policy is the bundle's to replace: the registry bundle's
+	// own rail policy takes over.
 	b = eng.Bundle()
 	b.Rail = strategy.PinnedRail{}
 	if err := eng.SetBundle(b); err != nil {
@@ -87,8 +82,12 @@ func TestApplyPreservesTunableRailPolicy(t *testing.T) {
 	if err := Apply(eng, tune); err != nil {
 		t.Fatal(err)
 	}
-	if _, still := eng.Bundle().Rail.(strategy.RailWeightSetter); still {
-		t.Fatal("weight-free policy unexpectedly replaced by a tunable one")
+	reg, err := strategy.New(tune.Bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Bundle().Rail; got != reg.Rail {
+		t.Fatalf("rail policy after Apply = %T %v, want the registry bundle's %T %v", got, got, reg.Rail, reg.Rail)
 	}
 }
 

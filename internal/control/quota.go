@@ -95,7 +95,7 @@ func (c *Controller) quotaStart() {
 
 // quotaTick runs one dual-ascent step per tenant against the sample m.
 // Called from tick under tickMu; engine writes happen outside c.mu.
-func (c *Controller) quotaTick(m core.Metrics) {
+func (c *Controller) quotaTick(m *core.Metrics) {
 	type retune struct {
 		tenant packet.TenantID
 		quota  core.TenantQuota

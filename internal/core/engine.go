@@ -150,14 +150,13 @@ type Engine struct {
 	// class) queues (the eligible view's merge key). backlogSz/backlogPeak
 	// track the waiting-packet count — the Nagle flush decision, the pump's
 	// skip hint and BacklogLen read it without smu. idleUps counts scheduler
-	// activations, the three below it retune activity (knob changes hold no
+	// activations, the two below it retune activity (knob changes hold no
 	// engine lock).
 	submitSeq      atomic.Uint64
 	backlogSz      atomic.Int64
 	backlogPeak    atomic.Int64
 	idleUps        atomic.Uint64
 	policySwitches atomic.Uint64
-	railRetunes    atomic.Uint64
 	tenantRetunes  atomic.Uint64
 
 	// pumps[rail][channel] serialize each NIC channel's pump (send.go).
@@ -557,35 +556,6 @@ func (e *Engine) SetSearchBudget(n int) {
 // threshold, 0 restores the bundle policy. Negative values clamp to 0.
 func (e *Engine) SetRdvThreshold(n int) {
 	e.setKnob("rdv-threshold", n, func(t *tuning) *int { return &t.rdvThreshold })
-}
-
-// SetRailWeights adjusts the per-rail scheduling weights at runtime, when
-// the bundle's rail policy supports it (strategy.RailWeightSetter — e.g.
-// the capability-aware ScheduledRail). Reports whether the weights were
-// applied; a bundle with a weight-free rail policy ignores the knob.
-// SetBundle replaces the rail policy, so weights are re-applied by whoever
-// switches bundles (the controller does this through its tunings).
-func (e *Engine) SetRailWeights(w []float64) bool {
-	rs, ok := e.bundle.Load().Rail.(strategy.RailWeightSetter)
-	if !ok {
-		return false
-	}
-	rs.SetWeights(w)
-	e.railRetunes.Add(1)
-	e.notifyRetune(RetuneEvent{At: e.rt.Now(), Knob: "rail-weights", Note: fmt.Sprintf("rail-weights=%v", w)})
-	// Work the old weights kept off an idle rail is re-offered now.
-	e.pumpAll()
-	return true
-}
-
-// RailWeights returns the per-rail scheduling weights currently in effect,
-// when the bundle's rail policy is weight-tunable; ok is false otherwise.
-func (e *Engine) RailWeights() (w []float64, ok bool) {
-	rs, tunable := e.bundle.Load().Rail.(strategy.RailWeightSetter)
-	if !tunable {
-		return nil, false
-	}
-	return rs.Weights(), true
 }
 
 // Submit enqueues one packet from the collect layer and returns

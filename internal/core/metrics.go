@@ -76,8 +76,8 @@ func (c *Counters) add(o *Counters) {
 
 // Metrics is a point-in-time snapshot of one engine: queue depths, activity
 // counters since construction, and the runtime tuning currently in effect.
-// Rates and ratios are left to the observer (internal/control derives them
-// over sliding windows); the engine reports only exact totals.
+// Rates and ratios are left to the observer (internal/control smooths the
+// arrival rate from Submitted); the engine reports only exact totals.
 type Metrics struct {
 	// Now is the engine clock at snapshot time.
 	Now simnet.Time
@@ -95,7 +95,6 @@ type Metrics struct {
 
 	// Retune activity: knob changes applied.
 	PolicySwitches uint64 `set:"core.policy_switches"`
-	RailRetunes    uint64 `set:"core.rail_retunes"`
 	TenantRetunes  uint64 `set:"core.tenant_retunes"`
 
 	// RailFrames is the per-rail frame count and RailDowns the per-rail
@@ -148,14 +147,14 @@ func (e *Engine) Metrics() Metrics {
 // backing arrays when they have capacity. Samplers that snapshot every node
 // per tick (internal/control, the testnet's telemetry sweep) hold one
 // scratch Metrics per engine and pay zero allocations per sample;
-// Metrics() is the convenience form for one-shot callers. Callers that
-// retain a previous snapshot for windowed deltas must keep two scratch
-// values and alternate — the slices are overwritten in place.
+// Metrics() is the convenience form for one-shot callers. The slices are
+// overwritten in place, so a caller that keeps a previous snapshot needs a
+// second scratch value.
 //
 // The send side is read under smu, then the protocol side under pmu. Each
 // half is internally consistent, but the two are not one atomic cut —
 // totals are exact once the engine quiesces and monotone while it runs,
-// which is all the windowed-delta controllers need.
+// which is all a rate meter needs.
 func (e *Engine) MetricsInto(m *Metrics) {
 	tun := e.tun.Load()
 	*m = Metrics{
@@ -163,7 +162,6 @@ func (e *Engine) MetricsInto(m *Metrics) {
 		IdleUpcalls:     e.idleUps.Load(),
 		BacklogPeak:     uint64(e.backlogPeak.Load()),
 		PolicySwitches:  e.policySwitches.Load(),
-		RailRetunes:     e.railRetunes.Load(),
 		TenantRetunes:   e.tenantRetunes.Load(),
 		RailFrames:      m.RailFrames[:0],
 		RailDowns:       m.RailDowns[:0],
@@ -250,14 +248,14 @@ func (e *Engine) serve(counter func(name string, v uint64), gauge func(name stri
 // engine's retune observer: which knob moved and how.
 type RetuneEvent struct {
 	At   simnet.Time
-	Knob string // "bundle", "lookahead", "nagle", "budget", "rdv-threshold", "rail-weights", "tenant-quota"
+	Knob string // "bundle", "lookahead", "nagle", "budget", "rdv-threshold", "tenant-quota"
 	Note string // human-readable "knob=value" rendering
 }
 
 // SetRetuneObserver installs fn to be called after every runtime tuning
 // change (SetBundle, SetLookahead, SetNagle, SetSearchBudget,
-// SetRdvThreshold, SetRailWeights). Pass nil to remove it. The observer runs outside the
-// engine locks and may call back into the engine.
+// SetRdvThreshold, SetTenantQuota). Pass nil to remove it. The observer
+// runs outside the engine locks and may call back into the engine.
 func (e *Engine) SetRetuneObserver(fn func(RetuneEvent)) {
 	e.pmu.Lock()
 	e.retuneObs = fn

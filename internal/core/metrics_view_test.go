@@ -55,7 +55,6 @@ var viewNames = []struct {
 		return n
 	}},
 	{"core.policy_switches", func(m *Metrics) uint64 { return m.PolicySwitches }},
-	{"core.rail_retunes", func(m *Metrics) uint64 { return m.RailRetunes }},
 	{"core.tenant_retunes", func(m *Metrics) uint64 { return m.TenantRetunes }},
 	{"core.tenant_throttled", func(m *Metrics) uint64 {
 		var n uint64
@@ -303,7 +302,6 @@ func TestSharedSetReadersRaceEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Rail = strategy.NewScheduledRail([]caps.Caps{nodes[n].Caps()})
 		engines[n], err = New(packet.NodeID(n), Options{
 			Bundle: b, Runtime: rt, Rails: []drivers.Driver{nodes[n]},
 			Deliver: func(proto.Deliverable) { delivered.Add(1) },
@@ -336,6 +334,7 @@ func TestSharedSetReadersRaceEngines(t *testing.T) {
 			}
 		}()
 	}
+	bundles := registryBundles(t, "aggregate", "fifo")
 	aux.Add(1)
 	go func() { // retunes
 		defer aux.Done()
@@ -345,7 +344,10 @@ func TestSharedSetReadersRaceEngines(t *testing.T) {
 				return
 			default:
 			}
-			engines[i%2].SetRailWeights([]float64{float64(1 + i%3)})
+			if err := engines[i%2].SetBundle(bundles[i/2%2]); err != nil {
+				t.Error(err)
+				return
+			}
 			engines[i%2].SetLookahead(i % 8)
 		}
 	}()

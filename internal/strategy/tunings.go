@@ -34,11 +34,6 @@ type Tuning struct {
 	// RdvThreshold overrides the eager/rendezvous switchover (0 = bundle
 	// policy / driver default).
 	RdvThreshold int
-	// RailWeights, when non-empty, sets the per-rail scheduling weights on
-	// bundles whose rail policy is weight-tunable (RailWeightSetter);
-	// engines with a weight-free rail policy ignore it. Entries must be
-	// non-negative; a 0 drains traffic off that rail.
-	RailWeights []float64
 }
 
 // Validate reports the first inconsistency in the tuning.
@@ -51,11 +46,6 @@ func (t Tuning) Validate() error {
 	case t.Lookahead < 0 || t.NagleDelay < 0 || t.NagleFlushCount < 0 ||
 		t.SearchBudget < 0 || t.RdvThreshold < 0:
 		return fmt.Errorf("strategy: tuning %q has a negative knob", t.Name)
-	}
-	for _, w := range t.RailWeights {
-		if w < 0 {
-			return fmt.Errorf("strategy: tuning %q has a negative rail weight", t.Name)
-		}
 	}
 	regMu.Lock()
 	_, ok := registry[t.Bundle]

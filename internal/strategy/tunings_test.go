@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -60,7 +59,6 @@ func TestRegisterTuningRoundTrip(t *testing.T) {
 		Name: "test-custom", Bundle: "fifo",
 		Lookahead: 4, NagleDelay: 2 * simnet.Microsecond,
 		NagleFlushCount: 6, SearchBudget: 8, RdvThreshold: 1024,
-		RailWeights: []float64{2, 1},
 	}
 	if err := RegisterTuning(in); err != nil {
 		t.Fatal(err)
@@ -69,7 +67,7 @@ func TestRegisterTuningRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, in) {
+	if out != in {
 		t.Fatalf("round trip: got %+v, want %+v", out, in)
 	}
 	found := false
