@@ -18,8 +18,8 @@ import (
 type ChaosPlan struct {
 	// Seed feeds the per-rail RNGs: rail (node, rail) forks its stream from
 	// it by identity (chaos.RailInjector — the same key the emulated
-	// testnet uses, so one manifest seed names the same stream in both
-	// tiers), and each rail's fault decisions are a pure function of the
+	// testnet uses, so one seed names the same stream in both tiers), and
+	// each rail's fault decisions are a pure function of the
 	// frames it sees, in the order it sees them. Note the
 	// scope of that determinism: over real sockets, frames from different
 	// sources interleave in wall-clock arrival order, so per-frame fault

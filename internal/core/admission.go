@@ -163,7 +163,7 @@ func (e *Engine) admit(p *packet.Packet, now simnet.Time, eager bool) error {
 }
 
 // releaseBacklog returns one backlog charge to its tenant: when a plan
-// takes the packet (pumpBacklogLocked, under smu), or when the
+// takes the packet (pumpBacklogLocked, under mu), or when the
 // Submit that was charged loses to Close.
 func (a *admission) releaseBacklog(t packet.TenantID) {
 	if ts := a.state(t); ts != nil {

@@ -156,7 +156,7 @@ func TestSubmitClosedTyped(t *testing.T) {
 // arming and disarming underneath while Close tears the send side down.
 // Flush must always return — when Close wins, the closed check makes it a
 // no-op instead of re-pumping rails whose handlers are being detached or
-// blocking on the send lock held by the teardown. Run under
+// blocking on the engine lock held by the teardown. Run under
 // -race this also pins the closed.Load ordering against the teardown
 // writes.
 func TestFlushCloseRace(t *testing.T) {

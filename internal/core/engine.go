@@ -18,12 +18,12 @@
 //     constraint rules of internal/packet bound every reordering; driver
 //     capability records parameterize every decision.
 //
-// The engine is safe for concurrent use. The send side runs under one send
-// mutex (smu), each NIC channel's pump is serialized by its own chanPump,
-// and the receive/protocol side runs under one protocol mutex (pmu). Under
-// the discrete-event runtime all upcalls arrive on one goroutine and every
-// lock is uncontended; the socket driver delivers idle and receive upcalls
-// from its own goroutines and exercises the full lock order (send.go).
+// The engine is safe for concurrent use. One engine mutex (mu) guards the
+// send and the protocol side alike, and each NIC channel's pump is
+// serialized by its own chanPump. Under the discrete-event runtime all
+// upcalls arrive on one goroutine and every lock is uncontended; the socket
+// driver delivers idle and receive upcalls from its own goroutines and
+// exercises the full lock order (send.go).
 package core
 
 import (
@@ -149,7 +149,7 @@ type Engine struct {
 	// submitSeq totally orders submissions across the backlog's (dst,
 	// class) queues (the eligible view's merge key). backlogSz/backlogPeak
 	// track the waiting-packet count — the Nagle flush decision, the pump's
-	// skip hint and BacklogLen read it without smu. idleUps counts scheduler
+	// skip hint and BacklogLen read it without mu. idleUps counts scheduler
 	// activations, the two below it retune activity (knob changes hold no
 	// engine lock).
 	submitSeq      atomic.Uint64
@@ -162,22 +162,23 @@ type Engine struct {
 	// pumps[rail][channel] serialize each NIC channel's pump (send.go).
 	pumps [][]chanPump
 
-	// Work hints, readable without smu: a channel pump skips the lock when
-	// the queues it would visit are empty. They are updated under smu at
-	// the same point as the queues they mirror, so a hint can be stale only
-	// in the direction of a missed skip (the enqueuer's own pump follows).
+	// Work hints, readable without mu: a channel pump skips the lock when
+	// the queues it would visit are empty. They are updated under mu at the
+	// same point as the queues they mirror, so a hint can be stale only in
+	// the direction of a missed skip (the enqueuer's own pump follows).
 	nCtrl atomic.Int64
 	nBulk atomic.Int64
 	nFail atomic.Int64
 
 	// favorBulk alternates the planned-work pass between the eager backlog
 	// and bulkQ (pumpChannel). Atomic because the toggle happens before the
-	// hint skip, outside smu.
+	// hint skip, outside mu.
 	favorBulk atomic.Bool
 
-	// smu guards the send side (send.go): the fields below, through
-	// bulkProbe.
-	smu     sync.Mutex
+	// mu guards every field below — the send side (send.go) and the
+	// protocol side that feeds its queues — except the histogram handles
+	// and spans, which carry their own locks.
+	mu      sync.Mutex
 	backlog backlogIndex    // waiting packets, indexed by (dst, class)
 	ctrlQ   []*packet.Frame // reactive control frames (RTS/CTS/Ack)
 	bulkQ   []*packet.Frame // granted rendezvous data, RMA frames
@@ -189,10 +190,11 @@ type Engine struct {
 	nagleCancel simnet.CancelFunc
 	nagleGen    uint64
 
-	// ctr/railFrames are the send side's observation counters; MetricsInto
-	// adds the protocol side's pctr.
+	// The observation counters (metrics.go): the event tally, frames per
+	// rail and peer-down events per rail (newmad_rail_peer_downs_total).
 	ctr        Counters
 	railFrames []uint64
+	railDowns  []uint64
 
 	// Per-tenant service accounting (admission.go): how many waiting
 	// packets belong to each tenant, maintained at the same points as the
@@ -227,28 +229,21 @@ type Engine struct {
 	// family without coordination.
 	spans *stats.Spans
 
-	// pmu serializes the receive/protocol side: protocol engines and their
-	// maps, the rendezvous span stamps and retry timers, delivery batching,
-	// and the per-rail failure counters. pmu may take smu; smu never takes
-	// pmu (send.go).
-	pmu       sync.Mutex
+	// The protocol side, under mu like the send side: the retune observer,
+	// the protocol engines and their maps, the rendezvous span stamps and
+	// retry timers, and delivery batching.
 	retuneObs func(RetuneEvent)
-	railDowns []uint64 // peer-down events per rail (newmad_rail_peer_downs_total)
 
 	// rdvTimers tracks the retry timer armed per outstanding rendezvous;
 	// rdvGen stamps each arming (see rdvTimer).
 	rdvTimers map[uint64]rdvTimer
 	rdvGen    uint64
 
-	// pctr tallies deliveries and rendezvous retries, the protocol side's
-	// events.
-	pctr Counters
-
 	// Latency spans (see spans.go). rdvStart stamps when each outgoing
 	// rendezvous queued its first RTS (sender side, SpanRdvGrant);
 	// rdvRecvStart stamps the first RTS arrival per inbound token
 	// (receiver side, SpanRdvData). arrivalRail is the rail index of the
-	// frame currently being dispatched — valid only under pmu inside
+	// frame currently being dispatched — valid only under mu inside
 	// onFrame, read by the protocol-event hooks it calls.
 	rdvStart     map[uint64]simnet.Time
 	rdvRecvStart map[uint64]simnet.Time
@@ -261,7 +256,7 @@ type Engine struct {
 	disp  *proto.Dispatcher
 
 	// pendingDeliver/pendingFns collect upcalls produced while holding
-	// pmu; they are invoked after unlock so user callbacks can re-enter
+	// mu; they are invoked after unlock so user callbacks can re-enter
 	// the engine (submit replies, start new RMA operations, ...).
 	// deliverSpare is the double-buffer: a drained batch's backing array,
 	// recycled so steady-state receives never regrow the pending slice.
@@ -364,9 +359,9 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 	e.reasm = proto.NewReassembler(node, func(d proto.Deliverable) {
 		e.pendingDeliver = append(e.pendingDeliver, d)
 	})
-	e.rdvS = proto.NewRdvSender(node, e.onRdvGrant)
-	e.rdvR = proto.NewRdvReceiver(node, e.reasm, e.enqueueReactive, 0)
-	e.rma = proto.NewRMA(node, e.enqueueReactive)
+	e.rdvS = proto.NewRdvSender(node, e.onRdvGrantLocked)
+	e.rdvR = proto.NewRdvReceiver(node, e.reasm, e.enqueueReactiveLocked, 0)
+	e.rma = proto.NewRMA(node, e.enqueueReactiveLocked)
 	e.disp = proto.NewDispatcher(node, e.reasm, e.rdvS, e.rdvR, e.rma)
 
 	for i, r := range rails {
@@ -402,11 +397,11 @@ func (e *Engine) onFrameLoss(ri int, frames []*packet.Frame) {
 	if e.closed.Load() {
 		return
 	}
-	e.smu.Lock()
+	e.mu.Lock()
 	e.failQ = append(e.failQ, frames...)
 	e.nFail.Add(int64(len(frames)))
 	e.ctr.FramesReclaimed += uint64(len(frames))
-	e.smu.Unlock()
+	e.mu.Unlock()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 		A: ri, B: len(frames), Note: "reclaim:rail-down",
@@ -421,9 +416,9 @@ func (e *Engine) onPeerDown(ri int, peer packet.NodeID) {
 	if e.closed.Load() {
 		return
 	}
-	e.pmu.Lock()
+	e.mu.Lock()
 	e.railDowns[ri]++
-	e.pmu.Unlock()
+	e.mu.Unlock()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
 		A: ri, B: int(peer), Note: "peer-down",
@@ -561,8 +556,8 @@ func (e *Engine) SetRdvThreshold(n int) {
 // Submit enqueues one packet from the collect layer and returns
 // immediately. Packets of one flow must be submitted with consecutive Seq
 // values starting at zero; the mad layer guarantees this. Every packet
-// enters the send side under smu, so a Submit that loses to Close is
-// refused rather than silently dropped.
+// enters the engine under mu, so a Submit that loses to Close is refused
+// rather than silently dropped.
 //
 // Refusals are typed: ErrClosed after Close, and the admission-control
 // refusals ErrThrottled/ErrQuotaExceeded (with retry-after, see
@@ -570,7 +565,7 @@ func (e *Engine) SetRdvThreshold(n int) {
 // rail currently reaches is not a refusal: the packet queues for a heal
 // (the failover contract).
 // Admission runs before the packet touches any send-side state — a shed
-// packet never takes smu or charges a backlog counter (the
+// packet never takes mu or charges a backlog counter (the
 // shed-before-queue rule, DESIGN.md §10).
 func (e *Engine) Submit(p *packet.Packet) error {
 	if err := p.Validate(); err != nil {
@@ -613,46 +608,36 @@ func (e *Engine) Submit(p *packet.Packet) error {
 	})
 
 	fl, lands := e.rails[ri].(drivers.FrameLander)
-	if rdv && !(lands && fl.LandsFrames()) {
-		e.pmu.Lock()
-		if e.closed.Load() {
-			e.pmu.Unlock()
-			return ErrClosed
-		}
-		rts := e.rdvS.Start(p)
-		// Once queued and smu dropped, a concurrent pump may post the RTS
-		// and the rail owner recycle it: take the token now.
-		token := rts.Ctrl.Token
-		e.rdvStart[token] = p.Enqueued
-		e.smu.Lock()
-		e.ctrlQ = append(e.ctrlQ, rts)
-		e.nCtrl.Add(1)
-		e.countSubmitLocked(p, true)
-		e.smu.Unlock()
-		e.armRdvRetryLocked(token, 0)
-		e.pmu.Unlock()
-		e.pumpAll()
-		return nil
-	}
-	e.smu.Lock()
+	e.mu.Lock()
 	if e.closed.Load() {
-		e.smu.Unlock()
+		e.mu.Unlock()
 		if !rdv {
 			e.adm.Load().releaseBacklog(p.Tenant) // no plan ever will
 		}
 		return ErrClosed
 	}
 	pump := true
-	if rdv {
+	switch {
+	case !rdv:
+		pump = e.pushEagerLocked(p)
+	case lands && fl.LandsFrames():
 		// The rail lands frames: the RData leaves now — no RTS, CTS or timer.
 		e.bulkQ = append(e.bulkQ, e.rdvS.Direct(p))
 		e.nBulk.Add(1)
 		e.countSubmitLocked(p, true)
 		e.ctr.RdvGranted++
-	} else {
-		pump = e.pushEagerLocked(p)
+	default:
+		rts := e.rdvS.Start(p)
+		// Once mu drops, a pump may post the RTS and the rail owner recycle
+		// it: keep the token, not the frame.
+		token := rts.Ctrl.Token
+		e.rdvStart[token] = p.Enqueued
+		e.ctrlQ = append(e.ctrlQ, rts)
+		e.nCtrl.Add(1)
+		e.countSubmitLocked(p, true)
+		e.armRdvRetryLocked(token, 0)
 	}
-	e.smu.Unlock()
+	e.mu.Unlock()
 	if pump {
 		e.pumpAll()
 	}
@@ -694,8 +679,8 @@ func (e *Engine) Flush() {
 // releaseNagle cuts an armed artificial delay short, reporting whether one
 // was armed.
 func (e *Engine) releaseNagle() bool {
-	e.smu.Lock()
-	defer e.smu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if !e.nagleArmed {
 		return false
 	}
@@ -710,7 +695,7 @@ func (e *Engine) releaseNagle() bool {
 // no longer matches the armed timer (it was cancelled or superseded while
 // the callback was in flight — the same wall-clock race nagleGen guards)
 // is discarded by onRdvRetry instead of acting on the newer arming's
-// state. Caller holds pmu.
+// state. Caller holds mu.
 func (e *Engine) armRdvRetryLocked(token uint64, attempt int) {
 	if e.cfg.RdvRetry <= 0 || attempt >= e.cfg.RdvRetryMax {
 		return
@@ -719,7 +704,7 @@ func (e *Engine) armRdvRetryLocked(token uint64, attempt int) {
 	gen := e.rdvGen
 	delay := e.cfg.RdvRetry << uint(attempt)
 	// The callback cannot observe the map before this function returns:
-	// onRdvRetry takes pmu, which the caller holds.
+	// onRdvRetry takes mu, which the caller holds.
 	e.rdvTimers[token] = rdvTimer{
 		gen:    gen,
 		cancel: e.rt.Schedule(delay, "core.rdv-retry", func() { e.onRdvRetry(token, attempt, gen) }),
@@ -731,9 +716,9 @@ func (e *Engine) armRdvRetryLocked(token uint64, attempt int) {
 // receiver's token dedupe makes the duplicate harmless) and the next
 // backoff is armed.
 func (e *Engine) onRdvRetry(token uint64, attempt int, gen uint64) {
-	e.pmu.Lock()
+	e.mu.Lock()
 	if e.closed.Load() {
-		e.pmu.Unlock()
+		e.mu.Unlock()
 		return
 	}
 	t, ok := e.rdvTimers[token]
@@ -742,34 +727,31 @@ func (e *Engine) onRdvRetry(token uint64, attempt int, gen uint64) {
 		// superseded while the callback was already in flight. Without the
 		// generation check a stale fire would consume the *newer* arming's
 		// map entry and fork a duplicate retry chain.
-		e.pmu.Unlock()
+		e.mu.Unlock()
 		return
 	}
 	delete(e.rdvTimers, token)
 	rts := e.rdvS.RetryRTS(token)
 	if rts == nil {
 		// Granted while the timer was in flight: nothing to do.
-		e.pmu.Unlock()
+		e.mu.Unlock()
 		return
 	}
-	ctrl := rts.Ctrl // the frame is a pump's to post and recycle once queued
-	e.smu.Lock()
 	e.ctrlQ = append(e.ctrlQ, rts)
 	e.nCtrl.Add(1)
-	e.smu.Unlock()
-	e.pctr.RdvRetries++
+	e.ctr.RdvRetries++
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
-		Flow: ctrl.Flow, Seq: ctrl.Seq, A: attempt + 1,
+		Flow: rts.Ctrl.Flow, Seq: rts.Ctrl.Seq, A: attempt + 1,
 		Note: "rdv-retry",
 	})
 	e.armRdvRetryLocked(token, attempt+1)
-	e.pmu.Unlock()
+	e.mu.Unlock()
 	e.pumpAll()
 }
 
 // cancelRdvRetryLocked disarms the retry timer for a granted token. Caller
-// holds pmu. Deleting the map entry is what makes a lost-race fire inert:
+// holds mu. Deleting the map entry is what makes a lost-race fire inert:
 // the fire's generation can no longer match anything.
 func (e *Engine) cancelRdvRetryLocked(token uint64) {
 	if t, ok := e.rdvTimers[token]; ok {
@@ -779,23 +761,21 @@ func (e *Engine) cancelRdvRetryLocked(token uint64) {
 }
 
 // Close detaches the engine from its rails and cancels every outstanding
-// timer — the Nagle delay and all rendezvous retries — under their owning
-// locks. On the wall-clock runtime a cancelled timer's callback may
-// already be running; the closed flag and the generation checks make such
-// late fires inert (pinned by TestCloseCancelsAllTimers).
+// timer — the Nagle delay and all rendezvous retries — under the engine
+// lock. On the wall-clock runtime a cancelled timer's callback may already
+// be running; the closed flag and the generation checks make such late
+// fires inert (pinned by TestCloseCancelsAllTimers).
 func (e *Engine) Close() {
-	e.pmu.Lock()
+	e.mu.Lock()
 	e.closed.Store(true)
 	for tok, t := range e.rdvTimers {
 		delete(e.rdvTimers, tok)
 		t.cancel()
 	}
-	e.pmu.Unlock()
-	e.smu.Lock()
 	if e.nagleArmed {
 		e.disarmNagleLocked()
 	}
-	e.smu.Unlock()
+	e.mu.Unlock()
 	for _, r := range e.rails {
 		r.SetIdleHandler(nil)
 		r.SetRecvHandler(nil)
@@ -807,7 +787,7 @@ func (e *Engine) BacklogLen() int { return int(e.backlogSz.Load()) }
 
 // QueuedFrames returns pending (control, bulk) frame counts (diagnostic).
 func (e *Engine) QueuedFrames() (ctrl, bulk int) {
-	e.smu.Lock()
-	defer e.smu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return len(e.ctrlQ), len(e.bulkQ)
 }

@@ -10,16 +10,15 @@ import (
 )
 
 // The engine's one metrics path. Every event is counted once, in engine-
-// private storage: a Counters for the send side (under the smu the caller
-// already holds), one for the protocol side under pmu, and a few engine
-// atomics. MetricsInto merges that storage into a Metrics snapshot — what
+// private storage: one Counters under the mu the caller already holds, and
+// a few engine atomics. MetricsInto copies that storage into a Metrics
+// snapshot — what
 // controllers and telemetry read, so a controller watching one node never
 // sees a neighbour's traffic in its evidence. The `set` struct tags are the
 // one name table: the engine's stats.Set serves a snapshot under those
 // names at read time (serve), summed over the engines sharing the Set.
 
-// Counters is the event tally since construction; Metrics embeds the sum
-// of the send-side and protocol-side copies.
+// Counters is the event tally since construction; Metrics embeds a copy.
 type Counters struct {
 	Submitted      uint64 `set:"core.submitted"`
 	SubmittedBytes uint64 `set:"core.submitted_bytes"`
@@ -47,31 +46,6 @@ type Counters struct {
 	FramesReclaimed uint64 `set:"core.frames_reclaimed"` // frames handed back by failing rails
 	Failovers       uint64 `set:"core.failovers"`        // reclaimed/refused frames re-posted on a live rail
 	PeerDownPosts   uint64 `set:"core.peer_down_posts"`  // posts a rail refused with ErrPeerDown
-}
-
-func (c *Counters) add(o *Counters) {
-	c.Submitted += o.Submitted
-	c.SubmittedBytes += o.SubmittedBytes
-	c.SubmittedCtrl += o.SubmittedCtrl
-	c.EagerBytes += o.EagerBytes
-	c.RdvBytes += o.RdvBytes
-	c.FramesPosted += o.FramesPosted
-	c.PacketsSent += o.PacketsSent
-	c.Delivered += o.Delivered
-	c.DeliveredBytes += o.DeliveredBytes
-	c.Aggregates += o.Aggregates
-	c.AggregatedPackets += o.AggregatedPackets
-	c.ReactiveFrames += o.ReactiveFrames
-	c.RdvStarted += o.RdvStarted
-	c.RdvGranted += o.RdvGranted
-	c.RdvRetries += o.RdvRetries
-	c.RMAPuts += o.RMAPuts
-	c.RMAGets += o.RMAGets
-	c.NagleFires += o.NagleFires
-	c.NagleEarly += o.NagleEarly
-	c.FramesReclaimed += o.FramesReclaimed
-	c.Failovers += o.Failovers
-	c.PeerDownPosts += o.PeerDownPosts
 }
 
 // Metrics is a point-in-time snapshot of one engine: queue depths, activity
@@ -151,10 +125,9 @@ func (e *Engine) Metrics() Metrics {
 // overwritten in place, so a caller that keeps a previous snapshot needs a
 // second scratch value.
 //
-// The send side is read under smu, then the protocol side under pmu. Each
-// half is internally consistent, but the two are not one atomic cut —
-// totals are exact once the engine quiesces and monotone while it runs,
-// which is all a rate meter needs.
+// The queues and counters are one atomic cut, read in one critical section
+// under mu; the lock-free tallies (idle upcalls, backlog peak, retunes,
+// tenants) are read beside it.
 func (e *Engine) MetricsInto(m *Metrics) {
 	tun := e.tun.Load()
 	*m = Metrics{
@@ -173,14 +146,15 @@ func (e *Engine) MetricsInto(m *Metrics) {
 		RdvThreshold:    tun.rdvThreshold,
 		Bundle:          e.bundle.Load().Name,
 	}
-	e.smu.Lock()
+	e.mu.Lock()
 	m.Backlog = e.backlog.size
 	m.CtrlQueued = len(e.ctrlQ)
 	m.BulkQueued = len(e.bulkQ)
 	m.FailoverQueued = len(e.failQ)
 	m.Counters = e.ctr
 	m.RailFrames = append(m.RailFrames, e.railFrames...)
-	e.smu.Unlock()
+	m.RailDowns = append(m.RailDowns, e.railDowns...)
+	e.mu.Unlock()
 	if a := e.adm.Load(); a != nil {
 		for _, ts := range a.states {
 			if ts == nil {
@@ -202,10 +176,6 @@ func (e *Engine) MetricsInto(m *Metrics) {
 			m.TenantOverQuota += tm.OverQuota
 		}
 	}
-	e.pmu.Lock()
-	m.Counters.add(&e.pctr)
-	m.RailDowns = append(m.RailDowns, e.railDowns...)
-	e.pmu.Unlock()
 }
 
 // Each reports every named quantity in m, in stats.Reader form. Telemetry
@@ -234,7 +204,7 @@ func eachTagged(v reflect.Value, counter func(name string, v uint64)) {
 
 // serve is the engine's stats.Reader: a fresh snapshot by name, plus the
 // per-rail frame counters. The Set calls it outside its own mutex
-// (MetricsInto takes smu and pmu).
+// (MetricsInto takes mu).
 func (e *Engine) serve(counter func(name string, v uint64), gauge func(name string, v float64)) {
 	var m Metrics
 	e.MetricsInto(&m)
@@ -257,16 +227,16 @@ type RetuneEvent struct {
 // SetRdvThreshold, SetTenantQuota). Pass nil to remove it. The observer
 // runs outside the engine locks and may call back into the engine.
 func (e *Engine) SetRetuneObserver(fn func(RetuneEvent)) {
-	e.pmu.Lock()
+	e.mu.Lock()
 	e.retuneObs = fn
-	e.pmu.Unlock()
+	e.mu.Unlock()
 }
 
-// retuneObserver reads the installed observer under pmu.
+// retuneObserver reads the installed observer under mu.
 func (e *Engine) retuneObserver() func(RetuneEvent) {
-	e.pmu.Lock()
+	e.mu.Lock()
 	obs := e.retuneObs
-	e.pmu.Unlock()
+	e.mu.Unlock()
 	return obs
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -227,20 +228,37 @@ func TestSetViewMatchesMetrics(t *testing.T) {
 }
 
 // TestSubmitLosingToCloseCountsNothing pins the divergence the two ledgers
-// used to have: a Submit that passes the first closed check and then loses
-// to Close under the lock its branch takes — pmu for rendezvous, the send
-// lock for eager — returns ErrClosed, and must not have
-// been counted anywhere, by name or in Metrics, nor keep the backlog charge
-// admission took for it.
+// used to have: a Submit, Put or Get that parks on the engine lock and then
+// loses to Close returns ErrClosed, and must not have been counted
+// anywhere, by name or in Metrics, nor keep the backlog charge admission
+// took for it.
 func TestSubmitLosingToCloseCountsNothing(t *testing.T) {
 	const tenant = 3
+	submit := func(size int) func(*Engine) error {
+		return func(e *Engine) error {
+			p := pkt(1, 0, 0, 1, size)
+			p.Tenant = tenant
+			return e.Submit(p)
+		}
+	}
+	// A Submit is past its first closed check once sequenced; Put and Get
+	// check only under the lock, so a goroutine inside one is parked on it.
+	sequenced := func(e *Engine) bool { return e.submitSeq.Load() != 0 }
+	inside := func(fn string) func(*Engine) bool {
+		return func(*Engine) bool {
+			buf := make([]byte, 1<<16)
+			return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "core.(*Engine)."+fn+"(")
+		}
+	}
 	for _, tc := range []struct {
-		name string
-		size int
-		lock func(*Engine) *sync.Mutex // where the Submit parks
+		name   string
+		call   func(*Engine) error
+		parked func(*Engine) bool
 	}{
-		{"rendezvous", 8192, func(e *Engine) *sync.Mutex { return &e.pmu }},
-		{"eager", 64, func(e *Engine) *sync.Mutex { return &e.smu }},
+		{"rendezvous", submit(8192), sequenced},
+		{"eager", submit(64), sequenced},
+		{"put", func(e *Engine) error { return e.Put(1, 0, 0, make([]byte, 64), func() {}) }, inside("Put")},
+		{"get", func(e *Engine) error { return e.Get(1, 0, 0, 64, func([]byte) {}) }, inside("Get")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tn := newNet(t, 2, "aggregate", func(o *Options) {
@@ -249,22 +267,21 @@ func TestSubmitLosingToCloseCountsNothing(t *testing.T) {
 			})
 			e := tn.engines[0]
 
-			mu := tc.lock(e)
-			mu.Lock()
+			e.mu.Lock()
 			errc := make(chan error, 1)
-			go func() {
-				p := pkt(1, 0, 0, 1, tc.size)
-				p.Tenant = tenant
-				errc <- e.Submit(p)
-			}()
-			for e.submitSeq.Load() == 0 { // past the first closed check once sequenced
+			go func() { errc <- tc.call(e) }()
+			for !tc.parked(e) {
 				time.Sleep(100 * time.Microsecond)
 			}
 			e.closed.Store(true)
-			mu.Unlock()
+			e.mu.Unlock()
 
 			if err := <-errc; !errors.Is(err, ErrClosed) {
-				t.Fatalf("Submit = %v, want ErrClosed", err)
+				t.Fatalf("%s = %v, want ErrClosed", tc.name, err)
+			}
+			if m := e.Metrics(); m.RMAPuts != 0 || m.RMAGets != 0 || m.BulkQueued != 0 {
+				t.Errorf("Metrics counted the refused %s: puts %d, gets %d, bulk queued %d",
+					tc.name, m.RMAPuts, m.RMAGets, m.BulkQueued)
 			}
 			if n := e.Stats().CounterValue("core.submitted"); n != 0 {
 				t.Errorf("core.submitted = %d after a refused Submit", n)
@@ -284,8 +301,8 @@ func TestSubmitLosingToCloseCountsNothing(t *testing.T) {
 
 // TestSharedSetReadersRaceEngines is the -race battery for the by-name
 // view: readers Dump a Set shared by two wall-clock engines while those
-// engines submit, pump and retune. Every read takes each engine's send
-// lock and pmu from a foreign goroutine — outside the Set's
+// engines submit, pump and retune. Every read takes each engine's lock
+// from a foreign goroutine — outside the Set's
 // own mutex, which stats.TestServeReadersRunUnlocked pins directly.
 func TestSharedSetReadersRaceEngines(t *testing.T) {
 	nodes, cleanup, err := drivers.NewMeshCluster(2, caps.TCP)

@@ -28,29 +28,36 @@ func (e *Engine) onIdle(ri, ch int) {
 }
 
 // onFrame is the receive upcall on rail ri: route through the protocol
-// dispatcher under pmu, then hand any completed packets up and react to
+// dispatcher under mu, then hand any completed packets up and react to
 // protocol events.
+//
+// A frame decoded from a wire read carries a pooled backing buffer and ends
+// here: the engine releases it on every path, a frame racing Close
+// included. Frames without one — simulated fabrics hand the sender's own
+// frame object across, tests hand-build theirs — are left to the GC.
 func (e *Engine) onFrame(ri int, src packet.NodeID, f *packet.Frame) {
+	wire := f.Backed()
 	if e.closed.Load() {
-		// Still the terminal consumer: a frame racing Close would
-		// otherwise leak its pooled wire buffer.
-		if f.Backed() {
+		if wire {
 			packet.ReleaseFrame(f)
 		}
 		return
 	}
-	e.pmu.Lock()
+	// Copying the eager payloads out of the wire buffer is the longest step
+	// of a dispatch and needs no engine state, so it runs before mu.
+	proto.Land(f)
+	e.mu.Lock()
 	if e.closed.Load() {
-		// Close won pmu between our check and the lock; same contract.
-		e.pmu.Unlock()
-		if f.Backed() {
+		// Close won mu between our check and the lock; same contract.
+		e.mu.Unlock()
+		if wire {
 			packet.ReleaseFrame(f)
 		}
 		return
 	}
 	now := e.rt.Now()
-	// The protocol-event hooks the dispatcher calls (onRdvGrant) run under
-	// pmu and read the arrival rail from here.
+	// The protocol-event hooks the dispatcher calls (onRdvGrantLocked) run
+	// under mu and read the arrival rail from here.
 	e.arrivalRail = ri
 	// SpanXmit: the sender stamped the frame at post time when the frame
 	// object itself crossed the fabric (simulated rails only); frames
@@ -77,17 +84,14 @@ func (e *Engine) onFrame(ri int, src packet.NodeID, f *packet.Frame) {
 		A: int(f.Kind), B: f.PayloadSize(), Note: f.Kind.String(),
 	})
 	e.disp.HandleFrame(src, f)
-	// Terminal consumption of a wire-pooled frame: protocol dispatch has
-	// copied or pinned everything that escapes (proto's memory-discipline
-	// contract), so the frame and its unpinned backing buffer recycle here.
-	// Frames without pooled backing — simulated fabrics hand the sender's
-	// own frame object across, tests hand-build theirs — are left to the
-	// GC.
-	if f.Backed() {
+	deliver, fns := e.takeDeliveriesLocked()
+	e.mu.Unlock()
+	// Dispatch has copied or pinned everything that escapes (proto's
+	// memory-discipline contract), so the frame and its unpinned backing
+	// buffer recycle.
+	if wire {
 		packet.ReleaseFrame(f)
 	}
-	deliver, fns := e.takeDeliveriesLocked()
-	e.pmu.Unlock()
 	e.dispatchDeliveries(deliver, fns, ri)
 	// Protocol handling may have queued reactive frames (CTS, acks, get
 	// replies) or granted rendezvous bulk; give idle channels a chance.
@@ -95,7 +99,7 @@ func (e *Engine) onFrame(ri int, src packet.NodeID, f *packet.Frame) {
 }
 
 // takeDeliveriesLocked swaps out the accumulated delivery batch. Caller
-// holds pmu — all delivery producers (reassembler completion, RMA
+// holds mu — all delivery producers (reassembler completion, RMA
 // callbacks) run under it.
 func (e *Engine) takeDeliveriesLocked() ([]proto.Deliverable, []func()) {
 	d := e.pendingDeliver
@@ -110,9 +114,9 @@ func (e *Engine) takeDeliveriesLocked() ([]proto.Deliverable, []func()) {
 	}
 	fns := e.pendingFns
 	e.pendingFns = nil
-	e.pctr.Delivered += uint64(len(d))
+	e.ctr.Delivered += uint64(len(d))
 	for i := range d {
-		e.pctr.DeliveredBytes += uint64(d[i].Pkt.Size())
+		e.ctr.DeliveredBytes += uint64(d[i].Pkt.Size())
 	}
 	return d, fns
 }
@@ -142,19 +146,17 @@ func (e *Engine) dispatchDeliveries(ds []proto.Deliverable, fns []func(), rail i
 	for i := range ds {
 		ds[i] = proto.Deliverable{}
 	}
-	e.pmu.Lock()
+	e.mu.Lock()
 	if e.deliverSpare == nil {
 		e.deliverSpare = ds[:0]
 	}
-	e.pmu.Unlock()
+	e.mu.Unlock()
 }
 
-// enqueueReactive is the SendHook for the protocol engines: CTS/Ack frames
-// join the control queue, data-bearing frames the bulk queue. Called with
-// pmu held (protocol engines run under it); taking smu nested is the
-// pmu > smu order.
-func (e *Engine) enqueueReactive(f *packet.Frame) {
-	e.smu.Lock()
+// enqueueReactiveLocked is the SendHook for the protocol engines: CTS/Ack
+// frames join the control queue, data-bearing frames the bulk queue. Caller
+// holds mu (protocol engines run under it).
+func (e *Engine) enqueueReactiveLocked(f *packet.Frame) {
 	switch f.Kind {
 	case packet.FrameCTS, packet.FrameAck, packet.FrameRTS:
 		e.ctrlQ = append(e.ctrlQ, f)
@@ -164,13 +166,12 @@ func (e *Engine) enqueueReactive(f *packet.Frame) {
 		e.nBulk.Add(1)
 	}
 	e.ctr.ReactiveFrames++
-	e.smu.Unlock()
 }
 
-// onRdvGrant fires when a CTS arrives for a rendezvous this node started:
-// the bulk payload becomes schedulable and the retry timer stands down.
-func (e *Engine) onRdvGrant(token uint64, p *packet.Packet) {
-	// Called with pmu held (CTS arrives via onFrame -> dispatcher).
+// onRdvGrantLocked fires when a CTS arrives for a rendezvous this node
+// started: the bulk payload becomes schedulable and the retry timer stands
+// down. Caller holds mu (the CTS arrives via onFrame -> dispatcher).
+func (e *Engine) onRdvGrantLocked(token uint64, p *packet.Packet) {
 	e.cancelRdvRetryLocked(token)
 	// SpanRdvGrant closes here: RTS first queued → CTS arrival, retries
 	// included. The arrival rail is the one onFrame is dispatching.
@@ -179,15 +180,12 @@ func (e *Engine) onRdvGrant(token uint64, p *packet.Packet) {
 		e.spans.Observe(int(SpanRdvGrant), int(packet.ClassBulk), e.arrivalRail, float64(e.rt.Now().Sub(t0)))
 	}
 	rdata := e.rdvS.BuildRData(token)
-	ctrl := rdata.Ctrl // the frame is a pump's to post and recycle once queued
-	e.smu.Lock()
 	e.bulkQ = append(e.bulkQ, rdata)
 	e.nBulk.Add(1)
 	e.ctr.RdvGranted++
-	e.smu.Unlock()
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindRdv, Node: e.node,
-		Flow: ctrl.Flow, Seq: ctrl.Seq, A: ctrl.Size, Note: "granted",
+		Flow: rdata.Ctrl.Flow, Seq: rdata.Ctrl.Seq, A: rdata.Ctrl.Size, Note: "granted",
 	})
 }
 
@@ -212,7 +210,7 @@ func (e *Engine) railInfo(ri int) strategy.RailInfo {
 // pumpReactiveLocked tries to occupy (rail ri, channel ch) with
 // latency-critical traffic: a control frame if the class policy admits
 // control here, else a failover re-post. Returns whether a frame was
-// posted. Caller holds smu (under the owning chanPump).
+// posted. Caller holds mu (under the owning chanPump).
 func (e *Engine) pumpReactiveLocked(b *strategy.Bundle, ri, ch int) bool {
 	numCh := e.rails[ri].NumChannels()
 	// Control/signalling first: tiny, never queues behind data if the
@@ -238,7 +236,7 @@ func (e *Engine) pumpReactiveLocked(b *strategy.Bundle, ri, ch int) bool {
 
 // pumpWorkLocked tries to occupy (rail ri, channel ch) with planned work,
 // alternating fairly between the eager backlog and granted bulk. Returns
-// whether a frame was posted. Caller holds smu (under the owning chanPump).
+// whether a frame was posted. Caller holds mu (under the owning chanPump).
 //
 // idleUpcall distinguishes a genuine NIC-idle activation from an
 // opportunistic pump (after a received frame, a policy switch, ...). An
@@ -318,7 +316,7 @@ func (e *Engine) railAdmits(b *strategy.Bundle, p *packet.Packet, info strategy.
 // but the rail policy is bypassed — its preferred rail for the frame is
 // exactly the one that died — and rails that do not reach the frame's
 // destination are skipped. Frames nothing currently reaches stay queued for
-// a heal. Caller holds smu.
+// a heal. Caller holds mu.
 func (e *Engine) pumpFailoverLocked(b *strategy.Bundle, ri, ch int) bool {
 	if len(e.failQ) == 0 {
 		return false
@@ -345,7 +343,7 @@ func (e *Engine) pumpFailoverLocked(b *strategy.Bundle, ri, ch int) bool {
 }
 
 // pumpBulkLocked posts the first bulk frame admitted on this channel.
-// Caller holds smu.
+// Caller holds mu.
 func (e *Engine) pumpBulkLocked(b *strategy.Bundle, ri, ch int) bool {
 	info := e.railInfo(ri)
 	numCh := e.rails[ri].NumChannels()
@@ -373,7 +371,7 @@ func (e *Engine) pumpBulkLocked(b *strategy.Bundle, ri, ch int) bool {
 // pumpBacklogLocked runs the plan builder over the eligible backlog view.
 // The view and the plan live only for this pump — the plan may sit in the
 // context's scratch, which the next Build overwrites — and builders must
-// not retain the view or the context past Build. Caller holds smu.
+// not retain the view or the context past Build. Caller holds mu.
 func (e *Engine) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 	r := e.rails[ri]
 	info := e.railInfo(ri)
@@ -470,7 +468,7 @@ func (e *Engine) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 // — while the per-packet rail rule (railAdmits) runs only on merge
 // survivors. The merge is by SubmitSeq, so the view is exactly a
 // submission-order scan of the whole backlog. The returned slice is
-// engine-owned scratch, valid until the next pump. Caller holds smu.
+// engine-owned scratch, valid until the next pump. Caller holds mu.
 func (e *Engine) eligibleLocked(b *strategy.Bundle, info strategy.RailInfo, ch, numCh, limit int) []*packet.Packet {
 	view := e.viewScratch[:0]
 	cur := e.curScratch[:0]
@@ -543,7 +541,7 @@ func (e *Engine) eligibleLocked(b *strategy.Bundle, info strategy.RailInfo, ch, 
 }
 
 // popFrameLocked pops the oldest frame off q, keeping its work hint in
-// step. Caller holds smu.
+// step. Caller holds mu.
 func (e *Engine) popFrameLocked(q *[]*packet.Frame, hint *atomic.Int64) *packet.Frame {
 	if len(*q) == 0 {
 		return nil
@@ -572,7 +570,7 @@ func (e *Engine) popFrameLocked(q *[]*packet.Frame, hint *atomic.Int64) *packet.
 // ErrClosed is the other one: teardown (a test's or a cluster's cleanup)
 // closes rails while pumps are mid-post. The rail is gone for good, so the
 // frame is released and the post counts for nothing.
-// Caller holds smu.
+// Caller holds mu.
 func (e *Engine) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, hostExtra simnet.Duration) {
 	// Ownership of f transfers to the driver at a successful Post: a wire
 	// rail's owner goroutine may serialize and release it concurrently

@@ -25,11 +25,11 @@ func (r lingeringRuntime) Schedule(d simnet.Duration, label string, fn func()) s
 }
 
 // TestRdvSubmitRace pins the frame-ownership rule on the rendezvous submit
-// path: once Submit has queued the RTS and dropped the send lock, another
+// path: once Submit has queued the RTS and dropped the engine lock, another
 // goroutine's pump may post it and the rail's sender recycle it, so Submit
 // may not read the frame again (it used to, for the retry timer's token).
 // Over real sockets, with retry armed, concurrent submitters and a Flush
-// loop (the pump that needs no protocol lock) make exactly that
+// loop (a pump on a goroutine that submits nothing) make exactly that
 // interleaving; -race reports the stale read. Exactly-once in-order
 // delivery is checked on the way.
 func TestRdvSubmitRace(t *testing.T) {

@@ -9,14 +9,13 @@ import (
 // Remote-memory-access surface of the engine. Put/get transfers are the
 // third traffic class the paper names; middlewares (the DSM in particular)
 // use these instead of packet flows when they want one-sided semantics.
-// The RMA protocol engine is receive-side state, so it lives under pmu;
-// the frames it builds are send-side work and join the bulk queue.
+// The RMA protocol engine lives under mu with the queues its frames join.
 
 // RegisterWindow exposes buf to remote put/get under window id.
 func (e *Engine) RegisterWindow(id int32, buf []byte) {
-	e.pmu.Lock()
+	e.mu.Lock()
 	e.rma.RegisterWindow(id, buf)
-	e.pmu.Unlock()
+	e.mu.Unlock()
 }
 
 // Put writes data into (window, off) at dst. done, if non-nil, runs when
@@ -25,25 +24,22 @@ func (e *Engine) Put(dst packet.NodeID, window int32, off int64, data []byte, do
 	if dst == e.node {
 		return fmt.Errorf("core: RMA put to self")
 	}
-	e.pmu.Lock()
+	e.mu.Lock()
 	if e.closed.Load() {
-		e.pmu.Unlock()
+		e.mu.Unlock()
 		return ErrClosed
 	}
 	// Completion callbacks fire inside the frame dispatcher, which runs
-	// under pmu; wrap them so the user code runs after unlock and may
+	// under mu; wrap them so the user code runs after unlock and may
 	// re-enter the engine.
 	wrapped := done
 	if done != nil {
 		wrapped = func() { e.pendingFns = append(e.pendingFns, done) }
 	}
-	f := e.rma.Put(dst, window, off, data, wrapped)
-	e.smu.Lock()
-	e.bulkQ = append(e.bulkQ, f)
+	e.bulkQ = append(e.bulkQ, e.rma.Put(dst, window, off, data, wrapped))
 	e.nBulk.Add(1)
 	e.ctr.RMAPuts++
-	e.smu.Unlock()
-	e.pmu.Unlock()
+	e.mu.Unlock()
 	e.pumpAll()
 	return nil
 }
@@ -56,21 +52,18 @@ func (e *Engine) Get(dst packet.NodeID, window int32, off int64, n int, done fun
 	if done == nil {
 		return fmt.Errorf("core: RMA get requires a callback")
 	}
-	e.pmu.Lock()
+	e.mu.Lock()
 	if e.closed.Load() {
-		e.pmu.Unlock()
+		e.mu.Unlock()
 		return ErrClosed
 	}
 	wrapped := func(data []byte) {
 		e.pendingFns = append(e.pendingFns, func() { done(data) })
 	}
-	f := e.rma.Get(dst, window, off, n, wrapped)
-	e.smu.Lock()
-	e.bulkQ = append(e.bulkQ, f)
+	e.bulkQ = append(e.bulkQ, e.rma.Get(dst, window, off, n, wrapped))
 	e.nBulk.Add(1)
 	e.ctr.RMAGets++
-	e.smu.Unlock()
-	e.pmu.Unlock()
+	e.mu.Unlock()
 	e.pumpAll()
 	return nil
 }

@@ -8,24 +8,21 @@ import (
 	"newmad/internal/trace"
 )
 
-// The send side. One lock, Engine.smu, guards everything between Submit and
-// a NIC post: the backlog index, the reactive control/bulk queues, the
-// failover queue, the Nagle delay, the send-side counters and the pump
-// scratch. The receive/protocol side runs under Engine.pmu, and each NIC
+// The send side. One lock, Engine.mu, guards everything between Submit and a
+// NIC post — the backlog index, the reactive control/bulk queues, the
+// failover queue, the Nagle delay, the counters and the pump scratch — and
+// the protocol side that feeds those queues from received frames. Each NIC
 // channel's pump is serialized by its own chanPump. Acquisition order:
 //
-//	Engine.pmu  > Engine.smu > stats/trace leaf locks
-//	chanPump.mu > Engine.smu > stats/trace leaf locks
+//	chanPump.mu > Engine.mu > stats/trace leaf locks
 //
 // The stats.Set mutex is a leaf: the Set runs the engine's by-name reader
-// (metrics.go, which takes smu and pmu) only after releasing it. pmu may
-// take smu to queue reactive frames, never the reverse; a chanPump may take
-// smu, never pmu. Submit takes smu — the one way into the send side, eager
-// and rendezvous alike — and touches pmu only when the packet goes
-// rendezvous over a posted buffer.
+// (metrics.go, which takes mu) only after releasing it. Submit, a received
+// frame, a retry timer and a pump each take mu once; the protocol engines'
+// hooks run inside the section that called them.
 
 // countSubmitLocked tallies one accepted submission, eager or rendezvous.
-// Caller holds smu.
+// Caller holds mu.
 func (e *Engine) countSubmitLocked(p *packet.Packet, rdv bool) {
 	e.ctr.Submitted++
 	e.ctr.SubmittedBytes += uint64(p.Size())
@@ -41,7 +38,7 @@ func (e *Engine) countSubmitLocked(p *packet.Packet, rdv bool) {
 // pushEagerLocked accounts one eager packet into the backlog and applies
 // the Nagle arm/flush decision. It reports whether the caller should pump:
 // false when the packet was absorbed into an armed artificial delay.
-// Caller holds smu.
+// Caller holds mu.
 func (e *Engine) pushEagerLocked(p *packet.Packet) (pump bool) {
 	e.countSubmitLocked(p, false)
 	e.ctr.EagerBytes += uint64(p.Size())
@@ -79,7 +76,7 @@ func (e *Engine) pushEagerLocked(p *packet.Packet) (pump bool) {
 // disarmNagleLocked retires the armed delay. The generation bump makes a
 // timer fire that lost the race against this disarm (possible on the
 // wall-clock runtime, where cancelling an already-running callback is a
-// no-op) recognize itself as stale. Caller holds smu.
+// no-op) recognize itself as stale. Caller holds mu.
 func (e *Engine) disarmNagleLocked() {
 	e.nagleArmed = false
 	e.nagleGen++
@@ -91,17 +88,17 @@ func (e *Engine) disarmNagleLocked() {
 
 // onNagle fires when the artificial delay armed as generation gen expires.
 func (e *Engine) onNagle(gen uint64) {
-	e.smu.Lock()
+	e.mu.Lock()
 	if gen != e.nagleGen {
 		// Stale fire: this arming was disarmed (and possibly re-armed)
 		// while the callback was already in flight.
-		e.smu.Unlock()
+		e.mu.Unlock()
 		return
 	}
 	e.nagleArmed = false
 	e.nagleCancel = nil
 	e.ctr.NagleFires++
-	e.smu.Unlock()
+	e.mu.Unlock()
 	e.rec.Record(trace.Event{At: e.rt.Now(), Kind: trace.KindNagleFire, Node: e.node, A: int(e.backlogSz.Load())})
 	e.pumpAll()
 }
@@ -161,7 +158,7 @@ func (e *Engine) kickChannel(ri, ch int, idleUpcall bool) {
 // pumpChannel offers (rail ri, channel ch) the most valuable work in two
 // passes: reactive control frames and failover re-posts first, then planned
 // backlog/bulk work. The atomic queue hints let a pass with nothing to do
-// skip smu. Caller holds the channel's chanPump.
+// skip mu. Caller holds the channel's chanPump.
 func (e *Engine) pumpChannel(ri, ch int, idleUpcall bool) {
 	if e.closed.Load() {
 		// A pump that raced Close stops: Close is discarding the queues
@@ -175,9 +172,9 @@ func (e *Engine) pumpChannel(ri, ch int, idleUpcall bool) {
 	// Pass 1: control/signalling and failover traffic — latency-critical,
 	// never queues behind data.
 	if e.nCtrl.Load() != 0 || e.nFail.Load() != 0 {
-		e.smu.Lock()
+		e.mu.Lock()
 		posted := e.pumpReactiveLocked(b, ri, ch)
-		e.smu.Unlock()
+		e.mu.Unlock()
 		if posted {
 			return
 		}
@@ -190,7 +187,7 @@ func (e *Engine) pumpChannel(ri, ch int, idleUpcall bool) {
 	if e.backlogSz.Load() == 0 && e.nBulk.Load() == 0 {
 		return
 	}
-	e.smu.Lock()
+	e.mu.Lock()
 	e.pumpWorkLocked(b, ri, ch, idleUpcall, fav)
-	e.smu.Unlock()
+	e.mu.Unlock()
 }

@@ -107,8 +107,8 @@ func TestShardedDeterminism(t *testing.T) {
 // TCP sockets, eight concurrent submitters — flows 1–4 to node 1, 5–8 to
 // node 2 — race metrics snapshots, bundle swaps, SetNagle and Flush, and
 // the test ends with Close racing Submit. Run under -race this exercises
-// every lock at once: the send lock, channel pumps, the protocol mutex, and
-// the atomic tuning/bundle swaps. The engine has a single send side, so the
+// every lock at once: the engine lock, channel pumps, and the atomic
+// tuning/bundle swaps. The engine has a single send side, so the
 // one arm is the one-shard layout.
 func TestShardedLoopbackRace(t *testing.T) {
 	t.Run("shards=1", shardedLoopbackRace)

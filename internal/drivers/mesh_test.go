@@ -308,6 +308,81 @@ func TestMeshRedialWithPending(t *testing.T) {
 	})
 }
 
+// TestMeshStaleWriteErrorKeepsPeerUp: a write error on a rail a re-dial has
+// already replaced takes the replacement down only when it loses frames
+// nobody else surfaces — the old rail was live and no frame-loss handler
+// takes its frames back. A rail BreakPeer took down had its loss surfaced
+// then, and a loss handler fails the frames over; in both cases the peer
+// stays up and the new connection carries traffic.
+func TestMeshStaleWriteErrorKeepsPeerUp(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		broken, handler bool
+		wantDown        bool
+	}{
+		{"broken-then-redialed", true, false, false},
+		{"graceful-with-loss-handler", false, true, false},
+		{"graceful-without-loss-handler", false, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cleanup()
+			recv := make(chan struct{}, 1)
+			nodes[1].SetRecvHandler(func(_ packet.NodeID, f *packet.Frame) {
+				packet.ReleaseFrame(f)
+				recv <- struct{}{}
+			})
+			if tc.handler {
+				nodes[0].SetFrameLossHandler(func(packet.NodeID, []*packet.Frame) {})
+			}
+			nodes[0].mu.Lock()
+			old := nodes[0].peers[1]
+			nodes[0].mu.Unlock()
+			if tc.broken {
+				inbound := func() bool {
+					nodes[0].mu.Lock()
+					defer nodes[0].mu.Unlock()
+					_, ok := nodes[0].inbound[1]
+					return ok
+				}
+				waitFor(t, 5*time.Second, "node 1's hello", inbound)
+				nodes[0].BreakPeer(1)
+				// Node 1 sees the EOF and drops its connection back; wait until
+				// node 0 has read that EOF too, so no late inbound failure
+				// lands on the replacement below.
+				waitFor(t, 5*time.Second, "the reverse connection's EOF", func() bool { return !inbound() })
+			}
+			if err := nodes[0].Dial(1, nodes[1].Addr()); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 5*time.Second, "the old rail to retire", func() bool { return nodes[0].Draining() == 0 })
+
+			nodes[0].railWriteFailed(1, old)
+			if got := nodes[0].PeerDown(1); got != tc.wantDown {
+				t.Fatalf("PeerDown after the old rail's write error = %v, want %v", got, tc.wantDown)
+			}
+			err = nodes[0].Post(0, simpleFrame(0, 1, 64), 0)
+			if tc.wantDown {
+				if !errors.Is(err, ErrPeerDown) {
+					t.Fatalf("post = %v, want ErrPeerDown", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("post on the replacement: %v", err)
+			}
+			select {
+			case <-recv:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the replacement carried no frame")
+			}
+		})
+	}
+}
+
 // TestMeshListenAddr exercises explicit listen addresses (the multi-machine
 // path) and dial errors.
 func TestMeshListenAddr(t *testing.T) {

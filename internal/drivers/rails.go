@@ -25,7 +25,8 @@ import (
 //	         │ Close                │ write error            │
 //	         └──────────────────────┴── down=true ───────────┘
 //	                                    (loss surfaced via onDown /
-//	                                     ErrPeerDown, never silent)
+//	                                     ErrPeerDown or handed to onLost,
+//	                                     never silent)
 //
 // railActive: the rail is m.peers[peer]; Post enqueues frames, the owner
 // writes them. railDraining: a re-Dial installed a replacement. The queue
@@ -36,12 +37,15 @@ import (
 // dropped. railClosed: the owner has exited and the socket is closed.
 //
 // A write error at any point sets the orthogonal down flag. If it strikes
-// during a drain, the frames still queued on the dying connection are lost
-// with it, so the peer as a whole is taken down (the replacement included):
-// the loss surfaces through the peer-down handler and ErrPeerDown instead
-// of wedging the destination flow silently. Close retires abruptly — it
-// closes sockets immediately to unwedge blocked writes — and the closed
-// flag silences every error path.
+// during a drain of a live connection with no frame-loss handler installed,
+// the frames still queued on it are lost, so the peer as a whole is taken
+// down (the replacement included): the loss surfaces through the peer-down
+// handler and ErrPeerDown instead of wedging the destination flow silently.
+// With a loss handler the frames are handed back for failover, and a
+// connection already down (BreakPeer before the re-dial) had its loss
+// surfaced then; either way the replacement stays up. Close retires
+// abruptly — it closes sockets immediately to unwedge blocked writes — and
+// the closed flag silences every error path.
 type rail struct {
 	c     net.Conn
 	q     chan railTx

@@ -81,25 +81,29 @@ func (m *Mesh) retireLocked(r *rail, graceful bool) {
 	}
 }
 
-// railWriteFailed handles a write error on rail r toward peer. Whether r is
-// the peer's current connection or a draining predecessor, the error loses
-// every frame still queued on r (plus the one mid-write), so the peer as a
-// whole goes down: the current rail is marked down (subsequent Posts fail
-// with ErrPeerDown), both sockets close, and the peer-down handler fires
-// once. Surfacing the loss — rather than letting a retired connection die
-// quietly with frames aboard — is what keeps a destination flow from
-// wedging with no error anywhere. During shutdown every error is expected
-// and silenced.
+// railWriteFailed handles a write error on rail r toward peer. The error
+// loses every frame still queued on r (plus the one mid-write). When r is
+// the peer's current connection, or a draining predecessor that was live
+// with no loss handler to take those frames back, the peer as a whole goes
+// down: the current rail is marked down (subsequent Posts fail with
+// ErrPeerDown), both sockets close, and the peer-down handler fires once.
+// Surfacing the loss — rather than letting a retired connection die quietly
+// with frames aboard — is what keeps a destination flow from wedging with no
+// error anywhere. A predecessor whose loss was already surfaced (BreakPeer
+// took it down before the re-dial) or whose frames the loss handler fails
+// over leaves the replacement alone. During shutdown every error is
+// expected and silenced.
 func (m *Mesh) railWriteFailed(peer packet.NodeID, r *rail) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
+	wasLive := !r.down
 	r.down = true
 	var curConn net.Conn
 	fire := false
-	if cur, ok := m.peers[peer]; ok && !cur.down {
+	if cur, ok := m.peers[peer]; ok && !cur.down && (cur == r || wasLive && m.onLost == nil) {
 		cur.down = true
 		curConn = cur.c
 		fire = true

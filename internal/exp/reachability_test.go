@@ -21,9 +21,9 @@ import (
 // in non-test code that no shipping root reaches and that stays anyway, with
 // the reason. Three kinds may be here and nothing else: read-only observers,
 // shape-test oracles and reference checks a kept test uses to assert an
-// invariant of shipping code, the paper's packing surface in internal/mad, and
-// the mechanisms a ROADMAP item owns (DESIGN.md §11) — the entry names the item that must give the function a
-// shipping caller or delete it. Keys are "<dir>.<Func>" or
+// invariant of shipping code, and the paper's packing surface in
+// internal/mad. A mechanism that only tests drive goes, with those tests.
+// Keys are "<dir>.<Func>" or
 // "<dir>.<Type>.<Method>" with <dir> relative to internal/.
 var keptUnreached = map[string]string{
 	// Observers: read-only, no state of their own beyond a tally.
@@ -70,11 +70,6 @@ var keptUnreached = map[string]string{
 	"mad.Channel.OnExpress":  "mad packing surface: the paper's receive-express upcall",
 	"mad.Channel.OnFragment": "mad packing surface: per-fragment unpack upcall",
 	"mad.NewSession":         "mad packing surface: a session over an engine built elsewhere (Bind is what ships)",
-
-	// Mechanisms a ROADMAP item owns.
-	"cluster.OptionsFromManifest": "socket manifest boot; ROADMAP item 6c folds it into the one builder or deletes it",
-	"cluster.FromManifest":        "socket manifest boot (ROADMAP item 6c)",
-	"cluster.ScriptFromManifest":  "socket manifest boot: the cross-tier chaos replay (ROADMAP item 6c)",
 }
 
 // TestNoTestOnlyMechanisms is the ratchet behind "nothing ships that only a

@@ -27,8 +27,8 @@ import (
 //     objects unless someone explicitly pools them.
 //   - Payload bytes are never owned by the frame. On the send side they
 //     alias application (or protocol-engine) memory; on the receive side
-//     they alias the backing Buf until the dispatcher copies or pins them
-//     (see Frame.PinBacking and proto.Dispatcher).
+//     they alias the backing Buf until proto.Land copies them out or the
+//     dispatcher pins them (see Frame.ReleaseBacking and Frame.PinBacking).
 var framePool = sync.Pool{New: func() any { return &Frame{} }}
 
 // AcquireFrame returns a reset Frame from the pool. The caller owns it
@@ -49,13 +49,7 @@ func ReleaseFrame(f *Frame) {
 	if f == nil {
 		return
 	}
-	if f.backing != nil {
-		if !f.pinned {
-			PutBuf(f.backing)
-		}
-		f.backing = nil
-		f.pinned = false
-	}
+	f.ReleaseBacking()
 	if !f.pooled {
 		return
 	}
@@ -95,13 +89,28 @@ func (f *Frame) SetBacking(b *Buf) {
 // Backed reports whether the frame's payload bytes alias a wire buffer that
 // ReleaseFrame will dispose of (recycled if pooled, dropped otherwise).
 // Receive-side consumers that retain payload bytes past the upcall must
-// either copy them (the dispatcher's eager path does) or pin the buffer.
+// either copy them (proto.Land does, for eager data) or pin the buffer.
 func (f *Frame) Backed() bool { return f.backing != nil }
 
 // PinBacking marks the backing buffer as escaped: ReleaseFrame will leave
 // it to the garbage collector instead of recycling it, so payload slices
 // that outlive the frame stay intact.
 func (f *Frame) PinBacking() { f.pinned = true }
+
+// ReleaseBacking disposes of the backing buffer now, as ReleaseFrame would,
+// and leaves the frame unbacked and still owned by the caller — for a
+// receiver that has copied every payload out of the buffer before it is
+// done with the frame.
+func (f *Frame) ReleaseBacking() {
+	if f.backing == nil {
+		return
+	}
+	if !f.pinned {
+		PutBuf(f.backing)
+	}
+	f.backing = nil
+	f.pinned = false
+}
 
 // Buf is a wire buffer: B holds the bytes, the rest is pool bookkeeping.
 // Receivers read a frame into a Buf (LandingBuf picks which sort), decode,

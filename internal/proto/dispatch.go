@@ -77,28 +77,43 @@ func (d *Dispatcher) HandleFrame(src packet.NodeID, f *packet.Frame) {
 	}
 }
 
+// Land is the receive path's memory-discipline pivot for eager data
+// (DESIGN.md §5). A backed data frame's payloads alias a pooled wire buffer
+// that is recycled after dispatch, so Land copies them into one payload
+// block the delivered payload slices own and recycles the buffer at once;
+// the frame is then unbacked. Any other frame is left as it is — an
+// unbacked one (simulated fabrics, hand-built tests) delivers payloads
+// that alias the frame's own, since nothing recycles its bytes.
+// HandleFrame lands a data frame itself; a caller that serializes dispatch
+// under a lock calls Land first, so the copy stays outside it.
+func Land(f *packet.Frame) {
+	if f.Kind != packet.FrameData || !f.Backed() {
+		return
+	}
+	total := 0
+	for i := range f.Entries {
+		total += len(f.Entries[i].Payload)
+	}
+	if total > 0 {
+		block := make([]byte, 0, total)
+		for i := range f.Entries {
+			e := &f.Entries[i]
+			if len(e.Payload) > 0 {
+				start := len(block)
+				block = append(block, e.Payload...)
+				e.Payload = block[start:len(block):len(block)]
+			}
+		}
+	}
+	f.ReleaseBacking()
+}
+
 // ingestData turns a data frame's entries into receiver-side packets and
 // feeds the reassembler. Packets are materialized on the stack and travel
 // by value through Deliverable, so an aggregated frame's dispatch costs at
-// most one allocation. Payload handling is the receive path's memory-
-// discipline pivot (DESIGN.md §5):
-//
-//   - A backed frame's payloads alias a pooled wire buffer that will be
-//     recycled right after dispatch, so they are copied out into a single
-//     payload block owned by the delivered payload slices.
-//   - An unbacked frame (simulated fabrics, hand-built tests) delivers
-//     payloads that alias the frame's own: nothing recycles its bytes.
+// most one allocation, Land's payload block.
 func (d *Dispatcher) ingestData(src packet.NodeID, f *packet.Frame) {
-	var block []byte
-	if f.Backed() {
-		total := 0
-		for i := range f.Entries {
-			total += len(f.Entries[i].Payload)
-		}
-		if total > 0 {
-			block = make([]byte, 0, total)
-		}
-	}
+	Land(f)
 	var p packet.Packet
 	for i := range f.Entries {
 		e := &f.Entries[i]
@@ -106,11 +121,6 @@ func (d *Dispatcher) ingestData(src packet.NodeID, f *packet.Frame) {
 			Flow: e.Flow, Msg: e.Msg, Seq: e.Seq, Last: e.Last,
 			Src: src, Dst: d.node, Class: e.Class, Recv: e.Recv,
 			Payload: e.Payload, Enqueued: e.Enqueued,
-		}
-		if block != nil && len(e.Payload) > 0 {
-			start := len(block)
-			block = append(block, e.Payload...)
-			p.Payload = block[start:len(block):len(block)]
 		}
 		d.reasm.Ingest(src, &p)
 	}

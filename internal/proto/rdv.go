@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"newmad/internal/packet"
 )
@@ -45,7 +44,7 @@ type GrantHook func(token uint64, p *packet.Packet)
 // RdvSender is the source-side rendezvous engine of one node.
 type RdvSender struct {
 	node      packet.NodeID
-	nextToken atomic.Uint64             // Direct runs outside the engine's protocol lock
+	nextToken uint64
 	pending   map[uint64]*packet.Packet // RTS sent, no CTS yet
 	granted   map[uint64]*packet.Packet // CTS seen, RData not yet built
 	onGrant   GrantHook
@@ -85,15 +84,15 @@ func (s *RdvSender) rtsFor(tok uint64, p *packet.Packet) *packet.Frame {
 // schedule (control class). The payload stays with the engine until
 // granted.
 func (s *RdvSender) Start(p *packet.Packet) *packet.Frame {
-	tok := s.nextToken.Add(1)
-	s.pending[tok] = p
-	return s.rtsFor(tok, p)
+	s.nextToken++
+	s.pending[s.nextToken] = p
+	return s.rtsFor(s.nextToken, p)
 }
 
-// Direct returns the RData carrying p under a fresh token, keeping nothing;
-// it touches only the token counter, so it is safe concurrently.
+// Direct returns the RData carrying p under a fresh token, keeping nothing.
 func (s *RdvSender) Direct(p *packet.Packet) *packet.Frame {
-	return s.rdataFor(s.nextToken.Add(1), p)
+	s.nextToken++
+	return s.rdataFor(s.nextToken, p)
 }
 
 // RetryRTS rebuilds the RTS for a still-ungranted token — the engine's

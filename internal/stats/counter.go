@@ -54,9 +54,9 @@ func (s *Set) Serve(r Reader) {
 }
 
 // served runs every reader and merges what they report. Readers run outside
-// s.mu: a reader takes its owner's locks (an engine's smu and pmu), and
-// those rank above this leaf mutex — code holding them writes stored
-// counters and histograms.
+// s.mu: a reader takes its owner's lock (an engine's mu), and that ranks
+// above this leaf mutex — code holding it writes stored counters and
+// histograms.
 func (s *Set) served() (ctrs map[string]uint64, gauges map[string]float64) {
 	s.mu.Lock()
 	rs := s.readers // append-only: the prefix captured here never changes

@@ -55,7 +55,7 @@ type Context struct {
 // return it from Build instead of allocating a plan and a packet slice per
 // call; the plan is then valid only until the next Build with the same
 // Context. That is all the engine needs: a pump consumes its plan under the
-// send lock before the next pump builds again, and nothing keeps plan.Packets
+// engine lock before the next pump builds again, and nothing keeps plan.Packets
 // past the post. Never alias the backlog through it (append copies) — the
 // next builder to run on this Context writes into the same backing array.
 func (c *Context) scratchPlan() *Plan {
