@@ -3,9 +3,8 @@
 // Three nodes, two wire-paced TCP rails each, carry a conglomerate
 // workload while a scripted scenario — generated from a seed — rolls rail
 // flaps across the surviving pair and crashes the bystander node mid-run.
-// The frame-level injectors carry a drop rule for rendezvous control
-// frames, but socket rails send none: a rendezvous payload leaves as one
-// direct RData frame. The engines fight back with the machinery this
+// A rendezvous payload leaves as one direct RData frame: socket rails send
+// no RTS/CTS. The engines fight back with the machinery this
 // repository's chaos subsystem added: frames reclaimed from dead
 // connections — a direct RData caught on a dying rail included — fail over
 // onto surviving rails, work the rail policy placed on a rail that lost its
@@ -42,10 +41,9 @@ func main() {
 	fmt.Printf("\nworkload: %d payloads, %.1f MB between the surviving pair\n",
 		res.Msgs, float64(res.Bytes)/1e6)
 	fmt.Printf("completed in %v: %d lost, %d duplicated\n", res.Completion.Round(1e6), res.Lost, res.Duplicated)
-	fmt.Printf("\nfaults:    %d frame faults injected, %d rail peer-down events\n",
-		res.FaultsInjected, res.PeerDowns)
-	fmt.Printf("recovery:  %d failovers, %d frames reclaimed from dead rails, %d rendezvous retries\n",
-		res.Failovers, res.Reclaimed, res.RdvRetries)
+	fmt.Printf("\nfaults:    %d rail peer-down events\n", res.PeerDowns)
+	fmt.Printf("recovery:  %d failovers, %d frames reclaimed from dead rails\n",
+		res.Failovers, res.Reclaimed)
 	if res.Lost != 0 || res.Duplicated != 0 {
 		log.Fatal("delivery was not exactly-once — this is a bug")
 	}

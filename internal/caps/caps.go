@@ -65,7 +65,7 @@ type Caps struct {
 	// aggregated send; larger messages must use rendezvous.
 	MaxAggregate int
 	// MTU is the wire maximum transfer unit; frames beyond it are segmented
-	// by the link layer (cost modeled per segment by nicsim).
+	// by the link layer (cost modeled per segment by ChannelTime).
 	MTU int
 
 	// --- Protocols ---------------------------------------------------------
@@ -128,6 +128,27 @@ func (c Caps) Validate() error {
 
 // Gather reports whether the driver can gather multiple iovecs in hardware.
 func (c Caps) Gather() bool { return c.MaxIOV > 1 }
+
+// ChannelTime is the charge of one frame of frameBytes encoded bytes
+// carrying payload application bytes: how long it holds a send channel —
+// PostOverhead, then PIO for a data frame of at most PIOMax payload bytes or
+// DMASetup otherwise, then serialization — and the bytes it puts on the
+// wire, one PacketHeader per MTU segment included. The simulated driver
+// charges exactly this and the strategies' cost estimate predicts with it.
+func (c Caps) ChannelTime(frameBytes, payload int, data bool) (busy simnet.Duration, wireBytes int) {
+	busy = c.PostOverhead
+	if data && payload <= c.PIOMax {
+		busy += simnet.Duration(payload) * c.PIOCostPerByte
+	} else {
+		busy += c.DMASetup
+	}
+	wireBytes = frameBytes + c.PacketHeader
+	if c.MTU > 0 && wireBytes > c.MTU {
+		segs := (wireBytes + c.MTU - 1) / c.MTU
+		wireBytes += (segs - 1) * c.PacketHeader
+	}
+	return busy + simnet.BandwidthTime(wireBytes, c.Bandwidth), wireBytes
+}
 
 // Rail derives the capability record for rail k of a multi-rail node: the
 // same limits and costs under a distinct name ("tcp.r0", "tcp.r1", ...), so

@@ -207,17 +207,6 @@ func (in *Injector) Injected(k FaultKind) uint64 {
 	return in.injected[k]
 }
 
-// InjectedTotal returns the total fault count across kinds.
-func (in *Injector) InjectedTotal() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	n := uint64(0)
-	for _, v := range in.injected {
-		n += v
-	}
-	return n
-}
-
 // SetRecvHandler interposes the fault rules between the rail and fn.
 func (in *Injector) SetRecvHandler(fn drivers.RecvFunc) {
 	in.mu.Lock()

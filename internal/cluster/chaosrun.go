@@ -31,19 +31,6 @@ type ChaosPlan struct {
 	Rules []chaos.Rule
 }
 
-// FaultsInjected totals the frame-level faults applied across the cluster.
-func (c *Cluster) FaultsInjected() uint64 {
-	n := uint64(0)
-	for _, node := range c.Nodes {
-		for _, inj := range node.Injectors {
-			if inj != nil {
-				n += inj.InjectedTotal()
-			}
-		}
-	}
-	return n
-}
-
 // RunScript executes a chaos scenario against the cluster on the wall
 // clock, blocking until the last event has run. Each event is recorded
 // into tr (when non-nil) with its *scheduled* offset, and only after it

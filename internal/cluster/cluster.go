@@ -77,8 +77,7 @@ type Options struct {
 
 	// Chaos, when non-nil, wraps every rail of every node in a chaos
 	// frame-fault injector (internal/chaos): per-rail RNGs forked from
-	// Seed by rail identity apply Rules on the receive path. The
-	// injectors are exposed as Node.Injectors for fault accounting.
+	// Seed by rail identity apply Rules on the receive path.
 	Chaos *ChaosPlan
 
 	// OnPeerDown, when set, observes every rail-level peer-down event
@@ -118,9 +117,6 @@ type Node struct {
 	Engine  *core.Engine
 	Session *mad.Session
 	Stats   *stats.Set
-	// Injectors holds the per-rail chaos injectors when Options.Chaos is
-	// set (indexed like Rails); nil otherwise.
-	Injectors []*chaos.Injector
 	// Trace is the node's flight-recorder ring (Options.TraceRing).
 	Trace *trace.Recorder
 	// Telemetry is the node's HTTP observability server (Options.Telemetry).
@@ -223,13 +219,11 @@ func New(o Options) (*Cluster, error) {
 				rails[k] = m
 			}
 			if o.Chaos != nil {
-				n.Injectors = make([]*chaos.Injector, len(n.Rails))
 				for k, m := range n.Rails {
 					inj, err := chaos.RailInjector(m, c.Runtime, simnet.NewRNG(o.Chaos.Seed), k, o.Chaos.Rules...)
 					if err != nil {
 						return nil, err
 					}
-					n.Injectors[k] = inj
 					rails[k] = inj
 				}
 			}

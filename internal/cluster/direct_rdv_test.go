@@ -58,11 +58,9 @@ func TestDirectRDataExactlyOnceAcrossSever(t *testing.T) {
 	<-first
 	time.Sleep(50 * time.Millisecond) // the stalled reader lets the socket fill
 	c.Sever(0, 1, 0)
-	// Mend once the cut has been seen from both ends — the way a chaos
-	// script's rail stays down for a while — but before the stalled reader
-	// reaches the old connection's end: the replacement's newer dial
-	// generation makes that end a retirement, not a failure.
-	time.Sleep(20 * time.Millisecond)
+	// Mend at once, before the stalled reader reaches the old connection's
+	// end: that end belongs to the epoch the sever closed, so it leaves the
+	// replacement up.
 	if err := c.Mend(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@
 //
 // Two drivers exist, one per clock:
 //
-//   - Sim drivers wrap internal/nicsim NIC models (Myrinet/MX,
-//     Quadrics/Elan, InfiniBand, TCP, WAN — built from the capability
-//     database in internal/caps); and
+//   - Sim, the simulated NIC in virtual time (Myrinet/MX, Quadrics/Elan,
+//     InfiniBand, TCP, WAN — each charged per frame by its record in the
+//     capability database, internal/caps); and
 //   - Mesh, the real TCP driver, which runs the very same engine in
 //     wall-clock time and validates the asynchronous upcall contract
 //     against a genuine transport: an N-node topology where every node

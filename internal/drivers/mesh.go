@@ -65,11 +65,12 @@ type Mesh struct {
 
 	mu       sync.Mutex
 	peers    map[packet.NodeID]*rail
-	draining map[*rail]struct{}         // retired rails whose owners are still draining
-	inbound  map[packet.NodeID]net.Conn // newest inbound conn per peer, until it ends
-	inGen    map[packet.NodeID]uint64   // highest dial generation read per peer
-	accepted map[net.Conn]struct{}      // live inbound connections
-	chans    []bool                     // busy flags, one per send channel
+	draining map[*rail]struct{}       // retired rails whose owners are still draining
+	inbound  map[packet.NodeID]inConn // newest inbound conn per peer, until it ends
+	inGen    map[packet.NodeID]uint64 // highest dial generation read per peer
+	epoch    map[packet.NodeID]uint64 // per peer: times its outbound rail went down
+	accepted map[net.Conn]struct{}    // live inbound connections
+	chans    []bool                   // busy flags, one per send channel
 	onIdle   IdleFunc
 	onRecv   RecvFunc
 	onDown   func(peer packet.NodeID)
@@ -100,8 +101,9 @@ func NewMesh(node packet.NodeID, c caps.Caps, listen string) (*Mesh, error) {
 		ln:       ln,
 		peers:    make(map[packet.NodeID]*rail),
 		draining: make(map[*rail]struct{}),
-		inbound:  make(map[packet.NodeID]net.Conn),
+		inbound:  make(map[packet.NodeID]inConn),
 		inGen:    make(map[packet.NodeID]uint64),
+		epoch:    make(map[packet.NodeID]uint64),
 		accepted: make(map[net.Conn]struct{}),
 		chans:    make([]bool, c.Channels),
 	}
@@ -194,7 +196,7 @@ func (m *Mesh) reader(c net.Conn) {
 	gen := binary.BigEndian.Uint64(h[4:])
 	m.mu.Lock()
 	if gen > m.inGen[src] {
-		m.inGen[src], m.inbound[src] = gen, c
+		m.inGen[src], m.inbound[src] = gen, inConn{c, m.epoch[src]}
 	}
 	m.mu.Unlock()
 	for {
@@ -205,7 +207,7 @@ func (m *Mesh) reader(c net.Conn) {
 			// follows reads as clean retirement, not as a peer failure —
 			// even when the replacement's hello has not been processed yet.
 			m.mu.Lock()
-			if m.inbound[src] == c {
+			if m.inbound[src].c == c {
 				delete(m.inbound, src)
 			}
 			m.mu.Unlock()
@@ -384,6 +386,7 @@ func (m *Mesh) BreakPeer(peer packet.NodeID) bool {
 		return false
 	}
 	p.down = true
+	m.epoch[peer]++
 	conn := p.c
 	h := m.onDown
 	m.mu.Unlock()

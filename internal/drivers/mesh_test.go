@@ -383,6 +383,99 @@ func TestMeshStaleWriteErrorKeepsPeerUp(t *testing.T) {
 	}
 }
 
+// TestMeshStaleInboundEOFKeepsPeerUp: the peer's connection toward this
+// node ends after this node's rail went down and was re-dialed, before the
+// peer's new hello is read — still the newest inbound connection, but of an
+// older epoch than the replacement rail, which must stay up and carry
+// traffic. With no re-dial in between, the same failure is genuine and
+// takes the peer down.
+func TestMeshStaleInboundEOFKeepsPeerUp(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		redial   bool
+		wantDown bool
+	}{
+		{"broken-then-redialed", true, false},
+		{"no-redial", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := NewMesh(0, caps.TCP, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			b, err := NewMesh(1, caps.TCP, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			recv := make(chan struct{}, 1)
+			b.SetRecvHandler(func(_ packet.NodeID, f *packet.Frame) {
+				packet.ReleaseFrame(f)
+				recv <- struct{}{}
+			})
+			if err := a.Dial(1, b.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			// Node 1's connection toward node 0, held open by the test so
+			// its end is read exactly when the test says: a hello and a
+			// frame behind it, whose delivery shows the hello registered.
+			in, err := net.DialTimeout("tcp", a.Addr(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer in.Close()
+			got := make(chan struct{}, 1)
+			a.SetRecvHandler(func(_ packet.NodeID, f *packet.Frame) {
+				packet.ReleaseFrame(f)
+				got <- struct{}{}
+			})
+			h := hello(1, 1)
+			ack := &packet.Frame{Kind: packet.FrameAck, Src: 1, Dst: 0, Ctrl: packet.Ctrl{Token: 7}}
+			if _, err := in.Write(append(h[:], prefixed(ack.Encode(nil))...)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-got:
+			case <-time.After(5 * time.Second):
+				t.Fatal("frame on node 1's connection never arrived")
+			}
+			var old net.Conn
+			a.mu.Lock()
+			for c := range a.accepted {
+				old = c
+			}
+			a.mu.Unlock()
+			if tc.redial {
+				a.BreakPeer(1)
+				if err := a.Dial(1, b.Addr()); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			a.inboundFailed(1, old)
+			if got := a.PeerDown(1); got != tc.wantDown {
+				t.Fatalf("PeerDown after the inbound connection's EOF = %v, want %v", got, tc.wantDown)
+			}
+			err = a.Post(0, simpleFrame(0, 1, 64), 0)
+			if tc.wantDown {
+				if !errors.Is(err, ErrPeerDown) {
+					t.Fatalf("post = %v, want ErrPeerDown", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("post on the replacement: %v", err)
+			}
+			select {
+			case <-recv:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the replacement carried no frame")
+			}
+		})
+	}
+}
+
 // TestMeshListenAddr exercises explicit listen addresses (the multi-machine
 // path) and dial errors.
 func TestMeshListenAddr(t *testing.T) {

@@ -43,14 +43,25 @@ import (
 // handler and ErrPeerDown instead of wedging the destination flow silently.
 // With a loss handler the frames are handed back for failover, and a
 // connection already down (BreakPeer before the re-dial) had its loss
-// surfaced then; either way the replacement stays up. Close retires
-// abruptly — it closes sockets immediately to unwedge blocked writes — and
-// the closed flag silences every error path.
+// surfaced then; either way the replacement stays up.
+//
+// A read error on the peer's newest inbound connection takes the current
+// rail down too, within one epoch. A peer's epoch grows each time its
+// current rail goes down (BreakPeer, a write error, a read error); Dial
+// stamps the rail it builds with it and the reader stamps each inbound
+// registration. An inbound connection registered before the rail's epoch
+// belongs to a rail that already went down: its end, read after the re-dial
+// but before the peer's new hello, leaves the replacement up (the
+// replacement's own write errors surface a peer that really died).
+//
+// Close retires abruptly — it closes sockets immediately to unwedge blocked
+// writes — and the closed flag silences every error path.
 type rail struct {
 	c     net.Conn
 	q     chan railTx
 	state railState
 	down  bool
+	epoch uint64 // the peer's epoch when Dial built this rail
 	// queued (under Mesh.mu) counts frames the owner has yet to finish: Post
 	// writes inline only at zero. upcalls counts inline completions' idle
 	// upcalls in progress: a Post from inside one goes to the owner.

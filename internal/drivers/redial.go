@@ -45,6 +45,7 @@ func (m *Mesh) Dial(peer packet.NodeID, addr string) error {
 		m.retireLocked(old, true)
 	}
 	r := newRail(c, len(m.chans))
+	r.epoch = m.epoch[peer]
 	m.peers[peer] = r
 	m.wg.Add(1)
 	m.mu.Unlock()
@@ -105,6 +106,7 @@ func (m *Mesh) railWriteFailed(peer packet.NodeID, r *rail) {
 	fire := false
 	if cur, ok := m.peers[peer]; ok && !cur.down && (cur == r || wasLive && m.onLost == nil) {
 		cur.down = true
+		m.epoch[peer]++
 		curConn = cur.c
 		fire = true
 	}
@@ -123,21 +125,27 @@ func (m *Mesh) railWriteFailed(peer packet.NodeID, r *rail) {
 // peer's newest connection counts — the highest dial generation whose
 // hello has been read (see reader): a connection superseded by a re-dial
 // retires through the in-band marker, and the errors of older generations
-// are ignored, whichever hello arrived last. What remains is the genuine
-// failure surface — a connection that died without announcing retirement.
+// are ignored, whichever hello arrived last. Nor does one registered
+// before the current rail's epoch: the outbound rail went down and was
+// re-dialed since, so this is the old connection's end read before the
+// peer's new hello (the fresh rail's own write errors surface a peer that
+// really died). What remains is the genuine failure surface — a connection
+// that died without announcing retirement.
 func (m *Mesh) inboundFailed(src packet.NodeID, c net.Conn) {
 	m.mu.Lock()
-	if m.closed || m.inbound[src] != c {
+	in := m.inbound[src]
+	if m.closed || in.c != c {
 		m.mu.Unlock()
 		return
 	}
 	delete(m.inbound, src)
 	p, ok := m.peers[src]
-	if !ok || p.down {
+	if !ok || p.down || in.epoch < p.epoch {
 		m.mu.Unlock()
 		return
 	}
 	p.down = true
+	m.epoch[src]++
 	conn := p.c
 	h := m.onDown
 	m.mu.Unlock()
@@ -145,4 +153,11 @@ func (m *Mesh) inboundFailed(src packet.NodeID, c net.Conn) {
 	if h != nil {
 		h(src)
 	}
+}
+
+// inConn is a peer's registered inbound connection and the peer's epoch
+// when its hello was read.
+type inConn struct {
+	c     net.Conn
+	epoch uint64
 }

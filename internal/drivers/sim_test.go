@@ -1,4 +1,4 @@
-package nicsim
+package drivers
 
 import (
 	"testing"
@@ -8,17 +8,18 @@ import (
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
 	"newmad/internal/stats"
+	"newmad/internal/strategy"
 )
 
-func testPair(t *testing.T, c caps.Caps) (*simnet.Engine, *NIC, *NIC) {
+func testPair(t *testing.T, c caps.Caps) (*simnet.Engine, *Sim, *Sim) {
 	t.Helper()
 	eng := simnet.NewEngine()
 	fab := NewFabric(c.Name)
-	a, err := New(eng, fab, 0, c, memsim.DefaultModel(), &stats.Set{})
+	a, err := NewSim(eng, fab, 0, c, memsim.DefaultModel(), &stats.Set{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(eng, fab, 1, c, memsim.DefaultModel(), &stats.Set{})
+	b, err := NewSim(eng, fab, 1, c, memsim.DefaultModel(), &stats.Set{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,18 +42,18 @@ func TestNICRejectsInvalidSetup(t *testing.T) {
 	fab := NewFabric("x")
 	bad := caps.MX
 	bad.Bandwidth = 0
-	if _, err := New(eng, fab, 0, bad, memsim.DefaultModel(), nil); err == nil {
+	if _, err := NewSim(eng, fab, 0, bad, memsim.DefaultModel(), nil); err == nil {
 		t.Fatal("invalid caps accepted")
 	}
 	badMem := memsim.DefaultModel()
 	badMem.CopyBandwidth = 0
-	if _, err := New(eng, fab, 0, caps.MX, badMem, nil); err == nil {
+	if _, err := NewSim(eng, fab, 0, caps.MX, badMem, nil); err == nil {
 		t.Fatal("invalid memory model accepted")
 	}
-	if _, err := New(eng, fab, 0, caps.MX, memsim.DefaultModel(), nil); err != nil {
+	if _, err := NewSim(eng, fab, 0, caps.MX, memsim.DefaultModel(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(eng, fab, 0, caps.MX, memsim.DefaultModel(), nil); err == nil {
+	if _, err := NewSim(eng, fab, 0, caps.MX, memsim.DefaultModel(), nil); err == nil {
 		t.Fatal("duplicate node attach accepted")
 	}
 }
@@ -87,7 +88,7 @@ func TestChannelBusyThenIdleUpcall(t *testing.T) {
 	eng, a, _ := testPair(t, caps.MX)
 	var idleAt simnet.Time
 	idleCalls := 0
-	a.SetIdleHandler(func(nic *NIC, ch int) {
+	a.SetIdleHandler(func(ch int) {
 		idleCalls++
 		idleAt = eng.Now()
 		if ch != 0 {
@@ -128,7 +129,7 @@ func TestChannelBusyThenIdleUpcall(t *testing.T) {
 func TestIdleFiresBeforeDelivery(t *testing.T) {
 	eng, a, b := testPair(t, caps.MX)
 	var idleAt, recvAt simnet.Time
-	a.SetIdleHandler(func(*NIC, int) { idleAt = eng.Now() })
+	a.SetIdleHandler(func(int) { idleAt = eng.Now() })
 	b.SetRecvHandler(func(packet.NodeID, *packet.Frame) { recvAt = eng.Now() })
 	if err := a.Post(0, dataFrame(0, 1, 256), 0); err != nil {
 		t.Fatal(err)
@@ -145,7 +146,7 @@ func TestIdleFiresBeforeDelivery(t *testing.T) {
 func TestHostExtraDelaysChannel(t *testing.T) {
 	engA, a, _ := testPair(t, caps.MX)
 	var plainIdle simnet.Time
-	a.SetIdleHandler(func(*NIC, int) { plainIdle = engA.Now() })
+	a.SetIdleHandler(func(int) { plainIdle = engA.Now() })
 	if err := a.Post(0, dataFrame(0, 1, 128), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestHostExtraDelaysChannel(t *testing.T) {
 
 	engB, c, _ := testPair(t, caps.MX)
 	var extraIdle simnet.Time
-	c.SetIdleHandler(func(*NIC, int) { extraIdle = engB.Now() })
+	c.SetIdleHandler(func(int) { extraIdle = engB.Now() })
 	const extra = 5 * simnet.Microsecond
 	if err := c.Post(0, dataFrame(0, 1, 128), extra); err != nil {
 		t.Fatal(err)
@@ -228,8 +229,8 @@ func TestAggregatedFrameBeatsSeparateSends(t *testing.T) {
 		lastDone = engB.Now()
 	})
 	pending := sizes
-	var send func(nic *NIC, ch int)
-	send = func(nic *NIC, ch int) {
+	var send func(ch int)
+	send = func(ch int) {
 		if len(pending) == 0 {
 			return
 		}
@@ -239,7 +240,7 @@ func TestAggregatedFrameBeatsSeparateSends(t *testing.T) {
 		pending = pending[1:]
 	}
 	c.SetIdleHandler(send)
-	send(c, 0)
+	send(0)
 	engB.Run()
 	if recv != 8 {
 		t.Fatalf("received %d singles, want 8", recv)
@@ -259,9 +260,9 @@ func TestReceiveOccupancyQueues(t *testing.T) {
 	eng := simnet.NewEngine()
 	fab := NewFabric("mx")
 	mem := memsim.DefaultModel()
-	a, _ := New(eng, fab, 0, caps.MX, mem, nil)
-	b, _ := New(eng, fab, 1, caps.MX, mem, nil)
-	dst, _ := New(eng, fab, 2, caps.MX, mem, nil)
+	a, _ := NewSim(eng, fab, 0, caps.MX, mem, nil)
+	b, _ := NewSim(eng, fab, 1, caps.MX, mem, nil)
+	dst, _ := NewSim(eng, fab, 2, caps.MX, mem, nil)
 	var times []simnet.Time
 	dst.SetRecvHandler(func(packet.NodeID, *packet.Frame) { times = append(times, eng.Now()) })
 	if err := a.Post(0, dataFrame(0, 2, 16), 0); err != nil {
@@ -279,9 +280,6 @@ func TestReceiveOccupancyQueues(t *testing.T) {
 		t.Fatalf("receive gap %v below RecvOverhead %v — receiver not serialized", gap, caps.MX.RecvOverhead)
 	}
 }
-
-// aFabric exposes the fabric of a NIC for tests.
-func aFabric(n *NIC) *Fabric { return n.fabric }
 
 func TestMTUSegmentationCost(t *testing.T) {
 	// A frame bigger than the MTU pays extra header bytes per segment: the
@@ -313,8 +311,8 @@ func TestStatsCounters(t *testing.T) {
 	eng := simnet.NewEngine()
 	fab := NewFabric("mx")
 	set := &stats.Set{}
-	a, _ := New(eng, fab, 0, caps.MX, memsim.DefaultModel(), set)
-	_, _ = New(eng, fab, 1, caps.MX, memsim.DefaultModel(), set)
+	a, _ := NewSim(eng, fab, 0, caps.MX, memsim.DefaultModel(), set)
+	_, _ = NewSim(eng, fab, 1, caps.MX, memsim.DefaultModel(), set)
 	if err := a.Post(0, dataFrame(0, 1, 32, 32, 32), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -327,5 +325,57 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if set.CounterValue("nic.rx.frames") != 1 {
 		t.Fatalf("rx.frames = %d", set.CounterValue("nic.rx.frames"))
+	}
+}
+
+// TestEstimateEqualsCharge pins the strategies' cost estimate to what the
+// simulated NIC charges: for a data frame under PIOMax, one over it and one
+// over the MTU, strategy.FrameOccupancy plus the host extra is exactly the
+// channel time Post produces, and nic.tx.wire_bytes counts one PacketHeader
+// per MTU segment.
+func TestEstimateEqualsCharge(t *testing.T) {
+	const hostExtra = 250 * simnet.Nanosecond
+	for _, c := range []caps.Caps{caps.MX, caps.Elan, caps.TCP} {
+		for _, row := range []struct {
+			kind string
+			size int
+		}{
+			{"pio", c.PIOMax / 2},
+			{"dma", c.PIOMax + 1},
+			{"segmented", 3 * c.MTU},
+		} {
+			t.Run(c.Name+"/"+row.kind, func(t *testing.T) {
+				eng := simnet.NewEngine()
+				fab := NewFabric(c.Name)
+				set := &stats.Set{}
+				mem := memsim.DefaultModel()
+				a, err := NewSim(eng, fab, 0, c, mem, set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := NewSim(eng, fab, 1, c, mem, nil); err != nil {
+					t.Fatal(err)
+				}
+				var idleAt simnet.Time
+				a.SetIdleHandler(func(int) { idleAt = eng.Now() })
+				f := dataFrame(0, 1, row.size)
+				if err := a.Post(0, f, hostExtra); err != nil {
+					t.Fatal(err)
+				}
+				eng.Run()
+
+				pkts := []*packet.Packet{{Payload: f.Entries[0].Payload}}
+				if want := strategy.FrameOccupancy(c, mem, pkts) + hostExtra; idleAt != simnet.Time(want) {
+					t.Fatalf("Post held the channel %v, FrameOccupancy+hostExtra = %v", idleAt, want)
+				}
+				segs := (f.WireSize() + c.PacketHeader + c.MTU - 1) / c.MTU
+				if row.kind == "segmented" && segs < 2 {
+					t.Fatalf("%d-byte frame not segmented at MTU %d", f.WireSize(), c.MTU)
+				}
+				if got, want := set.CounterValue("nic.tx.wire_bytes"), uint64(f.WireSize()+segs*c.PacketHeader); got != want {
+					t.Fatalf("nic.tx.wire_bytes = %d, want %d (%d segment headers)", got, want, segs)
+				}
+			})
+		}
 	}
 }

@@ -119,10 +119,10 @@ func TestX4ShapeMultiRailBeatsSingleRail(t *testing.T) {
 }
 
 // TestX5ShapeChaosExactlyOnceAndReplayable is the chaos subsystem's
-// acceptance criterion: under the scripted rail-flap + node-crash scenario
-// (plus probabilistic control-frame drops), every surviving-pair payload
-// arrives exactly once, faults demonstrably fired, and re-running from the
-// same seed executes the complete identical fault schedule event-for-event
+// acceptance criterion: under the scripted rail-flap + node-crash
+// scenario, every surviving-pair payload arrives exactly once, faults
+// demonstrably fired, and re-running from the same seed executes the
+// complete identical fault schedule event-for-event
 // (X5Chaos errors out on a partial execution, and the runner records each
 // event only after executing it, so trace equality compares two full
 // successful executions — what it deliberately does not pin is which

@@ -25,9 +25,8 @@ import (
 // must stay *correct* while the NICs misbehave. X5 runs the conglomerate
 // workload (small streams + rendezvous bulks, both directions) between two
 // 2-rail nodes while a seed-generated script of rolling rail flaps plays
-// out underneath, a third node's background traffic gets cut off by a
-// scripted crash, and the chaos injectors are armed to drop a fraction of
-// any rendezvous control frames. The measured claims:
+// out underneath and a third node's background traffic gets cut off by a
+// scripted crash. The measured claims:
 //
 //   - exactly-once: every payload between the surviving nodes is delivered
 //     exactly once — failover re-routes frames reclaimed from dead rails,
@@ -48,11 +47,9 @@ type X5Result struct {
 	// Lost and Duplicated summarize delivery accounting (0 and 0 on pass).
 	Lost, Duplicated int
 	// Fault/recovery accounting.
-	FaultsInjected uint64 // injector-applied frame faults
-	PeerDowns      uint64 // rail-level peer-down events observed
-	Failovers      uint64 // frames re-routed by the engines
-	Reclaimed      uint64 // frames handed back by dying rails
-	RdvRetries     uint64 // rendezvous control retries
+	PeerDowns uint64 // rail-level peer-down events observed
+	Failovers uint64 // frames re-routed by the engines
+	Reclaimed uint64 // frames handed back by dying rails
 	// Trace is the executed fault schedule; two runs from one seed must
 	// produce Equal traces.
 	Trace *chaos.Trace
@@ -130,20 +127,9 @@ func X5Chaos(cfg Config) (X5Result, error) {
 	var downs atomic.Int64
 
 	opts := cluster.Options{
-		Nodes:     3,
-		Rails:     x5Rails(),
-		TraceRing: 512, // flight recorders: the anomaly spool's evidence
-		Chaos: &cluster.ChaosPlan{
-			Seed: cfg.Seed,
-			Rules: []chaos.Rule{
-				// Socket rails land frames, so rendezvous is one direct
-				// RData and no RTS/CTS crosses them: this rule finds nothing
-				// to drop. Data frames stay untouched — nothing retransmits
-				// a silently dropped payload.
-				{Kind: chaos.Drop, Prob: 0.15,
-					Frames: []packet.FrameKind{packet.FrameRTS, packet.FrameCTS}},
-			},
-		},
+		Nodes:      3,
+		Rails:      x5Rails(),
+		TraceRing:  512, // flight recorders: the anomaly spool's evidence
 		OnPeerDown: func(packet.NodeID, int, packet.NodeID) { downs.Add(1) },
 	}
 	// The exactly-once set: the conglomerate's flows between nodes 0 and 1.
@@ -220,19 +206,17 @@ func X5Chaos(cfg Config) (X5Result, error) {
 	completion := time.Since(start)
 
 	res := X5Result{
-		Msgs:           total,
-		Bytes:          w.bytes(),
-		Completion:     completion,
-		FaultsInjected: c.FaultsInjected(),
-		PeerDowns:      uint64(downs.Load()),
-		Trace:          tr,
+		Msgs:       total,
+		Bytes:      w.bytes(),
+		Completion: completion,
+		PeerDowns:  uint64(downs.Load()),
+		Trace:      tr,
 	}
 	var m core.Metrics
 	for n := 0; n < 2; n++ {
 		c.Engine(packet.NodeID(n)).MetricsInto(&m)
 		res.Failovers += m.Failovers
 		res.Reclaimed += m.FramesReclaimed
-		res.RdvRetries += m.RdvRetries
 	}
 	mu.Lock()
 	for _, n := range delivered {
@@ -249,8 +233,8 @@ func X5Chaos(cfg Config) (X5Result, error) {
 	res.QwaitP99Us = qwait.Quantile(0.99) / 1e3
 	reportLatency("X5", res.Fleet.SpanTotal("e2e"), qwait)
 	report("X5", func(r *Report) {
-		r.FaultsInjected = res.FaultsInjected + res.PeerDowns
-		r.Recoveries = res.Failovers + res.RdvRetries
+		r.FaultsInjected = res.PeerDowns
+		r.Recoveries = res.Failovers
 	})
 
 	// Broken delivery freezes the evidence before anyone can panic: every
@@ -275,12 +259,12 @@ func runX5(cfg Config) []*stats.Table {
 			res.Lost, res.Duplicated, res.Msgs, res.SpoolDir))
 	}
 	t := stats.NewTable(
-		"X5 — conglomerate workload under rolling rail flaps, a node crash, and control-frame drops",
-		"msgs", "MB", "time(ms)", "lost", "dup", "faults", "peer-downs", "failovers", "reclaimed", "rdv-retries",
+		"X5 — conglomerate workload under rolling rail flaps and a node crash",
+		"msgs", "MB", "time(ms)", "lost", "dup", "peer-downs", "failovers", "reclaimed",
 		"qwait p50/p99 us")
 	t.Caption = "faults are injected deterministically from the workload seed; the executed schedule replays event-for-event on a re-run (the shape test asserts trace equality); qwait is backlog residence time while rails flapped"
 	t.AddRowf(res.Msgs, float64(res.Bytes)/1e6, res.Completion.Seconds()*1e3, res.Lost, res.Duplicated,
-		res.FaultsInjected, res.PeerDowns, res.Failovers, res.Reclaimed, res.RdvRetries,
+		res.PeerDowns, res.Failovers, res.Reclaimed,
 		fmt.Sprintf("%.0f/%.0f", res.QwaitP50Us, res.QwaitP99Us))
 	return []*stats.Table{t}
 }

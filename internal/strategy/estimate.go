@@ -9,9 +9,9 @@ import (
 
 // Cost estimation.
 //
-// Builders score candidate plans with the very formula the NIC model
-// charges (see nicsim.NIC.Post), so a plan's predicted benefit and its
-// simulated outcome agree by construction. What strategies trade off:
+// Builders score candidate plans with the very formula the simulated
+// driver charges (caps.Caps.ChannelTime), so a plan's predicted benefit
+// and its simulated outcome agree by construction. What strategies trade off:
 //
 //   - each frame pays α (PostOverhead + injection setup) once, however
 //     many sub-packets it carries — the win of aggregation;
@@ -39,25 +39,15 @@ func StageCost(c caps.Caps, m memsim.Model, pkts []*packet.Packet) simnet.Durati
 }
 
 // FrameOccupancy returns the time the send channel is held by a frame
-// carrying pkts (host preparation + post + injection + serialization),
-// mirroring nicsim's charge.
+// carrying pkts: host preparation plus the capability record's ChannelTime,
+// the charge the simulated driver makes.
 func FrameOccupancy(c caps.Caps, m memsim.Model, pkts []*packet.Packet) simnet.Duration {
 	payload := 0
 	for _, p := range pkts {
 		payload += p.Size()
 	}
-	wire := packet.HeaderSize + len(pkts)*packet.SubHeaderSize + payload + c.PacketHeader
-	if c.MTU > 0 && wire > c.MTU {
-		segs := (wire + c.MTU - 1) / c.MTU
-		wire += (segs - 1) * c.PacketHeader
-	}
-	d := StageCost(c, m, pkts) + c.PostOverhead
-	if payload <= c.PIOMax {
-		d += simnet.Duration(payload) * c.PIOCostPerByte
-	} else {
-		d += c.DMASetup
-	}
-	return d + simnet.BandwidthTime(wire, c.Bandwidth)
+	busy, _ := c.ChannelTime(packet.HeaderSize+len(pkts)*packet.SubHeaderSize+payload, payload, true)
+	return StageCost(c, m, pkts) + busy
 }
 
 // SeparateOccupancy returns the channel time of sending each packet as its

@@ -9,7 +9,6 @@ import (
 	"newmad/internal/core"
 	"newmad/internal/drivers"
 	"newmad/internal/memsim"
-	"newmad/internal/nicsim"
 	"newmad/internal/packet"
 	"newmad/internal/proto"
 	"newmad/internal/simnet"
@@ -104,9 +103,9 @@ func build(m *Manifest, rules []chaos.Rule) (*Net, error) {
 	// its draws.
 	base := simnet.NewRNG(m.Seed)
 
-	fabrics := make([]*nicsim.Fabric, m.Rails)
+	fabrics := make([]*drivers.Fabric, m.Rails)
 	for r := range fabrics {
-		fabrics[r] = nicsim.NewFabric(fmt.Sprintf("rail%d", r))
+		fabrics[r] = drivers.NewFabric(fmt.Sprintf("rail%d", r))
 	}
 
 	mem := memsim.DefaultModel()
@@ -131,11 +130,11 @@ func build(m *Manifest, rules []chaos.Rule) (*Net, error) {
 			rails := make([]drivers.Driver, m.Rails)
 			node.Injectors = make([]*chaos.Injector, m.Rails)
 			for r := 0; r < m.Rails; r++ {
-				nic, err := nicsim.New(n.Eng, fabrics[r], node.ID, railCaps[r], mem, n.Stats)
+				sim, err := drivers.NewSim(n.Eng, fabrics[r], node.ID, railCaps[r], mem, n.Stats)
 				if err != nil {
 					return nil, fmt.Errorf("testnet: node %d rail %d: %w", id, r, err)
 				}
-				inj, err := chaos.RailInjector(drivers.NewSim(nic), n.Eng, base, r, rules...)
+				inj, err := chaos.RailInjector(sim, n.Eng, base, r, rules...)
 				if err != nil {
 					return nil, fmt.Errorf("testnet: node %d rail %d: %w", id, r, err)
 				}
