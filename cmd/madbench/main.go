@@ -5,7 +5,7 @@
 //
 //	madbench               # run every experiment, full size
 //	madbench -quick        # reduced workloads (seconds, not minutes)
-//	madbench -run E1,E3    # a subset (-run X5: the chaos battery)
+//	madbench -run E1,E3    # a subset
 //	madbench -list         # list experiments and the claims they test
 //	madbench -seed 7       # change the workload seed
 //	madbench -json out.json  # also write machine-readable results
@@ -54,23 +54,19 @@ func usage(format string, args ...any) {
 	os.Exit(2)
 }
 
-// jsonReport is the schema of the -json output, "madbench/v6": every table
+// jsonReport is the schema of the -json output, "madbench/v7": every table
 // of every selected experiment, what producing it cost (wall clock,
 // allocations, GC pause), what the run recorded beside its tables
-// (exp.Report: controller decisions, fault/recovery counts, latency-span
-// quantiles, per-tenant admission outcomes), and the totals of those
-// across the selection.
+// (exp.Report: controller decisions, latency-span quantiles, per-tenant
+// admission outcomes), and the totals of those across the selection.
 type jsonReport struct {
 	Schema      string           `json:"schema"`
 	GeneratedAt time.Time        `json:"generated_at"`
 	Quick       bool             `json:"quick"`
 	Seed        uint64           `json:"seed"`
 	Experiments []jsonExperiment `json:"experiments"`
-	// ControllerDecisions totals the applied retunes (E11, X3).
+	// ControllerDecisions totals the applied retunes (E11).
 	ControllerDecisions uint64 `json:"controller_decisions"`
-	// FaultsInjected/Recoveries total the chaos accounting (X5).
-	FaultsInjected uint64 `json:"faults_injected"`
-	Recoveries     uint64 `json:"recoveries"`
 	// TotalAllocs/TotalAllocBytes/GCPauseTotalNs total the memory accounting.
 	TotalAllocs     uint64 `json:"total_allocs"`
 	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
@@ -151,7 +147,7 @@ func main() {
 
 	cfg := exp.Config{Quick: *quick, Seed: *seed}
 	report := jsonReport{
-		Schema:      "madbench/v6",
+		Schema:      "madbench/v7",
 		GeneratedAt: time.Now().UTC(),
 		Quick:       *quick,
 		Seed:        *seed,
@@ -185,8 +181,6 @@ func main() {
 			report.TenantRefusals += ts.Refused
 		}
 		report.ControllerDecisions += rec.Decisions
-		report.FaultsInjected += rec.FaultsInjected
-		report.Recoveries += rec.Recoveries
 		report.TotalAllocs += allocs
 		report.TotalAllocBytes += bytes
 		report.GCPauseTotalNs += gcPause

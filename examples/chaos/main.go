@@ -2,7 +2,10 @@
 //
 // Three nodes, two wire-paced TCP rails each, carry a conglomerate
 // workload while a scripted scenario — generated from a seed — rolls rail
-// flaps across the surviving pair and crashes the bystander node mid-run.
+// flaps across the surviving pair, partitions and heals it once, and
+// crashes the bystander node mid-run. It is the one socket chaos scenario
+// (cluster.ChaosScenario); the -race soak in internal/cluster asserts on
+// the same run this prints.
 // A rendezvous payload leaves as one direct RData frame: socket rails send
 // no RTS/CTS. The engines fight back with the machinery this
 // repository's chaos subsystem added: frames reclaimed from dead
@@ -23,15 +26,14 @@ import (
 	"fmt"
 	"log"
 
-	"newmad/internal/exp"
+	"newmad/internal/cluster"
 )
 
 func main() {
 	seed := flag.Uint64("seed", 1, "fault schedule seed")
 	flag.Parse()
 
-	cfg := exp.Config{Quick: true, Seed: *seed}
-	res, err := exp.X5Chaos(cfg)
+	res, err := cluster.ChaosScenario(*seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,11 +43,16 @@ func main() {
 	fmt.Printf("\nworkload: %d payloads, %.1f MB between the surviving pair\n",
 		res.Msgs, float64(res.Bytes)/1e6)
 	fmt.Printf("completed in %v: %d lost, %d duplicated\n", res.Completion.Round(1e6), res.Lost, res.Duplicated)
+	fmt.Printf("bystander: %d + %d payloads out to the survivors before its crash\n",
+		len(res.Bystander[50]), len(res.Bystander[51]))
+	qwait := res.Fleet.SpanTotal("queue_wait")
+	fmt.Printf("queue wait: p50 %.0f µs, p99 %.0f µs over %d payloads\n",
+		qwait.Quantile(0.50)/1e3, qwait.Quantile(0.99)/1e3, qwait.Count())
 	fmt.Printf("\nfaults:    %d rail peer-down events\n", res.PeerDowns)
 	fmt.Printf("recovery:  %d failovers, %d frames reclaimed from dead rails\n",
 		res.Failovers, res.Reclaimed)
-	if res.Lost != 0 || res.Duplicated != 0 {
-		log.Fatal("delivery was not exactly-once — this is a bug")
+	if res.Lost != 0 || res.Duplicated != 0 || res.SpoolDir != "" {
+		log.Fatalf("delivery was not exactly-once — this is a bug (flight recorders: %s)", res.SpoolDir)
 	}
 	fmt.Println("\nevery payload arrived exactly once.")
 }

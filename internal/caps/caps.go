@@ -74,11 +74,6 @@ type Caps struct {
 	// rendezvous protocol beats eager+copy (profile default; strategies may
 	// override per the rndvswitch ablation).
 	RndvThreshold int
-	// RDMA reports whether the NIC supports true remote put/get (Elan, IB).
-	RDMA bool
-	// RDMASetup is the cost of initiating an RDMA operation when RDMA is
-	// true.
-	RDMASetup simnet.Duration
 
 	// --- Multiplexing ------------------------------------------------------
 
@@ -120,8 +115,6 @@ func (c Caps) Validate() error {
 		return fmt.Errorf("caps %s: negative PIOMax", c.Name)
 	case c.RndvThreshold < 0:
 		return fmt.Errorf("caps %s: negative RndvThreshold", c.Name)
-	case c.RDMA && c.RDMASetup <= 0:
-		return fmt.Errorf("caps %s: RDMA advertised without RDMASetup cost", c.Name)
 	}
 	return nil
 }
@@ -188,9 +181,9 @@ func EngineOrder(profiles []Caps) []Caps {
 
 // String renders a single-line summary.
 func (c Caps) String() string {
-	return fmt.Sprintf("%s: α=%v wire=%v bw=%.0fMB/s pio<=%dB iov=%d agg<=%dB rndv>%dB rdma=%v ch=%d",
+	return fmt.Sprintf("%s: α=%v wire=%v bw=%.0fMB/s pio<=%dB iov=%d agg<=%dB rndv>%dB ch=%d",
 		c.Name, c.PostOverhead, c.WireLatency, c.Bandwidth/1e6, c.PIOMax,
-		c.MaxIOV, c.MaxAggregate, c.RndvThreshold, c.RDMA, c.Channels)
+		c.MaxIOV, c.MaxAggregate, c.RndvThreshold, c.Channels)
 }
 
 // Predefined profiles. Numbers are representative of published 2006-era
@@ -214,7 +207,6 @@ var (
 		MaxAggregate:   32 * 1024,
 		MTU:            4096,
 		RndvThreshold:  32 * 1024,
-		RDMA:           false,
 		Channels:       4,
 	}
 
@@ -235,8 +227,6 @@ var (
 		MaxAggregate:   16 * 1024,
 		MTU:            4096,
 		RndvThreshold:  16 * 1024,
-		RDMA:           true,
-		RDMASetup:      700 * simnet.Nanosecond,
 		Channels:       4,
 	}
 
@@ -256,8 +246,6 @@ var (
 		MaxAggregate:   8 * 1024,
 		MTU:            2048,
 		RndvThreshold:  8 * 1024,
-		RDMA:           true,
-		RDMASetup:      1100 * simnet.Nanosecond,
 		Channels:       8,
 	}
 
@@ -277,7 +265,6 @@ var (
 		MaxAggregate:   64 * 1024,
 		MTU:            1500,
 		RndvThreshold:  64 * 1024,
-		RDMA:           false,
 		Channels:       2,
 	}
 
@@ -298,7 +285,6 @@ var (
 		MaxAggregate:   256 * 1024,
 		MTU:            1500,
 		RndvThreshold:  256 * 1024,
-		RDMA:           false,
 		Channels:       2,
 	}
 )

@@ -38,7 +38,6 @@ func TestValidateCatchesEachField(t *testing.T) {
 		{"zero channels", func(c *Caps) { c.Channels = 0 }},
 		{"negative pio", func(c *Caps) { c.PIOMax = -1 }},
 		{"negative rndv", func(c *Caps) { c.RndvThreshold = -1 }},
-		{"rdma without cost", func(c *Caps) { c.RDMA = true; c.RDMASetup = 0 }},
 	}
 	for _, tc := range cases {
 		c := base
@@ -103,7 +102,7 @@ func TestProfileRelativeShape(t *testing.T) {
 
 func TestString(t *testing.T) {
 	s := MX.String()
-	for _, want := range []string{"mx", "iov=16", "rdma=false"} {
+	for _, want := range []string{"mx", "iov=16"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() = %q missing %q", s, want)
 		}

@@ -27,7 +27,8 @@
 //     implements; the runners (cluster.RunScript on the wall clock,
 //     testnet on the virtual one) only pace the events and record each
 //     executed one into a Trace. Two runs from the same seed produce
-//     identical traces; experiment X5 asserts exactly that.
+//     identical traces; the socket chaos soak asserts its trace equals
+//     the seed's script.
 //
 // The fault taxonomy is honest about recoverability (DESIGN.md §3.3):
 // delays, reorders, flaps, partitions and control-frame drops are fully

@@ -14,7 +14,7 @@ import (
 // shorter trace and a named divergence in Diff. What equality does NOT
 // capture is transport-level nondeterminism *within* an event (e.g. which
 // individual frames a break caught in flight); those outcomes surface in
-// the recovery counters instead. X5's acceptance criterion and the
+// the recovery counters instead. The socket chaos soak and the
 // determinism unit tests compare exactly this.
 type Trace struct {
 	mu     sync.Mutex

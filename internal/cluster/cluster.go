@@ -8,10 +8,11 @@
 // connection per rail. The result is the paper's full Figure-1 stack —
 // collect layer, optimizing scheduler, transfer layer — replicated N ways
 // over an actual transport, which is what the telemetry example
-// (examples/monitor), wall-clock experiments (exp X2–X5) and failure tests
-// drive. Multi-rail nodes (Options.Rails) give each engine several
-// independent TCP rails per peer, each with its own capability record, so
-// heterogeneous-NIC scheduling runs over real sockets.
+// (examples/monitor), the chaos scenario (ChaosScenario), wall-clock
+// experiments (exp X2, X4) and failure tests drive. Multi-rail nodes
+// (Options.Rails) give each engine several independent TCP rails per peer,
+// each with its own capability record, so heterogeneous-NIC scheduling runs
+// over real sockets.
 package cluster
 
 import (
@@ -35,17 +36,14 @@ import (
 type Options struct {
 	// Nodes is the cluster size (>= 2).
 	Nodes int
-	// Caps is the capability profile every endpoint advertises to the
-	// optimizer; default caps.TCP (the kernel-TCP profile). Ignored when
-	// Rails is set.
-	Caps caps.Caps
 	// Rails optionally gives the per-node rail profiles: every node runs
 	// one mesh endpoint (one TCP connection per peer) per profile, and its
 	// engine schedules over all of them. Profile names must be distinct
 	// (caps.RailProfiles derives uniquely named variants of one base).
 	// With more than one rail each engine schedules them with its own
 	// capability-aware strategy.ScheduledRail, so a rail retune on one node
-	// stays on that node. Empty means a single rail of Caps.
+	// stays on that node. Empty means a single caps.TCP rail (the
+	// kernel-TCP profile).
 	Rails []caps.Caps
 	// Bundle names the strategy bundle each engine runs; default
 	// "aggregate" (the paper's optimizing configuration).
@@ -58,22 +56,6 @@ type Options struct {
 
 	// Deprecated: ignored. The engine has one send side.
 	Shards int
-
-	// Engine tuning, passed through to core.Options. Every rail here lands
-	// frames (drivers.FrameLander), so rendezvous is one direct RData and
-	// there is no RTS/CTS retry to tune.
-	Lookahead  int
-	NagleDelay simnet.Duration
-	// RdvThreshold forces rendezvous above this size on every engine
-	// (0 defers to the bundle policy).
-	RdvThreshold int
-
-	// Quotas seeds every engine's per-tenant admission table
-	// (core.Options.Quotas): token-bucket rates and backlog quotas checked
-	// at Submit. The table is homogeneous across the cluster — a tenant's
-	// quota is per sending engine, not fleet-global. Empty disables
-	// admission control: every Submit is admitted.
-	Quotas map[packet.TenantID]core.TenantQuota
 
 	// Chaos, when non-nil, wraps every rail of every node in a chaos
 	// frame-fault injector (internal/chaos): per-rail RNGs forked from
@@ -151,10 +133,7 @@ func New(o Options) (*Cluster, error) {
 	// The rail profiles every node runs, in the engine's rail order.
 	profiles := caps.EngineOrder(o.Rails)
 	if len(profiles) == 0 {
-		if o.Caps.Name == "" {
-			o.Caps = caps.TCP
-		}
-		profiles = []caps.Caps{o.Caps}
+		profiles = []caps.Caps{caps.TCP}
 	}
 
 	c := &Cluster{Runtime: simnet.NewRealRuntime()}
@@ -235,17 +214,13 @@ func New(o Options) (*Cluster, error) {
 				n.Trace = trace.New(o.TraceRing)
 			}
 			return core.New(node, core.Options{
-				Bundle:       b,
-				Runtime:      c.Runtime,
-				Rails:        rails,
-				Deliver:      wrapped,
-				Lookahead:    o.Lookahead,
-				NagleDelay:   o.NagleDelay,
-				RdvThreshold: o.RdvThreshold,
-				Quotas:       o.Quotas,
-				OnPeerDown:   onPeerDown,
-				Stats:        n.Stats,
-				Trace:        n.Trace,
+				Bundle:     b,
+				Runtime:    c.Runtime,
+				Rails:      rails,
+				Deliver:    wrapped,
+				OnPeerDown: onPeerDown,
+				Stats:      n.Stats,
+				Trace:      n.Trace,
 			})
 		})
 		if err != nil {

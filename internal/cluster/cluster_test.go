@@ -1,14 +1,17 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"newmad/internal/core"
 	"newmad/internal/mad"
 	"newmad/internal/packet"
+	"newmad/internal/proto"
 )
 
 func TestClusterValidation(t *testing.T) {
@@ -20,6 +23,52 @@ func TestClusterValidation(t *testing.T) {
 	}
 	if _, err := New(Options{Nodes: 3, Listen: []string{"127.0.0.1:0"}}); err == nil {
 		t.Fatal("listen/node count mismatch accepted")
+	}
+}
+
+// TestClusterRefusesOversizePayload: a packet, put or get one byte over
+// what a frame can carry is refused with core.ErrTooLarge at the call —
+// rather than crashing the node when the rail refuses the frame — and the
+// node goes on: the refused packet consumed no seq, so the flow's seq 0
+// still delivers, and the cluster closes.
+func TestClusterRefusesOversizePayload(t *testing.T) {
+	delivered := make(chan packet.FlowID, 1)
+	c, err := New(Options{Nodes: 2, Raw: true, OnDeliver: func(_ packet.NodeID, d proto.Deliverable) {
+		delivered <- d.Pkt.Flow
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := c.Engine(0)
+	msg := func(size int) *packet.Packet {
+		return &packet.Packet{Flow: 1, Msg: 1, Seq: 0, Last: true, Src: 0, Dst: 1,
+			Class: packet.ClassSmall, Payload: make([]byte, size)}
+	}
+	over := msg(packet.MaxPayload + 1)
+	if err := eng.Submit(over); !errors.Is(err, core.ErrTooLarge) {
+		t.Fatalf("oversize Submit: %v, want ErrTooLarge", err)
+	}
+	if err := eng.Put(1, 1, 0, over.Payload, nil); !errors.Is(err, core.ErrTooLarge) {
+		t.Fatalf("oversize Put: %v, want ErrTooLarge", err)
+	}
+	if err := eng.Get(1, 1, 0, over.Size(), func([]byte) {}); !errors.Is(err, core.ErrTooLarge) {
+		t.Fatalf("oversize Get: %v, want ErrTooLarge", err)
+	}
+	if err := eng.Submit(msg(64)); err != nil {
+		t.Fatal(err)
+	}
+	eng.Flush()
+	select {
+	case <-delivered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the message after the refusals was not delivered")
+	}
+	closed := make(chan struct{})
+	go func() { c.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close blocked after the refusals")
 	}
 }
 

@@ -21,14 +21,16 @@ func runViewTraffic(t *testing.T, telemetryOn bool) *Cluster {
 	const perSide = 120
 	var delivered atomic.Int64
 	c, err := New(Options{
-		Nodes: 2, Rails: caps.RailProfiles(caps.TCP, 2), Raw: true,
-		RdvThreshold: 8192, Telemetry: telemetryOn,
+		Nodes: 2, Rails: caps.RailProfiles(caps.TCP, 2), Raw: true, Telemetry: telemetryOn,
 		OnDeliver: func(packet.NodeID, proto.Deliverable) { delivered.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
+	for n := packet.NodeID(0); n < 2; n++ {
+		c.Engine(n).SetRdvThreshold(8192)
+	}
 	for i := 0; i < perSide; i++ {
 		size := 512
 		if i%12 == 11 {

@@ -11,7 +11,7 @@
 // Metrics() snapshot on a fixed period through the shared Runtime
 // abstraction, so the same controller is deterministic under the
 // discrete-event simulator (experiment E11) and live on the wall clock over
-// real mesh sockets (experiment X3).
+// real mesh sockets (internal/cluster's multi-rail soak).
 //
 // Two mechanisms damp the adjustment cost that Henzinger et al. identify
 // for weight-dynamic reoptimization:
@@ -297,25 +297,11 @@ func (c *Controller) Stop() {
 	c.tickMu.Unlock()
 }
 
-// Mode returns the regime currently in effect.
-func (c *Controller) Mode() Mode {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mode
-}
-
 // Decisions returns the applied retunes, oldest first.
 func (c *Controller) Decisions() []Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Decision(nil), c.decisions...)
-}
-
-// Retunes returns the number of applied retunes.
-func (c *Controller) Retunes() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return uint64(len(c.decisions))
 }
 
 // tick is one pass of the loop: sample, classify, maybe retune, reschedule.

@@ -109,8 +109,8 @@ func TestControllerOptionDefaultsAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Mode() != ModeBalanced {
-		t.Fatalf("default initial mode = %s, want balanced", c.Mode())
+	if c.mode != ModeBalanced {
+		t.Fatalf("default initial mode = %s, want balanced", c.mode)
 	}
 }
 
@@ -192,8 +192,8 @@ func TestControllerTracksRegimes(t *testing.T) {
 	if ds[1].Evidence.ArrivalPerSec < 1e6 {
 		t.Fatalf("throughput decision carries weak evidence: %s", ds[1].Evidence)
 	}
-	if c.Mode() != ModeThroughput {
-		t.Fatalf("final mode = %s, want throughput", c.Mode())
+	if c.mode != ModeThroughput {
+		t.Fatalf("final mode = %s, want throughput", c.mode)
 	}
 	// The engine must actually be at the throughput operating point.
 	m := eng.Metrics()
@@ -260,7 +260,7 @@ func TestControllerCooldownBounds(t *testing.T) {
 	cl.Eng.RunUntil(simnet.Time(3 * simnet.Millisecond))
 	c.Stop()
 
-	if n := c.Retunes(); n != 1 {
+	if n := len(c.Decisions()); n != 1 {
 		t.Fatalf("retunes = %d (%v), want 1 (cooldown must suppress the flip back)", n, c.Decisions())
 	}
 	if set.CounterValue("control.cooldown_blocks") == 0 {

@@ -574,6 +574,9 @@ func (e *Engine) Submit(p *packet.Packet) error {
 	if p.Src != e.node {
 		return fmt.Errorf("core: packet src %d submitted on node %d", p.Src, e.node)
 	}
+	if err := checkSize(p.Size()); err != nil {
+		return err
+	}
 	if e.closed.Load() {
 		return ErrClosed
 	}

@@ -9,13 +9,18 @@ import (
 )
 
 // Typed refusal sentinels. Submit (and the RMA surface) refuse work for a
-// small set of reasons a caller may want to branch on — the engine is gone
-// or admission control shed the packet. Each is an
-// errors.Is target; the admission refusals additionally carry a
+// small set of reasons a caller may want to branch on — the engine is gone,
+// the payload cannot fit one frame, or admission control shed the packet.
+// Each is an errors.Is target; the admission refusals additionally carry a
 // *ThrottleError with the tenant and a retry-after hint.
 var (
 	// ErrClosed reports an operation on a closed engine.
 	ErrClosed = errors.New("core: engine closed")
+
+	// ErrTooLarge reports a packet payload or RMA span over
+	// packet.MaxPayload: no frame could carry it. Like every refusal it
+	// consumes no seq and no admission charge.
+	ErrTooLarge = errors.New("core: payload exceeds the one-frame wire limit")
 
 	// ErrThrottled reports a tenant over its token-bucket admission rate.
 	ErrThrottled = errors.New("core: tenant throttled")
@@ -44,6 +49,15 @@ func (t *ThrottleError) Error() string {
 		return fmt.Sprintf("%v (tenant %d, retry after %v)", t.kind, t.Tenant, t.RetryAfter)
 	}
 	return fmt.Sprintf("%v (tenant %d)", t.kind, t.Tenant)
+}
+
+// checkSize refuses a payload or RMA span of n bytes that no frame could
+// carry.
+func checkSize(n int) error {
+	if n > packet.MaxPayload {
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrTooLarge, n, packet.MaxPayload)
+	}
+	return nil
 }
 
 // Unwrap exposes the sentinel (ErrThrottled or ErrQuotaExceeded) to

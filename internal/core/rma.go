@@ -24,6 +24,9 @@ func (e *Engine) Put(dst packet.NodeID, window int32, off int64, data []byte, do
 	if dst == e.node {
 		return fmt.Errorf("core: RMA put to self")
 	}
+	if err := checkSize(len(data)); err != nil {
+		return err
+	}
 	e.mu.Lock()
 	if e.closed.Load() {
 		e.mu.Unlock()
@@ -51,6 +54,9 @@ func (e *Engine) Get(dst packet.NodeID, window int32, off int64, n int, done fun
 	}
 	if done == nil {
 		return fmt.Errorf("core: RMA get requires a callback")
+	}
+	if err := checkSize(n); err != nil {
+		return err
 	}
 	e.mu.Lock()
 	if e.closed.Load() {

@@ -355,7 +355,7 @@ func TestWallDriverBidirectional(t *testing.T) {
 func TestWallDriverErrors(t *testing.T) {
 	// One frame past the limit the readers enforce; Post must refuse it on
 	// every socket driver rather than let the peer's reader kill the stream.
-	oversized := &packet.Frame{Kind: packet.FramePut, Src: 0, Dst: 1, Bulk: make([]byte, maxMeshFrame)}
+	oversized := &packet.Frame{Kind: packet.FramePut, Src: 0, Dst: 1, Bulk: make([]byte, packet.MaxFrameSize)}
 	forEachWallTransport(t, func(t *testing.T, tr wallTransport) {
 		nodes, cleanup, err := tr.make(2, caps.TCP)
 		if err != nil {

@@ -10,16 +10,12 @@ import (
 	"newmad/internal/packet"
 )
 
-// maxMeshFrame bounds one encoded frame on the wire. Readers treat a larger
-// length prefix as a corrupt stream, so Post enforces the same limit and
+// checkFrameSize is Mesh.Post's half of the wire limit: readers treat a
+// length prefix beyond packet.MaxFrameSize as a corrupt stream, so Post
 // fails at the call site instead of poisoning the link.
-const maxMeshFrame = 64 << 20
-
-// checkFrameSize is Post's half of that contract, shared by both socket
-// drivers.
 func checkFrameSize(f *packet.Frame) error {
-	if n := f.WireSize(); n > maxMeshFrame {
-		return fmt.Errorf("drivers: frame of %d bytes exceeds the %d-byte wire limit", n, maxMeshFrame)
+	if n := f.WireSize(); n > packet.MaxFrameSize {
+		return fmt.Errorf("drivers: frame of %d bytes exceeds the %d-byte wire limit", n, packet.MaxFrameSize)
 	}
 	return nil
 }
@@ -31,8 +27,8 @@ var errEmptyFrame = errors.New("drivers: zero-length frame")
 
 // readFrame reads one frame off a socket stream: a 4-byte big-endian length
 // prefix, then that many bytes of packet wire encoding. It is the one place
-// the socket drivers turn bytes into frames, and any error other than
-// errEmptyFrame means the stream is lost (EOF, a prefix beyond maxMeshFrame
+// the socket driver turns bytes into frames, and any error other than
+// errEmptyFrame means the stream is lost (EOF, a prefix beyond MaxFrameSize
 // or below a frame header, bytes DecodeInto rejects).
 //
 // The frame struct and its wire buffer come from the packet pools and are
@@ -53,8 +49,8 @@ func readFrame(br *bufio.Reader) (*packet.Frame, error) {
 	switch {
 	case n == 0:
 		return nil, errEmptyFrame
-	case n > maxMeshFrame:
-		return nil, fmt.Errorf("drivers: %d-byte frame exceeds the %d-byte limit", n, maxMeshFrame)
+	case n > packet.MaxFrameSize:
+		return nil, fmt.Errorf("drivers: %d-byte frame exceeds the %d-byte limit", n, packet.MaxFrameSize)
 	case n < packet.HeaderSize:
 		// DecodeInto would reject it after the read; rejecting first keeps
 		// the kind peek below inside this frame's own bytes.

@@ -112,7 +112,7 @@ func FuzzReadFrame(f *testing.F) {
 // DecodeInto verdict: the prefix-level refusals and a stream that ends early.
 func TestReadFrameStreamErrors(t *testing.T) {
 	rdata := seedFrames()[3].Encode(nil)
-	oversize := binary.BigEndian.AppendUint32(nil, maxMeshFrame+1)
+	oversize := binary.BigEndian.AppendUint32(nil, packet.MaxFrameSize+1)
 	cases := []struct {
 		name   string
 		stream []byte

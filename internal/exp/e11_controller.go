@@ -204,7 +204,7 @@ func E11Run(tuningName string, adaptive bool, cfg Config) (E11Result, error) {
 	rig.stepUntil(func() bool { return done || fail != nil })
 	for _, c := range controllers {
 		c.Stop()
-		res.Retunes += c.Retunes()
+		res.Retunes += uint64(len(c.Decisions()))
 	}
 	if fail != nil {
 		return E11Result{}, fail

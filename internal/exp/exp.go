@@ -88,15 +88,9 @@ var catalog = []Experiment{
 	{ID: "X2", Run: runX2,
 		Title: "mesh addendum: real TCP mesh sockets vs the virtual-time model",
 		Claim: "reproduction brief: the optimizer's transaction accounting carries over from the simulated fabric to a real N-node transport (not in the paper)"},
-	{ID: "X3", Run: runX3,
-		Title: "controller addendum: closed-loop retuning live on the TCP mesh",
-		Claim: "reproduction brief: the adaptive controller's decisions fire on wall-clock telemetry over real sockets, damped by hysteresis and cooldown (not in the paper)"},
 	{ID: "X4", Run: runX4,
 		Title: "multi-rail addendum: capability-aware rail striping over real TCP sockets",
 		Claim: "reproduction brief: striping bulk transfers across N real TCP rails beats a single rail on wall-clock conglomerate throughput (not in the paper)"},
-	{ID: "X5", Run: runX5,
-		Title: "chaos addendum: conglomerate workload under rolling rail flaps and a node crash",
-		Claim: "reproduction brief: with deterministic fault injection underneath, the engine delivers every surviving-pair payload exactly once and the fault schedule replays event-for-event from its seed (not in the paper)"},
 	{ID: "X6", Run: runX6,
 		Title: "flood isolation: per-tenant admission control under a 10× flooder",
 		Claim: "admission addendum: token-bucket + backlog quotas shed a flooding tenant at Submit while protected tenants hold p99 within 25% of the no-flood baseline (not in the paper)"},
@@ -122,12 +116,8 @@ func All() []Experiment { return append([]Experiment(nil), catalog...) }
 // per variant; the last write (by convention the full engine) is what is
 // exported.
 type Report struct {
-	// Decisions counts the retunes the run's controllers applied (E11, X3).
+	// Decisions counts the retunes the run's controllers applied (E11).
 	Decisions uint64 `json:"controller_decisions,omitempty"`
-	// FaultsInjected and Recoveries count the faults that hit the run and
-	// the recovery actions the engines fired (X5).
-	FaultsInjected uint64 `json:"faults_injected,omitempty"`
-	Recoveries     uint64 `json:"recoveries,omitempty"`
 	// Latency is the run's delivery-latency digest; nil when the
 	// experiment reported none.
 	Latency *LatencySummary `json:"latency,omitempty"`

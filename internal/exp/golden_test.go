@@ -12,7 +12,7 @@ var update = flag.Bool("update", false, "rewrite testdata/catalog.golden from th
 
 // goldenIDs are the experiments whose tables are pure functions of the
 // seed: everything that runs on the virtual clock. The wall-clock addenda
-// (X2's mesh half, X3, X4, X5) measure real sockets and cannot be pinned;
+// (X2's mesh half, X4) measure real sockets and cannot be pinned;
 // X2's simulated half is pinned through X2Sim below.
 var goldenIDs = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "X1", "X6"}
 

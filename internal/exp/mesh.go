@@ -12,8 +12,8 @@ import (
 )
 
 // meshRig is the wall-clock counterpart of Rig for the socket experiments
-// (X2's mesh half, X3, X4, X5): a booted cluster.Cluster plus a count of
-// the deliveries the experiment is waiting for.
+// (X2's mesh half, X4): a booted cluster.Cluster plus a count of the
+// deliveries the experiment is waiting for.
 type meshRig struct {
 	*cluster.Cluster
 	delivered atomic.Int64
@@ -22,17 +22,12 @@ type meshRig struct {
 }
 
 // newMeshRig boots the cluster o describes in Raw mode (the experiments'
-// synthetic flow ids are not mad channels). counts, when non-nil, selects
-// the deliveries that count toward wait and may record them; it runs on
-// transport goroutines.
-func newMeshRig(o cluster.Options, counts func(node packet.NodeID, d proto.Deliverable) bool) (*meshRig, error) {
+// synthetic flow ids are not mad channels), counting every delivery.
+func newMeshRig(o cluster.Options) (*meshRig, error) {
 	r := &meshRig{done: make(chan struct{}, 1)}
 	r.want.Store(1 << 62)
 	o.Raw = true
-	o.OnDeliver = func(node packet.NodeID, d proto.Deliverable) {
-		if counts != nil && !counts(node, d) {
-			return
-		}
+	o.OnDeliver = func(packet.NodeID, proto.Deliverable) {
 		if r.delivered.Add(1) >= r.want.Load() {
 			select {
 			case r.done <- struct{}{}:
@@ -92,47 +87,4 @@ func eachNode(n int, fn func(node packet.NodeID) error) (wait func() error) {
 			return nil
 		}
 	}
-}
-
-// conglomerate is the wall-clock workload X4 and X5 share: between nodes 0
-// and 1, in both directions, a stream of small messages (flow 10+src)
-// interleaved with large rendezvous transfers (flow 20+src).
-type conglomerate struct {
-	smallMsgs, smallSize, bulkMsgs, bulkSize int
-}
-
-// msgs and bytes total the payloads of both directions.
-func (w conglomerate) msgs() int  { return 2 * (w.smallMsgs + w.bulkMsgs) }
-func (w conglomerate) bytes() int { return 2 * (w.smallMsgs*w.smallSize + w.bulkMsgs*w.bulkSize) }
-
-// start launches both directions and returns their eachNode wait. The
-// submitters interleave a few small messages between each bulk submission,
-// so the engine always sees the conglomerate, not two phases; pace, when
-// positive, sleeps between rounds so the traffic spans a fault schedule
-// instead of draining ahead of it.
-func (w conglomerate) start(c *cluster.Cluster, pace time.Duration) (wait func() error) {
-	return eachNode(2, func(src packet.NodeID) error {
-		eng, dst := c.Engine(src), 1-src
-		smallFlow, bulkFlow := packet.FlowID(10+src), packet.FlowID(20+src)
-		si, bi := 0, 0
-		for si < w.smallMsgs || bi < w.bulkMsgs {
-			for k := 0; k < w.smallMsgs/max(w.bulkMsgs, 1)+1 && si < w.smallMsgs; k++ {
-				if err := eng.Submit(message(smallFlow, si, w.smallSize, src, dst)); err != nil {
-					return err
-				}
-				si++
-			}
-			if bi < w.bulkMsgs {
-				if err := eng.Submit(message(bulkFlow, bi, w.bulkSize, src, dst)); err != nil {
-					return err
-				}
-				bi++
-			}
-			if pace > 0 {
-				time.Sleep(pace)
-			}
-		}
-		eng.Flush()
-		return nil
-	})
 }

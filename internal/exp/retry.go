@@ -3,7 +3,7 @@ package exp
 import "fmt"
 
 // RetryShape runs a wall-clock shape assertion up to attempts times and
-// succeeds on the first clean run. Wall-clock experiments (X2, X4, X5)
+// succeeds on the first clean run. Wall-clock experiments (X2, X4)
 // measure real sockets on shared CI machines, where a noisy neighbor can
 // blow a single timing comparison without anything being wrong with the
 // code under test; retrying the *whole measurement* (never just the

@@ -94,7 +94,7 @@ func X2Sim(cfg Config) (X2Result, error) {
 // wall-clock measurement.
 func X2Mesh(cfg Config) (X2Result, error) {
 	nodes, perFlow, size := x2Shape(cfg)
-	rig, err := newMeshRig(cluster.Options{Nodes: nodes}, nil)
+	rig, err := newMeshRig(cluster.Options{Nodes: nodes})
 	if err != nil {
 		return X2Result{}, err
 	}

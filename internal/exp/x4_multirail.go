@@ -53,11 +53,11 @@ func (r X4Result) Goodput() float64 {
 	return float64(r.Bytes) / s
 }
 
-func x4Shape(cfg Config) (w conglomerate, railCounts []int) {
+func x4Shape(cfg Config) (w cluster.Conglomerate, railCounts []int) {
 	if cfg.Quick {
-		return conglomerate{200, 256, 16, 1 << 20}, []int{1, 2}
+		return cluster.Conglomerate{SmallMsgs: 200, SmallSize: 256, BulkMsgs: 16, BulkSize: 1 << 20}, []int{1, 2}
 	}
-	return conglomerate{600, 256, 32, 2 << 20}, []int{1, 2, 4}
+	return cluster.Conglomerate{SmallMsgs: 600, SmallSize: 256, BulkMsgs: 32, BulkSize: 2 << 20}, []int{1, 2, 4}
 }
 
 // x4Rails derives the transport profiles: GigE-class TCP rails that enforce
@@ -78,23 +78,23 @@ func x4Rails(n int) []caps.Caps {
 func X4Mesh(cfg Config, railCount int) (X4Result, error) {
 	w, _ := x4Shape(cfg)
 	opts := cluster.Options{Nodes: 2, Rails: x4Rails(railCount)}
-	c, err := newMeshRig(opts, nil)
+	c, err := newMeshRig(opts)
 	if err != nil {
 		return X4Result{}, err
 	}
 	defer c.Close()
 
 	start := time.Now()
-	if err := w.start(c.Cluster, 0)(); err != nil {
+	if err := w.Start(c.Cluster)(); err != nil {
 		return X4Result{}, err
 	}
-	if err := c.wait(w.msgs(), 120*time.Second); err != nil {
+	if err := c.wait(w.Msgs(), 120*time.Second); err != nil {
 		return X4Result{}, fmt.Errorf("X4 on %d rails: %w", railCount, err)
 	}
 	res := X4Result{
 		RailCount:  railCount,
-		Msgs:       w.msgs(),
-		Bytes:      w.bytes(),
+		Msgs:       w.Msgs(),
+		Bytes:      w.Bytes(),
 		Completion: time.Since(start),
 		RailFrames: make(map[string]uint64),
 	}

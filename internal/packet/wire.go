@@ -128,6 +128,14 @@ const (
 	SubHeaderSize = 4 + 8 + 4 + 1 + 4 // flow, msg, seq, flags, len
 	// CtrlSize is the encoded control block length.
 	CtrlSize = 8 + 4 + 8 + 4 + 4 + 1 // token, flow, msg, seq, size, last
+
+	// MaxFrameSize bounds one encoded frame (WireSize). A socket reader
+	// treats a larger length prefix as a corrupt stream.
+	MaxFrameSize = 64 << 20
+	// MaxPayload is the largest payload one frame carries: MaxFrameSize
+	// less the largest fixed overhead, a bulk frame's (RData, Put,
+	// GetReply). The engine refuses larger packets and RMA spans.
+	MaxPayload = MaxFrameSize - HeaderSize - CtrlSize - 4
 )
 
 // flag bits inside an entry's flags byte.

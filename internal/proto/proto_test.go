@@ -506,6 +506,25 @@ func TestRMABoundsAndErrors(t *testing.T) {
 	other.Get(1, 1, 0, 1, nil)
 }
 
+// TestRMAGetOverWireLimitRejected: a remote get of an in-range span that
+// no reply frame could carry is rejected and counted, not served — serving
+// it would build a GetReply over packet.MaxFrameSize, which the node's own
+// socket rail refuses to post.
+func TestRMAGetOverWireLimitRejected(t *testing.T) {
+	var replies int
+	rma := NewRMA(1, func(*packet.Frame) { replies++ })
+	rma.RegisterWindow(1, make([]byte, packet.MaxPayload+1))
+	other := NewRMA(0, func(*packet.Frame) {})
+	rma.HandleGet(0, other.Get(1, 1, 0, packet.MaxPayload+1, func([]byte) {}))
+	if got := rma.Rejected(); got != 1 || replies != 0 {
+		t.Fatalf("oversize get: rejected = %d, replies = %d; want 1 and 0", got, replies)
+	}
+	rma.HandleGet(0, other.Get(1, 1, 0, 16, func([]byte) {}))
+	if got := rma.Rejected(); got != 1 || replies != 1 {
+		t.Fatalf("in-limit get: rejected = %d, replies = %d; want 1 and 1", got, replies)
+	}
+}
+
 func TestRMAGetReplyIsACopy(t *testing.T) {
 	// HandleGet must snapshot the window: later writes to the window must
 	// not alter an in-flight reply.

@@ -25,9 +25,10 @@ type RMA struct {
 	pendingGets map[uint64]func(data []byte)
 	pendingPuts map[uint64]func()
 	// rejected counts remote-originated frames dropped for addressing an
-	// unknown window, an out-of-range span, or an unknown token. A corrupt
-	// or replayed frame can produce any of these, so they are survivable
-	// (counted, dropped) rather than fatal; local API misuse still panics.
+	// unknown window, an out-of-range or oversize span, or an unknown
+	// token. A corrupt or replayed frame can produce any of these, so they
+	// are survivable (counted, dropped) rather than fatal; local API misuse
+	// still panics.
 	rejected uint64
 }
 
@@ -109,13 +110,14 @@ func (m *RMA) HandlePut(src packet.NodeID, f *packet.Frame) {
 }
 
 // HandleGet serves an incoming read by emitting a reply frame. Unknown
-// windows and out-of-range spans are rejected and counted, like HandlePut;
-// the initiator's get then never completes, which is the initiator's bug to
+// windows, out-of-range spans and spans no reply frame could carry (over
+// packet.MaxPayload) are rejected and counted, like HandlePut; the
+// initiator's get then never completes, which is the initiator's bug to
 // surface, not this node's to crash on.
 func (m *RMA) HandleGet(src packet.NodeID, f *packet.Frame) {
 	win, off, n := int32(f.Ctrl.Flow), int64(f.Ctrl.Msg), f.Ctrl.Size
 	buf, ok := m.windows[win]
-	if !ok || off < 0 || n < 0 || off+int64(n) > int64(len(buf)) {
+	if !ok || off < 0 || n < 0 || n > packet.MaxPayload || off+int64(n) > int64(len(buf)) {
 		m.rejected++
 		return
 	}
@@ -163,5 +165,6 @@ func (m *RMA) Outstanding() (gets, puts int) {
 }
 
 // Rejected returns the number of remote-originated frames dropped for
-// addressing unknown windows, out-of-range spans, or unknown tokens.
+// addressing unknown windows, out-of-range or oversize spans, or unknown
+// tokens.
 func (m *RMA) Rejected() uint64 { return m.rejected }
