@@ -66,6 +66,10 @@ func main() {
 	if *flows < 1 || *count < 1 || *size < 0 {
 		usage("need -flows >= 1, -count >= 1 and -size >= 0 (got %d, %d, %d)", *flows, *count, *size)
 	}
+	knobs := strategy.Knobs{NagleDelay: simnet.FromWall(*nagle), Lookahead: *lookahead, SearchBudget: *budget}
+	if err := knobs.Validate(); err != nil {
+		usage("%v", err)
+	}
 	if *channels > 0 {
 		prof.Channels = *channels
 	}
@@ -81,12 +85,10 @@ func main() {
 	// The scenario is one experiment point: every flow runs 0 -> 1.
 	m, rig, err := exp.RunPoint(exp.Point{
 		RigOptions: exp.RigOptions{
-			Profiles:     []caps.Caps{prof},
-			Bundle:       *bundle,
-			Nagle:        simnet.FromWall(*nagle),
-			Lookahead:    *lookahead,
-			SearchBudget: *budget,
-			Trace:        rec,
+			Profiles: []caps.Caps{prof},
+			Bundle:   *bundle,
+			Knobs:    knobs,
+			Trace:    rec,
 		},
 		Flows: exp.Fan(*flows, workload.FlowSpec{
 			Dst: 1, Class: packet.ClassSmall,

@@ -10,6 +10,7 @@ import (
 	"newmad/internal/caps"
 	"newmad/internal/packet"
 	"newmad/internal/proto"
+	"newmad/internal/strategy"
 	"newmad/internal/telemetry"
 )
 
@@ -29,7 +30,9 @@ func runViewTraffic(t *testing.T, telemetryOn bool) *Cluster {
 	}
 	t.Cleanup(c.Close)
 	for n := packet.NodeID(0); n < 2; n++ {
-		c.Engine(n).SetRdvThreshold(8192)
+		if err := c.Engine(n).SetKnobs(strategy.Knobs{RdvThreshold: 8192}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < perSide; i++ {
 		size := 512

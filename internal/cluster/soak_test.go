@@ -64,11 +64,11 @@ func TestMultiRailSoakRetuneAndRedial(t *testing.T) {
 	// Register soak tunings with a wall-clock Nagle delay, so every regime
 	// flip moves a live operating point.
 	strategy.MustRegisterTuning(strategy.Tuning{
-		Name: "soak-latency", Bundle: "aggregate", Lookahead: 2,
+		Name: "soak-latency", Bundle: "aggregate", Knobs: strategy.Knobs{Lookahead: 2},
 	})
 	strategy.MustRegisterTuning(strategy.Tuning{
 		Name: "soak-throughput", Bundle: "aggregate",
-		NagleDelay: simnet.FromWall(200 * time.Microsecond), NagleFlushCount: 16,
+		Knobs: strategy.Knobs{NagleDelay: simnet.FromWall(200 * time.Microsecond), NagleFlushCount: 16},
 	})
 	ctl, err := control.New(control.Options{
 		Engine:   c.Engine(0),

@@ -1,11 +1,11 @@
 // Package control closes the loop the paper leaves open: it watches a
-// running optimizer engine through its metrics surface and retunes the
-// engine's runtime knobs — artificial delay and flush count, lookahead
-// window, search budget, eager/rendezvous threshold, and the strategy
-// bundle (class→channel assignment) — as the observed traffic regime
-// shifts. The paper notes that "scheduling policies can be changed
-// dynamically as application needs evolve"; this package supplies the
-// component that decides *when*.
+// running optimizer engine through its metrics surface and retunes it as
+// the observed traffic regime shifts: the strategy bundle (class→channel
+// assignment) and the operating point beside it (strategy.Knobs: artificial
+// delay and flush count, lookahead window, search budget, eager/rendezvous
+// threshold), one swap each. The paper notes that "scheduling policies can
+// be changed dynamically as application needs evolve"; this package
+// supplies the component that decides *when*.
 //
 // One Controller runs per engine (per node). It samples the engine's
 // Metrics() snapshot on a fixed period through the shared Runtime
@@ -408,12 +408,11 @@ func (c *Controller) classify(sig Signals) Mode {
 	}
 }
 
-// Apply drives every runtime setter of eng to the tuning's operating
-// point. Bundle instantiation happens per application so stateful policies
-// (adaptive classes) start fresh in the new regime. Exported so experiment
-// harnesses configure their static baselines through the exact sequence
-// the controller uses — any knob added to strategy.Tuning is wired here
-// once.
+// Apply moves eng to the tuning: SetBundle, then SetKnobs — one bundle swap
+// and one knob swap. Bundle instantiation happens per application so
+// stateful policies (adaptive classes) start fresh in the new regime.
+// Exported so experiment harnesses configure their static baselines
+// through the exact sequence the controller uses.
 func Apply(eng *core.Engine, t strategy.Tuning) error {
 	b, err := strategy.New(t.Bundle)
 	if err != nil {
@@ -430,10 +429,9 @@ func Apply(eng *core.Engine, t strategy.Tuning) error {
 	if err := eng.SetBundle(b); err != nil {
 		return fmt.Errorf("control: tuning %q: %w", t.Name, err)
 	}
-	eng.SetLookahead(t.Lookahead)
-	eng.SetNagle(t.NagleDelay, t.NagleFlushCount)
-	eng.SetSearchBudget(t.SearchBudget)
-	eng.SetRdvThreshold(t.RdvThreshold)
+	if err := eng.SetKnobs(t.Knobs); err != nil {
+		return fmt.Errorf("control: tuning %q: %w", t.Name, err)
+	}
 	return nil
 }
 

@@ -91,6 +91,60 @@ func TestApplyPreservesTunableRailPolicy(t *testing.T) {
 	}
 }
 
+// TestApplyReadsBackEveryTuning: for every registered tuning, Apply leaves
+// the engine at exactly that operating point as Metrics reports it (a flush
+// count of 0 reads back as core.DefaultNagleFlushCount).
+func TestApplyReadsBackEveryTuning(t *testing.T) {
+	_, eng := simPair(t)
+	for _, name := range strategy.TuningNames() {
+		tune, err := strategy.TuningByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Apply(eng, tune); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := tune.Knobs
+		if want.NagleFlushCount == 0 {
+			want.NagleFlushCount = core.DefaultNagleFlushCount
+		}
+		if m := eng.Metrics(); m.Knobs != want || m.Bundle != tune.Bundle {
+			t.Fatalf("%s: engine at %+v bundle %q, want %+v bundle %q", name, m.Knobs, m.Bundle, want, tune.Bundle)
+		}
+	}
+}
+
+// TestApplyIsOneKnobSwap: a retune whose knobs move emits exactly one
+// "tuning" RetuneEvent, and applying the same tuning again emits none.
+func TestApplyIsOneKnobSwap(t *testing.T) {
+	_, eng := simPair(t)
+	var tunings []core.RetuneEvent
+	eng.SetRetuneObserver(func(ev core.RetuneEvent) {
+		if ev.Knob == "tuning" {
+			tunings = append(tunings, ev)
+		}
+	})
+	thr, err := strategy.TuningByName("throughput")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Apply(eng, thr); err != nil {
+		t.Fatal(err)
+	}
+	if len(tunings) != 1 {
+		t.Fatalf("first Apply emitted %d tuning events %v, want 1", len(tunings), tunings)
+	}
+	if note := tunings[0].Note; !strings.Contains(note, "nagle=16µs") || !strings.Contains(note, "budget=32") {
+		t.Fatalf("tuning event note %q does not list the knobs that moved", note)
+	}
+	if err := Apply(eng, thr); err != nil {
+		t.Fatal(err)
+	}
+	if len(tunings) != 1 {
+		t.Fatalf("repeated Apply emitted %d more tuning events, want none", len(tunings)-1)
+	}
+}
+
 func TestControllerOptionDefaultsAndValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Fatal("New without engine should fail")

@@ -184,11 +184,11 @@ func TestFlushCloseRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := New(0, Options{
-		Bundle:     bs,
-		Runtime:    rt,
-		Rails:      []drivers.Driver{nodes[0]},
-		Deliver:    func(proto.Deliverable) {},
-		NagleDelay: simnet.FromWall(50 * time.Microsecond),
+		Bundle:  bs,
+		Runtime: rt,
+		Rails:   []drivers.Driver{nodes[0]},
+		Deliver: func(proto.Deliverable) {},
+		Knobs:   strategy.Knobs{NagleDelay: simnet.FromWall(50 * time.Microsecond)},
 	})
 	if err != nil {
 		t.Fatal(err)

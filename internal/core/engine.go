@@ -60,23 +60,9 @@ type Options struct {
 	// Deprecated: ignored. The engine has one send side.
 	Shards int
 
-	// Lookahead bounds how many eligible waiting packets a plan may
-	// consider (the paper's "packet lookahead window"); 0 = unbounded.
-	Lookahead int
-	// NagleDelay artificially delays submission-triggered sends to let
-	// aggregation opportunities accumulate; 0 sends immediately.
-	NagleDelay simnet.Duration
-	// NagleFlushCount flushes a pending Nagle delay once this many packets
-	// wait (0 = DefaultNagleFlushCount).
-	NagleFlushCount int
-	// SearchBudget is passed to the plan builder as the rearrangement
-	// evaluation bound; 0 = builder default.
-	SearchBudget int
-	// RdvThreshold, when positive, overrides the bundle's protocol policy
-	// with a plain size threshold: packets larger than it travel by
-	// rendezvous (express packets stay eager regardless). 0 defers to the
-	// bundle policy. Runtime-tunable via SetRdvThreshold.
-	RdvThreshold int
+	// Knobs is the initial operating point; SetKnobs replaces it at
+	// runtime.
+	strategy.Knobs
 	// RdvRetry, when positive, arms a timeout per rendezvous start: if no
 	// CTS arrives within the window, the RTS is rebuilt and re-sent (the
 	// receiver deduplicates by token, so a retry can never double-deliver).
@@ -107,17 +93,6 @@ type Options struct {
 	Trace *trace.Recorder
 }
 
-// tuning is the runtime-tunable knob block, swapped atomically as one
-// immutable value so the datapath reads a consistent tuning without a
-// lock and the Set* methods never stall a pump.
-type tuning struct {
-	lookahead    int
-	nagleDelay   simnet.Duration
-	nagleFlush   int
-	searchBudget int
-	rdvThreshold int
-}
-
 // rdvTimer is one armed rendezvous retry: the cancel handle plus the
 // generation that identifies this arming. On the wall-clock runtime a
 // cancelled timer's callback may already be committed to run; the
@@ -134,11 +109,14 @@ type Engine struct {
 	rt    simnet.Runtime
 	set   *stats.Set
 	rec   *trace.Recorder // nil = tracing off; trace.Recorder tolerates nil
-	cfg   Options         // immutable after New; tunables live in tun
+	cfg   Options         // immutable after New; the live knobs are in knobs
 	rails []drivers.Driver
 
 	bundle atomic.Pointer[strategy.Bundle]
-	tun    atomic.Pointer[tuning]
+	// knobs is the operating point in effect, swapped as one immutable
+	// value so the datapath reads it without a lock and SetKnobs never
+	// stalls a pump.
+	knobs  atomic.Pointer[strategy.Knobs]
 	closed atomic.Bool
 
 	// adm is the tenant admission table (admission.go); nil until a quota
@@ -281,10 +259,11 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 	if b.Builder == nil || b.Rail == nil || b.Classes == nil || b.Protocol == nil {
 		return nil, fmt.Errorf("core: incomplete strategy bundle %q", b.Name)
 	}
-	if opt.Lookahead < 0 || opt.NagleDelay < 0 || opt.SearchBudget < 0 ||
-		opt.RdvThreshold < 0 || opt.NagleFlushCount < 0 ||
-		opt.RdvRetry < 0 || opt.RdvRetryMax < 0 {
-		return nil, fmt.Errorf("core: negative tuning option")
+	if err := opt.Knobs.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if opt.RdvRetry < 0 || opt.RdvRetryMax < 0 {
+		return nil, fmt.Errorf("core: negative rendezvous retry option")
 	}
 	if opt.NagleFlushCount == 0 {
 		opt.NagleFlushCount = DefaultNagleFlushCount
@@ -345,13 +324,7 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 		e.adm.Store(a)
 	}
 	e.bundle.Store(&b)
-	e.tun.Store(&tuning{
-		lookahead:    opt.Lookahead,
-		nagleDelay:   opt.NagleDelay,
-		nagleFlush:   opt.NagleFlushCount,
-		searchBudget: opt.SearchBudget,
-		rdvThreshold: opt.RdvThreshold,
-	})
+	e.knobs.Store(&opt.Knobs)
 	e.pumps = make([][]chanPump, len(rails))
 	for i, r := range rails {
 		e.pumps[i] = make([]chanPump, r.NumChannels())
@@ -458,99 +431,34 @@ func (e *Engine) SetBundle(b strategy.Bundle) error {
 // Bundle returns the strategy currently in effect.
 func (e *Engine) Bundle() strategy.Bundle { return *e.bundle.Load() }
 
-// updateTuning swaps the tuning block through mut, returning whether mut
-// reported a change. mut runs on a private copy and may run more than once
-// under contention.
-func (e *Engine) updateTuning(mut func(*tuning) bool) bool {
-	for {
-		old := e.tun.Load()
-		nt := *old
-		if !mut(&nt) {
-			return false
-		}
-		if e.tun.CompareAndSwap(old, &nt) {
-			return true
-		}
-	}
-}
-
-// setKnob clamps n to zero or above, swaps it into the tuning field sel
-// picks and, when the value moved, announces the retune as "knob=n".
-func (e *Engine) setKnob(knob string, n int, sel func(*tuning) *int) {
-	if n < 0 {
-		n = 0
-	}
-	changed := e.updateTuning(func(t *tuning) bool {
-		p := sel(t)
-		if *p == n {
-			return false
-		}
-		*p = n
-		return true
-	})
-	if changed {
-		e.notifyRetune(RetuneEvent{At: e.rt.Now(), Knob: knob, Note: fmt.Sprintf("%s=%d", knob, n)})
-	}
-}
-
-// SetLookahead adjusts the lookahead window at runtime (E2 sweeps this; the
-// adaptive controller drives it from observed backlog depth). Negative
-// values clamp to 0 (unbounded).
-func (e *Engine) SetLookahead(n int) {
-	e.setKnob("lookahead", n, func(t *tuning) *int { return &t.lookahead })
-}
-
 // DefaultNagleFlushCount is the flush count in effect when none is
 // configured: a pending artificial delay is cut short once this many
 // packets wait.
 const DefaultNagleFlushCount = 4
 
-// SetNagle adjusts the artificial delay at runtime (E3 sweeps this; the
-// adaptive controller toggles it between traffic regimes). A flushCount of
-// 0 restores DefaultNagleFlushCount — symmetric with construction, so a
-// tuning's operating point never depends on which tuning ran before it.
-// Setting a zero delay releases any armed delay immediately, so a
+// SetKnobs moves the engine to operating point k at runtime (the adaptive
+// controller applies a registered tuning's knobs through it). k is refused
+// by the rule New applies (strategy.Knobs.Validate), and a refused k
+// changes nothing. A flush count of 0 means DefaultNagleFlushCount, as at
+// construction, so an operating point never depends on the one before it.
+// A zero delay releases any armed delay immediately, so a
 // latency-sensitive phase never waits out a timer armed under the previous
-// tuning.
-func (e *Engine) SetNagle(d simnet.Duration, flushCount int) {
-	if d < 0 {
-		d = 0
+// knobs. When a knob moved, one "tuning" RetuneEvent lists what moved.
+func (e *Engine) SetKnobs(k strategy.Knobs) error {
+	if err := k.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	if flushCount <= 0 {
-		flushCount = DefaultNagleFlushCount
+	if k.NagleFlushCount == 0 {
+		k.NagleFlushCount = DefaultNagleFlushCount
 	}
-	changed := e.updateTuning(func(t *tuning) bool {
-		if t.nagleDelay == d && t.nagleFlush == flushCount {
-			return false
-		}
-		t.nagleDelay = d
-		t.nagleFlush = flushCount
-		return true
-	})
-	if d == 0 && e.releaseNagle() {
+	old := e.knobs.Swap(&k)
+	if k.NagleDelay == 0 && e.releaseNagle() {
 		e.pumpAll()
 	}
-	if changed {
-		e.notifyRetune(RetuneEvent{
-			At: e.rt.Now(), Knob: "nagle",
-			Note: fmt.Sprintf("nagle=%v flush=%d", d, flushCount),
-		})
+	if moved := k.Moved(*old); moved != "" {
+		e.notifyRetune(RetuneEvent{At: e.rt.Now(), Knob: "tuning", Note: moved})
 	}
-}
-
-// SetSearchBudget adjusts the plan builder's rearrangement evaluation bound
-// at runtime (E6 sweeps this; the adaptive controller raises it when deep
-// backlogs make search worthwhile). Negative values clamp to 0 (builder
-// default).
-func (e *Engine) SetSearchBudget(n int) {
-	e.setKnob("budget", n, func(t *tuning) *int { return &t.searchBudget })
-}
-
-// SetRdvThreshold adjusts the eager/rendezvous switchover at runtime: a
-// positive value overrides the bundle's protocol policy with a plain size
-// threshold, 0 restores the bundle policy. Negative values clamp to 0.
-func (e *Engine) SetRdvThreshold(n int) {
-	e.setKnob("rdv-threshold", n, func(t *tuning) *int { return &t.rdvThreshold })
+	return nil
 }
 
 // Submit enqueues one packet from the collect layer and returns
@@ -586,7 +494,7 @@ func (e *Engine) Submit(p *packet.Packet) error {
 	// capability record consulted is the first rail this packet may use
 	// (deterministic; multi-rail nodes with diverging thresholds can pin
 	// protocols per class through the rail policy instead). A runtime
-	// threshold override (SetRdvThreshold) takes precedence over the bundle
+	// threshold override (Knobs.RdvThreshold) takes precedence over the bundle
 	// policy so the controller can move the switchover without swapping
 	// bundles.
 	ri := e.protoRail(b, p)
@@ -650,7 +558,7 @@ func (e *Engine) Submit(p *packet.Packet) error {
 // useRendezvous applies the runtime threshold override, falling back to
 // the bundle's protocol policy over capability record c.
 func (e *Engine) useRendezvous(b *strategy.Bundle, p *packet.Packet, c caps.Caps) bool {
-	if thr := e.tun.Load().rdvThreshold; thr > 0 {
+	if thr := e.knobs.Load().RdvThreshold; thr > 0 {
 		return !packet.EagerOnly(p) && p.Size() > thr
 	}
 	return b.Protocol.UseRendezvous(p, c)

@@ -88,7 +88,7 @@ func TestNewValidation(t *testing.T) {
 		{"no rails", Options{Bundle: b, Runtime: cl.Eng, Deliver: del}},
 		{"no deliver", Options{Bundle: b, Runtime: cl.Eng, Rails: rail}},
 		{"empty bundle", Options{Runtime: cl.Eng, Rails: rail, Deliver: del}},
-		{"negative nagle", Options{Bundle: b, Runtime: cl.Eng, Rails: rail, Deliver: del, NagleDelay: -1}},
+		{"negative nagle", Options{Bundle: b, Runtime: cl.Eng, Rails: rail, Deliver: del, Knobs: strategy.Knobs{NagleDelay: -1}}},
 	}
 	for _, tc := range cases {
 		if _, err := New(0, tc.opt); err == nil {
@@ -448,8 +448,9 @@ func TestDynamicBundleSwitch(t *testing.T) {
 
 func TestRuntimeTuningSetters(t *testing.T) {
 	tn := newNet(t, 2, "aggregate", nil)
-	tn.engines[0].SetLookahead(4)
-	tn.engines[0].SetNagle(5*simnet.Microsecond, 8)
+	if err := tn.engines[0].SetKnobs(strategy.Knobs{Lookahead: 4, NagleDelay: 5 * simnet.Microsecond, NagleFlushCount: 8}); err != nil {
+		t.Fatal(err)
+	}
 	if tn.engines[0].BacklogLen() != 0 {
 		t.Fatal("backlog not empty")
 	}

@@ -37,11 +37,11 @@ func TestLoopbackIntegration(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng, err := New(n, Options{
-			Bundle:     b,
-			Runtime:    rt,
-			Rails:      []drivers.Driver{nodes[n]},
-			Deliver:    deliver,
-			NagleDelay: simnet.FromWall(200 * time.Microsecond),
+			Bundle:  b,
+			Runtime: rt,
+			Rails:   []drivers.Driver{nodes[n]},
+			Deliver: deliver,
+			Knobs:   strategy.Knobs{NagleDelay: simnet.FromWall(200 * time.Microsecond)},
 		})
 		if err != nil {
 			t.Fatal(err)

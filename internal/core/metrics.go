@@ -6,6 +6,7 @@ import (
 
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
+	"newmad/internal/strategy"
 	"newmad/internal/trace"
 )
 
@@ -85,13 +86,9 @@ type Metrics struct {
 	TenantThrottled uint64 `set:"core.tenant_throttled"`
 	TenantOverQuota uint64 `set:"core.tenant_over_quota"`
 
-	// The tuning in effect.
-	Lookahead       int
-	NagleDelay      simnet.Duration
-	NagleFlushCount int
-	SearchBudget    int
-	RdvThreshold    int
-	Bundle          string
+	// The operating point and bundle in effect.
+	strategy.Knobs
+	Bundle string
 }
 
 // TenantMetrics is one tenant's slice of the admission surface: the quota
@@ -129,22 +126,17 @@ func (e *Engine) Metrics() Metrics {
 // under mu; the lock-free tallies (idle upcalls, backlog peak, retunes,
 // tenants) are read beside it.
 func (e *Engine) MetricsInto(m *Metrics) {
-	tun := e.tun.Load()
 	*m = Metrics{
-		Now:             e.rt.Now(),
-		IdleUpcalls:     e.idleUps.Load(),
-		BacklogPeak:     uint64(e.backlogPeak.Load()),
-		PolicySwitches:  e.policySwitches.Load(),
-		TenantRetunes:   e.tenantRetunes.Load(),
-		RailFrames:      m.RailFrames[:0],
-		RailDowns:       m.RailDowns[:0],
-		Tenants:         m.Tenants[:0],
-		Lookahead:       tun.lookahead,
-		NagleDelay:      tun.nagleDelay,
-		NagleFlushCount: tun.nagleFlush,
-		SearchBudget:    tun.searchBudget,
-		RdvThreshold:    tun.rdvThreshold,
-		Bundle:          e.bundle.Load().Name,
+		Now:            e.rt.Now(),
+		IdleUpcalls:    e.idleUps.Load(),
+		BacklogPeak:    uint64(e.backlogPeak.Load()),
+		PolicySwitches: e.policySwitches.Load(),
+		TenantRetunes:  e.tenantRetunes.Load(),
+		RailFrames:     m.RailFrames[:0],
+		RailDowns:      m.RailDowns[:0],
+		Tenants:        m.Tenants[:0],
+		Knobs:          *e.knobs.Load(),
+		Bundle:         e.bundle.Load().Name,
 	}
 	e.mu.Lock()
 	m.Backlog = e.backlog.size
@@ -218,14 +210,14 @@ func (e *Engine) serve(counter func(name string, v uint64), gauge func(name stri
 // engine's retune observer: which knob moved and how.
 type RetuneEvent struct {
 	At   simnet.Time
-	Knob string // "bundle", "lookahead", "nagle", "budget", "rdv-threshold", "tenant-quota"
-	Note string // human-readable "knob=value" rendering
+	Knob string // "bundle", "tuning" (SetKnobs) or "tenant-quota"
+	Note string // "name=value" pairs: the bundle, the knobs that moved, the quota
 }
 
 // SetRetuneObserver installs fn to be called after every runtime tuning
-// change (SetBundle, SetLookahead, SetNagle, SetSearchBudget,
-// SetRdvThreshold, SetTenantQuota). Pass nil to remove it. The observer
-// runs outside the engine locks and may call back into the engine.
+// change (SetBundle, SetKnobs, SetTenantQuota). Pass nil to remove it.
+// The observer runs outside the engine locks and may call back into the
+// engine.
 func (e *Engine) SetRetuneObserver(fn func(RetuneEvent)) {
 	e.mu.Lock()
 	e.retuneObs = fn

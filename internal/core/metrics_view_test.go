@@ -188,7 +188,7 @@ func TestSetViewMatchesMetrics(t *testing.T) {
 		shared := &stats.Set{}
 		engines, rails, cleanup := newTwoRailMeshEngines(t,
 			func(packet.NodeID, proto.Deliverable) { got.Add(1) },
-			Options{Stats: shared, RdvThreshold: 8192})
+			Options{Stats: shared, Knobs: strategy.Knobs{RdvThreshold: 8192}})
 		defer cleanup()
 		for i := 0; i < msgs; i++ {
 			size := 2048
@@ -365,7 +365,10 @@ func TestSharedSetReadersRaceEngines(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			engines[i%2].SetLookahead(i % 8)
+			if err := engines[i%2].SetKnobs(strategy.Knobs{Lookahead: i % 8}); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	for n := range engines {

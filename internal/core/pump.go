@@ -376,9 +376,9 @@ func (e *Engine) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 	r := e.rails[ri]
 	info := e.railInfo(ri)
 	numCh := r.NumChannels()
-	tun := e.tun.Load()
+	k := e.knobs.Load()
 
-	view := e.eligibleLocked(b, info, ch, numCh, tun.lookahead)
+	view := e.eligibleLocked(b, info, ch, numCh, k.Lookahead)
 	if len(view) == 0 {
 		return false
 	}
@@ -389,7 +389,7 @@ func (e *Engine) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 	ctx.Caps = r.Caps()
 	ctx.Mem = r.Mem()
 	ctx.Backlog = view
-	ctx.Budget = tun.searchBudget
+	ctx.Budget = k.SearchBudget
 	plan := b.Builder.Build(ctx)
 	if plan == nil || len(plan.Packets) == 0 {
 		return false

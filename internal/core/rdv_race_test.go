@@ -58,7 +58,7 @@ func TestRdvSubmitRace(t *testing.T) {
 		}
 		eng, err := New(n, Options{
 			Bundle: b, Runtime: rt, Rails: []drivers.Driver{nodes[n]}, Deliver: deliver,
-			RdvThreshold: 1 << 10,
+			Knobs: strategy.Knobs{RdvThreshold: 1 << 10},
 			// Long enough that no retry fires on a healthy loopback; armed so
 			// Submit takes the armRdvRetryLocked path under test.
 			RdvRetry: simnet.FromWall(5 * time.Second),

@@ -14,12 +14,13 @@ import (
 	"newmad/internal/strategy"
 )
 
-// TestRetuneUnderLiveTraffic hammers every runtime setter — the knobs the
-// adaptive controller drives — from a tuner goroutine while real-socket
-// traffic flows through the engine, under the race detector. The sweeps in
-// internal/exp only ever retune between runs; a controller retunes *during*
-// one, with idle upcalls arriving from sender goroutines and deliveries
-// from reader goroutines, so every setter must be safe against the hot
+// TestRetuneUnderLiveTraffic hammers both runtime setters — SetKnobs and
+// SetBundle, what the adaptive controller drives — from a tuner goroutine
+// while real-socket traffic flows through the engine, under the race
+// detector. The sweeps in internal/exp only ever retune between runs; a
+// controller retunes *during* one, with idle upcalls arriving from sender
+// goroutines and deliveries from reader goroutines, so every knob swap
+// (and the Nagle-release pump it may run) must be safe against the hot
 // path. The test asserts no packet is lost or reordered regardless of how
 // the tuning churns mid-flight.
 func TestRetuneUnderLiveTraffic(t *testing.T) {
@@ -79,9 +80,9 @@ func TestRetuneUnderLiveTraffic(t *testing.T) {
 		}
 	})
 
-	// The tuner: churn every knob as fast as possible until the traffic
-	// completes, reading the metrics surface between writes exactly as a
-	// controller tick does.
+	// The tuner: churn every knob and the bundle as fast as possible until
+	// the traffic completes, reading the metrics surface between writes
+	// exactly as a controller tick does.
 	stop := make(chan struct{})
 	var tunerWg sync.WaitGroup
 	tunerWg.Add(1)
@@ -94,12 +95,19 @@ func TestRetuneUnderLiveTraffic(t *testing.T) {
 				return
 			default:
 			}
-			switch i % 6 {
+			switch j := i / 3; i % 3 {
 			case 0:
-				sender.SetNagle(simnet.Duration(i%3)*simnet.FromWall(50*time.Microsecond), i%8)
+				if err := sender.SetKnobs(strategy.Knobs{
+					Lookahead:       j % 16,
+					NagleDelay:      simnet.Duration(j%3) * simnet.FromWall(50*time.Microsecond),
+					NagleFlushCount: j % 8,
+					SearchBudget:    j % 32,
+					RdvThreshold:    (j % 4) << 12,
+				}); err != nil {
+					t.Error(err)
+					return
+				}
 			case 1:
-				sender.SetLookahead(i % 16)
-			case 2:
 				b, err := strategy.New(bundles[i%len(bundles)])
 				if err != nil {
 					t.Error(err)
@@ -109,11 +117,7 @@ func TestRetuneUnderLiveTraffic(t *testing.T) {
 					t.Error(err)
 					return
 				}
-			case 3:
-				sender.SetSearchBudget(i % 32)
-			case 4:
-				sender.SetRdvThreshold((i % 4) << 12)
-			case 5:
+			case 2:
 				m := sender.Metrics()
 				// Eager packets leave through backlog plans only, so the
 				// sent tally can never outrun submissions — regardless of
@@ -172,7 +176,9 @@ func TestRetuneUnderLiveTraffic(t *testing.T) {
 			}
 			return
 		case <-flushTick.C:
-			sender.SetNagle(0, 0)
+			if err := sender.SetKnobs(strategy.Knobs{}); err != nil {
+				t.Fatal(err)
+			}
 			sender.Flush()
 		case <-deadline:
 			close(stop)
@@ -181,6 +187,49 @@ func TestRetuneUnderLiveTraffic(t *testing.T) {
 			n := delivered
 			mu.Unlock()
 			t.Fatalf("timed out with %d/%d delivered", n, total)
+		}
+	}
+}
+
+// TestKnobsOneRule: a negative operating point is refused alike by New,
+// SetKnobs and the tuning registry (strategy.Knobs.Validate is the one
+// rule), and a refused SetKnobs leaves the engine where it was.
+func TestKnobsOneRule(t *testing.T) {
+	bad := []strategy.Knobs{
+		{Lookahead: -1},
+		{NagleDelay: -1},
+		{NagleFlushCount: -1},
+		{SearchBudget: -1},
+		{RdvThreshold: -1},
+	}
+	good := strategy.Knobs{Lookahead: 3, NagleDelay: simnet.Microsecond, NagleFlushCount: 5, SearchBudget: 7, RdvThreshold: 4096}
+	for _, k := range bad {
+		cl, err := drivers.NewCluster(2, caps.MX)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := strategy.New("aggregate")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := Options{Bundle: b, Runtime: cl.Eng, Rails: []drivers.Driver{cl.Driver(0, "mx")}, Deliver: func(proto.Deliverable) {}, Knobs: k}
+		if _, err := New(0, opt); err == nil {
+			t.Errorf("New accepted %+v", k)
+		}
+		if err := strategy.RegisterTuning(strategy.Tuning{Name: "negative", Bundle: "aggregate", Knobs: k}); err == nil {
+			t.Errorf("RegisterTuning accepted %+v", k)
+		}
+		opt.Knobs = good
+		eng, err := New(0, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := eng.Metrics()
+		if err := eng.SetKnobs(k); err == nil {
+			t.Errorf("SetKnobs accepted %+v", k)
+		}
+		if after := eng.Metrics(); after.Knobs != good || after.Knobs != before.Knobs {
+			t.Errorf("refused SetKnobs(%+v) moved the engine to %+v", k, after.Knobs)
 		}
 	}
 }

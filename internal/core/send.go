@@ -52,16 +52,16 @@ func (e *Engine) pushEagerLocked(p *packet.Packet) (pump bool) {
 
 	// Nagle: submission-triggered sends may be delayed briefly; the idle
 	// upcall path always sends immediately.
-	tun := e.tun.Load()
-	if tun.nagleDelay > 0 && int(gsz) < tun.nagleFlush {
+	k := e.knobs.Load()
+	if k.NagleDelay > 0 && int(gsz) < k.NagleFlushCount {
 		if !e.nagleArmed {
 			e.nagleArmed = true
 			e.nagleGen++
 			gen := e.nagleGen
-			e.nagleCancel = e.rt.Schedule(tun.nagleDelay, "core.nagle", func() { e.onNagle(gen) })
+			e.nagleCancel = e.rt.Schedule(k.NagleDelay, "core.nagle", func() { e.onNagle(gen) })
 			e.rec.Record(trace.Event{
 				At: e.rt.Now(), Kind: trace.KindNagleArm, Node: e.node,
-				A: int(tun.nagleDelay), B: int(gsz),
+				A: int(k.NagleDelay), B: int(gsz),
 			})
 		}
 		return false

@@ -105,8 +105,8 @@ func TestShardedDeterminism(t *testing.T) {
 
 // TestShardedLoopbackRace is the wall-clock concurrency battery: over real
 // TCP sockets, eight concurrent submitters — flows 1–4 to node 1, 5–8 to
-// node 2 — race metrics snapshots, bundle swaps, SetNagle and Flush, and
-// the test ends with Close racing Submit. Run under -race this exercises
+// node 2 — race metrics snapshots, bundle swaps, Nagle retunes (SetKnobs)
+// and Flush, and the test ends with Close racing Submit. Run under -race this exercises
 // every lock at once: the engine lock, channel pumps, and the atomic
 // tuning/bundle swaps. The engine has a single send side, so the
 // one arm is the one-shard layout.
@@ -139,11 +139,11 @@ func shardedLoopbackRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng, err := New(n, Options{
-			Bundle:     b,
-			Runtime:    rt,
-			Rails:      []drivers.Driver{nodes[n]},
-			Deliver:    deliver,
-			NagleDelay: simnet.FromWall(100 * time.Microsecond),
+			Bundle:  b,
+			Runtime: rt,
+			Rails:   []drivers.Driver{nodes[n]},
+			Deliver: deliver,
+			Knobs:   strategy.Knobs{NagleDelay: simnet.FromWall(100 * time.Microsecond)},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -204,7 +204,10 @@ func shardedLoopbackRace(t *testing.T) {
 				return
 			default:
 			}
-			sender.SetNagle(simnet.FromWall(time.Duration(i%2)*100*time.Microsecond), 0)
+			if err := sender.SetKnobs(strategy.Knobs{NagleDelay: simnet.FromWall(time.Duration(i%2) * 100 * time.Microsecond)}); err != nil {
+				t.Error(err)
+				return
+			}
 			sender.Flush()
 			runtime.Gosched()
 		}

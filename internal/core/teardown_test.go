@@ -59,7 +59,7 @@ func closeUnderTraffic(t *testing.T) {
 					once.Do(func() { close(flowing) }) // traffic is well under way: close now
 				}
 			},
-			RdvThreshold: 1 << 10,
+			Knobs: strategy.Knobs{RdvThreshold: 1 << 10},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -23,14 +23,13 @@ func TestEngineTraceTimeline(t *testing.T) {
 	mk := func(n packet.NodeID) *Engine {
 		b, _ := strategy.New("aggregate")
 		eng, err := New(n, Options{
-			Bundle:          b,
-			Runtime:         cl.Eng,
-			Rails:           []drivers.Driver{cl.Driver(n, "mx")},
-			Deliver:         func(proto.Deliverable) {},
-			Stats:           cl.Stats,
-			Trace:           rec,
-			NagleDelay:      2 * simnet.Microsecond,
-			NagleFlushCount: 16,
+			Bundle:  b,
+			Runtime: cl.Eng,
+			Rails:   []drivers.Driver{cl.Driver(n, "mx")},
+			Deliver: func(proto.Deliverable) {},
+			Stats:   cl.Stats,
+			Trace:   rec,
+			Knobs:   strategy.Knobs{NagleDelay: 2 * simnet.Microsecond, NagleFlushCount: 16},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
 	"newmad/internal/stats"
+	"newmad/internal/strategy"
 	"newmad/internal/workload"
 )
 
@@ -28,7 +29,7 @@ func e2Shape(cfg Config) (flows, perFlow int, windows []int) {
 func e2Point(window int, cfg Config) Metrics {
 	flows, perFlow, _ := e2Shape(cfg)
 	m, _ := run(Point{
-		RigOptions: RigOptions{ID: "E2", Lookahead: window},
+		RigOptions: RigOptions{ID: "E2", Knobs: strategy.Knobs{Lookahead: window}},
 		Flows: Fan(flows, workload.FlowSpec{
 			Dst: 1, Class: packet.ClassSmall,
 			Size:    workload.Uniform{Lo: 32, Hi: 256},

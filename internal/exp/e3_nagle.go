@@ -4,6 +4,7 @@ import (
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
 	"newmad/internal/stats"
+	"newmad/internal/strategy"
 	"newmad/internal/workload"
 )
 
@@ -29,9 +30,9 @@ func E3Point(delay simnet.Duration, cfg Config) Metrics {
 	flows, perFlow, _ := e3Shape(cfg)
 	m, _ := run(Point{
 		RigOptions: RigOptions{
-			ID:         "E3",
-			Nagle:      delay,
-			NagleFlush: 16, // rely on the timer, not backlog pressure
+			ID: "E3",
+			// A flush count of 16 relies on the timer, not backlog pressure.
+			Knobs: strategy.Knobs{NagleDelay: delay, NagleFlushCount: 16},
 		},
 		Flows: Fan(flows, workload.FlowSpec{
 			Dst: 1, Class: packet.ClassSmall,

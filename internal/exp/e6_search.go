@@ -4,6 +4,7 @@ import (
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
 	"newmad/internal/stats"
+	"newmad/internal/strategy"
 	"newmad/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func e6Point(budget int, cfg Config) (Metrics, *Rig) {
 		flows[i].Dst = packet.NodeID(1 + i/flowsPerDest)
 	}
 	return run(Point{
-		RigOptions: RigOptions{ID: "E6", Bundle: "search", SearchBudget: budget, Nodes: dests + 1},
+		RigOptions: RigOptions{ID: "E6", Bundle: "search", Knobs: strategy.Knobs{SearchBudget: budget}, Nodes: dests + 1},
 		Flows:      flows,
 	}, cfg)
 }

@@ -236,10 +236,8 @@ type RigOptions struct {
 	Profiles []caps.Caps // default: single-channel MX
 	Bundle   string      // default "aggregate"
 
-	Lookahead    int
-	Nagle        simnet.Duration
-	NagleFlush   int
-	SearchBudget int
+	// Knobs is every engine's operating point.
+	strategy.Knobs
 
 	// WithSessions routes deliveries into mad sessions (middleware-driven
 	// experiments). Raw packet workloads leave it false: their synthetic
@@ -303,16 +301,13 @@ func NewRig(o RigOptions) (*Rig, error) {
 				}
 			}
 			return core.New(node, core.Options{
-				Bundle:          b,
-				Runtime:         cl.Eng,
-				Rails:           rails,
-				Deliver:         wrapped,
-				Lookahead:       o.Lookahead,
-				NagleDelay:      o.Nagle,
-				NagleFlushCount: o.NagleFlush,
-				SearchBudget:    o.SearchBudget,
-				Stats:           cl.Stats,
-				Trace:           o.Trace,
+				Bundle:  b,
+				Runtime: cl.Eng,
+				Rails:   rails,
+				Deliver: wrapped,
+				Knobs:   o.Knobs,
+				Stats:   cl.Stats,
+				Trace:   o.Trace,
 			})
 		})
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"newmad/internal/mad"
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
+	"newmad/internal/strategy"
 )
 
 // TestF1ArchitectureTrace realizes Figure 1: it traces one structured
@@ -17,7 +18,7 @@ func TestF1ArchitectureTrace(t *testing.T) {
 	// A short Nagle delay lets the two fragments of the traced message
 	// share one frame even though the NIC starts idle (§3's slow-sender
 	// case).
-	rig, err := NewRig(RigOptions{WithSessions: true, Nagle: 2 * simnet.Microsecond})
+	rig, err := NewRig(RigOptions{WithSessions: true, Knobs: strategy.Knobs{NagleDelay: 2 * simnet.Microsecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,11 +39,11 @@ func TestCollectivesOverRealSockets(t *testing.T) {
 		}
 		s, err := mad.Bind(node, func(deliver proto.DeliverFunc) (*core.Engine, error) {
 			return core.New(node, core.Options{
-				Bundle:     b,
-				Runtime:    rt,
-				Rails:      []drivers.Driver{nodes[i]},
-				Deliver:    deliver,
-				NagleDelay: simnet.FromWall(100 * time.Microsecond),
+				Bundle:  b,
+				Runtime: rt,
+				Rails:   []drivers.Driver{nodes[i]},
+				Deliver: deliver,
+				Knobs:   strategy.Knobs{NagleDelay: simnet.FromWall(100 * time.Microsecond)},
 			})
 		})
 		if err != nil {

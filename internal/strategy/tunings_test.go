@@ -42,7 +42,7 @@ func TestRegisterTuningValidation(t *testing.T) {
 		{"empty name", Tuning{Bundle: "aggregate"}, "empty name"},
 		{"no bundle", Tuning{Name: "x"}, "names no bundle"},
 		{"unknown bundle", Tuning{Name: "x", Bundle: "nope"}, "unregistered bundle"},
-		{"negative knob", Tuning{Name: "x", Bundle: "aggregate", Lookahead: -1}, "negative knob"},
+		{"negative knob", Tuning{Name: "x", Bundle: "aggregate", Knobs: Knobs{Lookahead: -1}}, "negative knob"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,8 +57,10 @@ func TestRegisterTuningValidation(t *testing.T) {
 func TestRegisterTuningRoundTrip(t *testing.T) {
 	in := Tuning{
 		Name: "test-custom", Bundle: "fifo",
-		Lookahead: 4, NagleDelay: 2 * simnet.Microsecond,
-		NagleFlushCount: 6, SearchBudget: 8, RdvThreshold: 1024,
+		Knobs: Knobs{
+			Lookahead: 4, NagleDelay: 2 * simnet.Microsecond,
+			NagleFlushCount: 6, SearchBudget: 8, RdvThreshold: 1024,
+		},
 	}
 	if err := RegisterTuning(in); err != nil {
 		t.Fatal(err)

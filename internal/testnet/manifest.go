@@ -15,6 +15,7 @@ package testnet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -85,6 +86,18 @@ type EngineTuning struct {
 	// RdvRetryMax bounds retries per rendezvous (0 = engine default).
 	RdvRetryMax int `json:"rdv_retry_max"`
 }
+
+// knobs maps the engine block onto the engine's operating point.
+func (t EngineTuning) knobs() strategy.Knobs {
+	return strategy.Knobs{
+		Lookahead:    t.Lookahead,
+		NagleDelay:   simnet.Duration(t.NagleUS) * simnet.Microsecond,
+		RdvThreshold: t.RdvThreshold,
+	}
+}
+
+// knobKeys names the manifest key behind each knob the engine block sets.
+var knobKeys = map[string]string{"lookahead": "lookahead", "nagle": "nagle_us", "rdv-threshold": "rdv_threshold"}
 
 // TelemetryClause tunes a run's observability. The zero value keeps the
 // always-on minimum: engines still stamp latency spans (that is free and
@@ -277,6 +290,18 @@ func (m *Manifest) Validate() error {
 	}
 	if _, err := strategy.New(m.Engine.Bundle); err != nil {
 		return fmt.Errorf("testnet: %w", err)
+	}
+	// The engine block's knobs by the engine's own rule, so a negative one
+	// fails here and not in core.New mid-boot.
+	var ke *strategy.KnobError
+	if err := m.Engine.knobs().Validate(); errors.As(err, &ke) {
+		return fmt.Errorf("testnet: engine.%s: %w", knobKeys[ke.Knob], err)
+	}
+	if m.Engine.RdvRetryUS < 0 {
+		return fmt.Errorf("testnet: engine.rdv_retry_us %d is negative", m.Engine.RdvRetryUS)
+	}
+	if m.Engine.RdvRetryMax < 0 {
+		return fmt.Errorf("testnet: engine.rdv_retry_max %d is negative", m.Engine.RdvRetryMax)
 	}
 	seen := map[string]bool{}
 	total := 0

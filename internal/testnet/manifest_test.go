@@ -90,6 +90,22 @@ func TestManifestParseRejections(t *testing.T) {
 	}
 }
 
+// TestManifestRejectsNegativeEngineKey: a negative engine key fails at
+// Parse — the knobs by the engine's own rule — with the key named, instead
+// of passing and failing in core.New mid-boot. Drop is off so the retry
+// window's own check is what trips.
+func TestManifestRejectsNegativeEngineKey(t *testing.T) {
+	for _, key := range []string{"lookahead", "nagle_us", "rdv_threshold", "rdv_retry_us", "rdv_retry_max"} {
+		t.Run(key, func(t *testing.T) {
+			s := strings.Replace(validManifestJSON(), `"drop_pct": 5`, `"drop_pct": 0`, 1)
+			s = strings.Replace(s, `"rdv_retry_us": 500`, `"`+key+`": -1`, 1)
+			if _, err := Parse([]byte(s)); err == nil || !strings.Contains(err.Error(), "engine."+key) {
+				t.Fatalf("Parse = %v, want an error naming engine.%s", err, key)
+			}
+		})
+	}
+}
+
 // Node IDs are assigned to roles sorted by name, so file order cannot move
 // a node between groups — the property the reorder-stability battery test
 // verifies end to end.

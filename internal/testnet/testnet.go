@@ -156,18 +156,16 @@ func build(m *Manifest, rules []chaos.Rule) (*Net, error) {
 				n.recorders[id] = rec
 			}
 			eng, err := core.New(nodeID, core.Options{
-				Bundle:       bundle,
-				Runtime:      n.Eng,
-				Rails:        rails,
-				Deliver:      func(d proto.Deliverable) { n.record(nodeID, d) },
-				Lookahead:    m.Engine.Lookahead,
-				NagleDelay:   simnet.Duration(m.Engine.NagleUS) * simnet.Microsecond,
-				RdvThreshold: m.Engine.RdvThreshold,
-				RdvRetry:     simnet.Duration(m.Engine.RdvRetryUS) * simnet.Microsecond,
-				RdvRetryMax:  m.Engine.RdvRetryMax,
-				Quotas:       quotas,
-				Stats:        n.Stats,
-				Trace:        rec,
+				Bundle:      bundle,
+				Runtime:     n.Eng,
+				Rails:       rails,
+				Deliver:     func(d proto.Deliverable) { n.record(nodeID, d) },
+				Knobs:       m.Engine.knobs(),
+				RdvRetry:    simnet.Duration(m.Engine.RdvRetryUS) * simnet.Microsecond,
+				RdvRetryMax: m.Engine.RdvRetryMax,
+				Quotas:      quotas,
+				Stats:       n.Stats,
+				Trace:       rec,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("testnet: node %d: %w", id, err)
