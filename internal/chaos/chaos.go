@@ -220,21 +220,12 @@ func (in *Injector) SetRecvHandler(fn drivers.RecvFunc) {
 	in.inner.SetRecvHandler(in.recv)
 }
 
-// consume ends f's life at the injector: a wire frame swallowed here would
-// leak its pooled backing buffer (DESIGN.md §5). Unbacked frames —
-// simulated fabrics, hand-built tests — are left alone.
-func consume(f *packet.Frame) {
-	if f.Backed() {
-		packet.ReleaseFrame(f)
-	}
-}
-
-// deliver hands f to h, or consumes it when nobody is downstream.
+// deliver hands f to h, or releases it when nobody is downstream.
 func deliver(h drivers.RecvFunc, src packet.NodeID, f *packet.Frame) {
 	if h != nil {
 		h(src, f)
 	} else {
-		consume(f)
+		packet.ReleaseFrame(f)
 	}
 }
 
@@ -245,7 +236,7 @@ func (in *Injector) recv(src packet.NodeID, f *packet.Frame) {
 	in.mu.Lock()
 	if in.closed {
 		in.mu.Unlock()
-		consume(f)
+		packet.ReleaseFrame(f)
 		return
 	}
 	var verdict *Rule
@@ -275,13 +266,13 @@ func (in *Injector) recv(src packet.NodeID, f *packet.Frame) {
 	switch verdict.Kind {
 	case Drop:
 		in.mu.Unlock()
-		consume(f)
+		packet.ReleaseFrame(f)
 	case Corrupt:
 		in.mu.Unlock()
 		cf := in.corrupt(f)
 		// The corrupted copy (which aliases its own encoding) travels on;
 		// the original dies here.
-		consume(f)
+		packet.ReleaseFrame(f)
 		if cf != nil {
 			deliver(h, src, cf)
 		}

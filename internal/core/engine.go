@@ -103,6 +103,12 @@ type rdvTimer struct {
 	cancel simnet.CancelFunc
 }
 
+// rdvRecvKey names an inbound rendezvous: tokens are per sender.
+type rdvRecvKey struct {
+	src   packet.NodeID
+	token uint64
+}
+
 // Engine is the per-node optimizer-scheduler.
 type Engine struct {
 	node  packet.NodeID
@@ -219,12 +225,12 @@ type Engine struct {
 
 	// Latency spans (see spans.go). rdvStart stamps when each outgoing
 	// rendezvous queued its first RTS (sender side, SpanRdvGrant);
-	// rdvRecvStart stamps the first RTS arrival per inbound token
+	// rdvRecvStart stamps the first RTS arrival per inbound rendezvous
 	// (receiver side, SpanRdvData). arrivalRail is the rail index of the
 	// frame currently being dispatched — valid only under mu inside
 	// onFrame, read by the protocol-event hooks it calls.
 	rdvStart     map[uint64]simnet.Time
-	rdvRecvStart map[uint64]simnet.Time
+	rdvRecvStart map[rdvRecvKey]simnet.Time
 	arrivalRail  int
 
 	reasm *proto.Reassembler
@@ -299,7 +305,7 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 
 		spans:        stats.NewSpans(int(NumSpanKinds), int(packet.NumClasses), len(rails)),
 		rdvStart:     make(map[uint64]simnet.Time),
-		rdvRecvStart: make(map[uint64]simnet.Time),
+		rdvRecvStart: make(map[rdvRecvKey]simnet.Time),
 
 		hPlanPackets:   set.Histogram("core.plan_packets"),
 		hPlanEvaluated: set.Histogram("core.plan_evaluated"),
@@ -403,9 +409,6 @@ func (e *Engine) onPeerDown(ri int, peer packet.NodeID) {
 
 // Node returns the engine's node id.
 func (e *Engine) Node() packet.NodeID { return e.node }
-
-// Stats returns the engine's metric set.
-func (e *Engine) Stats() *stats.Set { return e.set }
 
 // Rails returns the engine's drivers in rail-index order.
 func (e *Engine) Rails() []drivers.Driver { return append([]drivers.Driver(nil), e.rails...) }

@@ -349,6 +349,43 @@ func TestRendezvousLargeMessage(t *testing.T) {
 	}
 }
 
+// TestSimReceiversOwnTheirBytes: a simulated receiver's payloads are its
+// own, eager and rendezvous alike — a sender that reuses its buffers after
+// delivery cannot change what the receiver holds.
+func TestSimReceiversOwnTheirBytes(t *testing.T) {
+	tn := newNet(t, 2, "aggregate", nil, singleChanMX())
+	small := pkt(1, 0, 0, 1, 64)
+	big := pkt(2, 0, 0, 1, 64<<10) // 64 KiB > MX threshold: rendezvous
+	big.Class = packet.ClassBulk
+	for _, p := range []*packet.Packet{small, big} {
+		if err := tn.engines[0].Submit(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tn.cl.Eng.Run()
+	if len(tn.inbox[1]) != 2 {
+		t.Fatalf("delivered %d, want 2", len(tn.inbox[1]))
+	}
+	if got := tn.cl.Stats.CounterValue("core.rdv_granted"); got != 1 {
+		t.Fatalf("rdv granted = %d: the 64 KiB packet did not go by rendezvous", got)
+	}
+	var kept, want [][]byte
+	for _, d := range tn.inbox[1] {
+		kept = append(kept, d.Pkt.Payload)
+		want = append(want, bytes.Clone(d.Pkt.Payload))
+	}
+	for _, p := range []*packet.Packet{small, big} {
+		for i := range p.Payload {
+			p.Payload[i] = 0xEE
+		}
+	}
+	for i := range kept {
+		if !bytes.Equal(kept[i], want[i]) {
+			t.Errorf("delivery %d (%d B) changed when the sender reused its buffer", i, len(kept[i]))
+		}
+	}
+}
+
 func TestExpressStaysEagerRegardlessOfSize(t *testing.T) {
 	tn := newNet(t, 2, "aggregate", nil)
 	big := pkt(1, 0, 0, 1, 16<<10)

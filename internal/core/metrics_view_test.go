@@ -19,6 +19,10 @@ import (
 	"newmad/internal/strategy"
 )
 
+// Stats returns the engine's metric set, for tests that compare the
+// by-name view with Metrics.
+func (e *Engine) Stats() *stats.Set { return e.set }
+
 // The one-metrics-path contract: the stats.Set is a by-name view of the
 // storage Metrics is built from, never a second tally.
 

@@ -31,51 +31,41 @@ func (e *Engine) onIdle(ri, ch int) {
 // dispatcher under mu, then hand any completed packets up and react to
 // protocol events.
 //
-// A frame decoded from a wire read carries a pooled backing buffer and ends
-// here: the engine releases it on every path, a frame racing Close
-// included. Frames without one — simulated fabrics hand the sender's own
-// frame object across, tests hand-build theirs — are left to the GC.
+// Every frame a driver hands up was landed from its encoding (socket
+// reader and simulated NIC alike) and ends here: the engine releases it on
+// every path, a frame racing Close included.
 func (e *Engine) onFrame(ri int, src packet.NodeID, f *packet.Frame) {
-	wire := f.Backed()
-	if e.closed.Load() {
-		if wire {
-			packet.ReleaseFrame(f)
-		}
-		return
-	}
 	// Copying the eager payloads out of the wire buffer is the longest step
 	// of a dispatch and needs no engine state, so it runs before mu.
 	proto.Land(f)
 	e.mu.Lock()
 	if e.closed.Load() {
-		// Close won mu between our check and the lock; same contract.
 		e.mu.Unlock()
-		if wire {
-			packet.ReleaseFrame(f)
-		}
+		packet.ReleaseFrame(f)
 		return
 	}
 	now := e.rt.Now()
 	// The protocol-event hooks the dispatcher calls (onRdvGrantLocked) run
 	// under mu and read the arrival rail from here.
 	e.arrivalRail = ri
-	// SpanXmit: the sender stamped the frame at post time when the frame
-	// object itself crossed the fabric (simulated rails only); frames
-	// decoded from a real wire read zero and are skipped.
+	// SpanXmit: the sender stamped the frame at post time and the simulated
+	// NIC carries the stamp across; frames from a socket read zero and are
+	// skipped.
 	if f.Posted > 0 {
 		e.spans.Observe(int(SpanXmit), int(frameClass(f)), ri, float64(now.Sub(f.Posted)))
 	}
 	// SpanRdvData bookkeeping: remember the first RTS arrival per inbound
-	// token (retries keep the original start), close the span when the
-	// granted bulk lands.
+	// (source, token) (retries keep the original start), close the span
+	// when the granted bulk lands.
+	rk := rdvRecvKey{src, f.Ctrl.Token}
 	switch f.Kind {
 	case packet.FrameRTS:
-		if _, ok := e.rdvRecvStart[f.Ctrl.Token]; !ok {
-			e.rdvRecvStart[f.Ctrl.Token] = now
+		if _, ok := e.rdvRecvStart[rk]; !ok {
+			e.rdvRecvStart[rk] = now
 		}
 	case packet.FrameRData:
-		if t0, ok := e.rdvRecvStart[f.Ctrl.Token]; ok {
-			delete(e.rdvRecvStart, f.Ctrl.Token)
+		if t0, ok := e.rdvRecvStart[rk]; ok {
+			delete(e.rdvRecvStart, rk)
 			e.spans.Observe(int(SpanRdvData), int(packet.ClassBulk), ri, float64(now.Sub(t0)))
 		}
 	}
@@ -89,9 +79,7 @@ func (e *Engine) onFrame(ri int, src packet.NodeID, f *packet.Frame) {
 	// Dispatch has copied or pinned everything that escapes (proto's
 	// memory-discipline contract), so the frame and its unpinned backing
 	// buffer recycle.
-	if wire {
-		packet.ReleaseFrame(f)
-	}
+	packet.ReleaseFrame(f)
 	e.dispatchDeliveries(deliver, fns, ri)
 	// Protocol handling may have queued reactive frames (CTS, acks, get
 	// replies) or granted rendezvous bulk; give idle channels a chance.
@@ -423,9 +411,8 @@ func (e *Engine) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 		e.disarmNagleLocked()
 	}
 
-	// The frame is pooled: on wire rails the owner goroutine releases it
-	// after the bytes hit the socket, on simulated fabrics it crosses to
-	// the receiving engine and falls to the GC like any sim frame.
+	// The frame is pooled: the driver releases it once its bytes are out
+	// (a rail owner after its write, the simulated NIC after landing it).
 	f := packet.AcquireFrame()
 	f.Kind = packet.FrameData
 	f.Src = e.node
@@ -578,9 +565,9 @@ func (e *Engine) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, 
 	// BEFORE the handoff. On failure the frame stays ours.
 	kind := f.Kind
 	wire := f.WireSize()
-	// SpanXmit's departure stamp. In-memory only: on simulated fabrics the
-	// frame object crosses to the receiver carrying it; on wire rails the
-	// encoder ignores it and the receiver's decoded frame reads zero.
+	// SpanXmit's departure stamp. Not part of the encoding: the simulated
+	// NIC copies it onto the frame it lands; on socket rails the receiver's
+	// decoded frame reads zero.
 	f.Posted = e.rt.Now()
 	if err := e.rails[ri].Post(ch, f, hostExtra); err != nil {
 		if errors.Is(err, drivers.ErrPeerDown) {

@@ -25,22 +25,22 @@ const (
 	// SpanE2E: submit → in-order delivery at the receiver, the
 	// application-visible latency. Rail = the arrival rail of the frame
 	// that completed the packet (0 when delivery had no rail context).
-	// Measurable only where the stamp travels in memory with the entry:
-	// the simulated fabrics. Entries decoded from a real wire — every
-	// socket rail, localhost included — carry no submit stamp and are
+	// Measurable only where the stamp crosses with the entry: the
+	// simulated NIC copies it onto the frame it lands. Entries decoded
+	// from a socket — localhost included — carry no submit stamp and are
 	// skipped.
 	SpanE2E
 	// SpanXmit: post → receive, the fabric's serialization + transit leg
-	// for one frame. Stamped in-memory on the frame at post time; frames
-	// decoded from a real wire carry no stamp and are skipped. Rail = the
-	// arrival rail; class = the frame's scheduling class.
+	// for one frame. Stamped at post time, carried across by the simulated
+	// NIC; frames decoded from a socket carry none and are skipped. Rail =
+	// the arrival rail; class = the frame's scheduling class.
 	SpanXmit
 	// SpanRdvGrant: RTS queued → CTS arrival, the sender-side rendezvous
 	// handshake wait (includes any retries). Rail = the CTS arrival rail.
 	SpanRdvGrant
 	// SpanRdvData: RTS arrival → RData arrival on the receiver — how long
 	// a granted transfer took to deliver its bulk after announcing
-	// itself. Rail = the RData arrival rail.
+	// itself, matched by (source, token). Rail = the RData arrival rail.
 	SpanRdvData
 	// NumSpanKinds sizes span-indexed arrays.
 	NumSpanKinds

@@ -56,35 +56,52 @@ func TestSpansEagerLifecycle(t *testing.T) {
 	}
 }
 
-// TestSpansRendezvousHandshake proves the rendezvous legs populate: the
-// sender times RTS→CTS, the receiver times RTS→RData.
+// TestSpansRendezvousHandshake proves the rendezvous legs populate: each
+// sender times RTS→CTS, the receiver times RTS→RData. Two senders' first
+// rendezvous carry the same token (each sender numbers its own), and the
+// receiver must still time both.
 func TestSpansRendezvousHandshake(t *testing.T) {
-	tn := newNet(t, 2, "aggregate", nil, singleChanMX())
-	big := pkt(1, 0, 0, 1, 64<<10)
-	big.Class = packet.ClassBulk
-	if err := tn.engines[0].Submit(big); err != nil {
-		t.Fatal(err)
-	}
-	tn.cl.Eng.Run()
-	if len(tn.inbox[1]) != 1 {
-		t.Fatalf("delivered %d", len(tn.inbox[1]))
-	}
-	if got := spanTotal(tn.engines[0], SpanRdvGrant); got != 1 {
-		t.Fatalf("sender rdv-grant samples = %d, want 1", got)
-	}
-	if got := spanTotal(tn.engines[1], SpanRdvData); got != 1 {
-		t.Fatalf("receiver rdv-data samples = %d, want 1", got)
-	}
-	// The handshake stamps are consumed: the tracking maps must not leak.
-	if n := len(tn.engines[0].rdvStart); n != 0 {
-		t.Fatalf("sender leaked %d rdvStart entries", n)
-	}
-	if n := len(tn.engines[1].rdvRecvStart); n != 0 {
-		t.Fatalf("receiver leaked %d rdvRecvStart entries", n)
-	}
-	// A granted transfer took nonzero virtual time on a wire-paced rail.
-	if tn.engines[1].Spans().Total(int(SpanRdvData)).Max() <= 0 {
-		t.Fatal("rdv-data span recorded zero duration")
+	for _, c := range []struct {
+		name    string
+		senders []packet.NodeID // each sends one 64 KiB rendezvous to node 0
+	}{
+		{"one sender", []packet.NodeID{1}},
+		{"two senders, one token", []packet.NodeID{1, 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tn := newNet(t, len(c.senders)+1, "aggregate", nil, singleChanMX())
+			for _, src := range c.senders {
+				big := pkt(packet.FlowID(src), 0, src, 0, 64<<10)
+				big.Class = packet.ClassBulk
+				if err := tn.engines[src].Submit(big); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tn.cl.Eng.Run()
+			if len(tn.inbox[0]) != len(c.senders) {
+				t.Fatalf("delivered %d, want %d", len(tn.inbox[0]), len(c.senders))
+			}
+			for _, src := range c.senders {
+				if got := spanTotal(tn.engines[src], SpanRdvGrant); got != 1 {
+					t.Fatalf("sender %d rdv-grant samples = %d, want 1", src, got)
+				}
+				// The handshake stamps are consumed: the tracking maps must
+				// not leak.
+				if n := len(tn.engines[src].rdvStart); n != 0 {
+					t.Fatalf("sender %d leaked %d rdvStart entries", src, n)
+				}
+			}
+			if got := spanTotal(tn.engines[0], SpanRdvData); got != uint64(len(c.senders)) {
+				t.Fatalf("receiver rdv-data samples = %d, want %d", got, len(c.senders))
+			}
+			if n := len(tn.engines[0].rdvRecvStart); n != 0 {
+				t.Fatalf("receiver leaked %d rdvRecvStart entries", n)
+			}
+			// A granted transfer took nonzero virtual time on a wire-paced rail.
+			if tn.engines[0].Spans().Total(int(SpanRdvData)).Max() <= 0 {
+				t.Fatal("rdv-data span recorded zero duration")
+			}
+		})
 	}
 }
 

@@ -74,8 +74,8 @@ type PeerChecker interface {
 
 // FrameLander is implemented by drivers whose peer lands every frame in a
 // buffer of its own (packet.LandingBuf): there is no receive buffer to post,
-// so rendezvous payloads go at once, without RTS/CTS. Drivers without the
-// method (simulated fabrics) keep the handshake.
+// so rendezvous payloads go at once, without RTS/CTS. Sim lands frames too
+// but models a NIC that needs a posted buffer, so it keeps the handshake.
 type FrameLander interface {
 	LandsFrames() bool
 }

@@ -26,17 +26,11 @@ func checkFrameSize(f *packet.Frame) error {
 var errEmptyFrame = errors.New("drivers: zero-length frame")
 
 // readFrame reads one frame off a socket stream: a 4-byte big-endian length
-// prefix, then that many bytes of packet wire encoding. It is the one place
-// the socket driver turns bytes into frames, and any error other than
-// errEmptyFrame means the stream is lost (EOF, a prefix beyond MaxFrameSize
-// or below a frame header, bytes DecodeInto rejects).
-//
-// The frame struct and its wire buffer come from the packet pools and are
-// attached to each other (SetBacking). Ownership travels with the frame: the
-// receive handler chain (injectors, the engine's dispatcher) borrows it, and
-// whoever consumes it terminally calls packet.ReleaseFrame. Which buffer the
-// bytes land in depends on the frame kind, peeked before the body is read —
-// see packet.LandingBuf.
+// prefix, then that many bytes of packet wire encoding, landed by
+// landFrame. Any error other than errEmptyFrame means the stream is lost
+// (EOF, a prefix beyond MaxFrameSize or below a frame header, bytes
+// DecodeInto rejects). Which buffer the bytes land in depends on the frame
+// kind, peeked before the body is read — see packet.LandingBuf.
 func readFrame(br *bufio.Reader) (*packet.Frame, error) {
 	// Peek+Discard instead of ReadFull into a local: a local array passed
 	// through io.Reader escapes, one allocation per frame.
@@ -65,6 +59,14 @@ func readFrame(br *bufio.Reader) (*packet.Frame, error) {
 		packet.PutBuf(buf)
 		return nil, err
 	}
+	return landFrame(buf)
+}
+
+// landFrame decodes the encoded frame in buf (from packet.LandingBuf) into a
+// pooled frame that buf backs: the one place either driver turns bytes into
+// frames. The receive handler chain borrows the frame and its terminal
+// consumer calls packet.ReleaseFrame. On error buf is released.
+func landFrame(buf *packet.Buf) (*packet.Frame, error) {
 	f := packet.AcquireFrame()
 	if _, err := packet.DecodeInto(f, buf.B); err != nil {
 		packet.ReleaseFrame(f)

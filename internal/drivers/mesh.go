@@ -269,8 +269,8 @@ func (m *Mesh) FirstIdle() (int, bool) {
 // activation needs, and it lets N rails write in parallel. Any other frame
 // is written here (writeInline) when the rail is unpaced with nothing
 // queued or in flight, unless the caller is inside an inline completion's
-// idle upcall. The frame and its payloads are immutable once posted, as
-// with the simulated drivers (which hand the receiver the same object).
+// idle upcall. The frame and its payloads are immutable once posted, until
+// the write that releases the frame.
 func (m *Mesh) Post(ch int, f *packet.Frame, _ simnet.Duration) error {
 	if ch < 0 || ch >= len(m.chans) {
 		return fmt.Errorf("drivers: mesh node %d has no channel %d", m.node, ch)
@@ -363,15 +363,6 @@ func (m *Mesh) framesLost(peer packet.NodeID, frames []*packet.Frame) {
 	}
 }
 
-// LostFrames returns the number of frames reclaimed from failed
-// connections since the mesh was created (whether or not a loss handler
-// consumed them).
-func (m *Mesh) LostFrames() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lost
-}
-
 // BreakPeer forces the connection toward peer down, exactly as if the
 // network had severed it: the socket closes (so the owner's next write
 // fails and reclaims the queued frames, and the remote reader observes the
@@ -403,14 +394,6 @@ func (m *Mesh) PeerDown(peer packet.NodeID) bool {
 	defer m.mu.Unlock()
 	p, ok := m.peers[peer]
 	return ok && p.down
-}
-
-// Draining returns the number of retired rails whose owners are still
-// writing out their queues (diagnostic; 0 once every drain has completed).
-func (m *Mesh) Draining() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.draining)
 }
 
 // Close shuts the listener, all connections and the per-rail sender

@@ -55,6 +55,9 @@ type Sim struct {
 	// rxBusyUntil serializes receive processing: frames arriving while the
 	// receive engine is busy queue behind it, modeling receiver occupancy.
 	rxBusyUntil simnet.Time
+
+	vec  [][]byte // land's encoder scratch, reused across posts
+	meta []byte
 }
 
 var _ Driver = (*Sim)(nil)
@@ -134,6 +137,9 @@ func (s *Sim) SetRecvHandler(fn RecvFunc) { s.onRecv = fn }
 // so that over-eager aggregation shows up as lost time, exactly as it would
 // on hardware.
 //
+// The frame crosses as bytes: Post lands it at once and releases f, as a
+// rail owner does after its write.
+//
 // The timeline charged:
 //
 //	t0                — channel becomes busy
@@ -156,7 +162,15 @@ func (s *Sim) Post(ch int, f *packet.Frame, hostExtra simnet.Duration) error {
 	if hostExtra < 0 {
 		return fmt.Errorf("drivers: negative hostExtra %v", hostExtra)
 	}
+	dst, ok := s.fabric.nics[f.Dst]
+	if !ok {
+		return fmt.Errorf("drivers: frame for node %d, not attached to fabric %s", f.Dst, s.fabric.name)
+	}
 
+	landed, err := s.land(f)
+	if err != nil {
+		return err
+	}
 	payload := f.PayloadSize()
 	busy, wireBytes := s.caps.ChannelTime(f.WireSize(), payload, f.Kind == packet.FrameData)
 	busy += hostExtra
@@ -169,6 +183,7 @@ func (s *Sim) Post(ch int, f *packet.Frame, hostExtra simnet.Duration) error {
 		s.txAggFrames.Inc()
 		s.txAggPackets.Add(uint64(len(f.Entries)))
 	}
+	packet.ReleaseFrame(f)
 
 	s.eng.After(busy, "nic.txdone", func() {
 		s.busy[ch] = false
@@ -176,14 +191,31 @@ func (s *Sim) Post(ch int, f *packet.Frame, hostExtra simnet.Duration) error {
 			s.onIdle(ch)
 		}
 	})
-	s.eng.After(busy+s.caps.WireLatency, "nic.arrive", func() {
-		dst, ok := s.fabric.nics[f.Dst]
-		if !ok {
-			panic(fmt.Sprintf("drivers: frame for unattached node %d on fabric %s", f.Dst, s.fabric.name))
-		}
-		dst.receive(s.node, f)
-	})
+	s.eng.After(busy+s.caps.WireLatency, "nic.arrive", func() { dst.receive(s.node, landed) })
 	return nil
+}
+
+// land is the simulated wire: f's encoding, in the buffer LandingBuf picks,
+// through landFrame — a frame the receiver owns. The two stamps the encoding
+// drops (Posted, Enqueued) are copied across for the xmit and e2e spans.
+func (s *Sim) land(f *packet.Frame) (*packet.Frame, error) {
+	vec, meta := f.EncodeVec(s.vec[:0], s.meta[:0])
+	buf := packet.LandingBuf(f.WireSize(), vec[0])
+	off := 0
+	for _, seg := range vec {
+		off += copy(buf.B[off:], seg)
+	}
+	clear(vec) // drop the payload references until the next post
+	s.vec, s.meta = vec[:0], meta[:0]
+	landed, err := landFrame(buf)
+	if err != nil {
+		return nil, fmt.Errorf("drivers: %v does not survive its encoding: %w", f, err)
+	}
+	landed.Posted = f.Posted
+	for i := range landed.Entries {
+		landed.Entries[i].Enqueued = f.Entries[i].Enqueued
+	}
+	return landed, nil
 }
 
 // receive runs at the destination NIC when a frame lands; it charges
@@ -209,6 +241,8 @@ func (s *Sim) receive(src packet.NodeID, f *packet.Frame) {
 	s.eng.At(done, "nic.rxdone", func() {
 		if s.onRecv != nil {
 			s.onRecv(src, f)
+		} else {
+			packet.ReleaseFrame(f)
 		}
 	})
 }

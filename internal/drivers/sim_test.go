@@ -1,6 +1,8 @@
 package drivers
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"newmad/internal/caps"
@@ -81,6 +83,67 @@ func TestFrameDeliveryEndToEnd(t *testing.T) {
 	min := caps.MX.PostOverhead + caps.MX.WireLatency + caps.MX.RecvOverhead
 	if deliveredAt < simnet.Time(min) {
 		t.Fatalf("delivered at %v, below floor %v", deliveredAt, min)
+	}
+}
+
+// landing reports the buffer behind a landed frame: its length, its
+// capacity and whether it belongs to a pool size class. packet keeps the
+// backing private, so the test reads it by reflection.
+func landing(f *packet.Frame) (n, capacity int, pooled bool) {
+	b := reflect.ValueOf(f).Elem().FieldByName("backing").Elem()
+	return b.FieldByName("B").Len(), b.FieldByName("B").Cap(), b.FieldByName("class").Int() >= 0
+}
+
+// TestSimLandsFrames pins the simulated wire's contract: for every frame
+// kind, the receiver gets a frame of its own, landed from the encoding the
+// way the socket reader lands one — backed, in the buffer LandingBuf picks
+// (exact-size for the kinds whose payload escapes), equal to the posted
+// frame in every encoded field — and still carrying the two stamps the
+// encoding drops.
+func TestSimLandsFrames(t *testing.T) {
+	eng, a, b := testPair(t, caps.MX)
+	var got *packet.Frame
+	b.SetRecvHandler(func(_ packet.NodeID, f *packet.Frame) { got = f })
+	wants := seedFrames()
+	for i, posted := range seedFrames() {
+		want := wants[i]
+		for _, f := range []*packet.Frame{posted, want} {
+			f.Src, f.Dst, f.Posted = 0, 1, simnet.Time(100+i)
+			for j := range f.Entries {
+				f.Entries[j].Enqueued = simnet.Time(10 + j)
+			}
+		}
+		got = nil
+		if err := a.Post(0, posted, 0); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		switch {
+		case got == nil:
+			t.Fatalf("%v: not delivered", want.Kind)
+		case got == posted:
+			t.Fatalf("%v: the receiver got the posted frame object", want.Kind)
+		case !got.Backed():
+			t.Fatalf("%v: landed frame carries no backing buffer", want.Kind)
+		}
+		if got.Kind != want.Kind || got.Src != want.Src || got.Dst != want.Dst || got.Ctrl != want.Ctrl ||
+			!bytes.Equal(got.Encode(nil), want.Encode(nil)) {
+			t.Fatalf("landed %v, posted %v", got, want)
+		}
+		if got.Posted != want.Posted {
+			t.Fatalf("%v: Posted %v, want %v", want.Kind, got.Posted, want.Posted)
+		}
+		for j := range want.Entries {
+			if got.Entries[j].Enqueued != want.Entries[j].Enqueued {
+				t.Fatalf("%v entry %d: Enqueued %v, want %v", want.Kind, j, got.Entries[j].Enqueued, want.Entries[j].Enqueued)
+			}
+		}
+		n, capacity, pooled := landing(got)
+		exact := want.Kind == packet.FrameRData || want.Kind == packet.FrameGetReply
+		if n != want.WireSize() || exact && (pooled || capacity != n) || !exact && !pooled {
+			t.Fatalf("%v: landed in %d/%d bytes (pooled %v) for a %d-byte frame", want.Kind, n, capacity, pooled, want.WireSize())
+		}
+		packet.ReleaseFrame(got)
 	}
 }
 
@@ -179,6 +242,9 @@ func TestWrongSourceRejected(t *testing.T) {
 	}
 	if err := a.Post(99, dataFrame(0, 1, 8), 0); err == nil {
 		t.Fatal("nonexistent channel accepted")
+	}
+	if err := a.Post(0, dataFrame(0, 7, 8), 0); err == nil {
+		t.Fatal("frame for a node not on the fabric accepted")
 	}
 }
 

@@ -36,9 +36,6 @@ var keptUnreached = map[string]string{
 	"proto.RdvReceiver.Anomalies":         "observer: tolerated protocol irregularities by kind",
 	"proto.RMA.Outstanding":               "observer: pending get/put tables — must drain",
 	"proto.RMA.Rejected":                  "observer: remote-originated frames refused whole",
-	"core.Engine.Stats":                   "observer: the Set whose core.* names the metrics-view tests compare with Metrics",
-	"drivers.Mesh.LostFrames":             "observer: frames reclaimed from failed connections",
-	"drivers.Mesh.Draining":               "observer: retired rails still writing out — the ownership battery waits on 0",
 	"chaos.Trace.Diff":                    "observer: first divergence of two executed-event traces — the replay battery's failure message",
 	"chaos.Trace.Equal":                   "observer: Diff == \"\"",
 	"testnet.Net.Fleet":                   "observer: the final fleet roll-up the testnet battery asserts on and writes as its CI artifact",

@@ -16,15 +16,15 @@ import (
 //     Ownership moves with the frame: engine → driver at Post, driver →
 //     engine at a frame-loss reclaim, driver → receive handler at the recv
 //     upcall.
-//   - Whoever consumes the frame terminally calls ReleaseFrame: the rail
-//     owner after the bytes are on the socket (send side), the engine after
-//     protocol dispatch returns (receive side). Error paths that hand the
+//   - Whoever consumes the frame terminally calls ReleaseFrame: the driver
+//     once the bytes are out (send side), the engine after protocol
+//     dispatch returns (receive side). Error paths that hand the
 //     frame onward (failover reclaim, requeue) must NOT release — the new
 //     owner will, after its own terminal consumption.
 //   - ReleaseFrame on a frame that never came from the pool only recycles
 //     its backing buffer (if any); the struct is left for the GC. Frames
-//     built by tests or simulated fabrics are therefore ordinary GC
-//     objects unless someone explicitly pools them.
+//     built by tests are therefore ordinary GC objects unless someone
+//     explicitly pools them.
 //   - Payload bytes are never owned by the frame. On the send side they
 //     alias application (or protocol-engine) memory; on the receive side
 //     they alias the backing Buf until proto.Land copies them out or the

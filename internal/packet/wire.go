@@ -13,9 +13,9 @@ import (
 // sub-packets (the aggregation unit); control frames implement the
 // rendezvous and RMA protocols.
 //
-// The same binary encoding is used by the simulated drivers (for size
-// accounting) and the real TCP mesh driver (for actual bytes), so the
-// engine is tested against a single wire format.
+// The same binary encoding carries every frame across both drivers: the
+// TCP mesh writes it to a socket, the simulated NIC lands it in the
+// receiver's buffer, so the engine is tested against a single wire format.
 type Frame struct {
 	Kind FrameKind
 	Src  NodeID
@@ -31,9 +31,9 @@ type Frame struct {
 	Bulk []byte
 
 	// Posted is diagnostic post-time metadata (the telemetry Xmit span's
-	// departure stamp). Like Entry.Enqueued it travels only in-memory —
-	// simulated fabrics hand the frame object across; it is not part of
-	// the wire encoding and reads zero after a real transport.
+	// departure stamp). Like Entry.Enqueued it is not part of the wire
+	// encoding: the simulated NIC copies it onto the frame it lands, and
+	// it reads zero after a socket.
 	Posted simnet.Time
 
 	// Pool lifecycle state (see pool.go): whether this struct came from
@@ -86,9 +86,9 @@ type Entry struct {
 	Recv    RecvMode
 	Payload []byte
 
-	// Enqueued is diagnostic submission-time metadata that travels only
-	// in-memory (simulated fabrics hand the frame object across; it is not
-	// part of the wire encoding and reads zero after a real transport).
+	// Enqueued is diagnostic submission-time metadata, not part of the
+	// wire encoding: the simulated NIC copies it onto the frame it lands,
+	// and it reads zero after a socket.
 	Enqueued simnet.Time
 }
 

@@ -81,9 +81,9 @@ func (d *Dispatcher) HandleFrame(src packet.NodeID, f *packet.Frame) {
 // (DESIGN.md §5). A backed data frame's payloads alias a pooled wire buffer
 // that is recycled after dispatch, so Land copies them into one payload
 // block the delivered payload slices own and recycles the buffer at once;
-// the frame is then unbacked. Any other frame is left as it is — an
-// unbacked one (simulated fabrics, hand-built tests) delivers payloads
-// that alias the frame's own, since nothing recycles its bytes.
+// the frame is then unbacked, so a second Land is a no-op. Any other frame
+// is left as it is — an unbacked one (a test's, a corrupted copy) delivers
+// payloads that alias the frame's own, since nothing recycles its bytes.
 // HandleFrame lands a data frame itself; a caller that serializes dispatch
 // under a lock calls Land first, so the copy stays outside it.
 func Land(f *packet.Frame) {
