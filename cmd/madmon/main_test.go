@@ -12,6 +12,8 @@ import (
 	"newmad/internal/cluster"
 	"newmad/internal/mad"
 	"newmad/internal/packet"
+	"newmad/internal/stats"
+	"newmad/internal/telemetry"
 )
 
 // boot starts a telemetry-enabled mesh, runs a short all-to-all exchange
@@ -134,5 +136,28 @@ func TestSplitNodes(t *testing.T) {
 	}
 	if splitNodes("") != nil {
 		t.Fatal("empty input yields endpoints")
+	}
+}
+
+// TestSpanQuantilesMatchNode: on a one-cell snapshot, madmon quotes the
+// quantiles the node itself reported for that cell — the JSON buckets
+// rebuild the node's histogram exactly.
+func TestSpanQuantilesMatchNode(t *testing.T) {
+	h := &stats.Histogram{}
+	for i := 1; i <= 1000; i++ {
+		h.Add(float64(i * 997))
+	}
+	cell := telemetry.SpanStat{Span: "e2e", Class: "small", HistStat: telemetry.HistStatOf(h)}
+	raw, err := json.Marshal(telemetry.NodeSnapshot{Spans: []telemetry.SpanStat{cell}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ns telemetry.NodeSnapshot
+	if err := json.Unmarshal(raw, &ns); err != nil {
+		t.Fatal(err)
+	}
+	p50, p99, ok := spanQuantiles(&ns, "e2e")
+	if !ok || p50 != cell.P50/1e3 || p99 != cell.P99/1e3 {
+		t.Fatalf("madmon p50/p99 = %v/%v µs, node reported %v/%v", p50, p99, cell.P50/1e3, cell.P99/1e3)
 	}
 }

@@ -11,8 +11,10 @@ import (
 // RECV → DELIVER, plus the rendezvous handshake), folded into sharded
 // histograms keyed by (span, class, rail). Spans are always on — the
 // observation is integer index math plus one histogram insert under a
-// per-cell lock, cheap enough that the AllocsPerRun gates of
-// internal/perf hold with telemetry enabled (DESIGN.md §8).
+// per-cell lock (bit arithmetic into the cell's flat bucket slice, which
+// allocates only while the cell's value range widens), cheap enough that
+// the AllocsPerRun gates of internal/perf hold with telemetry enabled
+// (DESIGN.md §8).
 
 // SpanKind identifies one lifecycle leg.
 type SpanKind uint8

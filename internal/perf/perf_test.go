@@ -425,9 +425,8 @@ func TestBytesMeshReceiveBulk(t *testing.T) {
 // TestAllocsSpanObserve pins the telemetry observation budget at zero:
 // recording a latency sample into a warmed span family must not allocate,
 // or the always-on spans would erode the eager-pump and receive-path
-// gates above. (A cold histogram allocates its bucket map and grows its
-// reservoir — amortized away here by warming, exactly as the engines
-// warm during their first packets.)
+// gates above. From a cold start a cell allocates only while samples
+// widen the bucket range it has seen: a few times, then never.
 func TestAllocsSpanObserve(t *testing.T) {
 	sp := stats.NewSpans(5, int(packet.NumClasses), 2)
 	var n int
@@ -435,8 +434,28 @@ func TestAllocsSpanObserve(t *testing.T) {
 		sp.Observe(1, int(packet.ClassSmall), n&1, float64(100+n&1023))
 		n++
 	}
+	// Count on one P, as testing.AllocsPerRun does, so other goroutines
+	// do not allocate alongside the loop.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100_000; i++ {
+			observe()
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	cold := mallocs()
+	t.Logf("first 100 000 observations from NewSpans: %d allocs", cold)
+	if cold > 8 {
+		t.Fatalf("first 100 000 observations from NewSpans cost %d allocs, budget is 8 (range growth only)", cold)
+	}
+	if again := mallocs(); again > 0 {
+		t.Fatalf("100 000 observations over a covered range cost %d allocs, budget is 0", again)
+	}
 	for i := 0; i < 4096; i++ {
-		observe() // warm the bucket maps and fill the reservoirs
+		observe() // warm every cell the gate below touches
 	}
 	if allocs := testing.AllocsPerRun(1000, observe); allocs > 0 {
 		t.Fatalf("span observe costs %.2f allocs/op, budget is 0", allocs)

@@ -1,5 +1,5 @@
 // Package stats provides the measurement substrate for newmad: counters,
-// log-scale histograms, labeled time series and plain-text tables. The
+// log-linear histograms, labeled time series and plain-text tables. The
 // experiment harness (internal/exp) renders every reproduced table and
 // figure through this package, so the output format of `madbench` is
 // uniform across experiments.
@@ -8,14 +8,56 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 )
 
-// Histogram records a distribution of non-negative float64 samples in
-// logarithmic buckets (powers of 2 by default), keeping exact aggregates
-// (count/sum/min/max) alongside for precise means. The zero value is ready
-// to use.
+// The histogram layout: 2^subBits linear buckets per power of two. A
+// sample counts in the bucket of its ceiling, so a bucket holds the
+// integers [lo, up] of BucketBounds. Below 2*subBuckets every bucket is one
+// integer wide; above, a bucket at lo is lo/subBuckets wide or narrower.
+// Every sample in this repository is a whole number of nanoseconds or a
+// count, so a quantile read at a bucket's midpoint is off by at most
+// 1/(2*subBuckets) = 1/128 of the true value, and exact below 128.
+const (
+	subBits    = 6
+	subBuckets = 1 << subBits
+	// numBuckets covers every uint64: the top bucket's upper bound is 2^64.
+	numBuckets = (64 - subBits + 1) << subBits
+	// minPad is the least room a histogram's counts grow by.
+	minPad = subBuckets / 2
+)
+
+// bucketOf returns the bucket index of a non-negative sample.
+func bucketOf(v float64) int {
+	if v >= 0x1p64 {
+		return numBuckets - 1
+	}
+	u := uint64(math.Ceil(v))
+	s := max(bits.Len64(u)-subBits-1, 0)
+	return s<<subBits + int(u>>s)
+}
+
+// BucketBounds returns the smallest and largest integer bucket idx holds.
+// A sample v counts in idx exactly when lo-1 < v <= up, so up is the
+// inclusive upper bound a Prometheus `le` label wants.
+func BucketBounds(idx int) (lo, up float64) {
+	s := max(idx>>subBits-1, 0)
+	m := idx - s<<subBits
+	return math.Ldexp(float64(m), s), math.Ldexp(float64(m+1), s) - 1
+}
+
+// Bucket is one non-empty bucket in wire form: its index in the layout
+// and its count.
+type Bucket struct {
+	Idx int    `json:"idx"`
+	N   uint64 `json:"n"`
+}
+
+// Histogram records a distribution of non-negative float64 samples in the
+// log-linear layout above, keeping exact aggregates (count/sum/min/max)
+// alongside. Its counts cover only the bucket range it has seen: a slice
+// starting at bucket base. The zero value is ready to use.
 //
 // All methods are safe for concurrent use: the engine core records
 // plan and delivery latencies from several pump goroutines at once while
@@ -24,60 +66,63 @@ import (
 // receiver, so two histograms can be merged in either direction without a
 // lock-order constraint.
 type Histogram struct {
-	mu      sync.Mutex
-	buckets map[int]uint64 // bucket index -> count
-	count   uint64
-	sum     float64
-	min     float64
-	max     float64
-	// samples keeps an exact reservoir of up to reservoirCap values so
-	// quantiles stay accurate for the modest sample counts the experiments
-	// produce; beyond that, quantiles fall back to bucket interpolation.
-	samples  []float64
-	overflow bool
+	mu     sync.Mutex
+	base   int
+	counts []uint64 // counts[i] is bucket base+i
+	count  uint64
+	sum    float64
+	min    float64
+	max    float64
 }
 
-const reservoirCap = 1 << 16
-
-// Add records one sample. Negative samples are clamped to zero (durations
-// in the simulator are never negative; clamping keeps the histogram total
-// consistent with the counter totals even if a caller rounds badly).
+// Add records one sample. Negative and NaN samples are clamped to zero
+// (durations in the simulator are never negative; clamping keeps the
+// histogram total consistent with the counter totals even if a caller
+// rounds badly).
 func (h *Histogram) Add(v float64) {
-	if v < 0 {
+	if !(v >= 0) {
 		v = 0
 	}
+	i := bucketOf(v)
 	h.mu.Lock()
-	h.addLocked(v)
+	j := i - h.base
+	if uint(j) >= uint(len(h.counts)) {
+		h.cover(i, i+1)
+		j = i - h.base
+	}
+	h.counts[j]++
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	if h.count == 0 || v > h.max {
+		h.max = v
+	}
+	h.count++
+	h.sum += v
 	h.mu.Unlock()
 }
 
-func (h *Histogram) addLocked(v float64) {
-	if h.buckets == nil {
-		h.buckets = make(map[int]uint64)
-		h.min = math.Inf(1)
-		h.max = math.Inf(-1)
+// cover grows the counts to span buckets [lo, hi). The side that grows is
+// padded by the current span (at least minPad), so a histogram reaches its
+// working range in a few allocations and then stops allocating.
+func (h *Histogram) cover(lo, hi int) {
+	n := len(h.counts)
+	nlo, nhi := h.base, h.base+n
+	if n > 0 && lo >= nlo && hi <= nhi {
+		return
 	}
-	h.buckets[bucketOf(v)]++
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
+	pad := max(n, minPad)
+	if n == 0 || lo < nlo {
+		nlo = max(lo-pad, 0)
 	}
-	if v > h.max {
-		h.max = v
+	if n == 0 || hi > nhi {
+		nhi = min(hi+pad, numBuckets)
 	}
-	if len(h.samples) < reservoirCap {
-		h.samples = append(h.samples, v)
-	} else {
-		h.overflow = true
+	c := make([]uint64, nhi-nlo)
+	if n > 0 {
+		copy(c[h.base-nlo:], h.counts)
 	}
-}
-
-func bucketOf(v float64) int {
-	if v < 1 {
-		return 0
-	}
-	return int(math.Floor(math.Log2(v))) + 1
+	h.base, h.counts = nlo, c
 }
 
 // Count returns the number of samples recorded.
@@ -112,13 +157,6 @@ func (h *Histogram) meanLocked() float64 {
 func (h *Histogram) Min() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.minLocked()
-}
-
-func (h *Histogram) minLocked() float64 {
-	if h.count == 0 {
-		return 0
-	}
 	return h.min
 }
 
@@ -126,19 +164,13 @@ func (h *Histogram) minLocked() float64 {
 func (h *Histogram) Max() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.maxLocked()
-}
-
-func (h *Histogram) maxLocked() float64 {
-	if h.count == 0 {
-		return 0
-	}
 	return h.max
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1). With at most reservoirCap
-// samples the answer is exact; beyond that it interpolates within log
-// buckets, which is adequate for the latency tails reported by madbench.
+// Quantile returns the q-quantile (0 <= q <= 1): rank q·(n−1), linear
+// between the two neighbouring order statistics. Each order statistic is
+// its bucket's midpoint clamped to [Min, Max] (the first and last are
+// Min and Max), so the answer is within 1/128 of the exact quantile.
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -146,149 +178,107 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 func (h *Histogram) quantileLocked(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.minLocked()
-	}
-	if q >= 1 {
-		return h.maxLocked()
-	}
-	if h.count == 1 || h.min == h.max {
-		// One sample, or a degenerate distribution collapsed into a single
-		// value: every quantile is that value, whichever bucket it fell in.
-		return h.min
-	}
-	if !h.overflow {
-		s := append([]float64(nil), h.samples...)
-		sort.Float64s(s)
-		idx := q * float64(len(s)-1)
-		lo := int(math.Floor(idx))
-		hi := int(math.Ceil(idx))
-		if lo == hi {
-			return s[lo]
-		}
-		frac := idx - float64(lo)
-		return s[lo]*(1-frac) + s[hi]*frac
-	}
-	// Bucket interpolation. The interpolated point is clamped to the exact
-	// [Min, Max] envelope: log buckets are wider than the data they hold, so
-	// raw interpolation can otherwise report a quantile outside the range of
-	// any recorded sample (acute for single-bucket distributions, where every
-	// quantile must collapse toward the one occupied bucket's samples).
-	target := q * float64(h.count)
-	idxs := make([]int, 0, len(h.buckets))
-	for b := range h.buckets {
-		idxs = append(idxs, b)
-	}
-	sort.Ints(idxs)
-	var cum float64
-	for _, b := range idxs {
-		n := float64(h.buckets[b])
-		if cum+n >= target {
-			lo, hi := bucketBounds(b)
-			frac := (target - cum) / n
-			return h.clampLocked(lo + frac*(hi-lo))
-		}
-		cum += n
-	}
-	return h.maxLocked()
-}
-
-// clampLocked bounds an interpolated quantile to the exact sample envelope.
-func (h *Histogram) clampLocked(v float64) float64 {
-	if v < h.min {
-		return h.min
-	}
-	if v > h.max {
+	switch {
+	case h.count == 0, q <= 0:
+		return h.min // 0 when empty
+	case q >= 1:
 		return h.max
 	}
-	return v
-}
-
-func bucketBounds(b int) (lo, hi float64) {
-	if b == 0 {
-		return 0, 1
+	r := q * float64(h.count-1)
+	k := uint64(r)
+	// One cumulative walk reads order statistics k and k+1. Counts that
+	// fall short of count (a bad wire form) leave the rest at Max.
+	stat := [2]float64{h.max, h.max}
+	j := 0
+	var cum uint64
+	for i, n := range h.counts {
+		cum += n
+		for ; j < 2 && cum > k+uint64(j); j++ {
+			stat[j] = h.orderStat(k+uint64(j), h.base+i)
+		}
+		if j == 2 {
+			break
+		}
 	}
-	return math.Pow(2, float64(b-1)), math.Pow(2, float64(b))
+	return stat[0] + (stat[1]-stat[0])*(r-float64(k))
 }
 
-// Clone returns a deep copy of h. The copy shares nothing with the
-// original, so it can be serialized or merged while the original keeps
-// absorbing samples (telemetry snapshots clone under the owner's lock and
-// do the expensive quantile math outside it).
+// orderStat reads order statistic k, which fell in bucket idx.
+func (h *Histogram) orderStat(k uint64, idx int) float64 {
+	if k == 0 {
+		return h.min
+	}
+	if k == h.count-1 {
+		return h.max
+	}
+	lo, up := BucketBounds(idx)
+	return math.Min(math.Max((lo+up)/2, h.min), h.max)
+}
+
+// Clone returns a deep copy of h, its counts trimmed to the occupied
+// buckets. The copy shares nothing with the original, so it can be
+// serialized or merged while the original keeps absorbing samples
+// (telemetry snapshots clone under the owner's lock and do the quantile
+// math outside it).
 func (h *Histogram) Clone() *Histogram {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.cloneLocked()
+	lo, hi := 0, len(h.counts)
+	for lo < hi && h.counts[lo] == 0 {
+		lo++
+	}
+	for hi > lo && h.counts[hi-1] == 0 {
+		hi--
+	}
+	return &Histogram{
+		base:   h.base + lo,
+		counts: append([]uint64(nil), h.counts[lo:hi]...),
+		count:  h.count,
+		sum:    h.sum,
+		min:    h.min,
+		max:    h.max,
+	}
 }
 
-func (h *Histogram) cloneLocked() *Histogram {
-	out := &Histogram{
-		count:    h.count,
-		sum:      h.sum,
-		min:      h.min,
-		max:      h.max,
-		overflow: h.overflow,
-	}
-	if h.buckets != nil {
-		out.buckets = make(map[int]uint64, len(h.buckets))
-		for b, n := range h.buckets {
-			out.buckets[b] = n
-		}
-	}
-	if len(h.samples) > 0 {
-		out.samples = append(make([]float64, 0, len(h.samples)), h.samples...)
-	}
-	return out
-}
-
-// Buckets returns a copy of the log2 bucket counts, keyed by bucket index
-// (see bucketOf: bucket 0 holds [0,1), bucket b>0 holds [2^(b-1), 2^b)).
-// Together with Count/Sum/Min/Max this is the mergeable wire form of a
-// histogram — FromBuckets reconstructs a quantile-capable Histogram from
-// it on the other side of a JSON boundary.
-func (h *Histogram) Buckets() map[int]uint64 {
+// Buckets returns the non-empty buckets in index order. Together with
+// Count/Sum/Min/Max this is the mergeable wire form of a histogram:
+// FromBuckets rebuilds from it a histogram that answers every quantile
+// exactly as h does.
+func (h *Histogram) Buckets() []Bucket {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.buckets) == 0 {
-		return nil
-	}
-	out := make(map[int]uint64, len(h.buckets))
-	for b, n := range h.buckets {
-		out[b] = n
+	var out []Bucket
+	for i, n := range h.counts {
+		if n > 0 {
+			out = append(out, Bucket{Idx: h.base + i, N: n})
+		}
 	}
 	return out
 }
 
-// FromBuckets reconstructs a Histogram from its mergeable wire form: the
-// log2 bucket counts plus the exact aggregates. The reconstruction has no
-// sample reservoir, so quantiles interpolate within buckets (clamped to
-// the [min,max] envelope) — exactly the overflow behavior of a histogram
-// that outlived its reservoir. Inconsistent inputs (count 0 with buckets)
-// yield an empty histogram.
-func FromBuckets(buckets map[int]uint64, count uint64, sum, min, max float64) *Histogram {
-	if count == 0 {
-		return &Histogram{}
+// FromBuckets rebuilds a Histogram from its wire form: the buckets plus
+// the exact aggregates. It accepts what a network peer may send: buckets
+// outside the layout are dropped, and a zero count or min > max yields an
+// empty histogram. Counts that do not sum to count still answer every
+// quantile within [min, max].
+func FromBuckets(buckets []Bucket, count uint64, sum, min, max float64) *Histogram {
+	h := &Histogram{}
+	if count == 0 || !(min <= max) {
+		return h
 	}
-	h := &Histogram{
-		buckets:  make(map[int]uint64, len(buckets)),
-		count:    count,
-		sum:      sum,
-		min:      min,
-		max:      max,
-		overflow: true,
-	}
-	for b, n := range buckets {
-		h.buckets[b] = n
+	h.count, h.sum, h.min, h.max = count, sum, min, max
+	for _, b := range buckets {
+		if b.Idx >= 0 && b.Idx < numBuckets && b.N > 0 {
+			h.cover(b.Idx, b.Idx+1)
+			h.counts[b.Idx-h.base] += b.N
+		}
 	}
 	return h
 }
 
-// Merge folds other into h. The argument is snapshotted before the
-// receiver locks, so concurrent merges in opposite directions cannot
-// deadlock (each sees a consistent point-in-time view of the other).
+// Merge folds other into h, bucket by bucket. The argument is snapshotted
+// before the receiver locks, so concurrent merges in opposite directions
+// cannot deadlock (each sees a consistent point-in-time view of the other).
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil {
 		return
@@ -299,38 +289,26 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.buckets == nil {
-		h.buckets = make(map[int]uint64)
-		h.min = math.Inf(1)
-		h.max = math.Inf(-1)
+	if len(snap.counts) > 0 {
+		h.cover(snap.base, snap.base+len(snap.counts))
+		off := snap.base - h.base
+		for i, n := range snap.counts {
+			h.counts[off+i] += n
+		}
 	}
-	for b, n := range snap.buckets {
-		h.buckets[b] += n
+	if h.count == 0 || snap.min < h.min {
+		h.min = snap.min
+	}
+	if h.count == 0 || snap.max > h.max {
+		h.max = snap.max
 	}
 	h.count += snap.count
 	h.sum += snap.sum
-	if snap.min < h.min {
-		h.min = snap.min
-	}
-	if snap.max > h.max {
-		h.max = snap.max
-	}
-	for _, v := range snap.samples {
-		if len(h.samples) < reservoirCap {
-			h.samples = append(h.samples, v)
-		} else {
-			h.overflow = true
-			break
-		}
-	}
-	if snap.overflow {
-		h.overflow = true
-	}
 }
 
 // String summarizes the distribution for debug output.
 func (h *Histogram) String() string {
 	s := h.Clone()
 	return fmt.Sprintf("n=%d mean=%.2f p50=%.2f p99=%.2f max=%.2f",
-		s.count, s.meanLocked(), s.quantileLocked(0.5), s.quantileLocked(0.99), s.maxLocked())
+		s.count, s.meanLocked(), s.quantileLocked(0.5), s.quantileLocked(0.99), s.max)
 }

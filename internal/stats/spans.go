@@ -7,9 +7,10 @@ package stats
 // indices (no map lookups, no name formatting), each cell is guarded only
 // by its histogram's own mutex so observation never contends with a
 // concurrent snapshot of a different cell, and Histogram.Add allocates only
-// when its reservoir grows (amortized O(log n) appends over the run) —
-// which is what keeps the AllocsPerRun gates of internal/perf intact with
-// telemetry on.
+// when a sample lands outside the bucket range its cell has seen (a few
+// times per cell, then never) — which is what keeps the AllocsPerRun gates
+// of internal/perf intact with telemetry on. Cells take no memory until
+// their first sample.
 //
 // A nil *Spans ignores Observe and reports empty snapshots, so callers
 // can thread an optional family without nil checks.

@@ -143,15 +143,10 @@ func TestHistogramFromBucketsRoundTrip(t *testing.T) {
 	if r.Count() != h.Count() || r.Sum() != h.Sum() || r.Min() != h.Min() || r.Max() != h.Max() {
 		t.Fatalf("aggregates diverge: %v vs %v", r, h)
 	}
-	// Bucket interpolation is approximate but must stay inside the exact
-	// envelope and within one bucket width of the true quantile.
+	// The rebuilt histogram holds the same counts, so it answers exactly.
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		exact, approx := h.Quantile(q), r.Quantile(q)
-		if approx < h.Min() || approx > h.Max() {
-			t.Fatalf("q%.2f = %v escapes [%v,%v]", q, approx, h.Min(), h.Max())
-		}
-		if ratio := approx / exact; ratio < 0.5 || ratio > 2.0 {
-			t.Fatalf("q%.2f = %v, exact %v: outside one log2 bucket", q, approx, exact)
+		if got, want := r.Quantile(q), h.Quantile(q); got != want {
+			t.Fatalf("q%.2f = %v, histogram %v", q, got, want)
 		}
 	}
 	// Reconstructions merge like any histogram — the fleet roll-up path.
@@ -164,7 +159,7 @@ func TestHistogramFromBucketsRoundTrip(t *testing.T) {
 }
 
 func TestHistogramFromBucketsEmpty(t *testing.T) {
-	r := FromBuckets(map[int]uint64{3: 5}, 0, 0, math.Inf(1), math.Inf(-1))
+	r := FromBuckets([]Bucket{{Idx: 3, N: 5}}, 0, 0, math.Inf(1), math.Inf(-1))
 	if r.Count() != 0 || r.Quantile(0.5) != 0 {
 		t.Fatalf("empty reconstruction = %v", r)
 	}

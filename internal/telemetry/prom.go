@@ -3,19 +3,19 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 
 	"newmad/internal/core"
+	"newmad/internal/stats"
 )
 
 // Prometheus text exposition, hand-written against the v0.0.4 format so
 // the repo stays stdlib-only. Histograms are rendered as cumulative
-// buckets at the log2 upper bounds the stats.Histogram actually keeps
-// (le="1", le="2", le="4", ... le="+Inf"), so a scraper's
-// histogram_quantile sees the true bucket layout rather than a lossy
-// re-binning.
+// buckets at the inclusive upper bound of each non-empty bucket the
+// stats.Histogram keeps (stats.BucketBounds), then le="+Inf", so a
+// scraper's histogram_quantile sees the true bucket layout rather than a
+// lossy re-binning.
 
 // promName lowercases and maps every non-[a-z0-9_] byte to '_' — the
 // stats.Set convention is dotted names ("chaos.faults.raildrop"), the
@@ -51,9 +51,8 @@ func promHist(w io.Writer, name, labels string, hs HistStat) {
 	var cum uint64
 	for _, b := range hs.Bkts {
 		cum += b.N
-		// Bucket idx holds values < 2^idx (idx 0 holds [0,1)), so the
-		// inclusive upper bound le=2^idx covers it.
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, math.Pow(2, float64(b.Idx)), cum)
+		_, le := stats.BucketBounds(b.Idx)
+		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, le, cum)
 	}
 	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, hs.Count)
 	if labels == "" {

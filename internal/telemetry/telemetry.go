@@ -21,7 +21,7 @@ import (
 )
 
 // Schema identifies the snapshot JSON layout.
-const Schema = "newmad-telemetry/v1"
+const Schema = "newmad-telemetry/v2"
 
 // Source is one observed engine: the handle the Registry scrapes.
 type Source struct {
@@ -86,30 +86,26 @@ func (r *Registry) source(node packet.NodeID) (Source, bool) {
 	return r.sources[i], true
 }
 
-// Bucket is one log2 histogram bucket in wire form: bucket 0 holds
-// [0,1), bucket idx>0 holds [2^(idx-1), 2^idx).
-type Bucket struct {
-	Idx int    `json:"idx"`
-	N   uint64 `json:"n"`
-}
-
 // HistStat is the JSON form of one histogram: the quantiles a human
-// reads plus the mergeable bucket counts a roll-up needs.
+// reads plus the mergeable bucket counts a roll-up needs — the non-empty
+// buckets of the stats.Histogram layout (see stats.BucketBounds).
 type HistStat struct {
-	Count uint64   `json:"count"`
-	Sum   float64  `json:"sum"`
-	Min   float64  `json:"min"`
-	Max   float64  `json:"max"`
-	Mean  float64  `json:"mean"`
-	P50   float64  `json:"p50"`
-	P95   float64  `json:"p95"`
-	P99   float64  `json:"p99"`
-	Bkts  []Bucket `json:"buckets,omitempty"`
+	Count uint64         `json:"count"`
+	Sum   float64        `json:"sum"`
+	Min   float64        `json:"min"`
+	Max   float64        `json:"max"`
+	Mean  float64        `json:"mean"`
+	P50   float64        `json:"p50"`
+	P95   float64        `json:"p95"`
+	P99   float64        `json:"p99"`
+	Bkts  []stats.Bucket `json:"buckets,omitempty"`
 }
 
-// HistStatOf summarizes h.
+// HistStatOf summarizes h from one snapshot of it, so its quantiles are
+// the ones Histogram rebuilds from its buckets.
 func HistStatOf(h *stats.Histogram) HistStat {
-	hs := HistStat{
+	h = h.Clone()
+	return HistStat{
 		Count: h.Count(),
 		Sum:   h.Sum(),
 		Min:   h.Min(),
@@ -118,31 +114,16 @@ func HistStatOf(h *stats.Histogram) HistStat {
 		P50:   h.Quantile(0.50),
 		P95:   h.Quantile(0.95),
 		P99:   h.Quantile(0.99),
+		Bkts:  h.Buckets(),
 	}
-	b := h.Buckets()
-	if len(b) > 0 {
-		idxs := make([]int, 0, len(b))
-		for i := range b {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		hs.Bkts = make([]Bucket, 0, len(idxs))
-		for _, i := range idxs {
-			hs.Bkts = append(hs.Bkts, Bucket{Idx: i, N: b[i]})
-		}
-	}
-	return hs
 }
 
-// Histogram reconstructs a mergeable histogram from the wire form — the
+// Histogram rebuilds a mergeable histogram from the wire form — the
 // client side (madmon, fleet roll-ups across JSON boundaries) merges
-// these with stats.Histogram.Merge for honest cross-node quantiles.
+// these with stats.Histogram.Merge for honest cross-node quantiles, and
+// a rebuilt cell answers every quantile exactly as the node did.
 func (hs HistStat) Histogram() *stats.Histogram {
-	b := make(map[int]uint64, len(hs.Bkts))
-	for _, bk := range hs.Bkts {
-		b[bk.Idx] = bk.N
-	}
-	return stats.FromBuckets(b, hs.Count, hs.Sum, hs.Min, hs.Max)
+	return stats.FromBuckets(hs.Bkts, hs.Count, hs.Sum, hs.Min, hs.Max)
 }
 
 // SpanStat is one latency-span cell: which lifecycle leg, for which
@@ -296,10 +277,9 @@ type spanCellKey struct {
 }
 
 // Fleet rolls every registered engine into one snapshot. Histograms
-// merge via stats.Histogram.Merge — counts and buckets are exact, and
-// quantiles of the merged distribution come from merged reservoirs (or
-// bucket interpolation beyond reservoir capacity), not from averaging
-// per-node quantiles.
+// merge via stats.Histogram.Merge — counts and buckets add exactly, so
+// quantiles of the merged distribution carry the layout's stated error
+// (1/128), not the error of averaging per-node quantiles.
 func (r *Registry) Fleet() FleetSnapshot {
 	r.mu.Lock()
 	srcs := append([]Source(nil), r.sources...)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -163,11 +164,90 @@ func TestHistStatRoundTrip(t *testing.T) {
 	if back.Count() != 1000 || back.Sum() != h.Sum() {
 		t.Fatalf("reconstruction lost mass: count=%d sum=%g", back.Count(), back.Sum())
 	}
-	// Bucket-level reconstruction keeps quantiles within a 2x band.
-	q, want := back.Quantile(0.5), h.Quantile(0.5)
-	if q < want/2 || q > want*2 {
-		t.Fatalf("round-trip p50 %g vs %g", q, want)
+	// The rebuilt histogram holds the node's counts: a JSON consumer
+	// reads the quantiles the node reported.
+	for _, c := range []struct{ q, node float64 }{{0.50, hs.P50}, {0.95, hs.P95}, {0.99, hs.P99}} {
+		if got := back.Quantile(c.q); got != c.node || got != h.Quantile(c.q) {
+			t.Fatalf("round-trip q%.2f = %g, node reported %g", c.q, got, c.node)
+		}
 	}
+}
+
+// TestPromBucketBounds: every `le` a histogram renders is a true
+// inclusive bound — the cumulative count there equals the number of
+// samples <= le.
+func TestPromBucketBounds(t *testing.T) {
+	samples := []float64{0, 0.5, 1, 5, 63, 64, 127, 127.5, 128, 129, 130, 1000, 1007, 1008, 4095, 4096, 4097, 1e6, 123456789}
+	h := &stats.Histogram{}
+	for _, v := range samples {
+		h.Add(v)
+	}
+	var b strings.Builder
+	telemetry.WriteProm(&b, telemetry.NodeSnapshot{Hists: map[string]telemetry.HistStat{"x": telemetry.HistStatOf(h)}})
+	seen := 0
+	for _, ln := range strings.Split(b.String(), "\n") {
+		var bound string
+		var cum int
+		if _, err := fmt.Sscanf(ln, "newmad_x_bucket{le=%q} %d", &bound, &cum); err != nil || bound == "+Inf" {
+			continue
+		}
+		le, err := strconv.ParseFloat(bound, 64)
+		if err != nil {
+			t.Fatalf("unparseable le in %q", ln)
+		}
+		want := 0
+		for _, v := range samples {
+			if v <= le {
+				want++
+			}
+		}
+		if cum != want {
+			t.Fatalf("le=%g: cumulative count %d, samples <= le %d", le, cum, want)
+		}
+		seen++
+	}
+	if seen != len(h.Buckets()) {
+		t.Fatalf("checked %d le bounds, histogram has %d buckets:\n%s", seen, len(h.Buckets()), b.String())
+	}
+}
+
+// FuzzHistStatJSON feeds arbitrary bytes to the wire form madmon reads off
+// the network: rebuilding, querying, merging and re-summarizing must not
+// panic, and every quantile stays inside [Min, Max].
+func FuzzHistStatJSON(f *testing.F) {
+	h := &stats.Histogram{}
+	for i := 1; i <= 100; i++ {
+		h.Add(float64(i * i))
+	}
+	good, _ := json.Marshal(telemetry.HistStatOf(h))
+	f.Add(good)
+	f.Add([]byte(`{"count":5,"sum":10,"min":1,"max":9,"buckets":[{"idx":-3,"n":2},{"idx":999999999999,"n":7}]}`))
+	f.Add([]byte(`{"count":3,"min":1,"max":2000,"buckets":[{"idx":900,"n":18446744073709551615},{"idx":2,"n":1}]}`))
+	f.Add([]byte(`{"count":100,"min":50,"max":40,"buckets":[{"idx":7,"n":1}]}`))
+	f.Add([]byte(`{"count":18446744073709551516,"min":2,"max":3,"buckets":[{"idx":2,"n":1}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var hs telemetry.HistStat
+		if json.Unmarshal(data, &hs) != nil {
+			return
+		}
+		r := hs.Histogram()
+		for _, b := range r.Buckets() {
+			if _, up := stats.BucketBounds(b.Idx); b.Idx < 0 || up > 0x1p64 {
+				t.Fatalf("rebuilt bucket %d outside the layout", b.Idx)
+			}
+		}
+		m := &stats.Histogram{}
+		m.Merge(h)
+		m.Merge(r)
+		for _, x := range []*stats.Histogram{r, m} {
+			for _, q := range []float64{0, 0.01, 0.5, 0.95, 0.99, 1} {
+				if v := x.Quantile(q); v < x.Min() || v > x.Max() {
+					t.Fatalf("Quantile(%v) = %v outside [%v, %v]", q, v, x.Min(), x.Max())
+				}
+			}
+		}
+		telemetry.HistStatOf(m)
+	})
 }
 
 func TestPromExposition(t *testing.T) {
