@@ -20,7 +20,7 @@
 //
 // The engine is safe for concurrent use. One engine mutex (mu) guards the
 // send and the protocol side alike, and each NIC channel's pump is
-// serialized by its own chanPump. Under the discrete-event runtime all
+// serialized by a lock-free state word. Under the discrete-event runtime all
 // upcalls arrive on one goroutine and every lock is uncontended; the socket
 // driver delivers idle and receive upcalls from its own goroutines and
 // exercises the full lock order (send.go).
@@ -143,20 +143,19 @@ type Engine struct {
 	policySwitches atomic.Uint64
 	tenantRetunes  atomic.Uint64
 
-	// pumps[rail][channel] serialize each NIC channel's pump (send.go).
-	pumps [][]chanPump
+	// pumps[rail][channel] is each NIC channel's pump state word (send.go).
+	pumps [][]atomic.Uint32
 
-	// Work hints, readable without mu: a channel pump skips the lock when
-	// the queues it would visit are empty. They are updated under mu at the
-	// same point as the queues they mirror, so a hint can be stale only in
-	// the direction of a missed skip (the enqueuer's own pump follows).
-	nCtrl atomic.Int64
-	nBulk atomic.Int64
-	nFail atomic.Int64
+	// nQueued counts the frames in ctrlQ, bulkQ and failQ together, readable
+	// without mu: a pump skips the lock when it and backlogSz are both 0.
+	// Only pushFrameLocked and popFrameLocked touch it, under mu at the same
+	// point as the queue, so it can be stale only in the direction of a
+	// missed skip (the enqueuer's own pump follows).
+	nQueued atomic.Int64
 
 	// favorBulk alternates the planned-work pass between the eager backlog
-	// and bulkQ (pumpChannel). Atomic because the toggle happens before the
-	// hint skip, outside mu.
+	// and bulkQ (pumpChannel). Atomic because the skip path toggles it
+	// outside mu.
 	favorBulk atomic.Bool
 
 	// mu guards every field below — the send side (send.go) and the
@@ -225,7 +224,7 @@ type Engine struct {
 
 	// Latency spans (see spans.go). rdvStart stamps when each outgoing
 	// rendezvous queued its first RTS (sender side, SpanRdvGrant);
-	// rdvRecvStart stamps the first RTS arrival per inbound rendezvous
+	// rdvRecvStart stamps the first grant per inbound rendezvous
 	// (receiver side, SpanRdvData). arrivalRail is the rail index of the
 	// frame currently being dispatched — valid only under mu inside
 	// onFrame, read by the protocol-event hooks it calls.
@@ -331,9 +330,9 @@ func New(node packet.NodeID, opt Options) (*Engine, error) {
 	}
 	e.bundle.Store(&b)
 	e.knobs.Store(&opt.Knobs)
-	e.pumps = make([][]chanPump, len(rails))
+	e.pumps = make([][]atomic.Uint32, len(rails))
 	for i, r := range rails {
-		e.pumps[i] = make([]chanPump, r.NumChannels())
+		e.pumps[i] = make([]atomic.Uint32, r.NumChannels())
 	}
 	e.reasm = proto.NewReassembler(node, func(d proto.Deliverable) {
 		e.pendingDeliver = append(e.pendingDeliver, d)
@@ -377,8 +376,7 @@ func (e *Engine) onFrameLoss(ri int, frames []*packet.Frame) {
 		return
 	}
 	e.mu.Lock()
-	e.failQ = append(e.failQ, frames...)
-	e.nFail.Add(int64(len(frames)))
+	e.pushFrameLocked(&e.failQ, frames...)
 	e.ctr.FramesReclaimed += uint64(len(frames))
 	e.mu.Unlock()
 	e.rec.Record(trace.Event{
@@ -536,8 +534,7 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		pump = e.pushEagerLocked(p)
 	case lands && fl.LandsFrames():
 		// The rail lands frames: the RData leaves now — no RTS, CTS or timer.
-		e.bulkQ = append(e.bulkQ, e.rdvS.Direct(p))
-		e.nBulk.Add(1)
+		e.pushFrameLocked(&e.bulkQ, e.rdvS.Direct(p))
 		e.countSubmitLocked(p, true)
 		e.ctr.RdvGranted++
 	default:
@@ -546,8 +543,7 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		// it: keep the token, not the frame.
 		token := rts.Ctrl.Token
 		e.rdvStart[token] = p.Enqueued
-		e.ctrlQ = append(e.ctrlQ, rts)
-		e.nCtrl.Add(1)
+		e.pushFrameLocked(&e.ctrlQ, rts)
 		e.countSubmitLocked(p, true)
 		e.armRdvRetryLocked(token, 0)
 	}
@@ -651,8 +647,7 @@ func (e *Engine) onRdvRetry(token uint64, attempt int, gen uint64) {
 		e.mu.Unlock()
 		return
 	}
-	e.ctrlQ = append(e.ctrlQ, rts)
-	e.nCtrl.Add(1)
+	e.pushFrameLocked(&e.ctrlQ, rts)
 	e.ctr.RdvRetries++
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"newmad/internal/drivers"
 	"newmad/internal/packet"
@@ -24,7 +23,7 @@ func (e *Engine) onIdle(ri, ch int) {
 	}
 	e.idleUps.Add(1)
 	e.rec.Record(trace.Event{At: e.rt.Now(), Kind: trace.KindIdle, Node: e.node, A: ri, B: ch})
-	e.kickChannel(ri, ch, true)
+	e.kickChannel(ri, ch, pumpKickIdle)
 }
 
 // onFrame is the receive upcall on rail ri: route through the protocol
@@ -54,16 +53,10 @@ func (e *Engine) onFrame(ri int, src packet.NodeID, f *packet.Frame) {
 	if f.Posted > 0 {
 		e.spans.Observe(int(SpanXmit), int(frameClass(f)), ri, float64(now.Sub(f.Posted)))
 	}
-	// SpanRdvData bookkeeping: remember the first RTS arrival per inbound
-	// (source, token) (retries keep the original start), close the span
-	// when the granted bulk lands.
-	rk := rdvRecvKey{src, f.Ctrl.Token}
-	switch f.Kind {
-	case packet.FrameRTS:
-		if _, ok := e.rdvRecvStart[rk]; !ok {
-			e.rdvRecvStart[rk] = now
-		}
-	case packet.FrameRData:
+	// SpanRdvData closes when the granted bulk lands; the grant
+	// (enqueueReactiveLocked) opened it.
+	if f.Kind == packet.FrameRData {
+		rk := rdvRecvKey{src, f.Ctrl.Token}
 		if t0, ok := e.rdvRecvStart[rk]; ok {
 			delete(e.rdvRecvStart, rk)
 			e.spans.Observe(int(SpanRdvData), int(packet.ClassBulk), ri, float64(now.Sub(t0)))
@@ -146,12 +139,19 @@ func (e *Engine) dispatchDeliveries(ds []proto.Deliverable, fns []func(), rail i
 // holds mu (protocol engines run under it).
 func (e *Engine) enqueueReactiveLocked(f *packet.Frame) {
 	switch f.Kind {
-	case packet.FrameCTS, packet.FrameAck, packet.FrameRTS:
-		e.ctrlQ = append(e.ctrlQ, f)
-		e.nCtrl.Add(1)
+	case packet.FrameCTS:
+		// SpanRdvData opens at the grant, keyed by the requesting sender;
+		// a re-sent CTS keeps the first grant's stamp. A straggler RTS for
+		// a completed token is dropped ungranted, so nothing stamps it.
+		rk := rdvRecvKey{f.Dst, f.Ctrl.Token}
+		if _, ok := e.rdvRecvStart[rk]; !ok {
+			e.rdvRecvStart[rk] = e.rt.Now()
+		}
+		e.pushFrameLocked(&e.ctrlQ, f)
+	case packet.FrameAck, packet.FrameRTS:
+		e.pushFrameLocked(&e.ctrlQ, f)
 	default:
-		e.bulkQ = append(e.bulkQ, f)
-		e.nBulk.Add(1)
+		e.pushFrameLocked(&e.bulkQ, f)
 	}
 	e.ctr.ReactiveFrames++
 }
@@ -168,8 +168,7 @@ func (e *Engine) onRdvGrantLocked(token uint64, p *packet.Packet) {
 		e.spans.Observe(int(SpanRdvGrant), int(packet.ClassBulk), e.arrivalRail, float64(e.rt.Now().Sub(t0)))
 	}
 	rdata := e.rdvS.BuildRData(token)
-	e.bulkQ = append(e.bulkQ, rdata)
-	e.nBulk.Add(1)
+	e.pushFrameLocked(&e.bulkQ, rdata)
 	e.ctr.RdvGranted++
 	e.rec.Record(trace.Event{
 		At: e.rt.Now(), Kind: trace.KindRdv, Node: e.node,
@@ -177,16 +176,15 @@ func (e *Engine) onRdvGrantLocked(token uint64, p *packet.Packet) {
 	})
 }
 
-// pumpAll offers work to every idle channel of every rail once.
+// pumpAll kicks every channel of every rail once; each pump's own idle
+// check decides whether the channel can take work.
 func (e *Engine) pumpAll() {
 	if e.closed.Load() {
 		return
 	}
 	for ri, r := range e.rails {
 		for ch := 0; ch < r.NumChannels(); ch++ {
-			if r.ChannelIdle(ch) {
-				e.kickChannel(ri, ch, false)
-			}
+			e.kickChannel(ri, ch, pumpKick)
 		}
 	}
 }
@@ -198,19 +196,15 @@ func (e *Engine) railInfo(ri int) strategy.RailInfo {
 // pumpReactiveLocked tries to occupy (rail ri, channel ch) with
 // latency-critical traffic: a control frame if the class policy admits
 // control here, else a failover re-post. Returns whether a frame was
-// posted. Caller holds mu (under the owning chanPump).
+// posted. Caller holds mu and runs the channel's pump.
 func (e *Engine) pumpReactiveLocked(b *strategy.Bundle, ri, ch int) bool {
-	numCh := e.rails[ri].NumChannels()
 	// Control/signalling first: tiny, never queues behind data if the
 	// class policy admits it here. The probe packet is engine-owned
 	// scratch: policies only read it.
-	if b.Classes.Allowed(packet.ClassControl, ch, numCh) {
-		if b.Rail.Eligible(&e.ctrlProbe, e.railInfo(ri)) {
-			if f := e.popFrameLocked(&e.ctrlQ, &e.nCtrl); f != nil {
-				e.postLocked(ri, ch, f, nil, 0)
-				return true
-			}
-		}
+	if len(e.ctrlQ) > 0 && b.Classes.Allowed(packet.ClassControl, ch, e.rails[ri].NumChannels()) &&
+		b.Rail.Eligible(&e.ctrlProbe, e.railInfo(ri)) {
+		e.postLocked(ri, ch, e.popFrameLocked(&e.ctrlQ, 0), nil, 0)
+		return true
 	}
 	// Failover traffic: frames whose original rail died re-travel on the
 	// first live channel that admits their class — ahead of fresh work, so
@@ -224,7 +218,7 @@ func (e *Engine) pumpReactiveLocked(b *strategy.Bundle, ri, ch int) bool {
 
 // pumpWorkLocked tries to occupy (rail ri, channel ch) with planned work,
 // alternating fairly between the eager backlog and granted bulk. Returns
-// whether a frame was posted. Caller holds mu (under the owning chanPump).
+// whether a frame was posted. Caller holds mu and runs the channel's pump.
 //
 // idleUpcall distinguishes a genuine NIC-idle activation from an
 // opportunistic pump (after a received frame, a policy switch, ...). An
@@ -317,8 +311,7 @@ func (e *Engine) pumpFailoverLocked(b *strategy.Bundle, ri, ch int) bool {
 		if !e.railReaches(ri, f.Dst) {
 			continue
 		}
-		e.failQ = append(e.failQ[:i], e.failQ[i+1:]...)
-		e.nFail.Add(-1)
+		e.popFrameLocked(&e.failQ, i)
 		e.ctr.Failovers++
 		e.rec.Record(trace.Event{
 			At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,
@@ -348,8 +341,7 @@ func (e *Engine) pumpBulkLocked(b *strategy.Bundle, ri, ch int) bool {
 		if !e.railReaches(ri, f.Dst) || !e.railAdmits(b, &e.bulkProbe, info) {
 			continue
 		}
-		e.bulkQ = append(e.bulkQ[:i], e.bulkQ[i+1:]...)
-		e.nBulk.Add(-1)
+		e.popFrameLocked(&e.bulkQ, i)
 		e.postLocked(ri, ch, f, nil, 0)
 		return true
 	}
@@ -527,26 +519,32 @@ func (e *Engine) eligibleLocked(b *strategy.Bundle, info strategy.RailInfo, ch, 
 	return view
 }
 
-// popFrameLocked pops the oldest frame off q, keeping its work hint in
-// step. Caller holds mu.
-func (e *Engine) popFrameLocked(q *[]*packet.Frame, hint *atomic.Int64) *packet.Frame {
-	if len(*q) == 0 {
-		return nil
-	}
-	f := (*q)[0]
-	copy(*q, (*q)[1:])
-	(*q)[len(*q)-1] = nil
-	*q = (*q)[:len(*q)-1]
-	hint.Add(-1)
+// pushFrameLocked appends fs to q (ctrlQ, bulkQ or failQ) and counts them
+// in nQueued. Caller holds mu.
+func (e *Engine) pushFrameLocked(q *[]*packet.Frame, fs ...*packet.Frame) {
+	*q = append(*q, fs...)
+	e.nQueued.Add(int64(len(fs)))
+}
+
+// popFrameLocked removes and returns q[i], keeping order and nQueued in
+// step. The vacated tail slot is cleared so the backing array holds no
+// pointer to a frame the driver may already have recycled. Caller holds mu.
+func (e *Engine) popFrameLocked(q *[]*packet.Frame, i int) *packet.Frame {
+	s := *q
+	f := s[i]
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = nil
+	*q = s[:len(s)-1]
+	e.nQueued.Add(-1)
 	return f
 }
 
 // postLocked hands a frame to the driver and accounts for it. Posting to an
 // idle channel must succeed; a busy error here means the engine's view of
 // channel state diverged from the driver's, which is a bug worth crashing
-// on in the simulator. A race between the chanPump's idle check and a
-// concurrent post to the same channel is impossible because every post to
-// (ri, ch) happens under that channel's chanPump lock.
+// on in the simulator. A race between a pump's idle check and a concurrent
+// post to the same channel is impossible because every post to (ri, ch)
+// comes from the one goroutine running that channel's pump.
 //
 // ErrPeerDown is the exception: real transports lose peers at any moment,
 // and the contract is that a dead destination releases rather than wedges.
@@ -571,8 +569,7 @@ func (e *Engine) postLocked(ri, ch int, f *packet.Frame, pkts []*packet.Packet, 
 	f.Posted = e.rt.Now()
 	if err := e.rails[ri].Post(ch, f, hostExtra); err != nil {
 		if errors.Is(err, drivers.ErrPeerDown) {
-			e.failQ = append(e.failQ, f)
-			e.nFail.Add(1)
+			e.pushFrameLocked(&e.failQ, f)
 			e.ctr.PeerDownPosts++
 			e.rec.Record(trace.Event{
 				At: e.rt.Now(), Kind: trace.KindFault, Node: e.node,

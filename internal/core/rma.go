@@ -39,8 +39,7 @@ func (e *Engine) Put(dst packet.NodeID, window int32, off int64, data []byte, do
 	if done != nil {
 		wrapped = func() { e.pendingFns = append(e.pendingFns, done) }
 	}
-	e.bulkQ = append(e.bulkQ, e.rma.Put(dst, window, off, data, wrapped))
-	e.nBulk.Add(1)
+	e.pushFrameLocked(&e.bulkQ, e.rma.Put(dst, window, off, data, wrapped))
 	e.ctr.RMAPuts++
 	e.mu.Unlock()
 	e.pumpAll()
@@ -66,8 +65,7 @@ func (e *Engine) Get(dst packet.NodeID, window int32, off int64, n int, done fun
 	wrapped := func(data []byte) {
 		e.pendingFns = append(e.pendingFns, func() { done(data) })
 	}
-	e.bulkQ = append(e.bulkQ, e.rma.Get(dst, window, off, n, wrapped))
-	e.nBulk.Add(1)
+	e.pushFrameLocked(&e.bulkQ, e.rma.Get(dst, window, off, n, wrapped))
 	e.ctr.RMAGets++
 	e.mu.Unlock()
 	e.pumpAll()

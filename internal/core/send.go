@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"newmad/internal/packet"
@@ -12,9 +11,10 @@ import (
 // NIC post — the backlog index, the reactive control/bulk queues, the
 // failover queue, the Nagle delay, the counters and the pump scratch — and
 // the protocol side that feeds those queues from received frames. Each NIC
-// channel's pump is serialized by its own chanPump. Acquisition order:
+// channel's pump is serialized by a lock-free state word (kickChannel), so
+// mu is the only engine mutex. Acquisition order:
 //
-//	chanPump.mu > Engine.mu > stats/trace leaf locks
+//	Engine.mu > stats/trace leaf locks
 //
 // The stats.Set mutex is a leaf: the Set runs the engine's by-name reader
 // (metrics.go, which takes mu) only after releasing it. Submit, a received
@@ -113,81 +113,88 @@ func (e *Engine) notePeak(depth int64) {
 	}
 }
 
-// chanPump serializes pumping of one (rail, channel): exactly one
-// goroutine runs the idle-check → scan → Post sequence at a time, so a post
-// to an idle channel can never race another post to the same channel. A
-// contender that fails the TryLock leaves its request in `pending` (and
-// `pendingIdle` when it carries a genuine NIC-idle activation); the holder
-// re-pumps until no request remains, so no kick is ever lost — including
-// the kick of an idle upcall a Post fires inside the holder's own scan.
-type chanPump struct {
-	mu          sync.Mutex
-	pending     atomic.Bool
-	pendingIdle atomic.Bool
+// A channel's pump state is one word: pumpRunning while a goroutine scans
+// the channel, pumpOwed when a kick arrived since the current scan began,
+// pumpOwedIdle when one of those kicks was a genuine NIC-idle activation
+// (which an armed Nagle delay never holds against, per the paper).
+const (
+	pumpRunning uint32 = 1 << iota
+	pumpOwed
+	pumpOwedIdle
+)
+
+// The word's transitions are pure functions returning the next word and a
+// verdict; pumpStep applies one with a CAS loop, and
+// TestPumpProtocolExhaustive steps the same functions through every
+// interleaving. A kick's verdict is "the kicker runs the pump", a begin's
+// "an idle request reaches this scan", a finish's "stop".
+func pumpKick(w uint32) (uint32, bool) { return w | pumpRunning | pumpOwed, w&pumpRunning == 0 }
+func pumpKickIdle(w uint32) (uint32, bool) {
+	return w | pumpRunning | pumpOwed | pumpOwedIdle, w&pumpRunning == 0
+}
+func pumpBegin(w uint32) (uint32, bool) { return pumpRunning, w&pumpOwedIdle != 0 }
+func pumpFinish(w uint32) (uint32, bool) {
+	if w == pumpRunning {
+		return 0, true
+	}
+	return w, false
 }
 
-// kickChannel requests a pump of (rail ri, channel ch). idleUpcall marks a
-// genuine NIC-idle activation (which an armed Nagle delay never holds
-// against, per the paper); it reaches the pump only through pendingIdle, so
-// it is applied to exactly one scan — the first to consume it.
-func (e *Engine) kickChannel(ri, ch int, idleUpcall bool) {
-	cp := &e.pumps[ri][ch]
-	cp.pending.Store(true)
-	if idleUpcall {
-		cp.pendingIdle.Store(true)
+func pumpStep(w *atomic.Uint32, t func(uint32) (uint32, bool)) bool {
+	for {
+		old := w.Load()
+		if next, verdict := t(old); w.CompareAndSwap(old, next) {
+			return verdict
+		}
+	}
+}
+
+// kickChannel requests a pump of (rail ri, channel ch) with kick, pumpKick
+// or pumpKickIdle. A kick on a running channel leaves its request in the
+// word and returns; the runner rescans until no request remains, so no
+// kick is lost, including the idle upcall a Post fires inside the runner's
+// own scan, and an idle request reaches exactly the first scan after it.
+func (e *Engine) kickChannel(ri, ch int, kick func(uint32) (uint32, bool)) {
+	w := &e.pumps[ri][ch]
+	if !pumpStep(w, kick) {
+		return
 	}
 	for {
-		if !cp.mu.TryLock() {
-			// The holder clears pending before pumping and re-checks after
-			// releasing, so our request is either seen or re-run.
-			return
-		}
-		if !cp.pending.Load() {
-			cp.mu.Unlock()
-			return
-		}
-		cp.pending.Store(false)
-		e.pumpChannel(ri, ch, cp.pendingIdle.Swap(false))
-		cp.mu.Unlock()
-		if !cp.pending.Load() {
+		e.pumpChannel(ri, ch, pumpStep(w, pumpBegin))
+		if pumpStep(w, pumpFinish) {
 			return
 		}
 	}
 }
 
 // pumpChannel offers (rail ri, channel ch) the most valuable work in two
-// passes: reactive control frames and failover re-posts first, then planned
-// backlog/bulk work. The atomic queue hints let a pass with nothing to do
-// skip mu. Caller holds the channel's chanPump.
+// passes under one critical section: reactive control frames and failover
+// re-posts first, then planned backlog/bulk work. A pump with nothing
+// queued anywhere skips mu. Caller runs the channel's pump (kickChannel).
 func (e *Engine) pumpChannel(ri, ch int, idleUpcall bool) {
 	if e.closed.Load() {
-		// A pump that raced Close stops: Close is discarding the queues
-		// this pump would read, and the rails are being detached.
+		// A pump that raced Close stops: the rails are being detached.
 		return
 	}
 	if !e.rails[ri].ChannelIdle(ch) {
 		return
 	}
-	b := e.bundle.Load()
-	// Pass 1: control/signalling and failover traffic — latency-critical,
-	// never queues behind data.
-	if e.nCtrl.Load() != 0 || e.nFail.Load() != 0 {
-		e.mu.Lock()
-		posted := e.pumpReactiveLocked(b, ri, ch)
-		e.mu.Unlock()
-		if posted {
-			return
-		}
-	}
-	// Pass 2: planned work — the eager backlog and granted bulk. favorBulk
-	// toggles on every pump that reaches this pass, work or no work; the
+	// favorBulk toggles on every pump that gets past pass 1, work or no
+	// work, alternating pass 2 between the eager backlog and bulkQ; the
 	// replay digests and catalog.golden pin that cadence.
-	fav := e.favorBulk.Load()
-	e.favorBulk.Store(!fav)
-	if e.backlogSz.Load() == 0 && e.nBulk.Load() == 0 {
+	if e.nQueued.Load() == 0 && e.backlogSz.Load() == 0 {
+		e.favorBulk.Store(!e.favorBulk.Load())
 		return
 	}
+	b := e.bundle.Load()
 	e.mu.Lock()
-	e.pumpWorkLocked(b, ri, ch, idleUpcall, fav)
+	// Pass 1: control/signalling and failover traffic — latency-critical,
+	// never queues behind data.
+	if !e.pumpReactiveLocked(b, ri, ch) {
+		// Pass 2: planned work — the eager backlog and granted bulk.
+		fav := e.favorBulk.Load()
+		e.favorBulk.Store(!fav)
+		e.pumpWorkLocked(b, ri, ch, idleUpcall, fav)
+	}
 	e.mu.Unlock()
 }

@@ -40,9 +40,9 @@ const (
 	// SpanRdvGrant: RTS queued → CTS arrival, the sender-side rendezvous
 	// handshake wait (includes any retries). Rail = the CTS arrival rail.
 	SpanRdvGrant
-	// SpanRdvData: RTS arrival → RData arrival on the receiver — how long
-	// a granted transfer took to deliver its bulk after announcing
-	// itself, matched by (source, token). Rail = the RData arrival rail.
+	// SpanRdvData: grant (the CTS answering an RTS) → RData arrival on the
+	// receiver — how long a granted transfer took to deliver its bulk,
+	// matched by (source, token). Rail = the RData arrival rail.
 	SpanRdvData
 	// NumSpanKinds sizes span-indexed arrays.
 	NumSpanKinds

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"newmad/internal/packet"
+	"newmad/internal/proto"
 )
 
 // spanTotal sums one span kind's sample count across every (class, rail)
@@ -59,14 +60,17 @@ func TestSpansEagerLifecycle(t *testing.T) {
 // TestSpansRendezvousHandshake proves the rendezvous legs populate: each
 // sender times RTS→CTS, the receiver times RTS→RData. Two senders' first
 // rendezvous carry the same token (each sender numbers its own), and the
-// receiver must still time both.
+// receiver must still time both. A straggler RTS retry that arrives after
+// its transfer completed is dropped ungranted and must leave no stamp.
 func TestSpansRendezvousHandshake(t *testing.T) {
 	for _, c := range []struct {
-		name    string
-		senders []packet.NodeID // each sends one 64 KiB rendezvous to node 0
+		name      string
+		senders   []packet.NodeID // each sends one 64 KiB rendezvous to node 0
+		straggler bool            // then a late RTS retry from the first sender
 	}{
-		{"one sender", []packet.NodeID{1}},
-		{"two senders, one token", []packet.NodeID{1, 2}},
+		{"one sender", []packet.NodeID{1}, false},
+		{"two senders, one token", []packet.NodeID{1, 2}, false},
+		{"straggler RTS after completion", []packet.NodeID{1}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tn := newNet(t, len(c.senders)+1, "aggregate", nil, singleChanMX())
@@ -78,6 +82,16 @@ func TestSpansRendezvousHandshake(t *testing.T) {
 				}
 			}
 			tn.cl.Eng.Run()
+			if c.straggler {
+				// The sender's first RTS again, token 1, as a retry that
+				// crossed the completed transfer on the wire.
+				src := c.senders[0]
+				big := pkt(packet.FlowID(src), 0, src, 0, 64<<10)
+				big.Class = packet.ClassBulk
+				rts := proto.NewRdvSender(src, func(uint64, *packet.Packet) {}).Start(big)
+				tn.engines[0].onFrame(0, src, rts)
+				tn.cl.Eng.Run()
+			}
 			if len(tn.inbox[0]) != len(c.senders) {
 				t.Fatalf("delivered %d, want %d", len(tn.inbox[0]), len(c.senders))
 			}

@@ -86,9 +86,6 @@ func TestMeshFrameLossReclaim(t *testing.T) {
 	if !found[big] || !found[queued] {
 		t.Fatalf("reclaimed set missing posted frames (big=%v queued=%v)", found[big], found[queued])
 	}
-	if nodes[0].LostFrames() < 2 {
-		t.Fatalf("LostFrames = %d, want >= 2", nodes[0].LostFrames())
-	}
 	waitFor(t, 5*time.Second, "channels released", func() bool {
 		return nodes[0].ChannelIdle(0) && nodes[0].ChannelIdle(1)
 	})

@@ -75,7 +75,6 @@ type Mesh struct {
 	onRecv   RecvFunc
 	onDown   func(peer packet.NodeID)
 	onLost   FrameLossHandler
-	lost     uint64 // frames reclaimed from failed connections
 	closed   bool
 	wg       sync.WaitGroup
 }
@@ -347,8 +346,8 @@ func (m *Mesh) SetFrameLossHandler(fn FrameLossHandler) {
 	m.onLost = fn
 }
 
-// framesLost counts and hands reclaimed frames to the loss handler (unless
-// the mesh is shutting down, where every loss is expected).
+// framesLost hands reclaimed frames to the loss handler (unless the mesh is
+// shutting down, where every loss is expected).
 func (m *Mesh) framesLost(peer packet.NodeID, frames []*packet.Frame) {
 	if len(frames) == 0 {
 		return
@@ -356,7 +355,6 @@ func (m *Mesh) framesLost(peer packet.NodeID, frames []*packet.Frame) {
 	m.mu.Lock()
 	h := m.onLost
 	closed := m.closed
-	m.lost += uint64(len(frames))
 	m.mu.Unlock()
 	if h != nil && !closed {
 		h(peer, frames)

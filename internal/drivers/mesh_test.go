@@ -13,15 +13,6 @@ import (
 	"newmad/internal/packet"
 )
 
-// LostFrames returns the number of frames reclaimed from failed
-// connections since the mesh was created (whether or not a loss handler
-// consumed them).
-func (m *Mesh) LostFrames() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lost
-}
-
 // Draining returns the number of retired rails whose owners are still
 // writing out their queues (0 once every drain has completed).
 func (m *Mesh) Draining() int {
