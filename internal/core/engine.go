@@ -158,14 +158,17 @@ type Engine struct {
 	// outside mu.
 	favorBulk atomic.Bool
 
+	spare atomic.Pointer[packet.Packet] // a recycled copy Submit takes without mu
+
 	// mu guards every field below — the send side (send.go) and the
 	// protocol side that feeds its queues — except the histogram handles
 	// and spans, which carry their own locks.
-	mu      sync.Mutex
-	backlog backlogIndex    // waiting packets, indexed by (dst, class)
-	ctrlQ   []*packet.Frame // reactive control frames (RTS/CTS/Ack)
-	bulkQ   []*packet.Frame // granted rendezvous data, RMA frames
-	failQ   []*packet.Frame // frames whose rail died under them
+	mu       sync.Mutex
+	backlog  backlogIndex     // waiting packets, indexed by (dst, class)
+	ctrlQ    []*packet.Frame  // reactive control frames (RTS/CTS/Ack)
+	bulkQ    []*packet.Frame  // granted rendezvous data, RMA frames
+	failQ    []*packet.Frame  // frames whose rail died under them
+	freePkts []*packet.Packet // zeroed copies that refill spare (freePacketLocked)
 
 	// The Nagle delay, keyed by a generation so wall-clock stale fires are
 	// inert.
@@ -466,7 +469,9 @@ func (e *Engine) SetKnobs(k strategy.Knobs) error {
 // immediately. Packets of one flow must be submitted with consecutive Seq
 // values starting at zero; the mad layer guarantees this. Every packet
 // enters the engine under mu, so a Submit that loses to Close is refused
-// rather than silently dropped.
+// rather than silently dropped. The engine queues its own copy of *in and
+// never writes to or keeps in, so the caller may reuse the struct once
+// Submit returns; the payload bytes stay borrowed as in.Send says.
 //
 // Refusals are typed: ErrClosed after Close, and the admission-control
 // refusals ErrThrottled/ErrQuotaExceeded (with retry-after, see
@@ -476,19 +481,25 @@ func (e *Engine) SetKnobs(k strategy.Knobs) error {
 // Admission runs before the packet touches any send-side state — a shed
 // packet never takes mu or charges a backlog counter (the
 // shed-before-queue rule, DESIGN.md §10).
-func (e *Engine) Submit(p *packet.Packet) error {
-	if err := p.Validate(); err != nil {
+func (e *Engine) Submit(in *packet.Packet) error {
+	if err := in.Validate(); err != nil {
 		return err
 	}
-	if p.Src != e.node {
-		return fmt.Errorf("core: packet src %d submitted on node %d", p.Src, e.node)
+	if in.Src != e.node {
+		return fmt.Errorf("core: packet src %d submitted on node %d", in.Src, e.node)
 	}
-	if err := checkSize(p.Size()); err != nil {
+	if err := checkSize(in.Size()); err != nil {
 		return err
 	}
 	if e.closed.Load() {
 		return ErrClosed
 	}
+	// Copy before any policy call: a packet handed to an interface escapes.
+	p := e.spare.Swap(nil)
+	if p == nil {
+		p = new(packet.Packet)
+	}
+	*p = *in
 	now := e.rt.Now()
 	b := e.bundle.Load()
 	// Protocol decision: large cheap packets travel by rendezvous. The
@@ -504,6 +515,7 @@ func (e *Engine) Submit(p *packet.Packet) error {
 	// carries a backlog charge that only a plan taking it releases, so the
 	// one later refusal (losing to Close, below) hands the charge back.
 	if err := e.admit(p, now, !rdv); err != nil {
+		e.shedCopy(p)
 		return err
 	}
 	p.SubmitSeq = e.submitSeq.Add(1)
@@ -526,7 +538,12 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		if !rdv {
 			e.adm.Load().releaseBacklog(p.Tenant) // no plan ever will
 		}
+		e.shedCopy(p)
 		return ErrClosed
+	}
+	if n := len(e.freePkts); n > 0 && e.spare.CompareAndSwap(nil, e.freePkts[n-1]) {
+		e.freePkts[n-1] = nil
+		e.freePkts = e.freePkts[:n-1]
 	}
 	pump := true
 	switch {
@@ -537,6 +554,7 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		e.pushFrameLocked(&e.bulkQ, e.rdvS.Direct(p))
 		e.countSubmitLocked(p, true)
 		e.ctr.RdvGranted++
+		e.freePacketLocked(p)
 	default:
 		rts := e.rdvS.Start(p)
 		// Once mu drops, a pump may post the RTS and the rail owner recycle
@@ -552,6 +570,23 @@ func (e *Engine) Submit(p *packet.Packet) error {
 		e.pumpAll()
 	}
 	return nil
+}
+
+const freePktsMax = 256 // past it a freed copy goes to the GC
+
+// freePacketLocked zeroes a copy the engine is done with and keeps it for a
+// later Submit, unless freePkts is full. Caller holds mu.
+func (e *Engine) freePacketLocked(p *packet.Packet) {
+	*p = packet.Packet{}
+	if len(e.freePkts) < freePktsMax {
+		e.freePkts = append(e.freePkts, p)
+	}
+}
+
+// shedCopy returns a refused Submit's copy to the spare slot, off mu (§10).
+func (e *Engine) shedCopy(p *packet.Packet) {
+	*p = packet.Packet{}
+	e.spare.CompareAndSwap(nil, p)
 }
 
 // useRendezvous applies the runtime threshold override, falling back to

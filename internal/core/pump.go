@@ -437,6 +437,10 @@ func (e *Engine) pumpBacklogLocked(b *strategy.Bundle, ri, ch int) bool {
 		e.ctr.Aggregates++
 		e.ctr.AggregatedPackets += uint64(len(plan.Packets))
 	}
+	// The frame's entries hold what the packets said: recycle the copies.
+	for _, p := range plan.Packets {
+		e.freePacketLocked(p)
+	}
 	return true
 }
 

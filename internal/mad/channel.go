@@ -191,10 +191,10 @@ func (c *Connection) BeginPacking() *Message {
 }
 
 // Message is an outbound structured message under construction; packing
-// costs this one object. The engine holds *packet.Packet until the frame
-// is posted (or reclaimed by failover): those interior pointers keep the
-// Message alive that long, so it needs no release hook and must never be
-// pooled.
+// costs this one object. The engine queues its own copy of each packet,
+// but a copy's payload may alias the send_SAFER arena until the frame is
+// posted (or reclaimed by failover): that slice keeps the Message alive
+// that long, so it needs no release hook and must never be pooled.
 type Message struct {
 	conn *Connection
 	msg  packet.MsgID

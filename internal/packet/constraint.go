@@ -81,20 +81,49 @@ func CanAppend(pkt *Packet, count, size int, dst NodeID, lim AggregateLimits) bo
 
 // OrderedSubset verifies that packets, in the order given, respect rule 1:
 // for every connection (flow, destination), SubmitSeq is strictly
-// increasing. Strategies call this in debug assertions and tests call it
-// as the oracle for generated plans.
+// increasing. The engine checks every plan with it before posting, and
+// tests call it as the oracle for generated plans.
+//
+// A plan touches few connections, so the last SubmitSeq of each sits in a
+// table on the stack, searched linearly: up to 64 connections cost no
+// allocation and at most 64 comparisons per packet. Connections past the
+// 64th go to a map.
 func OrderedSubset(pkts []*Packet) bool {
 	type conn struct {
 		f FlowID
 		d NodeID
 	}
-	last := map[conn]uint64{}
+	type last struct {
+		conn
+		seq uint64
+	}
+	var tab [64]last
+	n := 0
+	var spill map[conn]uint64
 	for _, p := range pkts {
 		k := conn{p.Flow, p.Dst}
-		if prev, ok := last[k]; ok && p.SubmitSeq <= prev {
-			return false
+		i := 0
+		for i < n && tab[i].conn != k {
+			i++
 		}
-		last[k] = p.SubmitSeq
+		switch {
+		case i < n:
+			if p.SubmitSeq <= tab[i].seq {
+				return false
+			}
+			tab[i].seq = p.SubmitSeq
+		case n < len(tab):
+			tab[n] = last{k, p.SubmitSeq}
+			n++
+		default:
+			if spill == nil {
+				spill = map[conn]uint64{}
+			}
+			if prev, ok := spill[k]; ok && p.SubmitSeq <= prev {
+				return false
+			}
+			spill[k] = p.SubmitSeq
+		}
 	}
 	return true
 }

@@ -140,4 +140,20 @@ func TestOrderedSubset(t *testing.T) {
 	if !OrderedSubset(nil) {
 		t.Fatal("empty sequence should be ordered")
 	}
+	// 100 connections, past the 64 the stack table holds: two rounds in
+	// order pass, and a reorder is caught on either side of the spill.
+	var wide []*Packet
+	for round := uint64(0); round < 2; round++ {
+		for c := 0; c < 100; c++ {
+			wide = append(wide, mk(FlowID(c), 1, round*100+uint64(c)+1))
+		}
+	}
+	if !OrderedSubset(wide) {
+		t.Fatal("100-connection ordered plan rejected")
+	}
+	for _, c := range []FlowID{3, 90} {
+		if OrderedSubset(append(wide[:len(wide):len(wide)], mk(c, 1, 50))) {
+			t.Fatalf("reorder on connection %d of 100 accepted", c)
+		}
+	}
 }

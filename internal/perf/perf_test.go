@@ -94,18 +94,19 @@ func newEngineAt(b testing.TB, node packet.NodeID, deliver proto.DeliverFunc) (*
 }
 
 // TestAllocsEagerSend pins the steady-state eager pump budget: no
-// allocation per submit+pump (the frame, its entries, the view, and the
-// strategy context with its plan scratch are all reused).
+// allocation per submit+pump (the engine's packet copy, the frame, its
+// entries, the view, and the strategy context with its plan scratch are all
+// reused). Each call submits a fresh packet literal, as callers do: Submit
+// keeps none of it, so the literal stays on the caller's stack.
 func TestAllocsEagerSend(t *testing.T) {
 	e, _ := newEngine(t, nil)
 	defer e.Close()
 	payload := make([]byte, 64)
-	p := &packet.Packet{
-		Flow: 1, Msg: 1, Src: 0, Dst: 1,
-		Class: packet.ClassSmall, Payload: payload,
-	}
 	submit := func() {
-		if err := e.Submit(p); err != nil {
+		if err := e.Submit(&packet.Packet{
+			Flow: 1, Msg: 1, Src: 0, Dst: 1,
+			Class: packet.ClassSmall, Payload: payload,
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,12 +144,11 @@ func TestAllocsEagerSendWithQuotas(t *testing.T) {
 	}
 	defer e.Close()
 	payload := make([]byte, 64)
-	p := &packet.Packet{
-		Flow: 1, Msg: 1, Src: 0, Dst: 1,
-		Class: packet.ClassSmall, Tenant: 7, Payload: payload,
-	}
 	submit := func() {
-		if err := e.Submit(p); err != nil {
+		if err := e.Submit(&packet.Packet{
+			Flow: 1, Msg: 1, Src: 0, Dst: 1,
+			Class: packet.ClassSmall, Tenant: 7, Payload: payload,
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,6 +224,24 @@ func TestAllocsMeshReceive(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(500, func() { h.deliver(t) }); allocs > 2 {
 		t.Fatalf("mesh receive path costs %.2f allocs/op for an 8-entry frame, budget is 2", allocs)
+	}
+}
+
+// TestAllocsOrderedSubset pins the engine's per-plan order check at zero
+// allocations for a 64-packet plan over 16 flows: every plan passes it
+// before it is posted.
+func TestAllocsOrderedSubset(t *testing.T) {
+	plan := make([]*packet.Packet, 64)
+	for i := range plan {
+		plan[i] = &packet.Packet{Flow: packet.FlowID(i % 16), Dst: 1, SubmitSeq: uint64(i + 1)}
+	}
+	check := func() {
+		if !packet.OrderedSubset(plan) {
+			t.Fatal("ordered plan rejected")
+		}
+	}
+	if allocs := testing.AllocsPerRun(500, check); allocs > 0 {
+		t.Fatalf("OrderedSubset costs %.2f allocs/op on a 64-packet, 16-flow plan, budget is 0", allocs)
 	}
 }
 
@@ -343,11 +361,11 @@ func newRoundTrip(tb testing.TB) (roundTrip func()) {
 	}
 }
 
-// TestAllocsMeshRoundTrip gates the round trip's allocations: 4 is the
-// steady state, and the budget of 5 leaves one of slack for a pool a
-// concurrent GC emptied (the count is process-wide: both engines, four
-// socket goroutines). A per-frame allocation coming back on a sender or a
-// reader costs two per round trip and trips it.
+// TestAllocsMeshRoundTrip gates the round trip's allocations: 2 is the
+// steady state (one landed payload block per direction), and the budget of
+// 3 leaves one of slack for a pool a concurrent GC emptied (the count is
+// process-wide: both engines, four socket goroutines). A per-frame or
+// per-Submit allocation coming back on either side trips it.
 func TestAllocsMeshRoundTrip(t *testing.T) {
 	if raceDetector {
 		// sync.Pool drops a quarter of its Puts under -race; across the eight
@@ -359,8 +377,8 @@ func TestAllocsMeshRoundTrip(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		roundTrip() // warm the pools and scratch buffers
 	}
-	if allocs := testing.AllocsPerRun(500, roundTrip); allocs > 5 {
-		t.Fatalf("mesh round trip costs %.2f allocs/op, budget is 5", allocs)
+	if allocs := testing.AllocsPerRun(500, roundTrip); allocs > 3 {
+		t.Fatalf("mesh round trip costs %.2f allocs/op, budget is 3", allocs)
 	}
 }
 
