@@ -48,11 +48,6 @@ type Options struct {
 	// Bundle names the strategy bundle each engine runs; default
 	// "aggregate" (the paper's optimizing configuration).
 	Bundle string
-	// Listen optionally gives one TCP listen address per node (to span
-	// real machines or pin ports). Default: "127.0.0.1:0" everywhere.
-	// Only supported for single-rail clusters; multi-rail nodes listen on
-	// one ephemeral port per rail.
-	Listen []string
 
 	// Deprecated: ignored. The engine has one send side.
 	Shards int
@@ -91,9 +86,6 @@ type Options struct {
 // Node is one member of the cluster: its transport endpoints (one per
 // rail), its optimizer, its packing session, and its private metric set.
 type Node struct {
-	// Driver is the primary (first) rail — the whole transport of a
-	// single-rail node.
-	Driver *drivers.Mesh
 	// Rails holds every rail endpoint, in the engine's rail order.
 	Rails   []*drivers.Mesh
 	Engine  *core.Engine
@@ -124,12 +116,6 @@ func New(o Options) (*Cluster, error) {
 	if o.Bundle == "" {
 		o.Bundle = "aggregate"
 	}
-	if o.Listen != nil && len(o.Rails) > 1 {
-		return nil, fmt.Errorf("cluster: explicit listen addresses are only supported for single-rail clusters")
-	}
-	if o.Listen != nil && len(o.Listen) != o.Nodes {
-		return nil, fmt.Errorf("cluster: %d listen addresses for %d nodes", len(o.Listen), o.Nodes)
-	}
 	// The rail profiles every node runs, in the engine's rail order.
 	profiles := caps.EngineOrder(o.Rails)
 	if len(profiles) == 0 {
@@ -146,15 +132,11 @@ func New(o Options) (*Cluster, error) {
 	// rail separately), so no engine ever sees a partially connected
 	// fabric.
 	for i := 0; i < o.Nodes; i++ {
-		var listen []string
-		if o.Listen != nil {
-			listen = []string{o.Listen[i]}
-		}
-		rails, err := drivers.NewMeshRails(packet.NodeID(i), profiles, listen)
+		rails, err := drivers.NewMeshRails(packet.NodeID(i), profiles, drivers.TCP)
 		if err != nil {
 			return fail(err)
 		}
-		c.Nodes = append(c.Nodes, &Node{Driver: rails[0], Rails: rails, Stats: &stats.Set{}})
+		c.Nodes = append(c.Nodes, &Node{Rails: rails, Stats: &stats.Set{}})
 	}
 	for r := range profiles {
 		for i, a := range c.Nodes {

@@ -21,9 +21,6 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := New(Options{Nodes: 2, Bundle: "no-such-bundle"}); err == nil {
 		t.Fatal("unknown bundle accepted")
 	}
-	if _, err := New(Options{Nodes: 3, Listen: []string{"127.0.0.1:0"}}); err == nil {
-		t.Fatal("listen/node count mismatch accepted")
-	}
 }
 
 // TestClusterRefusesOversizePayload: a packet, put or get one byte over
@@ -202,7 +199,7 @@ func TestClusterSurvivesPeerDeath(t *testing.T) {
 
 	// Kill node 2: engine detached, sockets torn down under the others.
 	c.Nodes[2].Engine.Close()
-	c.Nodes[2].Driver.Close()
+	c.Nodes[2].Rails[0].Close()
 
 	// 0 -> 1 must still work.
 	conn := c.Session(0).Channel("x").Connect(1)

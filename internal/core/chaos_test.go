@@ -23,7 +23,7 @@ func newTwoRailMeshEngines(t *testing.T, onDeliver func(node packet.NodeID, d pr
 	profiles := caps.RailProfiles(caps.TCP, 2)
 	rt := simnet.NewRealRuntime()
 	for n := 0; n < 2; n++ {
-		rs, err := drivers.NewMeshRails(packet.NodeID(n), profiles, nil)
+		rs, err := drivers.NewMeshRails(packet.NodeID(n), profiles, drivers.TCP)
 		if err != nil {
 			t.Fatal(err)
 		}

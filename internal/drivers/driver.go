@@ -7,11 +7,12 @@
 //   - Sim, the simulated NIC in virtual time (Myrinet/MX, Quadrics/Elan,
 //     InfiniBand, TCP, WAN — each charged per frame by its record in the
 //     capability database, internal/caps); and
-//   - Mesh, the real TCP driver, which runs the very same engine in
+//   - Mesh, the real socket driver, which runs the very same engine in
 //     wall-clock time and validates the asynchronous upcall contract
 //     against a genuine transport: an N-node topology where every node
 //     listens, dials its peers, and handles peer failure as a first-class
-//     event.
+//     event. It runs over any stream Network (TCP in shipping code); its
+//     inline writes need a connection with a raw fd.
 //
 // The Driver interface is intentionally narrow: the optimizer only ever
 // needs to know what a driver can do (Caps), whether a send unit is free,

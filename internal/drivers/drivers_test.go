@@ -201,7 +201,7 @@ func multiRailTransport(rails int) wallTransport {
 				}
 			}
 			for i := range ds {
-				rs, err := NewMeshRails(packet.NodeID(i), caps.RailProfiles(c, rails), nil)
+				rs, err := NewMeshRails(packet.NodeID(i), caps.RailProfiles(c, rails), TCP)
 				if err != nil {
 					cleanup()
 					return nil, nil, err

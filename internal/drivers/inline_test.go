@@ -47,7 +47,7 @@ func newRawPeer(t *testing.T) *rawPeer {
 func dialRaw(t *testing.T) (*Mesh, *net.TCPConn) {
 	t.Helper()
 	peer := newRawPeer(t)
-	m, err := NewMesh(0, caps.TCP, "127.0.0.1:0")
+	m, err := NewMesh(0, caps.TCP, TCP, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,8 @@ func goid() string {
 // goroutine its idle upcall runs on: a control frame posted to an idle,
 // unpaced rail is written by the poster; a FrameData frame always goes to
 // the owner — the asynchronous send unit that aggregation fills the backlog
-// behind — and so does every frame on a paced rail.
+// behind — and so does every frame on a paced rail, and every frame over a
+// connection with no raw fd to write through. Each frame is delivered.
 func TestMeshInlineOnlyForUnaggregatedFrames(t *testing.T) {
 	paced := caps.TCP
 	paced.EmulateWire = true
@@ -217,28 +218,56 @@ func TestMeshInlineOnlyForUnaggregatedFrames(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
+		nw     Network
 		caps   caps.Caps
 		frame  func() *packet.Frame
 		inline bool
 	}{
-		{"ack", caps.TCP, ack, true},
-		{"data", caps.TCP, func() *packet.Frame { return simpleFrame(0, 1, 64) }, false},
-		{"paced-ack", paced, ack, false},
+		{"ack", TCP, caps.TCP, ack, true},
+		{"data", TCP, caps.TCP, func() *packet.Frame { return simpleFrame(0, 1, 64) }, false},
+		{"paced-ack", TCP, paced, ack, false},
+		{"pipe-ack", newPipeNet(), caps.TCP, ack, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			nodes, cleanup, err := NewMeshCluster(2, tc.caps)
+			nodes, cleanup, err := newMeshCluster(tc.nw, 2, tc.caps)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cleanup()
 			upcall := make(chan string, 1)
 			nodes[0].SetIdleHandler(func(int) { upcall <- goid() })
-			if err := nodes[0].Post(0, tc.frame(), 0); err != nil {
+			got := make(chan packet.FrameKind, 1)
+			nodes[1].SetRecvHandler(func(_ packet.NodeID, f *packet.Frame) {
+				got <- f.Kind
+				packet.ReleaseFrame(f)
+			})
+			f := tc.frame()
+			want := f.Kind // the frame is the rail's once posted
+			if err := nodes[0].Post(0, f, 0); err != nil {
 				t.Fatal(err)
 			}
 			if inline := <-upcall == goid(); inline != tc.inline {
 				t.Fatalf("written by the posting goroutine: %v, want %v", inline, tc.inline)
 			}
+			select {
+			case k := <-got:
+				if k != want {
+					t.Fatalf("delivered a %v frame, posted a %v", k, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("frame never delivered")
+			}
 		})
+	}
+}
+
+// TestNewTryWriterNeedsRawConn: a connection with no raw fd gets no inline
+// writer (and Post hands its frames to the owner) instead of a panic.
+func TestNewTryWriterNeedsRawConn(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	if w := newTryWriter(a); w != nil {
+		t.Fatal("newTryWriter gave a pipe an inline writer")
 	}
 }

@@ -23,9 +23,25 @@ import (
 // whether to reroute, buffer, or give up.
 var ErrPeerDown = errors.New("drivers: peer down")
 
-// Mesh is a real multi-node TCP transport: each node listens on one port,
-// dials every peer, and exchanges length-prefixed frames in the wire
-// encoding of internal/packet. It is the one real-socket driver — an
+// Network opens the listeners and connections a Mesh runs over: one value
+// per stream technology. TCP is the one shipping code uses; any network
+// whose connections are ordered, reliable byte streams will do.
+type Network interface {
+	Listen(addr string) (net.Listener, error)
+	Dial(addr string) (net.Conn, error)
+}
+
+// TCP is kernel TCP: ordinary host:port addresses, local or routable.
+var TCP Network = tcpNet{}
+
+type tcpNet struct{}
+
+func (tcpNet) Listen(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
+func (tcpNet) Dial(addr string) (net.Conn, error)       { return net.Dial("tcp", addr) }
+
+// Mesh is a real multi-node stream transport: each node listens on one
+// address, dials every peer, and exchanges length-prefixed frames in the
+// wire encoding of internal/packet. It is the one real-socket driver — an
 // N-endpoint mesh that spans localhost or real machines alike:
 //
 //   - One outbound connection per peer, owned by a dedicated sender
@@ -51,15 +67,17 @@ var ErrPeerDown = errors.New("drivers: peer down")
 // Mesh per rail and hand all of them to the engine (see NewMeshRails), which
 // fails frames over between them.
 //
-// Addresses are ordinary TCP addresses; nothing restricts the mesh to
-// localhost. Tests and examples use 127.0.0.1 ephemeral ports, but the same
-// driver spans real hosts when given routable listen addresses.
+// The Mesh runs over any Network, in its addresses: on TCP, 127.0.0.1
+// ephemeral ports in tests and examples, routable ones to span hosts. Post's
+// inline write needs a connection with a raw fd (syscall.Conn); over any
+// other, the rail's owner writes every frame.
 type Mesh struct {
 	node  packet.NodeID
 	caps  caps.Caps
 	mem   memsim.Model
 	pacer *wirePacer // non-nil iff caps.EmulateWire
 
+	nw      Network
 	ln      net.Listener
 	dialGen atomic.Uint64 // the last dial generation sent in a hello
 
@@ -81,15 +99,15 @@ type Mesh struct {
 
 var _ Driver = (*Mesh)(nil)
 
-// NewMesh creates a node endpoint listening on the given TCP address
-// ("127.0.0.1:0" for an ephemeral localhost port, ":0" or a routable
-// host:port to span machines). Wire the topology with Dial, or use
-// NewMeshCluster for the all-pairs localhost case.
-func NewMesh(node packet.NodeID, c caps.Caps, listen string) (*Mesh, error) {
+// NewMesh creates a node endpoint listening on nw ("127.0.0.1:0" for an
+// ephemeral localhost TCP port, ":0" or a routable host:port to span
+// machines); Dial reaches peers through nw too. Wire the topology with Dial,
+// or use NewMeshCluster for the all-pairs localhost case.
+func NewMesh(node packet.NodeID, c caps.Caps, nw Network, listen string) (*Mesh, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", listen)
+	ln, err := nw.Listen(listen)
 	if err != nil {
 		return nil, err
 	}
@@ -97,6 +115,7 @@ func NewMesh(node packet.NodeID, c caps.Caps, listen string) (*Mesh, error) {
 		node:     node,
 		caps:     c,
 		mem:      memsim.DefaultModel(),
+		nw:       nw,
 		ln:       ln,
 		peers:    make(map[packet.NodeID]*rail),
 		draining: make(map[*rail]struct{}),
@@ -108,23 +127,20 @@ func NewMesh(node packet.NodeID, c caps.Caps, listen string) (*Mesh, error) {
 	}
 	m.dialGen.Store(uint64(time.Now().UnixNano()))
 	if c.EmulateWire {
-		m.pacer = newWirePacer(c.Bandwidth)
+		m.pacer = &wirePacer{bandwidth: c.Bandwidth}
 	}
 	m.wg.Add(1)
 	go m.acceptLoop()
 	return m, nil
 }
 
-// NewMeshRails creates one Mesh endpoint per capability profile for a node.
-// Profile names must be distinct (use caps.RailProfiles to derive uniquely
-// named variants of one base profile); listen optionally pins one TCP
-// listen address per rail, defaulting to ephemeral localhost ports.
-func NewMeshRails(node packet.NodeID, profiles []caps.Caps, listen []string) ([]*Mesh, error) {
+// NewMeshRails creates one Mesh endpoint on nw per capability profile for a
+// node, each listening on an ephemeral localhost address. Profile names must
+// be distinct (use caps.RailProfiles to derive uniquely named variants of
+// one base profile).
+func NewMeshRails(node packet.NodeID, profiles []caps.Caps, nw Network) ([]*Mesh, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("drivers: multi-rail node %d needs at least one rail profile", node)
-	}
-	if listen != nil && len(listen) != len(profiles) {
-		return nil, fmt.Errorf("drivers: %d listen addresses for %d rails", len(listen), len(profiles))
 	}
 	seen := make(map[string]bool, len(profiles))
 	for _, p := range profiles {
@@ -135,11 +151,7 @@ func NewMeshRails(node packet.NodeID, profiles []caps.Caps, listen []string) ([]
 	}
 	rails := make([]*Mesh, len(profiles))
 	for i, p := range profiles {
-		addr := "127.0.0.1:0"
-		if listen != nil {
-			addr = listen[i]
-		}
-		m, err := NewMesh(node, p, addr)
+		m, err := NewMesh(node, p, nw, "127.0.0.1:0")
 		if err != nil {
 			for _, prev := range rails[:i] {
 				prev.Close()
@@ -419,10 +431,12 @@ func (m *Mesh) Close() error {
 	return err
 }
 
-// NewMeshCluster creates n fully connected localhost mesh nodes sharing the
-// given capability profile. The returned cleanup closes every node; on
+// NewMeshCluster creates n fully connected localhost TCP mesh nodes sharing
+// the given capability profile. The returned cleanup closes every node; on
 // failure everything already started is closed.
-func NewMeshCluster(n int, c caps.Caps) ([]*Mesh, func(), error) {
+func NewMeshCluster(n int, c caps.Caps) ([]*Mesh, func(), error) { return newMeshCluster(TCP, n, c) }
+
+func newMeshCluster(nw Network, n int, c caps.Caps) ([]*Mesh, func(), error) {
 	nodes := make([]*Mesh, 0, n)
 	cleanup := func() {
 		for _, m := range nodes {
@@ -430,7 +444,7 @@ func NewMeshCluster(n int, c caps.Caps) ([]*Mesh, func(), error) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		m, err := NewMesh(packet.NodeID(i), c, "127.0.0.1:0")
+		m, err := NewMesh(packet.NodeID(i), c, nw, "127.0.0.1:0")
 		if err != nil {
 			cleanup()
 			return nil, nil, err

@@ -3,9 +3,9 @@ package drivers
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"newmad/internal/caps"
 	"newmad/internal/packet"
@@ -150,48 +150,56 @@ func (s *fingerprintSink) check(n int, dupsAllowed bool) {
 // (exact-size landing buffer, pinned by the sink) at a power-of-two payload.
 // All frames must arrive exactly once, bit-intact.
 func TestPooledFramesSurviveRedialDrain(t *testing.T) {
-	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
+	eachNet(t, func(t *testing.T, e meshEnv) {
+		nodes, cleanup, err := newMeshCluster(e.nw, 2, caps.TCP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cleanup()
 
-	sink := newFingerprintSink(t)
-	nodes[1].SetRecvHandler(sink.recv)
+		sink := newFingerprintSink(t)
+		nodes[1].SetRecvHandler(sink.recv)
 
-	const frames = 200
-	for seq := 0; seq < frames; seq++ {
-		if seq%20 == 19 {
-			// Replace the connection with queued traffic still aboard:
-			// the retiring owner drains (and releases) what it holds.
-			if err := nodes[0].Dial(1, nodes[1].Addr()); err != nil {
-				t.Fatal(err)
+		const frames = 200
+		for seq := 0; seq < frames; seq++ {
+			if seq%20 == 19 {
+				// Replace the connection with queued traffic still aboard:
+				// the retiring owner drains (and releases) what it holds.
+				if err := nodes[0].Dial(1, nodes[1].Addr()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			posted := false
+			for !posted {
+				ch := idleChannel(t, e, nodes[0])
+				mk, size := pooledFrame, 512
+				if seq%4 == 3 {
+					mk, size = pooledBulk, 8<<10
+				}
+				err := nodes[0].Post(ch, mk(0, 1, seq, size), 0)
+				if err == ErrChannelBusy {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				posted = true
 			}
 		}
-		posted := false
-		for !posted {
-			ch, ok := nodes[0].FirstIdle()
-			if !ok {
-				time.Sleep(100 * time.Microsecond)
-				continue
-			}
-			mk, size := pooledFrame, 512
-			if seq%4 == 3 {
-				mk, size = pooledBulk, 8<<10
-			}
-			err := nodes[0].Post(ch, mk(0, 1, seq, size), 0)
-			if err == ErrChannelBusy {
-				continue
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			posted = true
-		}
-	}
-	waitFor(t, 10*time.Second, "all frames delivered", func() bool { return sink.distinct() == frames })
-	waitFor(t, 5*time.Second, "drains complete", func() bool { return nodes[0].Draining() == 0 })
-	sink.check(frames, false)
+		e.settle(t, "all frames delivered", func() bool { return sink.distinct() == frames })
+		e.settle(t, "drains complete", func() bool { return nodes[0].Draining() == 0 })
+		sink.check(frames, false)
+	})
+}
+
+// idleChannel waits for one of m's send channels to be idle and returns it.
+func idleChannel(t *testing.T, e meshEnv, m *Mesh) (ch int) {
+	t.Helper()
+	e.settle(t, "an idle channel", func() (ok bool) {
+		ch, ok = m.FirstIdle()
+		return ok
+	})
+	return ch
 }
 
 // TestPooledFramesSurviveFailoverReclaim severs a connection with pooled
@@ -201,111 +209,111 @@ func TestPooledFramesSurviveRedialDrain(t *testing.T) {
 // connection — the transfer of ownership that PR 4's failover paths rely
 // on, now with pooling in play.
 func TestPooledFramesSurviveFailoverReclaim(t *testing.T) {
-	nodes, cleanup, err := NewMeshCluster(2, caps.TCP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-
-	var mu sync.Mutex
-	var reclaimed []*packet.Frame
-	nodes[0].SetFrameLossHandler(func(peer packet.NodeID, frames []*packet.Frame) {
-		mu.Lock()
-		reclaimed = append(reclaimed, frames...)
-		mu.Unlock()
-	})
-	sink := newFingerprintSink(t)
-	nodes[1].SetRecvHandler(sink.recv)
-
-	// Wedge the receiver inside the first frame's upcall so later writes
-	// back up in kernel buffers, then sever the connection under them.
-	unblock := make(chan struct{})
-	first := true
-	var gate sync.Mutex
-	nodes[1].SetRecvHandler(func(src packet.NodeID, f *packet.Frame) {
-		gate.Lock()
-		wasFirst := first
-		first = false
-		gate.Unlock()
-		if wasFirst {
-			<-unblock
+	eachNet(t, func(t *testing.T, e meshEnv) {
+		nodes, cleanup, err := newMeshCluster(e.nw, 2, caps.TCP)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sink.recv(src, f)
-	})
+		defer cleanup()
 
-	if err := nodes[0].Post(0, pooledFrame(0, 1, 0, 512), 0); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "first frame written", func() bool { return nodes[0].ChannelIdle(0) })
-	const wedged = 3
-	if err := nodes[0].Post(0, pooledFrame(0, 1, 1, 8<<20), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := nodes[0].Post(1, pooledBulk(0, 1, 2, 64<<10), 0); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond) // let the big write wedge
-	if !nodes[0].BreakPeer(1) {
-		t.Fatal("BreakPeer on a live peer reported no break")
-	}
-	close(unblock)
-	waitFor(t, 10*time.Second, "frames reclaimed", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(reclaimed) >= wedged-1
-	})
+		var mu sync.Mutex
+		var reclaimed []*packet.Frame
+		nodes[0].SetFrameLossHandler(func(peer packet.NodeID, frames []*packet.Frame) {
+			mu.Lock()
+			reclaimed = append(reclaimed, frames...)
+			mu.Unlock()
+		})
+		sink := newFingerprintSink(t)
+		nodes[1].SetRecvHandler(sink.recv)
 
-	// The reclaimed frames must still be exactly what was posted: an
-	// owner that released them on the error path would hand back reset
-	// (or reused) structs.
-	mu.Lock()
-	for _, f := range reclaimed {
-		if p, seq := carried(f); !fingerprinted(p, seq) {
-			t.Fatalf("reclaimed frame lost its payload or its fingerprint: %v", f)
+		// Wedge the receiver inside the first frame's upcall so later writes
+		// back up behind it, then sever the connection under them.
+		unblock := make(chan struct{})
+		first := true
+		var gate sync.Mutex
+		nodes[1].SetRecvHandler(func(src packet.NodeID, f *packet.Frame) {
+			gate.Lock()
+			wasFirst := first
+			first = false
+			gate.Unlock()
+			if wasFirst {
+				<-unblock
+			}
+			sink.recv(src, f)
+		})
+
+		if err := nodes[0].Post(0, pooledFrame(0, 1, 0, 512), 0); err != nil {
+			t.Fatal(err)
 		}
-	}
-	mu.Unlock()
-
-	// Heal and fail the reclaimed frames over. The break cascades — the
-	// receiver's reader error takes down its own outbound connection,
-	// whose EOF the sender attributes to the peer — so a first heal can be
-	// torn down again, reclaiming the frames a second time. Keep healing
-	// and re-posting whatever comes back (what the engine's failover queue
-	// does): the ownership contract is that an
-	// undelivered frame is always either in our hands (reclaimed, intact)
-	// or aboard exactly one live rail — never dropped, never released
-	// early. The mid-write ambiguous frame may arrive twice, so duplicates
-	// are legal — corruption is not.
-	deadline := time.Now().Add(15 * time.Second)
-	for sink.distinct() < wedged {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out: %d of %d seqs delivered", sink.distinct(), wedged)
+		e.settle(t, "first frame written", func() bool { return nodes[0].ChannelIdle(0) })
+		const wedged = 3
+		if err := nodes[0].Post(0, pooledFrame(0, 1, 1, 8<<20), 0); err != nil {
+			t.Fatal(err)
 		}
+		if err := nodes[0].Post(1, pooledBulk(0, 1, 2, 64<<10), 0); err != nil {
+			t.Fatal(err)
+		}
+		e.wedge()
+		if !nodes[0].BreakPeer(1) {
+			t.Fatal("BreakPeer on a live peer reported no break")
+		}
+		close(unblock)
+		e.settle(t, "frames reclaimed", func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(reclaimed) >= wedged-1
+		})
+
+		// The reclaimed frames must still be exactly what was posted: an
+		// owner that released them on the error path would hand back reset
+		// (or reused) structs.
 		mu.Lock()
-		pend := reclaimed
-		reclaimed = nil
-		mu.Unlock()
-		for _, f := range pend {
-			for {
-				ch, ok := nodes[0].FirstIdle()
-				if !ok {
-					time.Sleep(time.Millisecond)
-					continue
-				}
-				err := nodes[0].Post(ch, f, 0)
-				if err == nil {
-					break
-				}
-				if errors.Is(err, ErrPeerDown) {
-					if derr := nodes[0].Dial(1, nodes[1].Addr()); derr != nil {
-						t.Fatal(derr)
-					}
-					continue
-				}
-				t.Fatal(err)
+		for _, f := range reclaimed {
+			if p, seq := carried(f); !fingerprinted(p, seq) {
+				t.Fatalf("reclaimed frame lost its payload or its fingerprint: %v", f)
 			}
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	sink.check(wedged, true)
+		mu.Unlock()
+
+		// Heal and fail the reclaimed frames over. The break cascades — the
+		// receiver's reader error takes down its own outbound connection,
+		// whose EOF the sender attributes to the peer — so a first heal can be
+		// torn down again, reclaiming the frames a second time. Keep healing
+		// and re-posting whatever comes back (what the engine's failover queue
+		// does): the ownership contract is that an
+		// undelivered frame is always either in our hands (reclaimed, intact)
+		// or aboard exactly one live rail — never dropped, never released
+		// early. The mid-write ambiguous frame may arrive twice, so duplicates
+		// are legal — corruption is not.
+		for heals := 0; sink.distinct() < wedged; heals++ {
+			if heals == 100 {
+				t.Fatalf("gave up after %d heals: %d of %d seqs delivered", heals, sink.distinct(), wedged)
+			}
+			mu.Lock()
+			pend := reclaimed
+			reclaimed = nil
+			mu.Unlock()
+			for _, f := range pend {
+				for {
+					err := nodes[0].Post(idleChannel(t, e, nodes[0]), f, 0)
+					if err == nil {
+						break
+					}
+					if errors.Is(err, ErrPeerDown) {
+						if derr := nodes[0].Dial(1, nodes[1].Addr()); derr != nil {
+							t.Fatal(derr)
+						}
+						continue
+					}
+					t.Fatal(err)
+				}
+			}
+			e.settle(t, fmt.Sprintf("all %d seqs delivered, or frames reclaimed again", wedged), func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return sink.distinct() >= wedged || len(reclaimed) > 0
+			})
+		}
+		sink.check(wedged, true)
+	})
 }

@@ -253,10 +253,6 @@ type wirePacer struct {
 	nextFree time.Time
 }
 
-func newWirePacer(bandwidth float64) *wirePacer {
-	return &wirePacer{bandwidth: bandwidth}
-}
-
 // serialize reserves the wire for n bytes and sleeps until the reservation
 // has drained.
 func (p *wirePacer) serialize(n int) {

@@ -25,7 +25,7 @@ import (
 // itself fails, the loss is surfaced through the peer-down handler and
 // ErrPeerDown like any other connection failure.
 func (m *Mesh) Dial(peer packet.NodeID, addr string) error {
-	c, err := net.Dial("tcp", addr)
+	c, err := m.nw.Dial(addr)
 	if err != nil {
 		return err
 	}

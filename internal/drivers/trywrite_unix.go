@@ -9,8 +9,9 @@ import (
 )
 
 // tryWriter makes Post's one non-blocking writev; callback and iovec scratch
-// live with the rail, so an attempt allocates nothing. (aix and solaris lack
-// a writev number in package syscall and take the hand-off fallback.)
+// live with the rail, so an attempt allocates nothing. A connection with no
+// raw fd gets none. (aix and solaris lack a writev number in package syscall
+// and take the hand-off fallback.)
 type tryWriter struct {
 	raw syscall.RawConn
 	fn  func(fd uintptr) bool
@@ -19,7 +20,11 @@ type tryWriter struct {
 }
 
 func newTryWriter(c net.Conn) *tryWriter {
-	raw, err := c.(*net.TCPConn).SyscallConn()
+	sc, ok := c.(syscall.Conn)
+	if !ok {
+		return nil
+	}
+	raw, err := sc.SyscallConn()
 	if err != nil {
 		return nil
 	}
