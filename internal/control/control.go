@@ -13,8 +13,16 @@
 // discrete-event simulator (experiment E11) and live on the wall clock over
 // real mesh sockets (internal/cluster's multi-rail soak).
 //
+// Each tick is one sample→signal→actuate pass over two loops: the regime
+// loop (this file) picks the tuning, and the quota loop (quota.go) prices
+// each tenant of the engine's admission table. Both decide under the
+// controller's lock and return the engine writes they chose; the tick
+// applies them in order, regime first, and records each on the trace as a
+// policy event. The engine counts every write itself
+// (core.policy_switches, core.tenant_retunes).
+//
 // Two mechanisms damp the adjustment cost that Henzinger et al. identify
-// for weight-dynamic reoptimization:
+// for weight-dynamic reoptimization of the regime:
 //
 //   - hysteresis: a regime change must be observed on Confirm consecutive
 //     samples before the controller acts, so a single burst or lull cannot
@@ -23,8 +31,8 @@
 //     window, bounding the retune frequency regardless of how noisy the
 //     evidence is.
 //
-// Every decision is recorded on the trace as a policy event together with
-// the Signals that triggered it, and kept in an inspectable decision log.
+// Every regime decision is also kept, with the Signals that triggered it,
+// in an inspectable decision log.
 package control
 
 import (
@@ -83,21 +91,16 @@ type Options struct {
 
 	// Tunings maps each mode to a registered tuning name; defaults to the
 	// built-in registry points ("latency", "balanced", "throughput").
+	// Start applies the balanced mode's tuning.
 	Tunings map[Mode]string
-	// Initial is the mode applied at Start (default ModeBalanced).
-	Initial Mode
 
-	// NominalQuotas enables the per-tenant quota loop (quota.go): each
-	// tenant's unconstrained operating point, seeded into the engine's
-	// admission table at Start and then retuned every tick by the
-	// Lagrangian multiplier update as backlog/refusal pressure shifts.
-	// Tenants need a positive Rate to be controlled; empty disables the
-	// loop entirely.
-	NominalQuotas map[packet.TenantID]core.TenantQuota
+	// The quota loop has no option: it controls every tenant with a
+	// positive rate in the engine's quota table at Start (quota.go).
 
-	// Trace, when non-nil, records every decision as a policy event.
+	// Trace, when non-nil, records every engine write as a policy event.
 	Trace *trace.Recorder
-	// Stats receives controller counters; nil allocates a private set.
+	// Stats receives the counters control.samples, control.holds and
+	// control.cooldown_blocks; nil allocates a private set.
 	Stats *stats.Set
 }
 
@@ -137,20 +140,18 @@ type Controller struct {
 	eng *core.Engine
 	rt  simnet.Runtime
 	o   Options
-	set *stats.Set
 
 	// Counter handles into set, resolved once.
 	cSamples, cHolds, cCooldownBlocks *stats.Counter
-	cRetunes, cQuotaRetunes           *stats.Counter
 
-	// tickMu is held for the whole of each tick; Stop acquires it after
-	// setting closed, so Stop returning guarantees no in-flight tick will
-	// touch the engine afterwards (wall-clock timer cancellation is a
-	// no-op for an already-running callback).
+	// tickMu is held for the whole of Start and of each tick; Stop
+	// acquires it after setting closed, so Stop returning guarantees
+	// neither will touch the engine afterwards (wall-clock timer
+	// cancellation is a no-op for an already-running callback).
 	tickMu sync.Mutex
 
-	// scratch is the MetricsInto snapshot each tick refills, guarded by
-	// tickMu (only tick touches it). At 1000-node testnet scale this is what
+	// scratch is the MetricsInto snapshot Start and each tick refill,
+	// guarded by tickMu. At 1000-node testnet scale this is what
 	// removes the two slice allocations per node per sample.
 	scratch core.Metrics
 
@@ -201,9 +202,6 @@ func New(o Options) (*Controller, error) {
 	if o.LoRate >= o.HiRate {
 		return nil, fmt.Errorf("control: LoRate %.0f must be below HiRate %.0f (the band between is the hysteresis)", o.LoRate, o.HiRate)
 	}
-	if o.Initial == "" {
-		o.Initial = ModeBalanced
-	}
 	names := map[Mode]string{
 		ModeLatency:    "latency",
 		ModeBalanced:   "balanced",
@@ -220,9 +218,6 @@ func New(o Options) (*Controller, error) {
 		}
 		tunings[m] = t
 	}
-	if _, ok := tunings[o.Initial]; !ok {
-		return nil, fmt.Errorf("control: initial mode %q has no tuning", o.Initial)
-	}
 	set := o.Stats
 	if set == nil {
 		set = &stats.Set{}
@@ -231,23 +226,23 @@ func New(o Options) (*Controller, error) {
 		eng: o.Engine,
 		rt:  o.Runtime,
 		o:   o,
-		set: set,
 
 		cSamples:        set.Counter("control.samples"),
 		cHolds:          set.Counter("control.holds"),
 		cCooldownBlocks: set.Counter("control.cooldown_blocks"),
-		cRetunes:        set.Counter("control.retunes"),
-		cQuotaRetunes:   set.Counter("control.quota_retunes"),
 
 		rate:    stats.NewRateMeter(int64(o.HalfLife)),
-		mode:    o.Initial,
+		mode:    ModeBalanced,
 		tunings: tunings,
 	}, nil
 }
 
-// Start applies the initial mode's tuning and begins sampling. Starting a
-// started or stopped controller is an error.
+// Start applies the balanced mode's tuning, adopts the engine's quota
+// table as the quota loop's nominal points, and begins sampling. Starting
+// a started or stopped controller is an error.
 func (c *Controller) Start() error {
+	c.tickMu.Lock()
+	defer c.tickMu.Unlock()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -262,13 +257,14 @@ func (c *Controller) Start() error {
 	c.mu.Unlock()
 
 	// The initial application establishes a known operating point; it is
-	// configuration, not a decision, so it does not enter the log. The
-	// nominal tenant quotas are configuration the same way.
-	c.apply(tune)
-	if len(c.o.NominalQuotas) > 0 {
-		c.quotaStart()
+	// configuration, not a decision, so it does not enter the log.
+	if err := Apply(c.eng, tune); err != nil {
+		panic(err)
 	}
+	m := &c.scratch
+	c.eng.MetricsInto(m)
 	c.mu.Lock()
+	c.quotaStart(m)
 	if !c.closed {
 		c.cancel = c.rt.Schedule(c.o.Interval, "control.tick", c.tick)
 	}
@@ -279,8 +275,8 @@ func (c *Controller) Start() error {
 // Stop halts sampling and waits out any tick already in flight: once Stop
 // returns, the engine keeps the last applied tuning and is no longer
 // touched. Stop is idempotent; do not call it from inside an engine retune
-// observer (the in-flight tick the observer runs under would deadlock the
-// barrier).
+// observer (the in-flight Start or tick the observer runs under would
+// deadlock the barrier).
 func (c *Controller) Stop() {
 	c.mu.Lock()
 	c.closed = true
@@ -290,8 +286,8 @@ func (c *Controller) Stop() {
 	if cancel != nil {
 		cancel()
 	}
-	// Barrier: a tick past its top closed-check completes before we
-	// return; the closed flag stops it from rescheduling.
+	// Barrier: a Start, or a tick past its top closed-check, completes
+	// before we return; the closed flag stops either from scheduling.
 	c.tickMu.Lock()
 	//lint:ignore SA2001 the empty critical section is the point: the acquire waits out the in-flight tick
 	c.tickMu.Unlock()
@@ -304,7 +300,15 @@ func (c *Controller) Decisions() []Decision {
 	return append([]Decision(nil), c.decisions...)
 }
 
-// tick is one pass of the loop: sample, classify, maybe retune, reschedule.
+// write is one engine write a loop decided on under mu: tick applies it
+// once mu is released and records note on the trace as a policy event.
+type write struct {
+	apply func() error
+	note  string
+}
+
+// tick is one pass of the loop: sample, let each loop decide under mu,
+// apply what they decided, reschedule.
 func (c *Controller) tick() {
 	c.tickMu.Lock()
 	defer c.tickMu.Unlock()
@@ -328,60 +332,18 @@ func (c *Controller) tick() {
 		return
 	}
 	c.rate.Observe(m.Submitted, int64(m.Now))
-	sig := Signals{ArrivalPerSec: c.rate.PerSecond(), Backlog: m.Backlog}
 	c.cSamples.Inc()
-
-	want := c.classify(sig)
-	var applied *Decision
-	var tune strategy.Tuning
-	if want == c.mode {
-		c.pending, c.streak = "", 0
-	} else {
-		if want == c.pending {
-			c.streak++
-		} else {
-			c.pending, c.streak = want, 1
-		}
-		switch {
-		case c.streak < c.o.Confirm:
-			// Hysteresis: not yet confirmed.
-			c.cHolds.Inc()
-		case c.retuned && m.Now.Sub(c.last) < c.o.Cooldown:
-			// Cooldown: confirmed but too soon after the last retune.
-			c.cCooldownBlocks.Inc()
-		default:
-			d := Decision{
-				At:       m.Now,
-				From:     string(c.mode),
-				To:       string(want),
-				Evidence: sig,
-			}
-			c.decisions = append(c.decisions, d)
-			c.mode = want
-			c.pending, c.streak = "", 0
-			c.last, c.retuned = m.Now, true
-			c.cRetunes.Inc()
-			tune = c.tunings[want]
-			applied = &d
-		}
-	}
+	writes := c.quotaStep(m, c.regimeStep(m, Signals{ArrivalPerSec: c.rate.PerSecond(), Backlog: m.Backlog}))
 	c.mu.Unlock()
 
-	if applied != nil {
-		c.apply(tune)
-		c.o.Trace.Record(trace.Event{
-			At: applied.At, Kind: trace.KindPolicy, Node: c.eng.Node(),
-			Note: fmt.Sprintf("ctl %s→%s %s", applied.From, applied.To, applied.Evidence),
-		})
-	}
-
-	if len(c.o.NominalQuotas) > 0 {
-		// Per-tenant constrained optimization: one multiplier-update step
-		// against this sample's tenant pressure (quota.go). Runs every
-		// tick with no Confirm/Cooldown gate — demoting a flooder within
-		// one control interval is the loop's contract; the write-on-change
-		// threshold inside quotaTick is what keeps the steady state quiet.
-		c.quotaTick(m)
+	// Tunings were validated against the bundle registry at New and quotas
+	// are never negative, so a failed write is a programming error (say, a
+	// bundle unregistered mid-run) worth crashing on.
+	for _, w := range writes {
+		if err := w.apply(); err != nil {
+			panic(err)
+		}
+		c.o.Trace.Record(trace.Event{At: m.Now, Kind: trace.KindPolicy, Node: c.eng.Node(), Note: w.note})
 	}
 
 	c.mu.Lock()
@@ -389,6 +351,42 @@ func (c *Controller) tick() {
 		c.cancel = c.rt.Schedule(c.o.Interval, "control.tick", c.tick)
 	}
 	c.mu.Unlock()
+}
+
+// regimeStep runs the regime loop on one sample: classify, then retune
+// only once Confirm samples agree and the cooldown has passed. It returns
+// the retune it decided, if any. Called under mu.
+func (c *Controller) regimeStep(m *core.Metrics, sig Signals) []write {
+	want := c.classify(sig)
+	if want == c.mode {
+		c.pending, c.streak = "", 0
+		return nil
+	}
+	if want == c.pending {
+		c.streak++
+	} else {
+		c.pending, c.streak = want, 1
+	}
+	switch {
+	case c.streak < c.o.Confirm:
+		// Hysteresis: not yet confirmed.
+		c.cHolds.Inc()
+		return nil
+	case c.retuned && m.Now.Sub(c.last) < c.o.Cooldown:
+		// Cooldown: confirmed but too soon after the last retune.
+		c.cCooldownBlocks.Inc()
+		return nil
+	}
+	d := Decision{At: m.Now, From: string(c.mode), To: string(want), Evidence: sig}
+	c.decisions = append(c.decisions, d)
+	c.mode = want
+	c.pending, c.streak = "", 0
+	c.last, c.retuned = m.Now, true
+	tune := c.tunings[want]
+	return []write{{
+		apply: func() error { return Apply(c.eng, tune) },
+		note:  fmt.Sprintf("ctl %s→%s %s", d.From, d.To, d.Evidence),
+	}}
 }
 
 // classify maps evidence to a desired regime. The band between LoRate and
@@ -433,13 +431,4 @@ func Apply(eng *core.Engine, t strategy.Tuning) error {
 		return fmt.Errorf("control: tuning %q: %w", t.Name, err)
 	}
 	return nil
-}
-
-// apply is Apply against the controller's own engine; tunings were
-// validated against the bundle registry at New, so a failure means the
-// bundle was unregistered mid-run — a programming error worth crashing on.
-func (c *Controller) apply(t strategy.Tuning) {
-	if err := Apply(c.eng, t); err != nil {
-		panic(err)
-	}
 }

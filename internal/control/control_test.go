@@ -1,8 +1,11 @@
 package control
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"newmad/internal/caps"
 	"newmad/internal/core"
@@ -16,8 +19,14 @@ import (
 )
 
 // simPair builds a 2-node simulated cluster with an engine per node and
-// returns (cluster, sender engine, per-flow seq counters).
+// returns the cluster and the sender engine.
 func simPair(t *testing.T) (*drivers.Cluster, *core.Engine) {
+	t.Helper()
+	return simPairQuotas(t, nil)
+}
+
+// simPairQuotas is simPair with quotas as the sender's admission table.
+func simPairQuotas(t *testing.T, quotas map[packet.TenantID]core.TenantQuota) (*drivers.Cluster, *core.Engine) {
 	t.Helper()
 	prof := caps.MX
 	prof.Channels = 1
@@ -35,12 +44,16 @@ func simPair(t *testing.T) (*drivers.Cluster, *core.Engine) {
 		for _, d := range cl.NodeDrivers(packet.NodeID(n)) {
 			rails = append(rails, d)
 		}
-		eng, err := core.New(packet.NodeID(n), core.Options{
+		o := core.Options{
 			Bundle:  b,
 			Runtime: cl.Eng,
 			Rails:   rails,
 			Deliver: func(proto.Deliverable) {},
-		})
+		}
+		if n == 0 {
+			o.Quotas = quotas
+		}
+		eng, err := core.New(packet.NodeID(n), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +295,6 @@ func TestControllerCooldownBounds(t *testing.T) {
 		Cooldown: 50 * simnet.Millisecond, // far beyond the run
 		HiRate:   1e6,
 		LoRate:   400e3,
-		Initial:  ModeLatency,
 		Stats:    set,
 	})
 	if err != nil {
@@ -292,8 +304,8 @@ func TestControllerCooldownBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := 0
-	// Dense burst to force latency→throughput, then silence (which reads
-	// as latency again) — only the first switch may apply.
+	// Dense burst to force balanced→throughput, then silence (which reads
+	// as latency) — only the first switch may apply.
 	for i := 0; i < 100; i++ {
 		at := simnet.Time(i) * simnet.Time(4*simnet.Microsecond)
 		for j := 0; j < 8; j++ {
@@ -342,5 +354,141 @@ func TestControllerStopIsFinal(t *testing.T) {
 	}
 	if err := c.Start(); err == nil {
 		t.Fatal("restarting a stopped controller should fail")
+	}
+}
+
+// TestControllerStopWaitsOutStart: Stop's guarantee covers Start too. A
+// Stop issued while Start is inside its engine writes (here, parked in the
+// retune observer on its first one) returns only after Start's last write,
+// so no write lands after Stop returned.
+func TestControllerStopWaitsOutStart(t *testing.T) {
+	cl, eng := simPair(t)
+	fifo, err := strategy.New("fifo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetBundle(fifo); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Options{Engine: eng, Runtime: cl.Eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu      sync.Mutex
+		stopped bool
+		late    []string
+		once    sync.Once
+	)
+	entered, release := make(chan struct{}), make(chan struct{})
+	eng.SetRetuneObserver(func(ev core.RetuneEvent) {
+		mu.Lock()
+		if stopped {
+			late = append(late, ev.Knob)
+		}
+		mu.Unlock()
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	})
+	started := make(chan error, 1)
+	go func() { started <- c.Start() }()
+	<-entered
+	stopDone := make(chan struct{})
+	go func() {
+		c.Stop()
+		mu.Lock()
+		stopped = true
+		mu.Unlock()
+		close(stopDone)
+	}()
+	// Give a Stop that does not wait time to return; one that waits
+	// cannot return before release, however long this is.
+	select {
+	case <-stopDone:
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-stopDone
+	if err := <-started; err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(late) > 0 {
+		t.Fatalf("engine written after Stop returned: %v", late)
+	}
+}
+
+// TestControllerQuotaLoopAdoptsEngineTable: the quota loop's nominal points
+// are the engine's own quota table at Start. A rate-limited flooder is
+// demoted within one Interval of its flood; a tenant without a rate stays
+// outside the loop; and every quota write is one "ctl tenant" trace note
+// and one core.tenant_retunes count.
+func TestControllerQuotaLoopAdoptsEngineTable(t *testing.T) {
+	const flooder, free = packet.TenantID(1), packet.TenantID(2)
+	nominal := core.TenantQuota{Rate: 50e3, Burst: 32, Backlog: 256}
+	cl, eng := simPairQuotas(t, map[packet.TenantID]core.TenantQuota{
+		flooder: nominal,
+		free:    {Rate: 0, Backlog: 512},
+	})
+	rec := trace.New(1024)
+	interval := 250 * simnet.Microsecond
+	c, err := New(Options{Engine: eng, Runtime: cl.Eng, Interval: interval, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retunes0 := eng.Metrics().TenantRetunes
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	seq := map[packet.FlowID]int{}
+	submit := func(flow packet.FlowID, tenant packet.TenantID) func() {
+		return func() {
+			p := &packet.Packet{
+				Flow: flow, Msg: packet.MsgID(seq[flow]), Seq: seq[flow], Last: true,
+				Src: 0, Dst: 1, Class: packet.ClassSmall, Tenant: tenant,
+				Payload: make([]byte, 64),
+			}
+			switch err := eng.Submit(p); {
+			case err == nil:
+				seq[flow]++
+			case !errors.Is(err, core.ErrThrottled) && !errors.Is(err, core.ErrQuotaExceeded):
+				t.Errorf("submit: %v", err)
+			}
+		}
+	}
+	// Both tenants at 50k pps throughout; from onset the flooder offers
+	// 500k pps, 10× its rate, for 1 ms.
+	onset := simnet.Time(1010 * simnet.Microsecond)
+	for i := 0; i < 150; i++ {
+		at := simnet.Time(i) * simnet.Time(20*simnet.Microsecond)
+		cl.Eng.At(at, "steady", submit(1, flooder))
+		cl.Eng.At(at, "steady", submit(2, free))
+	}
+	for i := 0; i < 500; i++ {
+		cl.Eng.At(onset+simnet.Time(i)*simnet.Time(2*simnet.Microsecond), "flood", submit(1, flooder))
+	}
+
+	cl.Eng.RunUntil(onset.Add(interval))
+	if r, ok := c.TenantRate(flooder); !ok || r >= nominal.Rate {
+		t.Fatalf("flooder rate %.0f (controlled=%v) one interval after onset, want below nominal %.0f", r, ok, nominal.Rate)
+	}
+	if r, ok := c.TenantRate(free); ok || r != 0 {
+		t.Fatalf("rate-0 tenant: TenantRate = (%.0f, %v), want (0, false)", r, ok)
+	}
+	cl.Eng.RunUntil(simnet.Time(5 * simnet.Millisecond))
+	c.Stop()
+
+	notes := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindPolicy && strings.HasPrefix(ev.Note, "ctl tenant") {
+			notes++
+		}
+	}
+	if d := eng.Metrics().TenantRetunes - retunes0; notes == 0 || uint64(notes) != d {
+		t.Fatalf("%d ctl tenant notes on the trace, engine counted %d tenant retunes since Start", notes, d)
 	}
 }

@@ -2,21 +2,20 @@ package control
 
 import (
 	"fmt"
-	"sort"
 
 	"newmad/internal/core"
 	"newmad/internal/packet"
-	"newmad/internal/trace"
 )
 
 // The per-tenant quota loop: constrained optimization by multiplier
 // update, after the zero-shot Lagrangian recipe (PAPERS.md). Each tenant
-// has a nominal quota (its unconstrained operating point) and a dual
-// multiplier μ ≥ 0 that prices the tenant's pressure on the shared
-// engine. Every control tick reads the tenant's slice of MetricsInto —
-// backlog utilization against its nominal backlog quota, plus the
-// fraction of its offered load the admission bucket refused — and runs
-// one dual-ascent step:
+// with a positive rate in the engine's admission table at Start is
+// controlled: the quota it had then is its nominal quota (its
+// unconstrained operating point), and a dual multiplier μ ≥ 0 prices the
+// tenant's pressure on the shared engine. Every control tick reads the
+// tenant's slice of MetricsInto — backlog utilization against its nominal
+// backlog quota, plus the fraction of its offered load the admission
+// bucket refused — and runs one dual-ascent step:
 //
 //	μ ← max(0, μ + η·(backlogUtil + overDemand − target))
 //	rate ← clamp(nominalRate / (1 + μ), minFrac·nominalRate, nominalRate)
@@ -33,8 +32,9 @@ import (
 // The loop only ever *lowers* rates below nominal; backlog quotas and
 // burst stay at nominal, since the backlog cap is the constraint being
 // priced, not the lever. Engines retune through the same SetTenantQuota
-// knob operators use, so every demotion/heal emits a "tenant-quota"
-// RetuneEvent that experiments (X6) timestamp against the flood onset.
+// knob operators use, so every demotion/heal counts in
+// core.tenant_retunes and emits a "tenant-quota" RetuneEvent that
+// experiments (X6) timestamp against the flood onset.
 
 // The loop's tuning constants. η = 2 with target 0.5: a saturated flooder
 // (backlogUtil ≈ 1, overDemand ≈ 0.9) gains μ ≈ 2.8 in one tick — rate cut
@@ -67,47 +67,33 @@ type tenantCtl struct {
 	lastOverQuota uint64
 }
 
-// quotaStart seeds the engine's admission table with the nominal quotas
-// (configuration, like the initial tuning — not a decision) and builds the
-// dual state. Called from Start; sorted so the engine sees a
-// deterministic retune order.
-func (c *Controller) quotaStart() {
-	ids := make([]int, 0, len(c.o.NominalQuotas))
-	for t := range c.o.NominalQuotas {
-		ids = append(ids, int(t))
-	}
-	sort.Ints(ids)
-	c.mu.Lock()
-	c.qctl = make(map[packet.TenantID]*tenantCtl, len(ids))
-	for _, id := range ids {
-		t := packet.TenantID(id)
-		q := c.o.NominalQuotas[t]
-		c.qctl[t] = &tenantCtl{nominal: q, rate: q.Rate}
-	}
-	c.mu.Unlock()
-	for _, id := range ids {
-		t := packet.TenantID(id)
-		if err := c.eng.SetTenantQuota(t, c.o.NominalQuotas[t]); err != nil {
-			panic(fmt.Sprintf("control: nominal quota for tenant %d: %v", t, err))
+// quotaStart adopts the engine's admission table, as sampled in m, as the
+// nominal points, and starts each tenant's refusal deltas from its tallies
+// in m. Tenants without a rate limit stay outside the loop. Called from
+// Start under mu.
+func (c *Controller) quotaStart(m *core.Metrics) {
+	c.qctl = make(map[packet.TenantID]*tenantCtl)
+	for _, tm := range m.Tenants {
+		if tm.RatePPS > 0 {
+			c.qctl[tm.Tenant] = &tenantCtl{
+				nominal:       core.TenantQuota{Rate: tm.RatePPS, Burst: tm.Burst, Backlog: tm.BacklogQuota},
+				rate:          tm.RatePPS,
+				lastSubmitted: tm.Submitted, lastThrottled: tm.Throttled, lastOverQuota: tm.OverQuota,
+			}
 		}
 	}
 }
 
-// quotaTick runs one dual-ascent step per tenant against the sample m.
-// Called from tick under tickMu; engine writes happen outside c.mu.
-func (c *Controller) quotaTick(m *core.Metrics) {
-	type retune struct {
-		tenant packet.TenantID
-		quota  core.TenantQuota
-		mu     float64
-	}
-	var writes []retune
-
-	c.mu.Lock()
+// quotaStep runs one dual-ascent step per controlled tenant against the
+// sample m and appends the quota retunes it decided to writes. It has no
+// Confirm/Cooldown gate: demoting a flooder within one control interval is
+// the loop's contract, and the write-on-change threshold is what keeps the
+// steady state quiet. Called under mu.
+func (c *Controller) quotaStep(m *core.Metrics, writes []write) []write {
 	for i := range m.Tenants {
 		tm := &m.Tenants[i]
 		ctl := c.qctl[tm.Tenant]
-		if ctl == nil || ctl.nominal.Rate <= 0 {
+		if ctl == nil {
 			continue // not under this loop's control
 		}
 
@@ -141,23 +127,15 @@ func (c *Controller) quotaTick(m *core.Metrics) {
 		// must not emit a retune event per tick.
 		if diff := rate - ctl.rate; diff > ctl.nominal.Rate/100 || diff < -ctl.nominal.Rate/100 {
 			ctl.rate = rate
-			q := ctl.nominal
+			t, q := tm.Tenant, ctl.nominal
 			q.Rate = rate
-			writes = append(writes, retune{tenant: tm.Tenant, quota: q, mu: ctl.mu})
+			writes = append(writes, write{
+				apply: func() error { return c.eng.SetTenantQuota(t, q) },
+				note:  fmt.Sprintf("ctl tenant %d rate=%.0f μ=%.2f", t, rate, ctl.mu),
+			})
 		}
 	}
-	c.mu.Unlock()
-
-	for _, w := range writes {
-		if err := c.eng.SetTenantQuota(w.tenant, w.quota); err != nil {
-			panic(fmt.Sprintf("control: quota retune for tenant %d: %v", w.tenant, err))
-		}
-		c.cQuotaRetunes.Inc()
-		c.o.Trace.Record(trace.Event{
-			At: m.Now, Kind: trace.KindPolicy, Node: c.eng.Node(),
-			Note: fmt.Sprintf("ctl tenant %d rate=%.0f μ=%.2f", w.tenant, w.quota.Rate, w.mu),
-		})
-	}
+	return writes
 }
 
 // TenantRate returns the admission rate the loop currently has in effect

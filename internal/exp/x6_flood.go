@@ -128,8 +128,8 @@ func x6Run(cfg Config, flood bool) (x6Phase, error) {
 
 	// The flood-onset reaction gate reads the engine's own retune stream:
 	// the first flooder demotion at or after the onset, timestamped on the
-	// virtual clock the control ticks run on. The seed writes at Start
-	// land before the onset and fall out of the filter.
+	// virtual clock the control ticks run on. The quota writes below land
+	// before the onset and fall out of the filter.
 	var retunes []core.RetuneEvent
 	rig.Engines[0].SetRetuneObserver(func(ev core.RetuneEvent) {
 		if ev.Knob == "tenant-quota" {
@@ -137,11 +137,18 @@ func x6Run(cfg Config, flood bool) (x6Phase, error) {
 		}
 	})
 
+	// The sender's quota table is the controller's nominal point: it
+	// adopts every rate-limited tenant at Start.
+	quotas := x6Quotas()
+	for _, t := range []packet.TenantID{x6TenantA, x6TenantB, x6Flooder} {
+		if err := rig.Engines[0].SetTenantQuota(t, quotas[t]); err != nil {
+			return ph, err
+		}
+	}
 	ctl, err := control.New(control.Options{
-		Engine:        rig.Engines[0],
-		Runtime:       rig.Cl.Eng,
-		Interval:      x6Interval,
-		NominalQuotas: x6Quotas(),
+		Engine:   rig.Engines[0],
+		Runtime:  rig.Cl.Eng,
+		Interval: x6Interval,
 	})
 	if err != nil {
 		return ph, err
