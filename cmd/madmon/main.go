@@ -81,8 +81,8 @@ func getJSON(client *http.Client, url string, v any) error {
 type Snapshot struct {
 	Schema string `json:"schema"`
 	At     string `json:"at"`
-	// Endpoints maps each polled address to its node snapshot; Errors
-	// holds the addresses that did not answer.
+	// Nodes holds the answering nodes' snapshots, ordered by node ID;
+	// Errors maps each address that did not answer to its error.
 	Nodes  []telemetry.NodeSnapshot `json:"nodes"`
 	Errors map[string]string        `json:"errors,omitempty"`
 	Fleet  telemetry.FleetSnapshot  `json:"fleet"`
@@ -139,12 +139,7 @@ func newMeterSet(halfLife time.Duration) *meterSet {
 // spanQuantiles digs the merged (µs) quantiles of one span kind out of a
 // node snapshot.
 func spanQuantiles(ns *telemetry.NodeSnapshot, span string) (p50, p99 float64, ok bool) {
-	merged := &stats.Histogram{}
-	for _, sp := range ns.Spans {
-		if sp.Span == span {
-			merged.Merge(sp.Histogram())
-		}
-	}
+	merged := ns.SpanTotal(span)
 	if merged.Count() == 0 {
 		return 0, 0, false
 	}

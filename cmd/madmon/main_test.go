@@ -85,6 +85,9 @@ func TestSnapshotMode(t *testing.T) {
 	if doc.Fleet.Nodes != 3 || doc.Fleet.SpanTotal("queue_wait").Count() == 0 {
 		t.Fatalf("fleet roll-up missing or empty: %+v", doc.Fleet.Totals)
 	}
+	if doc.Fleet.Totals.Counters["core.delivered"] == 0 {
+		t.Fatalf("fleet totals carry no core.delivered: %+v", doc.Fleet.Totals)
+	}
 	if doc.Errors != nil {
 		t.Fatalf("unexpected errors: %v", doc.Errors)
 	}

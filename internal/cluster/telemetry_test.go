@@ -98,7 +98,7 @@ func TestClusterTelemetry(t *testing.T) {
 	if fs.Nodes != n {
 		t.Fatalf("fleet nodes = %d, want %d", fs.Nodes, n)
 	}
-	if fs.Totals.Delivered == 0 {
+	if fs.Totals.Counters["core.delivered"] == 0 {
 		t.Fatal("fleet saw no deliveries")
 	}
 	if fs.SpanTotal("queue_wait").Count() == 0 {

@@ -6,6 +6,7 @@ import (
 
 	"newmad/internal/packet"
 	"newmad/internal/simnet"
+	"newmad/internal/stats"
 	"newmad/internal/strategy"
 	"newmad/internal/trace"
 )
@@ -17,7 +18,7 @@ import (
 // controllers and telemetry read, so a controller watching one node never
 // sees a neighbour's traffic in its evidence. The `set` struct tags are the
 // one name table: the engine's stats.Set serves a snapshot under those
-// names at read time (serve), summed over the engines sharing the Set.
+// names at read time (serve), and telemetry names node and fleet from it.
 
 // Counters is the event tally since construction; Metrics embeds a copy.
 type Counters struct {
@@ -170,27 +171,47 @@ func (e *Engine) MetricsInto(m *Metrics) {
 	}
 }
 
+// setField is a `set` tag and the index path of the field it names.
+type setField struct {
+	name  string
+	index []int
+}
+
+// setFields is the one name table, read from Metrics' `set` tags once, in
+// field order, embedded structs included.
+var setFields = func() (out []setField) {
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Metrics{})) {
+		if name := f.Tag.Get("set"); name != "" {
+			out = append(out, setField{name, f.Index})
+		}
+	}
+	return out
+}()
+
 // Each reports every named quantity in m, in stats.Reader form. Telemetry
-// renders Prometheus families from it, so a scrape and a Set read agree.
+// renders node and fleet from it, so a scrape, a fleet and a Set read agree.
 func (m *Metrics) Each(counter func(name string, v uint64), gauge func(name string, v float64)) {
-	eachTagged(reflect.ValueOf(m).Elem(), counter)
+	v := reflect.ValueOf(m).Elem()
+	for _, f := range setFields {
+		counter(f.name, v.FieldByIndex(f.index).Uint())
+	}
 	var downs uint64
 	for _, d := range m.RailDowns {
 		downs += d
 	}
 	counter("core.rail_peer_downs", downs)
 	gauge("core.backlog_peak", float64(m.BacklogPeak))
+	gauge("core.backlog", float64(m.Backlog))
+	gauge("core.failover_queued", float64(m.FailoverQueued))
 }
 
-// eachTagged walks v's `set`-tagged uint64 fields, embedded structs included.
-func eachTagged(v reflect.Value, counter func(name string, v uint64)) {
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Type().Field(i)
-		if f.Anonymous {
-			eachTagged(v.Field(i), counter)
-		} else if name := f.Tag.Get("set"); name != "" {
-			counter(name, v.Field(i).Uint())
-		}
+// NewTotals returns a stats.Totals sized for the names Each reports (the
+// tagged fields plus core.rail_peer_downs, and three gauges), so summing
+// engines into it never regrows its maps.
+func NewTotals() stats.Totals {
+	return stats.Totals{
+		Counters: make(map[string]uint64, len(setFields)+1),
+		Gauges:   make(map[string]float64, 3),
 	}
 }
 

@@ -45,33 +45,63 @@ type Set struct {
 type Reader func(counter func(name string, v uint64), gauge func(name string, v float64))
 
 // Serve registers r as a read-time source of named values. Several readers
-// may serve the same name (the engines of one rig sharing a Set): counters
-// sum, gauges report the largest.
+// may serve the same name (the engines of one rig sharing a Set); their
+// values merge as Totals do.
 func (s *Set) Serve(r Reader) {
 	s.mu.Lock()
 	s.readers = append(s.readers, r)
 	s.mu.Unlock()
 }
 
+// Totals holds named values merged by one rule: counters sum, gauges take
+// the largest. Counter and Gauge are a Reader's two callbacks, and the zero
+// value is ready to use.
+type Totals struct {
+	Counters map[string]uint64  `json:"counters"`
+	Gauges   map[string]float64 `json:"gauges"`
+}
+
+// Counter adds v to the named counter.
+func (t *Totals) Counter(name string, v uint64) {
+	if t.Counters == nil {
+		t.Counters = make(map[string]uint64)
+	}
+	t.Counters[name] += v
+}
+
+// Gauge raises the named gauge to v if v is larger or the gauge is new.
+func (t *Totals) Gauge(name string, v float64) {
+	if t.Gauges == nil {
+		t.Gauges = make(map[string]float64)
+	}
+	if old, ok := t.Gauges[name]; !ok || v > old {
+		t.Gauges[name] = v
+	}
+}
+
+// Add merges o into t.
+func (t *Totals) Add(o Totals) {
+	for n, v := range o.Counters {
+		t.Counter(n, v)
+	}
+	for n, v := range o.Gauges {
+		t.Gauge(n, v)
+	}
+}
+
 // served runs every reader and merges what they report. Readers run outside
 // s.mu: a reader takes its owner's lock (an engine's mu), and that ranks
 // above this leaf mutex — code holding it writes stored counters and
 // histograms.
-func (s *Set) served() (ctrs map[string]uint64, gauges map[string]float64) {
+func (s *Set) served() Totals {
 	s.mu.Lock()
 	rs := s.readers // append-only: the prefix captured here never changes
 	s.mu.Unlock()
-	ctrs = make(map[string]uint64)
-	gauges = make(map[string]float64)
+	var t Totals
 	for _, r := range rs {
-		r(func(name string, v uint64) { ctrs[name] += v },
-			func(name string, v float64) {
-				if old, ok := gauges[name]; !ok || v > old {
-					gauges[name] = v
-				}
-			})
+		r(t.Counter, t.Gauge)
 	}
-	return ctrs, gauges
+	return t
 }
 
 // Counter returns (creating on first use) the named counter.
@@ -106,8 +136,7 @@ func (s *Set) Histogram(name string) *Histogram {
 
 // Gauge returns the named gauge value and whether a reader serves it.
 func (s *Set) Gauge(name string) (float64, bool) {
-	_, g := s.served()
-	v, ok := g[name]
+	v, ok := s.served().Gauges[name]
 	return v, ok
 }
 
@@ -120,8 +149,7 @@ func (s *Set) CounterValue(name string) uint64 {
 	if ok {
 		return c.Value()
 	}
-	ctrs, _ := s.served()
-	return ctrs[name]
+	return s.served().Counters[name]
 }
 
 // Names returns the sorted names of all stored counters, then histograms —
@@ -145,19 +173,19 @@ func sortedNames[V any](m map[string]V) []string {
 // for debugging.
 func (s *Set) Dump() string {
 	cn, hn := s.Names()
-	ctrs, gauges := s.served()
+	t := s.served()
 	for _, n := range cn {
-		ctrs[n] = s.CounterValue(n)
+		t.Counter(n, s.CounterValue(n))
 	}
 	out := ""
-	for _, n := range sortedNames(ctrs) {
-		out += fmt.Sprintf("counter %-40s %d\n", n, ctrs[n])
+	for _, n := range sortedNames(t.Counters) {
+		out += fmt.Sprintf("counter %-40s %d\n", n, t.Counters[n])
 	}
 	for _, n := range hn {
 		out += fmt.Sprintf("hist    %-40s %s\n", n, s.Histogram(n).String())
 	}
-	for _, n := range sortedNames(gauges) {
-		out += fmt.Sprintf("gauge   %-40s %g\n", n, gauges[n])
+	for _, n := range sortedNames(t.Gauges) {
+		out += fmt.Sprintf("gauge   %-40s %g\n", n, t.Gauges[n])
 	}
 	return out
 }

@@ -3,10 +3,10 @@ package telemetry
 import (
 	"encoding/json"
 	"expvar"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 
 	"newmad/internal/packet"
 )
@@ -77,13 +77,14 @@ func (s *Server) Close() error {
 }
 
 // pick resolves the ?node= query, falling back to the server's default.
+// Anything but a whole decimal node ID is refused.
 func (s *Server) pick(r *http.Request) (packet.NodeID, bool) {
 	q := r.URL.Query().Get("node")
 	if q == "" {
 		return s.node, true
 	}
-	var id int32
-	if _, err := fmt.Sscanf(q, "%d", &id); err != nil {
+	id, err := strconv.ParseInt(q, 10, 32)
+	if err != nil {
 		return 0, false
 	}
 	return packet.NodeID(id), true

@@ -62,49 +62,29 @@ func promHist(w io.Writer, name, labels string, hs HistStat) {
 	}
 }
 
-// promRow is one engine counter family of the fleet roll-up.
-type promRow struct {
-	name, help string
-	v          uint64
+// engineCounter and engineGauge render one engine quantity under core's
+// set name, so a node and its fleet name it alike: "core.submitted" is
+// newmad_submitted_total, "core.backlog" is newmad_backlog.
+func engineCounter(w io.Writer, name string, v uint64) {
+	pn := "newmad_" + promName(strings.TrimPrefix(name, "core.")) + "_total"
+	promHead(w, pn, "counter", "Engine counter "+name+".")
+	fmt.Fprintf(w, "%s %d\n", pn, v)
 }
 
-func engineRows(t FleetTotals) []promRow {
-	return []promRow{
-		{"newmad_submitted_total", "Packets submitted by the application.", t.Submitted},
-		{"newmad_submitted_bytes_total", "Payload bytes submitted.", t.SubmittedBytes},
-		{"newmad_delivered_total", "Packets delivered to receive handlers.", t.Delivered},
-		{"newmad_frames_posted_total", "Wire frames posted across all rails.", t.FramesPosted},
-		{"newmad_packets_sent_total", "Packets carried by posted frames.", t.PacketsSent},
-		{"newmad_aggregates_total", "Frames that carried more than one packet.", t.Aggregates},
-		{"newmad_idle_upcalls_total", "NIC-idle scheduler activations.", t.IdleUpcalls},
-		{"newmad_frames_reclaimed_total", "Frames handed back by failing rails.", t.FramesReclaimed},
-		{"newmad_failovers_total", "Frames re-posted on a live rail after reclaim.", t.Failovers},
-		{"newmad_rdv_retries_total", "Rendezvous RTS retries fired.", t.RdvRetries},
-		{"newmad_rail_peer_downs_total", "Rail peer-down events.", t.RailDowns},
-	}
+func engineGauge(w io.Writer, name string, v float64) {
+	pn := "newmad_" + promName(strings.TrimPrefix(name, "core."))
+	promHead(w, pn, "gauge", "Engine gauge "+name+".")
+	fmt.Fprintf(w, "%s %g\n", pn, v)
 }
 
 // WriteProm renders one node's snapshot in Prometheus text format. The
-// engine's counters come from its Metrics through core's one name table
-// ("core.submitted" renders as newmad_submitted_total); the snapshot's
-// Counters/Hists maps hold only what the node's Set stores itself, so no
-// engine quantity appears under two families.
+// engine's quantities come from its Metrics through core's one name table;
+// the snapshot's Counters/Hists maps hold only what the node's Set stores
+// itself, so no engine quantity appears under two families.
 func WriteProm(w io.Writer, ns NodeSnapshot) {
 	m := &ns.Metrics
-	m.Each(func(name string, v uint64) {
-		pn := "newmad_" + promName(strings.TrimPrefix(name, "core.")) + "_total"
-		promHead(w, pn, "counter", "Engine counter "+name+".")
-		fmt.Fprintf(w, "%s %d\n", pn, v)
-	}, func(name string, v float64) {
-		pn := "newmad_" + promName(strings.TrimPrefix(name, "core."))
-		promHead(w, pn, "gauge", "Engine gauge "+name+".")
-		fmt.Fprintf(w, "%s %g\n", pn, v)
-	})
-
-	promHead(w, "newmad_backlog", "gauge", "Packets waiting in the send backlog.")
-	fmt.Fprintf(w, "newmad_backlog %d\n", m.Backlog)
-	promHead(w, "newmad_failover_queued", "gauge", "Frames waiting for any rail to their peer.")
-	fmt.Fprintf(w, "newmad_failover_queued %d\n", m.FailoverQueued)
+	m.Each(func(name string, v uint64) { engineCounter(w, name, v) },
+		func(name string, v float64) { engineGauge(w, name, v) })
 
 	if len(m.RailFrames) > 0 {
 		promHead(w, "newmad_rail_frames_total", "counter", "Frames posted per rail.")
@@ -125,11 +105,14 @@ func WriteProm(w io.Writer, ns NodeSnapshot) {
 	writeSetProm(w, ns.Counters, ns.Hists)
 }
 
-// WriteFleetProm renders the fleet roll-up in Prometheus text format.
+// WriteFleetProm renders the fleet roll-up in Prometheus text format, with
+// every engine family WriteProm has except the per-rail frame counts.
 func WriteFleetProm(w io.Writer, fs FleetSnapshot) {
-	for _, r := range engineRows(fs.Totals) {
-		promHead(w, r.name, "counter", r.help)
-		fmt.Fprintf(w, "%s %d\n", r.name, r.v)
+	for _, n := range sortedKeys(fs.Totals.Counters) {
+		engineCounter(w, n, fs.Totals.Counters[n])
+	}
+	for _, n := range sortedKeys(fs.Totals.Gauges) {
+		engineGauge(w, n, fs.Totals.Gauges[n])
 	}
 	promHead(w, "newmad_fleet_nodes", "gauge", "Engines registered in this fleet.")
 	fmt.Fprintf(w, "newmad_fleet_nodes %d\n", fs.Nodes)
@@ -159,7 +142,7 @@ func writeTenantProm(w io.Writer, tenants []core.TenantMetrics) {
 	rows := []tenantRow{
 		{"newmad_tenant_submitted_total", "counter", "Packets admitted per tenant.",
 			func(t *core.TenantMetrics) string { return fmt.Sprintf("%d", t.Submitted) }},
-		{"newmad_tenant_throttled_total", "counter", "Packets refused by the tenant's rate limit.",
+		{"newmad_tenant_rate_refused_total", "counter", "Packets refused by the tenant's rate limit.",
 			func(t *core.TenantMetrics) string { return fmt.Sprintf("%d", t.Throttled) }},
 		{"newmad_tenant_quota_refused_total", "counter", "Packets refused by the tenant's backlog quota.",
 			func(t *core.TenantMetrics) string { return fmt.Sprintf("%d", t.OverQuota) }},

@@ -12,6 +12,8 @@
 package telemetry
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,7 +23,7 @@ import (
 )
 
 // Schema identifies the snapshot JSON layout.
-const Schema = "newmad-telemetry/v2"
+const Schema = "newmad-telemetry/v3"
 
 // Source is one observed engine: the handle the Registry scrapes.
 type Source struct {
@@ -206,49 +208,14 @@ func snapshotSource(s Source) NodeSnapshot {
 	return ns
 }
 
-// FleetTotals is the fleet's (or one role's) summed engine activity.
-type FleetTotals struct {
-	Submitted       uint64 `json:"submitted"`
-	SubmittedBytes  uint64 `json:"submitted_bytes"`
-	Delivered       uint64 `json:"delivered"`
-	FramesPosted    uint64 `json:"frames_posted"`
-	PacketsSent     uint64 `json:"packets_sent"`
-	Aggregates      uint64 `json:"aggregates"`
-	IdleUpcalls     uint64 `json:"idle_upcalls"`
-	Backlog         int    `json:"backlog"`
-	FailoverQueued  int    `json:"failover_queued"`
-	FramesReclaimed uint64 `json:"frames_reclaimed"`
-	Failovers       uint64 `json:"failovers"`
-	RdvRetries      uint64 `json:"rdv_retries"`
-	RailDowns       uint64 `json:"rail_downs"`
-}
-
-func (t *FleetTotals) add(m *core.Metrics) {
-	t.Submitted += m.Submitted
-	t.SubmittedBytes += m.SubmittedBytes
-	t.Delivered += m.Delivered
-	t.FramesPosted += m.FramesPosted
-	t.PacketsSent += m.PacketsSent
-	t.Aggregates += m.Aggregates
-	t.IdleUpcalls += m.IdleUpcalls
-	t.Backlog += m.Backlog
-	t.FailoverQueued += m.FailoverQueued
-	t.FramesReclaimed += m.FramesReclaimed
-	t.Failovers += m.Failovers
-	t.RdvRetries += m.RdvRetries
-	for _, d := range m.RailDowns {
-		t.RailDowns += d
-	}
-}
-
-// RoleRollup is one role's merged view: summed totals plus per-span
-// histograms merged across the role's nodes (class and rail collapsed,
-// so a 1000-node role stays a handful of entries).
+// RoleRollup is one role's merged view: totals under core's set names plus
+// per-span histograms merged across the role's nodes (class and rail
+// collapsed, so a 1000-node role stays a handful of entries).
 type RoleRollup struct {
-	Role   string      `json:"role"`
-	Nodes  int         `json:"nodes"`
-	Totals FleetTotals `json:"totals"`
-	Spans  []SpanStat  `json:"spans,omitempty"`
+	Role   string       `json:"role"`
+	Nodes  int          `json:"nodes"`
+	Totals stats.Totals `json:"totals"`
+	Spans  []SpanStat   `json:"spans,omitempty"`
 }
 
 // FleetSnapshot is the whole registry rolled into one document: fleet
@@ -258,7 +225,7 @@ type FleetSnapshot struct {
 	Schema string       `json:"schema"`
 	NowNs  int64        `json:"now_ns"`
 	Nodes  int          `json:"nodes"`
-	Totals FleetTotals  `json:"totals"`
+	Totals stats.Totals `json:"totals"`
 	Spans  []SpanStat   `json:"spans,omitempty"`
 	Roles  []RoleRollup `json:"roles,omitempty"`
 	// Tenants is the per-tenant admission roll-up, summed across engines
@@ -286,11 +253,11 @@ func (r *Registry) Fleet() FleetSnapshot {
 	fleetStats := r.fleetStats
 	r.mu.Unlock()
 
-	fs := FleetSnapshot{Schema: Schema, Nodes: len(srcs)}
+	fs := FleetSnapshot{Schema: Schema, Nodes: len(srcs), Totals: core.NewTotals()}
 	cells := make(map[spanCellKey]*stats.Histogram)
 	type roleAcc struct {
 		nodes  int
-		totals FleetTotals
+		totals stats.Totals
 		spans  []*stats.Histogram // per span kind
 	}
 	roles := make(map[string]*roleAcc)
@@ -302,7 +269,6 @@ func (r *Registry) Fleet() FleetSnapshot {
 		if int64(m.Now) > fs.NowNs {
 			fs.NowNs = int64(m.Now)
 		}
-		fs.Totals.add(&m)
 		for _, tm := range m.Tenants {
 			acc := tenants[tm.Tenant]
 			if acc == nil {
@@ -317,14 +283,14 @@ func (r *Registry) Fleet() FleetSnapshot {
 		}
 		ra := roles[s.Role]
 		if ra == nil {
-			ra = &roleAcc{spans: make([]*stats.Histogram, int(core.NumSpanKinds))}
+			ra = &roleAcc{totals: core.NewTotals(), spans: make([]*stats.Histogram, int(core.NumSpanKinds))}
 			for i := range ra.spans {
 				ra.spans[i] = &stats.Histogram{}
 			}
 			roles[s.Role] = ra
 		}
 		ra.nodes++
-		ra.totals.add(&m)
+		m.Each(ra.totals.Counter, ra.totals.Gauge)
 		for _, c := range s.Engine.Spans().Snapshot() {
 			key := spanCellKey{c.Kind, c.Class, c.Rail}
 			if cells[key] == nil {
@@ -341,15 +307,8 @@ func (r *Registry) Fleet() FleetSnapshot {
 	for k := range cells {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.class != b.class {
-			return a.class < b.class
-		}
-		return a.rail < b.rail
+	slices.SortFunc(keys, func(a, b spanCellKey) int {
+		return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.class, b.class), cmp.Compare(a.rail, b.rail))
 	})
 	for _, k := range keys {
 		fs.Spans = append(fs.Spans, SpanStat{
@@ -368,6 +327,7 @@ func (r *Registry) Fleet() FleetSnapshot {
 	for _, n := range roleNames {
 		ra := roles[n]
 		rr := RoleRollup{Role: n, Nodes: ra.nodes, Totals: ra.totals}
+		fs.Totals.Add(ra.totals)
 		for k, h := range ra.spans {
 			if h.Count() == 0 {
 				continue
@@ -401,8 +361,19 @@ func (r *Registry) Fleet() FleetSnapshot {
 // kind across every class and rail — convenience for assertions like
 // "the fleet observed deliveries".
 func (fs *FleetSnapshot) SpanTotal(span string) *stats.Histogram {
+	return spanTotal(fs.Spans, span)
+}
+
+// SpanTotal returns the node's merged histogram for one span kind across
+// every class and rail.
+func (ns *NodeSnapshot) SpanTotal(span string) *stats.Histogram {
+	return spanTotal(ns.Spans, span)
+}
+
+// spanTotal merges the cells of one span kind, rebuilt from the wire form.
+func spanTotal(spans []SpanStat, span string) *stats.Histogram {
 	out := &stats.Histogram{}
-	for _, s := range fs.Spans {
+	for _, s := range spans {
 		if s.Span == span {
 			out.Merge(s.Histogram())
 		}

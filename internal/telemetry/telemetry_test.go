@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"newmad/internal/core"
 	"newmad/internal/exp"
 	"newmad/internal/packet"
 	"newmad/internal/stats"
@@ -97,7 +98,7 @@ func TestFleetRollup(t *testing.T) {
 	if fs.Nodes != 4 {
 		t.Fatalf("fleet nodes = %d", fs.Nodes)
 	}
-	if fs.Totals.Submitted != 32 || fs.Totals.Delivered != 32 {
+	if fs.Totals.Counters["core.submitted"] != 32 || fs.Totals.Counters["core.delivered"] != 32 {
 		t.Fatalf("fleet totals: %+v", fs.Totals)
 	}
 	if fs.SpanTotal("e2e").Count() != 32 {
@@ -118,8 +119,8 @@ func TestFleetRollup(t *testing.T) {
 	if byRole["leader"].Nodes != 1 || byRole["worker"].Nodes != 3 {
 		t.Fatalf("role node counts: %+v", byRole)
 	}
-	if byRole["worker"].Totals.Delivered != 24 {
-		t.Fatalf("worker deliveries = %d, want 24", byRole["worker"].Totals.Delivered)
+	if got := byRole["worker"].Totals.Counters["core.delivered"]; got != 24 {
+		t.Fatalf("worker deliveries = %d, want 24", got)
 	}
 	var workerE2E uint64
 	for _, sp := range byRole["worker"].Spans {
@@ -296,6 +297,83 @@ func TestPromExposition(t *testing.T) {
 	}
 }
 
+// promFamilies parses a Prometheus text scrape into its declared families
+// (name -> type) and its unlabelled samples (name -> value). A family
+// declared twice fails the test: a Prometheus parser rejects the scrape.
+func promFamilies(t *testing.T, text string) (types map[string]string, values map[string]float64) {
+	t.Helper()
+	types, values = map[string]string{}, map[string]float64{}
+	for _, ln := range strings.Split(text, "\n") {
+		f := strings.Fields(ln)
+		switch {
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE":
+			if _, dup := types[f[2]]; dup {
+				t.Errorf("family %s declared twice", f[2])
+			}
+			types[f[2]] = f[3]
+		case len(f) == 2 && f[0] != "#" && !strings.Contains(f[0], "{"):
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("unparseable sample %q", ln)
+			}
+			values[f[0]] = v
+		}
+	}
+	return types, values
+}
+
+// TestFleetPromParity: the fleet scrape carries every family a node's
+// scrape does, under the same name, except the per-rail frame counts; each
+// fleet counter is the nodes' sum and each gauge the largest node's value.
+// Node 1 has a quota table, so the per-tenant families and the engine's
+// tenant totals are on both scrapes and must not share a name.
+func TestFleetPromParity(t *testing.T) {
+	r, reg := rig(t, 2, 8)
+	if err := r.Engines[1].SetTenantQuota(1, core.TenantQuota{Rate: 1e6}); err != nil {
+		t.Fatal(err)
+	}
+	var fb strings.Builder
+	telemetry.WriteFleetProm(&fb, reg.Fleet())
+	fleetTypes, fleetVals := promFamilies(t, fb.String())
+
+	sum, max := map[string]float64{}, map[string]float64{}
+	for node := packet.NodeID(0); node < 2; node++ {
+		ns, _ := reg.Snapshot(node)
+		var b strings.Builder
+		telemetry.WriteProm(&b, ns)
+		types, vals := promFamilies(t, b.String())
+		for fam, typ := range types {
+			if fam == "newmad_rail_frames_total" {
+				continue
+			}
+			if fleetTypes[fam] != typ {
+				t.Errorf("node %d family %s (%s) is %q on the fleet", node, fam, typ, fleetTypes[fam])
+			}
+		}
+		for fam, v := range vals {
+			sum[fam] += v
+			if v > max[fam] {
+				max[fam] = v
+			}
+		}
+	}
+	if sum["newmad_delivered_total"] != 16 {
+		t.Fatalf("nodes delivered %v, want 16", sum["newmad_delivered_total"])
+	}
+	if fleetTypes["newmad_tenant_rate_refused_total"] != "counter" {
+		t.Fatal("the fleet scrape carries no per-tenant families")
+	}
+	for fam, s := range sum {
+		want := s
+		if fleetTypes[fam] == "gauge" {
+			want = max[fam]
+		}
+		if got, ok := fleetVals[fam]; !ok || got != want {
+			t.Errorf("fleet %s = %v (present %v), want %v", fam, got, ok, want)
+		}
+	}
+}
+
 func TestHTTPServer(t *testing.T) {
 	_, reg := rig(t, 2, 4)
 	srv := telemetry.NewServer(reg, 0)
@@ -323,6 +401,11 @@ func TestHTTPServer(t *testing.T) {
 	}
 	if code, _ := get("/metrics?node=7"); code != 404 {
 		t.Fatalf("/metrics?node=7 returned %d, want 404", code)
+	}
+	for _, q := range []string{"1abc", "0x1", "1%202"} {
+		if code, _ := get("/metrics?node=" + q); code != 400 {
+			t.Fatalf("/metrics?node=%s returned %d, want 400", q, code)
+		}
 	}
 
 	code, body := get("/metrics.json")

@@ -80,9 +80,8 @@ func TestTestnet_FleetSnapshots(t *testing.T) {
 	}
 	// Earlier snapshots are genuinely mid-run: monotone delivery counts.
 	first, last := n.Snapshots[0], n.Snapshots[len(n.Snapshots)-1]
-	if first.Totals.Delivered > last.Totals.Delivered {
-		t.Fatalf("delivery count regressed across snapshots: %d then %d",
-			first.Totals.Delivered, last.Totals.Delivered)
+	if d0, d1 := first.Totals.Counters["core.delivered"], last.Totals.Counters["core.delivered"]; d0 > d1 {
+		t.Fatalf("delivery count regressed across snapshots: %d then %d", d0, d1)
 	}
 	// A clean run leaves no spool behind.
 	if res.SpoolDir != "" {
